@@ -13,7 +13,8 @@ items, and those items are written to 17 significant digits under
 With --trace 0 the last line of standard output is a JSON object holding
 the end-to-end metrics (medians over the run's pipelines); with --trace 1
 each round runs the pipeline untraced and then traced, and the object holds
-the per-layer metrics of the traced runs and the tracing overhead.
+the per-layer metrics of the traced runs and the tracing overhead.  The
+metrics printed, and their units, are those BENCHMARK.json lists.
 """
 
 from __future__ import annotations
@@ -32,37 +33,21 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 sys.path.insert(0, HERE)
 
-import spans  # noqa: E402
 import workloads  # noqa: E402
 
 WORK = os.path.join(ROOT, ".perfbench")
 SETUP_PROBES = 3
-DEADLINE_S = 170.0          # the whole run, set-up included
-
-END_TO_END = {"run_s": "s", "cpu_s": "s", "setup_s": "s", "peak_rss_mb": "MB"}
-
-
-def _unit(name: str) -> str:
-    if name.endswith(".calls") or name.endswith("_calls") or name in (
-            "engine.steps", "engine.cell_updates", "engine.source_distinct_t"):
-        return "count"
-    if name.endswith("_share") or name.endswith("_reuse") or name.endswith("overhead"):
-        return "ratio"
-    if name == "outputs.bytes":
-        return "bytes"
-    return "s"
+# a run ends within --seconds plus this: the warm-up import, the set-up
+# probes and a last round that started just inside --seconds
+ALLOWANCE_S = 140.0
 
 
-PER_LAYER_NAMES = (
-    [f"{f}.{k}" for f in spans.FUNCTIONS for k in ("calls", "s")]
-    + [f"{g}.{k}" for g in ("cutoffs", "functionals") for k in ("calls", "s")]
-    + [f"{layer}.self_s" for layer in spans.SELF_LAYERS]
-    + ["engine.solve_s", "engine.solve_calls", "engine.source_s", "engine.step_self_s",
-       "engine.steps", "engine.cell_updates", "engine.source_calls",
-       "engine.source_distinct_t", "engine.source_reuse", "engine.source_nonzero_share",
-       "config.parse_s", "outputs.bytes",
-       "trace.run_s", "trace.untraced_run_s", "trace.overhead"])
-PER_LAYER = {name: _unit(name) for name in PER_LAYER_NAMES}
+def listed_metrics() -> dict:
+    """{"end_to_end" | "per_layer": {metric name: unit}} from BENCHMARK.json."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        bench = json.load(fh)
+    return {kind: {m["name"]: m["unit"] for m in bench[kind]}
+            for kind in ("end_to_end", "per_layer")}
 
 
 def now():
@@ -86,11 +71,11 @@ def dir_bytes(path: str) -> int:
 class Runner:
     """Spawns worker processes for one workload and collects their records."""
 
-    def __init__(self, workload: str, cfg_path: str, work: str, started: float):
+    def __init__(self, workload: str, cfg_path: str, work: str, deadline: float):
         self.workload = workload
         self.cfg_path = cfg_path
         self.work = work
-        self.started = started
+        self.deadline = deadline
         self.env = child_env()
 
     def spawn(self, mode: str):
@@ -103,7 +88,7 @@ class Runner:
         cmd = [sys.executable, os.path.join(HERE, "worker.py"), result, mode, "--",
                workloads.COMMANDS[self.workload], "--config", self.cfg_path,
                "--out", bundle, "--quiet"]
-        timeout = max(DEADLINE_S - (now() - self.started), 1.0)
+        timeout = max(self.deadline - now(), 1.0)
         t_spawn = now()
         try:
             proc = subprocess.run(cmd, cwd=ROOT, env=self.env, capture_output=True,
@@ -133,11 +118,12 @@ def main(argv=None) -> int:
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--trace", type=int, choices=(0, 1), required=True)
     args = p.parse_args(argv)
-    started = now()
+    deadline = now() + args.seconds + ALLOWANCE_S
     if not os.path.isfile(os.path.join(ROOT, "src", "backwave", "cli.py")):
         print(f"error: no backwave sources under {os.path.join(ROOT, 'src')}",
               file=sys.stderr)
         return 2
+    units = listed_metrics()["per_layer" if args.trace else "end_to_end"]
     # a terminated run unwinds through subprocess.run, which kills its child
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
 
@@ -148,7 +134,7 @@ def main(argv=None) -> int:
     cfg_path = os.path.join(work, "input.cfg")
     with open(cfg_path, "w", encoding="utf-8") as fh:
         fh.write(cfg_text)
-    runner = Runner(args.workload, cfg_path, work, started)
+    runner = Runner(args.workload, cfg_path, work, deadline)
 
     # untimed import: later set-ups see warm page and bytecode caches, as a
     # user's repeated CLI runs do
@@ -207,12 +193,11 @@ def main(argv=None) -> int:
 
     if args.trace:
         values = {name: statistics.median([r["layers"][name] for r in traced])
-                  for name in PER_LAYER if name in traced[0]["layers"]}
+                  for name in traced[0]["layers"]}
         values["outputs.bytes"] = statistics.median([r["bytes"] for r in traced])
         values["trace.run_s"] = statistics.median([r["run_s"] for r in traced])
         values["trace.untraced_run_s"] = statistics.median([r["run_s"] for r in untraced])
         values["trace.overhead"] = values["trace.run_s"] / values["trace.untraced_run_s"] - 1.0
-        units = PER_LAYER
     else:
         values = {
             "run_s": statistics.median([r["run_s"] for r in untraced]),
@@ -220,7 +205,11 @@ def main(argv=None) -> int:
             "setup_s": statistics.median(setups + [r["setup_s"] for r in untraced]),
             "peak_rss_mb": statistics.median([r["peak_rss_mb"] for r in untraced]),
         }
-        units = END_TO_END
+    missing = sorted(set(units) - set(values))
+    if missing:
+        print(f"error: BENCHMARK.json lists metrics this run does not measure: {missing}",
+              file=sys.stderr)
+        return 1
     metrics = {name: {"value": values[name], "unit": unit} for name, unit in units.items()}
     print(json.dumps({"correct": not problems, "attempted": attempted, "failed": failed,
                       "metrics": metrics}))

@@ -1,12 +1,12 @@
 """Repeat the benchmark over seeds and report each metric's spread.
 
-    python3 perfbench/spread.py --workloads homogeneous,tlimit --seeds 1-10 \
-        [--seconds 30] [--trace 0]
+    python3 perfbench/spread.py --workloads homogeneous,tlimit --seeds 1-10
 
-Runs run.py once per workload and seed, one after another, and prints for
-every metric its median and the distance between its first and third
-quartiles (statistics.quantiles, n=4) as a share of the median.  The
-failed share of operations is printed per workload as well.
+Runs run.py once per workload and seed, one after another, with --trace 0
+and BENCHMARK.json's run_seconds, and prints for every metric its median
+and the distance between its first and third quartiles
+(statistics.quantiles, n=4) as a share of the median.  The failed share of
+operations is printed per workload as well.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
 
 
 def seeds(text: str):
@@ -30,16 +31,16 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser()
     p.add_argument("--workloads", required=True)
     p.add_argument("--seeds", default="1-10")
-    p.add_argument("--seconds", default="30")
-    p.add_argument("--trace", default="0")
     args = p.parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        seconds = str(json.load(fh)["run_seconds"])
     for wl in args.workloads.split(","):
         runs = []
         for seed in seeds(args.seeds):
             proc = subprocess.run(
                 [sys.executable, os.path.join(HERE, "run.py"), "--workload", wl,
-                 "--seed", str(seed), "--seconds", args.seconds, "--trace", args.trace],
-                cwd=os.path.dirname(HERE), capture_output=True, text=True, timeout=600)
+                 "--seed", str(seed), "--seconds", seconds, "--trace", "0"],
+                cwd=ROOT, capture_output=True, text=True, timeout=600)
             if proc.returncode != 0:
                 print(f"{wl} seed {seed}: exit {proc.returncode}\n{proc.stderr[-2000:]}")
                 return 1
