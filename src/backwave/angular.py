@@ -16,9 +16,10 @@ constraint of a real field holds by construction.
 
 The collocation grid pairs n_theta Gauss-Legendre nodes in cos(theta) with
 n_phi equispaced azimuth nodes.  Quadrature is exact for products of
-harmonics up to band limit L when n_theta >= L+1 and n_phi >= 2L+1, which
-makes analyze a two-sided inverse of synthesize on band-limited data.
-Pointwise products are dealiased with the 3/2 rule (quadratic sources only).
+harmonics up to band limit L when n_theta >= L+1 and n_phi >= 2L+1.
+Quadratic products of radial coefficient stacks go through
+:func:`product_closures`, whose grid integrates every retained mode of the
+product exactly.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ def mode_count(l_max: int) -> int:
 
 def mode_index(l: int, m: int) -> int:
     return l * l + l + m
-
-
-def mode_list(l_max: int):
-    return [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
 
 
 def normalized_legendre(l_max: int, x: np.ndarray) -> np.ndarray:
@@ -138,101 +135,6 @@ def ylm_at(l_max: int, dirs: np.ndarray) -> np.ndarray:
             out[mode_index(l, m)] = sqrt2 * leg[l, m] * np.cos(m * ph)
             out[mode_index(l, -m)] = sqrt2 * leg[l, m] * np.sin(m * ph)
     return out
-
-
-class ModeVector:
-    """Real harmonic coefficients up to a band limit, indexed by (l, m)."""
-
-    def __init__(self, l_max: int, coeffs=None):
-        self.l_max = int(l_max)
-        if coeffs is None:
-            self.coeffs = np.zeros(mode_count(self.l_max))
-        else:
-            coeffs = np.asarray(coeffs, dtype=float)
-            if coeffs.shape != (mode_count(self.l_max),):
-                raise ValueError("coefficient vector length does not match band limit")
-            self.coeffs = coeffs.copy()
-
-    def __getitem__(self, lm):
-        l, m = lm
-        return self.coeffs[mode_index(l, m)]
-
-    def __setitem__(self, lm, value):
-        l, m = lm
-        if abs(m) > l or l > self.l_max:
-            raise IndexError(f"mode {lm} outside band limit {self.l_max}")
-        self.coeffs[mode_index(l, m)] = value
-
-    def truncated(self, l_max: int) -> "ModeVector":
-        out = ModeVector(l_max)
-        n = min(out.coeffs.size, self.coeffs.size)
-        out.coeffs[:n] = self.coeffs[:n]
-        return out
-
-    def norm2(self) -> float:
-        return float(np.dot(self.coeffs, self.coeffs))
-
-    def copy(self) -> "ModeVector":
-        return ModeVector(self.l_max, self.coeffs)
-
-
-def synthesize(mv: ModeVector, grid: AngularGrid) -> np.ndarray:
-    """Pointwise values sum_lm c_lm Y_lm on the grid, shape (n_theta, n_phi)."""
-    if mv.l_max > grid.l_max:
-        raise ValueError(f"mode band limit {mv.l_max} exceeds grid band limit {grid.l_max}")
-    n = mv.coeffs.size
-    return np.tensordot(mv.coeffs, grid.ylm[:n], axes=(0, 0))
-
-
-def analyze(values: np.ndarray, grid: AngularGrid) -> ModeVector:
-    """Coefficients of grid samples; exact inverse of synthesize when band-limited."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid.n_theta, grid.n_phi):
-        raise ValueError("sample array does not match grid shape")
-    weighted = values * grid.weights_2d
-    coeffs = np.tensordot(grid.ylm, weighted, axes=([1, 2], [0, 1]))
-    return ModeVector(grid.l_max, coeffs)
-
-
-def laplace_beltrami(mv: ModeVector) -> ModeVector:
-    """Multiply each (l, m) coefficient by the eigenvalue -l(l+1)."""
-    out = mv.copy()
-    for l in range(mv.l_max + 1):
-        sl = slice(mode_index(l, -l), mode_index(l, l) + 1)
-        out.coeffs[sl] *= -l * (l + 1.0)
-    return out
-
-
-def eigenvalue_array(l_max: int) -> np.ndarray:
-    """l(l+1) per mode slot, shape (n_modes,)."""
-    out = np.empty(mode_count(l_max))
-    for l in range(l_max + 1):
-        out[mode_index(l, -l): mode_index(l, l) + 1] = l * (l + 1.0)
-    return out
-
-
-def dealias_band(l_max: int) -> int:
-    return math.ceil(3 * l_max / 2)
-
-
-def pointwise_product(a: ModeVector, b: ModeVector, l_out: int = None) -> ModeVector:
-    """Harmonic coefficients of the pointwise product, dealiased by the 3/2 rule.
-
-    The product is synthesized on a grid of band limit ceil(3 L/2),
-    multiplied pointwise, analyzed back and truncated to ``l_out``
-    (default: max of the input band limits).  Retained modes are exact.
-    """
-    if l_out is None:
-        l_out = max(a.l_max, b.l_max)
-    # node counts give exact quadrature for Y_a Y_b Y_out, i.e. the retained
-    # modes are exact; this is at least as fine as the 3/2 rule
-    deg = a.l_max + b.l_max + l_out
-    l_tab = max(a.l_max, b.l_max, l_out, dealias_band(max(a.l_max, b.l_max)))
-    grid = angular_grid(l_tab, n_theta=max(deg // 2 + 1, l_tab + 1),
-                        n_phi=max(deg + 1, 2 * l_tab + 1))
-    va = synthesize(a, grid)
-    vb = synthesize(b, grid)
-    return analyze(va * vb, grid).truncated(l_out)
 
 
 def product_closures(l_in: int, l_out: int):

@@ -50,7 +50,7 @@ from scipy import integrate
 from backwave.angular import ylm_at
 from backwave.cutoffs import chi_wave_zone
 from backwave.profiles import Profile, qbracket
-from backwave.radiation import RadiationField, SQRT4PI
+from backwave.radiation import SQRT4PI
 
 ModeKey = Tuple[int, int]
 
@@ -86,10 +86,6 @@ class SourceProfile:
         if self.a < 0:
             raise BackscatterError("decay parameter a must be >= 0")
         self.l_max = int(l_max if l_max is not None else max((l for (l, _m) in modes), default=0))
-
-    @classmethod
-    def from_radiation_field(cls, field: RadiationField, a: float = 0.0) -> "SourceProfile":
-        return cls(dict(field.mode_items()), a=a, l_max=field.l_max)
 
     def ells(self) -> List[int]:
         return sorted({l for (l, _m) in self.modes})

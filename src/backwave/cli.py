@@ -61,11 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="DIR", default=None,
                    help="output bundle directory (default: ./out_<command>; "
                         "env override: BACKWAVE_OUT)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker hint for independent sub-runs (outputs are "
-                        "bit-identical for any value)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed recorded for any randomized sampling")
     p.add_argument("--quiet", action="store_true")
     return p
 
@@ -98,9 +93,6 @@ def main(argv=None) -> int:
             spec.scenario = _SCENARIO_OF[args.command]
             spec.validate()
             config_text = canonical_text(spec)
-        spec.threads = max(args.threads, 1)
-        if args.seed is not None:
-            spec.seed = args.seed
     except (ConfigError, ScenarioError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

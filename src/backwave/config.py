@@ -27,7 +27,7 @@ class ConfigError(ValueError):
 
 _SECTIONS = ("run", "data.F0", "data.G0", "grid", "params", "acceptance")
 
-_RUN_KEYS = {"scenario", "T", "t0", "T_list", "records", "seed"}
+_RUN_KEYS = {"scenario", "T", "t0", "T_list", "records"}
 _GRID_KEYS = {"h", "cfl", "l_max"}
 _PARAM_KEYS = {"gamma", "s", "M", "mu", "a", "delta", "amplitude"}
 _ACC_KEYS = {"exponent_tol", "envelope_budget", "hardy_budget", "ratio_budget",
@@ -124,8 +124,6 @@ def parse_config(text: str) -> RunSpec:
                 spec.T_list = [_to_float(key, v, line) for v in value.split()]
             elif key == "records":
                 spec.n_records = int(_to_float(key, value, line))
-            elif key == "seed":
-                spec.seed = int(_to_float(key, value, line))
         elif section == "grid":
             if key not in _GRID_KEYS:
                 raise ConfigError(f"line {line}: unknown key {key!r} in [grid]")
@@ -180,7 +178,6 @@ def canonical_text(spec: RunSpec) -> str:
     if spec.T_list:
         lines.append("T_list = " + " ".join(_fmt(t) for t in spec.T_list))
     lines.append(f"records = {spec.n_records}")
-    lines.append(f"seed = {spec.seed}")
     for name, modes in (("data.F0", spec.f0_modes), ("data.G0", spec.g0_modes)):
         if not modes:
             continue

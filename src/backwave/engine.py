@@ -25,7 +25,6 @@ substage values.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
@@ -69,14 +68,6 @@ class RadialGrid:
     def r_max(self) -> float:
         return self.J * self.h
 
-    def check_containment(self, T: float, t0: float, margin_cells: int = 10):
-        need = 2.0 * T + (T - t0) + margin_cells * self.h
-        if self.r_max < need:
-            raise EngineError(
-                f"outer radius {self.r_max} violates containment: need >= {need} "
-                f"for T={T}, t0={t0} (finite speed keeps support off the boundary)"
-            )
-
     @staticmethod
     def for_run(h: float, T: float, t0: float, margin_cells: int = 12) -> "RadialGrid":
         J = int(math.ceil((2.0 * T + (T - t0)) / h)) + margin_cells
@@ -109,20 +100,6 @@ class FieldState:
 
     def copy(self) -> "FieldState":
         return FieldState(self.t, self.grid, self.modes, self.u, self.v)
-
-    def scaled(self, c: float) -> "FieldState":
-        out = self.copy()
-        out.u *= c
-        out.v *= c
-        return out
-
-    def add(self, other: "FieldState") -> "FieldState":
-        if other.modes != self.modes or other.grid != self.grid:
-            raise EngineError("cannot add states on different grids or mode sets")
-        out = self.copy()
-        out.u += other.u
-        out.v += other.v
-        return out
 
 
 @dataclass
@@ -170,11 +147,44 @@ def stable_dt(h: float, l_max: int, cfl: float = 0.5) -> float:
     return min(cfl * h, RK4_IMAG_LIMIT * h / math.sqrt(4.0 + l_max * (l_max + 1.0)))
 
 
-def _origin_value(u_row: np.ndarray, ell: float, h: float) -> float:
-    """lim_{r->0} u/r; one-sided difference using u(0) = 0 and parity."""
-    if ell == 0:
-        return u_row[1] / h
-    return 0.0
+def cone_foot(foot: float, h: float, *rows: np.ndarray):
+    """Per-mode arrays of shape (n_modes, J+1) linearly interpolated to r = foot.
+
+    Returns ``(lam, values)``, one interpolated column per array.  The cell
+    index is clamped to J-1, so a foot in the last cell [(J-1)h, Jh)
+    interpolates within it and 0 <= lam < 1 on [0, Jh).
+    """
+    j = min(int(foot / h), rows[0].shape[-1] - 2)
+    lam = foot / h - j
+    return lam, [(1.0 - lam) * a[:, j] + lam * a[:, j + 1] for a in rows]
+
+
+def conformal_flux_at(t: float, foot: float, s: float, h: float,
+                      u: np.ndarray, lu: np.ndarray, ll1: np.ndarray) -> float:
+    """Flux integrand of the conformal identity at r = foot, summed over modes:
+    <t+r>^2s |L(r phi)|^2 + <t-r>^2s |slashed-nabla(r phi)|^2 per unit solid
+    angle and time, from u = r phi and lu = L u."""
+    _lam, (u_f, lu_f) = cone_foot(foot, h, u, lu)
+    fp = (1.0 + (t + foot) ** 2) ** s
+    fm = (1.0 + (t - foot) ** 2) ** s
+    return float(np.sum(fp * lu_f**2 + fm * ll1 * u_f**2 / foot**2))
+
+
+def tangential_at(foot: float, h: float, u: np.ndarray, lu: np.ndarray,
+                  ll1: np.ndarray) -> float:
+    """Sum over modes of (L u - u/r)^2 + l(l+1) u^2/r^2 at r = foot, i.e. the
+    tangential derivatives of phi squared times r^2."""
+    _lam, (u_f, lu_f) = cone_foot(foot, h, u, lu)
+    return float(np.sum((lu_f - u_f / foot) ** 2 + ll1 * u_f**2 / foot**2))
+
+
+def _null_derivative(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
+    """b + d_r a per mode (L a when b = d_t a), one-sided at r = 0."""
+    ar = np.empty_like(a)
+    ar[:, 1:-1] = (a[:, 2:] - a[:, :-2]) / (2.0 * h)
+    ar[:, 0] = a[:, 1] / h
+    ar[:, -1] = 0.0
+    return b + ar
 
 
 def solve_backward_system(
@@ -229,7 +239,7 @@ def solve_backward_system(
     v = {n: fields[n].v.copy() for n in names}
     pot = {n: np.outer(fields[n].ell * (fields[n].ell + 1.0), 1.0 / rint**2) for n in names}
     modes = {n: fields[n].modes for n in names}
-    ells = {n: fields[n].ell for n in names}
+    ll1s = {n: fields[n].ell * (fields[n].ell + 1.0) for n in names}
 
     def rhs(t, uu, vv):
         du = {}
@@ -248,6 +258,11 @@ def solve_backward_system(
             dv[n] = dvn
         return du, dv
 
+    def stage(t, c, ku, kv):
+        """RK4 stage: the right-hand side at t - c after a step of c along (ku, kv)."""
+        return rhs(t - c, {n: u[n] - c * ku[n] for n in names},
+                   {n: v[n] - c * kv[n] for n in names})
+
     # accumulators
     cone_vals = {c.name(): 0.0 for c in cone_specs}
     cone_prev = {c.name(): None for c in cone_specs}
@@ -263,54 +278,23 @@ def solve_backward_system(
     recorded: Dict[str, List[FieldState]] = {n: [] for n in names}
     scale_seen = max(max(float(np.max(np.abs(u[n]))) for n in names), 1e-30)
 
-    def tangential_sq(name, uu, vv, foot):
-        """Sum over modes of (L u - u/r)^2 + l(l+1) u^2/r^2, interpolated to r=foot."""
-        un, vn = uu[name], vv[name]
-        j = min(int(foot / h), grid.J - 2)
-        lam = foot / h - j
-        ur = np.empty_like(un)
-        ur[:, 1:-1] = (un[:, 2:] - un[:, :-2]) / (2.0 * h)
-        ur[:, 0] = un[:, 1] / h
-        ur[:, -1] = 0.0
-        lu = vn + ur
-        u_f = (1.0 - lam) * un[:, j] + lam * un[:, j + 1]
-        lu_f = (1.0 - lam) * lu[:, j] + lam * lu[:, j + 1]
-        ll1 = ells[name] * (ells[name] + 1.0)
-        return u_f, lu_f, ll1
-
     def cone_integrand(c: ConeSpec, t, uu, vv):
         foot = c.R - (c.t2 - t)
         if foot <= h or foot >= grid.r_max - h:
             return None
         name = c.field or names[0]
-        u_f, lu_f, ll1 = tangential_sq(name, uu, vv, foot)
-        fp = (1.0 + (t + foot) ** 2) ** c.s
-        fm = (1.0 + (t - foot) ** 2) ** c.s
-        # flux integrand of the conformal identity: <t+r>^2s |L(r phi)|^2
-        # + <t-r>^2s |slashed-nabla(r phi)|^2, per unit solid angle and time
-        return float(np.sum(fp * lu_f**2 + fm * ll1 * u_f**2 / foot**2))
+        un = uu[name]
+        return conformal_flux_at(t, foot, c.s, h, un, _null_derivative(un, vv[name], h),
+                                 ll1s[name])
 
     def origin_cone_integrand(tau, t, uu, vv, vt):
         foot = t - tau
         if foot <= h or foot >= grid.r_max - h:
             return None
-        name = oc_name
-        un, vn = uu[name], vv[name]
-        j = min(int(foot / h), grid.J - 2)
-        lam = foot / h - j
-        ll1 = ells[name] * (ells[name] + 1.0)
-        total = 0.0
-        for (a, b) in ((un, vn), (vn, vt[name])):
-            ar = np.empty_like(a)
-            ar[:, 1:-1] = (a[:, 2:] - a[:, :-2]) / (2.0 * h)
-            ar[:, 0] = a[:, 1] / h
-            ar[:, -1] = 0.0
-            la = b + ar
-            a_f = (1.0 - lam) * a[:, j] + lam * a[:, j + 1]
-            la_f = (1.0 - lam) * la[:, j] + lam * la[:, j + 1]
-            # dS = r^2 dS(omega): (L phi)^2 r^2 = (L u - u/r)^2 etc.
-            total += float(np.sum((la_f - a_f / foot) ** 2 + ll1 * a_f**2 / foot**2))
-        return total
+        un, vn = uu[oc_name], vv[oc_name]
+        # dS = r^2 dS(omega): (L phi)^2 r^2 = (L u - u/r)^2 etc., for phi and d_t phi
+        return sum(tangential_at(foot, h, a, _null_derivative(a, b, h), ll1s[oc_name])
+                   for (a, b) in ((un, vn), (vn, vt[oc_name])))
 
     def take_accumulations(t, uu, vv):
         nonlocal scale_seen
@@ -368,15 +352,9 @@ def solve_backward_system(
         dt_used = max(dt_used, dt)
         for _ in range(n_steps):
             k1u, k1v = rhs(t_now, u, v)
-            u2 = {n: u[n] - 0.5 * dt * k1u[n] for n in names}
-            v2 = {n: v[n] - 0.5 * dt * k1v[n] for n in names}
-            k2u, k2v = rhs(t_now - 0.5 * dt, u2, v2)
-            u3 = {n: u[n] - 0.5 * dt * k2u[n] for n in names}
-            v3 = {n: v[n] - 0.5 * dt * k2v[n] for n in names}
-            k3u, k3v = rhs(t_now - 0.5 * dt, u3, v3)
-            u4 = {n: u[n] - dt * k3u[n] for n in names}
-            v4 = {n: v[n] - dt * k3v[n] for n in names}
-            k4u, k4v = rhs(t_now - dt, u4, v4)
+            k2u, k2v = stage(t_now, 0.5 * dt, k1u, k1v)
+            k3u, k3v = stage(t_now, 0.5 * dt, k2u, k2v)
+            k4u, k4v = stage(t_now, dt, k3u, k3v)
             for n in names:
                 u[n] = u[n] - (dt / 6.0) * (k1u[n] + 2.0 * k2u[n] + 2.0 * k3u[n] + k4u[n])
                 v[n] = v[n] - (dt / 6.0) * (k1v[n] + 2.0 * k2v[n] + 2.0 * k3v[n] + k4v[n])
@@ -479,50 +457,3 @@ def convergence_order(errors: Sequence[float]) -> float:
     if any(o <= 0 for o in orders):
         warnings.warn("non-monotone refinement errors; order estimate is best-effort")
     return orders[-1] if len(orders) == 1 else sum(orders) / len(orders)
-
-
-def richardson_order(values: Sequence[float]) -> float:
-    """Oracle-free order from three values at h, h/2, h/4."""
-    v = [float(x) for x in values]
-    if len(v) != 3:
-        raise EngineError("richardson triple needs exactly three values")
-    num, den = v[0] - v[1], v[1] - v[2]
-    if den == 0 or num / den <= 0:
-        warnings.warn("degenerate richardson triple")
-        return float("nan")
-    return math.log2(num / den)
-
-
-# ---------------------------------------------------------------------------
-# binary slice dump: JSON header line + little-endian float64 payload
-# ---------------------------------------------------------------------------
-
-def write_slice_dump(traj: Trajectory, path: str, field: str = None):
-    name = field or next(iter(traj.states))
-    with open(path, "wb") as fh:
-        for st in traj.states[name]:
-            header = {
-                "t": st.t,
-                "n_modes": len(st.modes),
-                "J": st.grid.J,
-                "h": st.grid.h,
-                "modes": [list(lm) for lm in st.modes],
-            }
-            fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-            fh.write(st.u.astype("<f8").tobytes())
-            fh.write(st.v.astype("<f8").tobytes())
-
-
-def read_slice_dump(path: str):
-    out = []
-    with open(path, "rb") as fh:
-        while True:
-            line = fh.readline()
-            if not line:
-                break
-            header = json.loads(line.decode("utf-8"))
-            n = header["n_modes"] * (header["J"] + 1)
-            u = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(header["n_modes"], -1)
-            v = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(header["n_modes"], -1)
-            out.append((header, u.copy(), v.copy()))
-    return out

@@ -43,7 +43,8 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from backwave.angular import angular_grid, ylm_at, mode_index
-from backwave.engine import FieldState, Trajectory
+from backwave.engine import (FieldState, Trajectory, conformal_flux_at,
+                             tangential_at)
 
 
 class FunctionalError(RuntimeError):
@@ -89,19 +90,6 @@ def weight_eval(spec: WeightSpec, q) -> np.ndarray:
                         1.0 + (1.0 + np.abs(q)) ** (-2.0 * spec.mu),
                         1.0 + (1.0 + np.abs(q)) ** (1.0 + 2.0 * spec.gamma))
     return (1.0 + q * q) ** spec.s
-
-
-def weight_deriv(spec: WeightSpec, q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    if spec.kind == "constant":
-        return np.zeros_like(q)
-    if spec.kind == "w0":
-        return -2.0 * spec.mu * (1.0 + np.abs(q)) ** (-1.0 - 2.0 * spec.mu)
-    if spec.kind == "w_gamma":
-        return np.where(q > 0,
-                        -2.0 * spec.mu * (1.0 + np.abs(q)) ** (-1.0 - 2.0 * spec.mu),
-                        -(1.0 + 2.0 * spec.gamma) * (1.0 + np.abs(q)) ** (2.0 * spec.gamma))
-    return 2.0 * spec.s * q * (1.0 + q * q) ** (spec.s - 1.0)
 
 
 def weight_minus_gamma(q, gamma: float) -> np.ndarray:
@@ -217,26 +205,6 @@ def conformal_energy_ER(state: FieldState, s: float, R: float) -> float:
     return float(np.sum(_trapz_to(dens, mf.r, R)))
 
 
-def cone_flux_FR(traj: Trajectory, s: float, R: float, field: str = None) -> float:
-    """F_R^s accumulated during the solve (cone t - r = T - R by default)."""
-    for key, val in traj.cone_fluxes.items():
-        if key == f"s{s:g}_R{R:g}":
-            return val
-    raise FunctionalError(
-        f"no cone accumulator for s={s}, R={R}; declare it via cone_specs at solve time"
-    )
-
-
-def _flux_integrand_at(mf: ModeFields, s: float, foot: float, h: float) -> float:
-    j = min(int(foot / h), mf.r.size - 2)
-    lam = foot / h - j
-    u_f = (1.0 - lam) * mf.u[:, j] + lam * mf.u[:, j + 1]
-    lu_f = (1.0 - lam) * mf.lu[:, j] + lam * mf.lu[:, j + 1]
-    fp = (1.0 + (mf.t + foot) ** 2) ** s
-    fm = (1.0 + (mf.t - foot) ** 2) ** s
-    return float(np.sum(fp * lu_f**2 + fm * mf.ll1 * u_f**2 / foot**2))
-
-
 def _f_diff_over_r(t: float, r: np.ndarray, s: float) -> np.ndarray:
     """(f(t+r) - f(t-r))/r for f = <v>^(2s), cancellation-free via expm1/log1p."""
     r = np.asarray(r, dtype=float)
@@ -305,7 +273,7 @@ def morawetz_identity_audit(traj: Trajectory, s: float, R: float,
         st = state_at(i)
         mf = mode_fields(st)
         foot = R - (t2 - float(ts[i]))
-        flux_vals[i] = _flux_integrand_at(mf, s, foot, h)
+        flux_vals[i] = conformal_flux_at(mf.t, foot, s, h, mf.u, mf.lu, mf.ll1)
         # bulk integrand over r <= foot
         rdo = r_dr_omega(st.t, mf.r, s)
         dens = -rdo[None, :] * mf.ll1[:, None] * mf.u_over_r**2
@@ -585,12 +553,8 @@ def cor_weighted_spacetime_instance(traj: Trajectory, gamma: float, mu: float,
             foot = rr - (t2 - st.t)
             if foot <= 2 * grid.h:
                 continue
-            j = min(int(foot / grid.h), grid.J - 2)
-            lam = foot / grid.h - j
-            a_f = (1.0 - lam) * mf.u[:, j] + lam * mf.u[:, j + 1]
-            la_f = (1.0 - lam) * mf.lu[:, j] + lam * mf.lu[:, j + 1]
-            dens = (la_f - a_f / foot) ** 2 + mf.ll1 * a_f**2 / foot**2
-            cone_vals[kc, i] = float(np.sum(dens)) * float(wm(foot - st.t))
+            cone_vals[kc, i] = (tangential_at(foot, grid.h, mf.u, mf.lu, mf.ll1)
+                                * float(wm(foot - st.t)))
     bulk = float(np.trapezoid(bulk_vals, ts))
     pairing = float(np.trapezoid(pair_vals, ts))
     cone_best = float(max(np.trapezoid(cone_vals[k], ts) for k in range(n_cones)))

@@ -60,13 +60,6 @@ def write_series_csv(report: ScenarioReport, path: str) -> List[str]:
     return cols
 
 
-def read_series_csv(path: str):
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        data = [[float(x) for x in line.strip().split(",")] for line in fh if line.strip()]
-    return header, np.asarray(data) if data else np.empty((0, len(header)))
-
-
 def environment_block() -> Dict[str, str]:
     return {
         "python": sys.version.split()[0],
@@ -134,14 +127,10 @@ def emit_plot_script(bundle_dir: str, report: ScenarioReport) -> Optional[str]:
 
 
 def write_bundle(report: ScenarioReport, out_dir: str,
-                 config_text: Optional[str] = None,
-                 slices=None) -> dict:
+                 config_text: Optional[str] = None) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     if report.series:
         write_series_csv(report, os.path.join(out_dir, "series.csv"))
         emit_plot_script(out_dir, report)
-    if slices is not None:
-        from backwave.engine import write_slice_dump
-        write_slice_dump(slices, os.path.join(out_dir, "slices.bin"))
     return write_summary_json(report, os.path.join(out_dir, "summary.json"),
                               config_text=config_text)

@@ -11,25 +11,13 @@ module derives:
   tail;
 * the wave-zone approximants
 
-      psi0  = F0(r-t)/r chi(<t-r>/r)
       psi01 = (F0(r-t)/r + F1(r-t)/r^2) chi(<t-r>/r)
       psi_e = M chi_e(r-t)/r                  (exact solution for r > 0)
 
-  together with the derivative approximants psi0' = -F0' chi / r,
-  psi1' = -F1' chi / r^2, psi_e' = -M chi_e'(r-t)/r, and the exact time
-  derivatives of psi01 and psi_e;
+  and the exact time derivatives of psi01 and psi_e;
 * the analytic residual of the wave operator applied to psi01, whose only
   surviving terms are supported on the cutoff transition ring plus the
-  angular term -l(l+1) F1/r^4 inside the wave zone;
-* the weighted data norms: the square-integral norm with radial weight
-  <q>^(2 w) and spectral angular weights (1 + l(l+1))^j, and the sup norm
-  with weight <q>^gamma.
-
-Angular derivatives are realized spectrally throughout: |d_omega^alpha|
-of order j enters as the diagonal weight (1 + l(l+1))^(j/2), an equivalent
-norm in the harmonic representation.  The sup norm synthesizes fields with
-mean-normalized harmonics (sqrt(4 pi) Y_lm, so the l = 0 basis function is
-1), making a pure l = 0 field's sup norm equal to its profile's sup.
+  angular term -l(l+1) F1/r^4 inside the wave zone, and its weighted norm.
 """
 
 from __future__ import annotations
@@ -39,19 +27,17 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy import integrate
 
-from backwave.angular import angular_grid, eigenvalue_array, mode_count, mode_index
 from backwave.cutoffs import chi_exterior, chi_wave_zone
 from backwave.profiles import AntiderivativeProfile, Profile, qbracket
 
 SQRT4PI = math.sqrt(4.0 * math.pi)
 
-APPROXIMANTS = ("psi0", "psi01", "psi_e", "dt_psi0", "dt_psi1", "dt_psi_e")
+APPROXIMANTS = ("psi01", "psi_e", "dt_psi_e")
 
 
 class RadiationDataError(ValueError):
-    """Inadmissible radiation field or norm request."""
+    """Inadmissible radiation field or approximant request."""
 
 
 @dataclass(frozen=True)
@@ -94,38 +80,9 @@ class RadiationField:
     def is_zero(self) -> bool:
         return not self.modes
 
-    def max_ell(self) -> int:
-        return max((l for (l, _m) in self.modes), default=0)
-
     def support_radius(self, tol: float = 1e-16) -> float:
         return max((abs(p.center) + p.support_radius(tol) for p in self.modes.values()),
                    default=1.0)
-
-    def scaled(self, factor: float) -> "RadiationField":
-        out = {lm: _ScaledProfile(prof, factor) for lm, prof in self.modes.items()}
-        return RadiationField(out, self.l_max, self.gamma)
-
-
-class _ScaledProfile(Profile):
-    """Constant multiple of a base profile (linearity tests, field scaling)."""
-
-    kind = "scaled"
-
-    def __init__(self, base: Profile, factor: float):
-        self._base = base
-        self._factor = float(factor)
-        self.max_derivative_order = base.max_derivative_order
-        self._center = base.center
-        self._amplitude = abs(factor) * base.amplitude_scale()
-
-    def _value(self, q):
-        return self._factor * self._base.value(q)
-
-    def _derivative(self, q, order):
-        return self._factor * self._base.derivative(q, order)
-
-    def support_radius(self, tol: float = 1e-16) -> float:
-        return self._base.support_radius(tol)
 
 
 def derive_F1(f0: RadiationField, q_max: float = None) -> RadiationField:
@@ -172,100 +129,6 @@ def realized_decay_class(f1: RadiationField) -> Optional[float]:
 
 
 # ---------------------------------------------------------------------------
-# weighted data norms
-# ---------------------------------------------------------------------------
-
-def _compactified_quad(fn, epsabs=1e-13, epsrel=1e-10):
-    """int_R fn(q) dq via q = tan(theta); dq = (1+q^2) dtheta.
-
-    The substitution maps the real line onto a finite interval exactly, so
-    no tail truncation or tail model is needed; endpoint behavior is an
-    integrable algebraic singularity at worst for admissible profiles.
-    """
-    huge = 1e12
-
-    def g(theta):
-        q = math.tan(theta)
-        if abs(q) > huge:
-            return 0.0
-        val = fn(q)
-        return val * (1.0 + q * q)
-
-    val, _err = integrate.quad(g, -0.5 * math.pi, 0.5 * math.pi,
-                               limit=400, epsabs=epsabs, epsrel=epsrel)
-    return val
-
-
-def norm_data_L2(field: RadiationField, n_derivs: int, weight_exponent: float) -> float:
-    """Equivalent weighted square norm of the data,
-
-        sum_{k+j<=N} sum_lm (1+l(l+1))^j int |(<q> d_q)^k F_lm|^2 <q>^(2 w) dq,
-
-    computed mode by mode by adaptive quadrature on the compactified line.
-    """
-    total = 0.0
-    for (l, m), prof in field.mode_items():
-        if prof.max_derivative_order < n_derivs:
-            raise RadiationDataError(
-                f"mode ({l},{m}) profile supports {prof.max_derivative_order} "
-                f"derivatives, norm needs {n_derivs}"
-            )
-        ev = l * (l + 1.0)
-        for k in range(n_derivs + 1):
-            for j in range(n_derivs + 1 - k):
-                w_ang = (1.0 + ev) ** j
-
-                def fn(q, _k=k):
-                    d = float(prof.scaled_derivative(np.asarray([q]), _k)[0])
-                    return d * d * float(qbracket(q)) ** (2.0 * weight_exponent)
-
-                piece = _compactified_quad(fn)
-                if not np.isfinite(piece):
-                    raise RadiationDataError(
-                        f"weighted norm integral diverges on mode ({l},{m}) "
-                        f"at derivative order {k}"
-                    )
-                total += w_ang * piece
-    return total
-
-
-def _sample_q_line(n: int = 2001, q_cap: float = 1e8) -> np.ndarray:
-    theta = np.linspace(-0.5 * math.pi, 0.5 * math.pi, n + 2)[1:-1]
-    q = np.tan(theta)
-    return q[np.abs(q) <= q_cap]
-
-
-def norm_data_sup(field: RadiationField, n_derivs: int, gamma: float,
-                  n_q: int = 4001) -> float:
-    """Weighted sup norm sup <q>^gamma |(<q> d_q)^k d_omega^alpha F| over a
-    dense q-sample and the angular collocation grid.
-
-    Angular derivatives are spectral weights; synthesis uses mean-normalized
-    harmonics (sqrt(4 pi) Y), so an l = 0 field's norm is its profile's
-    weighted sup.  Monotone nondecreasing in the derivative count.
-    """
-    if field.is_zero():
-        return 0.0
-    l_tab = field.max_ell()
-    grid = angular_grid(max(l_tab, 1))
-    qs = _sample_q_line(n_q)
-    wq = qbracket(qs) ** gamma
-    ev = eigenvalue_array(l_tab)
-    best = 0.0
-    for k in range(n_derivs + 1):
-        # coefficients of (<q> d_q)^k F per mode, stacked over q
-        block = np.zeros((mode_count(l_tab), qs.size))
-        for (l, m), prof in field.mode_items():
-            block[mode_index(l, m)] = prof.scaled_derivative(qs, k)
-        for j in range(n_derivs + 1 - k):
-            scaled = block * ((1.0 + ev) ** (0.5 * j))[:, None] * SQRT4PI
-            n_modes = scaled.shape[0]
-            vals = np.tensordot(grid.ylm[:n_modes], scaled, axes=(0, 0))
-            best = max(best, float(np.max(np.abs(vals) * wq[None, None, :])))
-    return best
-
-
-# ---------------------------------------------------------------------------
 # approximants and the analytic wave-operator residual
 # ---------------------------------------------------------------------------
 
@@ -302,19 +165,11 @@ def eval_approximant(f0: RadiationField, f1: RadiationField, mass: MassTerm,
         return out
     c = chi_wave_zone.value(qbracket(q) / r)
     for lm, prof in f0.mode_items():
-        if which == "psi0":
-            out[lm] = prof.value(q) / r * c
-        elif which == "dt_psi0":
-            out[lm] = -prof.derivative(q, 1) / r * c
-        elif which == "psi01":
-            val = prof.value(q) / r
-            g = f1.modes.get(lm)
-            if g is not None:
-                val = val + g.value(q) / r**2
-            out[lm] = val * c
-    if which == "dt_psi1":
-        for lm, g in f1.mode_items():
-            out[lm] = -g.derivative(q, 1) / r**2 * c
+        val = prof.value(q) / r
+        g = f1.modes.get(lm)
+        if g is not None:
+            val = val + g.value(q) / r**2
+        out[lm] = val * c
     return out
 
 

@@ -113,8 +113,6 @@ class RunSpec:
     bound_factor: float = 5.0
     envelope_window: Tuple[float, float] = (4.0, 40.0)
     check_points: List[Tuple[float, float]] = dc_field(default_factory=list)
-    threads: int = 1
-    seed: int = 0
 
     def validate(self):
         if self.scenario not in SCENARIOS:
@@ -262,6 +260,16 @@ def _series_for_fit(ts: np.ndarray, ys: np.ndarray, t_exclude: float = None):
     return ts[keep], ys[keep]
 
 
+def _in_window(ts: np.ndarray, ys: np.ndarray, window: Tuple[float, float]):
+    """The samples of a series with ts inside the closed window."""
+    sel = (ts >= window[0]) & (ts <= window[1])
+    return ts[sel], ys[sel]
+
+
+def _max_over_min(ys: np.ndarray) -> float:
+    return float(np.max(ys)) / max(float(np.min(ys)), 1e-300)
+
+
 def fit_window_for(spec: RunSpec) -> Tuple[float, float]:
     if spec.fit_lo is not None and spec.fit_hi is not None:
         return (spec.fit_lo, spec.fit_hi)
@@ -270,13 +278,16 @@ def fit_window_for(spec: RunSpec) -> Tuple[float, float]:
     return (spec.T / 4.0, spec.T)
 
 
-def _provenance(spec: RunSpec, grid: RadialGrid = None, traj: Trajectory = None,
+def _provenance(spec: RunSpec, grid: RadialGrid = None, trajs: Sequence[Trajectory] = (),
                 started: float = None) -> Dict[str, object]:
+    """Run identity plus the grid, the largest step and the total step count
+    over the solves ``trajs``."""
     out = {"version": __version__, "config_hash": spec.config_hash()}
     if grid is not None:
         out.update({"h": grid.h, "J": grid.J, "r_max": grid.r_max})
-    if traj is not None:
-        out.update({"dt_max": traj.dt_max, "steps": traj.steps})
+    if trajs:
+        out.update({"dt_max": max(tr.dt_max for tr in trajs),
+                    "steps": sum(tr.steps for tr in trajs)})
     if started is not None:
         out["runtime_s"] = round(time.time() - started, 3)
     return out
@@ -330,7 +341,7 @@ def run_free_wave_validation(spec: RunSpec) -> ScenarioReport:
     traj = solve_backward(st, None, T, t0, list(np.linspace(t0, T, 9)), track_origin=False)
     rep.add_bound("energy_conservation_drift", energy_conservation_drift(traj),
                   50.0 * hs[1] ** 2)
-    rep.provenance = _provenance(spec, grid, last_traj, started)
+    rep.provenance = _provenance(spec, grid, [last_traj], started)
     return rep
 
 
@@ -439,25 +450,20 @@ def run_homogeneous_scattering(spec: RunSpec) -> ScenarioReport:
     add_class_fit("energy_exponent", fit_decay(t_b, y_b, window),
                   lambda g: -(0.5 + g))
     t_c, y_c = _series_for_fit(ts, conf_v, t_exclude=spec.T)
-    sel = (t_c >= window[0]) & (t_c <= window[1])
     add_class_fit("conformal_norm_exponent", fit_decay(t_c, y_c, window),
-                  lambda g: -(0.5 + g - spec.s), fallback_series=(t_c[sel], y_c[sel]))
-    t_d, y_d = _series_for_fit(ts, norm1s_psi)
-    sel = (t_d >= window[0]) & (t_d <= window[1])
-    ref = max(float(np.min(y_d[sel])), 1e-300)
-    rep.add_bound("norm_1s_bounded", float(np.max(y_d[sel])) / ref, spec.bound_factor,
+                  lambda g: -(0.5 + g - spec.s), fallback_series=_in_window(t_c, y_c, window))
+    _t, y_d = _in_window(*_series_for_fit(ts, norm1s_psi), window)
+    rep.add_bound("norm_1s_bounded", _max_over_min(y_d), spec.bound_factor,
                   note="max/min of the first-order norm surrogate over the fit window")
-    t_e, y_e = _series_for_fit(ts, env_psi)
-    sel = (t_e >= window[0]) & (t_e <= window[1])
-    ref = max(float(np.min(y_e[sel])), 1e-300)
-    rep.add_bound("envelope_bounded", float(np.max(y_e[sel])) / ref, spec.bound_factor,
+    _t, y_e = _in_window(*_series_for_fit(ts, env_psi), window)
+    rep.add_bound("envelope_bounded", _max_over_min(y_e), spec.bound_factor,
                   note="max/min of sup <t+r><t-r>^(s-1/2)|psi| over the fit window")
     # observed constant of the backward weighted estimate
     states = traj.field_states()
     c_obs = backward_estimate_constant(states, spec.s, src_norm)
     rep.add_bound("backward_estimate_constant", c_obs, spec.ratio_budget,
                   note="||v(t0)||_{1,+,s-1} / (||v(T)|| + int source)")
-    rep.provenance = _provenance(spec, grid, traj, started)
+    rep.provenance = _provenance(spec, grid, [traj], started)
     return rep
 
 
@@ -475,6 +481,7 @@ def run_T_limit_study(spec: RunSpec) -> ScenarioReport:
     f1 = derive_F1(f0, q_max=grid.r_max + 2.0)
     modes = [lm for lm, _p in f0.mode_items()]
     ends: Dict[float, FieldState] = {}
+    trajs: List[Trajectory] = []
     horizon_norms: Dict[Tuple[float, float], Dict[str, float]] = {}
     for T in t_list:
         data = FieldState(T, grid, modes)
@@ -482,6 +489,7 @@ def run_T_limit_study(spec: RunSpec) -> ScenarioReport:
         records = sorted({spec.t0} | {tt for tt in t_list if tt < T}, reverse=True)
         traj = solve_backward(data, src, T, spec.t0, records, cfl=spec.cfl,
                               track_origin=False)
+        trajs.append(traj)
         ends[T] = traj.state_at(spec.t0)
         for T1 in (tt for tt in t_list if tt < T):
             st = traj.state_at(T1)
@@ -516,7 +524,7 @@ def run_T_limit_study(spec: RunSpec) -> ScenarioReport:
         rep.add_check("difference_rate_consistent", slope <= -(0.5 + spec.gamma) + 0.5,
                       measured=slope,
                       note=f"log-slope vs -(1/2+gamma)={-(0.5 + spec.gamma):.2f} (loose)")
-    rep.provenance = _provenance(spec, grid, None, started)
+    rep.provenance = _provenance(spec, grid, trajs, started)
     return rep
 
 
@@ -526,6 +534,35 @@ def run_T_limit_study(spec: RunSpec) -> ScenarioReport:
 
 def _axisymmetric(*fields: RadiationField) -> bool:
     return all(m == 0 for f in fields for (_l, m) in f.modes)
+
+
+def _sampled_modes(qs: np.ndarray, arr: np.ndarray, l_out: int) -> Dict[ModeKey, SampledProfile]:
+    """The rows of a mode stack up to l_out above 1e-14 of its largest entry,
+    as profiles sampled on ``qs``."""
+    scale = float(np.max(np.abs(arr))) or 1.0
+    modes = {}
+    for l in range(l_out + 1):
+        for m in range(-l, l + 1):
+            row = arr[mode_index(l, m)]
+            if np.max(np.abs(row)) > 1e-14 * scale:
+                modes[(l, m)] = SampledProfile(qs, row)
+    return modes
+
+
+def _dt_psi_modes(f0: RadiationField, f1: RadiationField, mass: MassTerm, n_in: int,
+                  psi_modes: Sequence[ModeKey], v: np.ndarray, t: float,
+                  r: np.ndarray) -> np.ndarray:
+    """Mode coefficients of d_t psi at radii r, shape (n_in, r.size): the
+    remainder's v/r (``v`` holds its d_t u at r, one row per psi mode) plus
+    the exact d_t psi01 and d_t psi_e."""
+    block = np.zeros((n_in, r.size))
+    for i, lm in enumerate(psi_modes):
+        block[mode_index(*lm)] = v[i] / r
+    for part in (eval_dt_psi01_exact(f0, f1, t, r),
+                 eval_approximant(f0, f1, mass, "dt_psi_e", t, r)):
+        for lm, vals in part.items():
+            block[mode_index(*lm)] += vals
+    return block
 
 
 def _strata_sources(f0: RadiationField, f1: RadiationField, mass: MassTerm,
@@ -557,17 +594,8 @@ def _strata_sources(f0: RadiationField, f1: RadiationField, mass: MassTerm,
     n2 = to_modes(vb * vb)
     n3 = to_modes(2.0 * vb * v1)
     n4 = to_modes(v1 * v1)
-    out = {}
-    for k, arr in ((2, n2), (3, n3), (4, n4)):
-        modes = {}
-        scale = float(np.max(np.abs(arr))) or 1.0
-        for l in range(l_out + 1):
-            for m in range(-l, l + 1):
-                row = arr[mode_index(l, m)]
-                if np.max(np.abs(row)) > 1e-14 * scale:
-                    modes[(l, m)] = SampledProfile(qs, row)
-        out[k] = SourceProfile(modes, a=0.0, l_max=l_out)
-    return out
+    return {k: SourceProfile(_sampled_modes(qs, arr, l_out), a=0.0, l_max=l_out)
+            for k, arr in ((2, n2), (3, n3), (4, n4))}
 
 
 def run_weak_null(spec: RunSpec) -> ScenarioReport:
@@ -593,6 +621,7 @@ def run_weak_null(spec: RunSpec) -> ScenarioReport:
     strata = _strata_sources(f0, f1, mass, l_w,
                              q_range=(-(spec.T + 10.0), 0.25 * grid.r_max + 10.0))
     to_vals, to_modes = product_closures(max(l_psi, 1), l_w)
+    n_in = mode_count(max(l_psi, 1))
 
     def strata_modes_at(t: float) -> np.ndarray:
         q = r_pos - t
@@ -608,18 +637,10 @@ def run_weak_null(spec: RunSpec) -> ScenarioReport:
         return out
 
     def w_source(t: float, views) -> Dict[str, np.ndarray]:
-        vpsi = views["vpsi"]
         # d_t psi, exact at substage times: remainder + approximant derivatives
-        n_in = mode_count(max(l_psi, 1))
         block = np.zeros((n_in, grid.J + 1))
-        for i, lm in enumerate(psi_modes):
-            block[mode_index(*lm), 1:] = vpsi.v[i, 1:] / r_pos
-        dt01 = eval_dt_psi01_exact(f0, f1, t, r_pos)
-        for lm, vals in dt01.items():
-            block[mode_index(*lm), 1:] += vals
-        dpe = eval_approximant(f0, f1, mass, "dt_psi_e", t, r_pos)
-        for lm, vals in dpe.items():
-            block[mode_index(*lm), 1:] += vals
+        block[:, 1:] = _dt_psi_modes(f0, f1, mass, n_in, psi_modes, views["vpsi"].v[:, 1:],
+                                     t, r_pos)
         vals = to_vals(block)                       # pointwise d_t psi
         sq = to_modes(vals * vals)                  # modes of (d_t psi)^2
         s_w = np.zeros((len(w_modes), grid.J + 1))
@@ -660,17 +681,14 @@ def run_weak_null(spec: RunSpec) -> ScenarioReport:
             "norm_1_s_surrogate": norm1s_w[-1], "sup_envelope": env_w[-1],
             "energy_w1": energy_weighted(st)}))
     ts_s, n1 = _series_for_fit(np.asarray(ts), norm1s_w, t_exclude=spec.T)
-    sel = (ts_s >= window[0]) & (ts_s <= window[1])
     rep.add_fit("w_norm_exponent", fit_decay(ts_s, n1, window),
                 target=-(0.5 + spec.gamma - spec.s), tol=spec.exponent_tol,
-                fallback_series=(ts_s[sel], n1[sel]))
-    te_s, ev = _series_for_fit(np.asarray(ts), env_w, t_exclude=spec.T)
-    wlo, whi = spec.envelope_window
-    sel = (te_s >= wlo) & (te_s <= whi)
-    if np.any(sel):
-        ref = max(float(np.min(ev[sel])), 1e-300)
-        rep.add_bound("w_envelope_bounded", float(np.max(ev[sel])) / ref,
-                      spec.envelope_budget,
+                fallback_series=_in_window(ts_s, n1, window))
+    _t, ev = _in_window(*_series_for_fit(np.asarray(ts), env_w, t_exclude=spec.T),
+                        spec.envelope_window)
+    if ev.size:
+        wlo, whi = spec.envelope_window
+        rep.add_bound("w_envelope_bounded", _max_over_min(ev), spec.envelope_budget,
                       note=f"max/min of <t+r><t-r>^(s-1/2)|w| over t in [{wlo:g},{whi:g}]")
 
     if spec.check_points:
@@ -678,7 +696,7 @@ def run_weak_null(spec: RunSpec) -> ScenarioReport:
                                    psi_modes, grid)
         rep.add_bound("interior_box_crosscheck", res, 1e-2,
                       note="max rel |discrete box phi - (d_t psi)^2| at check points")
-    rep.provenance = _provenance(spec, grid, traj, started)
+    rep.provenance = _provenance(spec, grid, [traj], started)
     return rep
 
 
@@ -721,17 +739,8 @@ def _weaknull_crosscheck(spec, traj, f0, f1, g0, g1, mass, strata, w_modes,
         cr = {dr: phi_mode_coeffs(tc, grid.r[jc + dr]) for dr in (-1, 1)}
         # (d_t psi)^2 modes at the check point
         stp = traj.state_at(tc, "vpsi")
-        n_in = mode_count(max(l_psi, 1))
-        block = np.zeros((n_in, 1))
-        for i, lm in enumerate(psi_modes):
-            block[mode_index(*lm), 0] = stp.v[i, jc] / rc_snap
-        dt01 = eval_dt_psi01_exact(f0, f1, tc, np.asarray([rc_snap]))
-        dpe = eval_approximant(f0, f1, mass, "dt_psi_e", tc, np.asarray([rc_snap]))
-        for lm, vals in dt01.items():
-            block[mode_index(*lm), 0] += float(vals[0])
-        for lm, vals in dpe.items():
-            block[mode_index(*lm), 0] += float(vals[0])
-        vals = to_vals(block)
+        vals = to_vals(_dt_psi_modes(f0, f1, mass, mode_count(max(l_psi, 1)), psi_modes,
+                                     stp.v[:, jc:jc + 1], tc, np.asarray([rc_snap])))
         sq = to_modes(vals * vals)
         for i, lm in enumerate(w_modes):
             l = lm[0]
@@ -834,7 +843,7 @@ def run_null_radial(spec: RunSpec) -> ScenarioReport:
         ratio = es[mid] / max(match, 1e-300)
         rep.add_check("quadratic_amplitude_scaling", bool(abs(ratio / 4.0 - 1.0) <= 0.2),
                       measured=float(ratio), note="||dv||(a) / ||dv||(a/2), expect 4 within 20%")
-    rep.provenance = _provenance(spec, None, traj, started)
+    rep.provenance = _provenance(spec, traj.grid, [traj], started)
     return rep
 
 
@@ -853,15 +862,8 @@ def _news_source(spec: RunSpec, f0: RadiationField) -> SourceProfile:
         block[mode_index(l, m)] = prof.derivative(qs, 1)
     to_vals, to_modes = product_closures(max(l_in, 1), l_out)
     vals = to_vals(block)
-    sq = to_modes(vals * vals)
-    modes = {}
-    scale = float(np.max(np.abs(sq))) or 1.0
-    for l in range(l_out + 1):
-        for m in range(-l, l + 1):
-            row = sq[mode_index(l, m)]
-            if np.max(np.abs(row)) > 1e-14 * scale:
-                modes[(l, m)] = SampledProfile(qs, row)
-    return SourceProfile(modes, a=spec.a, l_max=l_out)
+    return SourceProfile(_sampled_modes(qs, to_modes(vals * vals), l_out), a=spec.a,
+                         l_max=l_out)
 
 
 def run_backscatter_audit(spec: RunSpec) -> ScenarioReport:
@@ -921,7 +923,7 @@ def run_backscatter_audit(spec: RunSpec) -> ScenarioReport:
         res = source_residual_check(n, k, [(12.0, 11.0), (16.0, 15.0)], h=0.05, spec=kq)
         rep.add_bound(f"source_residual_k{k}", res["max_rel_residual"], 1e-2,
                       note=f"noise floor {res['noise_floor']:.2e}")
-    rep.provenance = _provenance(spec, None, None, started)
+    rep.provenance = _provenance(spec, started=started)
     return rep
 
 
@@ -1014,7 +1016,7 @@ def run_audit_battery(spec: RunSpec) -> ScenarioReport:
     worst = float(np.max(odc["ratio"][good])) if np.any(good) else 0.0
     rep.add_bound("origin_decay_ratio", worst, spec.ratio_budget,
                   note="t^(1+gamma)|phi(t,0)| / weighted cone flux bound")
-    rep.provenance = _provenance(spec, grid, None, started)
+    rep.provenance = _provenance(spec, grid, started=started)
     return rep
 
 
@@ -1048,7 +1050,7 @@ def run_convergence(spec: RunSpec) -> ScenarioReport:
                   note=f"errors {errs_e} (M=1, r >= 1/2)", one_sided=True)
     gate = run_free_wave_validation(spec)
     rep.items.extend(gate.items)
-    rep.provenance = _provenance(spec, None, None, started)
+    rep.provenance = _provenance(spec, started=started)
     return rep
 
 

@@ -3,16 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from backwave.angular import (ModeVector, analyze, angular_grid, dealias_band,
-                              eigenvalue_array, laplace_beltrami, mode_count,
-                              mode_index, pointwise_product, synthesize, ylm_at)
+from backwave.angular import (angular_grid, mode_count, mode_index, product_closures,
+                              ylm_at)
 
 SQRT4PI = math.sqrt(4.0 * math.pi)
 
 
-def random_band_limited(l_max, seed):
+def random_coeffs(l_max, seed, n_radial=1):
     rng = np.random.default_rng(seed)
-    return ModeVector(l_max, rng.standard_normal(mode_count(l_max)))
+    return rng.standard_normal((mode_count(l_max), n_radial))
+
+
+def unit_coeffs(l_max, lm, value=1.0):
+    out = np.zeros((mode_count(l_max), 1))
+    out[mode_index(*lm)] = value
+    return out
+
+
+def product_modes(l_in, l_out, a, b):
+    to_values, to_modes = product_closures(l_in, l_out)
+    return to_modes(to_values(a) * to_values(b))
 
 
 def test_grid_weights_sum_to_sphere_area():
@@ -22,121 +32,104 @@ def test_grid_weights_sum_to_sphere_area():
 
 
 def test_constant_mode_synthesis():
-    mv = ModeVector(2)
-    mv[(0, 0)] = 3.0
-    grid = angular_grid(2)
-    vals = synthesize(mv, grid)
+    to_values, _ = product_closures(2, 2)
+    vals = to_values(unit_coeffs(2, (0, 0), 3.0))
     assert np.allclose(vals, 3.0 / SQRT4PI, rtol=1e-14)
 
 
 def test_constant_field_analysis():
-    grid = angular_grid(3)
-    mv = analyze(np.ones((grid.n_theta, grid.n_phi)), grid)
-    assert mv[(0, 0)] == pytest.approx(SQRT4PI, rel=1e-13)
-    rest = mv.coeffs.copy()
+    to_values, to_modes = product_closures(3, 3)
+    n_pts = to_values(np.zeros((mode_count(3), 1))).shape[0]
+    mv = to_modes(np.ones((n_pts, 1)))[:, 0]
+    assert mv[mode_index(0, 0)] == pytest.approx(SQRT4PI, rel=1e-13)
+    rest = mv.copy()
     rest[0] = 0.0
     assert np.max(np.abs(rest)) < 1e-13
 
 
 def test_round_trip_exact():
     for l_max in (1, 3, 8):
-        mv = random_band_limited(l_max, seed=l_max)
-        grid = angular_grid(l_max)
-        back = analyze(synthesize(mv, grid), grid)
-        assert np.max(np.abs(back.coeffs - mv.coeffs)) < 1e-12
+        coeffs = random_coeffs(l_max, seed=l_max, n_radial=3)
+        to_values, to_modes = product_closures(l_max, l_max)
+        back = to_modes(to_values(coeffs))
+        assert np.max(np.abs(back - coeffs)) < 1e-12
 
 
 def test_y10_closed_form():
-    mv = ModeVector(1)
-    mv[(1, 0)] = 1.0
-    grid = angular_grid(2)
-    vals = synthesize(mv, grid)
-    want = math.sqrt(3.0 / (4.0 * math.pi)) * grid.x[:, None] * np.ones((1, grid.n_phi))
-    assert np.allclose(vals, want, atol=1e-14)
+    # the l = 1 samples are sqrt(3/4pi) times the coordinates of the sample
+    # direction: Y10 = c z, Y1,1 = -c x, Y1,-1 = -c y
+    to_values, _ = product_closures(3, 3)
+    table = to_values(np.eye(mode_count(3)))          # (n_pts, n_modes)
+    c = math.sqrt(3.0 / (4.0 * math.pi))
+    dirs = np.stack([-table[:, mode_index(1, 1)], -table[:, mode_index(1, -1)],
+                     table[:, mode_index(1, 0)]], axis=1) / c
+    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-14)
+    # every harmonic sampled by the closures is the harmonic at that direction
+    assert np.allclose(ylm_at(3, dirs).T, table, atol=1e-13)
 
 
 def test_cos_squared_mixture():
     # cos^2(theta) = 1/3 + (2/3) P_2: exact coefficients from the Legendre
     # expansion are c00 = sqrt(4 pi)/3 and c20 = (4/3) sqrt(pi/5)
-    grid = angular_grid(4)
-    vals = (grid.x**2)[:, None] * np.ones((1, grid.n_phi))
-    mv = analyze(vals, grid)
-    assert mv[(0, 0)] == pytest.approx(SQRT4PI / 3.0, rel=1e-13)
-    assert mv[(2, 0)] == pytest.approx(4.0 / 3.0 * math.sqrt(math.pi / 5.0), rel=1e-13)
-    others = mv.coeffs.copy()
+    to_values, to_modes = product_closures(1, 4)
+    cos_theta = to_values(unit_coeffs(1, (1, 0))) / math.sqrt(3.0 / (4.0 * math.pi))
+    mv = to_modes(cos_theta**2)[:, 0]
+    assert mv[mode_index(0, 0)] == pytest.approx(SQRT4PI / 3.0, rel=1e-13)
+    assert mv[mode_index(2, 0)] == pytest.approx(4.0 / 3.0 * math.sqrt(math.pi / 5.0), rel=1e-13)
+    others = mv.copy()
     others[mode_index(0, 0)] = 0.0
     others[mode_index(2, 0)] = 0.0
     assert np.max(np.abs(others)) < 1e-13
 
 
 def test_zero_field_analysis():
-    grid = angular_grid(2)
-    mv = analyze(np.zeros((grid.n_theta, grid.n_phi)), grid)
-    assert np.all(mv.coeffs == 0.0)
-
-
-def test_laplace_beltrami_eigenvalues():
-    mv = ModeVector(3)
-    mv[(0, 0)] = 5.0
-    mv[(2, 1)] = 1.0
-    out = laplace_beltrami(mv)
-    assert out[(0, 0)] == 0.0
-    assert out[(2, 1)] == -6.0
-    # commutes with the transform pair
-    grid = angular_grid(3)
-    via_grid = analyze(synthesize(laplace_beltrami(mv), grid), grid)
-    assert np.allclose(via_grid.coeffs, out.coeffs, atol=1e-12)
+    to_values, to_modes = product_closures(2, 2)
+    n_pts = to_values(np.zeros((mode_count(2), 1))).shape[0]
+    assert np.all(to_modes(np.zeros((n_pts, 1))) == 0.0)
 
 
 def test_parseval():
-    mv = random_band_limited(5, seed=7)
-    grid = angular_grid(5)
-    vals = synthesize(mv, grid)
-    quad = float(np.sum(vals**2 * grid.weights_2d))
-    assert quad == pytest.approx(mv.norm2(), rel=1e-12)
+    coeffs = random_coeffs(5, seed=7)
+    to_values, to_modes = product_closures(5, 5)
+    vals = to_values(coeffs)
+    # int f^2 dS is sqrt(4 pi) times the (0, 0) coefficient of f^2
+    quad = SQRT4PI * float(to_modes(vals**2)[mode_index(0, 0), 0])
+    assert quad == pytest.approx(float(np.sum(coeffs**2)), rel=1e-12)
 
 
 def test_product_with_zero():
-    a = random_band_limited(3, seed=1)
-    z = ModeVector(3)
-    out = pointwise_product(a, z)
-    assert np.all(out.coeffs == 0.0)
+    out = product_modes(3, 3, random_coeffs(3, seed=1), np.zeros((mode_count(3), 1)))
+    assert np.all(out == 0.0)
 
 
 def test_product_constants_multiply_like_scalars():
-    a = ModeVector(2); a[(0, 0)] = 2.0
-    b = ModeVector(2); b[(0, 0)] = 3.0
-    out = pointwise_product(a, b)
-    assert out[(0, 0)] == pytest.approx(6.0 / SQRT4PI, rel=1e-13)
-    rest = out.coeffs.copy(); rest[0] = 0.0
+    out = product_modes(2, 2, unit_coeffs(2, (0, 0), 2.0), unit_coeffs(2, (0, 0), 3.0))[:, 0]
+    assert out[0] == pytest.approx(6.0 / SQRT4PI, rel=1e-13)
+    rest = out.copy()
+    rest[0] = 0.0
     assert np.max(np.abs(rest)) < 1e-13
 
 
 def test_product_commutative():
-    a = random_band_limited(3, seed=2)
-    b = random_band_limited(3, seed=3)
-    ab = pointwise_product(a, b)
-    ba = pointwise_product(b, a)
-    assert np.allclose(ab.coeffs, ba.coeffs, atol=1e-13)
+    a = random_coeffs(3, seed=2)
+    b = random_coeffs(3, seed=3)
+    assert np.allclose(product_modes(3, 3, a, b), product_modes(3, 3, b, a), atol=1e-13)
 
 
 def test_product_exact_vs_dense_quadrature_oracle():
     # Gaunt-style consistency at small band limits: the truncated product
     # matches an independent dense-grid quadrature of Y_a Y_b Y_c
-    l_max = 4
-    a = random_band_limited(2, seed=11)
-    b = random_band_limited(2, seed=12)
-    out = pointwise_product(a, b, l_out=l_max)
+    l_in, l_out = 2, 4
+    a = random_coeffs(l_in, seed=11)
+    b = random_coeffs(l_in, seed=12)
+    out = product_modes(l_in, l_out, a, b)
     fine = angular_grid(12, n_theta=48, n_phi=96)   # far beyond exactness needs
-    va = synthesize(a.truncated(12), fine)
-    vb = synthesize(b.truncated(12), fine)
-    oracle = analyze(va * vb, fine).truncated(l_max)
-    assert np.max(np.abs(out.coeffs - oracle.coeffs)) < 1e-12
-
-
-def test_dealias_band():
-    assert dealias_band(4) == 6
-    assert dealias_band(5) == 8
+    ymat = fine.ylm.reshape(fine.n_modes, -1)
+    n_in = mode_count(l_in)
+    va = ymat[:n_in].T @ a
+    vb = ymat[:n_in].T @ b
+    oracle = ymat[:mode_count(l_out)] @ (va * vb * fine.weights_2d.reshape(-1, 1))
+    assert np.max(np.abs(out - oracle)) < 1e-12
 
 
 def test_ylm_at_matches_grid_tables():
@@ -147,15 +140,9 @@ def test_ylm_at_matches_grid_tables():
                        grid.ylm, atol=1e-12)
 
 
-def test_eigenvalue_array():
-    ev = eigenvalue_array(2)
-    assert ev[mode_index(0, 0)] == 0.0
-    assert ev[mode_index(1, -1)] == 2.0
-    assert ev[mode_index(2, 2)] == 6.0
-
-
 def test_band_limit_mismatch_rejected():
-    mv = random_band_limited(5, seed=4)
-    grid = angular_grid(3)
+    # a collocation grid too coarse for its band limit is refused
     with pytest.raises(ValueError):
-        synthesize(mv, grid)
+        angular_grid(5, n_theta=3)
+    with pytest.raises(ValueError):
+        angular_grid(5, n_phi=9)

@@ -1,11 +1,12 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from backwave.cli import main
 from backwave.config import ConfigError, canonical_text, parse_config
-from backwave.outputs import read_series_csv, write_bundle, write_series_csv
+from backwave.outputs import write_bundle, write_series_csv
 from backwave.scenarios import FunctionalReport, ReportItem, ScenarioReport
 
 MINIMAL = """
@@ -76,6 +77,13 @@ def make_report():
 
 def math_pi():
     return 3.141592653589793
+
+
+def read_series_csv(path):
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        data = [[float(x) for x in line.strip().split(",")] for line in fh if line.strip()]
+    return header, np.asarray(data) if data else np.empty((0, len(header)))
 
 
 def test_series_csv_round_trip_bit_exact(tmp_path):
@@ -210,11 +218,15 @@ def test_cli_reference_homogeneous_passes(tmp_path):
     assert os.path.exists(out / "summary.json")
 
 
-def test_cli_thread_count_bit_identical(tmp_path):
-    out1 = tmp_path / "t1"
-    outn = tmp_path / "t4"
-    assert main(["validate", "--out", str(out1), "--threads", "1", "--quiet"]) == 0
-    assert main(["validate", "--out", str(outn), "--threads", "4", "--quiet"]) == 0
-    a = json.load(open(out1 / "summary.json"))
-    b = json.load(open(outn / "summary.json"))
-    assert a["items"] == b["items"]     # measured values bit-identical
+def test_config_hash_identifies_the_physics(tmp_path):
+    # the same document hashes the same; a physics change changes the hash
+    assert parse_config(MINIMAL).config_hash() == parse_config(MINIMAL).config_hash()
+    finer = parse_config(MINIMAL + "[grid]\nh = 0.05\n")
+    assert finer.config_hash() != parse_config(MINIMAL).config_hash()
+    # no flag or key exists that could change the hash without changing the run
+    for flag in (["--threads", "4"], ["--seed", "1"]):
+        assert main(["validate", "--out", str(tmp_path / "v"), "--quiet", *flag]) == 2
+    cfg = tmp_path / "seeded.cfg"
+    cfg.write_text(MINIMAL.replace("t0 = 2", "t0 = 2\nseed = 3"))
+    assert main(["homogeneous", "--config", str(cfg), "--out", str(tmp_path / "s"),
+                 "--quiet"]) == 2

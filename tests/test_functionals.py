@@ -10,7 +10,7 @@ from backwave.functionals import (FunctionalError, WeightSpec, bulk_sign_check,
                                   energy_weighted, fit_decay, hardy_checks,
                                   ks_pointwise_check, morawetz_identity_audit,
                                   norm_Z_weighted, origin_decay_check,
-                                  sup_envelope, weight_eval, weight_deriv)
+                                  sup_envelope, weight_eval)
 
 
 def g(x):
@@ -31,6 +31,10 @@ def wave_state(t=6.0, h=0.01, r_max=24.0):
                       exact_v(t, grid.r)[None, :])
 
 
+def scaled_state(st, c):
+    return FieldState(st.t, st.grid, st.modes, c * st.u, c * st.v)
+
+
 def zero_state(h=0.1, J=64, modes=((0, 0),)):
     return FieldState(2.0, RadialGrid(h=h, J=J), list(modes))
 
@@ -46,13 +50,6 @@ def test_w0_values():
     q = np.linspace(-50, 50, 2001)
     w = weight_eval(spec, q)
     assert np.all((w >= 1.0) & (w <= 3.0))
-
-
-def test_w0_derivative_formula():
-    spec = WeightSpec(kind="w0", mu=0.3)
-    for q0 in (-5.0, -0.5, 0.5, 5.0):
-        want = -2 * 0.3 * (1 + abs(q0)) ** (-1 - 0.6)
-        assert float(weight_deriv(spec, q0)) == pytest.approx(want, rel=1e-13)
 
 
 def test_w_gamma_continuity_at_degenerate_exponent():
@@ -114,14 +111,14 @@ def test_conformal_norm_zero_and_scaling():
     assert conformal_norm_plus(zero_state(), 1.2) == 0.0
     st = wave_state(h=0.02)
     a = conformal_norm_plus(st, 1.2)
-    b = conformal_norm_plus(st.scaled(3.0), 1.2)
+    b = conformal_norm_plus(scaled_state(st, 3.0), 1.2)
     assert b == pytest.approx(3.0 * a, rel=1e-12)
 
 
 @pytest.mark.parametrize("c", [2.0, 10.0])
 def test_all_norms_degree_one_homogeneous(c):
     st = wave_state(h=0.02)
-    scaled = st.scaled(c)
+    scaled = scaled_state(st, c)
     assert conformal_norm_plus(scaled, 1.2) == pytest.approx(
         c * conformal_norm_plus(st, 1.2), rel=1e-12)
     assert norm_Z_weighted(scaled, 1.2) == pytest.approx(
@@ -253,7 +250,7 @@ def test_hardy_zero_field():
 def test_hardy_scaling_invariance():
     st = wave_state(h=0.02)
     a = hardy_checks(st, 1.2)
-    b = hardy_checks(st.scaled(5.0), 1.2)
+    b = hardy_checks(scaled_state(st, 5.0), 1.2)
     assert a["ratio_zeroth"] == pytest.approx(b["ratio_zeroth"], rel=1e-12)
     assert a["ratio_radial"] == pytest.approx(b["ratio_radial"], rel=1e-12)
 
@@ -269,7 +266,7 @@ def test_ks_zero_and_scaling():
     assert out["constant"] == 0.0
     st = wave_state(h=0.02)
     a = ks_pointwise_check(st, 1.2)["constant"]
-    b = ks_pointwise_check(st.scaled(7.0), 1.2)["constant"]
+    b = ks_pointwise_check(scaled_state(st, 7.0), 1.2)["constant"]
     assert a == pytest.approx(b, rel=1e-12)
     assert a < 10.0
 

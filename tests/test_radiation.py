@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
 from scipy.special import erf
 
 from backwave.cutoffs import chi_exterior
@@ -10,8 +9,8 @@ from backwave.engine import RadialGrid, discrete_box_field
 from backwave.profiles import make_profile
 from backwave.radiation import (MassTerm, RadiationDataError, RadiationField,
                                 SQRT4PI, derive_F1, eval_approximant,
-                                eval_dt_psi01_exact, norm_data_L2, norm_data_sup,
-                                realized_decay_class, residual_box_psi01)
+                                eval_dt_psi01_exact, realized_decay_class,
+                                residual_box_psi01)
 
 GAUSS = {"kind": "gaussian", "amplitude": 1.0, "width": 1.0, "center": 0.0}
 
@@ -117,56 +116,14 @@ def test_realized_class_tailless_f1_is_none():
 
 
 # ---------------------------------------------------------------------------
-# data norms
-# ---------------------------------------------------------------------------
-
-def test_norm_L2_zero_field():
-    f = RadiationField({}, l_max=2, gamma=0.8)
-    assert norm_data_L2(f, 2, 0.3) == 0.0
-
-
-def test_norm_L2_gaussian_quadrature_oracle():
-    f = gaussian_field(lm=(0, 0))
-    got = norm_data_L2(f, 0, 0.3)
-    want, _ = integrate.quad(lambda q: math.exp(-2 * q * q) * (1 + q * q) ** 0.3,
-                             -20, 20, limit=200)
-    assert got == pytest.approx(want, rel=1e-8)
-
-
-def test_norm_L2_homogeneity():
-    f1x = gaussian_field(lm=(1, 0), amplitude=1.0)
-    f3x = gaussian_field(lm=(1, 0), amplitude=3.0)
-    a = norm_data_L2(f1x, 2, 0.3)
-    b = norm_data_L2(f3x, 2, 0.3)
-    assert b == pytest.approx(9.0 * a, rel=1e-12)
-
-
-def test_norm_sup_zero_field():
-    f = RadiationField({}, l_max=2, gamma=0.8)
-    assert norm_data_sup(f, 0, 0.8) == 0.0
-
-
-def test_norm_sup_weight_cancels_decay():
-    # l=0 profile <q>^(-gamma): weighted sup is exactly 1
-    prof = make_profile({"kind": "poly-tail", "amplitude": 1.0, "p": 0.8})
-    f = RadiationField({(0, 0): prof}, l_max=0, gamma=0.75)
-    assert norm_data_sup(f, 0, 0.8) == pytest.approx(1.0, abs=1e-3)
-
-
-def test_norm_sup_monotone_in_derivative_count():
-    f = gaussian_field(lm=(2, 0))
-    assert norm_data_sup(f, 2, 0.8) >= norm_data_sup(f, 0, 0.8)
-
-
-# ---------------------------------------------------------------------------
 # approximants
 # ---------------------------------------------------------------------------
 
 def test_approximant_outside_wave_zone_vanishes():
-    f0 = gaussian_field()
+    f0 = gaussian_field(lm=(0, 0))
     f1 = derive_F1(f0)
-    out = eval_approximant(f0, f1, MassTerm(0.0), "psi0", 10.0, np.array([1.0]))
-    assert np.all(out[(2, 0)] == 0.0)
+    out = eval_approximant(f0, f1, MassTerm(0.0), "psi01", 10.0, np.array([1.0]))
+    assert np.all(out[(0, 0)] == 0.0)
 
 
 def test_psi01_support_invariant():
@@ -183,7 +140,8 @@ def test_psi01_support_invariant():
 def test_cutoff_plateau_value():
     f0 = gaussian_field(lm=(0, 0))
     f1 = derive_F1(f0)
-    out = eval_approximant(f0, f1, MassTerm(0.0), "psi0", 100.0, np.array([100.0]))
+    # l = 0 data has no second-order field, so psi01 is F0(r-t)/r chi
+    out = eval_approximant(f0, f1, MassTerm(0.0), "psi01", 100.0, np.array([100.0]))
     assert out[(0, 0)][0] == pytest.approx(1.0 / 100.0, rel=1e-14)
 
 
@@ -196,10 +154,10 @@ def test_mass_term_physical_value():
 
 
 def test_approximant_rejects_origin():
-    f0 = gaussian_field()
+    f0 = gaussian_field(lm=(0, 0))
     f1 = derive_F1(f0)
     with pytest.raises(RadiationDataError):
-        eval_approximant(f0, f1, MassTerm(0.0), "psi0", 1.0, np.array([0.0]))
+        eval_approximant(f0, f1, MassTerm(0.0), "psi01", 1.0, np.array([0.0]))
     with pytest.raises(RadiationDataError):
         eval_approximant(f0, f1, MassTerm(0.0), "nope", 1.0, np.array([1.0]))
 
@@ -269,21 +227,6 @@ def test_residual_requires_derived_second_order_field():
     with pytest.raises(RadiationDataError):
         residual_box_psi01(f0, RadiationField({}, l_max=2, gamma=0.8), 5.0,
                            np.array([5.0]))
-
-
-def test_second_order_norm_inequality_family():
-    # ||F1||_{N-2, gamma-3/2} <= C ||F0||_{N, gamma-1/2}: single constant
-    # across a small family of fields
-    specs = [dict(GAUSS, width=0.5), dict(GAUSS, width=1.0), dict(GAUSS, width=2.0),
-             {"kind": "compact-bump", "amplitude": 1.0, "width": 2.0, "center": 0.0}]
-    consts = []
-    for spec in specs:
-        f0 = RadiationField({(2, 0): make_profile(spec)}, l_max=2, gamma=0.8)
-        f1 = derive_F1(f0, q_max=64.0)
-        n1 = norm_data_L2(f1, 0, 0.8 - 1.5)
-        n0 = norm_data_L2(f0, 2, 0.8 - 0.5)
-        consts.append(n1 / n0)
-    assert max(consts) < 10.0, consts
 
 
 def test_mass_term_is_exact_solution():
