@@ -61,17 +61,11 @@ class BackscatterError(RuntimeError):
 
 @dataclass(frozen=True)
 class KernelQuadratureSpec:
-    """Quadrature controls: nodes per mu panel, azimuth count for brute-force
-    reference use, q-panel tolerance, exponent of the lower-limit substitution."""
+    """Quadrature control: the q-panel bisection tolerance."""
 
-    n_mu: int = 16
-    n_az: int = 32
     q_tol: float = 1e-9
-    sub_exponent: float = 1.0
 
     def __post_init__(self):
-        if self.n_mu < 8 or self.n_az < 8:
-            raise BackscatterError("kernel quadrature needs at least 8 angular nodes")
         if self.q_tol <= 0:
             raise BackscatterError("q-panel tolerance must be positive")
 
@@ -124,9 +118,9 @@ def _gl(n: int):
     return _GL_CACHE[n]
 
 
-def _mu_integrals(k: int, q: float, t: float, r: float, l_max: int,
-                  spec: KernelQuadratureSpec) -> np.ndarray:
-    """I_l(q) = (1/2) int_-1^1 K_k(q, mu) P_l(mu) dmu for l = 0..l_max."""
+def _mu_integrals(k: int, q: float, t: float, r: float, l_max: int) -> np.ndarray:
+    """I_l(q) = (1/2) int_-1^1 K_k(q, mu) P_l(mu) dmu for l = 0..l_max, with
+    16 Gauss-Legendre nodes per lam panel."""
     alpha = t - r + q
     beta = t + r + q
     if alpha <= 0.0 or beta <= 0.0:
@@ -139,7 +133,7 @@ def _mu_integrals(k: int, q: float, t: float, r: float, l_max: int,
     # geometric panels from alpha to lam_hi resolve the 1/lam near-cone behavior
     n_panels = max(8, min(64, int(math.ceil(4.0 * math.log2(lam_hi / alpha))) + 4))
     edges = np.geomspace(alpha, lam_hi, n_panels + 1)
-    xg, wg = _gl(spec.n_mu)
+    xg, wg = _gl(16)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
     lam = (mid[:, None] + half[:, None] * xg[None, :]).reshape(-1)
@@ -159,7 +153,7 @@ def _mu_integrals(k: int, q: float, t: float, r: float, l_max: int,
     return (pl * (ker * wts)[None, :]).sum(axis=1) / (2.0 * r)
 
 
-def _q_panels(n: SourceProfile, t: float, r: float, spec: KernelQuadratureSpec):
+def _q_panels(n: SourceProfile, t: float, r: float):
     """Panel edges for the q-integral over (r-t, inf) within the source support."""
     q_lo = r - t
     s_lo, s_hi = n.support()
@@ -172,7 +166,7 @@ def _q_panels(n: SourceProfile, t: float, r: float, spec: KernelQuadratureSpec):
     if q_lo >= s_lo - 1e-12:
         # exponential substitution toward the open lower limit
         edge = min(1.0, q_hi - q_lo)
-        x_lo = math.log(1e-10 * max(1.0, float(qbracket(q_lo)))) * spec.sub_exponent
+        x_lo = math.log(1e-10 * max(1.0, float(qbracket(q_lo))))
         x_hi = math.log(edge)
         n_exp = 10
         xs = np.linspace(x_lo, x_hi, n_exp + 1)
@@ -207,14 +201,14 @@ def phi_k_modes(n: SourceProfile, k: int, t: float, r: float,
         half = 0.5 * (b - a)
         qs = mid + half * xg
         out = np.zeros(len(mode_keys))
-        il = np.array([_mu_integrals(k, float(q), t, r, l_max, spec) for q in qs])
+        il = np.array([_mu_integrals(k, float(q), t, r, l_max) for q in qs])
         for i, (lm, prof) in enumerate(n.modes.items()):
             out[i] = float(np.sum(wg * half * il[:, lm[0]] * prof.value(qs)))
         return out
 
     total = np.zeros(len(mode_keys))
     scale = 0.0
-    for (a, b) in _q_panels(n, t, r, spec):
+    for (a, b) in _q_panels(n, t, r):
         stack = [(a, b, panel_value(a, b), 0)]
         while stack:
             a0, b0, coarse, depth = stack.pop()

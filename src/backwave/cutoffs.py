@@ -136,9 +136,6 @@ class Cutoff:
             sign = (1.0 / w) ** order
         return sign * smooth_step(x, order=order)
 
-    def __call__(self, s):
-        return self.value(s)
-
 
 # chi: wave-zone localizer, chi(s) = 1 for s <= 1/8, 0 for s >= 1/4.
 chi_wave_zone = Cutoff(lower=0.125, upper=0.25, orientation="decreasing")

@@ -15,8 +15,13 @@ space.
 Boundaries: u(0) = 0 holds for every mode (u ~ r^(l+1) near the origin and
 the interior stencil at j = 1 only reaches the j = 0 value, so the parity
 ghost reduces to this Dirichlet condition); the outer boundary is trivial
-Dirichlet justified by finite-speed containment, which is monitored and a
-breach aborts the run.
+Dirichlet justified by finite-speed containment, which is monitored: a
+solve aborts once |u| on the last four grid points exceeds BREACH_TOL = 1e-9
+times the largest |u| seen so far.
+
+On request (``track_origin``) a solve also records phi(t, 0) at every step
+and the flux through the cones t - r = tau, one per record time tau, of the
+first field; the origin decay check reads both.
 
 Several fields can be co-evolved as one system so that coupled sources
 (e.g. a quadratic coupling to another field's time derivative) see exact
@@ -35,6 +40,7 @@ import numpy as np
 ModeKey = Tuple[int, int]
 
 RK4_IMAG_LIMIT = 2.7  # safe fraction of the 2*sqrt(2) imaginary-axis bound
+BREACH_TOL = 1e-9     # edge/scale ratio of |u| that aborts a solve
 
 
 class EngineError(RuntimeError):
@@ -43,10 +49,6 @@ class EngineError(RuntimeError):
 
 class ContainmentError(EngineError):
     """Support reached the outer boundary during a backward solve."""
-
-
-class CflError(EngineError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,9 @@ class RadialGrid:
         return self.J * self.h
 
     @staticmethod
-    def for_run(h: float, T: float, t0: float, margin_cells: int = 12) -> "RadialGrid":
-        J = int(math.ceil((2.0 * T + (T - t0)) / h)) + margin_cells
+    def for_run(h: float, T: float, t0: float) -> "RadialGrid":
+        """Grid reaching past the support's reach 2T + (T - t0), plus 12 cells."""
+        J = int(math.ceil((2.0 * T + (T - t0)) / h)) + 12
         return RadialGrid(h=h, J=J)
 
 
@@ -95,9 +98,6 @@ class FieldState:
     def ell(self) -> np.ndarray:
         return np.array([l for (l, _m) in self.modes], dtype=float)
 
-    def mode_index(self, lm: ModeKey) -> int:
-        return self.modes.index(lm)
-
     def copy(self) -> "FieldState":
         return FieldState(self.t, self.grid, self.modes, self.u, self.v)
 
@@ -109,11 +109,9 @@ class ConeSpec:
     s: float
     R: float
     t2: float
-    field: str = ""
-    label: str = ""
 
     def name(self) -> str:
-        return self.label or f"s{self.s:g}_R{self.R:g}"
+        return f"s{self.s:g}_R{self.R:g}"
 
 
 @dataclass
@@ -121,7 +119,6 @@ class Trajectory:
     grid: RadialGrid
     record_times: List[float]
     states: Dict[str, List[FieldState]]
-    cone_fluxes: Dict[str, float] = dc_field(default_factory=dict)
     cone_history: Dict[str, List[float]] = dc_field(default_factory=dict)
     origin_series: Dict[str, Tuple[np.ndarray, np.ndarray]] = dc_field(default_factory=dict)
     origin_cone_flux: Dict[str, Tuple[np.ndarray, np.ndarray]] = dc_field(default_factory=dict)
@@ -193,14 +190,10 @@ def solve_backward_system(
     T: float,
     t0: float,
     record_times: Sequence[float],
-    dt_target: float = None,
     cfl: float = 0.5,
     cone_specs: Sequence[ConeSpec] = (),
     record_every_step: bool = False,
-    track_origin: bool = True,
-    track_origin_cones: bool = False,
-    origin_cone_field: str = None,
-    breach_tol: float = 1e-9,
+    track_origin: bool = False,
 ) -> Trajectory:
     """March the coupled per-mode system from t = T down to t = t0.
 
@@ -208,7 +201,8 @@ def solve_backward_system(
     shape (n_modes, J+1), the right-hand side of box phi = S; omitted fields
     get zero source.  Record times are hit exactly (segment-wise uniform dt
     below the stability limit).  Cone fluxes are accumulated per step by
-    linear interpolation to the cone foot.
+    linear interpolation to the cone foot.  ``track_origin`` records the
+    origin series of every field and the origin-cone fluxes of the first.
     """
     names = list(fields)
     if not names:
@@ -226,10 +220,6 @@ def solve_backward_system(
     rint = r[1:-1]
     l_max = max(int(max((l for (l, _m) in st.modes), default=0)) for st in fields.values())
     dt_cap = stable_dt(h, l_max, cfl)
-    if dt_target is not None:
-        if dt_target > cfl * h + 1e-15:
-            raise CflError(f"dt={dt_target} violates CFL bound {cfl * h} for h={h}")
-        dt_cap = min(dt_cap, dt_target)
 
     times = sorted({float(t) for t in record_times} | {float(T), float(t0)}, reverse=True)
     if times[0] > T + 1e-12 or times[-1] < t0 - 1e-12:
@@ -268,7 +258,7 @@ def solve_backward_system(
     cone_prev = {c.name(): None for c in cone_specs}
     origin_t: List[float] = []
     origin_val = {n: [] for n in names}
-    oc_name = origin_cone_field or names[0]
+    first = names[0]      # the field whose cone fluxes are accumulated
     oc_gamma_flux = {float(tau): 0.0 for tau in times}
     oc_prev = {float(tau): None for tau in times}
     dense_t: List[float] = []
@@ -282,19 +272,18 @@ def solve_backward_system(
         foot = c.R - (c.t2 - t)
         if foot <= h or foot >= grid.r_max - h:
             return None
-        name = c.field or names[0]
-        un = uu[name]
-        return conformal_flux_at(t, foot, c.s, h, un, _null_derivative(un, vv[name], h),
-                                 ll1s[name])
+        un = uu[first]
+        return conformal_flux_at(t, foot, c.s, h, un, _null_derivative(un, vv[first], h),
+                                 ll1s[first])
 
     def origin_cone_integrand(tau, t, uu, vv, vt):
         foot = t - tau
         if foot <= h or foot >= grid.r_max - h:
             return None
-        un, vn = uu[oc_name], vv[oc_name]
+        un, vn = uu[first], vv[first]
         # dS = r^2 dS(omega): (L phi)^2 r^2 = (L u - u/r)^2 etc., for phi and d_t phi
-        return sum(tangential_at(foot, h, a, _null_derivative(a, b, h), ll1s[oc_name])
-                   for (a, b) in ((un, vn), (vn, vt[oc_name])))
+        return sum(tangential_at(foot, h, a, _null_derivative(a, b, h), ll1s[first])
+                   for (a, b) in ((un, vn), (vn, vt[first])))
 
     def take_accumulations(t, uu, vv):
         nonlocal scale_seen
@@ -306,13 +295,6 @@ def solve_backward_system(
                     if l == 0:
                         tot += uu[n][i, 1] / h * (1.0 / math.sqrt(4.0 * math.pi))
                 origin_val[n].append(tot)
-        for c in cone_specs:
-            val = cone_integrand(c, t, uu, vv)
-            key = c.name()
-            if val is not None and cone_prev[key] is not None:
-                cone_vals[key] += 0.5 * (val + cone_prev[key][1]) * (cone_prev[key][0] - t)
-            cone_prev[key] = (t, val) if val is not None else None
-        if track_origin_cones:
             _du, dvn = rhs(t, uu, vv)
             vt = {n: dvn[n] for n in names}
             for tau in oc_gamma_flux:
@@ -320,6 +302,12 @@ def solve_backward_system(
                 if val is not None and oc_prev[tau] is not None:
                     oc_gamma_flux[tau] += 0.5 * (val + oc_prev[tau][1]) * (oc_prev[tau][0] - t)
                 oc_prev[tau] = (t, val) if val is not None else None
+        for c in cone_specs:
+            val = cone_integrand(c, t, uu, vv)
+            key = c.name()
+            if val is not None and cone_prev[key] is not None:
+                cone_vals[key] += 0.5 * (val + cone_prev[key][1]) * (cone_prev[key][0] - t)
+            cone_prev[key] = (t, val) if val is not None else None
         if record_every_step:
             dense_t.append(t)
             for n in names:
@@ -329,7 +317,7 @@ def solve_backward_system(
         for n in names:
             edge = float(np.max(np.abs(uu[n][:, -4:])))
             scale_seen = max(scale_seen, float(np.max(np.abs(uu[n]))))
-            if edge > breach_tol * scale_seen:
+            if edge > BREACH_TOL * scale_seen:
                 raise ContainmentError(
                     f"support reached outer boundary at t={t:.6g} in field {n!r} "
                     f"(|u| = {edge:.3e}, scale {scale_seen:.3e}); enlarge r_max"
@@ -375,7 +363,6 @@ def solve_backward_system(
         grid=grid,
         record_times=times,
         states=recorded,
-        cone_fluxes=dict(cone_vals),
         cone_history=cone_hist,
         dt_max=dt_used,
         steps=step_count,
@@ -384,9 +371,8 @@ def solve_backward_system(
         ot = np.asarray(origin_t)[::-1]
         for n in names:
             traj.origin_series[n] = (ot, np.asarray(origin_val[n])[::-1])
-    if track_origin_cones:
         taus = np.asarray(sorted(oc_gamma_flux))
-        traj.origin_cone_flux[oc_name] = (taus, np.asarray([oc_gamma_flux[t] for t in taus]))
+        traj.origin_cone_flux[first] = (taus, np.asarray([oc_gamma_flux[t] for t in taus]))
     if record_every_step:
         ts = np.asarray(dense_t)
         for n in names:

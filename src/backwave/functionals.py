@@ -57,39 +57,27 @@ class FunctionalError(RuntimeError):
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Weight selector: w0(mu), w_gamma(gamma, mu), conformal <v>^2s, constant."""
+    """Weight selector: w0(mu) or constant."""
 
     kind: str = "constant"
     mu: float = 0.0
-    gamma: float = 0.0
-    s: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "w0", "w_gamma", "conformal"):
+        if self.kind not in ("constant", "w0"):
             raise FunctionalError(f"unknown weight kind {self.kind!r}")
         if self.kind == "w0" and self.mu < 0:
             raise FunctionalError("w0 weight needs mu >= 0")
-        if self.kind == "w_gamma" and (self.mu < 0 or self.gamma < -0.5):
-            raise FunctionalError("w_gamma weight needs mu >= 0 and gamma >= -1/2")
-        if self.kind == "conformal" and self.s < 1.0:
-            raise FunctionalError("conformal weight needs s >= 1")
 
 
 def weight_eval(spec: WeightSpec, q) -> np.ndarray:
-    """Pointwise weight value; argument is q = r - t (or v for conformal)."""
+    """Pointwise weight value; argument is q = r - t."""
     q = np.asarray(q, dtype=float)
     if spec.kind == "constant":
         return np.ones_like(q)
-    if spec.kind == "w0":
-        # 1 + (1+q)^(-2 mu) outside, 3 - (1-q)^(-2 mu) inside; w0 in [1, 3]
-        return np.where(q > 0,
-                        1.0 + (1.0 + np.abs(q)) ** (-2.0 * spec.mu),
-                        3.0 - (1.0 + np.abs(q)) ** (-2.0 * spec.mu))
-    if spec.kind == "w_gamma":
-        return np.where(q > 0,
-                        1.0 + (1.0 + np.abs(q)) ** (-2.0 * spec.mu),
-                        1.0 + (1.0 + np.abs(q)) ** (1.0 + 2.0 * spec.gamma))
-    return (1.0 + q * q) ** spec.s
+    # w0: 1 + (1+q)^(-2 mu) outside, 3 - (1-q)^(-2 mu) inside; w0 in [1, 3]
+    return np.where(q > 0,
+                    1.0 + (1.0 + np.abs(q)) ** (-2.0 * spec.mu),
+                    3.0 - (1.0 + np.abs(q)) ** (-2.0 * spec.mu))
 
 
 def weight_minus_gamma(q, gamma: float) -> np.ndarray:
@@ -229,30 +217,24 @@ def r_dr_omega(t: float, r: np.ndarray, s: float) -> np.ndarray:
 
 
 def morawetz_identity_audit(traj: Trajectory, s: float, R: float,
-                            source: Optional[Callable] = None,
-                            field: str = None,
-                            t1: float = None, t2: float = None) -> Dict[str, float]:
-    """Signed relative residual of the conformal multiplier identity.
+                            source: Optional[Callable] = None) -> Dict[str, float]:
+    """Signed relative residual of the conformal multiplier identity between
+    the first and last steps of the first field.
 
     Requires a trajectory solved with ``record_every_step=True``.  ``source``
     is the same box-side callback handed to the solver (None for a free
     wave); it is re-evaluated on the stored slices for the bulk term.
     Returns a dict with the residual and both sides.
     """
-    name = field or next(iter(traj.dense), None)
-    if name is None or name not in traj.dense:
+    if not traj.dense:
         raise FunctionalError("identity audit needs a densely recorded trajectory")
+    name = next(iter(traj.dense))
     ts, us, vs = traj.dense[name]
     order = np.argsort(ts)
     ts, us, vs = ts[order], us[order], vs[order]
-    if t1 is None:
-        t1 = float(ts[0])
-    if t2 is None:
-        t2 = float(ts[-1])
-    sel = (ts >= t1 - 1e-12) & (ts <= t2 + 1e-12)
-    ts, us, vs = ts[sel], us[sel], vs[sel]
     if ts.size < 3:
-        raise FunctionalError("identity audit needs at least 3 recorded steps in [t1, t2]")
+        raise FunctionalError("identity audit needs at least 3 recorded steps")
+    t1, t2 = float(ts[0]), float(ts[-1])
     grid = traj.grid
     modes = traj.states[name][0].modes
     h = grid.h
@@ -400,21 +382,16 @@ def norm_Z_weighted(state: FieldState, s: float,
     return (total, parts) if return_parts else total
 
 
-def _second_order_terms(state: FieldState, s: float,
-                        source: Optional[Callable] = None) -> float:
-    """Second-order surrogate terms for the |I| <= 2 weighted norm."""
+def _second_order_terms(state: FieldState, s: float) -> float:
+    """Second-order surrogate terms for the |I| <= 2 weighted norm of a free
+    field (d_t v from the source-free wave equation)."""
     mf = mode_fields(state)
     t = mf.t
     h = state.grid.h
     wgt = (1.0 + (t - mf.r) ** 2) ** (s - 1.0)
-    s_arr = None
-    if source is not None:
-        s_arr = source(t, state)
     vt = np.zeros_like(mf.u)
     vt[:, 1:-1] = ((mf.u[:, 2:] - 2.0 * mf.u[:, 1:-1] + mf.u[:, :-2]) / (h * h)
                    - mf.ll1[:, None] * mf.u[:, 1:-1] / mf.r[1:-1] ** 2)
-    if s_arr is not None:
-        vt[:, 1:-1] -= mf.r[1:-1][None, :] * np.asarray(s_arr)[:, 1:-1]
     vr = _radial_deriv(mf.v, mf.ell, h)
     urr = np.zeros_like(mf.u)
     urr[:, 1:-1] = (mf.u[:, 2:] - 2.0 * mf.u[:, 1:-1] + mf.u[:, :-2]) / (h * h)
@@ -447,13 +424,12 @@ def sup_envelope(state: FieldState, s: float) -> float:
     return float(np.max(np.abs(vals) * env[None, :]))
 
 
-def ks_pointwise_check(state: FieldState, s: float,
-                       source: Optional[Callable] = None) -> Dict[str, float]:
-    """sup <t+r> <t-r>^(s-1/2) |phi| divided by the |I| <= 2 weighted-norm
-    surrogate; bounded constants instantiate the weighted pointwise decay
-    inequality."""
+def ks_pointwise_check(state: FieldState, s: float) -> Dict[str, float]:
+    """sup <t+r> <t-r>^(s-1/2) |phi| of a free field divided by the |I| <= 2
+    weighted-norm surrogate; bounded constants instantiate the weighted
+    pointwise decay inequality."""
     numer = sup_envelope(state, s)
-    denom = norm_Z_weighted(state, s) + _second_order_terms(state, s, source)
+    denom = norm_Z_weighted(state, s) + _second_order_terms(state, s)
     if denom == 0.0:
         if numer > 0.0:
             raise FunctionalError("pointwise check: zero norm with nonzero field")
@@ -461,16 +437,16 @@ def ks_pointwise_check(state: FieldState, s: float,
     return {"constant": numer / denom, "numerator": numer, "denominator": denom}
 
 
-def origin_decay_check(traj: Trajectory, gamma: float, field: str = None) -> Dict[str, np.ndarray]:
+def origin_decay_check(traj: Trajectory, gamma: float) -> Dict[str, np.ndarray]:
     """t^(1+gamma) |phi(t, 0)| against the weighted cone-flux bound.
 
     Uses the per-step origin series and the origin-cone accumulators (cones
-    t - r = tau for each record time tau); the bound on the cone carries the
-    constant weight (1 + tau)^(1+2 gamma).
+    t - r = tau for each record time tau) of the first field; the bound on
+    the cone carries the constant weight (1 + tau)^(1+2 gamma).
     """
-    name = field or next(iter(traj.origin_series), None)
-    if name is None or name not in traj.origin_cone_flux:
-        raise FunctionalError("origin decay check needs track_origin_cones=True at solve time")
+    if not traj.origin_cone_flux:
+        raise FunctionalError("origin decay check needs track_origin=True at solve time")
+    name = next(iter(traj.origin_cone_flux))
     ot, ov = traj.origin_series[name]
     taus, flux = traj.origin_cone_flux[name]
     vals = np.interp(taus, ot, ov)
@@ -485,24 +461,23 @@ def origin_decay_check(traj: Trajectory, gamma: float, field: str = None) -> Dic
 # instances of the weighted space-time estimates
 # ---------------------------------------------------------------------------
 
-def energy_conservation_drift(traj: Trajectory, field: str = None) -> float:
+def energy_conservation_drift(traj: Trajectory) -> float:
     """Relative drift of the unweighted energy along a free solve."""
-    states = traj.field_states(field)
+    states = traj.field_states()
     e = [energy_weighted(st) for st in states]
     e0 = max(e[0], 1e-300)
     return float(max(abs(x - e[0]) for x in e) / e0)
 
 
 def cor_weighted_spacetime_instance(traj: Trajectory, gamma: float, mu: float,
-                                    source: Optional[Callable] = None,
-                                    field: str = None,
-                                    n_cones: int = 6) -> Dict[str, float]:
-    """Numerical instance of the weighted space-time estimate: the three left
-    terms (weighted energy at t1, signed bulk, best cone flux) against the
-    weighted energy at t2 plus the signed source pairing; returns the ratio."""
-    name = field or next(iter(traj.dense), None)
-    if name is None or name not in traj.dense:
+                                    source: Callable) -> Dict[str, float]:
+    """Numerical instance of the weighted space-time estimate on the first
+    field: the three left terms (weighted energy at t1, signed bulk, best of
+    six cone fluxes) against the weighted energy at t2 plus the signed pairing
+    with ``source``, the box-side callback of the solve; returns the ratio."""
+    if not traj.dense:
         raise FunctionalError("weighted space-time instance needs dense recording")
+    name = next(iter(traj.dense))
     ts, us, vs = traj.dense[name]
     order = np.argsort(ts)
     ts, us, vs = ts[order], us[order], vs[order]
@@ -527,8 +502,8 @@ def cor_weighted_spacetime_instance(traj: Trajectory, gamma: float, mu: float,
 
     bulk_vals = np.empty(ts.size)
     pair_vals = np.empty(ts.size)
-    cone_feet = np.linspace(0.2, 0.8, n_cones) * (grid.r_max - 4 * grid.h)
-    cone_vals = np.zeros((n_cones, ts.size))
+    cone_feet = np.linspace(0.2, 0.8, 6) * (grid.r_max - 4 * grid.h)
+    cone_vals = np.zeros((cone_feet.size, ts.size))
     for i in range(ts.size):
         st = st_at(i)
         mf = mode_fields(st)
@@ -537,18 +512,10 @@ def cor_weighted_spacetime_instance(traj: Trajectory, gamma: float, mu: float,
                  + 0.25 * (1.0 + 2.0 * gamma) * (1.0 + np.maximum(-q, 0.0)) ** (2.0 * gamma))
         tang = (mf.lu - mf.u_over_r) ** 2 + mf.ll1[:, None] * mf.u_over_r**2
         bulk_vals[i] = float(np.sum(np.trapezoid(tang * wbulk[None, :], mf.r, axis=-1)))
-        if source is not None:
-            s_arr = source(st.t, st)
-            if s_arr is None:
-                pair_vals[i] = 0.0
-            else:
-                w = wm(q)
-                # 2 int F d_t phi w dx per mode: 2 (r S)(v/r) r^2 dr / r ... = 2 S v r dr
-                pair_vals[i] = float(np.sum(np.trapezoid(
-                    2.0 * np.asarray(s_arr) * mf.v * mf.r[None, :] * w[None, :],
-                    mf.r, axis=-1)))
-        else:
-            pair_vals[i] = 0.0
+        # 2 int F d_t phi w dx per mode: 2 (r S)(v/r) r^2 dr / r ... = 2 S v r dr
+        pair_vals[i] = float(np.sum(np.trapezoid(
+            2.0 * np.asarray(source(st.t, st)) * mf.v * mf.r[None, :] * wm(q)[None, :],
+            mf.r, axis=-1)))
         for kc, rr in enumerate(cone_feet):
             foot = rr - (t2 - st.t)
             if foot <= 2 * grid.h:
@@ -557,7 +524,7 @@ def cor_weighted_spacetime_instance(traj: Trajectory, gamma: float, mu: float,
                                 * float(wm(foot - st.t)))
     bulk = float(np.trapezoid(bulk_vals, ts))
     pairing = float(np.trapezoid(pair_vals, ts))
-    cone_best = float(max(np.trapezoid(cone_vals[k], ts) for k in range(n_cones)))
+    cone_best = float(max(np.trapezoid(row, ts) for row in cone_vals))
     lhs = lhs_energy + bulk + cone_best
     rhs = rhs_energy + pairing
     ratio = lhs / rhs if rhs > 0 else math.inf
@@ -596,12 +563,6 @@ class FitResult:
     window: Tuple[float, float]
     n_samples: int
 
-    def as_dict(self) -> Dict[str, float]:
-        return {"exponent": self.exponent, "amplitude": self.amplitude,
-                "r_squared": self.r_squared,
-                "t_lo": self.window[0], "t_hi": self.window[1],
-                "n_samples": self.n_samples}
-
 
 def fit_decay(ts: Sequence[float], values: Sequence[float],
               window: Tuple[float, float] = None) -> FitResult:
@@ -632,6 +593,3 @@ class FunctionalReport:
 
     t: float
     values: Dict[str, float] = dc_field(default_factory=dict)
-
-    def get(self, key: str, default=float("nan")) -> float:
-        return self.values.get(key, default)

@@ -347,7 +347,8 @@ class SampledProfile(Profile):
 class AntiderivativeProfile(Profile):
     """scale * int_0^q base(q') dq', with derivatives delegated to the base.
 
-    The value is a cumulative Gauss-Legendre table at the knots plus an exact
+    The value is a cumulative Gauss-Legendre table at the knots (spacing
+    1/16 or finer, at least 1024 cells on [-q_max, q_max]) plus an exact
     local Gauss-Legendre correction from the nearest knot, so evaluation
     error is at quadrature level anywhere inside the table.  Outside the
     table the base tail is integrated adaptively on demand.  Derivative
@@ -358,14 +359,14 @@ class AntiderivativeProfile(Profile):
 
     _XG8, _WG8 = np.polynomial.legendre.leggauss(8)
 
-    def __init__(self, base: Profile, scale: float, q_max: float = None, points_per_unit: float = 16.0):
+    def __init__(self, base: Profile, scale: float, q_max: float = None):
         self._base = base
         self._scale = float(scale)
         self.max_derivative_order = min(base.max_derivative_order + 1, 32)
         if q_max is None:
             q_max = min(max(abs(base.center) + base.support_radius(1e-16), 64.0), 1024.0)
         q_max = float(q_max)
-        n = int(max(q_max * points_per_unit, 512)) + 1
+        n = int(max(q_max * 16.0, 512)) + 1
         knots = np.linspace(-q_max, q_max, 2 * n - 1)
         self._table_edge = q_max
         self._knots = knots

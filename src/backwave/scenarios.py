@@ -63,7 +63,7 @@ from backwave.functionals import (FitResult, FunctionalError, FunctionalReport, 
                                   fit_decay, hardy_checks, ks_pointwise_check,
                                   morawetz_identity_audit, norm_Z_weighted,
                                   origin_decay_check, sup_envelope)
-from backwave.profiles import Profile, SampledProfile, make_profile, qbracket
+from backwave.profiles import SampledProfile, make_profile, qbracket
 from backwave.radiation import (MassTerm, RadiationField, SQRT4PI, derive_F1,
                                 eval_approximant, eval_dt_psi01_exact,
                                 realized_decay_class, residual_box_psi01,
@@ -135,12 +135,11 @@ class RunSpec:
             raise ScenarioError("T_list must be increasing")
         return self
 
-    def field_from(self, mode_specs, l_max=None) -> RadiationField:
+    def field_from(self, mode_specs) -> RadiationField:
         modes = {}
         for (l, m, prof_spec) in mode_specs:
             modes[(l, m)] = make_profile(prof_spec, gamma=self.gamma)
-        return RadiationField(modes, l_max=l_max if l_max is not None else self.l_max,
-                             gamma=self.gamma)
+        return RadiationField(modes, l_max=self.l_max, gamma=self.gamma)
 
     def config_hash(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True, default=str).encode()
@@ -181,11 +180,11 @@ class ScenarioReport:
         return self.status == "ok" and all(it.passed for it in self.items)
 
     def add_fit(self, name: str, fit: FitResult, target: float, tol: float,
-                fallback_series=None, fallback_factor: float = 1.2,
-                gamma_data: Optional[float] = None,
+                fallback_series=None, gamma_data: Optional[float] = None,
                 realized_target: Optional[float] = None) -> ReportItem:
         """Record a fitted exponent against its target; degrade to a
-        boundedness check when the window cannot resolve the slope.
+        boundedness check (no increase beyond 20%) when the window cannot
+        resolve the slope.
 
         ``target`` is the rate of the declared class, an upper bound on the
         decay the data can show.  When the data realize a class
@@ -209,11 +208,9 @@ class ScenarioReport:
             ref = max(ys[0], 1e-300)
             worst = float(np.max(ys) / ref)
             item = ReportItem(name=name, kind="bound", measured=worst,
-                              target=1.0, tol=fallback_factor - 1.0,
-                              passed=bool(worst <= fallback_factor),
+                              target=1.0, tol=1.2 - 1.0, passed=bool(worst <= 1.2),
                               note=f"shallow target {target:g}; nonincrease within "
-                                   f"{(fallback_factor - 1) * 100:.0f}% (fit {fit.exponent:.3f})"
-                                   + class_note)
+                                   f"20% (fit {fit.exponent:.3f})" + class_note)
         item.gamma_data, item.realized_target = gamma_data, realized_target
         self.items.append(item)
         return item
@@ -280,13 +277,13 @@ def fit_window_for(spec: RunSpec) -> Tuple[float, float]:
 
 def _provenance(spec: RunSpec, grid: RadialGrid = None, trajs: Sequence[Trajectory] = (),
                 started: float = None) -> Dict[str, object]:
-    """Run identity plus the grid, the largest step and the total step count
-    over the solves ``trajs``."""
+    """Run identity plus the grid, the largest step of the solves on that
+    grid and the total step count over all the run's solves ``trajs``."""
     out = {"version": __version__, "config_hash": spec.config_hash()}
     if grid is not None:
         out.update({"h": grid.h, "J": grid.J, "r_max": grid.r_max})
     if trajs:
-        out.update({"dt_max": max(tr.dt_max for tr in trajs),
+        out.update({"dt_max": max(tr.dt_max for tr in trajs if tr.grid == grid),
                     "steps": sum(tr.steps for tr in trajs)})
     if started is not None:
         out["runtime_s"] = round(time.time() - started, 3)
@@ -315,33 +312,32 @@ def run_free_wave_validation(spec: RunSpec) -> ScenarioReport:
     ue, ve = _dalembert()
     errs = []
     hs = [spec.h, spec.h / 2.0, spec.h / 4.0]
-    last_traj = None
+    trajs = []
     for h in hs:
         grid = RadialGrid(h=h, J=int(round(20.0 / h)))
         st = FieldState(T, grid, [(0, 0)], ue(T, grid.r)[None, :], ve(T, grid.r)[None, :])
-        traj = solve_backward(st, None, T, t0, [t0], cfl=spec.cfl, track_origin=False)
-        end = traj.field_states()[-1]
+        trajs.append(solve_backward(st, None, T, t0, [t0], cfl=spec.cfl))
+        end = trajs[-1].field_states()[-1]
         errs.append(float(np.max(np.abs(end.u[0] - ue(t0, grid.r)))))
-        last_traj = traj
     rep.add_order("dalembert_backward_order", convergence_order(errs), 2.0, 0.1,
                   note=f"errors {errs}")
     # time reversal: reflect the endpoint and march back up to T
     grid = RadialGrid(h=hs[1], J=int(round(20.0 / hs[1])))
     st = FieldState(T, grid, [(0, 0)], ue(T, grid.r)[None, :], ve(T, grid.r)[None, :])
-    down = solve_backward(st, None, T, t0, [t0], track_origin=False)
-    end = down.field_states()[-1]
+    trajs.append(solve_backward(st, None, T, t0, [t0]))
+    end = trajs[-1].field_states()[-1]
     refl = FieldState(T, grid, [(0, 0)], end.u, -end.v)
-    up = solve_backward(refl, None, T, t0, [t0], track_origin=False)
-    back = up.field_states()[-1]
+    trajs.append(solve_backward(refl, None, T, t0, [t0]))
+    back = trajs[-1].field_states()[-1]
     rev_err = float(np.max(np.abs(back.u[0] - ue(T, grid.r))))
     rep.add_bound("time_reversal_error", rev_err, 50.0 * hs[1] ** 2,
                   note="backward+reflected backward returns the data at O(h^2)")
     # energy conservation along the free solve
     st = FieldState(T, grid, [(0, 0)], ue(T, grid.r)[None, :], ve(T, grid.r)[None, :])
-    traj = solve_backward(st, None, T, t0, list(np.linspace(t0, T, 9)), track_origin=False)
-    rep.add_bound("energy_conservation_drift", energy_conservation_drift(traj),
+    trajs.append(solve_backward(st, None, T, t0, list(np.linspace(t0, T, 9))))
+    rep.add_bound("energy_conservation_drift", energy_conservation_drift(trajs[-1]),
                   50.0 * hs[1] ** 2)
-    rep.provenance = _provenance(spec, grid, [last_traj], started)
+    rep.provenance = _provenance(spec, grid, trajs, started)
     return rep
 
 
@@ -349,20 +345,17 @@ def run_free_wave_validation(spec: RunSpec) -> ScenarioReport:
 # homogeneous scattering from radiation data
 # ---------------------------------------------------------------------------
 
-def _box_psi01_source(f0: RadiationField, f1: RadiationField, modes: Sequence[ModeKey],
-                      grid: RadialGrid, sign: float = -1.0):
-    """Source callback: sign * box psi01 per mode (sign=-1 solves the remainder)."""
-    r_pos = grid.r[1:]
-
-    def src(t, _view):
-        res = residual_box_psi01(f0, f1, t, r_pos)
-        out = np.zeros((len(modes), grid.J + 1))
-        for i, lm in enumerate(modes):
-            if lm in res:
-                out[i, 1:] = sign * res[lm]
-        return out
-
-    return src
+def _minus_box_psi01_rows(f0: RadiationField, f1: RadiationField, modes: Sequence[ModeKey],
+                          t: float, r_pos: np.ndarray) -> np.ndarray:
+    """-box psi01 at time t as one row per mode of ``modes``, on the grid
+    r = 0, r_pos: shape (len(modes), r_pos.size + 1), zero at r = 0 and on
+    modes psi01 lacks.  The remainder v = psi - psi01 solves box v = this."""
+    res = residual_box_psi01(f0, f1, t, r_pos)
+    out = np.zeros((len(modes), r_pos.size + 1))
+    for i, lm in enumerate(modes):
+        if lm in res:
+            out[i, 1:] = -res[lm]
+    return out
 
 
 def _assemble_psi(state: FieldState, f0: RadiationField, f1: RadiationField,
@@ -404,17 +397,17 @@ def run_homogeneous_scattering(spec: RunSpec) -> ScenarioReport:
     f1 = derive_F1(f0, q_max=grid.r_max + 2.0)
     modes = [lm for lm, _p in f0.mode_items()] or [(0, 0)]
     data = FieldState(spec.T, grid, modes)   # trivial data for the remainder
-    src = _box_psi01_source(f0, f1, modes, grid, sign=-1.0)
+    r_pos = grid.r[1:]
     records = record_times_for(spec)
     cones = [ConeSpec(s=spec.s, R=0.5 * grid.r_max, t2=spec.T)]
-    traj = solve_backward(data, src, spec.T, spec.t0, records, cfl=spec.cfl,
-                          cone_specs=cones)
+    traj = solve_backward(data, lambda t, _view: _minus_box_psi01_rows(f0, f1, modes, t, r_pos),
+                          spec.T, spec.t0, records, cfl=spec.cfl, cone_specs=cones)
 
     window = fit_window_for(spec)
     ts, src_norm, energy_v, conf_v, norm1s_psi, env_psi = [], [], [], [], [], []
     for i, st in enumerate(traj.field_states()):
         ts.append(st.t)
-        src_norm.append(source_norm_weighted(f0, f1, st.t, grid.r[1:], spec.s))
+        src_norm.append(source_norm_weighted(f0, f1, st.t, r_pos, spec.s))
         energy_v.append(math.sqrt(energy_weighted(st)))
         conf_v.append(conformal_norm_plus(st, spec.s))
         psi = _assemble_psi(st, f0, f1, mass)
@@ -480,15 +473,16 @@ def run_T_limit_study(spec: RunSpec) -> ScenarioReport:
     grid = RadialGrid.for_run(spec.h, T_max, spec.t0)
     f1 = derive_F1(f0, q_max=grid.r_max + 2.0)
     modes = [lm for lm, _p in f0.mode_items()]
+    r_pos = grid.r[1:]
     ends: Dict[float, FieldState] = {}
     trajs: List[Trajectory] = []
     horizon_norms: Dict[Tuple[float, float], Dict[str, float]] = {}
     for T in t_list:
         data = FieldState(T, grid, modes)
-        src = _box_psi01_source(f0, f1, modes, grid, sign=-1.0)
         records = sorted({spec.t0} | {tt for tt in t_list if tt < T}, reverse=True)
-        traj = solve_backward(data, src, T, spec.t0, records, cfl=spec.cfl,
-                              track_origin=False)
+        traj = solve_backward(data,
+                              lambda t, _view: _minus_box_psi01_rows(f0, f1, modes, t, r_pos),
+                              T, spec.t0, records, cfl=spec.cfl)
         trajs.append(traj)
         ends[T] = traj.state_at(spec.t0)
         for T1 in (tt for tt in t_list if tt < T):
@@ -566,23 +560,20 @@ def _dt_psi_modes(f0: RadiationField, f1: RadiationField, mass: MassTerm, n_in: 
 
 
 def _strata_sources(f0: RadiationField, f1: RadiationField, mass: MassTerm,
-                    l_out: int, q_range: Tuple[float, float] = None,
-                    n_q: int = 8192) -> Dict[int, SourceProfile]:
+                    l_out: int, q_range: Tuple[float, float]) -> Dict[int, SourceProfile]:
     """Light-cone strata n_2, n_3, n_4 of (psi0' + psi_e' + psi1')^2.
 
     n_2 = (F0' + M chi_e')^2, n_3 = 2 (F0' + M chi_e') F1', n_4 = (F1')^2,
-    expanded mode by mode on a dense q table (pointwise angular products).
-    ``q_range`` bounds the table; everything beyond it is annihilated by the
-    wave-zone cutoff in every consumer, so a run-sized range is exact.
+    expanded mode by mode on a q table of 8192 points (pointwise angular
+    products).  ``q_range`` bounds the table; everything beyond it is
+    annihilated by the wave-zone cutoff in every consumer, so a run-sized
+    range is exact.
     """
     l_in = max([l for (l, _m) in f0.modes] + [0])
-    if q_range is None:
-        sup = min(max(f0.support_radius(1e-16), 4.0), 256.0)
-        q_range = (-sup - 2.0, sup + 2.0)
-    qs = np.linspace(q_range[0], q_range[1], n_q)
+    qs = np.linspace(q_range[0], q_range[1], 8192)
     n_in = mode_count(l_in)
-    base = np.zeros((n_in, n_q))      # F0' + M chi_e' (mode coefficients)
-    f1p = np.zeros((n_in, n_q))       # F1'
+    base = np.zeros((n_in, qs.size))      # F0' + M chi_e' (mode coefficients)
+    f1p = np.zeros((n_in, qs.size))       # F1'
     for (l, m), prof in f0.mode_items():
         base[mode_index(l, m)] = prof.derivative(qs, 1)
     base[0] += mass.M * chi_exterior.derivative(qs, 1) * SQRT4PI
@@ -648,18 +639,10 @@ def run_weak_null(spec: RunSpec) -> ScenarioReport:
             s_w[i] = sq[mode_index(*lm)]
         s_w -= strata_modes_at(t)
         if not g0.is_zero():
-            res = residual_box_psi01(g0, g1, t, r_pos)
-            for i, lm in enumerate(w_modes):
-                if lm in res:
-                    s_w[i, 1:] -= res[lm]
+            s_w += _minus_box_psi01_rows(g0, g1, w_modes, t, r_pos)
         s_w[:, 0] = 0.0
         # remainder of psi keeps its own linear source
-        res_f = residual_box_psi01(f0, f1, t, r_pos)
-        s_v = np.zeros((len(psi_modes), grid.J + 1))
-        for i, lm in enumerate(psi_modes):
-            if lm in res_f:
-                s_v[i, 1:] = -res_f[lm]
-        return {"vpsi": s_v, "w": s_w}
+        return {"vpsi": _minus_box_psi01_rows(f0, f1, psi_modes, t, r_pos), "w": s_w}
 
     fields = {
         "vpsi": FieldState(spec.T, grid, psi_modes),
@@ -668,8 +651,7 @@ def run_weak_null(spec: RunSpec) -> ScenarioReport:
     records = record_times_for(spec)
     for tc, _rc in spec.check_points:
         records = sorted(set(records) | {tc - spec.h, tc, tc + spec.h}, reverse=True)
-    traj = solve_backward_system(fields, w_source, spec.T, spec.t0, records,
-                                 cfl=spec.cfl, track_origin=False)
+    traj = solve_backward_system(fields, w_source, spec.T, spec.t0, records, cfl=spec.cfl)
 
     window = fit_window_for(spec)
     ts, norm1s_w, env_w = [], [], []
@@ -805,14 +787,14 @@ def run_null_radial(spec: RunSpec) -> ScenarioReport:
 
         records = sorted(set(np.geomspace(1.0, spec.T, 24).tolist()) | {1.0, spec.T},
                          reverse=True)
-        traj = solve_backward(st, src, spec.T, 1.0, records, cfl=spec.cfl,
-                              track_origin=False)
+        traj = solve_backward(st, src, spec.T, 1.0, records, cfl=spec.cfl)
         ts = np.asarray([s.t for s in traj.field_states()])
         es = np.asarray([math.sqrt(energy_weighted(s)) for s in traj.field_states()])
         order = np.argsort(ts)
         return ts[order], es[order], traj
 
     ts, es, traj = run_once(amp, spec.h)
+    trajs = [traj]
     if not np.all(np.isfinite(es)):
         rep.add_check("reaches_t0_without_blowup", False, float("nan"))
         rep.status = "error"
@@ -837,13 +819,14 @@ def run_null_radial(spec: RunSpec) -> ScenarioReport:
             "energy_w1": energy_weighted(st)}))
     # quadratic amplitude scaling: halving the data should quarter ||dv||
     if amp != 0.0:
-        ts2, es2, _ = run_once(amp / 2.0, spec.h)
+        ts2, es2, traj2 = run_once(amp / 2.0, spec.h)
+        trajs.append(traj2)
         mid = len(ts) // 2
         match = np.interp(ts[mid], ts2, es2)
         ratio = es[mid] / max(match, 1e-300)
         rep.add_check("quadratic_amplitude_scaling", bool(abs(ratio / 4.0 - 1.0) <= 0.2),
                       measured=float(ratio), note="||dv||(a) / ||dv||(a/2), expect 4 within 20%")
-    rep.provenance = _provenance(spec, traj.grid, [traj], started)
+    rep.provenance = _provenance(spec, traj.grid, trajs, started)
     return rep
 
 
@@ -937,6 +920,7 @@ def run_audit_battery(spec: RunSpec) -> ScenarioReport:
     ue, ve = _dalembert()
     T, t1 = 6.0, 2.0
     R = 12.0
+    trajs = []
 
     def bump_src(t, view):
         r = view.grid.r
@@ -952,9 +936,9 @@ def run_audit_battery(spec: RunSpec) -> ScenarioReport:
                 grid = RadialGrid(h=h, J=int(round(20.0 / h)))
                 du, dv = data_fn(grid)
                 st = FieldState(T, grid, [(0, 0) if tag == "free" else (1, 0)], du, dv)
-                traj = solve_backward(st, src, T, t1, [t1], cfl=spec.cfl,
-                                      record_every_step=True, track_origin=False)
-                out = morawetz_identity_audit(traj, s=s, R=R, source=src)
+                trajs.append(solve_backward(st, src, T, t1, [t1], cfl=spec.cfl,
+                                            record_every_step=True))
+                out = morawetz_identity_audit(trajs[-1], s=s, R=R, source=src)
                 residuals.append(abs(out["residual"]))
             ok_sched = all(residuals[i] <= 5.0 * (hs[i] / hs[0]) ** 2 * max(residuals[0], 1e-14)
                            for i in range(len(hs)))
@@ -978,8 +962,8 @@ def run_audit_battery(spec: RunSpec) -> ScenarioReport:
         for h in (spec.h, spec.h / 2.0):
             grid = RadialGrid(h=h, J=int(round(20.0 / h)))
             st = FieldState(T, grid, [(0, 0)], ue(T, grid.r)[None, :], ve(T, grid.r)[None, :])
-            traj = solve_backward(st, None, T, t1, [t1, 4.0], track_origin=False)
-            for stt in traj.field_states()[1:]:
+            trajs.append(solve_backward(st, None, T, t1, [t1, 4.0]))
+            for stt in trajs[-1].field_states()[1:]:
                 hc = hardy_checks(stt, s, budget=spec.hardy_budget)
                 ratios["zeroth"].append(hc["ratio_zeroth"])
                 ratios["radial"].append(hc["ratio_radial"])
@@ -996,9 +980,8 @@ def run_audit_battery(spec: RunSpec) -> ScenarioReport:
     # weighted space-time estimate instance on a sourced run
     grid = RadialGrid(h=spec.h / 2.0, J=int(round(20.0 / (spec.h / 2.0))))
     st = FieldState(T, grid, [(1, 0)])
-    traj = solve_backward(st, bump_src, T, t1, [t1], record_every_step=True,
-                          track_origin=False)
-    inst = cor_weighted_spacetime_instance(traj, spec.gamma, spec.mu, source=bump_src)
+    trajs.append(solve_backward(st, bump_src, T, t1, [t1], record_every_step=True))
+    inst = cor_weighted_spacetime_instance(trajs[-1], spec.gamma, spec.mu, source=bump_src)
     rep.add_bound("weighted_spacetime_ratio", inst["ratio"], spec.ratio_budget,
                   note=f"bulk={inst['bulk']:.3e} cone={inst['cone']:.3e}")
 
@@ -1009,14 +992,14 @@ def run_audit_battery(spec: RunSpec) -> ScenarioReport:
         r = view.grid.r
         return (np.exp(-((r - 3.0) ** 2) - (t - 4.0) ** 2))[None, :]
 
-    traj = solve_backward(st, origin_src, T, t1, list(np.linspace(t1, T, 13)),
-                          track_origin=True, track_origin_cones=True)
-    odc = origin_decay_check(traj, spec.gamma)
+    trajs.append(solve_backward(st, origin_src, T, t1, list(np.linspace(t1, T, 13)),
+                                track_origin=True))
+    odc = origin_decay_check(trajs[-1], spec.gamma)
     good = odc["cone_bound"] > 1e-12
     worst = float(np.max(odc["ratio"][good])) if np.any(good) else 0.0
     rep.add_bound("origin_decay_ratio", worst, spec.ratio_budget,
                   note="t^(1+gamma)|phi(t,0)| / weighted cone flux bound")
-    rep.provenance = _provenance(spec, grid, started=started)
+    rep.provenance = _provenance(spec, grid, trajs, started)
     return rep
 
 
@@ -1048,9 +1031,10 @@ def run_convergence(spec: RunSpec) -> ScenarioReport:
                   note=f"errors {errs_g}")
     rep.add_order("residual_order_mass_term", convergence_order(errs_e), 2.0, 0.1,
                   note=f"errors {errs_e} (M=1, r >= 1/2)", one_sided=True)
+    # the solves of the run are the free-wave gate's, so is its provenance
     gate = run_free_wave_validation(spec)
     rep.items.extend(gate.items)
-    rep.provenance = _provenance(spec, started=started)
+    rep.provenance = dict(gate.provenance, runtime_s=round(time.time() - started, 3))
     return rep
 
 

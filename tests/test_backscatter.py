@@ -141,7 +141,7 @@ def test_envelope_sweep_k34():
 
 def test_quadrature_spec_validation():
     with pytest.raises(BackscatterError):
-        KernelQuadratureSpec(n_mu=2)
+        KernelQuadratureSpec(q_tol=-1e-9)
     with pytest.raises(BackscatterError):
         KernelQuadratureSpec(q_tol=0.0)
     with pytest.raises(BackscatterError):

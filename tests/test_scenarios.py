@@ -200,8 +200,8 @@ def test_assembled_field_solves_wave_equation():
     # discrete box of its u-array converges to zero at order >= 1.9
     import math
     from backwave.engine import RadialGrid, FieldState, solve_backward, discrete_box_triplet
-    from backwave.radiation import (MassTerm, derive_F1, eval_approximant,
-                                    eval_dt_psi01_exact, residual_box_psi01)
+    from backwave.radiation import MassTerm, derive_F1, eval_approximant
+    from backwave.scenarios import _minus_box_psi01_rows
 
     spec = RunSpec(scenario="homogeneous", gamma=0.8, s=1.2, f0_modes=GAUSS2, mass=0.25)
     f0 = spec.field_from(spec.f0_modes)
@@ -214,16 +214,10 @@ def test_assembled_field_solves_wave_equation():
         grid = RadialGrid.for_run(h, T, 2.0)
         f1 = derive_F1(f0, q_max=grid.r_max + 2.0)
         r_pos = grid.r[1:]
-
-        def src(t, _view):
-            res = residual_box_psi01(f0, f1, t, r_pos)
-            out = np.zeros((1, grid.J + 1))
-            out[0, 1:] = -res[(2, 0)]
-            return out
-
         data = FieldState(T, grid, [(2, 0)])
-        traj = solve_backward(data, src, T, 2.0, [tc - h, tc, tc + h],
-                              track_origin=False)
+        traj = solve_backward(data,
+                              lambda t, _view: _minus_box_psi01_rows(f0, f1, [(2, 0)], t, r_pos),
+                              T, 2.0, [tc - h, tc, tc + h])
 
         def psi_u(t):
             st = traj.state_at(t)
@@ -260,3 +254,46 @@ def test_stage_failure_becomes_error_report():
     assert rep.status == "error"
     assert "weaknull" in rep.error
     assert not rep.passed
+
+
+def _recorded_solves(monkeypatch):
+    """The trajectories of every solve a run makes, in call order."""
+    import backwave.engine as engine
+    import backwave.scenarios as scenarios
+
+    trajs, solve = [], engine.solve_backward_system
+
+    def recording(*args, **kwargs):
+        trajs.append(solve(*args, **kwargs))
+        return trajs[-1]
+
+    monkeypatch.setattr(engine, "solve_backward_system", recording)
+    monkeypatch.setattr(scenarios, "solve_backward_system", recording)
+    return trajs
+
+
+def test_validate_provenance_describes_one_grid(monkeypatch):
+    trajs = _recorded_solves(monkeypatch)
+    prov = run_scenario(RunSpec(scenario="free_wave")).provenance
+    # the time-reversal grid h/2 = 0.05 with its step cfl * h = 0.025; the
+    # steps of all six solves: 100 + 200 + 400 for the refinement study,
+    # 200 each for the two time-reversal legs and the energy solve
+    assert (prov["h"], prov["J"]) == (0.05, 400)
+    assert prov["r_max"] == pytest.approx(20.0)
+    assert prov["dt_max"] == pytest.approx(0.025)
+    assert len(trajs) == 6
+    assert prov["steps"] == sum(tr.steps for tr in trajs) == 1300
+
+
+@pytest.mark.parametrize("spec, n_solves", [
+    (RunSpec(scenario="nullradial", h=0.25, T=12.0, t0=2.0, amplitude=0.01), 2),
+    (RunSpec(scenario="audit", h=0.1), 18),
+    (RunSpec(scenario="convergence", h=0.1), 6),
+], ids=["nullradial", "audit", "convergence"])
+def test_provenance_steps_cover_every_solve(monkeypatch, spec, n_solves):
+    trajs = _recorded_solves(monkeypatch)
+    prov = run_scenario(spec).provenance
+    assert len(trajs) == n_solves
+    assert prov["steps"] == sum(tr.steps for tr in trajs)
+    on_grid = [tr.dt_max for tr in trajs if (tr.grid.h, tr.grid.J) == (prov["h"], prov["J"])]
+    assert on_grid and prov["dt_max"] == max(on_grid)
