@@ -17,6 +17,8 @@ in either orientation.  Two canonical instances are used throughout:
 
 Derivatives are exact closed forms (quotient rule on sigma), not finite
 differences; they feed the analytic wave-operator residual formulas.
+:meth:`Cutoff.terms` gives the value and both derivatives from one pass
+over the two bumps B(x), B(1-x), equal to the separate calls bit for bit.
 """
 
 from __future__ import annotations
@@ -40,62 +42,40 @@ def _bump(x):
     return out
 
 
-def _bump_d1(x):
-    """B'(x) = B(x)/x^2 on x > 0."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0
-    out[pos] = _bump(x[pos]) / x[pos] ** 2
-    return out
-
-
-def _bump_d2(x):
-    """B''(x) = B(x)(1/x^4 - 2/x^3) on x > 0."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0
-    xp = x[pos]
-    out[pos] = _bump(xp) * (1.0 / xp**4 - 2.0 / xp**3)
+def _smooth_step_terms(x, order: int):
+    """[sigma, ..., sigma^(order)] at the 1-D array x, order <= 2, from one
+    pair of bumps: sigma = N/D with N = B(x), D = B(x) + B(1-x), B' = B/x^2,
+    B'' = B(1/x^4 - 2/x^3), N' = sigma' D + sigma D' and
+    N'' = sigma'' D + 2 sigma' D' + sigma D''."""
+    inside = (x > 0) & (x < 1)
+    out = [np.where(x >= 1, 1.0, 0.0)] + [np.zeros_like(x) for _ in range(order)]
+    if np.any(inside):
+        xi = x[inside]
+        yi = 1.0 - xi
+        n = _bump(xi)
+        m = _bump(yi)
+        d = n + m
+        s = n / d
+        out[0][inside] = s
+        if order >= 1:
+            n1 = n / xi**2
+            dd1 = n1 - m / yi**2
+            s1 = (n1 - s * dd1) / d
+            out[1][inside] = s1
+            if order >= 2:
+                n2 = n * (1.0 / xi**4 - 2.0 / xi**3)
+                dd2 = n2 + m * (1.0 / yi**4 - 2.0 / yi**3)
+                out[2][inside] = (n2 - 2.0 * s1 * dd1 - s * dd2) / d
     return out
 
 
 def smooth_step(x, order: int = 0):
-    """sigma(x) or its derivative of the given order (0, 1 or 2).
-
-    sigma = N/D with N = B(x), D = B(x) + B(1-x).  The derivatives follow
-    from N' = sigma' D + sigma D' and N'' = sigma'' D + 2 sigma' D' + sigma D''.
-    """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    inside = (x > 0) & (x < 1)
-    val = np.where(x >= 1, 1.0, 0.0)
-    d1 = np.zeros_like(x)
-    d2 = np.zeros_like(x)
-    if np.any(inside):
-        xi = x[inside]
-        n = _bump(xi)
-        d = n + _bump(1.0 - xi)
-        s = n / d
-        val[inside] = s
-        if order >= 1:
-            n1 = _bump_d1(xi)
-            dd1 = n1 - _bump_d1(1.0 - xi)
-            s1 = (n1 - s * dd1) / d
-            d1[inside] = s1
-            if order >= 2:
-                n2 = _bump_d2(xi)
-                dd2 = n2 + _bump_d2(1.0 - xi)
-                d2[inside] = (n2 - 2.0 * s1 * dd1 - s * dd2) / d
-    if order == 0:
-        out = val
-    elif order == 1:
-        out = d1
-    elif order == 2:
-        out = d2
-    else:
+    """sigma(x) or its derivative of the given order (0, 1 or 2)."""
+    if order not in (0, 1, 2):
         raise ValueError(f"smooth_step derivatives available up to order 2, got {order}")
-    return float(out[0]) if scalar else out
+    x = np.asarray(x, dtype=float)
+    out = _smooth_step_terms(np.atleast_1d(x), order)[order]
+    return float(out[0]) if x.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -120,21 +100,26 @@ class Cutoff:
     def _width(self) -> float:
         return self.upper - self.lower
 
-    def value(self, s):
+    def _unit(self, s):
+        """(x, dx/ds) with x the smooth_step variable: 1 where the cutoff is 1."""
+        s = np.asarray(s, dtype=float)
         if self.orientation == "decreasing":
-            return smooth_step((self.upper - np.asarray(s, dtype=float)) / self._width)
-        return smooth_step((np.asarray(s, dtype=float) - self.lower) / self._width)
+            return (self.upper - s) / self._width, -1.0 / self._width
+        return (s - self.lower) / self._width, 1.0 / self._width
+
+    def value(self, s):
+        return smooth_step(self._unit(s)[0])
 
     def derivative(self, s, order: int = 1):
         """d^order/ds^order of the cutoff, order in {1, 2}."""
-        w = self._width
-        if self.orientation == "decreasing":
-            x = (self.upper - np.asarray(s, dtype=float)) / w
-            sign = (-1.0 / w) ** order
-        else:
-            x = (np.asarray(s, dtype=float) - self.lower) / w
-            sign = (1.0 / w) ** order
-        return sign * smooth_step(x, order=order)
+        x, step = self._unit(s)
+        return step ** order * smooth_step(x, order=order)
+
+    def terms(self, s):
+        """Value, first and second derivative at the array s in one pass."""
+        x, step = self._unit(s)
+        c, c1, c2 = _smooth_step_terms(np.atleast_1d(x), 2)
+        return c, step * c1, step ** 2 * c2
 
 
 # chi: wave-zone localizer, chi(s) = 1 for s <= 1/8, 0 for s >= 1/4.

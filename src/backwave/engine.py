@@ -26,6 +26,15 @@ first field; the origin decay check reads both.
 Several fields can be co-evolved as one system so that coupled sources
 (e.g. a quadratic coupling to another field's time derivative) see exact
 substage values.
+
+The source S of box phi = S is the sum of two callbacks' ``{field: (n_modes,
+J+1) rows}``: the state-independent ``forcing(t, grid)`` and the
+state-dependent ``coupling(t, views)``, which reads the stage's
+``views[name].u`` and ``.v``.  Both are asked at every RK4 stage, four times
+per step at two new distinct times (k2 and k3 share t - dt/2; k4's time is
+the next step's k1's), so a costly forcing keeps its own per-time memo, as
+the radiation residual does.  Origin tracking evaluates the right-hand side
+after each step and hands it on as the next step's k1.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -89,10 +99,8 @@ class FieldState:
         shape = (n, grid.J + 1)
         self.u = np.zeros(shape) if u is None else np.asarray(u, dtype=float).reshape(shape).copy()
         self.v = np.zeros(shape) if v is None else np.asarray(v, dtype=float).reshape(shape).copy()
-        self.u[:, 0] = 0.0
-        self.v[:, 0] = 0.0
-        self.u[:, -1] = 0.0
-        self.v[:, -1] = 0.0
+        self.u[:, [0, -1]] = 0.0
+        self.v[:, [0, -1]] = 0.0
 
     @property
     def ell(self) -> np.ndarray:
@@ -186,7 +194,7 @@ def _null_derivative(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
 
 def solve_backward_system(
     fields: Dict[str, FieldState],
-    source: Optional[Callable],
+    forcing: Optional[Callable],
     T: float,
     t0: float,
     record_times: Sequence[float],
@@ -194,12 +202,12 @@ def solve_backward_system(
     cone_specs: Sequence[ConeSpec] = (),
     record_every_step: bool = False,
     track_origin: bool = False,
+    coupling: Optional[Callable] = None,
 ) -> Trajectory:
     """March the coupled per-mode system from t = T down to t = t0.
 
-    ``source(t, fields)`` returns a dict mapping field names to S arrays of
-    shape (n_modes, J+1), the right-hand side of box phi = S; omitted fields
-    get zero source.  Record times are hit exactly (segment-wise uniform dt
+    ``forcing`` and ``coupling`` give the source (module docstring); either
+    may be None.  Record times are hit exactly (segment-wise uniform dt
     below the stability limit).  Cone fluxes are accumulated per step by
     linear interpolation to the cone foot.  ``track_origin`` records the
     origin series of every field and the origin-cone fluxes of the first.
@@ -232,14 +240,18 @@ def solve_backward_system(
     ll1s = {n: fields[n].ell * (fields[n].ell + 1.0) for n in names}
 
     def rhs(t, uu, vv):
-        du = {}
-        dv = {}
-        src = source(t, {n: _View(t, grid, modes[n], uu[n], vv[n]) for n in names}) if source else {}
+        du, dv = {}, {}
+        f_rows = forcing(t, grid) if forcing else {}
+        src = (coupling(t, {n: SimpleNamespace(u=uu[n], v=vv[n]) for n in names})
+               if coupling else {})
         for n in names:
             un = uu[n]
             lap = (un[:, 2:] - 2.0 * un[:, 1:-1] + un[:, :-2]) / (h * h)
             acc = lap - pot[n] * un[:, 1:-1]
-            s_n = src.get(n) if src else None
+            f_n = f_rows.get(n)
+            if f_n is not None:
+                acc = acc - rint[None, :] * f_n[:, 1:-1]
+            s_n = src.get(n)
             if s_n is not None:
                 acc = acc - rint[None, :] * s_n[:, 1:-1]
             dvn = np.zeros_like(un)
@@ -285,8 +297,10 @@ def solve_backward_system(
         return sum(tangential_at(foot, h, a, _null_derivative(a, b, h), ll1s[first])
                    for (a, b) in ((un, vn), (vn, vt[first])))
 
+    next_k1 = None   # (t, rhs at t) of the state just accumulated, if evaluated
+
     def take_accumulations(t, uu, vv):
-        nonlocal scale_seen
+        nonlocal scale_seen, next_k1
         if track_origin:
             origin_t.append(t)
             for n in names:
@@ -295,8 +309,8 @@ def solve_backward_system(
                     if l == 0:
                         tot += uu[n][i, 1] / h * (1.0 / math.sqrt(4.0 * math.pi))
                 origin_val[n].append(tot)
-            _du, dvn = rhs(t, uu, vv)
-            vt = {n: dvn[n] for n in names}
+            k = rhs(t, uu, vv)
+            next_k1, vt = (t, k), k[1]
             for tau in oc_gamma_flux:
                 val = origin_cone_integrand(tau, t, uu, vv, vt)
                 if val is not None and oc_prev[tau] is not None:
@@ -339,17 +353,18 @@ def solve_backward_system(
         dt = span / n_steps
         dt_used = max(dt_used, dt)
         for _ in range(n_steps):
-            k1u, k1v = rhs(t_now, u, v)
+            if next_k1 is not None and next_k1[0] == t_now:
+                k1u, k1v = next_k1[1]
+            else:
+                k1u, k1v = rhs(t_now, u, v)
             k2u, k2v = stage(t_now, 0.5 * dt, k1u, k1v)
             k3u, k3v = stage(t_now, 0.5 * dt, k2u, k2v)
             k4u, k4v = stage(t_now, dt, k3u, k3v)
             for n in names:
                 u[n] = u[n] - (dt / 6.0) * (k1u[n] + 2.0 * k2u[n] + 2.0 * k3u[n] + k4u[n])
                 v[n] = v[n] - (dt / 6.0) * (k1v[n] + 2.0 * k2v[n] + 2.0 * k3v[n] + k4v[n])
-                u[n][:, 0] = 0.0
-                u[n][:, -1] = 0.0
-                v[n][:, 0] = 0.0
-                v[n][:, -1] = 0.0
+                u[n][:, [0, -1]] = 0.0
+                v[n][:, [0, -1]] = 0.0
             t_now -= dt
             step_count += 1
             take_accumulations(t_now, u, v)
@@ -380,31 +395,17 @@ def solve_backward_system(
     return traj
 
 
-class _View:
-    """Read-only view of one field handed to source callbacks."""
-
-    __slots__ = ("t", "grid", "modes", "u", "v")
-
-    def __init__(self, t, grid, modes, u, v):
-        self.t = t
-        self.grid = grid
-        self.modes = modes
-        self.u = u
-        self.v = v
-
-
-def solve_backward(data_at_T: FieldState, source, T: float, t0: float,
-                   record_times: Sequence[float], **kwargs) -> Trajectory:
+def solve_backward(data_at_T: FieldState, forcing, T: float, t0: float,
+                   record_times: Sequence[float], coupling=None, **kwargs) -> Trajectory:
     """Single-field convenience wrapper around :func:`solve_backward_system`.
 
-    ``source(t, view)`` returns an (n_modes, J+1) array or None.
+    ``forcing(t, grid)`` and ``coupling(t, view)`` each return an
+    (n_modes, J+1) array or None.
     """
-    wrapped = None
-    if source is not None:
-        def wrapped(t, views):  # noqa: E306
-            s = source(t, views["phi"])
-            return {} if s is None else {"phi": s}
-    return solve_backward_system({"phi": data_at_T}, wrapped, T, t0, record_times, **kwargs)
+    forced = None if forcing is None else (lambda t, grid: {"phi": forcing(t, grid)})
+    coupled = None if coupling is None else (lambda t, views: {"phi": coupling(t, views["phi"])})
+    return solve_backward_system({"phi": data_at_T}, forced, T, t0, record_times,
+                                 coupling=coupled, **kwargs)
 
 
 # ---------------------------------------------------------------------------

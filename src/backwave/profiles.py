@@ -359,12 +359,10 @@ class AntiderivativeProfile(Profile):
 
     _XG8, _WG8 = np.polynomial.legendre.leggauss(8)
 
-    def __init__(self, base: Profile, scale: float, q_max: float = None):
+    def __init__(self, base: Profile, scale: float, q_max: float):
         self._base = base
         self._scale = float(scale)
         self.max_derivative_order = min(base.max_derivative_order + 1, 32)
-        if q_max is None:
-            q_max = min(max(abs(base.center) + base.support_radius(1e-16), 64.0), 1024.0)
         q_max = float(q_max)
         n = int(max(q_max * 16.0, 512)) + 1
         knots = np.linspace(-q_max, q_max, 2 * n - 1)

@@ -18,10 +18,17 @@ module derives:
 * the analytic residual of the wave operator applied to psi01, whose only
   surviving terms are supported on the cutoff transition ring plus the
   angular term -l(l+1) F1/r^4 inside the wave zone, and its weighted norm.
+
+psi01 terms are computed on the band <r-t>/r < 1/4 only, exact zeros off it.
+The residual and d_t psi01 keep their four latest results: an RK4 step asks
+for each of its forcing times twice, and a repeat with the same field
+objects, an equal time and equal radii returns the stored rows (read-only)
+without evaluating again.  Fields are not modified once built.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -85,13 +92,13 @@ class RadiationField:
                    default=1.0)
 
 
-def derive_F1(f0: RadiationField, q_max: float = None) -> RadiationField:
+def derive_F1(f0: RadiationField, q_max: float) -> RadiationField:
     """Second-order correction field: F1_lm = -(l(l+1)/2) int_0^q F0_lm.
 
     The l = 0 modes drop out (the angular Laplacian annihilates them).  Each
-    integral is cached as a dense antiderivative profile whose derivatives
-    delegate exactly to F0's.  Profiles whose tail integral does not
-    converge are rejected.
+    integral is cached as a dense antiderivative profile on [-q_max, q_max]
+    whose derivatives delegate exactly to F0's.  Profiles whose tail
+    integral does not converge are rejected.
     """
     out = {}
     for (l, m), prof in f0.mode_items():
@@ -132,14 +139,25 @@ def realized_decay_class(f1: RadiationField) -> Optional[float]:
 # approximants and the analytic wave-operator residual
 # ---------------------------------------------------------------------------
 
+def _wave_zone_band(t: float, r: np.ndarray) -> slice:
+    """Index range of r where <r-t>/r < 1/4 (contiguous); chi, chi', chi'' vanish off it."""
+    inside = np.flatnonzero(qbracket(r - t) / r < chi_wave_zone.upper)
+    return slice(inside[0], inside[-1] + 1) if inside.size else slice(0, 0)
+
+
+def _on_band(band: slice, r: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Band values spread onto the radii r, exact zeros elsewhere."""
+    out = np.zeros_like(r)
+    out[band] = vals
+    return out
+
+
 def _chi_terms(t, r):
-    q = r - t
+    """The band of r, and on it r, q = r - t, <q>, chi, chi', chi''."""
+    band = _wave_zone_band(t, r)
+    rb, q = r[band], r[band] - t
     br = qbracket(q)
-    sigma = br / r
-    c = chi_wave_zone.value(sigma)
-    cp = chi_wave_zone.derivative(sigma, 1)
-    cpp = chi_wave_zone.derivative(sigma, 2)
-    return q, br, sigma, c, cp, cpp
+    return (band, rb, q, br) + chi_wave_zone.terms(br / rb)
 
 
 def eval_approximant(f0: RadiationField, f1: RadiationField, mass: MassTerm,
@@ -163,16 +181,37 @@ def eval_approximant(f0: RadiationField, f1: RadiationField, mass: MassTerm,
     if which == "dt_psi_e":
         out[(0, 0)] = -mass.M * chi_exterior.derivative(q, 1) / r * SQRT4PI
         return out
-    c = chi_wave_zone.value(qbracket(q) / r)
+    band, rb, qb, _br, c, _cp, _cpp = _chi_terms(t, r)
     for lm, prof in f0.mode_items():
-        val = prof.value(q) / r
+        val = prof.value(qb) / rb
         g = f1.modes.get(lm)
         if g is not None:
-            val = val + g.value(q) / r**2
-        out[lm] = val * c
+            val = val + g.value(qb) / rb**2
+        out[lm] = _on_band(band, r, val * c)
     return out
 
 
+def _latest_results(fn):
+    """fn(f0, f1, t, r) kept for its four latest distinct calls (module docstring)."""
+    kept = []    # ((f0, f1, t, r), rows), most recent first
+
+    @functools.wraps(fn)
+    def kept_fn(f0, f1, t, r):
+        r = np.asarray(r, dtype=float)
+        for (a, b, tk, rk), rows in kept:
+            if a is f0 and b is f1 and tk == t and np.array_equal(rk, r):
+                return dict(rows)
+        rows = fn(f0, f1, t, r)
+        for vals in rows.values():
+            vals.flags.writeable = False
+        kept.insert(0, ((f0, f1, t, r.copy()), rows))
+        del kept[4:]
+        return dict(rows)
+
+    return kept_fn
+
+
+@_latest_results
 def eval_dt_psi01_exact(f0: RadiationField, f1: RadiationField,
                         t: float, r) -> Dict[Tuple[int, int], np.ndarray]:
     """Exact d/dt of psi01 (cutoff differentiated as well), per mode.
@@ -182,19 +221,20 @@ def eval_dt_psi01_exact(f0: RadiationField, f1: RadiationField,
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise RadiationDataError("require r > 0")
-    q, br, sigma, c, cp, _ = _chi_terms(t, r)
+    band, rb, q, br, c, cp, _ = _chi_terms(t, r)
     out = {}
     for lm, prof in f0.mode_items():
         g = f1.modes.get(lm)
-        main = -prof.derivative(q, 1) / r
-        amp = prof.value(q) / r
+        main = -prof.derivative(q, 1) / rb
+        amp = prof.value(q) / rb
         if g is not None:
-            main = main - g.derivative(q, 1) / r**2
-            amp = amp + g.value(q) / r**2
-        out[lm] = main * c + amp * cp * (-q) / (br * r)
+            main = main - g.derivative(q, 1) / rb**2
+            amp = amp + g.value(q) / rb**2
+        out[lm] = _on_band(band, r, main * c + amp * cp * (-q) / (br * rb))
     return out
 
 
+@_latest_results
 def residual_box_psi01(f0: RadiationField, f1: RadiationField,
                        t: float, r) -> Dict[Tuple[int, int], np.ndarray]:
     """Analytic wave-operator residual of psi01 per mode (box = -d_t^2 + Lap).
@@ -221,7 +261,8 @@ def residual_box_psi01(f0: RadiationField, f1: RadiationField,
                 f"residual formula needs the derived second-order mode for {lm}; "
                 "pass the field returned by derive_F1"
             )
-    q, br, sigma, c, cp, cpp = _chi_terms(t, r)
+    r_all = r
+    band, r, q, br, c, cp, cpp = _chi_terms(t, r_all)
     # D q = 2, D <q> = 2q/<q>, D sigma = 2q/(<q> r) - <q>/r^2, D r = 1
     dsigma = 2.0 * q / (br * r) - br / r**2
     # D[chi'(sigma) <q>/r^2] and D[chi'(sigma) <q>/r^3]
@@ -241,7 +282,7 @@ def residual_box_psi01(f0: RadiationField, f1: RadiationField,
             res = res - l * (l + 1.0) * gv / r**4 * c
             res = res - (2.0 * gp / r) * cp * br / r**3
             res = res - (gv / r) * (d_cp_br_r3 + d_c_r2)
-        out[lm] = res
+        out[lm] = _on_band(band, r_all, res)
     return out
 
 

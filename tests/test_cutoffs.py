@@ -58,3 +58,18 @@ def test_bad_cutoff_rejected():
         Cutoff(lower=1.0, upper=1.0)
     with pytest.raises(ValueError):
         Cutoff(lower=0.0, upper=1.0, orientation="sideways")
+
+
+@pytest.mark.parametrize("cut", [chi_wave_zone, chi_exterior], ids=["wave_zone", "exterior"])
+def test_one_pass_terms_equal_value_and_derivatives(cut):
+    # both plateaus, both edges (with their neighbouring floats) and the
+    # transition; equality of the bytes also pins the sign of each zero
+    edges = [cut.lower, cut.upper]
+    near = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
+    w = cut.upper - cut.lower
+    s = np.concatenate([np.linspace(cut.lower - w, cut.upper + w, 3001), edges, near])
+    c, c1, c2 = cut.terms(s)
+    assert c.tobytes() == cut.value(s).tobytes()
+    assert c1.tobytes() == cut.derivative(s, 1).tobytes()
+    assert c2.tobytes() == cut.derivative(s, 2).tobytes()
+    assert np.count_nonzero(c2) > 900     # ~1000 points lie in the transition

@@ -26,14 +26,14 @@ def gaussian_field(lm=(2, 0), gamma=0.8, amplitude=1.0):
 
 def test_f1_of_monopole_vanishes():
     f0 = gaussian_field(lm=(0, 0))
-    f1 = derive_F1(f0)
+    f1 = derive_F1(f0, q_max=64.0)
     assert f1.is_zero()
 
 
 def test_f1_erf_oracle():
     # l=1 gaussian: F1(q) = -(sqrt(pi)/2) erf(q), oracle = defining integral
     f0 = gaussian_field(lm=(1, 0))
-    f1 = derive_F1(f0)
+    f1 = derive_F1(f0, q_max=64.0)
     prof = f1.modes[(1, 0)]
     for q0 in (-3.0, -0.5, 0.0, 1.0, 2.5):
         want = -(math.sqrt(math.pi) / 2.0) * erf(q0)
@@ -44,7 +44,7 @@ def test_f1_vanishes_at_zero_for_all_modes():
     modes = {(1, 0): make_profile(GAUSS),
              (2, 1): make_profile({"kind": "compact-bump", "amplitude": 0.5,
                                    "width": 1.5, "center": 0.4})}
-    f1 = derive_F1(RadiationField(modes, l_max=3, gamma=0.8))
+    f1 = derive_F1(RadiationField(modes, l_max=3, gamma=0.8), q_max=64.0)
     for lm, prof in f1.mode_items():
         assert abs(float(prof.value(0.0))) < 1e-14, lm
 
@@ -55,8 +55,8 @@ def test_f1_linearity():
                                               "width": 2.0})}, l_max=2, gamma=0.8)
     combo = RadiationField({(2, 0): make_profile(dict(GAUSS, amplitude=2.0))},
                            l_max=2, gamma=0.8)
-    f1a = derive_F1(f)
-    f1c = derive_F1(combo)
+    f1a = derive_F1(f, q_max=64.0)
+    f1c = derive_F1(combo, q_max=64.0)
     qs = np.linspace(-4, 4, 17)
     assert np.allclose(f1c.modes[(2, 0)].value(qs), 2.0 * f1a.modes[(2, 0)].value(qs),
                        rtol=1e-12, atol=1e-13)
@@ -83,7 +83,7 @@ def poly_tail_field(p, lm=(2, 0)):
 
 def test_realized_class_gaussian_is_borderline():
     # F1 = -3 int_0^q F0 tends to the nonzero constants -/+ 3 sqrt(pi)/2
-    assert realized_decay_class(derive_F1(gaussian_field())) == 1.0
+    assert realized_decay_class(derive_F1(gaussian_field(), q_max=64.0)) == 1.0
 
 
 def test_realized_class_poly_tail_below_one_is_its_exponent():
@@ -102,7 +102,7 @@ def test_realized_class_minimum_over_modes():
 
 
 def test_realized_class_monopole_only_is_none():
-    assert realized_decay_class(derive_F1(gaussian_field(lm=(0, 0)))) is None
+    assert realized_decay_class(derive_F1(gaussian_field(lm=(0, 0)), q_max=64.0)) is None
 
 
 def test_realized_class_tailless_f1_is_none():
@@ -112,7 +112,7 @@ def test_realized_class_tailless_f1_is_none():
     prof = make_profile({"kind": "sampled", "q_grid": q,
                          "values": (1.0 - 2.0 * q * q) * np.exp(-q * q)})
     f0 = RadiationField({(2, 0): prof}, l_max=2, gamma=0.8)
-    assert realized_decay_class(derive_F1(f0)) is None
+    assert realized_decay_class(derive_F1(f0, q_max=64.0)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +121,7 @@ def test_realized_class_tailless_f1_is_none():
 
 def test_approximant_outside_wave_zone_vanishes():
     f0 = gaussian_field(lm=(0, 0))
-    f1 = derive_F1(f0)
+    f1 = derive_F1(f0, q_max=64.0)
     out = eval_approximant(f0, f1, MassTerm(0.0), "psi01", 10.0, np.array([1.0]))
     assert np.all(out[(0, 0)] == 0.0)
 
@@ -129,7 +129,7 @@ def test_approximant_outside_wave_zone_vanishes():
 def test_psi01_support_invariant():
     # psi01 = 0 whenever <t-r>/r >= 1/4, on a dense sample
     f0 = gaussian_field()
-    f1 = derive_F1(f0)
+    f1 = derive_F1(f0, q_max=64.0)
     t = 20.0
     r = np.linspace(0.5, 120.0, 1200)
     vals = eval_approximant(f0, f1, MassTerm(0.0), "psi01", t, r)[(2, 0)]
@@ -139,7 +139,7 @@ def test_psi01_support_invariant():
 
 def test_cutoff_plateau_value():
     f0 = gaussian_field(lm=(0, 0))
-    f1 = derive_F1(f0)
+    f1 = derive_F1(f0, q_max=64.0)
     # l = 0 data has no second-order field, so psi01 is F0(r-t)/r chi
     out = eval_approximant(f0, f1, MassTerm(0.0), "psi01", 100.0, np.array([100.0]))
     assert out[(0, 0)][0] == pytest.approx(1.0 / 100.0, rel=1e-14)
@@ -147,7 +147,7 @@ def test_cutoff_plateau_value():
 
 def test_mass_term_physical_value():
     f0 = gaussian_field()
-    f1 = derive_F1(f0)
+    f1 = derive_F1(f0, q_max=64.0)
     out = eval_approximant(f0, f1, MassTerm(2.0), "psi_e", 0.0, np.array([5.0]))
     # physical value = mode coefficient * Y00
     assert out[(0, 0)][0] / SQRT4PI == pytest.approx(2.0 / 5.0, rel=1e-14)
@@ -155,7 +155,7 @@ def test_mass_term_physical_value():
 
 def test_approximant_rejects_origin():
     f0 = gaussian_field(lm=(0, 0))
-    f1 = derive_F1(f0)
+    f1 = derive_F1(f0, q_max=64.0)
     with pytest.raises(RadiationDataError):
         eval_approximant(f0, f1, MassTerm(0.0), "psi01", 1.0, np.array([0.0]))
     with pytest.raises(RadiationDataError):
@@ -164,7 +164,7 @@ def test_approximant_rejects_origin():
 
 def test_dt_psi01_matches_time_difference():
     f0 = gaussian_field()
-    f1 = derive_F1(f0)
+    f1 = derive_F1(f0, q_max=64.0)
     r = np.linspace(5.0, 30.0, 40)
     t, eps = 12.0, 1e-6
     up = eval_approximant(f0, f1, MassTerm(0.0), "psi01", t + eps, r)[(2, 0)]
@@ -180,7 +180,7 @@ def test_dt_psi01_matches_time_difference():
 
 def test_residual_vanishes_where_cutoff_flat_and_f1_zero():
     f0 = gaussian_field(lm=(0, 0))
-    f1 = derive_F1(f0)
+    f1 = derive_F1(f0, q_max=64.0)
     # deep wave zone: chi = 1, l = 0 has no second-order term
     out = residual_box_psi01(f0, f1, 40.0, np.array([40.0, 42.0]))
     assert np.all(out[(0, 0)] == 0.0)
@@ -222,6 +222,27 @@ def test_residual_envelope_sweep():
     assert worst < 4.0e4, worst
 
 
+def test_banded_evaluation_equals_pointwise_and_vanishes_off_band():
+    # psi01 terms are computed on the wave-zone band <r-t>/r < 1/4 only;
+    # on a full grid they must equal one-point evaluations bit for bit and
+    # be exactly 0 off the band
+    f0 = RadiationField({(1, 0): make_profile(GAUSS),
+                         (2, 0): make_profile({"kind": "poly-tail", "p": 0.85,
+                                               "scale": 0.3})}, l_max=2, gamma=0.8)
+    f1 = derive_F1(f0, q_max=64.0)
+    r = 0.125 * np.arange(1, 321)
+    for t in (2.0, 12.0, 20.0):
+        off = np.sqrt(1.0 + (r - t) ** 2) / r >= 0.25
+        for fn in (residual_box_psi01, eval_dt_psi01_exact,
+                   lambda f0, f1, t, r: eval_approximant(f0, f1, MassTerm(0.0), "psi01", t, r)):
+            full = fn(f0, f1, t, r)
+            for lm, vals in full.items():
+                point = np.array([fn(f0, f1, t, r[i:i + 1])[lm][0] for i in range(r.size)])
+                assert np.array_equal(vals, point), (t, lm)
+                assert np.all(vals[off] == 0.0), (t, lm)
+                assert t == 2.0 or np.any(vals[~off] != 0.0), (t, lm)
+
+
 def test_residual_requires_derived_second_order_field():
     f0 = gaussian_field()
     with pytest.raises(RadiationDataError):
@@ -252,3 +273,19 @@ def test_field_invariants():
     with pytest.raises(RadiationDataError):
         RadiationField({(1, 0): make_profile({"kind": "poly-tail", "p": 0.6})},
                        l_max=2, gamma=0.8)
+
+
+def test_repeated_residual_and_dt_psi01_calls_return_the_kept_rows():
+    f0 = gaussian_field()
+    f1 = derive_F1(f0, q_max=64.0)
+    r = np.linspace(5.0, 30.0, 40)
+    for fn in (residual_box_psi01, eval_dt_psi01_exact):
+        first = fn(f0, f1, 12.0, r)[(2, 0)]
+        # same fields, equal time and equal radii: the kept rows, read-only
+        assert fn(f0, f1, 12.0, r.copy())[(2, 0)] is first
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        # another time or other field objects evaluate again
+        assert fn(f0, f1, np.nextafter(12.0, 0.0), r)[(2, 0)] is not first
+        again = fn(f0, derive_F1(f0, q_max=64.0), 12.0, r)[(2, 0)]
+        assert again is not first and np.array_equal(again, first)
