@@ -27,14 +27,11 @@ Several fields can be co-evolved as one system so that coupled sources
 (e.g. a quadratic coupling to another field's time derivative) see exact
 substage values.
 
-The source S of box phi = S is the sum of two callbacks' ``{field: (n_modes,
-J+1) rows}``: the state-independent ``forcing(t, grid)`` and the
-state-dependent ``coupling(t, views)``, which reads the stage's
-``views[name].u`` and ``.v``.  Both are asked at every RK4 stage, four times
-per step at two new distinct times (k2 and k3 share t - dt/2; k4's time is
-the next step's k1's), so a costly forcing keeps its own per-time memo, as
-the radiation residual does.  Origin tracking evaluates the right-hand side
-after each step and hands it on as the next step's k1.
+RK4 asks for the source four times per step, at two new distinct times (k2
+and k3 share t - dt/2; k4's time is the next step's k1's), so a costly
+state-independent source keeps its own per-time memo, as the radiation
+residual does.  Origin tracking hands the right-hand side it evaluates after
+each step on as the next step's k1.
 """
 
 from __future__ import annotations
@@ -99,8 +96,10 @@ class FieldState:
         shape = (n, grid.J + 1)
         self.u = np.zeros(shape) if u is None else np.asarray(u, dtype=float).reshape(shape).copy()
         self.v = np.zeros(shape) if v is None else np.asarray(v, dtype=float).reshape(shape).copy()
-        self.u[:, [0, -1]] = 0.0
-        self.v[:, [0, -1]] = 0.0
+        self.u[:, 0] = 0.0
+        self.v[:, 0] = 0.0
+        self.u[:, -1] = 0.0
+        self.v[:, -1] = 0.0
 
     @property
     def ell(self) -> np.ndarray:
@@ -194,7 +193,7 @@ def _null_derivative(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
 
 def solve_backward_system(
     fields: Dict[str, FieldState],
-    forcing: Optional[Callable],
+    source: Optional[Callable],
     T: float,
     t0: float,
     record_times: Sequence[float],
@@ -202,13 +201,14 @@ def solve_backward_system(
     cone_specs: Sequence[ConeSpec] = (),
     record_every_step: bool = False,
     track_origin: bool = False,
-    coupling: Optional[Callable] = None,
 ) -> Trajectory:
     """March the coupled per-mode system from t = T down to t = t0.
 
-    ``forcing`` and ``coupling`` give the source (module docstring); either
-    may be None.  Record times are hit exactly (segment-wise uniform dt
-    below the stability limit).  Cone fluxes are accumulated per step by
+    ``source(t, views)`` returns a dict mapping field names to S arrays of
+    shape (n_modes, J+1), the right-hand side of box phi = S; omitted fields
+    get zero source.  ``views[name]`` has the stage's t, grid, modes, u and
+    v.  Record times are hit exactly (segment-wise uniform dt below the
+    stability limit).  Cone fluxes are accumulated per step by
     linear interpolation to the cone foot.  ``track_origin`` records the
     origin series of every field and the origin-cone fluxes of the first.
     """
@@ -240,18 +240,15 @@ def solve_backward_system(
     ll1s = {n: fields[n].ell * (fields[n].ell + 1.0) for n in names}
 
     def rhs(t, uu, vv):
-        du, dv = {}, {}
-        f_rows = forcing(t, grid) if forcing else {}
-        src = (coupling(t, {n: SimpleNamespace(u=uu[n], v=vv[n]) for n in names})
-               if coupling else {})
+        du = {}
+        dv = {}
+        src = source(t, {n: SimpleNamespace(t=t, grid=grid, modes=modes[n], u=uu[n], v=vv[n])
+                         for n in names}) if source else {}
         for n in names:
             un = uu[n]
             lap = (un[:, 2:] - 2.0 * un[:, 1:-1] + un[:, :-2]) / (h * h)
             acc = lap - pot[n] * un[:, 1:-1]
-            f_n = f_rows.get(n)
-            if f_n is not None:
-                acc = acc - rint[None, :] * f_n[:, 1:-1]
-            s_n = src.get(n)
+            s_n = src.get(n) if src else None
             if s_n is not None:
                 acc = acc - rint[None, :] * s_n[:, 1:-1]
             dvn = np.zeros_like(un)
@@ -363,8 +360,10 @@ def solve_backward_system(
             for n in names:
                 u[n] = u[n] - (dt / 6.0) * (k1u[n] + 2.0 * k2u[n] + 2.0 * k3u[n] + k4u[n])
                 v[n] = v[n] - (dt / 6.0) * (k1v[n] + 2.0 * k2v[n] + 2.0 * k3v[n] + k4v[n])
-                u[n][:, [0, -1]] = 0.0
-                v[n][:, [0, -1]] = 0.0
+                u[n][:, 0] = 0.0
+                u[n][:, -1] = 0.0
+                v[n][:, 0] = 0.0
+                v[n][:, -1] = 0.0
             t_now -= dt
             step_count += 1
             take_accumulations(t_now, u, v)
@@ -395,17 +394,18 @@ def solve_backward_system(
     return traj
 
 
-def solve_backward(data_at_T: FieldState, forcing, T: float, t0: float,
-                   record_times: Sequence[float], coupling=None, **kwargs) -> Trajectory:
+def solve_backward(data_at_T: FieldState, source, T: float, t0: float,
+                   record_times: Sequence[float], **kwargs) -> Trajectory:
     """Single-field convenience wrapper around :func:`solve_backward_system`.
 
-    ``forcing(t, grid)`` and ``coupling(t, view)`` each return an
-    (n_modes, J+1) array or None.
+    ``source(t, view)`` returns an (n_modes, J+1) array or None.
     """
-    forced = None if forcing is None else (lambda t, grid: {"phi": forcing(t, grid)})
-    coupled = None if coupling is None else (lambda t, views: {"phi": coupling(t, views["phi"])})
-    return solve_backward_system({"phi": data_at_T}, forced, T, t0, record_times,
-                                 coupling=coupled, **kwargs)
+    wrapped = None
+    if source is not None:
+        def wrapped(t, views):  # noqa: E306
+            s = source(t, views["phi"])
+            return {} if s is None else {"phi": s}
+    return solve_backward_system({"phi": data_at_T}, wrapped, T, t0, record_times, **kwargs)
 
 
 # ---------------------------------------------------------------------------

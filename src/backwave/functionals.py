@@ -222,8 +222,8 @@ def morawetz_identity_audit(traj: Trajectory, s: float, R: float,
     the first and last steps of the first field.
 
     Requires a trajectory solved with ``record_every_step=True``.  ``source``
-    is the same ``forcing(t, grid)`` callback handed to the solver (None for
-    a free wave); it is re-evaluated at the stored slices for the bulk term.
+    is the same box-side callback handed to the solver (None for a free
+    wave); it is re-evaluated on the stored slices for the bulk term.
     Returns a dict with the residual and both sides.
     """
     if not traj.dense:
@@ -260,7 +260,7 @@ def morawetz_identity_audit(traj: Trajectory, s: float, R: float,
         rdo = r_dr_omega(st.t, mf.r, s)
         dens = -rdo[None, :] * mf.ll1[:, None] * mf.u_over_r**2
         if source is not None:
-            s_arr = source(st.t, st.grid)
+            s_arr = source(st.t, st)
             if s_arr is not None:
                 fp = (1.0 + (st.t + mf.r) ** 2) ** s
                 fm = (1.0 + (st.t - mf.r) ** 2) ** s
@@ -474,8 +474,7 @@ def cor_weighted_spacetime_instance(traj: Trajectory, gamma: float, mu: float,
     """Numerical instance of the weighted space-time estimate on the first
     field: the three left terms (weighted energy at t1, signed bulk, best of
     six cone fluxes) against the weighted energy at t2 plus the signed pairing
-    with ``source``, the ``forcing(t, grid)`` callback of the solve; returns
-    the ratio."""
+    with ``source``, the box-side callback of the solve; returns the ratio."""
     if not traj.dense:
         raise FunctionalError("weighted space-time instance needs dense recording")
     name = next(iter(traj.dense))
@@ -515,7 +514,7 @@ def cor_weighted_spacetime_instance(traj: Trajectory, gamma: float, mu: float,
         bulk_vals[i] = float(np.sum(np.trapezoid(tang * wbulk[None, :], mf.r, axis=-1)))
         # 2 int F d_t phi w dx per mode: 2 (r S)(v/r) r^2 dr / r ... = 2 S v r dr
         pair_vals[i] = float(np.sum(np.trapezoid(
-            2.0 * np.asarray(source(st.t, st.grid)) * mf.v * mf.r[None, :] * wm(q)[None, :],
+            2.0 * np.asarray(source(st.t, st)) * mf.v * mf.r[None, :] * wm(q)[None, :],
             mf.r, axis=-1)))
         for kc, rr in enumerate(cone_feet):
             foot = rr - (t2 - st.t)

@@ -19,11 +19,11 @@ module derives:
   surviving terms are supported on the cutoff transition ring plus the
   angular term -l(l+1) F1/r^4 inside the wave zone, and its weighted norm.
 
-psi01 terms are computed on the band <r-t>/r < 1/4 only, exact zeros off it.
-The residual and d_t psi01 keep their four latest results: an RK4 step asks
-for each of its forcing times twice, and a repeat with the same field
-objects, an equal time and equal radii returns the stored rows (read-only)
-without evaluating again.  Fields are not modified once built.
+psi01 terms are computed only on the band <r-t>/r < 1/4, exact zeros off
+it.  An RK4 step asks for each of its source times twice, so the residual
+and d_t psi01 return the stored rows (read-only) for a repeat of one of
+their four latest calls: same field objects, equal time, equal radii.
+Fields are not modified once built.
 """
 
 from __future__ import annotations
@@ -181,7 +181,9 @@ def eval_approximant(f0: RadiationField, f1: RadiationField, mass: MassTerm,
     if which == "dt_psi_e":
         out[(0, 0)] = -mass.M * chi_exterior.derivative(q, 1) / r * SQRT4PI
         return out
-    band, rb, qb, _br, c, _cp, _cpp = _chi_terms(t, r)
+    band = _wave_zone_band(t, r)
+    rb, qb = r[band], q[band]
+    c = chi_wave_zone.value(qbracket(qb) / rb)
     for lm, prof in f0.mode_items():
         val = prof.value(qb) / rb
         g = f1.modes.get(lm)

@@ -400,7 +400,7 @@ def run_homogeneous_scattering(spec: RunSpec) -> ScenarioReport:
     r_pos = grid.r[1:]
     records = record_times_for(spec)
     cones = [ConeSpec(s=spec.s, R=0.5 * grid.r_max, t2=spec.T)]
-    traj = solve_backward(data, lambda t, _grid: _minus_box_psi01_rows(f0, f1, modes, t, r_pos),
+    traj = solve_backward(data, lambda t, _view: _minus_box_psi01_rows(f0, f1, modes, t, r_pos),
                           spec.T, spec.t0, records, cfl=spec.cfl, cone_specs=cones)
 
     window = fit_window_for(spec)
@@ -481,7 +481,7 @@ def run_T_limit_study(spec: RunSpec) -> ScenarioReport:
         data = FieldState(T, grid, modes)
         records = sorted({spec.t0} | {tt for tt in t_list if tt < T}, reverse=True)
         traj = solve_backward(data,
-                              lambda t, _grid: _minus_box_psi01_rows(f0, f1, modes, t, r_pos),
+                              lambda t, _view: _minus_box_psi01_rows(f0, f1, modes, t, r_pos),
                               T, spec.t0, records, cfl=spec.cfl)
         trajs.append(traj)
         ends[T] = traj.state_at(spec.t0)
@@ -627,11 +627,7 @@ def run_weak_null(spec: RunSpec) -> ScenarioReport:
                     out[i, 1:] += prof.value(q) * r_pos ** (-float(k)) * c2
         return out
 
-    def psi_forcing(t: float, _grid) -> Dict[str, np.ndarray]:
-        # the remainder of psi keeps its own linear source
-        return {"vpsi": _minus_box_psi01_rows(f0, f1, psi_modes, t, r_pos)}
-
-    def w_coupling(t: float, views) -> Dict[str, np.ndarray]:
+    def w_source(t: float, views) -> Dict[str, np.ndarray]:
         # d_t psi, exact at substage times: remainder + approximant derivatives
         block = np.zeros((n_in, grid.J + 1))
         block[:, 1:] = _dt_psi_modes(f0, f1, mass, n_in, psi_modes, views["vpsi"].v[:, 1:],
@@ -645,7 +641,8 @@ def run_weak_null(spec: RunSpec) -> ScenarioReport:
         if not g0.is_zero():
             s_w += _minus_box_psi01_rows(g0, g1, w_modes, t, r_pos)
         s_w[:, 0] = 0.0
-        return {"w": s_w}
+        # remainder of psi keeps its own linear source
+        return {"vpsi": _minus_box_psi01_rows(f0, f1, psi_modes, t, r_pos), "w": s_w}
 
     fields = {
         "vpsi": FieldState(spec.T, grid, psi_modes),
@@ -654,8 +651,7 @@ def run_weak_null(spec: RunSpec) -> ScenarioReport:
     records = record_times_for(spec)
     for tc, _rc in spec.check_points:
         records = sorted(set(records) | {tc - spec.h, tc, tc + spec.h}, reverse=True)
-    traj = solve_backward_system(fields, psi_forcing, spec.T, spec.t0, records, cfl=spec.cfl,
-                                 coupling=w_coupling)
+    traj = solve_backward_system(fields, w_source, spec.T, spec.t0, records, cfl=spec.cfl)
 
     window = fit_window_for(spec)
     ts, norm1s_w, env_w = [], [], []
@@ -791,7 +787,7 @@ def run_null_radial(spec: RunSpec) -> ScenarioReport:
 
         records = sorted(set(np.geomspace(1.0, spec.T, 24).tolist()) | {1.0, spec.T},
                          reverse=True)
-        traj = solve_backward(st, None, spec.T, 1.0, records, coupling=src, cfl=spec.cfl)
+        traj = solve_backward(st, src, spec.T, 1.0, records, cfl=spec.cfl)
         ts = np.asarray([s.t for s in traj.field_states()])
         es = np.asarray([math.sqrt(energy_weighted(s)) for s in traj.field_states()])
         order = np.argsort(ts)
@@ -926,8 +922,8 @@ def run_audit_battery(spec: RunSpec) -> ScenarioReport:
     R = 12.0
     trajs = []
 
-    def bump_src(t, grid):
-        r = grid.r
+    def bump_src(t, view):
+        r = view.grid.r
         return (np.exp(-((r - 4.0) ** 2) - (t - 4.0) ** 2))[None, :]
 
     # multiplier identity refinement studies, free and sourced
@@ -992,8 +988,8 @@ def run_audit_battery(spec: RunSpec) -> ScenarioReport:
     # origin decay: sourced run with origin-cone accumulators
     st = FieldState(T, grid, [(0, 0)])
 
-    def origin_src(t, grid):
-        r = grid.r
+    def origin_src(t, view):
+        r = view.grid.r
         return (np.exp(-((r - 3.0) ** 2) - (t - 4.0) ** 2))[None, :]
 
     trajs.append(solve_backward(st, origin_src, T, t1, list(np.linspace(t1, T, 13)),

@@ -1,0 +1,51 @@
+"""tools/diff_configs.py: two runs count as the same only when both ran and
+wrote the same items and series."""
+
+import importlib.util
+import json
+import pathlib
+
+TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "diff_configs.py"
+_spec = importlib.util.spec_from_file_location("diff_configs", TOOL)
+diff_configs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(diff_configs)
+
+
+def bundle(path, measured, series=b"t,x\n1,2\n"):
+    path.mkdir(parents=True)
+    items = [{"name": "a", "measured": measured, "passed": True}]
+    (path / "summary.json").write_text(json.dumps({"items": items}), encoding="utf-8")
+    (path / "series.csv").write_bytes(series)
+    return path
+
+
+def test_equal_bundles_are_the_same_and_one_ulp_differs(tmp_path):
+    old = bundle(tmp_path / "old", 0.1)
+    assert diff_configs.differences(old, bundle(tmp_path / "new", 0.1), 0, 0) == []
+    assert diff_configs.differences(old, bundle(tmp_path / "ulp", 0.10000000000000002), 0, 0)
+    assert diff_configs.differences(old, bundle(tmp_path / "csv", 0.1, b"t,x\n"), 0, 0)
+    assert diff_configs.differences(old, bundle(tmp_path / "code", 0.1), 0, 1)
+
+
+def test_runs_that_failed_alike_are_not_the_same(tmp_path):
+    # equal exit codes and no items on either side compare nothing
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    assert diff_configs.differences(old, new, 3, 3)
+    assert diff_configs.differences(old, new, 1, 1)
+    assert diff_configs.differences(bundle(tmp_path / "a", 0.1), bundle(tmp_path / "b", 0.1), 3, 3)
+    assert diff_configs.differences(old, new, None, 0) == ["config missing in one tree"]
+
+
+def test_main_exits_one_when_both_trees_fail_the_same_way(tmp_path, capsys):
+    trees = []
+    for side in ("old", "new"):
+        tree = tmp_path / side
+        (tree / "configs").mkdir(parents=True)
+        (tree / "src").mkdir()
+        (tree / "configs" / "broken.cfg").write_text("[run]\nscenario = homogeneous\nh = x\n",
+                                                     encoding="utf-8")
+        trees.append(str(tree))
+    assert diff_configs.main(trees) == 1
+    assert "differences found" in capsys.readouterr().out

@@ -175,8 +175,8 @@ def test_identity_refinement_free_wave(s):
 
 
 def test_identity_refinement_sourced():
-    def src(t, grid):
-        return (np.exp(-((grid.r - 4.0) ** 2) - (t - 4.0) ** 2))[None, :]
+    def src(t, view):
+        return (np.exp(-((view.grid.r - 4.0) ** 2) - (t - 4.0) ** 2))[None, :]
 
     res = [abs(run_identity(h, 1.2, source=src, modes=((1, 0),))["residual"])
            for h in (0.1, 0.05)]
@@ -297,8 +297,8 @@ def test_origin_decay_bounded_on_sourced_run():
     grid = RadialGrid(h=0.05, J=400)
     st = FieldState(6.0, grid, [(0, 0)])
 
-    def src(t, grid):
-        return (np.exp(-((grid.r - 3.0) ** 2) - (t - 4.0) ** 2))[None, :]
+    def src(t, view):
+        return (np.exp(-((view.grid.r - 3.0) ** 2) - (t - 4.0) ** 2))[None, :]
 
     traj = solve_backward(st, src, 6.0, 2.0, list(np.linspace(2.0, 6.0, 9)),
                           track_origin=True)

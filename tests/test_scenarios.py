@@ -216,7 +216,7 @@ def test_assembled_field_solves_wave_equation():
         r_pos = grid.r[1:]
         data = FieldState(T, grid, [(2, 0)])
         traj = solve_backward(data,
-                              lambda t, _grid: _minus_box_psi01_rows(f0, f1, [(2, 0)], t, r_pos),
+                              lambda t, _view: _minus_box_psi01_rows(f0, f1, [(2, 0)], t, r_pos),
                               T, 2.0, [tc - h, tc, tc + h])
 
         def psi_u(t):

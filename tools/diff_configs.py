@@ -7,7 +7,8 @@ with that tree's ``src`` on the path, one process at a time and one BLAS
 thread.  The script compares every report item's ``measured`` value to 17
 significant digits and its ``passed`` flag, the item lists themselves, the
 exit codes and ``series.csv`` byte for byte, prints the differences and each
-run's wall time, and exits 1 when anything differs.  NAME limits the run to
+run's wall time, and exits 1 when anything differs or a run fails (exit code
+other than 0 or 1, or no summary.json).  NAME limits the run to
 the given configs (default: every ``configs/*.cfg`` of NEW_TREE).
 """
 
@@ -61,9 +62,21 @@ def _digits(x) -> str:
     return format(x, ".17g") if isinstance(x, (int, float)) else repr(x)
 
 
-def differences(old: pathlib.Path, new: pathlib.Path) -> list:
+def differences(old: pathlib.Path, new: pathlib.Path, code_a, code_b) -> list:
+    """Every difference between the two runs of one config.  A missing
+    config, a run that failed (exit code other than the CLI's 0 = passed and
+    1 = failing items) and a run without summary.json each count as one, so
+    two runs that compared nothing never read as the same."""
+    if code_a is None or code_b is None:
+        return ["config missing in one tree"]
+    out = [] if code_a == code_b else [f"exit code {code_a} -> {code_b}"]
+    for side, code, path in (("old", code_a, old), ("new", code_b, new)):
+        if code not in (0, 1):
+            out.append(f"{side} run failed with exit code {code}")
+        if not (path / "summary.json").is_file():
+            out.append(f"{side} run wrote no summary.json")
     a, b = items(old), items(new)
-    out = [f"item {n}: only in {'old' if n in a else 'new'}" for n in sorted(set(a) ^ set(b))]
+    out += [f"item {n}: only in {'old' if n in a else 'new'}" for n in sorted(set(a) ^ set(b))]
     for n in a:
         if n in b and a[n] != b[n]:
             out.append(f"item {n}: measured/passed {a[n]} -> {b[n]}")
@@ -85,11 +98,7 @@ def main(argv) -> int:
             outs = [pathlib.Path(tmp) / side / name for side in ("old", "new")]
             (code_a, sec_a), (code_b, sec_b) = (run(tree, name, out)
                                                 for tree, out in zip((old_tree, new_tree), outs))
-            diffs = differences(*outs)
-            if code_a != code_b:
-                diffs.insert(0, f"exit code {code_a} -> {code_b}")
-            if code_a is None or code_b is None:
-                diffs.insert(0, "config missing in one tree")
+            diffs = differences(*outs, code_a, code_b)
             any_diff = any_diff or bool(diffs)
             n_items = len(items(outs[1]))
             verdict = "DIFFERENT" if diffs else f"same ({n_items} items)"
