@@ -47,7 +47,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 from scipy import integrate
 
-from backwave.angular import ylm_at
+from backwave.angular import angular_grid, mode_count, mode_index, ylm_at
 from backwave.cutoffs import chi_wave_zone
 from backwave.profiles import Profile, qbracket
 from backwave.radiation import SQRT4PI
@@ -182,7 +182,7 @@ def _q_panels(n: SourceProfile, t: float, r: float):
 
 
 def phi_k_modes(n: SourceProfile, k: int, t: float, r: float,
-                spec: KernelQuadratureSpec = KernelQuadratureSpec()) -> Dict[ModeKey, float]:
+                spec: KernelQuadratureSpec) -> Dict[ModeKey, float]:
     """Mode coefficients of Phi^k[n](t, r .): c_lm = int I_l(q) prof_lm(q) dq.
 
     Adaptive bisection on q panels against ``spec.q_tol`` (relative to the
@@ -227,14 +227,13 @@ def phi_k_modes(n: SourceProfile, k: int, t: float, r: float,
 
 
 def phi_k(n: SourceProfile, k: int, t: float, r: float, omega,
-          spec: KernelQuadratureSpec = KernelQuadratureSpec()) -> float:
+          spec: KernelQuadratureSpec) -> float:
     """Phi^k[n] at the spacetime point (t, r omega); omega a unit 3-vector."""
     coeffs = phi_k_modes(n, k, t, r, spec)
     if not coeffs:
         return 0.0
     l_max = max(l for (l, _m) in coeffs)
     y = ylm_at(l_max, np.asarray(omega, dtype=float).reshape(1, 3))
-    from backwave.angular import mode_index
     return float(sum(c * y[mode_index(*lm), 0] for lm, c in coeffs.items()))
 
 
@@ -247,7 +246,6 @@ def phi2_asymptotic(n: SourceProfile, t: float, r: float, omega) -> float:
         raise BackscatterError("asymptotic form is valid for r >= t/2 and r > 0")
     q_lo = r - t
     total = 0.0
-    from backwave.angular import mode_index
     if n.is_zero():
         return 0.0
     l_max = max(n.ells())
@@ -269,7 +267,6 @@ def n_norm(n: SourceProfile, n_derivs: int, a: float) -> float:
     if n.is_zero():
         return 0.0
     l_max = max(n.ells())
-    from backwave.angular import angular_grid, mode_count, mode_index
     grid = angular_grid(max(l_max, 1))
     total = 0.0
     for k in range(n_derivs + 1):
@@ -306,7 +303,7 @@ def source_value_modes(n: SourceProfile, k: int, t: float, r: float) -> Dict[Mod
 
 def source_residual_check(n: SourceProfile, k: int, points: Sequence[Tuple[float, float]],
                           h: float,
-                          spec: KernelQuadratureSpec = KernelQuadratureSpec()) -> Dict[str, object]:
+                          spec: KernelQuadratureSpec) -> Dict[str, object]:
     """Centered finite-difference box of the quadrature solution vs the source.
 
     For each (t, r) the five-point stencil in (t, r) is evaluated per mode:
@@ -354,7 +351,7 @@ def source_residual_check(n: SourceProfile, k: int, points: Sequence[Tuple[float
 
 def envelope_sweep(n: SourceProfile, k: int, sweep: Sequence[Tuple[float, float]],
                    omega, a: float,
-                   spec: KernelQuadratureSpec = KernelQuadratureSpec()) -> Dict[str, np.ndarray]:
+                   spec: KernelQuadratureSpec) -> Dict[str, np.ndarray]:
     """Decay-envelope diagnostics along a (t, r) sweep.
 
     k=2: |Phi^2| * 2r / ln(<t+r>/<t-r>) * <(r-t)_+>^a
@@ -377,7 +374,7 @@ def envelope_sweep(n: SourceProfile, k: int, sweep: Sequence[Tuple[float, float]
 
 
 def brute_force_phi_k(n: SourceProfile, k: int, t: float, r: float, omega,
-                      n_q: int = 400, n_theta: int = 200, n_phi: int = 64) -> float:
+                      n_q: int, n_theta: int, n_phi: int) -> float:
     """Independent dense product-grid quadrature of the defining integral in
     the original (un-rotated) frame; reference oracle only."""
     if n.is_zero():
@@ -400,7 +397,6 @@ def brute_force_phi_k(n: SourceProfile, k: int, t: float, r: float, omega,
     dirs[:, :, 1] = st[:, None] * np.sin(phis)[None, :]
     dirs[:, :, 2] = xc[:, None]
     y = ylm_at(l_max, dirs.reshape(-1, 3))
-    from backwave.angular import mode_index
     mu = dirs.reshape(-1, 3) @ omega
     wang = (wc[:, None] * np.full((1, n_phi), 2.0 * math.pi / n_phi)).reshape(-1)
     total = 0.0

@@ -12,9 +12,10 @@ Subcommands map one-to-one onto the scenario pipelines:
     convergence   discrete-operator refinement study
 
 Exit codes: 0 all acceptance items pass; 1 run completed with failing
-items; 2 configuration error; 3 runtime error.  A summary.json is always
-written to the output directory, with an error block on failure.  The
-output directory may also be set through BACKWAVE_OUT.
+items; 2 configuration error (bad data sections included, found before
+any solve); 3 runtime error.  A summary.json is always written to the
+output directory, with an error block on failure.  The output directory
+may also be set through BACKWAVE_OUT.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def main(argv=None) -> int:
+def main(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -110,7 +110,7 @@ class Cutoff:
     def value(self, s):
         return smooth_step(self._unit(s)[0])
 
-    def derivative(self, s, order: int = 1):
+    def derivative(self, s, order: int):
         """d^order/ds^order of the cutoff, order in {1, 2}."""
         x, step = self._unit(s)
         return step ** order * smooth_step(x, order=order)

@@ -19,9 +19,9 @@ Dirichlet justified by finite-speed containment, which is monitored: a
 solve aborts once |u| on the last four grid points exceeds BREACH_TOL = 1e-9
 times the largest |u| seen so far.
 
-On request (``track_origin``) a solve also records phi(t, 0) at every step
-and the flux through the cones t - r = tau, one per record time tau, of the
-first field; the origin decay check reads both.
+On request (``record_every_step``) a solve also keeps the state of every
+field after every step; the identity audit, the weighted space-time
+instance and the origin decay check of ``functionals`` read that record.
 
 Several fields can be co-evolved as one system so that coupled sources
 (e.g. a quadratic coupling to another field's time derivative) see exact
@@ -30,8 +30,7 @@ substage values.
 RK4 asks for the source four times per step, at two new distinct times (k2
 and k3 share t - dt/2; k4's time is the next step's k1's), so a costly
 state-independent source keeps its own per-time memo, as the radiation
-residual does.  Origin tracking hands the right-hand side it evaluates after
-each step on as the next step's k1.
+residual does.
 """
 
 from __future__ import annotations
@@ -127,9 +126,7 @@ class Trajectory:
     record_times: List[float]
     states: Dict[str, List[FieldState]]
     cone_history: Dict[str, List[float]] = dc_field(default_factory=dict)
-    origin_series: Dict[str, Tuple[np.ndarray, np.ndarray]] = dc_field(default_factory=dict)
-    origin_cone_flux: Dict[str, Tuple[np.ndarray, np.ndarray]] = dc_field(default_factory=dict)
-    dense: Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray]] = dc_field(default_factory=dict)
+    dense: Dict[str, List[FieldState]] = dc_field(default_factory=dict)  # every step, in march order
     dt_max: float = 0.0
     steps: int = 0
 
@@ -145,7 +142,7 @@ class Trajectory:
         raise EngineError(f"no recorded state at t={t}")
 
 
-def stable_dt(h: float, l_max: int, cfl: float = 0.5) -> float:
+def stable_dt(h: float, l_max: int, cfl: float) -> float:
     """Time step respecting both the advective CFL and the RK4 bound for the
     stiff angular potential at r = h."""
     return min(cfl * h, RK4_IMAG_LIMIT * h / math.sqrt(4.0 + l_max * (l_max + 1.0)))
@@ -174,12 +171,17 @@ def conformal_flux_at(t: float, foot: float, s: float, h: float,
     return float(np.sum(fp * lu_f**2 + fm * ll1 * u_f**2 / foot**2))
 
 
-def tangential_at(foot: float, h: float, u: np.ndarray, lu: np.ndarray,
-                  ll1: np.ndarray) -> float:
-    """Sum over modes of (L u - u/r)^2 + l(l+1) u^2/r^2 at r = foot, i.e. the
-    tangential derivatives of phi squared times r^2."""
-    _lam, (u_f, lu_f) = cone_foot(foot, h, u, lu)
-    return float(np.sum((lu_f - u_f / foot) ** 2 + ll1 * u_f**2 / foot**2))
+def acceleration(u: np.ndarray, s: Optional[np.ndarray], pot: np.ndarray,
+                 rint: np.ndarray, h: float) -> np.ndarray:
+    """d_t v = d_r^2 u - l(l+1) u / r^2 - r S per mode, zero at both ends;
+    ``pot`` is l(l+1)/r^2 and ``rint`` r on the interior points, ``s`` the
+    source rows (None for none)."""
+    acc = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / (h * h) - pot * u[:, 1:-1]
+    if s is not None:
+        acc = acc - rint[None, :] * s[:, 1:-1]
+    dv = np.zeros_like(u)
+    dv[:, 1:-1] = acc
+    return dv
 
 
 def _null_derivative(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
@@ -200,7 +202,6 @@ def solve_backward_system(
     cfl: float = 0.5,
     cone_specs: Sequence[ConeSpec] = (),
     record_every_step: bool = False,
-    track_origin: bool = False,
 ) -> Trajectory:
     """March the coupled per-mode system from t = T down to t = t0.
 
@@ -209,8 +210,8 @@ def solve_backward_system(
     get zero source.  ``views[name]`` has the stage's t, grid, modes, u and
     v.  Record times are hit exactly (segment-wise uniform dt below the
     stability limit).  Cone fluxes are accumulated per step by
-    linear interpolation to the cone foot.  ``track_origin`` records the
-    origin series of every field and the origin-cone fluxes of the first.
+    linear interpolation to the cone foot.  ``record_every_step`` keeps
+    every field's state after every step in ``Trajectory.dense``.
     """
     names = list(fields)
     if not names:
@@ -235,27 +236,14 @@ def solve_backward_system(
 
     u = {n: fields[n].u.copy() for n in names}
     v = {n: fields[n].v.copy() for n in names}
-    pot = {n: np.outer(fields[n].ell * (fields[n].ell + 1.0), 1.0 / rint**2) for n in names}
+    ll1 = {n: fields[n].ell * (fields[n].ell + 1.0) for n in names}
+    pot = {n: np.outer(ll1[n], 1.0 / rint**2) for n in names}
     modes = {n: fields[n].modes for n in names}
-    ll1s = {n: fields[n].ell * (fields[n].ell + 1.0) for n in names}
 
     def rhs(t, uu, vv):
-        du = {}
-        dv = {}
         src = source(t, {n: SimpleNamespace(t=t, grid=grid, modes=modes[n], u=uu[n], v=vv[n])
                          for n in names}) if source else {}
-        for n in names:
-            un = uu[n]
-            lap = (un[:, 2:] - 2.0 * un[:, 1:-1] + un[:, :-2]) / (h * h)
-            acc = lap - pot[n] * un[:, 1:-1]
-            s_n = src.get(n) if src else None
-            if s_n is not None:
-                acc = acc - rint[None, :] * s_n[:, 1:-1]
-            dvn = np.zeros_like(un)
-            dvn[:, 1:-1] = acc
-            du[n] = vv[n]
-            dv[n] = dvn
-        return du, dv
+        return dict(vv), {n: acceleration(uu[n], src.get(n), pot[n], rint, h) for n in names}
 
     def stage(t, c, ku, kv):
         """RK4 stage: the right-hand side at t - c after a step of c along (ku, kv)."""
@@ -265,14 +253,8 @@ def solve_backward_system(
     # accumulators
     cone_vals = {c.name(): 0.0 for c in cone_specs}
     cone_prev = {c.name(): None for c in cone_specs}
-    origin_t: List[float] = []
-    origin_val = {n: [] for n in names}
     first = names[0]      # the field whose cone fluxes are accumulated
-    oc_gamma_flux = {float(tau): 0.0 for tau in times}
-    oc_prev = {float(tau): None for tau in times}
-    dense_t: List[float] = []
-    dense_u = {n: [] for n in names}
-    dense_v = {n: [] for n in names}
+    dense: Dict[str, List[FieldState]] = {n: [] for n in names} if record_every_step else {}
 
     recorded: Dict[str, List[FieldState]] = {n: [] for n in names}
     scale_seen = max(max(float(np.max(np.abs(u[n]))) for n in names), 1e-30)
@@ -283,47 +265,18 @@ def solve_backward_system(
             return None
         un = uu[first]
         return conformal_flux_at(t, foot, c.s, h, un, _null_derivative(un, vv[first], h),
-                                 ll1s[first])
-
-    def origin_cone_integrand(tau, t, uu, vv, vt):
-        foot = t - tau
-        if foot <= h or foot >= grid.r_max - h:
-            return None
-        un, vn = uu[first], vv[first]
-        # dS = r^2 dS(omega): (L phi)^2 r^2 = (L u - u/r)^2 etc., for phi and d_t phi
-        return sum(tangential_at(foot, h, a, _null_derivative(a, b, h), ll1s[first])
-                   for (a, b) in ((un, vn), (vn, vt[first])))
-
-    next_k1 = None   # (t, rhs at t) of the state just accumulated, if evaluated
+                                 ll1[first])
 
     def take_accumulations(t, uu, vv):
-        nonlocal scale_seen, next_k1
-        if track_origin:
-            origin_t.append(t)
-            for n in names:
-                tot = 0.0
-                for i, (l, _m) in enumerate(modes[n]):
-                    if l == 0:
-                        tot += uu[n][i, 1] / h * (1.0 / math.sqrt(4.0 * math.pi))
-                origin_val[n].append(tot)
-            k = rhs(t, uu, vv)
-            next_k1, vt = (t, k), k[1]
-            for tau in oc_gamma_flux:
-                val = origin_cone_integrand(tau, t, uu, vv, vt)
-                if val is not None and oc_prev[tau] is not None:
-                    oc_gamma_flux[tau] += 0.5 * (val + oc_prev[tau][1]) * (oc_prev[tau][0] - t)
-                oc_prev[tau] = (t, val) if val is not None else None
+        nonlocal scale_seen
         for c in cone_specs:
             val = cone_integrand(c, t, uu, vv)
             key = c.name()
             if val is not None and cone_prev[key] is not None:
                 cone_vals[key] += 0.5 * (val + cone_prev[key][1]) * (cone_prev[key][0] - t)
             cone_prev[key] = (t, val) if val is not None else None
-        if record_every_step:
-            dense_t.append(t)
-            for n in names:
-                dense_u[n].append(uu[n].copy())
-                dense_v[n].append(vv[n].copy())
+        for n in dense:
+            dense[n].append(FieldState(t, grid, modes[n], uu[n], vv[n]))
         # containment monitor
         for n in names:
             edge = float(np.max(np.abs(uu[n][:, -4:])))
@@ -350,10 +303,7 @@ def solve_backward_system(
         dt = span / n_steps
         dt_used = max(dt_used, dt)
         for _ in range(n_steps):
-            if next_k1 is not None and next_k1[0] == t_now:
-                k1u, k1v = next_k1[1]
-            else:
-                k1u, k1v = rhs(t_now, u, v)
+            k1u, k1v = rhs(t_now, u, v)
             k2u, k2v = stage(t_now, 0.5 * dt, k1u, k1v)
             k3u, k3v = stage(t_now, 0.5 * dt, k2u, k2v)
             k4u, k4v = stage(t_now, dt, k3u, k3v)
@@ -373,25 +323,15 @@ def solve_backward_system(
         for key in cone_hist:
             cone_hist[key].append(cone_vals[key])
 
-    traj = Trajectory(
+    return Trajectory(
         grid=grid,
         record_times=times,
         states=recorded,
         cone_history=cone_hist,
+        dense=dense,
         dt_max=dt_used,
         steps=step_count,
     )
-    if track_origin:
-        ot = np.asarray(origin_t)[::-1]
-        for n in names:
-            traj.origin_series[n] = (ot, np.asarray(origin_val[n])[::-1])
-        taus = np.asarray(sorted(oc_gamma_flux))
-        traj.origin_cone_flux[first] = (taus, np.asarray([oc_gamma_flux[t] for t in taus]))
-    if record_every_step:
-        ts = np.asarray(dense_t)
-        for n in names:
-            traj.dense[n] = (ts, np.asarray(dense_u[n]), np.asarray(dense_v[n]))
-    return traj
 
 
 def solve_backward(data_at_T: FieldState, source, T: float, t0: float,

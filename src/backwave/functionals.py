@@ -38,13 +38,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from backwave.angular import angular_grid, ylm_at, mode_index
-from backwave.engine import (FieldState, Trajectory, conformal_flux_at,
-                             tangential_at)
+from backwave.engine import (FieldState, Trajectory, acceleration, cone_foot,
+                             conformal_flux_at)
 
 
 class FunctionalError(RuntimeError):
@@ -216,8 +216,15 @@ def r_dr_omega(t: float, r: np.ndarray, s: float) -> np.ndarray:
     return _fprime_sum(t, r, s) - _f_diff_over_r(t, r, s)
 
 
+def _per_step(traj: Trajectory, what: str) -> List[FieldState]:
+    """The first field's per-step states, in march order (descending t)."""
+    if not traj.dense:
+        raise FunctionalError(f"{what} needs a trajectory solved with record_every_step=True")
+    return next(iter(traj.dense.values()))
+
+
 def morawetz_identity_audit(traj: Trajectory, s: float, R: float,
-                            source: Optional[Callable] = None) -> Dict[str, float]:
+                            source: Optional[Callable]) -> Dict[str, float]:
     """Signed relative residual of the conformal multiplier identity between
     the first and last steps of the first field.
 
@@ -226,35 +233,26 @@ def morawetz_identity_audit(traj: Trajectory, s: float, R: float,
     wave); it is re-evaluated on the stored slices for the bulk term.
     Returns a dict with the residual and both sides.
     """
-    if not traj.dense:
-        raise FunctionalError("identity audit needs a densely recorded trajectory")
-    name = next(iter(traj.dense))
-    ts, us, vs = traj.dense[name]
-    order = np.argsort(ts)
-    ts, us, vs = ts[order], us[order], vs[order]
-    if ts.size < 3:
+    steps = _per_step(traj, "identity audit")[::-1]
+    if len(steps) < 3:
         raise FunctionalError("identity audit needs at least 3 recorded steps")
-    t1, t2 = float(ts[0]), float(ts[-1])
+    ts = np.asarray([st.t for st in steps])
+    t1, t2 = steps[0].t, steps[-1].t
     grid = traj.grid
-    modes = traj.states[name][0].modes
     h = grid.h
     if R - (t2 - t1) <= 2 * h:
         raise FunctionalError("cone exits the grid: R - (t2 - t1) too small")
     if R >= grid.r_max:
         raise FunctionalError("cone radius exceeds the grid")
 
-    def state_at(i):
-        return FieldState(float(ts[i]), grid, modes, us[i], vs[i])
-
-    e2 = conformal_energy_ER(state_at(ts.size - 1), s, R)
-    e1 = conformal_energy_ER(state_at(0), s, R - (t2 - t1))
+    e2 = conformal_energy_ER(steps[-1], s, R)
+    e1 = conformal_energy_ER(steps[0], s, R - (t2 - t1))
 
     flux_vals = np.empty(ts.size)
     bulk_vals = np.empty(ts.size)
-    for i in range(ts.size):
-        st = state_at(i)
+    for i, st in enumerate(steps):
         mf = mode_fields(st)
-        foot = R - (t2 - float(ts[i]))
+        foot = R - (t2 - st.t)
         flux_vals[i] = conformal_flux_at(mf.t, foot, s, h, mf.u, mf.lu, mf.ll1)
         # bulk integrand over r <= foot
         rdo = r_dr_omega(st.t, mf.r, s)
@@ -307,7 +305,7 @@ def bulk_sign_check(a: float, t_samples, r_samples) -> float:
     return float(np.max(slack))
 
 
-def hardy_checks(state: FieldState, s: float, budget: float = 10.0) -> Dict[str, float]:
+def hardy_checks(state: FieldState, s: float) -> Dict[str, float]:
     """LHS/RHS ratios of the two weighted Hardy inequalities.
 
     zeroth:  int f''(t-r) phi^2 dx  vs  int [f+ (L(r phi))^2 + f- (Lb(r phi))^2] dx/r^2
@@ -315,8 +313,7 @@ def hardy_checks(state: FieldState, s: float, budget: float = 10.0) -> Dict[str,
     radial:  int <t-r>^2s phi^2 dx/r^2  vs  int <t-r>^(2s-2) phi^2 dx
              + int <t-r>^2s (d_r(r phi))^2 dx/r^2.
 
-    Raises when a right side vanishes while the left does not; asserts both
-    ratios stay within ``budget``.
+    Raises when a right side vanishes while the left does not.
     """
     mf = mode_fields(state)
     q = mf.t - mf.r
@@ -344,8 +341,6 @@ def hardy_checks(state: FieldState, s: float, budget: float = 10.0) -> Dict[str,
             out[f"ratio_{tag}"] = 0.0
         else:
             out[f"ratio_{tag}"] = lhs / rhs
-    out["budget"] = budget
-    out["within_budget"] = bool(max(out["ratio_zeroth"], out["ratio_radial"]) <= budget)
     return out
 
 
@@ -437,24 +432,60 @@ def ks_pointwise_check(state: FieldState, s: float) -> Dict[str, float]:
     return {"constant": numer / denom, "numerator": numer, "denominator": denom}
 
 
-def origin_decay_check(traj: Trajectory, gamma: float) -> Dict[str, np.ndarray]:
+def tangential_at(foot: float, h: float, u: np.ndarray, lu: np.ndarray,
+                  ll1: np.ndarray) -> float:
+    """Sum over modes of (L u - u/r)^2 + l(l+1) u^2/r^2 at r = foot, i.e. the
+    tangential derivatives of phi squared times r^2."""
+    _lam, (u_f, lu_f) = cone_foot(foot, h, u, lu)
+    return float(np.sum((lu_f - u_f / foot) ** 2 + ll1 * u_f**2 / foot**2))
+
+
+def origin_decay_check(traj: Trajectory, gamma: float,
+                       source: Optional[Callable]) -> Dict[str, np.ndarray]:
     """t^(1+gamma) |phi(t, 0)| against the weighted cone-flux bound.
 
-    Uses the per-step origin series and the origin-cone accumulators (cones
-    t - r = tau for each record time tau) of the first field; the bound on
-    the cone carries the constant weight (1 + tau)^(1+2 gamma).
+    Reads the first field's per-step record (``record_every_step=True``):
+    phi(t, 0) at every step, returned ascending as ``origin_t``/``origin``,
+    and the flux of phi and d_t phi through the cones t - r = tau, one per
+    record time tau, by the trapezoid rule in march order.  d_t v comes from
+    the solver's own ``acceleration`` with ``source``, the box-side callback
+    of the solve (None for none).  The bound on the cone carries the
+    constant weight (1 + tau)^(1+2 gamma).
     """
-    if not traj.origin_cone_flux:
-        raise FunctionalError("origin decay check needs track_origin=True at solve time")
-    name = next(iter(traj.origin_cone_flux))
-    ot, ov = traj.origin_series[name]
-    taus, flux = traj.origin_cone_flux[name]
+    steps = _per_step(traj, "origin decay check")
+    grid = traj.grid
+    h, rint = grid.h, grid.r[1:-1]
+    pot = np.outer(steps[0].ell * (steps[0].ell + 1.0), 1.0 / rint**2)
+    taus = traj.record_times[::-1]
+    flux = [0.0] * len(taus)
+    prev = [None] * len(taus)
+    origin = []
+    for st in steps:
+        origin.append(sum(st.u[i, 1] / h * (1.0 / math.sqrt(4.0 * math.pi))
+                          for i, (l, _m) in enumerate(st.modes) if l == 0))
+        mf = mode_fields(st)
+        vt = acceleration(st.u, source(st.t, st) if source else None, pot, rint, h)
+        lv = vt + _radial_deriv(st.v, mf.ell, h)
+        for k, tau in enumerate(taus):
+            foot = st.t - tau
+            if foot <= h or foot >= grid.r_max - h:
+                prev[k] = None
+                continue
+            # dS = r^2 dS(omega): (L phi)^2 r^2 = (L u - u/r)^2 etc., for phi and d_t phi
+            val = (tangential_at(foot, h, st.u, mf.lu, mf.ll1)
+                   + tangential_at(foot, h, st.v, lv, mf.ll1))
+            if prev[k] is not None:
+                flux[k] += 0.5 * (val + prev[k][1]) * (prev[k][0] - st.t)
+            prev[k] = (st.t, val)
+    taus, flux = np.asarray(taus), np.asarray(flux)
+    ot, ov = np.asarray([st.t for st in steps[::-1]]), np.asarray(origin[::-1])
     vals = np.interp(taus, ot, ov)
     scaled = taus ** (1.0 + gamma) * np.abs(vals)
     bound = np.sqrt(np.maximum(flux, 0.0) * (1.0 + np.maximum(taus, 0.0)) ** (1.0 + 2.0 * gamma))
     good = bound > 1e-300
     ratio = np.where(good, scaled / np.maximum(bound, 1e-300), 0.0)
-    return {"t": taus, "scaled_origin": scaled, "cone_bound": bound, "ratio": ratio}
+    return {"t": taus, "scaled_origin": scaled, "cone_bound": bound, "ratio": ratio,
+            "origin_t": ot, "origin": ov}
 
 
 # ---------------------------------------------------------------------------
@@ -475,22 +506,14 @@ def cor_weighted_spacetime_instance(traj: Trajectory, gamma: float, mu: float,
     field: the three left terms (weighted energy at t1, signed bulk, best of
     six cone fluxes) against the weighted energy at t2 plus the signed pairing
     with ``source``, the box-side callback of the solve; returns the ratio."""
-    if not traj.dense:
-        raise FunctionalError("weighted space-time instance needs dense recording")
-    name = next(iter(traj.dense))
-    ts, us, vs = traj.dense[name]
-    order = np.argsort(ts)
-    ts, us, vs = ts[order], us[order], vs[order]
+    steps = _per_step(traj, "weighted space-time instance")[::-1]
+    ts = np.asarray([st.t for st in steps])
     grid = traj.grid
-    modes = traj.states[name][0].modes
-    t1, t2 = float(ts[0]), float(ts[-1])
-
-    def st_at(i):
-        return FieldState(float(ts[i]), grid, modes, us[i], vs[i])
+    t2 = steps[-1].t
 
     wm = lambda q: weight_minus_gamma(q, gamma)
-    mf1 = mode_fields(st_at(0))
-    mf2 = mode_fields(st_at(ts.size - 1))
+    mf1 = mode_fields(steps[0])
+    mf2 = mode_fields(steps[-1])
 
     def energy_w(mf):
         w = wm(mf.r - mf.t)
@@ -504,8 +527,7 @@ def cor_weighted_spacetime_instance(traj: Trajectory, gamma: float, mu: float,
     pair_vals = np.empty(ts.size)
     cone_feet = np.linspace(0.2, 0.8, 6) * (grid.r_max - 4 * grid.h)
     cone_vals = np.zeros((cone_feet.size, ts.size))
-    for i in range(ts.size):
-        st = st_at(i)
+    for i, st in enumerate(steps):
         mf = mode_fields(st)
         q = mf.r - st.t
         wbulk = (0.5 * mu / (1.0 + np.abs(q)) ** (1.0 + 2.0 * mu)
@@ -565,13 +587,13 @@ class FitResult:
 
 
 def fit_decay(ts: Sequence[float], values: Sequence[float],
-              window: Tuple[float, float] = None) -> FitResult:
-    """Least-squares power-law fit on (log t, log value)."""
+              window: Tuple[float, float]) -> FitResult:
+    """Least-squares power-law fit on (log t, log value) over the samples
+    inside the closed window."""
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
-    if window is not None:
-        sel = (ts >= window[0] - 1e-12) & (ts <= window[1] + 1e-12)
-        ts, values = ts[sel], values[sel]
+    sel = (ts >= window[0] - 1e-12) & (ts <= window[1] + 1e-12)
+    ts, values = ts[sel], values[sel]
     if ts.size < 5:
         raise FunctionalError(f"decay fit needs >= 5 samples, got {ts.size}")
     if np.any(values <= 0.0):

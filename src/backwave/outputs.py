@@ -69,8 +69,7 @@ def environment_block() -> Dict[str, str]:
     }
 
 
-def write_summary_json(report: ScenarioReport, path: str,
-                       config_text: Optional[str] = None,
+def write_summary_json(report: ScenarioReport, path: str, config_text: Optional[str],
                        error: Optional[str] = None) -> dict:
     payload = {
         "scenario": report.name,
@@ -126,8 +125,7 @@ def emit_plot_script(bundle_dir: str, report: ScenarioReport) -> Optional[str]:
     return path
 
 
-def write_bundle(report: ScenarioReport, out_dir: str,
-                 config_text: Optional[str] = None) -> dict:
+def write_bundle(report: ScenarioReport, out_dir: str, config_text: Optional[str]) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     if report.series:
         write_series_csv(report, os.path.join(out_dir, "series.csv"))

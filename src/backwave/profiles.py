@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 from scipy import integrate
@@ -110,7 +109,7 @@ class Profile:
         out = self._value(arr)
         return float(out[0]) if scalar else out
 
-    def derivative(self, q, order: int = 1):
+    def derivative(self, q, order: int):
         if order == 0:
             return self.value(q)
         if order < 0 or order > self.max_derivative_order:
@@ -437,26 +436,18 @@ _KINDS = {
 }
 
 
-def make_profile(spec: dict, gamma: Optional[float] = None) -> Profile:
+def make_profile(spec: dict) -> Profile:
     """Build a profile from a descriptor dict.
 
     ``spec`` holds ``kind`` plus kind-specific parameters: amplitude/width/
     center for gaussian and compact-bump, amplitude/p/center for poly-tail,
-    q_grid/values for sampled.  When ``gamma`` is given, a poly-tail whose
-    decay exponent does not exceed it is rejected (the weighted data norm
-    would diverge).
+    q_grid/values for sampled.  Whether a poly-tail decays fast enough for
+    the decay class gamma is checked by ``RadiationField``.
     """
     spec = dict(spec)
     kind = spec.pop("kind", None)
     if kind not in _KINDS:
         raise ProfileError(f"unknown profile kind {kind!r}; expected one of {sorted(_KINDS)}")
-    if kind == "poly-tail" and gamma is not None:
-        p = float(spec.get("p", 1.0))
-        if p <= gamma:
-            raise ProfileError(
-                f"poly-tail decay exponent p={p} must strictly exceed gamma={gamma} "
-                "(weighted data norm would diverge)"
-            )
     try:
         return _KINDS[kind](**spec)
     except TypeError as exc:

@@ -63,9 +63,9 @@ from backwave.functionals import (FitResult, FunctionalError, FunctionalReport, 
                                   fit_decay, hardy_checks, ks_pointwise_check,
                                   morawetz_identity_audit, norm_Z_weighted,
                                   origin_decay_check, sup_envelope)
-from backwave.profiles import SampledProfile, make_profile, qbracket
-from backwave.radiation import (MassTerm, RadiationField, SQRT4PI, derive_F1,
-                                eval_approximant, eval_dt_psi01_exact,
+from backwave.profiles import ProfileError, SampledProfile, make_profile, qbracket
+from backwave.radiation import (MassTerm, RadiationDataError, RadiationField, SQRT4PI,
+                                derive_F1, eval_approximant, eval_dt_psi01_exact,
                                 realized_decay_class, residual_box_psi01,
                                 source_norm_weighted)
 from backwave.backscatter import (KernelQuadratureSpec, SourceProfile,
@@ -133,12 +133,17 @@ class RunSpec:
             raise ScenarioError("tlimit needs an increasing T_list of length >= 2")
         if self.T_list != sorted(self.T_list):
             raise ScenarioError("T_list must be increasing")
+        if self.mu < 0:
+            raise ScenarioError(f"mu must be >= 0, got {self.mu}")
+        try:
+            self.field_from(self.f0_modes)
+            self.field_from(self.g0_modes)
+        except (ProfileError, RadiationDataError) as exc:
+            raise ScenarioError(str(exc)) from exc
         return self
 
     def field_from(self, mode_specs) -> RadiationField:
-        modes = {}
-        for (l, m, prof_spec) in mode_specs:
-            modes[(l, m)] = make_profile(prof_spec, gamma=self.gamma)
+        modes = {(l, m): make_profile(prof_spec) for (l, m, prof_spec) in mode_specs}
         return RadiationField(modes, l_max=self.l_max, gamma=self.gamma)
 
     def config_hash(self) -> str:
@@ -221,15 +226,15 @@ class ScenarioReport:
         self.items.append(item)
         return item
 
-    def add_order(self, name: str, measured: float, target: float = 2.0,
-                  tol: float = 0.1, one_sided: bool = False, note: str = "") -> ReportItem:
+    def add_order(self, name: str, measured: float, target: float, tol: float,
+                  one_sided: bool = False, note: str = "") -> ReportItem:
         ok = measured >= target - tol if one_sided else abs(measured - target) <= tol
         item = ReportItem(name=name, kind="order", measured=measured, target=target,
                           tol=tol, passed=bool(ok), note=note)
         self.items.append(item)
         return item
 
-    def add_check(self, name: str, passed: bool, measured: float = float("nan"),
+    def add_check(self, name: str, passed: bool, measured: float,
                   note: str = "") -> ReportItem:
         item = ReportItem(name=name, kind="check", measured=measured, passed=bool(passed),
                           note=note)
@@ -275,8 +280,8 @@ def fit_window_for(spec: RunSpec) -> Tuple[float, float]:
     return (spec.T / 4.0, spec.T)
 
 
-def _provenance(spec: RunSpec, grid: RadialGrid = None, trajs: Sequence[Trajectory] = (),
-                started: float = None) -> Dict[str, object]:
+def _provenance(spec: RunSpec, grid: RadialGrid = None,
+                trajs: Sequence[Trajectory] = ()) -> Dict[str, object]:
     """Run identity plus the grid, the largest step of the solves on that
     grid and the total step count over all the run's solves ``trajs``."""
     out = {"version": __version__, "config_hash": spec.config_hash()}
@@ -285,8 +290,6 @@ def _provenance(spec: RunSpec, grid: RadialGrid = None, trajs: Sequence[Trajecto
     if trajs:
         out.update({"dt_max": max(tr.dt_max for tr in trajs if tr.grid == grid),
                     "steps": sum(tr.steps for tr in trajs)})
-    if started is not None:
-        out["runtime_s"] = round(time.time() - started, 3)
     return out
 
 
@@ -306,7 +309,6 @@ def _dalembert(center: float = 10.0):
 
 
 def run_free_wave_validation(spec: RunSpec) -> ScenarioReport:
-    started = time.time()
     rep = ScenarioReport(name="free_wave", spec=asdict(spec))
     T, t0 = 6.0, 1.0
     ue, ve = _dalembert()
@@ -337,7 +339,7 @@ def run_free_wave_validation(spec: RunSpec) -> ScenarioReport:
     trajs.append(solve_backward(st, None, T, t0, list(np.linspace(t0, T, 9))))
     rep.add_bound("energy_conservation_drift", energy_conservation_drift(trajs[-1]),
                   50.0 * hs[1] ** 2)
-    rep.provenance = _provenance(spec, grid, trajs, started)
+    rep.provenance = _provenance(spec, grid, trajs)
     return rep
 
 
@@ -386,7 +388,6 @@ def _assemble_psi(state: FieldState, f0: RadiationField, f1: RadiationField,
 
 
 def run_homogeneous_scattering(spec: RunSpec) -> ScenarioReport:
-    started = time.time()
     rep = ScenarioReport(name="homogeneous", spec=asdict(spec))
     f0 = spec.field_from(spec.f0_modes)
     if f0.is_zero() and spec.mass == 0.0:
@@ -456,7 +457,7 @@ def run_homogeneous_scattering(spec: RunSpec) -> ScenarioReport:
     c_obs = backward_estimate_constant(states, spec.s, src_norm)
     rep.add_bound("backward_estimate_constant", c_obs, spec.ratio_budget,
                   note="||v(t0)||_{1,+,s-1} / (||v(T)|| + int source)")
-    rep.provenance = _provenance(spec, grid, [traj], started)
+    rep.provenance = _provenance(spec, grid, [traj])
     return rep
 
 
@@ -465,7 +466,6 @@ def run_homogeneous_scattering(spec: RunSpec) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 def run_T_limit_study(spec: RunSpec) -> ScenarioReport:
-    started = time.time()
     rep = ScenarioReport(name="tlimit", spec=asdict(spec))
     f0 = spec.field_from(spec.f0_modes)
     t_list = list(spec.T_list)
@@ -518,7 +518,7 @@ def run_T_limit_study(spec: RunSpec) -> ScenarioReport:
         rep.add_check("difference_rate_consistent", slope <= -(0.5 + spec.gamma) + 0.5,
                       measured=slope,
                       note=f"log-slope vs -(1/2+gamma)={-(0.5 + spec.gamma):.2f} (loose)")
-    rep.provenance = _provenance(spec, grid, trajs, started)
+    rep.provenance = _provenance(spec, grid, trajs)
     return rep
 
 
@@ -590,7 +590,6 @@ def _strata_sources(f0: RadiationField, f1: RadiationField, mass: MassTerm,
 
 
 def run_weak_null(spec: RunSpec) -> ScenarioReport:
-    started = time.time()
     rep = ScenarioReport(name="weaknull", spec=asdict(spec))
     f0 = spec.field_from(spec.f0_modes)
     g0 = spec.field_from(spec.g0_modes)
@@ -678,7 +677,7 @@ def run_weak_null(spec: RunSpec) -> ScenarioReport:
                                    psi_modes, grid)
         rep.add_bound("interior_box_crosscheck", res, 1e-2,
                       note="max rel |discrete box phi - (d_t psi)^2| at check points")
-    rep.provenance = _provenance(spec, grid, [traj], started)
+    rep.provenance = _provenance(spec, grid, [traj])
     return rep
 
 
@@ -745,7 +744,6 @@ def _weaknull_crosscheck(spec, traj, f0, f1, g0, g1, mass, strata, w_modes,
 # ---------------------------------------------------------------------------
 
 def run_null_radial(spec: RunSpec) -> ScenarioReport:
-    started = time.time()
     rep = ScenarioReport(name="nullradial", spec=asdict(spec))
     amp = spec.amplitude
     center = 6.0
@@ -826,7 +824,7 @@ def run_null_radial(spec: RunSpec) -> ScenarioReport:
         ratio = es[mid] / max(match, 1e-300)
         rep.add_check("quadratic_amplitude_scaling", bool(abs(ratio / 4.0 - 1.0) <= 0.2),
                       measured=float(ratio), note="||dv||(a) / ||dv||(a/2), expect 4 within 20%")
-    rep.provenance = _provenance(spec, traj.grid, trajs, started)
+    rep.provenance = _provenance(spec, traj.grid, trajs)
     return rep
 
 
@@ -850,7 +848,6 @@ def _news_source(spec: RunSpec, f0: RadiationField) -> SourceProfile:
 
 
 def run_backscatter_audit(spec: RunSpec) -> ScenarioReport:
-    started = time.time()
     rep = ScenarioReport(name="backscatter", spec=asdict(spec))
     f0 = spec.field_from(spec.f0_modes)
     if f0.is_zero():
@@ -906,7 +903,7 @@ def run_backscatter_audit(spec: RunSpec) -> ScenarioReport:
         res = source_residual_check(n, k, [(12.0, 11.0), (16.0, 15.0)], h=0.05, spec=kq)
         rep.add_bound(f"source_residual_k{k}", res["max_rel_residual"], 1e-2,
                       note=f"noise floor {res['noise_floor']:.2e}")
-    rep.provenance = _provenance(spec, started=started)
+    rep.provenance = _provenance(spec)
     return rep
 
 
@@ -915,7 +912,6 @@ def run_backscatter_audit(spec: RunSpec) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 def run_audit_battery(spec: RunSpec) -> ScenarioReport:
-    started = time.time()
     rep = ScenarioReport(name="audit", spec=asdict(spec))
     ue, ve = _dalembert()
     T, t1 = 6.0, 2.0
@@ -964,7 +960,7 @@ def run_audit_battery(spec: RunSpec) -> ScenarioReport:
             st = FieldState(T, grid, [(0, 0)], ue(T, grid.r)[None, :], ve(T, grid.r)[None, :])
             trajs.append(solve_backward(st, None, T, t1, [t1, 4.0]))
             for stt in trajs[-1].field_states()[1:]:
-                hc = hardy_checks(stt, s, budget=spec.hardy_budget)
+                hc = hardy_checks(stt, s)
                 ratios["zeroth"].append(hc["ratio_zeroth"])
                 ratios["radial"].append(hc["ratio_radial"])
                 ratios["ks"].append(ks_pointwise_check(stt, s)["constant"])
@@ -985,7 +981,7 @@ def run_audit_battery(spec: RunSpec) -> ScenarioReport:
     rep.add_bound("weighted_spacetime_ratio", inst["ratio"], spec.ratio_budget,
                   note=f"bulk={inst['bulk']:.3e} cone={inst['cone']:.3e}")
 
-    # origin decay: sourced run with origin-cone accumulators
+    # origin decay: sourced run, origin series and origin-cone fluxes per step
     st = FieldState(T, grid, [(0, 0)])
 
     def origin_src(t, view):
@@ -993,13 +989,13 @@ def run_audit_battery(spec: RunSpec) -> ScenarioReport:
         return (np.exp(-((r - 3.0) ** 2) - (t - 4.0) ** 2))[None, :]
 
     trajs.append(solve_backward(st, origin_src, T, t1, list(np.linspace(t1, T, 13)),
-                                track_origin=True))
-    odc = origin_decay_check(trajs[-1], spec.gamma)
+                                record_every_step=True))
+    odc = origin_decay_check(trajs[-1], spec.gamma, origin_src)
     good = odc["cone_bound"] > 1e-12
     worst = float(np.max(odc["ratio"][good])) if np.any(good) else 0.0
     rep.add_bound("origin_decay_ratio", worst, spec.ratio_budget,
                   note="t^(1+gamma)|phi(t,0)| / weighted cone flux bound")
-    rep.provenance = _provenance(spec, grid, trajs, started)
+    rep.provenance = _provenance(spec, grid, trajs)
     return rep
 
 
@@ -1008,7 +1004,6 @@ def run_audit_battery(spec: RunSpec) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 def run_convergence(spec: RunSpec) -> ScenarioReport:
-    started = time.time()
     rep = ScenarioReport(name="convergence", spec=asdict(spec))
     ue, _ve = _dalembert()
     # residual of the discrete operator on exact solutions (dt = h/2 so the
@@ -1034,7 +1029,7 @@ def run_convergence(spec: RunSpec) -> ScenarioReport:
     # the solves of the run are the free-wave gate's, so is its provenance
     gate = run_free_wave_validation(spec)
     rep.items.extend(gate.items)
-    rep.provenance = dict(gate.provenance, runtime_s=round(time.time() - started, 3))
+    rep.provenance = gate.provenance
     return rep
 
 
@@ -1051,13 +1046,17 @@ RUNNERS = {
 
 
 def run_scenario(spec: RunSpec) -> ScenarioReport:
+    """Run the spec's pipeline; the report's provenance gets the run time."""
     spec.validate()
+    started = time.time()
     try:
-        return RUNNERS[spec.scenario](spec)
+        rep = RUNNERS[spec.scenario](spec)
     except ContainmentError as exc:
-        return ScenarioReport(name=spec.scenario, spec=asdict(spec), status="error",
-                              error=f"containment: {exc}")
+        rep = ScenarioReport(name=spec.scenario, spec=asdict(spec), status="error",
+                             error=f"containment: {exc}")
     except (EngineError, FunctionalError) as exc:
         # stage failures surface as an error report, never a bare traceback
-        return ScenarioReport(name=spec.scenario, spec=asdict(spec), status="error",
-                              error=f"{spec.scenario}: {type(exc).__name__}: {exc}")
+        rep = ScenarioReport(name=spec.scenario, spec=asdict(spec), status="error",
+                             error=f"{spec.scenario}: {type(exc).__name__}: {exc}")
+    rep.provenance["runtime_s"] = round(time.time() - started, 3)
+    return rep

@@ -11,6 +11,7 @@ from backwave.backscatter import (BackscatterError, KernelQuadratureSpec,
 from backwave.profiles import make_profile
 
 OMEGA = np.array([0.0, 0.0, 1.0])
+KQ = KernelQuadratureSpec()
 GAUSS = make_profile({"kind": "gaussian", "amplitude": 1.0, "width": 1.0, "center": 0.0})
 BUMP = make_profile({"kind": "compact-bump", "amplitude": 0.5, "width": 2.0, "center": 0.5})
 
@@ -26,7 +27,7 @@ def axisym():
 
 def test_zero_source():
     n = SourceProfile({}, a=0.0)
-    assert phi_k(n, 2, 10.0, 8.0, OMEGA) == 0.0
+    assert phi_k(n, 2, 10.0, 8.0, OMEGA, KQ) == 0.0
     assert n_norm(n, 0, 0.0) == 0.0
     assert phi2_asymptotic(n, 10.0, 8.0, OMEGA) == 0.0
 
@@ -34,7 +35,7 @@ def test_zero_source():
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_kernel_vs_brute_force_oracle(k):
     n = axisym()
-    v = phi_k(n, k, 40.0, 30.0, OMEGA)
+    v = phi_k(n, k, 40.0, 30.0, OMEGA, KQ)
     bf = brute_force_phi_k(n, k, 40.0, 30.0, OMEGA, n_q=500, n_theta=260, n_phi=96)
     assert v == pytest.approx(bf, rel=1e-6)
 
@@ -43,7 +44,7 @@ def test_monopole_source_isotropic():
     n = monopole()
     dirs = [np.array(w, dtype=float) / np.linalg.norm(w)
             for w in ([0, 0, 1], [1, 1, 1], [1, 0, 0], [0, -1, 0.5])]
-    vals = [phi_k(n, 2, 40.0, 30.0, d) for d in dirs]
+    vals = [phi_k(n, 2, 40.0, 30.0, d, KQ) for d in dirs]
     assert max(vals) - min(vals) < 1e-10
     assert vals[0] > 0.0
 
@@ -51,8 +52,8 @@ def test_monopole_source_isotropic():
 def test_linearity():
     n1 = monopole(1.0)
     n2 = monopole(2.0)
-    a = phi_k(n1, 2, 40.0, 30.0, OMEGA)
-    b = phi_k(n2, 2, 40.0, 30.0, OMEGA)
+    a = phi_k(n1, 2, 40.0, 30.0, OMEGA, KQ)
+    b = phi_k(n2, 2, 40.0, 30.0, OMEGA, KQ)
     assert b == pytest.approx(2.0 * a, rel=1e-12)
 
 
@@ -61,14 +62,14 @@ def test_positivity():
     n = monopole()
     for (t, r) in ((20.0, 15.0), (40.0, 30.0), (60.0, 58.0)):
         for k in (2, 3, 4):
-            assert phi_k(n, k, t, r, OMEGA) >= 0.0
+            assert phi_k(n, k, t, r, OMEGA, KQ) >= 0.0
 
 
 def test_r_zero_rejected():
     with pytest.raises(BackscatterError):
-        phi_k(monopole(), 2, 10.0, 0.0, OMEGA)
+        phi_k(monopole(), 2, 10.0, 0.0, OMEGA, KQ)
     with pytest.raises(BackscatterError):
-        phi_k(monopole(), 5, 10.0, 5.0, OMEGA)
+        phi_k(monopole(), 5, 10.0, 5.0, OMEGA, KQ)
 
 
 def test_n_norm_quadrature_oracle():
@@ -103,7 +104,7 @@ def test_phi2_asymptotic_remainder_bounded():
     rem = []
     for r in (20.0, 40.0, 80.0, 160.0):
         t = r + 5.0
-        full = phi_k(n, 2, t, r, OMEGA)
+        full = phi_k(n, 2, t, r, OMEGA, KQ)
         lead = phi2_asymptotic(n, t, r, OMEGA)
         rem.append(abs(full - lead) * math.sqrt(1 + (t + r) ** 2))
     assert max(rem) < 5.0 * n_norm(n, 0, 0.0), rem
@@ -112,19 +113,20 @@ def test_phi2_asymptotic_remainder_bounded():
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_source_residual(k):
-    out = source_residual_check(monopole(), k, [(12.0, 11.0), (16.0, 15.0)], h=0.05)
+    out = source_residual_check(monopole(), k, [(12.0, 11.0), (16.0, 15.0)], h=0.05,
+                                spec=KQ)
     assert out["max_rel_residual"] <= 1e-2, out
     assert not out["inconclusive"]
 
 
 def test_source_residual_improves_under_refinement():
-    res = [source_residual_check(monopole(), 2, [(12.0, 11.0)], h=h)["max_rel_residual"]
+    res = [source_residual_check(monopole(), 2, [(12.0, 11.0)], h=h, spec=KQ)["max_rel_residual"]
            for h in (0.1, 0.05)]
     assert res[1] < res[0] / 2.5
 
 
 def test_source_residual_zero_source():
-    out = source_residual_check(SourceProfile({}, a=0.0), 2, [(12.0, 11.0)], h=0.1)
+    out = source_residual_check(SourceProfile({}, a=0.0), 2, [(12.0, 11.0)], h=0.1, spec=KQ)
     assert out["max_rel_residual"] == 0.0
 
 
@@ -132,7 +134,7 @@ def test_envelope_sweep_k34():
     n = monopole()
     sweep = [(r + 5.0, r) for r in (20.0, 40.0, 80.0)]
     for k in (3, 4):
-        out = envelope_sweep(n, k, sweep, OMEGA, 0.0)
+        out = envelope_sweep(n, k, sweep, OMEGA, 0.0, KQ)
         env = out["envelope"]
         assert np.all(env > 0.0)
         assert float(np.max(env)) < 10.0 * n_norm(n, 0, 0.0)

@@ -139,7 +139,7 @@ def test_summary_written_on_error(tmp_path):
     out = os.path.join(tmp_path, "errbundle")
     os.makedirs(out)
     from backwave.outputs import write_summary_json
-    payload = write_summary_json(rep, os.path.join(out, "summary.json"))
+    payload = write_summary_json(rep, os.path.join(out, "summary.json"), config_text=None)
     assert payload["status"] == "error"
     assert payload["error"]["stage"] == "weaknull"
 
@@ -188,6 +188,25 @@ s = 1.2
     assert code == 1
     summary = json.load(open(out / "summary.json"))
     assert summary["status"] == "ok" and summary["passed"] is False
+
+
+@pytest.mark.parametrize("command, old, new", [
+    ("homogeneous", "kind=poly-tail", "kind=mystery"),
+    ("homogeneous", "l=2 m=0", "l=12 m=0"),         # beyond l_max = 8
+    ("homogeneous", "p=0.85", "p=0.75"),            # poly-tail p <= gamma = 0.8
+    ("audit", "M = 0.25", "M = 0.25\nmu = -0.5"),
+])
+def test_cli_bad_data_is_config_error_before_any_solve(tmp_path, monkeypatch, command, old,
+                                                       new):
+    import backwave.cli as cli
+    monkeypatch.setattr(cli, "run_scenario", lambda spec: pytest.fail("a solve ran"))
+    ref = os.path.join(os.path.dirname(__file__), "..", "configs", "homogeneous.cfg")
+    with open(ref, encoding="utf-8") as fh:
+        text = fh.read()
+    assert old in text
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace(old, new))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x"), "--quiet"]) == 2
 
 
 def test_cli_runtime_error_exit_three(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ from backwave.engine import (ConeSpec, ContainmentError, FieldState,
                              RadialGrid, cone_foot, convergence_order, discrete_box_field,
                              discrete_box_triplet, solve_backward, solve_backward_system,
                              stable_dt)
+from backwave.functionals import origin_decay_check
 
 
 def g(x, c=10.0):
@@ -117,8 +118,8 @@ def test_containment_breach_aborts():
 
 
 def test_cfl_and_stability_caps():
-    assert stable_dt(0.1, 0) == pytest.approx(0.05)
-    assert stable_dt(0.1, 8) < 0.05   # angular potential tightens the cap
+    assert stable_dt(0.1, 0, 0.5) == pytest.approx(0.05)
+    assert stable_dt(0.1, 8, 0.5) < 0.05   # angular potential tightens the cap
 
 
 def test_grid_containment_validator():
@@ -169,10 +170,12 @@ def test_origin_series_characteristic_oracle():
     h = 0.025
     grid = RadialGrid(h=h, J=int(round(18.0 / h)))
     traj = solve_backward(make_state(6.0, grid), None, 6.0, 1.0, [1.0],
-                          track_origin=True)
-    ts, vals = traj.origin_series["phi"]
+                          record_every_step=True)
+    out = origin_decay_check(traj, 0.8, None)
+    ts, vals = out["origin_t"], out["origin"]
+    assert ts.size == traj.steps + 1
     # characteristic oracle: lim_{r->0} [g(t-r) - g(t+r)]/r = -2 g'(t);
-    # the tracked value is the physical field (coefficient times Y00 = 1/sqrt(4pi))
+    # the series is the physical field (coefficient times Y00 = 1/sqrt(4pi))
     want = 2.0 * 2.0 * (ts - 10.0) * g(ts) / math.sqrt(4 * math.pi) * -1.0
     err = np.max(np.abs(vals - want))
     assert err < 100 * h**2, err
@@ -197,30 +200,3 @@ def test_multi_field_coupling_sees_substage_values():
     # "a" remains the exact free wave
     end = traj.states["a"][-1]
     assert float(np.max(np.abs(end.u[0] - exact_u(2.0, grid.r)))) < 50 * h**2
-
-
-def test_origin_tracking_hands_its_rhs_on_as_the_next_k1():
-    # RK4 asks for the source at each of its four stages; origin tracking
-    # evaluates the right-hand side after every step at the next step's k1
-    # time and state, and must hand it on rather than ask a fifth time (only
-    # a segment start, where t is reset to the record time, may ask again).
-    # The handed-on k1 must leave the trajectory bit for bit as without
-    # origin tracking.
-    grid = RadialGrid(h=0.05, J=400)
-    calls = []
-
-    def src(t, view):
-        calls.append(t)
-        return np.exp(-((view.grid.r - 3.0) ** 2) - (t - 4.0) ** 2)[None, :]
-
-    def solve(track_origin):
-        return solve_backward(FieldState(6.0, grid, [(0, 0)]), src, 6.0, 2.0,
-                              list(np.linspace(2.0, 6.0, 13)), track_origin=track_origin)
-
-    traj = solve(True)
-    segments = len(traj.record_times) - 1
-    assert len(calls) <= 4 * traj.steps + segments + 1, (len(calls), traj.steps)
-    ref = solve(False)
-    assert traj.steps == ref.steps
-    for a, b in zip(traj.field_states(), ref.field_states(), strict=True):
-        assert a.u.tobytes() == b.u.tobytes() and a.v.tobytes() == b.v.tobytes()

@@ -163,7 +163,7 @@ def test_identity_zero_field_guarded():
     grid = RadialGrid(h=0.1, J=200)
     st = FieldState(6.0, grid, [(0, 0)])
     traj = solve_backward(st, None, 6.0, 2.0, [2.0], record_every_step=True)
-    out = morawetz_identity_audit(traj, s=1.0, R=12.0)
+    out = morawetz_identity_audit(traj, s=1.0, R=12.0, source=None)
     assert out["residual"] == 0.0
 
 
@@ -288,9 +288,9 @@ def test_sup_envelope_matches_manual_l0():
 def test_origin_decay_requires_accumulators():
     grid = RadialGrid(h=0.1, J=100)
     st = FieldState(5.0, grid, [(0, 0)])
-    traj = solve_backward(st, None, 5.0, 1.0, [1.0], track_origin=False)
+    traj = solve_backward(st, None, 5.0, 1.0, [1.0])    # no per-step record
     with pytest.raises(FunctionalError):
-        origin_decay_check(traj, 0.8)
+        origin_decay_check(traj, 0.8, None)
 
 
 def test_origin_decay_bounded_on_sourced_run():
@@ -301,8 +301,8 @@ def test_origin_decay_bounded_on_sourced_run():
         return (np.exp(-((view.grid.r - 3.0) ** 2) - (t - 4.0) ** 2))[None, :]
 
     traj = solve_backward(st, src, 6.0, 2.0, list(np.linspace(2.0, 6.0, 9)),
-                          track_origin=True)
-    out = origin_decay_check(traj, 0.8)
+                          record_every_step=True)
+    out = origin_decay_check(traj, 0.8, src)
     good = out["cone_bound"] > 1e-12
     assert np.all(out["ratio"][good] < 10.0)
 
@@ -313,7 +313,7 @@ def test_origin_decay_bounded_on_sourced_run():
 
 def test_fit_exact_power_law():
     t = np.geomspace(2, 100, 20)
-    fit = fit_decay(t, 3.0 * t ** (-1.7))
+    fit = fit_decay(t, 3.0 * t ** (-1.7), (2, 100))
     assert fit.exponent == pytest.approx(-1.7, abs=1e-12)
     assert fit.amplitude == pytest.approx(3.0, rel=1e-10)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
@@ -321,19 +321,19 @@ def test_fit_exact_power_law():
 
 def test_fit_constant_series():
     t = np.geomspace(1, 50, 10)
-    fit = fit_decay(t, np.full(10, 2.5))
+    fit = fit_decay(t, np.full(10, 2.5), (1, 50))
     assert fit.exponent == pytest.approx(0.0, abs=1e-13)
 
 
 def test_fit_noisy_synthetic():
     t = np.geomspace(5, 500, 60)
     y = t ** (-1.3) * (1.0 + 0.01 * np.sin(t))
-    fit = fit_decay(t, y)
+    fit = fit_decay(t, y, (5, 500))
     assert fit.exponent == pytest.approx(-1.3, abs=0.02)
 
 
 def test_fit_input_validation():
     with pytest.raises(FunctionalError):
-        fit_decay([1, 2, 3], [1, 1, 1])
+        fit_decay([1, 2, 3], [1, 1, 1], (1, 3))
     with pytest.raises(FunctionalError):
-        fit_decay([1, 2, 3, 4, 5], [1, 1, -1, 1, 1])
+        fit_decay([1, 2, 3, 4, 5], [1, 1, -1, 1, 1], (1, 5))

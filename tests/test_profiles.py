@@ -99,9 +99,6 @@ def test_antiderivative_quadrature_oracle_poly_tail():
 def test_make_profile_errors():
     with pytest.raises(ProfileError):
         make_profile({"kind": "mystery"})
-    # a poly-tail at or below the declared decay class diverges in norm
-    with pytest.raises(ProfileError):
-        make_profile({"kind": "poly-tail", "p": 0.8}, gamma=0.8)
     with pytest.raises(ProfileError):
         make_profile({"kind": "gaussian", "width": -1.0})
     with pytest.raises(ProfileError):

@@ -77,7 +77,7 @@ def test_f1_accepts_slowly_decaying_admissible_tails():
 # ---------------------------------------------------------------------------
 
 def poly_tail_field(p, lm=(2, 0)):
-    prof = make_profile({"kind": "poly-tail", "p": p, "scale": 0.3}, gamma=0.8)
+    prof = make_profile({"kind": "poly-tail", "p": p, "scale": 0.3})
     return RadiationField({lm: prof}, l_max=lm[0], gamma=0.8)
 
 

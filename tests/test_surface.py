@@ -1,11 +1,14 @@
 """Dead-surface guard: every module-level function and class of the package
 is used by the package itself, and every defaulted parameter of its
-functions and methods is set by some call in the package.
+functions and methods is set by some call in the package but left to its
+default by another.
 
 A definition counts as used when an ``ast.Name`` or ``ast.Attribute`` node
 outside its own body names it.  A parameter counts as set when a package
 call to a function or method of that name passes it by keyword or by
-position; a ``**kwargs`` forward passes the keywords its own callers pass.
+position; a ``**kwargs`` forward passes the keywords its own callers pass
+(for "every call sets it", the keywords all of them pass).  A default that
+no call leaves in place is read only by tests and goes.
 Re-exports in ``__init__.py``, docstrings and tests do not count, so code
 and knobs that only tests reach fail here.  Constructors are left out: the
 fields of config-filled dataclasses and profile parameters are set from
@@ -121,3 +124,25 @@ def test_every_defaulted_parameter_is_set_by_the_package():
              and (pos is None or positions.get(func, 0) <= pos)
              and f"{func}.{param}" not in ORACLE_PARAMETERS]
     assert not unset, f"defaulted parameters no package call sets: {sorted(unset)}"
+
+
+def test_no_defaulted_parameter_is_set_by_every_package_call():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PKG.glob("*.py"))]
+    calls = {}
+    for tree in trees:
+        for name, n_pos, kws, forward in _calls(tree):
+            calls.setdefault(name, []).append((n_pos, kws, forward))
+    always, changed = {}, True
+    while changed:                      # keywords every call passes, through **kwargs forwards
+        changed = False
+        for name, cs in calls.items():
+            kws = set.intersection(*(k | always.get(fwd, set()) for _n, k, fwd in cs))
+            if kws != always.get(name, set()):
+                always[name], changed = kws, True
+    overridden = [f"{func}.{param}" for tree in trees
+                  for func, param, pos in _defaulted_parameters(tree)
+                  if func in calls
+                  and all(param in k | always.get(fwd, set())
+                          or (pos is not None and n_pos > pos)
+                          for n_pos, k, fwd in calls[func])]
+    assert not overridden, f"defaulted parameters every package call sets: {sorted(overridden)}"
