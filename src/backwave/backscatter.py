@@ -261,36 +261,32 @@ def phi2_asymptotic(n: SourceProfile, t: float, r: float, omega) -> float:
     return total * env / (2.0 * r)
 
 
-def n_norm(n: SourceProfile, n_derivs: int, a: float) -> float:
-    """sum_{k+j<=N} int sup_omega |(<q> d_q)^k d_omega^j n| <q_+>^a dq with the
-    spectral angular convention and mean-normalized synthesis."""
+def n_norm(n: SourceProfile, a: float) -> float:
+    """int sup_omega |n(q, omega)| <q_+>^a dq with the spectral angular
+    convention and mean-normalized synthesis."""
     if n.is_zero():
         return 0.0
     l_max = max(n.ells())
     grid = angular_grid(max(l_max, 1))
-    total = 0.0
-    for k in range(n_derivs + 1):
-        for j in range(n_derivs + 1 - k):
-            def fn(q):
-                coeffs = np.zeros(mode_count(l_max))
-                for (l, m), prof in n.modes.items():
-                    w = (1.0 + l * (l + 1.0)) ** (0.5 * j) * SQRT4PI
-                    coeffs[mode_index(l, m)] = w * float(prof.scaled_derivative(np.asarray([q]), k)[0])
-                vals = np.tensordot(coeffs, grid.ylm[:coeffs.size], axes=(0, 0))
-                qp = max(q, 0.0)
-                return float(np.max(np.abs(vals))) * (1.0 + qp * qp) ** (0.5 * a)
 
-            def g(theta):
-                q = math.tan(theta)
-                if abs(q) > 1e12:
-                    return 0.0
-                return fn(q) * (1.0 + q * q)
+    def fn(q):
+        coeffs = np.zeros(mode_count(l_max))
+        for (l, m), prof in n.modes.items():
+            coeffs[mode_index(l, m)] = SQRT4PI * prof.value(q)
+        vals = np.tensordot(coeffs, grid.ylm[:coeffs.size], axes=(0, 0))
+        qp = max(q, 0.0)
+        return float(np.max(np.abs(vals))) * (1.0 + qp * qp) ** (0.5 * a)
 
-            piece, _ = integrate.quad(g, -0.5 * math.pi, 0.5 * math.pi,
-                                      limit=300, epsabs=1e-12, epsrel=1e-9)
-            if not np.isfinite(piece):
-                raise BackscatterError("source norm integral diverged")
-            total += piece
+    def g(theta):
+        q = math.tan(theta)
+        if abs(q) > 1e12:
+            return 0.0
+        return fn(q) * (1.0 + q * q)
+
+    total, _ = integrate.quad(g, -0.5 * math.pi, 0.5 * math.pi,
+                              limit=300, epsabs=1e-12, epsrel=1e-9)
+    if not np.isfinite(total):
+        raise BackscatterError("source norm integral diverged")
     return total
 
 

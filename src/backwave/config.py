@@ -76,6 +76,20 @@ def _to_float(key: str, value: str, line: int) -> float:
         raise ConfigError(f"line {line}: {key} must be a number, got {value!r}") from None
 
 
+def _to_int(key: str, value: str, line: int) -> int:
+    number = _to_float(key, value, line)
+    if not number.is_integer():
+        raise ConfigError(f"line {line}: {key} must be an integer, got {value!r}")
+    return int(number)
+
+
+def _to_pair(key: str, value: str, line: int) -> Tuple[float, float]:
+    parts = value.split()
+    if len(parts) != 2:
+        raise ConfigError(f"line {line}: {key} takes two numbers, got {value!r}")
+    return (_to_float(key, parts[0], line), _to_float(key, parts[1], line))
+
+
 def _parse_mode(key: str, value: str, line: int) -> Tuple[int, int, dict]:
     spec: Dict[str, object] = {}
     l = m = None
@@ -84,13 +98,13 @@ def _parse_mode(key: str, value: str, line: int) -> Tuple[int, int, dict]:
             raise ConfigError(f"line {line}: mode tokens must be name=value, got {token!r}")
         name, val = token.split("=", 1)
         if name == "l":
-            l = int(val)
+            l = _to_int(name, val, line)
         elif name == "m":
-            m = int(val)
+            m = _to_int(name, val, line)
         elif name == "kind":
             spec["kind"] = val
         elif name in _PROFILE_KEYS:
-            spec[name] = float(val)
+            spec[name] = _to_float(name, val, line)
         else:
             raise ConfigError(f"line {line}: unknown mode parameter {name!r}")
     if l is None or m is None or "kind" not in spec:
@@ -123,7 +137,7 @@ def parse_config(text: str) -> RunSpec:
             elif key == "T_list":
                 spec.T_list = [_to_float(key, v, line) for v in value.split()]
             elif key == "records":
-                spec.n_records = int(_to_float(key, value, line))
+                spec.n_records = _to_int(key, value, line)
         elif section == "grid":
             if key not in _GRID_KEYS:
                 raise ConfigError(f"line {line}: unknown key {key!r} in [grid]")
@@ -132,26 +146,21 @@ def parse_config(text: str) -> RunSpec:
             elif key == "cfl":
                 spec.cfl = _to_float(key, value, line)
             elif key == "l_max":
-                spec.l_max = int(_to_float(key, value, line))
+                spec.l_max = _to_int(key, value, line)
         elif section == "params":
             if key not in _PARAM_KEYS:
                 raise ConfigError(f"line {line}: unknown key {key!r} in [params]")
             setattr(spec, {"M": "mass"}.get(key, key), _to_float(key, value, line))
         elif section == "acceptance":
             if key.startswith("check_point"):
-                parts = value.split()
-                if len(parts) != 2:
-                    raise ConfigError(f"line {line}: check points are 't r' pairs")
-                check_points.append((float(parts[0]), float(parts[1])))
+                check_points.append(_to_pair(key, value, line))
                 continue
             if key not in _ACC_KEYS:
                 raise ConfigError(f"line {line}: unknown key {key!r} in [acceptance]")
             if key == "envelope_window":
-                lo, hi = (float(x) for x in value.split())
-                spec.envelope_window = (lo, hi)
+                spec.envelope_window = _to_pair(key, value, line)
             elif key == "fit_window":
-                lo, hi = (float(x) for x in value.split())
-                spec.fit_lo, spec.fit_hi = lo, hi
+                spec.fit_lo, spec.fit_hi = _to_pair(key, value, line)
             else:
                 setattr(spec, key, _to_float(key, value, line))
     spec.f0_modes = f0

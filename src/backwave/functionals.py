@@ -348,6 +348,17 @@ def hardy_checks(state: FieldState, s: float) -> Dict[str, float]:
 # commuting-field norm surrogate and pointwise decay checks
 # ---------------------------------------------------------------------------
 
+def _weighted_norm(mf: ModeFields, s: float):
+    """dens -> sqrt(sum over modes of int dens <t-r>^(2s-2) dr), trapezoid
+    in r; ``dens`` is a squared (n_modes, J+1) quantity."""
+    wgt = (1.0 + (mf.t - mf.r) ** 2) ** (s - 1.0)
+
+    def nrm(dens):
+        return math.sqrt(float(np.sum(np.trapezoid(dens * wgt[None, :], mf.r, axis=-1))))
+
+    return nrm
+
+
 def norm_Z_weighted(state: FieldState, s: float,
                     return_parts: bool = False):
     """Surrogate for sum_{|I|<=1} || <t-r>^(s-1) Z^I phi ||_{L2}.
@@ -358,11 +369,7 @@ def norm_Z_weighted(state: FieldState, s: float,
     """
     mf = mode_fields(state)
     t = mf.t
-    wgt = (1.0 + (t - mf.r) ** 2) ** (s - 1.0)
-
-    def nrm(dens):
-        return math.sqrt(float(np.sum(np.trapezoid(dens * wgt[None, :], mf.r, axis=-1))))
-
+    nrm = _weighted_norm(mf, s)
     w1 = t * mf.v + mf.r[None, :] * mf.ur - mf.u          # r * (S phi)
     parts = {
         "identity": nrm(mf.u**2),
@@ -383,18 +390,13 @@ def _second_order_terms(state: FieldState, s: float) -> float:
     mf = mode_fields(state)
     t = mf.t
     h = state.grid.h
-    wgt = (1.0 + (t - mf.r) ** 2) ** (s - 1.0)
-    vt = np.zeros_like(mf.u)
-    vt[:, 1:-1] = ((mf.u[:, 2:] - 2.0 * mf.u[:, 1:-1] + mf.u[:, :-2]) / (h * h)
-                   - mf.ll1[:, None] * mf.u[:, 1:-1] / mf.r[1:-1] ** 2)
-    vr = _radial_deriv(mf.v, mf.ell, h)
     urr = np.zeros_like(mf.u)
     urr[:, 1:-1] = (mf.u[:, 2:] - 2.0 * mf.u[:, 1:-1] + mf.u[:, :-2]) / (h * h)
+    vt = np.zeros_like(mf.u)
+    vt[:, 1:-1] = urr[:, 1:-1] - mf.ll1[:, None] * mf.u[:, 1:-1] / mf.r[1:-1] ** 2
+    vr = _radial_deriv(mf.v, mf.ell, h)
     w1 = t * mf.v + mf.r[None, :] * mf.ur - mf.u
-
-    def nrm(dens):
-        return math.sqrt(float(np.sum(np.trapezoid(dens * wgt[None, :], mf.r, axis=-1))))
-
+    nrm = _weighted_norm(mf, s)
     r = mf.r[None, :]
     dt_w1 = t * vt + r * vr
     ss = t * dt_w1 + r * (t * vr + r * urr) - w1

@@ -3,27 +3,23 @@
 A profile carries the q-dependence of one spherical-harmonic mode of a
 radiation field.  Supported kinds:
 
-* ``gaussian``        A exp(-((q-c)/w)^2), derivatives via Hermite recurrence
-* ``poly-tail``       A (1 + (q-c)^2)^(-p/2), derivatives via a closed term
-                      algebra on x^a (1+x^2)^(-m)
+* ``gaussian``        A exp(-((q-c)/w)^2)
+* ``poly-tail``       A (1 + ((q-c)/w)^2)^(-p/2)
 * ``compact-bump``    A e exp(-1/(1 - x^2)) on |x| < 1 (x = (q-c)/w), zero
-                      outside, derivatives via a rational term algebra
-* ``sampled``         cubic-spline interpolation of a table, zero outside
+                      outside
 
-plus the internal ``antiderivative`` kind used for the second-order field
-derived from a base profile: its value is scale * int_0^q base, its k-th
-derivative equals scale * base^(k-1) exactly.
+built from config descriptors by :func:`make_profile`, plus two kinds the
+package builds directly: ``sampled`` (cubic-spline interpolation of a
+table, zero outside) and ``antiderivative`` (the second-order field derived
+from a base profile: value scale * int_0^q base, derivative scale * base).
 
-All closed-form kinds evaluate their derivatives exactly to any order the
-term algebra supports; nothing is finite-differenced.  The weighted radial
-derivative (<q> d/dq)^k is expanded internally in plain derivatives with
-polynomial coefficients in q and <q> = (1+q^2)^(1/2).
+A profile carries its value and its first q-derivative, both in closed
+form for the analytic kinds; nothing is finite-differenced.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
@@ -40,64 +36,14 @@ def qbracket(q):
     return np.sqrt(1.0 + q * q)
 
 
-# ---------------------------------------------------------------------------
-# (<q> d/dq)^k expansion: coefficients are sums c * q^a * <q>^b, closed under
-# d/dq (d<q>/dq = q/<q>) and under multiplication by <q>.
-# ---------------------------------------------------------------------------
-
-def _tp_derive(tp):
-    out = {}
-    for (a, b), c in tp.items():
-        if a != 0:
-            key = (a - 1, b)
-            out[key] = out.get(key, 0.0) + c * a
-        if b != 0:
-            key = (a + 1, b - 2)
-            out[key] = out.get(key, 0.0) + c * b
-    return out
-
-
-def _tp_mul_bracket(tp):
-    return {(a, b + 1): c for (a, b), c in tp.items()}
-
-
-@lru_cache(maxsize=None)
-def _scaled_deriv_table(k: int):
-    """Coefficient tables A_{k,j} with (<q> d/dq)^k f = sum_j A_{k,j}(q) f^(j)."""
-    if k == 0:
-        return {0: {(0, 0): 1.0}}
-    prev = _scaled_deriv_table(k - 1)
-    out = {}
-    for j, tp in prev.items():
-        d = _tp_derive(tp)
-        for key, val in _tp_mul_bracket(d).items():
-            out.setdefault(j, {})[key] = out.setdefault(j, {}).get(key, 0.0) + val
-        for key, val in _tp_mul_bracket(tp).items():
-            out.setdefault(j + 1, {})[key] = out.setdefault(j + 1, {}).get(key, 0.0) + val
-    return out
-
-
-def _tp_eval(tp, q, br):
-    total = np.zeros_like(q)
-    for (a, b), c in tp.items():
-        term = np.full_like(q, c)
-        if a:
-            term = term * q**a
-        if b:
-            term = term * br**b
-        total = total + term
-    return total
-
-
 class Profile:
-    """Evaluable mode profile with exact derivatives.
+    """Evaluable mode profile with its exact first derivative.
 
     Subclasses implement ``_value`` and ``_derivative``; users go through
-    :meth:`value`, :meth:`derivative` and :meth:`scaled_derivative`.
+    :meth:`value` and :meth:`derivative`.
     """
 
     kind = "abstract"
-    max_derivative_order = 0
 
     @staticmethod
     def _promote(q):
@@ -109,34 +55,11 @@ class Profile:
         out = self._value(arr)
         return float(out[0]) if scalar else out
 
-    def derivative(self, q, order: int):
-        if order == 0:
-            return self.value(q)
-        if order < 0 or order > self.max_derivative_order:
-            raise ProfileError(
-                f"{self.kind} profile supports derivatives up to order "
-                f"{self.max_derivative_order}, got {order}"
-            )
+    def derivative(self, q):
+        """d/dq of the profile."""
         arr, scalar = self._promote(q)
-        out = self._derivative(arr, order)
+        out = self._derivative(arr)
         return float(out[0]) if scalar else out
-
-    def scaled_derivative(self, q, k: int):
-        """(<q> d/dq)^k applied to the profile."""
-        if k == 0:
-            return self.value(q)
-        if k > self.max_derivative_order:
-            raise ProfileError(
-                f"(<q> d/dq)^{k} needs derivative order {k} > "
-                f"{self.max_derivative_order} supported by {self.kind}"
-            )
-        q = np.asarray(q, dtype=float)
-        br = qbracket(q)
-        table = _scaled_deriv_table(k)
-        total = np.zeros_like(q)
-        for j, tp in table.items():
-            total = total + _tp_eval(tp, q, br) * self.derivative(q, j)
-        return total
 
     def support_radius(self, tol: float = 1e-16) -> float:
         """|q - center| beyond which |profile| <= tol * amplitude scale."""
@@ -152,7 +75,6 @@ class Profile:
 
 class GaussianProfile(Profile):
     kind = "gaussian"
-    max_derivative_order = 32
 
     def __init__(self, amplitude: float = 1.0, width: float = 1.0, center: float = 0.0):
         if not (np.isfinite(amplitude) and np.isfinite(width) and np.isfinite(center)):
@@ -167,20 +89,9 @@ class GaussianProfile(Profile):
         x = (q - self._center) / self._width
         return self._amplitude * np.exp(-x * x)
 
-    def _derivative(self, q, order):
-        # d^n/dx^n e^{-x^2} = (-1)^n H_n(x) e^{-x^2}, physicists' Hermite
+    def _derivative(self, q):
         x = (q - self._center) / self._width
-        h_prev = np.ones_like(x)
-        h = 2.0 * x
-        for n in range(1, order):
-            h, h_prev = 2.0 * x * h - 2.0 * n * h_prev, h
-        return (
-            self._amplitude
-            * (-1.0) ** order
-            * h
-            * np.exp(-x * x)
-            / self._width**order
-        )
+        return -self._amplitude * (2.0 * x) * np.exp(-x * x) / self._width
 
     def support_radius(self, tol: float = 1e-16) -> float:
         return self._width * math.sqrt(max(-math.log(tol), 1.0)) + 1.0
@@ -190,7 +101,6 @@ class PolyTailProfile(Profile):
     """A (1 + ((q-c)/w)^2)^(-p/2); the owning field's gamma must satisfy p > gamma."""
 
     kind = "poly-tail"
-    max_derivative_order = 32
 
     def __init__(self, amplitude: float = 1.0, p: float = 1.0, center: float = 0.0,
                  scale: float = 1.0):
@@ -207,34 +117,16 @@ class PolyTailProfile(Profile):
     def decay_exponent(self) -> float:
         return self._p
 
-    @lru_cache(maxsize=64)
-    def _terms(self, order):
-        # terms {(a, m): c} meaning c * x^a * (1+x^2)^(b0 - m), b0 = -p/2
-        b0 = -self._p / 2.0
-        terms = {(0, 0): 1.0}
-        for _ in range(order):
-            new = {}
-            for (a, m), c in terms.items():
-                if a:
-                    key = (a - 1, m)
-                    new[key] = new.get(key, 0.0) + c * a
-                key = (a + 1, m + 1)
-                new[key] = new.get(key, 0.0) + c * 2.0 * (b0 - m)
-            terms = new
-        return terms
-
     def _value(self, q):
         x = (q - self._center) / self._scale
         return self._amplitude * (1.0 + x * x) ** (-self._p / 2.0)
 
-    def _derivative(self, q, order):
+    def _derivative(self, q):
+        # 2 b0 x (1+x^2)^(b0-1) / w with b0 = -p/2; the leading 0.0 + turns
+        # the -0.0 at x = 0 into +0.0
         x = (q - self._center) / self._scale
-        base = 1.0 + x * x
         b0 = -self._p / 2.0
-        total = np.zeros_like(x)
-        for (a, m), c in self._terms(order).items():
-            total = total + c * x**a * base ** (b0 - m)
-        return self._amplitude * total / self._scale**order
+        return self._amplitude * (0.0 + 2.0 * b0 * x * (1.0 + x * x) ** (b0 - 1)) / self._scale
 
     def support_radius(self, tol: float = 1e-16) -> float:
         return max(self._scale * tol ** (-1.0 / self._p), 10.0)
@@ -244,7 +136,6 @@ class CompactBumpProfile(Profile):
     """A e exp(-1/(1-x^2)) on |x| < 1, x = (q-c)/w; identically zero outside."""
 
     kind = "compact-bump"
-    max_derivative_order = 16
 
     def __init__(self, amplitude: float = 1.0, width: float = 1.0, center: float = 0.0):
         if width <= 0:
@@ -252,36 +143,6 @@ class CompactBumpProfile(Profile):
         self._amplitude = float(amplitude)
         self._width = float(width)
         self._center = float(center)
-
-    @lru_cache(maxsize=32)
-    def _rational(self, order):
-        # f^(k) = f * R_k(x) / w^k with R_{k+1} = R_k' + R_k g', g' = -2x (1-x^2)^(-2)
-        # rational terms {(a, m): c} meaning c * x^a * (1-x^2)^(-m)
-        def derive(terms):
-            out = {}
-            for (a, m), c in terms.items():
-                if a:
-                    key = (a - 1, m)
-                    out[key] = out.get(key, 0.0) + c * a
-                if m:
-                    key = (a + 1, m + 1)
-                    out[key] = out.get(key, 0.0) + c * 2.0 * m
-            return out
-
-        def mul_gprime(terms):
-            out = {}
-            for (a, m), c in terms.items():
-                key = (a + 1, m + 2)
-                out[key] = out.get(key, 0.0) - 2.0 * c
-            return out
-
-        if order == 0:
-            return {(0, 0): 1.0}
-        prev = self._rational(order - 1)
-        out = derive(prev)
-        for key, val in mul_gprime(prev).items():
-            out[key] = out.get(key, 0.0) + val
-        return out
 
     def _core(self, x):
         sup = 1.0 - x * x
@@ -295,17 +156,13 @@ class CompactBumpProfile(Profile):
         core, _, _ = self._core(x)
         return self._amplitude * core
 
-    def _derivative(self, q, order):
+    def _derivative(self, q):
+        # -2 x (1-x^2)^(-2) times the core, over w; 0.0 + keeps +0.0 at x = 0
         x = (q - self._center) / self._width
         core, inside, sup = self._core(x)
         total = np.zeros_like(x)
-        terms = self._rational(order)
-        xi, si, ci = x[inside], sup[inside], core[inside]
-        acc = np.zeros_like(xi)
-        for (a, m), c in terms.items():
-            acc = acc + c * xi**a * si ** (-float(m))
-        total[inside] = ci * acc
-        return self._amplitude * total / self._width**order
+        total[inside] = core[inside] * (0.0 + -2.0 * x[inside] * sup[inside] ** -2.0)
+        return self._amplitude * total / self._width
 
     def support_radius(self, tol: float = 1e-16) -> float:
         return self._width + 1.0
@@ -315,7 +172,6 @@ class SampledProfile(Profile):
     """Cubic interpolation of a (q, value) table; zero outside the table."""
 
     kind = "sampled"
-    max_derivative_order = 2
 
     def __init__(self, q_grid, values):
         q_grid = np.asarray(q_grid, dtype=float)
@@ -336,22 +192,21 @@ class SampledProfile(Profile):
     def _value(self, q):
         return self._eval(q, 0)
 
-    def _derivative(self, q, order):
-        return self._eval(q, order)
+    def _derivative(self, q):
+        return self._eval(q, 1)
 
     def support_radius(self, tol: float = 1e-16) -> float:
         return float(max(abs(self._q[0] - self._center), abs(self._q[-1] - self._center))) + 1.0
 
 
 class AntiderivativeProfile(Profile):
-    """scale * int_0^q base(q') dq', with derivatives delegated to the base.
+    """scale * int_0^q base(q') dq', with derivative scale * base.
 
     The value is a cumulative Gauss-Legendre table at the knots (spacing
     1/16 or finer, at least 1024 cells on [-q_max, q_max]) plus an exact
     local Gauss-Legendre correction from the nearest knot, so evaluation
     error is at quadrature level anywhere inside the table.  Outside the
-    table the base tail is integrated adaptively on demand.  Derivative
-    order k >= 1 is exactly scale * base^(k-1).
+    table the base tail is integrated adaptively on demand.
     """
 
     kind = "antiderivative"
@@ -361,7 +216,6 @@ class AntiderivativeProfile(Profile):
     def __init__(self, base: Profile, scale: float, q_max: float):
         self._base = base
         self._scale = float(scale)
-        self.max_derivative_order = min(base.max_derivative_order + 1, 32)
         q_max = float(q_max)
         n = int(max(q_max * 16.0, 512)) + 1
         knots = np.linspace(-q_max, q_max, 2 * n - 1)
@@ -416,8 +270,8 @@ class AntiderivativeProfile(Profile):
             out[lo] = [tail[x] for x in q[lo]]
         return out
 
-    def _derivative(self, q, order):
-        return self._scale * self._base.derivative(q, order - 1)
+    def _derivative(self, q):
+        return self._scale * self._base.value(q)
 
     def support_radius(self, tol: float = 1e-16) -> float:
         # the antiderivative generically tends to nonzero constants
@@ -432,7 +286,6 @@ _KINDS = {
     "gaussian": GaussianProfile,
     "poly-tail": PolyTailProfile,
     "compact-bump": CompactBumpProfile,
-    "sampled": SampledProfile,
 }
 
 
@@ -440,8 +293,8 @@ def make_profile(spec: dict) -> Profile:
     """Build a profile from a descriptor dict.
 
     ``spec`` holds ``kind`` plus kind-specific parameters: amplitude/width/
-    center for gaussian and compact-bump, amplitude/p/center for poly-tail,
-    q_grid/values for sampled.  Whether a poly-tail decays fast enough for
+    center for gaussian and compact-bump, amplitude/p/center/scale for
+    poly-tail.  Whether a poly-tail decays fast enough for
     the decay class gamma is checked by ``RadiationField``.
     """
     spec = dict(spec)

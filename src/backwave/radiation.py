@@ -97,7 +97,7 @@ def derive_F1(f0: RadiationField, q_max: float) -> RadiationField:
 
     The l = 0 modes drop out (the angular Laplacian annihilates them).  Each
     integral is cached as a dense antiderivative profile on [-q_max, q_max]
-    whose derivatives delegate exactly to F0's.  Profiles whose tail
+    whose derivative is exactly the scaled F0.  Profiles whose tail
     integral does not converge are rejected.
     """
     out = {}
@@ -227,10 +227,10 @@ def eval_dt_psi01_exact(f0: RadiationField, f1: RadiationField,
     out = {}
     for lm, prof in f0.mode_items():
         g = f1.modes.get(lm)
-        main = -prof.derivative(q, 1) / rb
+        main = -prof.derivative(q) / rb
         amp = prof.value(q) / rb
         if g is not None:
-            main = main - g.derivative(q, 1) / rb**2
+            main = main - g.derivative(q) / rb**2
             amp = amp + g.value(q) / rb**2
         out[lm] = _on_band(band, r, main * c + amp * cp * (-q) / (br * rb))
     return out
@@ -275,12 +275,12 @@ def residual_box_psi01(f0: RadiationField, f1: RadiationField,
     for lm, prof in f0.mode_items():
         l = lm[0]
         f0v = prof.value(q)
-        f0p = prof.derivative(q, 1)
+        f0p = prof.derivative(q)
         res = -(2.0 * f0p / r) * cp * br / r**2 - (f0v / r) * d_cp_br_r2
         g = f1.modes.get(lm)
         if g is not None:
             gv = g.value(q)
-            gp = g.derivative(q, 1)
+            gp = g.derivative(q)
             res = res - l * (l + 1.0) * gv / r**4 * c
             res = res - (2.0 * gp / r) * cp * br / r**3
             res = res - (gv / r) * (d_cp_br_r3 + d_c_r2)

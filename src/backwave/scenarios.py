@@ -280,17 +280,12 @@ def fit_window_for(spec: RunSpec) -> Tuple[float, float]:
     return (spec.T / 4.0, spec.T)
 
 
-def _provenance(spec: RunSpec, grid: RadialGrid = None,
-                trajs: Sequence[Trajectory] = ()) -> Dict[str, object]:
-    """Run identity plus the grid, the largest step of the solves on that
-    grid and the total step count over all the run's solves ``trajs``."""
-    out = {"version": __version__, "config_hash": spec.config_hash()}
-    if grid is not None:
-        out.update({"h": grid.h, "J": grid.J, "r_max": grid.r_max})
-    if trajs:
-        out.update({"dt_max": max(tr.dt_max for tr in trajs if tr.grid == grid),
-                    "steps": sum(tr.steps for tr in trajs)})
-    return out
+def _provenance(grid: RadialGrid, trajs: Sequence[Trajectory]) -> Dict[str, object]:
+    """The grid, the largest step of the solves on that grid and the total
+    step count over all the run's solves ``trajs``."""
+    return {"h": grid.h, "J": grid.J, "r_max": grid.r_max,
+            "dt_max": max(tr.dt_max for tr in trajs if tr.grid == grid),
+            "steps": sum(tr.steps for tr in trajs)}
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +334,7 @@ def run_free_wave_validation(spec: RunSpec) -> ScenarioReport:
     trajs.append(solve_backward(st, None, T, t0, list(np.linspace(t0, T, 9))))
     rep.add_bound("energy_conservation_drift", energy_conservation_drift(trajs[-1]),
                   50.0 * hs[1] ** 2)
-    rep.provenance = _provenance(spec, grid, trajs)
+    rep.provenance = _provenance(grid, trajs)
     return rep
 
 
@@ -457,7 +452,7 @@ def run_homogeneous_scattering(spec: RunSpec) -> ScenarioReport:
     c_obs = backward_estimate_constant(states, spec.s, src_norm)
     rep.add_bound("backward_estimate_constant", c_obs, spec.ratio_budget,
                   note="||v(t0)||_{1,+,s-1} / (||v(T)|| + int source)")
-    rep.provenance = _provenance(spec, grid, [traj])
+    rep.provenance = _provenance(grid, [traj])
     return rep
 
 
@@ -518,7 +513,7 @@ def run_T_limit_study(spec: RunSpec) -> ScenarioReport:
         rep.add_check("difference_rate_consistent", slope <= -(0.5 + spec.gamma) + 0.5,
                       measured=slope,
                       note=f"log-slope vs -(1/2+gamma)={-(0.5 + spec.gamma):.2f} (loose)")
-    rep.provenance = _provenance(spec, grid, trajs)
+    rep.provenance = _provenance(grid, trajs)
     return rep
 
 
@@ -575,10 +570,10 @@ def _strata_sources(f0: RadiationField, f1: RadiationField, mass: MassTerm,
     base = np.zeros((n_in, qs.size))      # F0' + M chi_e' (mode coefficients)
     f1p = np.zeros((n_in, qs.size))       # F1'
     for (l, m), prof in f0.mode_items():
-        base[mode_index(l, m)] = prof.derivative(qs, 1)
+        base[mode_index(l, m)] = prof.derivative(qs)
     base[0] += mass.M * chi_exterior.derivative(qs, 1) * SQRT4PI
     for (l, m), prof in f1.mode_items():
-        f1p[mode_index(l, m)] = prof.derivative(qs, 1)
+        f1p[mode_index(l, m)] = prof.derivative(qs)
     to_vals, to_modes = product_closures(l_in, l_out)
     vb = to_vals(base)
     v1 = to_vals(f1p)
@@ -677,7 +672,7 @@ def run_weak_null(spec: RunSpec) -> ScenarioReport:
                                    psi_modes, grid)
         rep.add_bound("interior_box_crosscheck", res, 1e-2,
                       note="max rel |discrete box phi - (d_t psi)^2| at check points")
-    rep.provenance = _provenance(spec, grid, [traj])
+    rep.provenance = _provenance(grid, [traj])
     return rep
 
 
@@ -824,7 +819,7 @@ def run_null_radial(spec: RunSpec) -> ScenarioReport:
         ratio = es[mid] / max(match, 1e-300)
         rep.add_check("quadratic_amplitude_scaling", bool(abs(ratio / 4.0 - 1.0) <= 0.2),
                       measured=float(ratio), note="||dv||(a) / ||dv||(a/2), expect 4 within 20%")
-    rep.provenance = _provenance(spec, traj.grid, trajs)
+    rep.provenance = _provenance(traj.grid, trajs)
     return rep
 
 
@@ -840,7 +835,7 @@ def _news_source(spec: RunSpec, f0: RadiationField) -> SourceProfile:
     qs = np.linspace(-sup, sup, 4096)
     block = np.zeros((mode_count(max(l_in, 1)), qs.size))
     for (l, m), prof in f0.mode_items():
-        block[mode_index(l, m)] = prof.derivative(qs, 1)
+        block[mode_index(l, m)] = prof.derivative(qs)
     to_vals, to_modes = product_closures(max(l_in, 1), l_out)
     vals = to_vals(block)
     return SourceProfile(_sampled_modes(qs, to_modes(vals * vals), l_out), a=spec.a,
@@ -856,7 +851,7 @@ def run_backscatter_audit(spec: RunSpec) -> ScenarioReport:
     n = _news_source(spec, f0)
     omega = np.array([0.0, 0.0, 1.0])
     kq = KernelQuadratureSpec()
-    norm = n_norm(n, 0, spec.a)
+    norm = n_norm(n, spec.a)
 
     # oracle points: kernel quadrature vs dense brute force
     # reference points keep the source dead near the q-endpoint so the
@@ -903,7 +898,6 @@ def run_backscatter_audit(spec: RunSpec) -> ScenarioReport:
         res = source_residual_check(n, k, [(12.0, 11.0), (16.0, 15.0)], h=0.05, spec=kq)
         rep.add_bound(f"source_residual_k{k}", res["max_rel_residual"], 1e-2,
                       note=f"noise floor {res['noise_floor']:.2e}")
-    rep.provenance = _provenance(spec)
     return rep
 
 
@@ -995,7 +989,7 @@ def run_audit_battery(spec: RunSpec) -> ScenarioReport:
     worst = float(np.max(odc["ratio"][good])) if np.any(good) else 0.0
     rep.add_bound("origin_decay_ratio", worst, spec.ratio_budget,
                   note="t^(1+gamma)|phi(t,0)| / weighted cone flux bound")
-    rep.provenance = _provenance(spec, grid, trajs)
+    rep.provenance = _provenance(grid, trajs)
     return rep
 
 
@@ -1046,7 +1040,8 @@ RUNNERS = {
 
 
 def run_scenario(spec: RunSpec) -> ScenarioReport:
-    """Run the spec's pipeline; the report's provenance gets the run time."""
+    """Run the spec's pipeline; every report's provenance names the run
+    (version, config hash) and gets the run time."""
     spec.validate()
     started = time.time()
     try:
@@ -1058,5 +1053,6 @@ def run_scenario(spec: RunSpec) -> ScenarioReport:
         # stage failures surface as an error report, never a bare traceback
         rep = ScenarioReport(name=spec.scenario, spec=asdict(spec), status="error",
                              error=f"{spec.scenario}: {type(exc).__name__}: {exc}")
-    rep.provenance["runtime_s"] = round(time.time() - started, 3)
+    rep.provenance = {"version": __version__, "config_hash": spec.config_hash(),
+                      **rep.provenance, "runtime_s": round(time.time() - started, 3)}
     return rep

@@ -28,7 +28,7 @@ def axisym():
 def test_zero_source():
     n = SourceProfile({}, a=0.0)
     assert phi_k(n, 2, 10.0, 8.0, OMEGA, KQ) == 0.0
-    assert n_norm(n, 0, 0.0) == 0.0
+    assert n_norm(n, 0.0) == 0.0
     assert phi2_asymptotic(n, 10.0, 8.0, OMEGA) == 0.0
 
 
@@ -73,9 +73,9 @@ def test_r_zero_rejected():
 
 
 def test_n_norm_quadrature_oracle():
-    # l=0 gaussian, N=0, a=0: reduces to int |n(q)| dq with mean-normalized
+    # l=0 gaussian, a=0: reduces to int |n(q)| dq with mean-normalized
     # synthesis (the l=0 basis function is 1)
-    got = n_norm(monopole(), 0, 0.0)
+    got = n_norm(monopole(), 0.0)
     want, _ = integrate.quad(lambda q: math.exp(-q * q), -12, 12)
     assert got == pytest.approx(want, rel=1e-10)
 
@@ -83,7 +83,7 @@ def test_n_norm_quadrature_oracle():
 def test_n_norm_monotone_in_a():
     n = SourceProfile({(0, 0): make_profile({"kind": "compact-bump", "amplitude": 1.0,
                                              "width": 1.0, "center": 2.0})}, a=0.0)
-    assert n_norm(n, 0, 1.0) >= n_norm(n, 0, 0.0)
+    assert n_norm(n, 1.0) >= n_norm(n, 0.0)
 
 
 def test_phi2_asymptotic_direct_formula():
@@ -107,7 +107,7 @@ def test_phi2_asymptotic_remainder_bounded():
         full = phi_k(n, 2, t, r, OMEGA, KQ)
         lead = phi2_asymptotic(n, t, r, OMEGA)
         rem.append(abs(full - lead) * math.sqrt(1 + (t + r) ** 2))
-    assert max(rem) < 5.0 * n_norm(n, 0, 0.0), rem
+    assert max(rem) < 5.0 * n_norm(n, 0.0), rem
     assert max(rem) / min(rem) < 3.0, rem   # single constant along the sweep
 
 
@@ -137,7 +137,7 @@ def test_envelope_sweep_k34():
         out = envelope_sweep(n, k, sweep, OMEGA, 0.0, KQ)
         env = out["envelope"]
         assert np.all(env > 0.0)
-        assert float(np.max(env)) < 10.0 * n_norm(n, 0, 0.0)
+        assert float(np.max(env)) < 10.0 * n_norm(n, 0.0)
         assert float(np.max(env)) / float(np.min(env)) < 5.0
 
 

@@ -195,6 +195,12 @@ s = 1.2
     ("homogeneous", "l=2 m=0", "l=12 m=0"),         # beyond l_max = 8
     ("homogeneous", "p=0.85", "p=0.75"),            # poly-tail p <= gamma = 0.8
     ("audit", "M = 0.25", "M = 0.25\nmu = -0.5"),
+    ("homogeneous", "l=2 m=0", "l=two m=0"),
+    ("homogeneous", "p=0.85", "p=0.85x"),
+    ("homogeneous", "records = 40", "records = 40.5"),
+    ("homogeneous", "bound_factor = 5", "bound_factor = 5\ncheck_point1 = 25.0 x"),
+    ("homogeneous", "bound_factor = 5", "bound_factor = 5\nenvelope_window = 4"),
+    ("homogeneous", "bound_factor = 5", "bound_factor = 5\nfit_window = 10 20 30"),
 ])
 def test_cli_bad_data_is_config_error_before_any_solve(tmp_path, monkeypatch, command, old,
                                                        new):

@@ -49,3 +49,16 @@ def test_main_exits_one_when_both_trees_fail_the_same_way(tmp_path, capsys):
         trees.append(str(tree))
     assert diff_configs.main(trees) == 1
     assert "differences found" in capsys.readouterr().out
+
+
+def test_main_prints_the_source_loc_of_both_trees(tmp_path, capsys):
+    trees = []
+    for side, lines in (("old", 3), ("new", 2)):
+        pkg = tmp_path / side / "src" / "backwave"
+        pkg.mkdir(parents=True)
+        (pkg / "a.py").write_text("x = 1\n" * lines, encoding="utf-8")
+        (pkg / "b.py").write_text("y = 2\n", encoding="utf-8")
+        (tmp_path / side / "configs").mkdir()
+        trees.append(str(tmp_path / side))
+    assert diff_configs.main(trees) == 0
+    assert "source LOC: 4 -> 3" in capsys.readouterr().out

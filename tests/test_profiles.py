@@ -5,14 +5,13 @@ import pytest
 from scipy import integrate
 from scipy.special import erf
 
-from backwave.profiles import (AntiderivativeProfile, ProfileError, make_profile,
-                               qbracket)
+from backwave.profiles import AntiderivativeProfile, ProfileError, SampledProfile, make_profile
 
 
 def test_gaussian_peak_and_symmetry():
     g = make_profile({"kind": "gaussian", "amplitude": 1.0, "width": 1.0, "center": 0.0})
     assert float(g.value(0.0)) == 1.0
-    assert float(g.derivative(0.0, 1)) == 0.0   # even symmetry
+    assert float(g.derivative(0.0)) == 0.0   # even symmetry
 
 
 def test_poly_tail_value_matches_formula():
@@ -27,14 +26,12 @@ def test_poly_tail_value_matches_formula():
     {"kind": "poly-tail", "amplitude": 1.1, "p": 0.9, "scale": 0.5},
     {"kind": "compact-bump", "amplitude": 1.3, "width": 2.0, "center": 0.1},
 ])
-@pytest.mark.parametrize("order", [1, 2, 3, 4])
-def test_exact_derivatives_vs_finite_differences(spec, order):
+def test_exact_derivatives_vs_finite_differences(spec):
     prof = make_profile(spec)
     h = 1e-5
     for q0 in (-1.2, 0.05, 0.4, 1.7):
-        fd = (float(prof.derivative(q0 + h, order - 1))
-              - float(prof.derivative(q0 - h, order - 1))) / (2 * h)
-        an = float(prof.derivative(q0, order))
+        fd = (float(prof.value(q0 + h)) - float(prof.value(q0 - h))) / (2 * h)
+        an = float(prof.derivative(q0))
         assert an == pytest.approx(fd, rel=2e-5, abs=2e-5)
 
 
@@ -44,36 +41,18 @@ def test_compact_bump_support():
     vals = b.value(q)
     assert np.all(vals[np.abs(q - 0.5) >= 2.0] == 0.0)
     assert float(b.value(0.5)) == pytest.approx(1.0, abs=1e-15)
-    # derivatives stay finite and supported as well
-    d3 = b.derivative(q, 3)
-    assert np.all(np.isfinite(d3))
-    assert np.all(d3[np.abs(q - 0.5) >= 2.0] == 0.0)
+    # the derivative stays finite and supported as well
+    d1 = b.derivative(q)
+    assert np.all(np.isfinite(d1))
+    assert np.all(d1[np.abs(q - 0.5) >= 2.0] == 0.0)
 
 
 def test_sampled_zero_outside_table():
     qs = np.linspace(-2, 2, 41)
-    sp = make_profile({"kind": "sampled", "q_grid": qs, "values": np.cos(qs)})
+    sp = SampledProfile(qs, np.cos(qs))
     assert float(sp.value(5.0)) == 0.0
     assert float(sp.value(-3.0)) == 0.0
     assert float(sp.value(0.0)) == pytest.approx(1.0, abs=1e-3)
-
-
-def test_scaled_derivative_first_order_identity():
-    # (<q> d_q) f = <q> f'
-    g = make_profile({"kind": "gaussian", "amplitude": 1.0, "width": 0.8, "center": 0.2})
-    q = np.linspace(-3, 3, 11)
-    got = g.scaled_derivative(q, 1)
-    want = qbracket(q) * g.derivative(q, 1)
-    assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
-
-
-def test_scaled_derivative_second_order():
-    # (<q> d_q)^2 f = q f' + <q>^2 f''
-    g = make_profile({"kind": "gaussian"})
-    q = np.linspace(-2, 2, 9)
-    got = g.scaled_derivative(q, 2)
-    want = q * g.derivative(q, 1) + (1 + q * q) * g.derivative(q, 2)
-    assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
 def test_antiderivative_matches_erf_oracle():
@@ -83,9 +62,9 @@ def test_antiderivative_matches_erf_oracle():
     for q0 in (-4.0, -1.0, 0.0, 0.3, 2.0, 30.0, 60.0):
         want = math.sqrt(math.pi) / 2.0 * erf(q0)
         assert float(anti.value(q0)) == pytest.approx(want, abs=1e-10)
-    # derivatives delegate exactly
-    assert float(anti.derivative(0.7, 1)) == float(g.value(0.7))
-    assert float(anti.derivative(0.7, 3)) == float(g.derivative(0.7, 2))
+    # the derivative is the base profile, exactly
+    assert float(anti.derivative(0.7)) == float(g.value(0.7))
+    assert float(anti.derivative(-2.5)) == float(g.value(-2.5))
 
 
 def test_antiderivative_quadrature_oracle_poly_tail():
@@ -103,10 +82,3 @@ def test_make_profile_errors():
         make_profile({"kind": "gaussian", "width": -1.0})
     with pytest.raises(ProfileError):
         make_profile({"kind": "gaussian", "sigma": 2.0})
-
-
-def test_derivative_order_cap():
-    qs = np.linspace(-1, 1, 21)
-    sp = make_profile({"kind": "sampled", "q_grid": qs, "values": qs**2})
-    with pytest.raises(ProfileError):
-        sp.derivative(0.0, 3)

@@ -6,7 +6,7 @@ from scipy.special import erf
 
 from backwave.cutoffs import chi_exterior
 from backwave.engine import RadialGrid, discrete_box_field
-from backwave.profiles import make_profile
+from backwave.profiles import SampledProfile, make_profile
 from backwave.radiation import (MassTerm, RadiationDataError, RadiationField,
                                 SQRT4PI, derive_F1, eval_approximant,
                                 eval_dt_psi01_exact, realized_decay_class,
@@ -109,8 +109,7 @@ def test_realized_class_tailless_f1_is_none():
     # F0 = d/dq (q e^{-q^2}) integrates to zero on both half-lines, so
     # F1 = -3 q e^{-q^2} has no tail
     q = np.linspace(-8.0, 8.0, 801)
-    prof = make_profile({"kind": "sampled", "q_grid": q,
-                         "values": (1.0 - 2.0 * q * q) * np.exp(-q * q)})
+    prof = SampledProfile(q, (1.0 - 2.0 * q * q) * np.exp(-q * q))
     f0 = RadiationField({(2, 0): prof}, l_max=2, gamma=0.8)
     assert realized_decay_class(derive_F1(f0, q_max=64.0)) is None
 

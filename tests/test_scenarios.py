@@ -256,6 +256,28 @@ def test_stage_failure_becomes_error_report():
     assert not rep.passed
 
 
+def test_every_report_names_its_run(monkeypatch):
+    # the early returns on zero data and the error reports carry the run's
+    # identity too, not only its run time
+    import backwave.scenarios as scenarios
+    from backwave import __version__
+    from backwave.engine import ContainmentError
+
+    def breach(spec):
+        raise ContainmentError("deliberate breach")
+
+    specs = [RunSpec(scenario="homogeneous", f0_modes=[], mass=0.0, gamma=0.8, s=1.2),
+             RunSpec(scenario="backscatter", f0_modes=[]),
+             RunSpec(scenario="nullradial")]
+    monkeypatch.setitem(scenarios.RUNNERS, "nullradial", breach)
+    reports = [run_scenario(spec) for spec in specs]
+    assert reports[2].status == "error" and "containment" in reports[2].error
+    for spec, rep in zip(specs, reports):
+        assert rep.provenance["version"] == __version__
+        assert rep.provenance["config_hash"] == spec.config_hash()
+        assert rep.provenance["runtime_s"] >= 0.0
+
+
 def _recorded_solves(monkeypatch):
     """The trajectories of every solve a run makes, in call order."""
     import backwave.engine as engine

@@ -7,7 +7,8 @@ with that tree's ``src`` on the path, one process at a time and one BLAS
 thread.  The script compares every report item's ``measured`` value to 17
 significant digits and its ``passed`` flag, the item lists themselves, the
 exit codes and ``series.csv`` byte for byte, prints the differences and each
-run's wall time, and exits 1 when anything differs or a run fails (exit code
+run's wall time, then each tree's source line count (``src/backwave/*.py``),
+and exits 1 when anything differs or a run fails (exit code
 other than 0 or 1, or no summary.json).  NAME limits the run to
 the given configs (default: every ``configs/*.cfg`` of NEW_TREE).
 """
@@ -48,6 +49,11 @@ def run(tree: pathlib.Path, name: str, out: pathlib.Path):
     if proc.returncode not in (0, 1):
         sys.stderr.write(proc.stderr)
     return proc.returncode, time.perf_counter() - start
+
+
+def source_loc(tree: pathlib.Path) -> int:
+    """Lines of the package sources, as ``wc -l src/backwave/*.py`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "backwave").glob("*.py"))
 
 
 def items(out: pathlib.Path) -> dict:
@@ -105,6 +111,7 @@ def main(argv) -> int:
             print(f"{name}: {verdict}  [{sec_a:.1f} s -> {sec_b:.1f} s]", flush=True)
             for line in diffs:
                 print(f"  {line}", flush=True)
+    print(f"source LOC: {source_loc(old_tree)} -> {source_loc(new_tree)}")
     print("differences found" if any_diff else "no difference")
     return 1 if any_diff else 0
 
