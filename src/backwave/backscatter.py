@@ -26,8 +26,9 @@ kernel depending on sigma only through mu = <w, sigma>,
 
     int n(q, s) K(mu) dS(s) = sum_lm c_lm(q) Y_lm(w) 2 pi int_-1^1 K P_l dmu,
 
-so each evaluation point costs one 1-D mu-quadrature per retained l and an
-adaptive panel sweep in q.  The mu-integral is taken in the shifted
+so each evaluation point costs an adaptive panel sweep in q and, per
+q-node, one 1-D mu-quadrature shared by every retained l; the q-nodes of a
+call go through it in array passes.  The mu-integral is taken in the shifted
 variable lam = (t-r+q) + r(1-mu), on which the cutoff support becomes the
 exact window lam <= (t-r+q)(t+r+q)/(8 <q>), with geometrically graded
 panels resolving the 1/lam behavior near the light cone; the q lower limit
@@ -99,8 +100,8 @@ class SourceProfile:
 
 
 def _legendre_all(l_max: int, mu: np.ndarray) -> np.ndarray:
-    """P_l(mu) for l = 0..l_max, shape (l_max+1, len(mu))."""
-    out = np.empty((l_max + 1, mu.size))
+    """P_l(mu) for l = 0..l_max, shape (l_max+1,) + mu.shape."""
+    out = np.empty((l_max + 1,) + mu.shape)
     out[0] = 1.0
     if l_max >= 1:
         out[1] = mu
@@ -118,39 +119,51 @@ def _gl(n: int):
     return _GL_CACHE[n]
 
 
-def _mu_integrals(k: int, q: float, t: float, r: float, l_max: int) -> np.ndarray:
-    """I_l(q) = (1/2) int_-1^1 K_k(q, mu) P_l(mu) dmu for l = 0..l_max, with
-    16 Gauss-Legendre nodes per lam panel."""
-    alpha = t - r + q
-    beta = t + r + q
-    if alpha <= 0.0 or beta <= 0.0:
-        return np.zeros(l_max + 1)
-    brq = float(qbracket(q))
-    lam_chi = alpha * beta / (8.0 * brq)      # chi support: lam <= alpha beta/(8<q>)
-    lam_hi = min(alpha + 2.0 * r, lam_chi)
-    if lam_hi <= alpha:
-        return np.zeros(l_max + 1)
+# lam-nodes per array pass of _mu_integrals; caps the run's peak memory
+_MU_CHUNK = 16384
+
+
+def _mu_integrals(k: int, qs: np.ndarray, t: float, r: float, l_max: int) -> np.ndarray:
+    """I_l(q) = (1/2) int_-1^1 K_k(q, mu) P_l(mu) dmu for l = 0..l_max at each
+    q of the 1-D array qs, shape (len(qs), l_max+1), with 16 Gauss-Legendre
+    nodes per lam panel.
+
+    Nodes with equal lam panel counts share a pass of <= _MU_CHUNK lam-nodes;
+    each row is summed on its own contiguous axis (no BLAS), so it equals
+    the row of qs = [q] bit for bit."""
+    out = np.zeros((qs.size, l_max + 1))
+    alpha = t - r + qs
+    beta = t + r + qs
+    brq = qbracket(qs)
+    # chi support: lam <= alpha beta/(8<q>)
+    lam_hi = np.minimum(alpha + 2.0 * r, alpha * beta / (8.0 * brq))
+    live = np.flatnonzero((alpha > 0.0) & (beta > 0.0) & (lam_hi > alpha))
     # geometric panels from alpha to lam_hi resolve the 1/lam near-cone behavior
-    n_panels = max(8, min(64, int(math.ceil(4.0 * math.log2(lam_hi / alpha))) + 4))
-    edges = np.geomspace(alpha, lam_hi, n_panels + 1)
+    counts = np.array([max(8, min(64, int(math.ceil(4.0 * math.log2(hi / lo))) + 4))
+                       for lo, hi in zip(alpha[live].tolist(), lam_hi[live].tolist())])
     xg, wg = _gl(16)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    lam = (mid[:, None] + half[:, None] * xg[None, :]).reshape(-1)
-    wts = (half[:, None] * wg[None, :]).reshape(-1)
-    mu = 1.0 - (lam - alpha) / r
-    chi2 = chi_wave_zone.value(2.0 * lam * brq / (alpha * beta)) ** 2
-    if k == 2:
-        ker = chi2 / lam
-    elif k == 3:
-        ker = chi2 * 2.0 / (alpha * beta)
-    elif k == 4:
-        ker = chi2 * 4.0 * lam / (alpha * alpha * beta * beta)
-    else:
-        raise BackscatterError(f"kernel index k must be 2, 3 or 4, got {k}")
-    pl = _legendre_all(l_max, mu)
-    # (1/2) int K P dmu = (1/(2r)) int K P dlam
-    return (pl * (ker * wts)[None, :]).sum(axis=1) / (2.0 * r)
+    for n_panels in np.unique(counts).tolist():
+        group = live[counts == n_panels]
+        rows = max(1, _MU_CHUNK // (16 * n_panels))
+        for j in (group[i:i + rows] for i in range(0, group.size, rows)):
+            a, b, bq = alpha[j, None], beta[j, None], brq[j, None]
+            edges = np.geomspace(alpha[j], lam_hi[j], n_panels + 1, axis=1)
+            mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+            half = 0.5 * np.diff(edges, axis=1)
+            lam = (mid[:, :, None] + half[:, :, None] * xg).reshape(j.size, -1)
+            wts = (half[:, :, None] * wg).reshape(j.size, -1)
+            mu = 1.0 - (lam - a) / r
+            chi2 = chi_wave_zone.value(2.0 * lam * bq / (a * b)) ** 2
+            if k == 2:
+                ker = chi2 / lam
+            elif k == 3:
+                ker = chi2 * 2.0 / (a * b)
+            else:
+                ker = chi2 * 4.0 * lam / (a * a * b * b)
+            pl = _legendre_all(l_max, mu)
+            # (1/2) int K P dmu = (1/(2r)) int K P dlam
+            out[j] = (pl * (ker * wts)).sum(axis=-1).T / (2.0 * r)
+    return out
 
 
 def _q_panels(n: SourceProfile, t: float, r: float):
@@ -186,43 +199,54 @@ def phi_k_modes(n: SourceProfile, k: int, t: float, r: float,
     """Mode coefficients of Phi^k[n](t, r .): c_lm = int I_l(q) prof_lm(q) dq.
 
     Adaptive bisection on q panels against ``spec.q_tol`` (relative to the
-    running scale).
+    running scale).  Every top-level panel is split at least once, so its
+    coarse value and both halves come from one batched pass; deeper halves
+    are evaluated pairwise as the bisection reaches them.
     """
     if r <= 0.0:
         raise BackscatterError("kernel quadrature requires r > 0")
+    if k not in (2, 3, 4):
+        raise BackscatterError(f"kernel index k must be 2, 3 or 4, got {k}")
     if n.is_zero():
         return {}
     l_max = max(n.ells())
     mode_keys = list(n.modes)
     xg, wg = _gl(12)
 
-    def panel_value(a: float, b: float) -> np.ndarray:
-        mid = 0.5 * (a + b)
+    def panel_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """12-node Gauss-Legendre values, shape (panels, modes), on (a_i, b_i)."""
         half = 0.5 * (b - a)
-        qs = mid + half * xg
-        out = np.zeros(len(mode_keys))
-        il = np.array([_mu_integrals(k, float(q), t, r, l_max) for q in qs])
+        qs = ((0.5 * (a + b))[:, None] + half[:, None] * xg).ravel()
+        il = _mu_integrals(k, qs, t, r, l_max).reshape(a.size, xg.size, l_max + 1)
+        w = wg * half[:, None]
+        out = np.empty((a.size, len(mode_keys)))
         for i, (lm, prof) in enumerate(n.modes.items()):
-            out[i] = float(np.sum(wg * half * il[:, lm[0]] * prof.value(qs)))
+            out[:, i] = (w * il[:, :, lm[0]] * prof.value(qs).reshape(w.shape)).sum(axis=1)
         return out
 
+    panels = _q_panels(n, t, r)
+    lo, hi = np.array(panels, dtype=float).reshape(-1, 2).T
+    mid = 0.5 * (lo + hi)
+    coarse, left, right = np.split(panel_values(np.concatenate([lo, lo, mid]),
+                                                np.concatenate([hi, mid, hi])), 3)
     total = np.zeros(len(mode_keys))
     scale = 0.0
-    for (a, b) in _q_panels(n, t, r):
-        stack = [(a, b, panel_value(a, b), 0)]
+    for i, (a, b) in enumerate(panels):
+        stack = [(a, b, coarse[i], (left[i], right[i]), 0)]
         while stack:
-            a0, b0, coarse, depth = stack.pop()
+            a0, b0, coarse0, halves, depth = stack.pop()
             m0 = 0.5 * (a0 + b0)
-            left = panel_value(a0, m0)
-            right = panel_value(m0, b0)
-            fine = left + right
-            err = float(np.max(np.abs(fine - coarse)))
+            if halves is None:
+                halves = panel_values(np.array([a0, m0]), np.array([m0, b0]))
+            left0, right0 = halves
+            fine = left0 + right0
+            err = float(np.max(np.abs(fine - coarse0)))
             scale = max(scale, float(np.max(np.abs(total + fine))), 1e-30)
             if err < spec.q_tol * max(scale, 1.0) or depth >= 7:
                 total = total + fine
             else:
-                stack.append((a0, m0, left, depth + 1))
-                stack.append((m0, b0, right, depth + 1))
+                stack.append((a0, m0, left0, None, depth + 1))
+                stack.append((m0, b0, right0, None, depth + 1))
     return dict(zip(mode_keys, total.tolist()))
 
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from backwave import backscatter
 from backwave.backscatter import (BackscatterError, KernelQuadratureSpec,
                                   SourceProfile, brute_force_phi_k, envelope_sweep,
-                                  n_norm, phi2_asymptotic, phi_k,
+                                  n_norm, phi2_asymptotic, phi_k, phi_k_modes,
                                   source_residual_check)
 from backwave.profiles import make_profile
 
@@ -70,6 +71,52 @@ def test_r_zero_rejected():
         phi_k(monopole(), 2, 10.0, 0.0, OMEGA, KQ)
     with pytest.raises(BackscatterError):
         phi_k(monopole(), 5, 10.0, 5.0, OMEGA, KQ)
+    # no q-node is live here (the source lies below r - t): k is still checked
+    with pytest.raises(BackscatterError):
+        phi_k_modes(monopole(), 5, 10.0, 30.0, KQ)
+
+
+def test_mu_integrals_batch_equals_single_nodes(monkeypatch):
+    # dead nodes (alpha < 0, alpha = 0, empty cutoff window), many lam panel
+    # counts, and more nodes of one count than fit in one array pass
+    t, r = 165.0, 160.0
+    qs = np.concatenate([[-6.0, r - t, 60.0], np.linspace(-4.9, 40.0, 1000)])
+    passes = []
+    legendre = backscatter._legendre_all
+
+    def spy(l_max, mu):
+        passes.append(mu.shape)
+        return legendre(l_max, mu)
+
+    monkeypatch.setattr(backscatter, "_legendre_all", spy)
+    for k in (2, 3, 4):
+        passes.clear()
+        batch = backscatter._mu_integrals(k, qs, t, r, 4)
+        assert batch.shape == (qs.size, 5)
+        assert not batch[:3].any() and batch[3:, 0].all()
+        counts = [n_lam // 16 for _rows, n_lam in passes]
+        assert len(set(counts)) >= 3
+        assert max(counts.count(c) for c in counts) > 1    # a group split into chunks
+        for i, q in enumerate(qs):
+            single = backscatter._mu_integrals(k, np.array([q]), t, r, 4)
+            assert single[0].tobytes() == batch[i].tobytes(), (k, q)
+
+
+def test_refined_panels_meet_the_oracle(monkeypatch):
+    # q_tol = 1e-11 splits panels, so halves are evaluated past the first pass
+    n = axisym()
+    calls = []
+    mu_integrals = backscatter._mu_integrals
+
+    def counted(*args):
+        calls.append(args[1].size)
+        return mu_integrals(*args)
+
+    monkeypatch.setattr(backscatter, "_mu_integrals", counted)
+    v = phi_k(n, 2, 40.0, 30.0, OMEGA, KernelQuadratureSpec(q_tol=1e-11))
+    assert len(calls) > 1
+    bf = brute_force_phi_k(n, 2, 40.0, 30.0, OMEGA, n_q=500, n_theta=260, n_phi=96)
+    assert v == pytest.approx(bf, rel=1e-4)
 
 
 def test_n_norm_quadrature_oracle():
