@@ -13,7 +13,7 @@ from backwave.profiles import Profile, make_profile, ProfileError
 from backwave.radiation import RadiationField, MassTerm, derive_F1
 from backwave.angular import AngularGrid
 from backwave.engine import RadialGrid, FieldState, Trajectory
-from backwave.functionals import WeightSpec, FitResult, FunctionalReport, fit_decay
+from backwave.functionals import FitResult, FunctionalReport, fit_decay
 
 __all__ = [
     "Cutoff", "chi_wave_zone", "chi_exterior",
@@ -21,5 +21,5 @@ __all__ = [
     "RadiationField", "MassTerm", "derive_F1",
     "AngularGrid",
     "RadialGrid", "FieldState", "Trajectory",
-    "WeightSpec", "FitResult", "FunctionalReport", "fit_decay",
+    "FitResult", "FunctionalReport", "fit_decay",
 ]

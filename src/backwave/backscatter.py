@@ -26,9 +26,10 @@ kernel depending on sigma only through mu = <w, sigma>,
 
     int n(q, s) K(mu) dS(s) = sum_lm c_lm(q) Y_lm(w) 2 pi int_-1^1 K P_l dmu,
 
-so each evaluation point costs an adaptive panel sweep in q and, per
-q-node, one 1-D mu-quadrature shared by every retained l; the q-nodes of a
-call go through it in array passes.  The mu-integral is taken in the shifted
+so each evaluation point costs an adaptive panel sweep in q, bisected
+against the caller's tolerance ``q_tol``, and, per q-node, one 1-D
+mu-quadrature shared by every retained l; the q-nodes of a call go through
+it in array passes.  The mu-integral is taken in the shifted
 variable lam = (t-r+q) + r(1-mu), on which the cutoff support becomes the
 exact window lam <= (t-r+q)(t+r+q)/(8 <q>), with geometrically graded
 panels resolving the 1/lam behavior near the light cone; the q lower limit
@@ -42,7 +43,6 @@ it is the arbiter for the printed kernels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -58,17 +58,6 @@ ModeKey = Tuple[int, int]
 
 class BackscatterError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class KernelQuadratureSpec:
-    """Quadrature control: the q-panel bisection tolerance."""
-
-    q_tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.q_tol <= 0:
-            raise BackscatterError("q-panel tolerance must be positive")
 
 
 class SourceProfile:
@@ -195,18 +184,20 @@ def _q_panels(n: SourceProfile, t: float, r: float):
 
 
 def phi_k_modes(n: SourceProfile, k: int, t: float, r: float,
-                spec: KernelQuadratureSpec) -> Dict[ModeKey, float]:
+                q_tol: float) -> Dict[ModeKey, float]:
     """Mode coefficients of Phi^k[n](t, r .): c_lm = int I_l(q) prof_lm(q) dq.
 
-    Adaptive bisection on q panels against ``spec.q_tol`` (relative to the
-    running scale).  Every top-level panel is split at least once, so its
-    coarse value and both halves come from one batched pass; deeper halves
-    are evaluated pairwise as the bisection reaches them.
+    Adaptive bisection on q panels against the tolerance ``q_tol > 0``
+    (relative to the running scale).  Every top-level panel is split at
+    least once, so its coarse value and both halves come from one batched
+    pass; deeper halves are evaluated pairwise as the bisection reaches them.
     """
     if r <= 0.0:
         raise BackscatterError("kernel quadrature requires r > 0")
     if k not in (2, 3, 4):
         raise BackscatterError(f"kernel index k must be 2, 3 or 4, got {k}")
+    if q_tol <= 0.0:
+        raise BackscatterError("q-panel tolerance must be positive")
     if n.is_zero():
         return {}
     l_max = max(n.ells())
@@ -242,7 +233,7 @@ def phi_k_modes(n: SourceProfile, k: int, t: float, r: float,
             fine = left0 + right0
             err = float(np.max(np.abs(fine - coarse0)))
             scale = max(scale, float(np.max(np.abs(total + fine))), 1e-30)
-            if err < spec.q_tol * max(scale, 1.0) or depth >= 7:
+            if err < q_tol * max(scale, 1.0) or depth >= 7:
                 total = total + fine
             else:
                 stack.append((a0, m0, left0, None, depth + 1))
@@ -250,10 +241,10 @@ def phi_k_modes(n: SourceProfile, k: int, t: float, r: float,
     return dict(zip(mode_keys, total.tolist()))
 
 
-def phi_k(n: SourceProfile, k: int, t: float, r: float, omega,
-          spec: KernelQuadratureSpec) -> float:
-    """Phi^k[n] at the spacetime point (t, r omega); omega a unit 3-vector."""
-    coeffs = phi_k_modes(n, k, t, r, spec)
+def phi_k(n: SourceProfile, k: int, t: float, r: float, omega, q_tol: float) -> float:
+    """Phi^k[n] at the spacetime point (t, r omega); omega a unit 3-vector,
+    q_tol the q-panel tolerance of :func:`phi_k_modes`."""
+    coeffs = phi_k_modes(n, k, t, r, q_tol)
     if not coeffs:
         return 0.0
     l_max = max(l for (l, _m) in coeffs)
@@ -322,11 +313,11 @@ def source_value_modes(n: SourceProfile, k: int, t: float, r: float) -> Dict[Mod
 
 
 def source_residual_check(n: SourceProfile, k: int, points: Sequence[Tuple[float, float]],
-                          h: float,
-                          spec: KernelQuadratureSpec) -> Dict[str, object]:
+                          h: float, q_tol: float) -> Dict[str, object]:
     """Centered finite-difference box of the quadrature solution vs the source.
 
-    For each (t, r) the five-point stencil in (t, r) is evaluated per mode:
+    For each (t, r) the five-point stencil in (t, r) is evaluated per mode,
+    each stencil value by :func:`phi_k_modes` at ``q_tol``:
 
         box_l c = d_t^2 c - d_r^2 c - (2/r) d_r c + l(l+1) c / r^2,
 
@@ -334,7 +325,7 @@ def source_residual_check(n: SourceProfile, k: int, points: Sequence[Tuple[float
     the classical retarded response, so they solve (d_t^2 - Lap) Phi =
     source; a consumer assembling fields in the opposite metric-signature
     convention must negate them).  Returns the max relative residual over
-    points and modes plus a noise floor estimate (quadrature tolerance
+    points and modes plus a noise floor estimate (``q_tol``
     amplified by h^-2); the result is flagged inconclusive when the floor
     dominates.
     """
@@ -346,7 +337,7 @@ def source_residual_check(n: SourceProfile, k: int, points: Sequence[Tuple[float
             raise BackscatterError("sample points must stay away from r = 0")
         stencil = {}
         for (dt, dr) in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
-            stencil[(dt, dr)] = phi_k_modes(n, k, t + dt * h, r + dr * h, spec)
+            stencil[(dt, dr)] = phi_k_modes(n, k, t + dt * h, r + dr * h, q_tol)
         src = source_value_modes(n, k, t, r)
         for lm in n.modes:
             l = lm[0]
@@ -364,22 +355,22 @@ def source_residual_check(n: SourceProfile, k: int, points: Sequence[Tuple[float
             return {"max_rel_residual": 0.0, "noise_floor": 0.0, "inconclusive": False,
                     "samples": results}
     max_rel = max(abs(b - s) / src_scale for (_t, _r, _lm, b, s) in results)
-    noise = 4.0 * spec.q_tol * phi_scale / h**2 / src_scale
+    noise = 4.0 * q_tol * phi_scale / h**2 / src_scale
     return {"max_rel_residual": max_rel, "noise_floor": noise,
             "inconclusive": bool(noise > 0.5 * max_rel), "samples": results}
 
 
 def envelope_sweep(n: SourceProfile, k: int, sweep: Sequence[Tuple[float, float]],
-                   omega, a: float,
-                   spec: KernelQuadratureSpec) -> Dict[str, np.ndarray]:
-    """Decay-envelope diagnostics along a (t, r) sweep.
+                   omega, a: float, q_tol: float) -> Dict[str, np.ndarray]:
+    """Decay-envelope diagnostics along a (t, r) sweep, each value by
+    :func:`phi_k` at ``q_tol``.
 
     k=2: |Phi^2| * 2r / ln(<t+r>/<t-r>) * <(r-t)_+>^a
     k=3,4: |Phi^k| * <t+r> <t-r>^(k-2) * <(r-t)_+>^a
     """
     ts, rs, vals, envs = [], [], [], []
     for (t, r) in sweep:
-        val = phi_k(n, k, t, r, omega, spec)
+        val = phi_k(n, k, t, r, omega, q_tol)
         qp = max(r - t, 0.0)
         wqp = (1.0 + qp * qp) ** (0.5 * a)
         if k == 2:

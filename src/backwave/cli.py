@@ -27,22 +27,11 @@ import traceback
 
 from backwave.config import ConfigError, canonical_text, parse_config
 from backwave.outputs import write_bundle, write_summary_json
-from backwave.scenarios import (RunSpec, ScenarioError, ScenarioReport,
+from backwave.scenarios import (RUNNERS, RunSpec, ScenarioError, ScenarioReport,
                                 run_scenario)
 
-SUBCOMMANDS = ("validate", "homogeneous", "tlimit", "weaknull", "nullradial",
-               "backscatter", "audit", "convergence")
-
-_SCENARIO_OF = {
-    "validate": "free_wave",
-    "homogeneous": "homogeneous",
-    "tlimit": "tlimit",
-    "weaknull": "weaknull",
-    "nullradial": "nullradial",
-    "backscatter": "backscatter",
-    "audit": "audit",
-    "convergence": "convergence",
-}
+# one subcommand per pipeline; the free-wave gate runs as 'validate'
+SUBCOMMANDS = tuple("validate" if name == "free_wave" else name for name in RUNNERS)
 
 EXIT_PASS = 0
 EXIT_FAILURES = 1
@@ -91,7 +80,7 @@ def main(argv) -> int:
                 print(f"error: cannot read config: {exc}", file=sys.stderr)
                 return EXIT_CONFIG
             spec = parse_config(raw)
-            spec.scenario = _SCENARIO_OF[args.command]
+            spec.scenario = args.command
             spec.validate()
             config_text = canonical_text(spec)
     except (ConfigError, ScenarioError) as exc:

@@ -17,8 +17,10 @@ in either orientation.  Two canonical instances are used throughout:
 
 Derivatives are exact closed forms (quotient rule on sigma), not finite
 differences; they feed the analytic wave-operator residual formulas.
-:meth:`Cutoff.terms` gives the value and both derivatives from one pass
-over the two bumps B(x), B(1-x), equal to the separate calls bit for bit.
+:meth:`Cutoff.derivative` gives the first derivative; :meth:`Cutoff.terms`
+gives the value and both derivatives from one pass over the two bumps
+B(x), B(1-x), its value and first derivative equal to the separate calls
+bit for bit.
 """
 
 from __future__ import annotations
@@ -110,10 +112,10 @@ class Cutoff:
     def value(self, s):
         return smooth_step(self._unit(s)[0])
 
-    def derivative(self, s, order: int):
-        """d^order/ds^order of the cutoff, order in {1, 2}."""
+    def derivative(self, s):
+        """d/ds of the cutoff."""
         x, step = self._unit(s)
-        return step ** order * smooth_step(x, order=order)
+        return step * smooth_step(x, order=1)
 
     def terms(self, s):
         """Value, first and second derivative at the array s in one pass."""

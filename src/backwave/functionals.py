@@ -55,29 +55,13 @@ class FunctionalError(RuntimeError):
 # weights
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeightSpec:
-    """Weight selector: w0(mu) or constant."""
-
-    kind: str = "constant"
-    mu: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("constant", "w0"):
-            raise FunctionalError(f"unknown weight kind {self.kind!r}")
-        if self.kind == "w0" and self.mu < 0:
-            raise FunctionalError("w0 weight needs mu >= 0")
-
-
-def weight_eval(spec: WeightSpec, q) -> np.ndarray:
-    """Pointwise weight value; argument is q = r - t."""
+def w0_weight(q, mu: float) -> np.ndarray:
+    """w0(mu) at q = r - t: 1 + (1+q)^(-2 mu) outside, 3 - (1-q)^(-2 mu)
+    inside; in [1, 3] for mu >= 0."""
     q = np.asarray(q, dtype=float)
-    if spec.kind == "constant":
-        return np.ones_like(q)
-    # w0: 1 + (1+q)^(-2 mu) outside, 3 - (1-q)^(-2 mu) inside; w0 in [1, 3]
     return np.where(q > 0,
-                    1.0 + (1.0 + np.abs(q)) ** (-2.0 * spec.mu),
-                    3.0 - (1.0 + np.abs(q)) ** (-2.0 * spec.mu))
+                    1.0 + (1.0 + np.abs(q)) ** (-2.0 * mu),
+                    3.0 - (1.0 + np.abs(q)) ** (-2.0 * mu))
 
 
 def weight_minus_gamma(q, gamma: float) -> np.ndarray:
@@ -161,12 +145,14 @@ def _trapz_to(vals: np.ndarray, r: np.ndarray, R: float) -> np.ndarray:
 # energies and norms
 # ---------------------------------------------------------------------------
 
-def energy_weighted(state: FieldState, spec: WeightSpec = WeightSpec()) -> float:
-    """int |d phi|^2 w(r - t) dx, trapezoidal per mode."""
+def energy_weighted(state: FieldState, weight: Optional[Callable] = None) -> float:
+    """int |d phi|^2 w(r - t) dx, trapezoidal per mode; ``weight`` maps the
+    array q = r - t to w, and no weight means w = 1."""
     mf = mode_fields(state)
-    w = weight_eval(spec, mf.r - mf.t)
     dens = mf.v**2 + (mf.ur - mf.u_over_r) ** 2 + mf.ll1[:, None] * mf.u_over_r**2
-    return float(np.sum(np.trapezoid(dens * w[None, :], mf.r, axis=-1)))
+    if weight is not None:
+        dens = dens * weight(mf.r - mf.t)[None, :]
+    return float(np.sum(np.trapezoid(dens, mf.r, axis=-1)))
 
 
 def conformal_norm_plus(state: FieldState, s: float) -> float:
@@ -290,18 +276,11 @@ def bulk_sign_check(a: float, t_samples, r_samples) -> float:
     """
     if a < 2.0:
         warnings.warn(f"bulk sign guarantee needs a >= 2, got {a}; reporting anyway")
-    t = np.asarray(t_samples, dtype=float)[:, None]
-    r = np.asarray(r_samples, dtype=float)[None, :]
+    r = np.asarray(r_samples, dtype=float)
     s = a / 2.0
-    B = 1.0 + (t - r) ** 2
-    x = 4.0 * t * r / B
-    with np.errstate(divide="ignore", invalid="ignore"):
-        diff = B**s * np.expm1(s * np.log1p(x)) / r
-    b = t + r
-    c = t - r
-    fp = a * (b * (1.0 + b * b) ** (s - 1.0) + c * (1.0 + c * c) ** (s - 1.0))
     # at r = 0 the expression has the exact Taylor limit 0
-    slack = np.where(r > 0, diff - fp, 0.0)
+    slack = [np.where(r > 0, _f_diff_over_r(t, r, s) - _fprime_sum(t, r, s), 0.0)
+             for t in np.asarray(t_samples, dtype=float).tolist()]
     return float(np.max(slack))
 
 
@@ -514,16 +493,8 @@ def cor_weighted_spacetime_instance(traj: Trajectory, gamma: float, mu: float,
     t2 = steps[-1].t
 
     wm = lambda q: weight_minus_gamma(q, gamma)
-    mf1 = mode_fields(steps[0])
-    mf2 = mode_fields(steps[-1])
-
-    def energy_w(mf):
-        w = wm(mf.r - mf.t)
-        dens = mf.v**2 + (mf.ur - mf.u_over_r) ** 2 + mf.ll1[:, None] * mf.u_over_r**2
-        return float(np.sum(np.trapezoid(dens * w[None, :], mf.r, axis=-1)))
-
-    lhs_energy = energy_w(mf1)
-    rhs_energy = energy_w(mf2)
+    lhs_energy = energy_weighted(steps[0], wm)
+    rhs_energy = energy_weighted(steps[-1], wm)
 
     bulk_vals = np.empty(ts.size)
     pair_vals = np.empty(ts.size)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 from scipy.interpolate import CubicSpline
 
 
@@ -205,8 +204,9 @@ class AntiderivativeProfile(Profile):
     The value is a cumulative Gauss-Legendre table at the knots (spacing
     1/16 or finer, at least 1024 cells on [-q_max, q_max]) plus an exact
     local Gauss-Legendre correction from the nearest knot, so evaluation
-    error is at quadrature level anywhere inside the table.  Outside the
-    table the base tail is integrated adaptively on demand.
+    error is at quadrature level anywhere inside the table.  The value is
+    defined on the table only: |q| > q_max raises :class:`ProfileError`, so
+    callers size q_max past their grid.
     """
 
     kind = "antiderivative"
@@ -227,48 +227,22 @@ class AntiderivativeProfile(Profile):
         pieces = (base.value(samples) * self._WG8[None, :]).sum(axis=1) * half
         cum = np.concatenate([[0.0], np.cumsum(pieces)])
         self._cum = cum - np.interp(0.0, knots, cum)   # unscaled, zero at q=0
-        self._lo_val = float(self._scale * self._cum[0])
-        self._hi_val = float(self._scale * self._cum[-1])
         self._amplitude = float(np.max(np.abs(self._scale * self._cum))) or 1.0
         self._center = 0.0
 
-    def _tail(self, q_abs_sorted, sign):
-        # integral of base from +/-table_edge out to each q, adaptive
-        vals = []
-        prev_q, prev_int = self._table_edge * sign, 0.0
-        for q in q_abs_sorted:
-            seg, _ = integrate.quad(lambda s: float(self._base.value(s)), prev_q, q * sign,
-                                    limit=200, epsabs=1e-13, epsrel=1e-10)
-            prev_int += seg
-            prev_q = q * sign
-            vals.append(prev_int)
-        return self._scale * np.asarray(vals)
-
     def _value(self, q):
-        q = np.atleast_1d(np.asarray(q, dtype=float))
-        out = np.empty_like(q)
         inside = np.abs(q) <= self._table_edge
-        if np.any(inside):
-            qi = q[inside]
-            k = np.clip(np.searchsorted(self._knots, qi, side="right") - 1,
-                        0, self._knots.size - 2)
-            a = self._knots[k]
-            mid = 0.5 * (a + qi)
-            half = 0.5 * (qi - a)
-            samples = mid[:, None] + half[:, None] * self._XG8[None, :]
-            local = (self._base.value(samples) * self._WG8[None, :]).sum(axis=1) * half
-            out[inside] = self._scale * (self._cum[k] + local)
-        hi = q > self._table_edge
-        lo = q < -self._table_edge
-        if np.any(hi):
-            qs = np.sort(q[hi])
-            tail = dict(zip(qs, self._hi_val + self._tail(qs, 1.0)))
-            out[hi] = [tail[x] for x in q[hi]]
-        if np.any(lo):
-            qs = np.sort(-q[lo])
-            tail = dict(zip(-qs, self._lo_val + self._tail(qs, -1.0)))
-            out[lo] = [tail[x] for x in q[lo]]
-        return out
+        if not np.all(inside):
+            raise ProfileError(f"antiderivative evaluated at q = {float(q[~inside][0])}, "
+                               f"outside its table |q| <= {self._table_edge}")
+        k = np.clip(np.searchsorted(self._knots, q, side="right") - 1,
+                    0, self._knots.size - 2)
+        a = self._knots[k]
+        mid = 0.5 * (a + q)
+        half = 0.5 * (q - a)
+        samples = mid[..., None] + half[..., None] * self._XG8
+        local = (self._base.value(samples) * self._WG8).sum(axis=-1) * half
+        return self._scale * (self._cum[k] + local)
 
     def _derivative(self, q):
         return self._scale * self._base.value(q)

@@ -179,7 +179,7 @@ def eval_approximant(f0: RadiationField, f1: RadiationField, mass: MassTerm,
         out[(0, 0)] = mass.M * chi_exterior.value(q) / r * SQRT4PI
         return out
     if which == "dt_psi_e":
-        out[(0, 0)] = -mass.M * chi_exterior.derivative(q, 1) / r * SQRT4PI
+        out[(0, 0)] = -mass.M * chi_exterior.derivative(q) / r * SQRT4PI
         return out
     band = _wave_zone_band(t, r)
     rb, qb = r[band], q[band]

@@ -57,27 +57,23 @@ from backwave.engine import (ConeSpec, ContainmentError, EngineError, FieldState
                              RadialGrid, Trajectory, convergence_order,
                              discrete_box_field, solve_backward,
                              solve_backward_system)
-from backwave.functionals import (FitResult, FunctionalError, FunctionalReport, WeightSpec,
+from backwave.functionals import (FitResult, FunctionalError, FunctionalReport,
                                   backward_estimate_constant, bulk_sign_check,
                                   conformal_norm_plus, cor_weighted_spacetime_instance,
                                   energy_conservation_drift, energy_weighted,
                                   fit_decay, hardy_checks, ks_pointwise_check,
                                   morawetz_identity_audit, norm_Z_weighted,
-                                  origin_decay_check, sup_envelope)
+                                  origin_decay_check, sup_envelope, w0_weight)
 from backwave.profiles import ProfileError, SampledProfile, make_profile, qbracket
 from backwave.radiation import (MassTerm, RadiationDataError, RadiationField, SQRT4PI,
                                 derive_F1, eval_approximant, eval_dt_psi01_exact,
                                 realized_decay_class, residual_box_psi01,
                                 source_norm_weighted)
-from backwave.backscatter import (KernelQuadratureSpec, SourceProfile,
-                                  brute_force_phi_k, envelope_sweep, n_norm,
-                                  phi_k, phi_k_modes, phi2_asymptotic,
+from backwave.backscatter import (SourceProfile, brute_force_phi_k, envelope_sweep,
+                                  n_norm, phi_k, phi_k_modes, phi2_asymptotic,
                                   source_residual_check)
 
 ModeKey = Tuple[int, int]
-
-SCENARIOS = ("free_wave", "homogeneous", "tlimit", "weaknull", "nullradial",
-             "backscatter", "audit", "convergence")
 
 
 class ScenarioError(RuntimeError):
@@ -116,8 +112,9 @@ class RunSpec:
     check_points: List[Tuple[float, float]] = dc_field(default_factory=list)
 
     def validate(self):
-        if self.scenario not in SCENARIOS:
-            raise ScenarioError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
+        if self.scenario not in RUNNERS:
+            raise ScenarioError(
+                f"unknown scenario {self.scenario!r}; expected one of {tuple(RUNNERS)}")
         if not 0.5 < self.gamma < 1.0:
             raise ScenarioError(f"gamma must satisfy 1/2 < gamma < 1, got {self.gamma}")
         if self.scenario in ("homogeneous", "tlimit", "weaknull"):
@@ -415,7 +412,7 @@ def run_homogeneous_scattering(spec: RunSpec) -> ScenarioReport:
             "norm_conf_plus": conf_v[-1], "norm_1_s_surrogate": norm1s_psi[-1],
             "sup_envelope": env_psi[-1],
             "energy_w1": energy_v[-1] ** 2,
-            "energy_w0": energy_weighted(st, WeightSpec(kind="w0", mu=spec.mu)),
+            "energy_w0": energy_weighted(st, lambda q: w0_weight(q, spec.mu)),
         }
         for key, hist in traj.cone_history.items():
             values[f"flux_{key}"] = hist[i]
@@ -572,7 +569,7 @@ def _strata_sources(f0: RadiationField, f1: RadiationField, mass: MassTerm,
     f1p = np.zeros((n_in, qs.size))       # F1'
     for (l, m), prof in f0.mode_items():
         base[mode_index(l, m)] = prof.derivative(qs)
-    base[0] += mass.M * chi_exterior.derivative(qs, 1) * SQRT4PI
+    base[0] += mass.M * chi_exterior.derivative(qs) * SQRT4PI
     for (l, m), prof in f1.mode_items():
         f1p[mode_index(l, m)] = prof.derivative(qs)
     to_vals, to_modes = product_closures(l_in, l_out)
@@ -684,7 +681,6 @@ def _weaknull_crosscheck(spec, traj, f0, f1, g0, g1, mass, strata, w_modes,
     """Discrete box of the assembled phi = w + varphi01 + phi01 against the
     quadratic source, at the configured check points."""
     h = spec.h
-    kq = KernelQuadratureSpec(q_tol=1e-10)
     l_psi = max([l for (l, _m) in f0.modes] + [0])
     to_vals, to_modes = product_closures(max(l_psi, 1), max(l for (l, _m) in w_modes))
 
@@ -697,7 +693,7 @@ def _weaknull_crosscheck(spec, traj, f0, f1, g0, g1, mass, strata, w_modes,
         for k, srcp in strata.items():
             if srcp.is_zero():
                 continue
-            cm = phi_k_modes(srcp, k, t, r, kq)
+            cm = phi_k_modes(srcp, k, t, r, 1e-10)
             for i, lm in enumerate(w_modes):
                 out[i] -= cm.get(lm, 0.0)
         if not g0.is_zero():
@@ -853,7 +849,7 @@ def run_backscatter_audit(spec: RunSpec) -> ScenarioReport:
         return rep
     n = _news_source(spec, f0)
     omega = np.array([0.0, 0.0, 1.0])
-    kq = KernelQuadratureSpec()
+    q_tol = 1e-9
     norm = n_norm(n, spec.a)
 
     # oracle points: kernel quadrature vs dense brute force
@@ -863,7 +859,7 @@ def run_backscatter_audit(spec: RunSpec) -> ScenarioReport:
     points = [(40.0, 30.0), (25.0, 18.0), (60.0, 50.0), (36.0, 28.0), (50.0, 26.0)]
     worst = 0.0
     for (t, r) in points:
-        v1 = phi_k(n, 2, t, r, omega, kq)
+        v1 = phi_k(n, 2, t, r, omega, q_tol)
         v2 = brute_force_phi_k(n, 2, t, r, omega, n_q=500, n_theta=260, n_phi=96)
         if abs(v2) > 1e-300:
             worst = max(worst, abs(v1 - v2) / abs(v2))
@@ -873,7 +869,7 @@ def run_backscatter_audit(spec: RunSpec) -> ScenarioReport:
     # decay envelopes along t = r + 5
     sweep = [(r + 5.0, r) for r in (20.0, 28.0, 40.0, 57.0, 80.0, 113.0, 160.0)]
     leads = [phi2_asymptotic(n, t, r, omega) for (t, r) in sweep]
-    sweeps = {k: envelope_sweep(n, k, sweep, omega, spec.a, kq) for k in (2, 3, 4)}
+    sweeps = {k: envelope_sweep(n, k, sweep, omega, spec.a, q_tol) for k in (2, 3, 4)}
     for k, out in sweeps.items():
         rep.add_bound(f"envelope_k{k}", float(np.max(out["envelope"])) / max(norm, 1e-300),
                       spec.ratio_budget,
@@ -898,7 +894,7 @@ def run_backscatter_audit(spec: RunSpec) -> ScenarioReport:
 
     # wave-operator residuals for all three kernels
     for k in (2, 3, 4):
-        res = source_residual_check(n, k, [(12.0, 11.0), (16.0, 15.0)], h=0.05, spec=kq)
+        res = source_residual_check(n, k, [(12.0, 11.0), (16.0, 15.0)], h=0.05, q_tol=q_tol)
         rep.add_bound(f"source_residual_k{k}", res["max_rel_residual"], 1e-2,
                       note=f"noise floor {res['noise_floor']:.2e}")
     return rep

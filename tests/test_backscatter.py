@@ -5,14 +5,13 @@ import pytest
 from scipy import integrate
 
 from backwave import backscatter
-from backwave.backscatter import (BackscatterError, KernelQuadratureSpec,
-                                  SourceProfile, brute_force_phi_k, envelope_sweep,
-                                  n_norm, phi2_asymptotic, phi_k, phi_k_modes,
-                                  source_residual_check)
+from backwave.backscatter import (BackscatterError, SourceProfile, brute_force_phi_k,
+                                  envelope_sweep, n_norm, phi2_asymptotic, phi_k,
+                                  phi_k_modes, source_residual_check)
 from backwave.profiles import make_profile
 
 OMEGA = np.array([0.0, 0.0, 1.0])
-KQ = KernelQuadratureSpec()
+KQ = 1e-9   # q-panel tolerance
 GAUSS = make_profile({"kind": "gaussian", "amplitude": 1.0, "width": 1.0, "center": 0.0})
 BUMP = make_profile({"kind": "compact-bump", "amplitude": 0.5, "width": 2.0, "center": 0.5})
 
@@ -113,7 +112,7 @@ def test_refined_panels_meet_the_oracle(monkeypatch):
         return mu_integrals(*args)
 
     monkeypatch.setattr(backscatter, "_mu_integrals", counted)
-    v = phi_k(n, 2, 40.0, 30.0, OMEGA, KernelQuadratureSpec(q_tol=1e-11))
+    v = phi_k(n, 2, 40.0, 30.0, OMEGA, 1e-11)
     assert len(calls) > 1
     bf = brute_force_phi_k(n, 2, 40.0, 30.0, OMEGA, n_q=500, n_theta=260, n_phi=96)
     assert v == pytest.approx(bf, rel=1e-4)
@@ -161,19 +160,19 @@ def test_phi2_asymptotic_remainder_bounded():
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_source_residual(k):
     out = source_residual_check(monopole(), k, [(12.0, 11.0), (16.0, 15.0)], h=0.05,
-                                spec=KQ)
+                                q_tol=KQ)
     assert out["max_rel_residual"] <= 1e-2, out
     assert not out["inconclusive"]
 
 
 def test_source_residual_improves_under_refinement():
-    res = [source_residual_check(monopole(), 2, [(12.0, 11.0)], h=h, spec=KQ)["max_rel_residual"]
+    res = [source_residual_check(monopole(), 2, [(12.0, 11.0)], h=h, q_tol=KQ)["max_rel_residual"]
            for h in (0.1, 0.05)]
     assert res[1] < res[0] / 2.5
 
 
 def test_source_residual_zero_source():
-    out = source_residual_check(SourceProfile({}, a=0.0), 2, [(12.0, 11.0)], h=0.1, spec=KQ)
+    out = source_residual_check(SourceProfile({}, a=0.0), 2, [(12.0, 11.0)], h=0.1, q_tol=KQ)
     assert out["max_rel_residual"] == 0.0
 
 
@@ -189,9 +188,8 @@ def test_envelope_sweep_k34():
 
 
 def test_quadrature_spec_validation():
-    with pytest.raises(BackscatterError):
-        KernelQuadratureSpec(q_tol=-1e-9)
-    with pytest.raises(BackscatterError):
-        KernelQuadratureSpec(q_tol=0.0)
+    for q_tol in (-1e-9, 0.0):
+        with pytest.raises(BackscatterError):
+            phi_k_modes(monopole(), 2, 40.0, 30.0, q_tol)
     with pytest.raises(BackscatterError):
         SourceProfile({(0, 0): GAUSS}, a=-1.0)

@@ -23,6 +23,9 @@ def test_equal_bundles_are_the_same_and_one_ulp_differs(tmp_path):
     old = bundle(tmp_path / "old", 0.1)
     assert diff_configs.differences(old, bundle(tmp_path / "new", 0.1), 0, 0) == []
     assert diff_configs.differences(old, bundle(tmp_path / "ulp", 0.10000000000000002), 0, 0)
+    # a zero that changes sign is a difference too
+    zero = bundle(tmp_path / "zero", 0.0)
+    assert diff_configs.differences(zero, bundle(tmp_path / "negzero", -0.0), 0, 0)
     assert diff_configs.differences(old, bundle(tmp_path / "csv", 0.1, b"t,x\n"), 0, 0)
     assert diff_configs.differences(old, bundle(tmp_path / "code", 0.1), 0, 1)
 

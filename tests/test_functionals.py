@@ -5,12 +5,12 @@ import pytest
 from scipy import integrate
 
 from backwave.engine import FieldState, RadialGrid, solve_backward
-from backwave.functionals import (FunctionalError, WeightSpec, bulk_sign_check,
+from backwave.functionals import (FunctionalError, bulk_sign_check,
                                   conformal_energy_ER, conformal_norm_plus,
                                   energy_weighted, fit_decay, hardy_checks,
                                   ks_pointwise_check, morawetz_identity_audit,
                                   norm_Z_weighted, origin_decay_check,
-                                  sup_envelope, weight_eval)
+                                  sup_envelope, w0_weight)
 
 
 def g(x):
@@ -44,19 +44,11 @@ def zero_state(h=0.1, J=64, modes=((0, 0),)):
 # ---------------------------------------------------------------------------
 
 def test_w0_values():
-    spec = WeightSpec(kind="w0", mu=0.25)
-    assert float(weight_eval(spec, 0.0 + 1e-15)) == pytest.approx(2.0, abs=1e-12)
-    assert float(weight_eval(spec, 1e9)) == pytest.approx(1.0, abs=1e-4)
+    assert float(w0_weight(0.0 + 1e-15, 0.25)) == pytest.approx(2.0, abs=1e-12)
+    assert float(w0_weight(1e9, 0.25)) == pytest.approx(1.0, abs=1e-4)
     q = np.linspace(-50, 50, 2001)
-    w = weight_eval(spec, q)
+    w = w0_weight(q, 0.25)
     assert np.all((w >= 1.0) & (w <= 3.0))
-
-
-def test_weight_validation():
-    with pytest.raises(FunctionalError):
-        WeightSpec(kind="w0", mu=-0.1)
-    with pytest.raises(FunctionalError):
-        WeightSpec(kind="mystery")
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +78,14 @@ def test_energy_matches_quadrature_oracle():
 
 def test_energy_monotone_in_weight():
     st = wave_state(h=0.02)
-    small = energy_weighted(st, WeightSpec())
-    big = energy_weighted(st, WeightSpec(kind="w0", mu=0.2))   # w0 >= 1
+    small = energy_weighted(st)
+    big = energy_weighted(st, lambda q: w0_weight(q, 0.2))   # w0 >= 1
     assert big >= small
+
+
+def test_energy_without_weight_is_the_unit_weight():
+    st = wave_state(h=0.02)
+    assert energy_weighted(st).hex() == energy_weighted(st, lambda q: np.ones_like(q)).hex()
 
 
 def test_conformal_norm_zero_and_scaling():

@@ -58,13 +58,21 @@ def test_sampled_zero_outside_table():
 def test_antiderivative_matches_erf_oracle():
     # int_0^q e^(-x^2) dx = (sqrt(pi)/2) erf(q); adaptive-quadrature oracle
     g = make_profile({"kind": "gaussian"})
-    anti = AntiderivativeProfile(g, 1.0, q_max=32.0)
+    anti = AntiderivativeProfile(g, 1.0, q_max=64.0)
     for q0 in (-4.0, -1.0, 0.0, 0.3, 2.0, 30.0, 60.0):
         want = math.sqrt(math.pi) / 2.0 * erf(q0)
         assert float(anti.value(q0)) == pytest.approx(want, abs=1e-10)
     # the derivative is the base profile, exactly
     assert float(anti.derivative(0.7)) == float(g.value(0.7))
     assert float(anti.derivative(-2.5)) == float(g.value(-2.5))
+
+
+def test_antiderivative_is_defined_on_its_table_only():
+    anti = AntiderivativeProfile(make_profile({"kind": "gaussian"}), 1.0, q_max=32.0)
+    assert float(anti.value(32.0)) == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-10)
+    for q0 in (33.0, -33.0, np.array([0.0, 33.0])):
+        with pytest.raises(ProfileError):
+            anti.value(q0)
 
 
 def test_antiderivative_quadrature_oracle_poly_tail():
