@@ -61,15 +61,10 @@ class BackscatterError(RuntimeError):
 
 
 class SourceProfile:
-    """Mode map (l, m) -> q-profile for a backscatter source, with growth
-    budget <q_+>^a."""
+    """Mode map (l, m) -> q-profile for a backscatter source."""
 
-    def __init__(self, modes: Dict[ModeKey, Profile], a: float = 0.0, l_max: int = None):
+    def __init__(self, modes: Dict[ModeKey, Profile]):
         self.modes = dict(sorted(modes.items()))
-        self.a = float(a)
-        if self.a < 0:
-            raise BackscatterError("decay parameter a must be >= 0")
-        self.l_max = int(l_max if l_max is not None else max((l for (l, _m) in modes), default=0))
 
     def ells(self) -> List[int]:
         return sorted({l for (l, _m) in self.modes})

@@ -2,9 +2,12 @@
 
 Format: ``key = value`` lines grouped under ``[section]`` headers, with
 ``#`` comments and blank lines ignored.  Sections: [run], [data.F0],
-[data.G0], [grid], [params], [acceptance].  Unknown sections or keys are
-rejected, duplicate keys are reported with both line numbers, and all
-physical parameters are range-checked while building the RunSpec.
+[data.G0], [grid], [params], [acceptance].  ``KEYS`` names every settable
+key with the RunSpec field it fills and the reader of its value; data
+sections hold mode lines, and [acceptance] may repeat ``check_pointN = t r``.
+Unknown sections or keys are rejected, duplicate keys are reported with
+both line numbers, numbers must be finite, and ``RunSpec.validate`` does
+every range check.
 
 Mode lines in a data section look like
 
@@ -16,6 +19,7 @@ document; parse(canonical(parse(text))) is the identity.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Tuple
 
 from backwave.scenarios import RunSpec, ScenarioError
@@ -27,11 +31,8 @@ class ConfigError(ValueError):
 
 _SECTIONS = ("run", "data.F0", "data.G0", "grid", "params", "acceptance")
 
-_RUN_KEYS = {"scenario", "T", "t0", "T_list", "records"}
-_GRID_KEYS = {"h", "cfl", "l_max"}
-_PARAM_KEYS = {"gamma", "s", "M", "mu", "a", "delta", "amplitude"}
-_ACC_KEYS = {"exponent_tol", "envelope_budget", "hardy_budget", "ratio_budget",
-             "bound_factor", "envelope_window", "fit_window"}
+# data section -> RunSpec field holding its modes
+_MODE_FIELDS = {"data.F0": "f0_modes", "data.G0": "g0_modes"}
 
 _PROFILE_KEYS = {"kind", "amplitude", "width", "center", "p", "scale"}
 
@@ -69,11 +70,18 @@ def _parse_lines(text: str):
     return out
 
 
+def _to_text(_key: str, value: str, _line: int) -> str:
+    return value
+
+
 def _to_float(key: str, value: str, line: int) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(f"line {line}: {key} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"line {line}: {key} must be a finite number, got {value!r}")
+    return number
 
 
 def _to_int(key: str, value: str, line: int) -> int:
@@ -83,11 +91,39 @@ def _to_int(key: str, value: str, line: int) -> int:
     return int(number)
 
 
+def _to_floats(key: str, value: str, line: int) -> List[float]:
+    return [_to_float(key, v, line) for v in value.split()]
+
+
 def _to_pair(key: str, value: str, line: int) -> Tuple[float, float]:
     parts = value.split()
     if len(parts) != 2:
         raise ConfigError(f"line {line}: {key} takes two numbers, got {value!r}")
     return (_to_float(key, parts[0], line), _to_float(key, parts[1], line))
+
+
+# (section, key) -> (RunSpec field, reader of the value), in canonical order
+KEYS = {
+    ("run", "scenario"): ("scenario", _to_text),
+    ("run", "T"): ("T", _to_float),
+    ("run", "t0"): ("t0", _to_float),
+    ("run", "T_list"): ("T_list", _to_floats),
+    ("run", "records"): ("n_records", _to_int),
+    ("grid", "h"): ("h", _to_float),
+    ("grid", "cfl"): ("cfl", _to_float),
+    ("grid", "l_max"): ("l_max", _to_int),
+    ("params", "gamma"): ("gamma", _to_float),
+    ("params", "s"): ("s", _to_float),
+    ("params", "M"): ("mass", _to_float),
+    ("params", "mu"): ("mu", _to_float),
+    ("params", "a"): ("a", _to_float),
+    ("params", "delta"): ("delta", _to_float),
+    ("params", "amplitude"): ("amplitude", _to_float),
+    ("acceptance", "exponent_tol"): ("exponent_tol", _to_float),
+    ("acceptance", "envelope_budget"): ("envelope_budget", _to_float),
+    ("acceptance", "bound_factor"): ("bound_factor", _to_float),
+    ("acceptance", "envelope_window"): ("envelope_window", _to_pair),
+}
 
 
 def _parse_mode(key: str, value: str, line: int) -> Tuple[int, int, dict]:
@@ -115,58 +151,19 @@ def _parse_mode(key: str, value: str, line: int) -> Tuple[int, int, dict]:
 def parse_config(text: str) -> RunSpec:
     """Parse and validate a configuration document into a RunSpec."""
     spec = RunSpec()
-    f0, g0 = [], []
-    check_points: List[Tuple[float, float]] = []
     for section, key, value, line in _parse_lines(text):
-        if section in ("data.F0", "data.G0"):
-            if key.startswith("mode"):
-                (f0 if section == "data.F0" else g0).append(_parse_mode(key, value, line))
-            else:
+        if section in _MODE_FIELDS:
+            if not key.startswith("mode"):
                 raise ConfigError(f"line {line}: unknown key {key!r} in [{section}] "
                                   "(mode entries are named mode, mode1, mode2, ...)")
-            continue
-        if section == "run":
-            if key not in _RUN_KEYS:
-                raise ConfigError(f"line {line}: unknown key {key!r} in [run]")
-            if key == "scenario":
-                spec.scenario = value
-            elif key == "T":
-                spec.T = _to_float(key, value, line)
-            elif key == "t0":
-                spec.t0 = _to_float(key, value, line)
-            elif key == "T_list":
-                spec.T_list = [_to_float(key, v, line) for v in value.split()]
-            elif key == "records":
-                spec.n_records = _to_int(key, value, line)
-        elif section == "grid":
-            if key not in _GRID_KEYS:
-                raise ConfigError(f"line {line}: unknown key {key!r} in [grid]")
-            if key == "h":
-                spec.h = _to_float(key, value, line)
-            elif key == "cfl":
-                spec.cfl = _to_float(key, value, line)
-            elif key == "l_max":
-                spec.l_max = _to_int(key, value, line)
-        elif section == "params":
-            if key not in _PARAM_KEYS:
-                raise ConfigError(f"line {line}: unknown key {key!r} in [params]")
-            setattr(spec, {"M": "mass"}.get(key, key), _to_float(key, value, line))
-        elif section == "acceptance":
-            if key.startswith("check_point"):
-                check_points.append(_to_pair(key, value, line))
-                continue
-            if key not in _ACC_KEYS:
-                raise ConfigError(f"line {line}: unknown key {key!r} in [acceptance]")
-            if key == "envelope_window":
-                spec.envelope_window = _to_pair(key, value, line)
-            elif key == "fit_window":
-                spec.fit_lo, spec.fit_hi = _to_pair(key, value, line)
-            else:
-                setattr(spec, key, _to_float(key, value, line))
-    spec.f0_modes = f0
-    spec.g0_modes = g0
-    if check_points:
-        spec.check_points = check_points
+            getattr(spec, _MODE_FIELDS[section]).append(_parse_mode(key, value, line))
+        elif section == "acceptance" and key.startswith("check_point"):
+            spec.check_points.append(_to_pair(key, value, line))
+        elif (section, key) in KEYS:
+            field, read = KEYS[section, key]
+            setattr(spec, field, read(key, value, line))
+        else:
+            raise ConfigError(f"line {line}: unknown key {key!r} in [{section}]")
     try:
         spec.validate()
     except ScenarioError as exc:
@@ -175,39 +172,33 @@ def parse_config(text: str) -> RunSpec:
 
 
 def _fmt(x) -> str:
+    if isinstance(x, (list, tuple)):
+        return " ".join(_fmt(v) for v in x)
     if isinstance(x, float):
         return f"{x:.17g}"
     return str(x)
 
 
 def canonical_text(spec: RunSpec) -> str:
-    """Render a RunSpec to canonical config text (sorted, normalized)."""
-    lines = ["[run]", f"scenario = {spec.scenario}", f"T = {_fmt(spec.T)}",
-             f"t0 = {_fmt(spec.t0)}"]
-    if spec.T_list:
-        lines.append("T_list = " + " ".join(_fmt(t) for t in spec.T_list))
-    lines.append(f"records = {spec.n_records}")
-    for name, modes in (("data.F0", spec.f0_modes), ("data.G0", spec.g0_modes)):
-        if not modes:
+    """Render a RunSpec to canonical config text (sorted, normalized); an
+    empty list (no T_list) writes no line."""
+    lines = []
+    for section in _SECTIONS:
+        if section in _MODE_FIELDS:
+            modes = getattr(spec, _MODE_FIELDS[section])
+            if modes:
+                lines.append(f"[{section}]")
+            for i, (l, m, prof) in enumerate(sorted(modes, key=lambda x: (x[0], x[1])),
+                                             start=1):
+                extras = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(prof.items())
+                                  if k != "kind")
+                lines.append(f"mode{i} = l={l} m={m} kind={prof['kind']} {extras}".rstrip())
             continue
-        lines.append(f"[{name}]")
-        for i, (l, m, prof) in enumerate(sorted(modes, key=lambda x: (x[0], x[1])), start=1):
-            extras = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(prof.items()) if k != "kind")
-            lines.append(f"mode{i} = l={l} m={m} kind={prof['kind']} {extras}".rstrip())
-    lines += ["[grid]", f"h = {_fmt(spec.h)}", f"cfl = {_fmt(spec.cfl)}",
-              f"l_max = {spec.l_max}"]
-    lines += ["[params]", f"gamma = {_fmt(spec.gamma)}", f"s = {_fmt(spec.s)}",
-              f"M = {_fmt(spec.mass)}", f"mu = {_fmt(spec.mu)}", f"a = {_fmt(spec.a)}",
-              f"delta = {_fmt(spec.delta)}", f"amplitude = {_fmt(spec.amplitude)}"]
-    lines += ["[acceptance]",
-              f"exponent_tol = {_fmt(spec.exponent_tol)}",
-              f"envelope_budget = {_fmt(spec.envelope_budget)}",
-              f"hardy_budget = {_fmt(spec.hardy_budget)}",
-              f"ratio_budget = {_fmt(spec.ratio_budget)}",
-              f"bound_factor = {_fmt(spec.bound_factor)}",
-              "envelope_window = " + " ".join(_fmt(x) for x in spec.envelope_window)]
-    if spec.fit_lo is not None and spec.fit_hi is not None:
-        lines.append(f"fit_window = {_fmt(spec.fit_lo)} {_fmt(spec.fit_hi)}")
-    for i, (tc, rc) in enumerate(spec.check_points, start=1):
-        lines.append(f"check_point{i} = {_fmt(tc)} {_fmt(rc)}")
+        lines.append(f"[{section}]")
+        for (sec, key), (field, _read) in KEYS.items():
+            value = _fmt(getattr(spec, field))
+            if sec == section and value:
+                lines.append(f"{key} = {value}")
+    for i, point in enumerate(spec.check_points, start=1):
+        lines.append(f"check_point{i} = {_fmt(point)}")
     return "\n".join(lines) + "\n"

@@ -72,9 +72,9 @@ def _smooth_step_terms(x, order: int):
 
 
 def smooth_step(x, order: int = 0):
-    """sigma(x) or its derivative of the given order (0, 1 or 2)."""
-    if order not in (0, 1, 2):
-        raise ValueError(f"smooth_step derivatives available up to order 2, got {order}")
+    """sigma(x) (order 0) or its first derivative (order 1)."""
+    if order not in (0, 1):
+        raise ValueError(f"smooth_step gives orders 0 and 1 only, got {order}")
     x = np.asarray(x, dtype=float)
     out = _smooth_step_terms(np.atleast_1d(x), order)[order]
     return float(out[0]) if x.ndim == 0 else out

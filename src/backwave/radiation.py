@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -45,17 +44,6 @@ APPROXIMANTS = ("psi01", "psi_e", "dt_psi_e")
 
 class RadiationDataError(ValueError):
     """Inadmissible radiation field or approximant request."""
-
-
-@dataclass(frozen=True)
-class MassTerm:
-    """Exterior mass coefficient; psi_e = M chi_e(r-t)/r solves the wave equation for r > 0."""
-
-    M: float = 0.0
-
-    def __post_init__(self):
-        if self.M < 0 or not np.isfinite(self.M):
-            raise RadiationDataError("mass coefficient must be finite and >= 0")
 
 
 class RadiationField:
@@ -160,13 +148,13 @@ def _chi_terms(t, r):
     return (band, rb, q, br) + chi_wave_zone.terms(br / rb)
 
 
-def eval_approximant(f0: RadiationField, f1: RadiationField, mass: MassTerm,
+def eval_approximant(f0: RadiationField, f1: RadiationField, mass: float,
                      which: str, t: float, r) -> Dict[Tuple[int, int], np.ndarray]:
     """Per-mode coefficients of the requested wave-zone approximant at (t, r).
 
-    ``r`` may be an array of positive radii.  The mass term contributes only
-    to the (0, 0) slot, with coefficient M chi_e(r-t)/r sqrt(4 pi) (so the
-    physical value is M chi_e/r).
+    ``r`` may be an array of positive radii.  The exterior mass ``mass`` = M
+    contributes only to the (0, 0) slot, with coefficient
+    M chi_e(r-t)/r sqrt(4 pi) (so the physical value is M chi_e/r).
     """
     if which not in APPROXIMANTS:
         raise RadiationDataError(f"unknown approximant {which!r}; expected one of {APPROXIMANTS}")
@@ -176,10 +164,10 @@ def eval_approximant(f0: RadiationField, f1: RadiationField, mass: MassTerm,
     q = r - t
     out: Dict[Tuple[int, int], np.ndarray] = {}
     if which == "psi_e":
-        out[(0, 0)] = mass.M * chi_exterior.value(q) / r * SQRT4PI
+        out[(0, 0)] = mass * chi_exterior.value(q) / r * SQRT4PI
         return out
     if which == "dt_psi_e":
-        out[(0, 0)] = -mass.M * chi_exterior.derivative(q) / r * SQRT4PI
+        out[(0, 0)] = -mass * chi_exterior.derivative(q) / r * SQRT4PI
         return out
     band = _wave_zone_band(t, r)
     rb, qb = r[band], q[band]

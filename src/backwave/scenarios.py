@@ -32,8 +32,8 @@ audit          estimate battery: multiplier identity refinements, bulk
                space-time instance, origin decay.
 convergence    discrete-operator residual orders on exact solutions.
 
-Fit windows default to the last decade [10 t0, 100 t0] when the run is
-long enough and otherwise to the last factor-4 span; a target exponent too
+Fit windows are the last decade [10 t0, 100 t0] when the run is long
+enough and otherwise the last factor-4 span; a target exponent too
 shallow to resolve over the window (total expected change < 1.5x) degrades
 to a monotone-boundedness check, which is recorded on the item.
 """
@@ -65,8 +65,8 @@ from backwave.functionals import (FitResult, FunctionalError, FunctionalReport,
                                   morawetz_identity_audit, norm_Z_weighted,
                                   origin_decay_check, sup_envelope, w0_weight)
 from backwave.profiles import ProfileError, SampledProfile, make_profile, qbracket
-from backwave.radiation import (MassTerm, RadiationDataError, RadiationField, SQRT4PI,
-                                derive_F1, eval_approximant, eval_dt_psi01_exact,
+from backwave.radiation import (RadiationDataError, RadiationField, SQRT4PI, derive_F1,
+                                eval_approximant, eval_dt_psi01_exact,
                                 realized_decay_class, residual_box_psi01,
                                 source_norm_weighted)
 from backwave.backscatter import (SourceProfile, brute_force_phi_k, envelope_sweep,
@@ -74,6 +74,9 @@ from backwave.backscatter import (SourceProfile, brute_force_phi_k, envelope_swe
                                   source_residual_check)
 
 ModeKey = Tuple[int, int]
+
+# bound on every observed estimate constant and ratio
+RATIO_BUDGET = 10.0
 
 
 class ScenarioError(RuntimeError):
@@ -100,13 +103,9 @@ class RunSpec:
     cfl: float = 0.5
     l_max: int = 8
     n_records: int = 40
-    fit_lo: Optional[float] = None
-    fit_hi: Optional[float] = None
     amplitude: float = 0.01
     exponent_tol: float = 0.15
     envelope_budget: float = 5.0
-    hardy_budget: float = 10.0
-    ratio_budget: float = 10.0
     bound_factor: float = 5.0
     envelope_window: Tuple[float, float] = (4.0, 40.0)
     check_points: List[Tuple[float, float]] = dc_field(default_factory=list)
@@ -125,14 +124,20 @@ class RunSpec:
             raise ScenarioError(f"need T > t0 >= 1, got T={self.T}, t0={self.t0}")
         if self.h <= 0 or self.cfl <= 0 or self.cfl > 0.5 + 1e-12:
             raise ScenarioError("need h > 0 and 0 < cfl <= 0.5")
-        if self.mass < 0:
-            raise ScenarioError("mass must be >= 0")
+        for name in ("mass", "mu", "a"):
+            if getattr(self, name) < 0:
+                raise ScenarioError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.scenario == "tlimit" and len(self.T_list) < 2:
             raise ScenarioError("tlimit needs an increasing T_list of length >= 2")
         if self.T_list != sorted(self.T_list):
             raise ScenarioError("T_list must be increasing")
-        if self.mu < 0:
-            raise ScenarioError(f"mu must be >= 0, got {self.mu}")
+        if any(T <= self.t0 for T in self.T_list):
+            raise ScenarioError(f"every T_list entry must exceed t0 = {self.t0}, "
+                                f"got {self.T_list}")
+        for tc, _rc in self.check_points:
+            if tc - self.h < self.t0 or tc + self.h > self.T:
+                raise ScenarioError(f"check point t = {tc}: stencil times t -/+ h leave "
+                                    f"[t0, T] = [{self.t0}, {self.T}]")
         try:
             self.field_from(self.f0_modes)
             self.field_from(self.g0_modes)
@@ -271,8 +276,6 @@ def _max_over_min(ys: np.ndarray) -> float:
 
 
 def fit_window_for(spec: RunSpec) -> Tuple[float, float]:
-    if spec.fit_lo is not None and spec.fit_hi is not None:
-        return (spec.fit_lo, spec.fit_hi)
     if spec.T >= 100.0 * spec.t0:
         return (10.0 * spec.t0, 100.0 * spec.t0)
     return (spec.T / 4.0, spec.T)
@@ -354,10 +357,10 @@ def _minus_box_psi01_rows(f0: RadiationField, f1: RadiationField, modes: Sequenc
 
 
 def _assemble_psi(state: FieldState, f0: RadiationField, f1: RadiationField,
-                  mass: MassTerm) -> FieldState:
+                  mass: float) -> FieldState:
     """psi = v + psi01 + psi_e on the state's grid (modes extended by (0,0))."""
     modes = list(state.modes)
-    if mass.M > 0 and (0, 0) not in modes:
+    if mass > 0 and (0, 0) not in modes:
         modes = [(0, 0)] + modes
     grid = state.grid
     r_pos = grid.r[1:]
@@ -386,7 +389,6 @@ def run_homogeneous_scattering(spec: RunSpec) -> ScenarioReport:
     if f0.is_zero() and spec.mass == 0.0:
         rep.add_check("zero_data_zero_solution", True, 0.0, "no data, nothing to solve")
         return rep
-    mass = MassTerm(spec.mass)
     grid = RadialGrid.for_run(spec.h, spec.T, spec.t0)
     f1 = derive_F1(f0, q_max=grid.r_max + 2.0)
     modes = [lm for lm, _p in f0.mode_items()] or [(0, 0)]
@@ -404,7 +406,7 @@ def run_homogeneous_scattering(spec: RunSpec) -> ScenarioReport:
         src_norm.append(source_norm_weighted(f0, f1, st.t, r_pos, spec.s))
         energy_v.append(math.sqrt(energy_weighted(st)))
         conf_v.append(conformal_norm_plus(st, spec.s))
-        psi = _assemble_psi(st, f0, f1, mass)
+        psi = _assemble_psi(st, f0, f1, spec.mass)
         norm1s_psi.append(norm_Z_weighted(psi, spec.s))
         env_psi.append(sup_envelope(psi, spec.s))
         values = {
@@ -448,7 +450,7 @@ def run_homogeneous_scattering(spec: RunSpec) -> ScenarioReport:
     # observed constant of the backward weighted estimate
     states = traj.field_states()
     c_obs = backward_estimate_constant(states, spec.s, src_norm)
-    rep.add_bound("backward_estimate_constant", c_obs, spec.ratio_budget,
+    rep.add_bound("backward_estimate_constant", c_obs, RATIO_BUDGET,
                   note="||v(t0)||_{1,+,s-1} / (||v(T)|| + int source)")
     rep.provenance = _provenance(grid, [traj])
     return rep
@@ -536,7 +538,7 @@ def _sampled_modes(qs: np.ndarray, arr: np.ndarray, l_out: int) -> Dict[ModeKey,
     return modes
 
 
-def _dt_psi_modes(f0: RadiationField, f1: RadiationField, mass: MassTerm, n_in: int,
+def _dt_psi_modes(f0: RadiationField, f1: RadiationField, mass: float, n_in: int,
                   psi_modes: Sequence[ModeKey], v: np.ndarray, t: float,
                   r: np.ndarray) -> np.ndarray:
     """Mode coefficients of d_t psi at radii r, shape (n_in, r.size): the
@@ -552,7 +554,7 @@ def _dt_psi_modes(f0: RadiationField, f1: RadiationField, mass: MassTerm, n_in: 
     return block
 
 
-def _strata_sources(f0: RadiationField, f1: RadiationField, mass: MassTerm,
+def _strata_sources(f0: RadiationField, f1: RadiationField, mass: float,
                     l_out: int, q_range: Tuple[float, float]) -> Dict[int, SourceProfile]:
     """Light-cone strata n_2, n_3, n_4 of (psi0' + psi_e' + psi1')^2.
 
@@ -569,7 +571,7 @@ def _strata_sources(f0: RadiationField, f1: RadiationField, mass: MassTerm,
     f1p = np.zeros((n_in, qs.size))       # F1'
     for (l, m), prof in f0.mode_items():
         base[mode_index(l, m)] = prof.derivative(qs)
-    base[0] += mass.M * chi_exterior.derivative(qs) * SQRT4PI
+    base[0] += mass * chi_exterior.derivative(qs) * SQRT4PI
     for (l, m), prof in f1.mode_items():
         f1p[mode_index(l, m)] = prof.derivative(qs)
     to_vals, to_modes = product_closures(l_in, l_out)
@@ -578,7 +580,7 @@ def _strata_sources(f0: RadiationField, f1: RadiationField, mass: MassTerm,
     n2 = to_modes(vb * vb)
     n3 = to_modes(2.0 * vb * v1)
     n4 = to_modes(v1 * v1)
-    return {k: SourceProfile(_sampled_modes(qs, arr, l_out), a=0.0, l_max=l_out)
+    return {k: SourceProfile(_sampled_modes(qs, arr, l_out))
             for k, arr in ((2, n2), (3, n3), (4, n4))}
 
 
@@ -586,7 +588,6 @@ def run_weak_null(spec: RunSpec) -> ScenarioReport:
     rep = ScenarioReport(name="weaknull", spec=asdict(spec))
     f0 = spec.field_from(spec.f0_modes)
     g0 = spec.field_from(spec.g0_modes)
-    mass = MassTerm(spec.mass)
     l_psi = max([l for (l, _m) in f0.modes] + [0])
     l_w = min(spec.l_max, 2 * l_psi)
     l_w = max(l_w, max([l for (l, _m) in g0.modes] + [0]))
@@ -601,7 +602,7 @@ def run_weak_null(spec: RunSpec) -> ScenarioReport:
     f1 = derive_F1(f0, q_max=grid.r_max + 2.0)
     g1 = derive_F1(g0, q_max=grid.r_max + 2.0)
     r_pos = grid.r[1:]
-    strata = _strata_sources(f0, f1, mass, l_w,
+    strata = _strata_sources(f0, f1, spec.mass, l_w,
                              q_range=(-(spec.T + 10.0), 0.25 * grid.r_max + 10.0))
     to_vals, to_modes = product_closures(max(l_psi, 1), l_w)
     n_in = mode_count(max(l_psi, 1))
@@ -624,7 +625,7 @@ def run_weak_null(spec: RunSpec) -> ScenarioReport:
     def w_source(t: float, views) -> Dict[str, np.ndarray]:
         # d_t psi, exact at substage times: remainder + approximant derivatives
         block = np.zeros((n_in, grid.J + 1))
-        block[:, 1:] = _dt_psi_modes(f0, f1, mass, n_in, psi_modes, views["vpsi"].v[:, 1:],
+        block[:, 1:] = _dt_psi_modes(f0, f1, spec.mass, n_in, psi_modes, views["vpsi"].v[:, 1:],
                                      t, r_pos)
         vals = to_vals(block)                       # pointwise d_t psi
         sq = to_modes(vals * vals)                  # modes of (d_t psi)^2
@@ -668,7 +669,7 @@ def run_weak_null(spec: RunSpec) -> ScenarioReport:
                       note=f"max/min of <t+r><t-r>^(s-1/2)|w| over t in [{wlo:g},{whi:g}]")
 
     if spec.check_points:
-        res = _weaknull_crosscheck(spec, traj, f0, f1, g0, g1, mass, strata, w_modes,
+        res = _weaknull_crosscheck(spec, traj, f0, f1, g0, g1, strata, w_modes,
                                    psi_modes, grid)
         rep.add_bound("interior_box_crosscheck", res, 1e-2,
                       note="max rel |discrete box phi - (d_t psi)^2| at check points")
@@ -676,7 +677,7 @@ def run_weak_null(spec: RunSpec) -> ScenarioReport:
     return rep
 
 
-def _weaknull_crosscheck(spec, traj, f0, f1, g0, g1, mass, strata, w_modes,
+def _weaknull_crosscheck(spec, traj, f0, f1, g0, g1, strata, w_modes,
                          psi_modes, grid) -> float:
     """Discrete box of the assembled phi = w + varphi01 + phi01 against the
     quadratic source, at the configured check points."""
@@ -697,7 +698,7 @@ def _weaknull_crosscheck(spec, traj, f0, f1, g0, g1, mass, strata, w_modes,
             for i, lm in enumerate(w_modes):
                 out[i] -= cm.get(lm, 0.0)
         if not g0.is_zero():
-            p01 = eval_approximant(g0, g1, MassTerm(0.0), "psi01", t, np.asarray([r]))
+            p01 = eval_approximant(g0, g1, 0.0, "psi01", t, np.asarray([r]))
             for i, lm in enumerate(w_modes):
                 if lm in p01:
                     out[i] += float(p01[lm][0])
@@ -714,7 +715,7 @@ def _weaknull_crosscheck(spec, traj, f0, f1, g0, g1, mass, strata, w_modes,
         cr = {dr: phi_mode_coeffs(tc, grid.r[jc + dr]) for dr in (-1, 1)}
         # (d_t psi)^2 modes at the check point
         stp = traj.state_at(tc, "vpsi")
-        vals = to_vals(_dt_psi_modes(f0, f1, mass, mode_count(max(l_psi, 1)), psi_modes,
+        vals = to_vals(_dt_psi_modes(f0, f1, spec.mass, mode_count(max(l_psi, 1)), psi_modes,
                                      stp.v[:, jc:jc + 1], tc, np.asarray([rc_snap])))
         sq = to_modes(vals * vals)
         for i, lm in enumerate(w_modes):
@@ -837,8 +838,7 @@ def _news_source(spec: RunSpec, f0: RadiationField) -> SourceProfile:
         block[mode_index(l, m)] = prof.derivative(qs)
     to_vals, to_modes = product_closures(max(l_in, 1), l_out)
     vals = to_vals(block)
-    return SourceProfile(_sampled_modes(qs, to_modes(vals * vals), l_out), a=spec.a,
-                         l_max=l_out)
+    return SourceProfile(_sampled_modes(qs, to_modes(vals * vals), l_out))
 
 
 def run_backscatter_audit(spec: RunSpec) -> ScenarioReport:
@@ -872,7 +872,7 @@ def run_backscatter_audit(spec: RunSpec) -> ScenarioReport:
     sweeps = {k: envelope_sweep(n, k, sweep, omega, spec.a, q_tol) for k in (2, 3, 4)}
     for k, out in sweeps.items():
         rep.add_bound(f"envelope_k{k}", float(np.max(out["envelope"])) / max(norm, 1e-300),
-                      spec.ratio_budget,
+                      RATIO_BUDGET,
                       note=f"sup envelope / ||n|| along t=r+5 (values {np.round(out['envelope'], 4).tolist()})")
         for tt, rr, val, env, lead in zip(out["t"], out["r"], out["value"], out["envelope"],
                                           leads):
@@ -889,7 +889,7 @@ def run_backscatter_audit(spec: RunSpec) -> ScenarioReport:
         rem.append(abs(full - lead) * math.sqrt(1.0 + (t + r) ** 2)
                    * (1.0 + qp * qp) ** (0.5 * spec.a))
     rep.add_bound("phi2_asymptotic_remainder", float(np.max(rem)) / max(norm, 1e-300),
-                  spec.ratio_budget,
+                  RATIO_BUDGET,
                   note="|phi2 - leading| <t+r> <q+>^a / ||n|| along the sweep")
 
     # wave-operator residuals for all three kernels
@@ -958,11 +958,11 @@ def run_audit_battery(spec: RunSpec) -> ScenarioReport:
                 ratios["radial"].append(hc["ratio_radial"])
                 ratios["ks"].append(ks_pointwise_check(stt, s)["constant"])
         for tag in ("zeroth", "radial"):
-            rep.add_bound(f"hardy_{tag}_s{s:g}", max(ratios[tag]), spec.hardy_budget)
+            rep.add_bound(f"hardy_{tag}_s{s:g}", max(ratios[tag]), RATIO_BUDGET)
             drift = max(ratios[tag]) / max(min(ratios[tag]), 1e-300)
             rep.add_bound(f"hardy_{tag}_drift_s{s:g}", drift, 2.0,
                           note="max/min across states and refinements")
-        rep.add_bound(f"ks_constant_s{s:g}", max(ratios["ks"]), spec.hardy_budget)
+        rep.add_bound(f"ks_constant_s{s:g}", max(ratios["ks"]), RATIO_BUDGET)
         rep.add_bound(f"ks_drift_s{s:g}", max(ratios["ks"]) / max(min(ratios["ks"]), 1e-300),
                       2.0)
 
@@ -971,7 +971,7 @@ def run_audit_battery(spec: RunSpec) -> ScenarioReport:
     st = FieldState(T, grid, [(1, 0)])
     trajs.append(solve_backward(st, bump_src, T, t1, [t1], record_every_step=True))
     inst = cor_weighted_spacetime_instance(trajs[-1], spec.gamma, spec.mu, source=bump_src)
-    rep.add_bound("weighted_spacetime_ratio", inst["ratio"], spec.ratio_budget,
+    rep.add_bound("weighted_spacetime_ratio", inst["ratio"], RATIO_BUDGET,
                   note=f"bulk={inst['bulk']:.3e} cone={inst['cone']:.3e}")
 
     # origin decay: sourced run, origin series and origin-cone fluxes per step
@@ -986,7 +986,7 @@ def run_audit_battery(spec: RunSpec) -> ScenarioReport:
     odc = origin_decay_check(trajs[-1], spec.gamma, origin_src)
     good = odc["cone_bound"] > 1e-12
     worst = float(np.max(odc["ratio"][good])) if np.any(good) else 0.0
-    rep.add_bound("origin_decay_ratio", worst, spec.ratio_budget,
+    rep.add_bound("origin_decay_ratio", worst, RATIO_BUDGET,
                   note="t^(1+gamma)|phi(t,0)| / weighted cone flux bound")
     rep.provenance = _provenance(grid, trajs)
     return rep

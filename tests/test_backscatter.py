@@ -17,16 +17,15 @@ BUMP = make_profile({"kind": "compact-bump", "amplitude": 0.5, "width": 2.0, "ce
 
 
 def monopole(amplitude=1.0):
-    return SourceProfile({(0, 0): make_profile({"kind": "gaussian", "amplitude": amplitude})},
-                         a=0.0)
+    return SourceProfile({(0, 0): make_profile({"kind": "gaussian", "amplitude": amplitude})})
 
 
 def axisym():
-    return SourceProfile({(0, 0): GAUSS, (2, 0): BUMP}, a=0.0)
+    return SourceProfile({(0, 0): GAUSS, (2, 0): BUMP})
 
 
 def test_zero_source():
-    n = SourceProfile({}, a=0.0)
+    n = SourceProfile({})
     assert phi_k(n, 2, 10.0, 8.0, OMEGA, KQ) == 0.0
     assert n_norm(n, 0.0) == 0.0
     assert phi2_asymptotic(n, 10.0, 8.0, OMEGA) == 0.0
@@ -128,7 +127,7 @@ def test_n_norm_quadrature_oracle():
 
 def test_n_norm_monotone_in_a():
     n = SourceProfile({(0, 0): make_profile({"kind": "compact-bump", "amplitude": 1.0,
-                                             "width": 1.0, "center": 2.0})}, a=0.0)
+                                             "width": 1.0, "center": 2.0})})
     assert n_norm(n, 1.0) >= n_norm(n, 0.0)
 
 
@@ -172,7 +171,7 @@ def test_source_residual_improves_under_refinement():
 
 
 def test_source_residual_zero_source():
-    out = source_residual_check(SourceProfile({}, a=0.0), 2, [(12.0, 11.0)], h=0.1, q_tol=KQ)
+    out = source_residual_check(SourceProfile({}), 2, [(12.0, 11.0)], h=0.1, q_tol=KQ)
     assert out["max_rel_residual"] == 0.0
 
 
@@ -191,5 +190,3 @@ def test_quadrature_spec_validation():
     for q_tol in (-1e-9, 0.0):
         with pytest.raises(BackscatterError):
             phi_k_modes(monopole(), 2, 40.0, 30.0, q_tol)
-    with pytest.raises(BackscatterError):
-        SourceProfile({(0, 0): GAUSS}, a=-1.0)

@@ -1,11 +1,13 @@
 import json
 import os
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from backwave.cli import main
-from backwave.config import ConfigError, canonical_text, parse_config
+from backwave.config import KEYS, ConfigError, canonical_text, parse_config
 from backwave.outputs import write_bundle, write_series_csv
 from backwave.scenarios import FunctionalReport, ReportItem, ScenarioReport
 
@@ -200,7 +202,14 @@ s = 1.2
     ("homogeneous", "records = 40", "records = 40.5"),
     ("homogeneous", "bound_factor = 5", "bound_factor = 5\ncheck_point1 = 25.0 x"),
     ("homogeneous", "bound_factor = 5", "bound_factor = 5\nenvelope_window = 4"),
-    ("homogeneous", "bound_factor = 5", "bound_factor = 5\nfit_window = 10 20 30"),
+    ("homogeneous", "bound_factor = 5", "bound_factor = 5\nenvelope_window = 10 20 30"),
+    ("homogeneous", "T = 80", "T = inf"),
+    ("homogeneous", "M = 0.25", "M = nan"),
+    ("homogeneous", "exponent_tol = 0.15", "exponent_tol = nan"),
+    ("weaknull", "bound_factor = 5", "bound_factor = 5\ncheck_point1 = 80 24"),  # t + h > T
+    ("weaknull", "bound_factor = 5", "bound_factor = 5\ncheck_point1 = 2.1 24"),  # t - h < t0
+    ("tlimit", "t0 = 2", "t0 = 2\nT_list = 1.5 40 80"),                         # 1.5 <= t0
+    ("backscatter", "M = 0.25", "M = 0.25\na = -1"),
 ])
 def test_cli_bad_data_is_config_error_before_any_solve(tmp_path, monkeypatch, command, old,
                                                        new):
@@ -213,6 +222,23 @@ def test_cli_bad_data_is_config_error_before_any_solve(tmp_path, monkeypatch, co
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text.replace(old, new))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x"), "--quiet"]) == 2
+
+
+def test_readme_lists_exactly_the_config_keys():
+    # the README's configuration block names, per section, the keys of the
+    # one key table; [acceptance] also lists the repeated check_pointN lines
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## Configuration format")[1]
+    block = block.split("```")[1]
+    listed, section = {}, None
+    for line in block.strip().splitlines():
+        if line.startswith("["):
+            section, line = line[1:].split("]", 1)
+        listed[section] = listed.get(section, "") + "," + re.sub(r"\([^)]*\)", "", line)
+    readme_keys = {(sec, item.split()[0].split("=")[0])
+                   for sec, text in listed.items() if not sec.startswith("data.")
+                   for item in text.split(",") if item.strip()}
+    assert readme_keys == set(KEYS) | {("acceptance", "check_pointN")}
 
 
 def test_cli_runtime_error_exit_three(tmp_path, monkeypatch):

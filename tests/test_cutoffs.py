@@ -50,6 +50,8 @@ def test_smooth_step_endpoints_flat():
     for x in (1e-4, 1.0 - 1e-4):
         assert abs(smooth_step(x, order=1)) < 1e-3 or x > 0.5
     assert smooth_step(0.0) == 0.0 and smooth_step(1.0) == 1.0
+    with pytest.raises(ValueError):
+        smooth_step(0.5, order=2)            # Cutoff.terms gives the second derivative
     assert smooth_step(0.5) == pytest.approx(0.5, abs=1e-15)
 
 

@@ -7,7 +7,7 @@ from scipy.special import erf
 from backwave.cutoffs import chi_exterior
 from backwave.engine import RadialGrid, discrete_box_field
 from backwave.profiles import SampledProfile, make_profile
-from backwave.radiation import (MassTerm, RadiationDataError, RadiationField,
+from backwave.radiation import (RadiationDataError, RadiationField,
                                 SQRT4PI, derive_F1, eval_approximant,
                                 eval_dt_psi01_exact, realized_decay_class,
                                 residual_box_psi01)
@@ -121,7 +121,7 @@ def test_realized_class_tailless_f1_is_none():
 def test_approximant_outside_wave_zone_vanishes():
     f0 = gaussian_field(lm=(0, 0))
     f1 = derive_F1(f0, q_max=64.0)
-    out = eval_approximant(f0, f1, MassTerm(0.0), "psi01", 10.0, np.array([1.0]))
+    out = eval_approximant(f0, f1, 0.0, "psi01", 10.0, np.array([1.0]))
     assert np.all(out[(0, 0)] == 0.0)
 
 
@@ -131,7 +131,7 @@ def test_psi01_support_invariant():
     f1 = derive_F1(f0, q_max=64.0)
     t = 20.0
     r = np.linspace(0.5, 120.0, 1200)
-    vals = eval_approximant(f0, f1, MassTerm(0.0), "psi01", t, r)[(2, 0)]
+    vals = eval_approximant(f0, f1, 0.0, "psi01", t, r)[(2, 0)]
     outside = np.sqrt(1 + (t - r) ** 2) / r >= 0.25
     assert np.all(vals[outside] == 0.0)
 
@@ -140,14 +140,14 @@ def test_cutoff_plateau_value():
     f0 = gaussian_field(lm=(0, 0))
     f1 = derive_F1(f0, q_max=64.0)
     # l = 0 data has no second-order field, so psi01 is F0(r-t)/r chi
-    out = eval_approximant(f0, f1, MassTerm(0.0), "psi01", 100.0, np.array([100.0]))
+    out = eval_approximant(f0, f1, 0.0, "psi01", 100.0, np.array([100.0]))
     assert out[(0, 0)][0] == pytest.approx(1.0 / 100.0, rel=1e-14)
 
 
 def test_mass_term_physical_value():
     f0 = gaussian_field()
     f1 = derive_F1(f0, q_max=64.0)
-    out = eval_approximant(f0, f1, MassTerm(2.0), "psi_e", 0.0, np.array([5.0]))
+    out = eval_approximant(f0, f1, 2.0, "psi_e", 0.0, np.array([5.0]))
     # physical value = mode coefficient * Y00
     assert out[(0, 0)][0] / SQRT4PI == pytest.approx(2.0 / 5.0, rel=1e-14)
 
@@ -156,9 +156,9 @@ def test_approximant_rejects_origin():
     f0 = gaussian_field(lm=(0, 0))
     f1 = derive_F1(f0, q_max=64.0)
     with pytest.raises(RadiationDataError):
-        eval_approximant(f0, f1, MassTerm(0.0), "psi01", 1.0, np.array([0.0]))
+        eval_approximant(f0, f1, 0.0, "psi01", 1.0, np.array([0.0]))
     with pytest.raises(RadiationDataError):
-        eval_approximant(f0, f1, MassTerm(0.0), "nope", 1.0, np.array([1.0]))
+        eval_approximant(f0, f1, 0.0, "nope", 1.0, np.array([1.0]))
 
 
 def test_dt_psi01_matches_time_difference():
@@ -166,8 +166,8 @@ def test_dt_psi01_matches_time_difference():
     f1 = derive_F1(f0, q_max=64.0)
     r = np.linspace(5.0, 30.0, 40)
     t, eps = 12.0, 1e-6
-    up = eval_approximant(f0, f1, MassTerm(0.0), "psi01", t + eps, r)[(2, 0)]
-    dn = eval_approximant(f0, f1, MassTerm(0.0), "psi01", t - eps, r)[(2, 0)]
+    up = eval_approximant(f0, f1, 0.0, "psi01", t + eps, r)[(2, 0)]
+    dn = eval_approximant(f0, f1, 0.0, "psi01", t - eps, r)[(2, 0)]
     fd = (up - dn) / (2 * eps)
     an = eval_dt_psi01_exact(f0, f1, t, r)[(2, 0)]
     assert np.max(np.abs(fd - an)) < 1e-6
@@ -195,7 +195,7 @@ def test_residual_matches_discrete_operator():
         grid = RadialGrid(h=h, J=int(round(40.0 / h)))
 
         def u_of(tt):
-            modes = eval_approximant(f0, f1, MassTerm(0.0), "psi01", tt, grid.r[1:])
+            modes = eval_approximant(f0, f1, 0.0, "psi01", tt, grid.r[1:])
             out = np.zeros(grid.J + 1)
             out[1:] = modes[(2, 0)] * grid.r[1:]
             return out
@@ -233,7 +233,7 @@ def test_banded_evaluation_equals_pointwise_and_vanishes_off_band():
     for t in (2.0, 12.0, 20.0):
         off = np.sqrt(1.0 + (r - t) ** 2) / r >= 0.25
         for fn in (residual_box_psi01, eval_dt_psi01_exact,
-                   lambda f0, f1, t, r: eval_approximant(f0, f1, MassTerm(0.0), "psi01", t, r)):
+                   lambda f0, f1, t, r: eval_approximant(f0, f1, 0.0, "psi01", t, r)):
             full = fn(f0, f1, t, r)
             for lm, vals in full.items():
                 point = np.array([fn(f0, f1, t, r[i:i + 1])[lm][0] for i in range(r.size)])
