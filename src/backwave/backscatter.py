@@ -42,6 +42,7 @@ it is the arbiter for the printed kernels.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, List, Sequence, Tuple
 
@@ -94,13 +95,7 @@ def _legendre_all(l_max: int, mu: np.ndarray) -> np.ndarray:
     return out
 
 
-_GL_CACHE: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl(n: int):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+_gl = functools.lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 
 
 # lam-nodes per array pass of _mu_integrals; caps the run's peak memory

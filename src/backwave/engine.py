@@ -19,9 +19,9 @@ Dirichlet justified by finite-speed containment, which is monitored: a
 solve aborts once |u| on the last four grid points exceeds BREACH_TOL = 1e-9
 times the largest |u| seen so far.
 
-On request (``record_every_step``) a solve also keeps the state of every
-field after every step; the identity audit, the weighted space-time
-instance and the origin decay check of ``functionals`` read that record.
+The engine only marches and keeps the states at the record times; an
+optional ``on_step`` observer (cone fluxes, per-step states: see
+``functionals``) sees every field at t = T and after every step.
 
 Several fields can be co-evolved as one system so that coupled sources
 (e.g. a quadratic coupling to another field's time derivative) see exact
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -109,26 +109,12 @@ class FieldState:
 
 
 @dataclass
-class ConeSpec:
-    """Outgoing cone t - r = t2 - R; flux weighted by <t+r>^2s / <t-r>^2s."""
-
-    s: float
-    R: float
-    t2: float
-
-    def name(self) -> str:
-        return f"s{self.s:g}_R{self.R:g}"
-
-
-@dataclass
 class Trajectory:
     grid: RadialGrid
     record_times: List[float]
     states: Dict[str, List[FieldState]]
-    cone_history: Dict[str, List[float]] = dc_field(default_factory=dict)
-    dense: Dict[str, List[FieldState]] = dc_field(default_factory=dict)  # every step, in march order
-    dt_max: float = 0.0
-    steps: int = 0
+    dt_max: float
+    steps: int
 
     def field_states(self, name: str = None) -> List[FieldState]:
         if name is None:
@@ -148,29 +134,6 @@ def stable_dt(h: float, l_max: int, cfl: float) -> float:
     return min(cfl * h, RK4_IMAG_LIMIT * h / math.sqrt(4.0 + l_max * (l_max + 1.0)))
 
 
-def cone_foot(foot: float, h: float, *rows: np.ndarray):
-    """Per-mode arrays of shape (n_modes, J+1) linearly interpolated to r = foot.
-
-    Returns ``(lam, values)``, one interpolated column per array.  The cell
-    index is clamped to J-1, so a foot in the last cell [(J-1)h, Jh)
-    interpolates within it and 0 <= lam < 1 on [0, Jh).
-    """
-    j = min(int(foot / h), rows[0].shape[-1] - 2)
-    lam = foot / h - j
-    return lam, [(1.0 - lam) * a[:, j] + lam * a[:, j + 1] for a in rows]
-
-
-def conformal_flux_at(t: float, foot: float, s: float, h: float,
-                      u: np.ndarray, lu: np.ndarray, ll1: np.ndarray) -> float:
-    """Flux integrand of the conformal identity at r = foot, summed over modes:
-    <t+r>^2s |L(r phi)|^2 + <t-r>^2s |slashed-nabla(r phi)|^2 per unit solid
-    angle and time, from u = r phi and lu = L u."""
-    _lam, (u_f, lu_f) = cone_foot(foot, h, u, lu)
-    fp = (1.0 + (t + foot) ** 2) ** s
-    fm = (1.0 + (t - foot) ** 2) ** s
-    return float(np.sum(fp * lu_f**2 + fm * ll1 * u_f**2 / foot**2))
-
-
 def acceleration(u: np.ndarray, s: Optional[np.ndarray], pot: np.ndarray,
                  rint: np.ndarray, h: float) -> np.ndarray:
     """d_t v = d_r^2 u - l(l+1) u / r^2 - r S per mode, zero at both ends;
@@ -184,15 +147,6 @@ def acceleration(u: np.ndarray, s: Optional[np.ndarray], pot: np.ndarray,
     return dv
 
 
-def _null_derivative(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
-    """b + d_r a per mode (L a when b = d_t a), one-sided at r = 0."""
-    ar = np.empty_like(a)
-    ar[:, 1:-1] = (a[:, 2:] - a[:, :-2]) / (2.0 * h)
-    ar[:, 0] = a[:, 1] / h
-    ar[:, -1] = 0.0
-    return b + ar
-
-
 def solve_backward_system(
     fields: Dict[str, FieldState],
     source: Optional[Callable],
@@ -200,8 +154,7 @@ def solve_backward_system(
     t0: float,
     record_times: Sequence[float],
     cfl: float = 0.5,
-    cone_specs: Sequence[ConeSpec] = (),
-    record_every_step: bool = False,
+    on_step: Optional[Callable] = None,
 ) -> Trajectory:
     """March the coupled per-mode system from t = T down to t = t0.
 
@@ -209,9 +162,11 @@ def solve_backward_system(
     shape (n_modes, J+1), the right-hand side of box phi = S; omitted fields
     get zero source.  ``views[name]`` has the stage's t, grid, modes, u and
     v.  Record times are hit exactly (segment-wise uniform dt below the
-    stability limit).  Cone fluxes are accumulated per step by
-    linear interpolation to the cone foot.  ``record_every_step`` keeps
-    every field's state after every step in ``Trajectory.dense``.
+    stability limit).  ``on_step(t, views)``, when given, is called with
+    the same kind of views at t = T and after every step, in march order;
+    t is the step's own time, before a segment end snaps it to the record
+    time.  The views hold the march's own arrays, which the engine never
+    writes after the call and the observer must not write at all.
     """
     names = list(fields)
     if not names:
@@ -236,13 +191,15 @@ def solve_backward_system(
 
     u = {n: fields[n].u.copy() for n in names}
     v = {n: fields[n].v.copy() for n in names}
-    ll1 = {n: fields[n].ell * (fields[n].ell + 1.0) for n in names}
-    pot = {n: np.outer(ll1[n], 1.0 / rint**2) for n in names}
+    pot = {n: np.outer(fields[n].ell * (fields[n].ell + 1.0), 1.0 / rint**2) for n in names}
     modes = {n: fields[n].modes for n in names}
 
+    def views(t, uu, vv):
+        return {n: SimpleNamespace(t=t, grid=grid, modes=modes[n], u=uu[n], v=vv[n])
+                for n in names}
+
     def rhs(t, uu, vv):
-        src = source(t, {n: SimpleNamespace(t=t, grid=grid, modes=modes[n], u=uu[n], v=vv[n])
-                         for n in names}) if source else {}
+        src = source(t, views(t, uu, vv)) if source else {}
         return dict(vv), {n: acceleration(uu[n], src.get(n), pot[n], rint, h) for n in names}
 
     def stage(t, c, ku, kv):
@@ -250,37 +207,17 @@ def solve_backward_system(
         return rhs(t - c, {n: u[n] - c * ku[n] for n in names},
                    {n: v[n] - c * kv[n] for n in names})
 
-    # accumulators
-    cone_vals = {c.name(): 0.0 for c in cone_specs}
-    cone_prev = {c.name(): None for c in cone_specs}
-    first = names[0]      # the field whose cone fluxes are accumulated
-    dense: Dict[str, List[FieldState]] = {n: [] for n in names} if record_every_step else {}
-
     recorded: Dict[str, List[FieldState]] = {n: [] for n in names}
     scale_seen = max(max(float(np.max(np.abs(u[n]))) for n in names), 1e-30)
 
-    def cone_integrand(c: ConeSpec, t, uu, vv):
-        foot = c.R - (c.t2 - t)
-        if foot <= h or foot >= grid.r_max - h:
-            return None
-        un = uu[first]
-        return conformal_flux_at(t, foot, c.s, h, un, _null_derivative(un, vv[first], h),
-                                 ll1[first])
-
-    def take_accumulations(t, uu, vv):
+    def after_step(t):
+        """The observer, then the containment monitor."""
         nonlocal scale_seen
-        for c in cone_specs:
-            val = cone_integrand(c, t, uu, vv)
-            key = c.name()
-            if val is not None and cone_prev[key] is not None:
-                cone_vals[key] += 0.5 * (val + cone_prev[key][1]) * (cone_prev[key][0] - t)
-            cone_prev[key] = (t, val) if val is not None else None
-        for n in dense:
-            dense[n].append(FieldState(t, grid, modes[n], uu[n], vv[n]))
-        # containment monitor
+        if on_step is not None:
+            on_step(t, views(t, u, v))
         for n in names:
-            edge = float(np.max(np.abs(uu[n][:, -4:])))
-            scale_seen = max(scale_seen, float(np.max(np.abs(uu[n]))))
+            edge = float(np.max(np.abs(u[n][:, -4:])))
+            scale_seen = max(scale_seen, float(np.max(np.abs(u[n]))))
             if edge > BREACH_TOL * scale_seen:
                 raise ContainmentError(
                     f"support reached outer boundary at t={t:.6g} in field {n!r} "
@@ -290,12 +227,9 @@ def solve_backward_system(
     t_now = float(T)
     step_count = 0
     dt_used = 0.0
-    cone_hist = {c.name(): [] for c in cone_specs}
-    take_accumulations(t_now, u, v)
+    after_step(t_now)
     for n in names:
         recorded[n].append(FieldState(t_now, grid, modes[n], u[n], v[n]))
-    for key in cone_hist:
-        cone_hist[key].append(cone_vals[key])
 
     for t_next in times[1:]:
         span = t_now - t_next
@@ -316,22 +250,13 @@ def solve_backward_system(
                 v[n][:, -1] = 0.0
             t_now -= dt
             step_count += 1
-            take_accumulations(t_now, u, v)
+            after_step(t_now)
         t_now = t_next  # kill accumulated roundoff in t
         for n in names:
             recorded[n].append(FieldState(t_now, grid, modes[n], u[n], v[n]))
-        for key in cone_hist:
-            cone_hist[key].append(cone_vals[key])
 
-    return Trajectory(
-        grid=grid,
-        record_times=times,
-        states=recorded,
-        cone_history=cone_hist,
-        dense=dense,
-        dt_max=dt_used,
-        steps=step_count,
-    )
+    return Trajectory(grid=grid, record_times=times, states=recorded,
+                      dt_max=dt_used, steps=step_count)
 
 
 def solve_backward(data_at_T: FieldState, source, T: float, t0: float,

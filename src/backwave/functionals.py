@@ -26,6 +26,12 @@ The conformal multiplier machinery uses f(v) = <v>^(2s):
   so the check is meaningful at the 1e-12 level.
 * the two weighted Hardy inequalities controlling the zeroth-order terms.
 
+Measurements along a solve are ``on_step`` observers of the march:
+:class:`ConeFlux` (one cone's flux) and :class:`StepStates` (every step's
+state, for the identity audit, space-time instance and origin decay check).
+Code run inside a solve is private, since the benchmark's tracer times the
+public functions of this module as post-solve work.
+
 The first-order commuting-field norm ||phi||_{1,s-1} is realized as a
 documented surrogate: identity, d_t and scaling exactly per mode, rotations
 through the spectral l(l+1) weights, and boosts majorized by
@@ -43,8 +49,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from backwave.angular import angular_grid, ylm_at, mode_index
-from backwave.engine import (FieldState, Trajectory, acceleration, cone_foot,
-                             conformal_flux_at)
+from backwave.engine import FieldState, Trajectory, acceleration
 
 
 class FunctionalError(RuntimeError):
@@ -126,17 +131,25 @@ def mode_fields(state: FieldState) -> ModeFields:
     )
 
 
+def _cone_foot(foot: float, h: float, *rows: np.ndarray):
+    """Arrays on the grid r_j = j h (last axis) linearly interpolated to
+    r = foot.  Returns ``(j, lam, values)``: the cell [j h, (j+1) h] holding
+    the foot, the fraction lam across it and one column per array.  j is
+    clamped to J-1, so 0 <= lam < 1 on [0, Jh)."""
+    j = min(int(foot / h), rows[0].shape[-1] - 2)
+    lam = foot / h - j
+    return j, lam, [(1.0 - lam) * a[..., j] + lam * a[..., j + 1] for a in rows]
+
+
 def _trapz_to(vals: np.ndarray, r: np.ndarray, R: float) -> np.ndarray:
     """Trapezoid of vals(r) over [0, R] along the last axis, with a linear
     partial cell at the truncation radius."""
     h = r[1] - r[0]
     if R >= r[-1]:
         return np.trapezoid(vals, r, axis=-1)
-    j = int(R / h)
-    lam = R / h - j
+    j, lam, (v_end,) = _cone_foot(R, h, vals)
     full = np.trapezoid(vals[..., : j + 1], r[: j + 1], axis=-1)
-    if lam > 1e-14 and j + 1 < r.size:
-        v_end = (1.0 - lam) * vals[..., j] + lam * vals[..., j + 1]
+    if lam > 1e-14:
         full = full + 0.5 * (vals[..., j] + v_end) * (R - r[j])
     return full
 
@@ -202,29 +215,88 @@ def r_dr_omega(t: float, r: np.ndarray, s: float) -> np.ndarray:
     return _fprime_sum(t, r, s) - _f_diff_over_r(t, r, s)
 
 
-def _per_step(traj: Trajectory, what: str) -> List[FieldState]:
-    """The first field's per-step states, in march order (descending t)."""
-    if not traj.dense:
-        raise FunctionalError(f"{what} needs a trajectory solved with record_every_step=True")
-    return next(iter(traj.dense.values()))
+# ---------------------------------------------------------------------------
+# observers along the march
+# ---------------------------------------------------------------------------
+
+def _conformal_flux_at(t: float, foot: float, s: float, h: float,
+                       u: np.ndarray, lu: np.ndarray, ll1: np.ndarray) -> float:
+    """Flux integrand of the conformal identity at r = foot, summed over modes:
+    <t+r>^2s |L(r phi)|^2 + <t-r>^2s |slashed-nabla(r phi)|^2 per unit solid
+    angle and time, from u = r phi and lu = L u."""
+    _j, _lam, (u_f, lu_f) = _cone_foot(foot, h, u, lu)
+    fp = (1.0 + (t + foot) ** 2) ** s
+    fm = (1.0 + (t - foot) ** 2) ** s
+    return float(np.sum(fp * lu_f**2 + fm * ll1 * u_f**2 / foot**2))
 
 
-def morawetz_identity_audit(traj: Trajectory, s: float, R: float,
+def _march_trapezoid(ts: Sequence[float], vals: Sequence[Optional[float]]) -> List[float]:
+    """Running trapezoid sum of vals(t) along the march (t descending), one
+    total per sample.  A None value (cone foot off the grid) adds no cell on
+    either side of it."""
+    totals, total, prev = [], 0.0, None
+    for t, val in zip(ts, vals):
+        if val is not None and prev is not None:
+            total += 0.5 * (val + prev[1]) * (prev[0] - t)
+        prev = None if val is None else (t, val)
+        totals.append(total)
+    return totals
+
+
+class ConeFlux:
+    """``on_step`` observer: the conformal flux of the first field through
+    the outgoing cone t - r = t2 - R, integrated along the march from t2
+    down.  ``name`` is its series column."""
+
+    def __init__(self, s: float, R: float, t2: float):
+        self.s, self.R, self.t2 = s, R, t2
+        self.name = f"flux_s{s:g}_R{R:g}"
+        self.ts, self.vals = [], []
+
+    def __call__(self, t: float, views) -> None:
+        view = next(iter(views.values()))
+        h = view.grid.h
+        foot = self.R - (self.t2 - t)
+        val = None
+        if h < foot < view.grid.r_max - h:
+            ell = np.array([l for (l, _m) in view.modes], dtype=float)
+            lu = view.v + _radial_deriv(view.u, ell, h)
+            val = _conformal_flux_at(t, foot, self.s, h, view.u, lu, ell * (ell + 1.0))
+        self.ts.append(t)
+        self.vals.append(val)
+
+    def totals_at(self, times: Sequence[float]) -> List[float]:
+        """The flux accumulated down to each time, read at the step nearest it."""
+        totals = _march_trapezoid(self.ts, self.vals)
+        ts = np.asarray(self.ts)
+        return [totals[int(np.argmin(np.abs(ts - t)))] for t in times]
+
+
+class StepStates(list):
+    """``on_step`` observer: the list of the first field's states at t = T and
+    after every step, in march order (descending t)."""
+
+    def __call__(self, t: float, views) -> None:
+        view = next(iter(views.values()))
+        self.append(FieldState(t, view.grid, view.modes, view.u, view.v))
+
+
+def morawetz_identity_audit(steps: Sequence[FieldState], s: float, R: float,
                             source: Optional[Callable]) -> Dict[str, float]:
     """Signed relative residual of the conformal multiplier identity between
-    the first and last steps of the first field.
+    the first and last steps of a solve.
 
-    Requires a trajectory solved with ``record_every_step=True``.  ``source``
-    is the same box-side callback handed to the solver (None for a free
-    wave); it is re-evaluated on the stored slices for the bulk term.
-    Returns a dict with the residual and both sides.
+    ``steps`` are the states a :class:`StepStates` observer kept, in march
+    order.  ``source`` is the same box-side callback handed to the solver
+    (None for a free wave); it is re-evaluated on the stored slices for the
+    bulk term.  Returns a dict with the residual and both sides.
     """
-    steps = _per_step(traj, "identity audit")[::-1]
+    steps = steps[::-1]
     if len(steps) < 3:
-        raise FunctionalError("identity audit needs at least 3 recorded steps")
+        raise FunctionalError("identity audit needs at least 3 step states")
     ts = np.asarray([st.t for st in steps])
     t1, t2 = steps[0].t, steps[-1].t
-    grid = traj.grid
+    grid = steps[0].grid
     h = grid.h
     if R - (t2 - t1) <= 2 * h:
         raise FunctionalError("cone exits the grid: R - (t2 - t1) too small")
@@ -239,7 +311,7 @@ def morawetz_identity_audit(traj: Trajectory, s: float, R: float,
     for i, st in enumerate(steps):
         mf = mode_fields(st)
         foot = R - (t2 - st.t)
-        flux_vals[i] = conformal_flux_at(mf.t, foot, s, h, mf.u, mf.lu, mf.ll1)
+        flux_vals[i] = _conformal_flux_at(mf.t, foot, s, h, mf.u, mf.lu, mf.ll1)
         # bulk integrand over r <= foot
         rdo = r_dr_omega(st.t, mf.r, s)
         dens = -rdo[None, :] * mf.ll1[:, None] * mf.u_over_r**2
@@ -417,49 +489,44 @@ def tangential_at(foot: float, h: float, u: np.ndarray, lu: np.ndarray,
                   ll1: np.ndarray) -> float:
     """Sum over modes of (L u - u/r)^2 + l(l+1) u^2/r^2 at r = foot, i.e. the
     tangential derivatives of phi squared times r^2."""
-    _lam, (u_f, lu_f) = cone_foot(foot, h, u, lu)
+    _j, _lam, (u_f, lu_f) = _cone_foot(foot, h, u, lu)
     return float(np.sum((lu_f - u_f / foot) ** 2 + ll1 * u_f**2 / foot**2))
 
 
-def origin_decay_check(traj: Trajectory, gamma: float,
+def origin_decay_check(steps: Sequence[FieldState], taus: Sequence[float], gamma: float,
                        source: Optional[Callable]) -> Dict[str, np.ndarray]:
     """t^(1+gamma) |phi(t, 0)| against the weighted cone-flux bound.
 
-    Reads the first field's per-step record (``record_every_step=True``):
+    Reads the states a :class:`StepStates` observer kept, in march order:
     phi(t, 0) at every step, returned ascending as ``origin_t``/``origin``,
     and the flux of phi and d_t phi through the cones t - r = tau, one per
-    record time tau, by the trapezoid rule in march order.  d_t v comes from
-    the solver's own ``acceleration`` with ``source``, the box-side callback
-    of the solve (None for none).  The bound on the cone carries the
-    constant weight (1 + tau)^(1+2 gamma).
+    time in ``taus`` (ascending), by the trapezoid rule along the march.
+    d_t v comes from the solver's own ``acceleration`` with ``source``, the
+    box-side callback of the solve (None for none).  The bound on the cone
+    carries the constant weight (1 + tau)^(1+2 gamma).
     """
-    steps = _per_step(traj, "origin decay check")
-    grid = traj.grid
+    if len(steps) < 2:
+        raise FunctionalError("origin decay check needs the states of at least one step")
+    grid = steps[0].grid
     h, rint = grid.h, grid.r[1:-1]
     pot = np.outer(steps[0].ell * (steps[0].ell + 1.0), 1.0 / rint**2)
-    taus = traj.record_times[::-1]
-    flux = [0.0] * len(taus)
-    prev = [None] * len(taus)
-    origin = []
+    origin, cone_vals = [], [[] for _tau in taus]
     for st in steps:
         origin.append(sum(st.u[i, 1] / h * (1.0 / math.sqrt(4.0 * math.pi))
                           for i, (l, _m) in enumerate(st.modes) if l == 0))
         mf = mode_fields(st)
         vt = acceleration(st.u, source(st.t, st) if source else None, pot, rint, h)
         lv = vt + _radial_deriv(st.v, mf.ell, h)
-        for k, tau in enumerate(taus):
+        for vals, tau in zip(cone_vals, taus):
             foot = st.t - tau
-            if foot <= h or foot >= grid.r_max - h:
-                prev[k] = None
-                continue
             # dS = r^2 dS(omega): (L phi)^2 r^2 = (L u - u/r)^2 etc., for phi and d_t phi
-            val = (tangential_at(foot, h, st.u, mf.lu, mf.ll1)
-                   + tangential_at(foot, h, st.v, lv, mf.ll1))
-            if prev[k] is not None:
-                flux[k] += 0.5 * (val + prev[k][1]) * (prev[k][0] - st.t)
-            prev[k] = (st.t, val)
-    taus, flux = np.asarray(taus), np.asarray(flux)
-    ot, ov = np.asarray([st.t for st in steps[::-1]]), np.asarray(origin[::-1])
+            vals.append(None if foot <= h or foot >= grid.r_max - h else
+                        tangential_at(foot, h, st.u, mf.lu, mf.ll1)
+                        + tangential_at(foot, h, st.v, lv, mf.ll1))
+    ts = [st.t for st in steps]
+    taus = np.asarray(taus)
+    flux = np.asarray([_march_trapezoid(ts, vals)[-1] for vals in cone_vals])
+    ot, ov = np.asarray(ts[::-1]), np.asarray(origin[::-1])
     vals = np.interp(taus, ot, ov)
     scaled = taus ** (1.0 + gamma) * np.abs(vals)
     bound = np.sqrt(np.maximum(flux, 0.0) * (1.0 + np.maximum(taus, 0.0)) ** (1.0 + 2.0 * gamma))
@@ -481,15 +548,18 @@ def energy_conservation_drift(traj: Trajectory) -> float:
     return float(max(abs(x - e[0]) for x in e) / e0)
 
 
-def cor_weighted_spacetime_instance(traj: Trajectory, gamma: float, mu: float,
+def cor_weighted_spacetime_instance(steps: Sequence[FieldState], gamma: float, mu: float,
                                     source: Callable) -> Dict[str, float]:
-    """Numerical instance of the weighted space-time estimate on the first
-    field: the three left terms (weighted energy at t1, signed bulk, best of
-    six cone fluxes) against the weighted energy at t2 plus the signed pairing
-    with ``source``, the box-side callback of the solve; returns the ratio."""
-    steps = _per_step(traj, "weighted space-time instance")[::-1]
+    """Numerical instance of the weighted space-time estimate on the states a
+    :class:`StepStates` observer kept: the three left terms (weighted energy
+    at t1, signed bulk, best of six cone fluxes) against the weighted energy
+    at t2 plus the signed pairing with ``source``, the box-side callback of
+    the solve; returns the ratio."""
+    steps = steps[::-1]
+    if len(steps) < 2:
+        raise FunctionalError("weighted space-time instance needs the states of a step")
     ts = np.asarray([st.t for st in steps])
-    grid = traj.grid
+    grid = steps[0].grid
     t2 = steps[-1].t
 
     wm = lambda q: weight_minus_gamma(q, gamma)

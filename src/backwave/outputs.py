@@ -22,6 +22,7 @@ import json
 import os
 import platform
 import sys
+from dataclasses import asdict
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -75,7 +76,7 @@ def write_summary_json(report: ScenarioReport, path: str, config_text: Optional[
         "scenario": report.name,
         "status": "error" if (error or report.status != "ok") else "ok",
         "passed": bool(report.passed) and not error,
-        "items": [it.as_dict() for it in report.items],
+        "items": [asdict(it) for it in report.items],
         "provenance": report.provenance,
         "environment": environment_block(),
         "config": report.spec,

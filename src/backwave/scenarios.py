@@ -53,12 +53,12 @@ import numpy as np
 from backwave import __version__
 from backwave.angular import mode_count, mode_index, product_closures
 from backwave.cutoffs import chi_exterior, chi_wave_zone
-from backwave.engine import (ConeSpec, ContainmentError, EngineError, FieldState,
+from backwave.engine import (ContainmentError, EngineError, FieldState,
                              RadialGrid, Trajectory, convergence_order,
                              discrete_box_field, solve_backward,
                              solve_backward_system)
-from backwave.functionals import (FitResult, FunctionalError, FunctionalReport,
-                                  backward_estimate_constant, bulk_sign_check,
+from backwave.functionals import (ConeFlux, FitResult, FunctionalError, FunctionalReport,
+                                  StepStates, backward_estimate_constant, bulk_sign_check,
                                   conformal_norm_plus, cor_weighted_spacetime_instance,
                                   energy_conservation_drift, energy_weighted,
                                   fit_decay, hardy_checks, ks_pointwise_check,
@@ -129,15 +129,23 @@ class RunSpec:
                 raise ScenarioError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.scenario == "tlimit" and len(self.T_list) < 2:
             raise ScenarioError("tlimit needs an increasing T_list of length >= 2")
-        if self.T_list != sorted(self.T_list):
-            raise ScenarioError("T_list must be increasing")
+        if any(a >= b for a, b in zip(self.T_list, self.T_list[1:])):
+            raise ScenarioError(f"T_list must be increasing, got {self.T_list}")
         if any(T <= self.t0 for T in self.T_list):
             raise ScenarioError(f"every T_list entry must exceed t0 = {self.t0}, "
                                 f"got {self.T_list}")
-        for tc, _rc in self.check_points:
+        lo, hi = self.envelope_window
+        if not lo < hi:
+            raise ScenarioError(f"envelope_window needs lo < hi, got {lo:g} {hi:g}")
+        J = RadialGrid.for_run(self.h, self.T, self.t0).J
+        for tc, rc in self.check_points:
             if tc - self.h < self.t0 or tc + self.h > self.T:
                 raise ScenarioError(f"check point t = {tc}: stencil times t -/+ h leave "
                                     f"[t0, T] = [{self.t0}, {self.T}]")
+            j = round(rc / self.h)
+            if not 2 <= j <= J - 1:
+                raise ScenarioError(f"check point r = {rc}: grid index round(r/h) = {j} "
+                                    f"must lie in [2, J-1] = [2, {J - 1}]")
         try:
             self.field_from(self.f0_modes)
             self.field_from(self.g0_modes)
@@ -165,12 +173,6 @@ class ReportItem:
     note: str = ""
     gamma_data: Optional[float] = None        # decay class the data realize
     realized_target: Optional[float] = None   # exponent for that class
-
-    def as_dict(self):
-        return {"name": self.name, "kind": self.kind, "measured": self.measured,
-                "target": self.target, "tol": self.tol, "passed": self.passed,
-                "note": self.note, "gamma_data": self.gamma_data,
-                "realized_target": self.realized_target}
 
 
 @dataclass
@@ -395,13 +397,13 @@ def run_homogeneous_scattering(spec: RunSpec) -> ScenarioReport:
     data = FieldState(spec.T, grid, modes)   # trivial data for the remainder
     r_pos = grid.r[1:]
     records = record_times_for(spec)
-    cones = [ConeSpec(s=spec.s, R=0.5 * grid.r_max, t2=spec.T)]
+    cone = ConeFlux(s=spec.s, R=0.5 * grid.r_max, t2=spec.T)
     traj = solve_backward(data, lambda t, _view: _minus_box_psi01_rows(f0, f1, modes, t, r_pos),
-                          spec.T, spec.t0, records, cfl=spec.cfl, cone_specs=cones)
+                          spec.T, spec.t0, records, cfl=spec.cfl, on_step=cone)
 
     window = fit_window_for(spec)
     ts, src_norm, energy_v, conf_v, norm1s_psi, env_psi = [], [], [], [], [], []
-    for i, st in enumerate(traj.field_states()):
+    for st, flux in zip(traj.field_states(), cone.totals_at(traj.record_times)):
         ts.append(st.t)
         src_norm.append(source_norm_weighted(f0, f1, st.t, r_pos, spec.s))
         energy_v.append(math.sqrt(energy_weighted(st)))
@@ -415,9 +417,8 @@ def run_homogeneous_scattering(spec: RunSpec) -> ScenarioReport:
             "sup_envelope": env_psi[-1],
             "energy_w1": energy_v[-1] ** 2,
             "energy_w0": energy_weighted(st, lambda q: w0_weight(q, spec.mu)),
+            cone.name: flux,
         }
-        for key, hist in traj.cone_history.items():
-            values[f"flux_{key}"] = hist[i]
         rep.series.append(FunctionalReport(t=st.t, values=values))
     ts = np.asarray(ts)
 
@@ -663,10 +664,11 @@ def run_weak_null(spec: RunSpec) -> ScenarioReport:
                 fallback_series=_in_window(ts_s, n1, window))
     _t, ev = _in_window(*_series_for_fit(np.asarray(ts), env_w, t_exclude=spec.T),
                         spec.envelope_window)
-    if ev.size:
-        wlo, whi = spec.envelope_window
-        rep.add_bound("w_envelope_bounded", _max_over_min(ev), spec.envelope_budget,
-                      note=f"max/min of <t+r><t-r>^(s-1/2)|w| over t in [{wlo:g},{whi:g}]")
+    wlo, whi = spec.envelope_window
+    rep.add_bound("w_envelope_bounded", _max_over_min(ev) if ev.size else math.inf,
+                  spec.envelope_budget,
+                  note=f"max/min of <t+r><t-r>^(s-1/2)|w| over t in [{wlo:g},{whi:g}]"
+                       + ("" if ev.size else ": no record in the window"))
 
     if spec.check_points:
         res = _weaknull_crosscheck(spec, traj, f0, f1, g0, g1, strata, w_modes,
@@ -925,9 +927,9 @@ def run_audit_battery(spec: RunSpec) -> ScenarioReport:
                 grid = RadialGrid(h=h, J=int(round(20.0 / h)))
                 du, dv = data_fn(grid)
                 st = FieldState(T, grid, [(0, 0) if tag == "free" else (1, 0)], du, dv)
-                trajs.append(solve_backward(st, src, T, t1, [t1], cfl=spec.cfl,
-                                            record_every_step=True))
-                out = morawetz_identity_audit(trajs[-1], s=s, R=R, source=src)
+                steps = StepStates()
+                trajs.append(solve_backward(st, src, T, t1, [t1], cfl=spec.cfl, on_step=steps))
+                out = morawetz_identity_audit(steps, s=s, R=R, source=src)
                 residuals.append(abs(out["residual"]))
             ok_sched = all(residuals[i] <= 5.0 * (hs[i] / hs[0]) ** 2 * max(residuals[0], 1e-14)
                            for i in range(len(hs)))
@@ -969,8 +971,9 @@ def run_audit_battery(spec: RunSpec) -> ScenarioReport:
     # weighted space-time estimate instance on a sourced run
     grid = RadialGrid(h=spec.h / 2.0, J=int(round(20.0 / (spec.h / 2.0))))
     st = FieldState(T, grid, [(1, 0)])
-    trajs.append(solve_backward(st, bump_src, T, t1, [t1], record_every_step=True))
-    inst = cor_weighted_spacetime_instance(trajs[-1], spec.gamma, spec.mu, source=bump_src)
+    steps = StepStates()
+    trajs.append(solve_backward(st, bump_src, T, t1, [t1], on_step=steps))
+    inst = cor_weighted_spacetime_instance(steps, spec.gamma, spec.mu, source=bump_src)
     rep.add_bound("weighted_spacetime_ratio", inst["ratio"], RATIO_BUDGET,
                   note=f"bulk={inst['bulk']:.3e} cone={inst['cone']:.3e}")
 
@@ -981,9 +984,11 @@ def run_audit_battery(spec: RunSpec) -> ScenarioReport:
         r = view.grid.r
         return (np.exp(-((r - 3.0) ** 2) - (t - 4.0) ** 2))[None, :]
 
+    steps = StepStates()
     trajs.append(solve_backward(st, origin_src, T, t1, list(np.linspace(t1, T, 13)),
-                                record_every_step=True))
-    odc = origin_decay_check(trajs[-1], spec.gamma, origin_src)
+                                on_step=steps))
+    odc = origin_decay_check(steps, trajs[-1].record_times[::-1], spec.gamma,
+                             origin_src)
     good = odc["cone_bound"] > 1e-12
     worst = float(np.max(odc["ratio"][good])) if np.any(good) else 0.0
     rep.add_bound("origin_decay_ratio", worst, RATIO_BUDGET,

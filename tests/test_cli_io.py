@@ -209,6 +209,11 @@ s = 1.2
     ("weaknull", "bound_factor = 5", "bound_factor = 5\ncheck_point1 = 80 24"),  # t + h > T
     ("weaknull", "bound_factor = 5", "bound_factor = 5\ncheck_point1 = 2.1 24"),  # t - h < t0
     ("tlimit", "t0 = 2", "t0 = 2\nT_list = 1.5 40 80"),                         # 1.5 <= t0
+    ("tlimit", "t0 = 2", "t0 = 2\nT_list = 40 40 80"),                          # a tie
+    ("weaknull", "bound_factor = 5", "bound_factor = 5\ncheck_point1 = 40 0.01"),  # r - h <= 0
+    ("weaknull", "bound_factor = 5", "bound_factor = 5\ncheck_point1 = 40 500"),   # r + h > r_max
+    ("weaknull", "bound_factor = 5", "bound_factor = 5\nenvelope_window = 40 4"),  # lo > hi
+    ("weaknull", "bound_factor = 5", "bound_factor = 5\nenvelope_window = 10 10"),  # lo = hi
     ("backscatter", "M = 0.25", "M = 0.25\na = -1"),
 ])
 def test_cli_bad_data_is_config_error_before_any_solve(tmp_path, monkeypatch, command, old,

@@ -65,3 +65,40 @@ def test_main_prints_the_source_loc_of_both_trees(tmp_path, capsys):
         trees.append(str(tmp_path / side))
     assert diff_configs.main(trees) == 0
     assert "source LOC: 4 -> 3" in capsys.readouterr().out
+
+
+SETTABLE = """\
+from dataclasses import dataclass, field
+
+
+@dataclass(frozen=True)
+class Spec:
+    a: int
+    b: int = 1
+    c: list = field(default_factory=list)
+    D = 4
+
+    def method(self, x, y=2, *, z=3, w):
+        def inner(q=None):
+            return q
+        return lambda k=1: k
+
+
+class Plain:
+    e: int = 5
+"""
+
+
+def test_main_prints_the_settable_values_of_both_trees(tmp_path, capsys):
+    # defaulted parameters (y, z, inner's q; not the lambda's) plus defaulted
+    # dataclass fields (b, c; not D, which has no annotation, nor the plain
+    # class's e)
+    trees = []
+    for side, text in (("old", SETTABLE), ("new", "def f(a, b=1):\n    return a\n")):
+        pkg = tmp_path / side / "src" / "backwave"
+        pkg.mkdir(parents=True)
+        (pkg / "a.py").write_text(text, encoding="utf-8")
+        (tmp_path / side / "configs").mkdir()
+        trees.append(str(tmp_path / side))
+    assert diff_configs.main(trees) == 0
+    assert "settable values: 5 -> 1" in capsys.readouterr().out

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from backwave.engine import (ConeSpec, ContainmentError, FieldState,
-                             RadialGrid, cone_foot, convergence_order, discrete_box_field,
-                             discrete_box_triplet, solve_backward, solve_backward_system,
-                             stable_dt)
-from backwave.functionals import origin_decay_check
+from backwave.engine import (ContainmentError, FieldState, RadialGrid, convergence_order,
+                             discrete_box_field, discrete_box_triplet, solve_backward,
+                             solve_backward_system, stable_dt)
+from backwave.functionals import ConeFlux, StepStates, _cone_foot, origin_decay_check
 
 
 def g(x, c=10.0):
@@ -134,9 +133,27 @@ def test_cone_foot_interpolates_within_the_last_cell():
     r = np.arange(J + 1) * h
     rows = np.stack([2.0 * r + 1.0, -r])          # per-mode profiles linear in r
     for foot in ((J - 0.5) * h, (J - 0.01) * h, 12.3 * h):
-        lam, (vals,) = cone_foot(foot, h, rows)
+        _j, lam, (vals,) = _cone_foot(foot, h, rows)
         assert 0.0 <= lam < 1.0
         assert np.allclose(vals, [2.0 * foot + 1.0, -foot], rtol=1e-14, atol=1e-14)
+
+
+def test_on_step_sees_T_then_every_step_in_march_order():
+    # one call at t = T, one after every step, t strictly descending; the
+    # views' arrays are not written after the call
+    grid = RadialGrid(h=0.1, J=240)
+    calls = []
+    traj = solve_backward(make_state(5.0, grid), None, 5.0, 1.0, [4.3, 2.7],
+                          on_step=lambda t, views: calls.append((t, views)))
+    ts = [t for t, _views in calls]
+    assert len(calls) == traj.steps + 1
+    assert ts[0] == 5.0
+    assert all(a > b for a, b in zip(ts, ts[1:]))
+    assert ts[-1] == pytest.approx(1.0, abs=1e-12)
+    assert all(list(views) == ["phi"] and views["phi"].t == t for t, views in calls)
+    records = traj.field_states()
+    for st, (_t, views) in ((records[0], calls[0]), (records[-1], calls[-1])):
+        assert np.array_equal(views["phi"].u, st.u) and np.array_equal(views["phi"].v, st.v)
 
 
 def test_record_times_exact_and_ordered():
@@ -158,20 +175,21 @@ def test_convergence_order_utilities():
 def test_energy_flux_accumulator_nonnegative():
     h = 0.05
     grid = RadialGrid(h=h, J=int(round(18.0 / h)))
-    cones = [ConeSpec(s=1.0, R=10.0, t2=6.0)]
-    traj = solve_backward(make_state(6.0, grid), None, 6.0, 1.0, [1.0],
-                          cone_specs=cones)
-    assert traj.cone_history["s1_R10"][-1] >= 0.0
-    assert len(traj.cone_history["s1_R10"]) == len(traj.record_times)
+    cone = ConeFlux(s=1.0, R=10.0, t2=6.0)
+    traj = solve_backward(make_state(6.0, grid), None, 6.0, 1.0, [1.0], on_step=cone)
+    assert cone.name == "flux_s1_R10"
+    totals = cone.totals_at(traj.record_times)
+    assert len(totals) == len(traj.record_times)
+    assert totals[0] == 0.0 and totals[-1] > 0.0
 
 
 def test_origin_series_characteristic_oracle():
     # l=0 free field: phi(t, 0) = [g(t-r) - g(t+r)]/r -> -2 g'(t)
     h = 0.025
     grid = RadialGrid(h=h, J=int(round(18.0 / h)))
-    traj = solve_backward(make_state(6.0, grid), None, 6.0, 1.0, [1.0],
-                          record_every_step=True)
-    out = origin_decay_check(traj, 0.8, None)
+    steps = StepStates()
+    traj = solve_backward(make_state(6.0, grid), None, 6.0, 1.0, [1.0], on_step=steps)
+    out = origin_decay_check(steps, traj.record_times[::-1], 0.8, None)
     ts, vals = out["origin_t"], out["origin"]
     assert ts.size == traj.steps + 1
     # characteristic oracle: lim_{r->0} [g(t-r) - g(t+r)]/r = -2 g'(t);

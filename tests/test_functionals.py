@@ -5,10 +5,12 @@ import pytest
 from scipy import integrate
 
 from backwave.engine import FieldState, RadialGrid, solve_backward
-from backwave.functionals import (FunctionalError, bulk_sign_check,
+from backwave.functionals import (ConeFlux, FunctionalError, StepStates, _conformal_flux_at,
+                                  _march_trapezoid, bulk_sign_check,
                                   conformal_energy_ER, conformal_norm_plus,
+                                  cor_weighted_spacetime_instance,
                                   energy_weighted, fit_decay, hardy_checks,
-                                  ks_pointwise_check, morawetz_identity_audit,
+                                  ks_pointwise_check, mode_fields, morawetz_identity_audit,
                                   norm_Z_weighted, origin_decay_check,
                                   sup_envelope, w0_weight)
 
@@ -152,15 +154,17 @@ def run_identity(h, s, source=None, modes=((0, 0),)):
                         exact_v(T, grid.r)[None, :])
     else:
         st = FieldState(T, grid, list(modes))
-    traj = solve_backward(st, source, T, t1, [t1], record_every_step=True)
-    return morawetz_identity_audit(traj, s=s, R=12.0, source=source)
+    steps = StepStates()
+    solve_backward(st, source, T, t1, [t1], on_step=steps)
+    return morawetz_identity_audit(steps, s=s, R=12.0, source=source)
 
 
 def test_identity_zero_field_guarded():
     grid = RadialGrid(h=0.1, J=200)
     st = FieldState(6.0, grid, [(0, 0)])
-    traj = solve_backward(st, None, 6.0, 2.0, [2.0], record_every_step=True)
-    out = morawetz_identity_audit(traj, s=1.0, R=12.0, source=None)
+    steps = StepStates()
+    solve_backward(st, None, 6.0, 2.0, [2.0], on_step=steps)
+    out = morawetz_identity_audit(steps, s=1.0, R=12.0, source=None)
     assert out["residual"] == 0.0
 
 
@@ -282,12 +286,46 @@ def test_sup_envelope_matches_manual_l0():
     assert sup_envelope(st, 1.2) == pytest.approx(float(np.max(np.abs(phi) * env)), rel=1e-12)
 
 
+def test_cone_flux_observer_is_the_trapezoid_of_the_step_states():
+    # both observers on one solve: the cone totals at the record times equal,
+    # byte for byte, the march trapezoid of the flux integrand recomputed from
+    # the per-step states; the cone foot leaves the grid near t0
+    grid = RadialGrid(h=0.05, J=400)
+    r = grid.r
+    st = FieldState(6.0, grid, [(0, 0), (1, 0)],
+                    np.stack([exact_u(6.0, r), 0.5 * r**2 * np.exp(-(r - 8.0) ** 2)]),
+                    np.stack([exact_v(6.0, r), np.zeros_like(r)]))
+    s, R, t2 = 1.2, 4.0, 6.0
+    cone, steps = ConeFlux(s, R, t2), StepStates()
+    traj = solve_backward(st, None, t2, 2.0, [5.0, 3.5, 2.5],
+                          on_step=lambda t, views: (cone(t, views), steps(t, views)))
+    assert len(steps) == traj.steps + 1
+    vals = []
+    for state in steps:
+        mf = mode_fields(state)
+        foot = R - (t2 - state.t)
+        vals.append(_conformal_flux_at(state.t, foot, s, grid.h, mf.u, mf.lu, mf.ll1)
+                    if grid.h < foot < grid.r_max - grid.h else None)
+    assert vals[0] is not None and vals[-1] is None
+    ts = [state.t for state in steps]
+    totals = _march_trapezoid(ts, vals)
+    at_records = [next(k for k, t in enumerate(ts) if abs(t - tr) < 1e-9)
+                  for tr in traj.record_times]
+    assert cone.totals_at(traj.record_times) == [totals[k] for k in at_records]
+    assert totals[-1] > 0.0
+
+
 def test_origin_decay_requires_accumulators():
+    # no per-step states, or only the state at T: a FunctionalError, not an IndexError
     grid = RadialGrid(h=0.1, J=100)
     st = FieldState(5.0, grid, [(0, 0)])
-    traj = solve_backward(st, None, 5.0, 1.0, [1.0])    # no per-step record
+    for states in ([], [st]):
+        with pytest.raises(FunctionalError):
+            origin_decay_check(states, [1.0, 5.0], 0.8, None)
     with pytest.raises(FunctionalError):
-        origin_decay_check(traj, 0.8, None)
+        cor_weighted_spacetime_instance([st], 0.8, 0.1, None)
+    with pytest.raises(FunctionalError):
+        morawetz_identity_audit([st, st], s=1.0, R=12.0, source=None)
 
 
 def test_origin_decay_bounded_on_sourced_run():
@@ -297,9 +335,9 @@ def test_origin_decay_bounded_on_sourced_run():
     def src(t, view):
         return (np.exp(-((view.grid.r - 3.0) ** 2) - (t - 4.0) ** 2))[None, :]
 
-    traj = solve_backward(st, src, 6.0, 2.0, list(np.linspace(2.0, 6.0, 9)),
-                          record_every_step=True)
-    out = origin_decay_check(traj, 0.8, src)
+    steps = StepStates()
+    traj = solve_backward(st, src, 6.0, 2.0, list(np.linspace(2.0, 6.0, 9)), on_step=steps)
+    out = origin_decay_check(steps, traj.record_times[::-1], 0.8, src)
     good = out["cone_bound"] > 1e-12
     assert np.all(out["ratio"][good] < 10.0)
 

@@ -1,3 +1,6 @@
+import math
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -54,8 +57,8 @@ def test_fit_band_between_declared_and_realized_class():
     assert not fit_item(-0.94, **band).passed       # above the declared edge
     item = fit_item(-1.281, **band)
     assert item.target == -1.1 and item.tol == 0.15
-    assert item.as_dict()["gamma_data"] == 1.0
-    assert item.as_dict()["realized_target"] == -1.3
+    assert asdict(item)["gamma_data"] == 1.0
+    assert asdict(item)["realized_target"] == -1.3
     assert "gamma_data=1" in item.note
 
 
@@ -318,3 +321,16 @@ def test_provenance_steps_cover_every_solve(monkeypatch, spec, n_solves):
     assert prov["steps"] == sum(tr.steps for tr in trajs)
     on_grid = [tr.dt_max for tr in trajs if (tr.grid.h, tr.grid.J) == (prov["h"], prov["J"])]
     assert on_grid and prov["dt_max"] == max(on_grid)
+
+
+def test_weaknull_envelope_window_without_records_fails_the_item():
+    # a window that holds no record keeps the envelope item and fails it
+    # with measured inf, instead of dropping the item from the report
+    spec = RunSpec(scenario="weaknull", h=0.25, T=16.0, t0=2.0, gamma=0.8, s=1.2,
+                   f0_modes=[(2, 0, {"kind": "gaussian", "amplitude": 0.5})],
+                   n_records=12, envelope_window=(20.0, 30.0), l_max=4)
+    rep = run_scenario(spec)
+    assert rep.status == "ok", rep.error
+    item = {it.name: it for it in rep.items}["w_envelope_bounded"]
+    assert item.measured == math.inf and not item.passed
+    assert "no record in the window" in item.note

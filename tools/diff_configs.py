@@ -7,14 +7,16 @@ with that tree's ``src`` on the path, one process at a time and one BLAS
 thread.  The script compares every report item's ``measured`` value to 17
 significant digits and its ``passed`` flag, the item lists themselves, the
 exit codes and ``series.csv`` byte for byte, prints the differences and each
-run's wall time, then each tree's source line count (``src/backwave/*.py``),
-and exits 1 when anything differs or a run fails (exit code
-other than 0 or 1, or no summary.json).  NAME limits the run to
+run's wall time, then each tree's source line count (``src/backwave/*.py``)
+and settable values (defaulted function parameters plus defaulted dataclass
+fields, counted by AST), and exits 1 when anything differs or a run fails
+(exit code other than 0 or 1, or no summary.json).  NAME limits the run to
 the given configs (default: every ``configs/*.cfg`` of NEW_TREE).
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import pathlib
@@ -54,6 +56,23 @@ def run(tree: pathlib.Path, name: str, out: pathlib.Path):
 def source_loc(tree: pathlib.Path) -> int:
     """Lines of the package sources, as ``wc -l src/backwave/*.py`` counts them."""
     return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "backwave").glob("*.py"))
+
+
+def settable_values(tree: pathlib.Path) -> int:
+    """Defaulted parameters of every function and method plus defaulted fields
+    of every ``@dataclass`` class in ``src/backwave/*.py``."""
+    count = 0
+    for path in (tree / "src" / "backwave").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_bytes())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                count += len(node.args.defaults) + sum(
+                    d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and {
+                    ast.unparse(getattr(d, "func", d)) for d in node.decorator_list
+            } & {"dataclass", "dataclasses.dataclass"}:
+                count += sum(isinstance(st, ast.AnnAssign) and st.value is not None
+                             for st in node.body)
+    return count
 
 
 def items(out: pathlib.Path) -> dict:
@@ -112,6 +131,7 @@ def main(argv) -> int:
             for line in diffs:
                 print(f"  {line}", flush=True)
     print(f"source LOC: {source_loc(old_tree)} -> {source_loc(new_tree)}")
+    print(f"settable values: {settable_values(old_tree)} -> {settable_values(new_tree)}")
     print("differences found" if any_diff else "no difference")
     return 1 if any_diff else 0
 
