@@ -28,9 +28,10 @@ Several fields can be co-evolved as one system so that coupled sources
 substage values.
 
 RK4 asks for the source four times per step, at two new distinct times (k2
-and k3 share t - dt/2; k4's time is the next step's k1's), so a costly
-state-independent source keeps its own per-time memo, as the radiation
-residual does.
+and k3 share t - dt/2; k4's time is the next step's k1's).  These are the
+stage times of the :class:`StepSchedule` the march steps with and the stage
+views carry, so a costly state-independent source evaluates blocks of them
+ahead, as the radiation residual does.
 """
 
 from __future__ import annotations
@@ -108,6 +109,37 @@ class FieldState:
         return FieldState(self.t, self.grid, self.modes, self.u, self.v)
 
 
+class StepSchedule:
+    """Steps from T = times[0] down to t0 = times[-1] (descending), dt uniform
+    and <= dt_cap between consecutive times.  ``stage_times``: the distinct
+    RK4 stage times (t, t - dt/2, t - dt per step) in march order, the floats
+    the source gets; ``kept``: a forcing's rows of them for the solve."""
+
+    def __init__(self, times: Sequence[float], dt_cap: float):
+        self.times, self.dt_cap, self.kept = tuple(times), dt_cap, {}
+        self.stage_times = tuple(dict.fromkeys(
+            s for t, dt, _end in self.steps() for s in (t, t - 0.5 * dt, t - dt)))
+        self._index = {s: i for i, s in enumerate(self.stage_times)}
+
+    def steps(self):
+        """(t, dt, end) per step in march order; ``end`` is the record time a
+        segment's last step lands on (t snaps to it), else None."""
+        t = self.times[0]
+        for t_next in self.times[1:]:
+            n = max(int(math.ceil((t - t_next) / self.dt_cap - 1e-12)), 1)
+            dt = (t - t_next) / n
+            for i in range(n):
+                yield t, dt, (t_next if i == n - 1 else None)
+                t -= dt
+            t = t_next
+
+    def stage_block(self, t: float, n: int) -> Tuple[float, ...]:
+        """The stage time t and those after it, n at most."""
+        if t not in self._index:
+            raise EngineError(f"t = {t!r} is not a stage time of this schedule")
+        return self.stage_times[self._index[t]:self._index[t] + n]
+
+
 @dataclass
 class Trajectory:
     grid: RadialGrid
@@ -161,8 +193,8 @@ def solve_backward_system(
     ``source(t, views)`` returns a dict mapping field names to S arrays of
     shape (n_modes, J+1), the right-hand side of box phi = S; omitted fields
     get zero source.  ``views[name]`` has the stage's t, grid, modes, u and
-    v.  Record times are hit exactly (segment-wise uniform dt below the
-    stability limit).  ``on_step(t, views)``, when given, is called with
+    v, and the march's :class:`StepSchedule`, ``schedule``.  Record times
+    are hit exactly.  ``on_step(t, views)``, when given, is called with
     the same kind of views at t = T and after every step, in march order;
     t is the step's own time, before a segment end snaps it to the record
     time.  The views hold the march's own arrays, which the engine never
@@ -194,9 +226,11 @@ def solve_backward_system(
     pot = {n: np.outer(fields[n].ell * (fields[n].ell + 1.0), 1.0 / rint**2) for n in names}
     modes = {n: fields[n].modes for n in names}
 
+    schedule = StepSchedule(times, dt_cap)
+
     def views(t, uu, vv):
-        return {n: SimpleNamespace(t=t, grid=grid, modes=modes[n], u=uu[n], v=vv[n])
-                for n in names}
+        return {n: SimpleNamespace(t=t, grid=grid, modes=modes[n], u=uu[n], v=vv[n],
+                                   schedule=schedule) for n in names}
 
     def rhs(t, uu, vv):
         src = source(t, views(t, uu, vv)) if source else {}
@@ -210,8 +244,9 @@ def solve_backward_system(
     recorded: Dict[str, List[FieldState]] = {n: [] for n in names}
     scale_seen = max(max(float(np.max(np.abs(u[n]))) for n in names), 1e-30)
 
-    def after_step(t):
-        """The observer, then the containment monitor."""
+    def after_step(t, record):
+        """The observer, the containment monitor, then the states at the
+        record time ``record`` (None: none)."""
         nonlocal scale_seen
         if on_step is not None:
             on_step(t, views(t, u, v))
@@ -223,40 +258,28 @@ def solve_backward_system(
                     f"support reached outer boundary at t={t:.6g} in field {n!r} "
                     f"(|u| = {edge:.3e}, scale {scale_seen:.3e}); enlarge r_max"
                 )
-
-    t_now = float(T)
-    step_count = 0
-    dt_used = 0.0
-    after_step(t_now)
-    for n in names:
-        recorded[n].append(FieldState(t_now, grid, modes[n], u[n], v[n]))
-
-    for t_next in times[1:]:
-        span = t_now - t_next
-        n_steps = max(int(math.ceil(span / dt_cap - 1e-12)), 1)
-        dt = span / n_steps
-        dt_used = max(dt_used, dt)
-        for _ in range(n_steps):
-            k1u, k1v = rhs(t_now, u, v)
-            k2u, k2v = stage(t_now, 0.5 * dt, k1u, k1v)
-            k3u, k3v = stage(t_now, 0.5 * dt, k2u, k2v)
-            k4u, k4v = stage(t_now, dt, k3u, k3v)
+        if record is not None:
             for n in names:
-                u[n] = u[n] - (dt / 6.0) * (k1u[n] + 2.0 * k2u[n] + 2.0 * k3u[n] + k4u[n])
-                v[n] = v[n] - (dt / 6.0) * (k1v[n] + 2.0 * k2v[n] + 2.0 * k3v[n] + k4v[n])
-                u[n][:, 0] = 0.0
-                u[n][:, -1] = 0.0
-                v[n][:, 0] = 0.0
-                v[n][:, -1] = 0.0
-            t_now -= dt
-            step_count += 1
-            after_step(t_now)
-        t_now = t_next  # kill accumulated roundoff in t
+                recorded[n].append(FieldState(record, grid, modes[n], u[n], v[n]))
+
+    after_step(times[0], times[0])
+    steps = list(schedule.steps())
+    for t_now, dt, end in steps:
+        k1u, k1v = rhs(t_now, u, v)
+        k2u, k2v = stage(t_now, 0.5 * dt, k1u, k1v)
+        k3u, k3v = stage(t_now, 0.5 * dt, k2u, k2v)
+        k4u, k4v = stage(t_now, dt, k3u, k3v)
         for n in names:
-            recorded[n].append(FieldState(t_now, grid, modes[n], u[n], v[n]))
+            u[n] = u[n] - (dt / 6.0) * (k1u[n] + 2.0 * k2u[n] + 2.0 * k3u[n] + k4u[n])
+            v[n] = v[n] - (dt / 6.0) * (k1v[n] + 2.0 * k2v[n] + 2.0 * k3v[n] + k4v[n])
+            u[n][:, 0] = 0.0
+            u[n][:, -1] = 0.0
+            v[n][:, 0] = 0.0
+            v[n][:, -1] = 0.0
+        after_step(t_now - dt, end)
 
     return Trajectory(grid=grid, record_times=times, states=recorded,
-                      dt_max=dt_used, steps=step_count)
+                      dt_max=max(dt for _t, dt, _end in steps), steps=len(steps))
 
 
 def solve_backward(data_at_T: FieldState, source, T: float, t0: float,

@@ -346,11 +346,11 @@ def run_free_wave_validation(spec: RunSpec) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 def _minus_box_psi01_rows(f0: RadiationField, f1: RadiationField, modes: Sequence[ModeKey],
-                          t: float, r_pos: np.ndarray) -> np.ndarray:
-    """-box psi01 at time t as one row per mode of ``modes``, on the grid
-    r = 0, r_pos: shape (len(modes), r_pos.size + 1), zero at r = 0 and on
+                          r_pos: np.ndarray, t: float, view) -> np.ndarray:
+    """-box psi01 at the stage time t of the march (``view``: a stage view)
+    as one row per mode of ``modes``, on r = 0, r_pos: zero at r = 0 and on
     modes psi01 lacks.  The remainder v = psi - psi01 solves box v = this."""
-    res = residual_box_psi01(f0, f1, t, r_pos)
+    res = residual_box_psi01(f0, f1, t, r_pos, view.schedule)
     out = np.zeros((len(modes), r_pos.size + 1))
     for i, lm in enumerate(modes):
         if lm in res:
@@ -398,7 +398,7 @@ def run_homogeneous_scattering(spec: RunSpec) -> ScenarioReport:
     r_pos = grid.r[1:]
     records = record_times_for(spec)
     cone = ConeFlux(s=spec.s, R=0.5 * grid.r_max, t2=spec.T)
-    traj = solve_backward(data, lambda t, _view: _minus_box_psi01_rows(f0, f1, modes, t, r_pos),
+    traj = solve_backward(data, functools.partial(_minus_box_psi01_rows, f0, f1, modes, r_pos),
                           spec.T, spec.t0, records, cfl=spec.cfl, on_step=cone)
 
     window = fit_window_for(spec)
@@ -476,8 +476,7 @@ def run_T_limit_study(spec: RunSpec) -> ScenarioReport:
     for T in t_list:
         data = FieldState(T, grid, modes)
         records = sorted({spec.t0} | {tt for tt in t_list if tt < T}, reverse=True)
-        traj = solve_backward(data,
-                              lambda t, _view: _minus_box_psi01_rows(f0, f1, modes, t, r_pos),
+        traj = solve_backward(data, functools.partial(_minus_box_psi01_rows, f0, f1, modes, r_pos),
                               T, spec.t0, records, cfl=spec.cfl)
         trajs.append(traj)
         ends[T] = traj.state_at(spec.t0)
@@ -541,14 +540,14 @@ def _sampled_modes(qs: np.ndarray, arr: np.ndarray, l_out: int) -> Dict[ModeKey,
 
 def _dt_psi_modes(f0: RadiationField, f1: RadiationField, mass: float, n_in: int,
                   psi_modes: Sequence[ModeKey], v: np.ndarray, t: float,
-                  r: np.ndarray) -> np.ndarray:
+                  r: np.ndarray, schedule) -> np.ndarray:
     """Mode coefficients of d_t psi at radii r, shape (n_in, r.size): the
     remainder's v/r (``v`` holds its d_t u at r, one row per psi mode) plus
-    the exact d_t psi01 and d_t psi_e."""
+    the exact d_t psi01 (``schedule``: see radiation) and d_t psi_e."""
     block = np.zeros((n_in, r.size))
     for i, lm in enumerate(psi_modes):
         block[mode_index(*lm)] = v[i] / r
-    for part in (eval_dt_psi01_exact(f0, f1, t, r),
+    for part in (eval_dt_psi01_exact(f0, f1, t, r, schedule),
                  eval_approximant(f0, f1, mass, "dt_psi_e", t, r)):
         for lm, vals in part.items():
             block[mode_index(*lm)] += vals
@@ -610,8 +609,9 @@ def run_weak_null(spec: RunSpec) -> ScenarioReport:
 
     @functools.lru_cache(maxsize=2)     # RK4: k2, k3 share t - dt/2; k4 is the next k1
     def strata_modes_at(t: float) -> np.ndarray:
-        q = r_pos - t
-        c2 = chi_wave_zone.value(qbracket(q) / r_pos) ** 2
+        c2 = chi_wave_zone.value(qbracket(r_pos - t) / r_pos) ** 2
+        on = np.flatnonzero(c2)    # every term carries chi^2: 0 off these radii
+        q, rb, c2 = r_pos[on] - t, r_pos[on], c2[on]
         out = np.zeros((len(w_modes), grid.J + 1))
         for k, srcp in strata.items():
             if srcp.is_zero():
@@ -619,7 +619,7 @@ def run_weak_null(spec: RunSpec) -> ScenarioReport:
             for i, lm in enumerate(w_modes):
                 prof = srcp.modes.get(lm)
                 if prof is not None:
-                    out[i, 1:] += prof.value(q) * r_pos ** (-float(k)) * c2
+                    out[i, 1 + on] += prof.value(q) * rb ** (-float(k)) * c2
         out.flags.writeable = False
         return out
 
@@ -627,7 +627,7 @@ def run_weak_null(spec: RunSpec) -> ScenarioReport:
         # d_t psi, exact at substage times: remainder + approximant derivatives
         block = np.zeros((n_in, grid.J + 1))
         block[:, 1:] = _dt_psi_modes(f0, f1, spec.mass, n_in, psi_modes, views["vpsi"].v[:, 1:],
-                                     t, r_pos)
+                                     t, r_pos, views["vpsi"].schedule)
         vals = to_vals(block)                       # pointwise d_t psi
         sq = to_modes(vals * vals)                  # modes of (d_t psi)^2
         s_w = np.zeros((len(w_modes), grid.J + 1))
@@ -635,10 +635,11 @@ def run_weak_null(spec: RunSpec) -> ScenarioReport:
             s_w[i] = sq[mode_index(*lm)]
         s_w -= strata_modes_at(t)
         if not g0.is_zero():
-            s_w += _minus_box_psi01_rows(g0, g1, w_modes, t, r_pos)
+            s_w += _minus_box_psi01_rows(g0, g1, w_modes, r_pos, t, views["w"])
         s_w[:, 0] = 0.0
         # remainder of psi keeps its own linear source
-        return {"vpsi": _minus_box_psi01_rows(f0, f1, psi_modes, t, r_pos), "w": s_w}
+        return {"vpsi": _minus_box_psi01_rows(f0, f1, psi_modes, r_pos, t, views["vpsi"]),
+                "w": s_w}
 
     fields = {
         "vpsi": FieldState(spec.T, grid, psi_modes),
@@ -718,7 +719,7 @@ def _weaknull_crosscheck(spec, traj, f0, f1, g0, g1, strata, w_modes,
         # (d_t psi)^2 modes at the check point
         stp = traj.state_at(tc, "vpsi")
         vals = to_vals(_dt_psi_modes(f0, f1, spec.mass, mode_count(max(l_psi, 1)), psi_modes,
-                                     stp.v[:, jc:jc + 1], tc, np.asarray([rc_snap])))
+                                     stp.v[:, jc:jc + 1], tc, np.asarray([rc_snap]), None))
         sq = to_modes(vals * vals)
         for i, lm in enumerate(w_modes):
             l = lm[0]

@@ -156,6 +156,27 @@ def test_on_step_sees_T_then_every_step_in_march_order():
         assert np.array_equal(views["phi"].u, st.u) and np.array_equal(views["phi"].v, st.v)
 
 
+def test_source_is_called_at_exactly_the_schedules_stage_times():
+    # uneven segments, one shorter than dt_cap (4.3 -> 4.28), and segment ends
+    # where the last step's t - dt is not the record time it snaps to
+    grid = RadialGrid(h=0.1, J=100)
+    seen = []
+
+    def source(t, view):
+        seen.append((t, view.schedule))
+
+    traj = solve_backward(FieldState(5.0, grid, [(0, 0)]), source, 5.0, 1.0,
+                          [4.3, 4.28, 2.7, 1.9])
+    sched = seen[0][1]
+    assert all(s is sched for _t, s in seen)
+    steps = list(sched.steps())
+    assert len(steps) == traj.steps and len(seen) == 4 * traj.steps
+    assert 4.3 - 4.28 < sched.dt_cap
+    assert any(end is not None and t - dt != end for t, dt, end in steps)
+    assert {t for t, _s in seen} == set(sched.stage_times)
+    assert len(sched.stage_times) == len(set(sched.stage_times))
+
+
 def test_record_times_exact_and_ordered():
     grid = RadialGrid(h=0.1, J=100)
     st = FieldState(5.0, grid, [(0, 0)])

@@ -5,9 +5,10 @@ import pytest
 from scipy.special import erf
 
 from backwave.cutoffs import chi_exterior
-from backwave.engine import RadialGrid, discrete_box_field
+from backwave import radiation
+from backwave.engine import EngineError, RadialGrid, StepSchedule, discrete_box_field, stable_dt
 from backwave.profiles import SampledProfile, make_profile
-from backwave.radiation import (RadiationDataError, RadiationField,
+from backwave.radiation import (BLOCK_TIMES, RadiationDataError, RadiationField,
                                 SQRT4PI, derive_F1, eval_approximant,
                                 eval_dt_psi01_exact, realized_decay_class,
                                 residual_box_psi01)
@@ -274,17 +275,54 @@ def test_field_invariants():
                        l_max=2, gamma=0.8)
 
 
-def test_repeated_residual_and_dt_psi01_calls_return_the_kept_rows():
+def test_block_rows_equal_single_time_rows_bit_for_bit():
+    # configs/homogeneous.cfg's poly-tail l=2 data and grid, plus a monopole,
+    # whose formulas give -0.0 off the band; a schedule from t = 5 down to
+    # t0 = 2: blocks cross segment boundaries, and below t = sqrt(15) no
+    # radius has <r-t>/r < 1/4, so rows (and whole blocks) have an empty band
+    f0 = RadiationField({(0, 0): make_profile(GAUSS),
+                         (2, 0): make_profile({"kind": "poly-tail", "p": 0.85,
+                                               "scale": 0.3})}, l_max=8, gamma=0.8)
+    grid = RadialGrid.for_run(0.125, 80.0, 2.0)
+    f1 = derive_F1(f0, q_max=grid.r_max + 2.0)
+    r = grid.r[1:]
+    sched = StepSchedule((5.0, 4.3, 3.0, 2.0), dt_cap=stable_dt(grid.h, 2, 0.5))
+    st = sched.stage_times
+    starts = range(0, len(st), BLOCK_TIMES)
+    assert any(st[i] > 4.3 > st[min(i + BLOCK_TIMES, len(st)) - 1] for i in starts)
+    assert any(st[i] < math.sqrt(15.0) for i in starts)
+    for fn in (residual_box_psi01, eval_dt_psi01_exact):
+        for t in st:
+            block, single = fn(f0, f1, t, r, sched), fn(f0, f1, t, r)
+            assert block.keys() == single.keys()
+            for lm, vals in block.items():
+                assert np.array_equal(vals.view(np.int64), single[lm].view(np.int64)), (t, lm)
+        assert all(np.all(vals.view(np.int64) == 0) for vals in fn(f0, f1, 2.0, r).values())
+
+
+def test_scheduled_rows_are_kept_read_only_and_other_times_raise(monkeypatch):
     f0 = gaussian_field()
     f1 = derive_F1(f0, q_max=64.0)
     r = np.linspace(5.0, 30.0, 40)
+    sched = StepSchedule((14.0, 10.0), dt_cap=0.05)
+    passes = []
+    for name in ("_residual_block", "_dt_psi01_block"):
+        block = getattr(radiation, name)
+        monkeypatch.setattr(radiation, name,
+                            lambda *args, _b=block: passes.append(args[2].size) or _b(*args))
     for fn in (residual_box_psi01, eval_dt_psi01_exact):
-        first = fn(f0, f1, 12.0, r)[(2, 0)]
-        # same fields, equal time and equal radii: the kept rows, read-only
-        assert fn(f0, f1, 12.0, r.copy())[(2, 0)] is first
-        with pytest.raises(ValueError):
-            first[0] = 1.0
-        # another time or other field objects evaluate again
-        assert fn(f0, f1, np.nextafter(12.0, 0.0), r)[(2, 0)] is not first
-        again = fn(f0, derive_F1(f0, q_max=64.0), 12.0, r)[(2, 0)]
-        assert again is not first and np.array_equal(again, first)
+        t = sched.stage_times[3]
+        first = fn(f0, f1, t, r, sched)[(2, 0)]
+        first[:] = 1.0       # the caller's own array, not the kept row
+        assert np.array_equal(fn(f0, f1, t, r, sched)[(2, 0)], fn(f0, f1, t, r)[(2, 0)])
+        for later in sched.stage_times[4:3 + BLOCK_TIMES]:
+            fn(f0, f1, later, r, sched)
+        # a time off the schedule raises instead of evaluating one row
+        with pytest.raises(EngineError):
+            fn(f0, f1, np.nextafter(t, 0.0), r, sched)
+    # one pass per function for its 16 stage times, plus the two unscheduled checks
+    assert passes == [BLOCK_TIMES, 1, BLOCK_TIMES, 1]
+    for _index, _r, _cols, rows in sched.kept.values():
+        for vals in rows.values():
+            with pytest.raises(ValueError):
+                vals[0, 0] = 1.0

@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import asdict
 
@@ -218,7 +219,7 @@ def test_assembled_field_solves_wave_equation():
         r_pos = grid.r[1:]
         data = FieldState(T, grid, [(2, 0)])
         traj = solve_backward(data,
-                              lambda t, _view: _minus_box_psi01_rows(f0, f1, [(2, 0)], t, r_pos),
+                              functools.partial(_minus_box_psi01_rows, f0, f1, [(2, 0)], r_pos),
                               T, 2.0, [tc - h, tc, tc + h])
 
         def psi_u(t):
