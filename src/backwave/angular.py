@@ -18,8 +18,11 @@ The collocation grid pairs n_theta Gauss-Legendre nodes in cos(theta) with
 n_phi equispaced azimuth nodes.  Quadrature is exact for products of
 harmonics up to band limit L when n_theta >= L+1 and n_phi >= 2L+1.
 Quadratic products of radial coefficient stacks go through
-:func:`product_closures`, whose grid integrates every retained mode of the
-product exactly.
+:func:`product_closures`, which takes the lists of input and output modes
+and sizes its grid from them: n_theta from their degrees, n_phi from their
+largest |m|.  The grid integrates every listed mode of the product exactly;
+for m = 0 lists it is one azimuth node, the Gauss-Legendre rule in
+cos(theta).
 """
 
 from __future__ import annotations
@@ -37,6 +40,11 @@ def mode_count(l_max: int) -> int:
 
 def mode_index(l: int, m: int) -> int:
     return l * l + l + m
+
+
+def band_modes(l_max: int):
+    """Every (l, m) with l <= l_max, in mode_index order."""
+    return [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
 
 
 def normalized_legendre(l_max: int, x: np.ndarray) -> np.ndarray:
@@ -77,10 +85,6 @@ class AngularGrid:
     ylm: np.ndarray = field(repr=False)        # (n_modes, n_theta, n_phi)
 
     @property
-    def n_modes(self) -> int:
-        return mode_count(self.l_max)
-
-    @property
     def weights_2d(self) -> np.ndarray:
         # full quadrature weights, sum = 4 pi
         return self.w[:, None] * np.full((1, self.n_phi), 2.0 * math.pi / self.n_phi)
@@ -109,14 +113,7 @@ def angular_grid(l_max: int, n_theta: int = None, n_phi: int = None) -> AngularG
         )
     x, w = np.polynomial.legendre.leggauss(n_theta)
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    leg = normalized_legendre(l_max, x)
-    ylm = np.zeros((mode_count(l_max), n_theta, n_phi))
-    sqrt2 = math.sqrt(2.0)
-    for l in range(l_max + 1):
-        ylm[mode_index(l, 0)] = leg[l, 0][:, None]
-        for m in range(1, l + 1):
-            ylm[mode_index(l, m)] = sqrt2 * leg[l, m][:, None] * np.cos(m * phi)[None, :]
-            ylm[mode_index(l, -m)] = sqrt2 * leg[l, m][:, None] * np.sin(m * phi)[None, :]
+    ylm = _ylm_rows(band_modes(l_max), normalized_legendre(l_max, x)[..., None], phi)
     return AngularGrid(l_max=l_max, n_theta=n_theta, n_phi=n_phi,
                        x=x, w=w, phi=phi, ylm=ylm)
 
@@ -126,38 +123,46 @@ def ylm_at(l_max: int, dirs: np.ndarray) -> np.ndarray:
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     ct = np.clip(dirs[:, 2], -1.0, 1.0)
     ph = np.arctan2(dirs[:, 1], dirs[:, 0])
-    leg = normalized_legendre(l_max, ct)
-    out = np.zeros((mode_count(l_max), dirs.shape[0]))
-    sqrt2 = math.sqrt(2.0)
-    for l in range(l_max + 1):
-        out[mode_index(l, 0)] = leg[l, 0]
-        for m in range(1, l + 1):
-            out[mode_index(l, m)] = sqrt2 * leg[l, m] * np.cos(m * ph)
-            out[mode_index(l, -m)] = sqrt2 * leg[l, m] * np.sin(m * ph)
+    return _ylm_rows(band_modes(l_max), normalized_legendre(l_max, ct), ph)
+
+
+def _ylm_rows(modes, leg: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Y_{lm} for each (l, m) of ``modes``, one row each, from Ptilde_{l,m} at
+    the points' cos(theta) (``leg``'s trailing axes) and their azimuths."""
+    out = np.empty((len(modes),) + np.broadcast_shapes(leg.shape[2:], np.shape(phi)))
+    for i, (l, m) in enumerate(modes):
+        trig = np.cos if m > 0 else np.sin
+        out[i] = leg[l, 0] if m == 0 else math.sqrt(2.0) * leg[l, abs(m)] * trig(abs(m) * phi)
     return out
 
 
-def product_closures(l_in: int, l_out: int):
+def product_closures(modes_in, modes_out):
     """Batched pointwise product helper for radial stacks of coefficients.
 
-    Returns a closure pair (to_values, to_modes): to_values maps coefficient
-    stacks of shape (n_modes_in, n_radial) to pointwise samples of shape
-    (n_pts, n_radial) on an exactness grid for quadratic products truncated
-    at l_out; to_modes analyzes such samples back to (n_modes_out, n_radial).
+    Returns a closure pair (to_values, to_modes): to_values maps a stack of
+    coefficients, one row per mode of ``modes_in`` in list order, shape
+    (len(modes_in), n_radial), to samples (n_pts, n_radial); to_modes
+    analyzes samples into rows of ``modes_out``.  The grid is sized from the
+    lists: it analyzes a product of two input-mode fields exactly (degree
+    2 l_in + l_out in cos(theta), azimuthal order 2 |m_in| + |m_out|), and
+    any output-mode field (order 2 |m_out|).  Full (l, m) lists give the
+    angular_grid of those sizes, m = 0 lists one azimuth node: the
+    Gauss-Legendre rule in cos(theta).
     """
-    deg = 2 * l_in + l_out
+    l_in, m_in = np.abs(modes_in).max(axis=0).tolist()
+    l_out, m_out = np.abs(modes_out).max(axis=0).tolist()
     l_tab = max(l_in, l_out)
-    grid = angular_grid(l_tab, n_theta=max(deg // 2 + 1, l_tab + 1),
-                        n_phi=max(deg + 1, 2 * l_tab + 1))
-    ymat = grid.ylm.reshape(grid.n_modes, -1)      # (modes, pts)
+    grid = angular_grid(0, n_theta=max((2 * l_in + l_out) // 2 + 1, l_tab + 1),
+                        n_phi=max(2 * m_in + m_out, 2 * m_out) + 1)   # nodes, weights
+    leg = normalized_legendre(l_tab, grid.x)[..., None]
+    y_in = _ylm_rows(modes_in, leg, grid.phi).reshape(len(modes_in), -1)     # (modes, pts)
+    y_out = _ylm_rows(modes_out, leg, grid.phi).reshape(len(modes_out), -1)
     wflat = grid.weights_2d.reshape(-1)
-    n_in = mode_count(l_in)
-    n_out = mode_count(l_out)
 
     def to_values(block):
-        return ymat[:n_in].T @ block               # (pts, n_radial)
+        return y_in.T @ block                      # (pts, n_radial)
 
     def to_modes(values):
-        return ymat[:n_out] @ (values * wflat[:, None])
+        return y_out @ (values * wflat[:, None])
 
     return to_values, to_modes

@@ -51,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from backwave import __version__
-from backwave.angular import mode_count, mode_index, product_closures
+from backwave.angular import band_modes, product_closures
 from backwave.cutoffs import chi_exterior, chi_wave_zone
 from backwave.engine import (ContainmentError, EngineError, FieldState,
                              RadialGrid, Trajectory, convergence_order,
@@ -65,8 +65,8 @@ from backwave.functionals import (ConeFlux, FitResult, FunctionalError, Function
                                   morawetz_identity_audit, norm_Z_weighted,
                                   origin_decay_check, sup_envelope, w0_weight)
 from backwave.profiles import ProfileError, SampledProfile, make_profile, qbracket
-from backwave.radiation import (RadiationDataError, RadiationField, SQRT4PI, derive_F1,
-                                eval_approximant, eval_dt_psi01_exact,
+from backwave.radiation import (BLOCK_TIMES, RadiationDataError, RadiationField, SQRT4PI,
+                                derive_F1, eval_approximant, eval_dt_psi01_exact,
                                 realized_decay_class, residual_box_psi01,
                                 source_norm_weighted)
 from backwave.backscatter import (SourceProfile, brute_force_phi_k, envelope_sweep,
@@ -521,37 +521,52 @@ def run_T_limit_study(spec: RunSpec) -> ScenarioReport:
 # weak-null system
 # ---------------------------------------------------------------------------
 
-def _axisymmetric(*fields: RadiationField) -> bool:
-    return all(m == 0 for f in fields for (_l, m) in f.modes)
-
-
-def _sampled_modes(qs: np.ndarray, arr: np.ndarray, l_out: int) -> Dict[ModeKey, SampledProfile]:
-    """The rows of a mode stack up to l_out above 1e-14 of its largest entry,
-    as profiles sampled on ``qs``."""
+def _sampled_modes(qs: np.ndarray, arr: np.ndarray,
+                   modes: Sequence[ModeKey]) -> Dict[ModeKey, SampledProfile]:
+    """The rows of a stack of ``modes`` above 1e-14 of its largest entry, as
+    profiles sampled on ``qs``."""
     scale = float(np.max(np.abs(arr))) or 1.0
-    modes = {}
-    for l in range(l_out + 1):
-        for m in range(-l, l + 1):
-            row = arr[mode_index(l, m)]
-            if np.max(np.abs(row)) > 1e-14 * scale:
-                modes[(l, m)] = SampledProfile(qs, row)
-    return modes
+    return {lm: SampledProfile(qs, row) for lm, row in zip(modes, arr)
+            if np.max(np.abs(row)) > 1e-14 * scale}
 
 
-def _dt_psi_modes(f0: RadiationField, f1: RadiationField, mass: float, n_in: int,
-                  psi_modes: Sequence[ModeKey], v: np.ndarray, t: float,
+def _dt_psi_modes(f0: RadiationField, f1: RadiationField, mass: float,
+                  dpsi_modes: Sequence[ModeKey], v: np.ndarray, t: float,
                   r: np.ndarray, schedule) -> np.ndarray:
-    """Mode coefficients of d_t psi at radii r, shape (n_in, r.size): the
+    """Mode coefficients of d_t psi at radii r, one row per mode of
+    ``dpsi_modes`` (the psi modes, then (0, 0) if they lack it): the
     remainder's v/r (``v`` holds its d_t u at r, one row per psi mode) plus
-    the exact d_t psi01 (``schedule``: see radiation) and d_t psi_e."""
-    block = np.zeros((n_in, r.size))
-    for i, lm in enumerate(psi_modes):
-        block[mode_index(*lm)] = v[i] / r
-    for part in (eval_dt_psi01_exact(f0, f1, t, r, schedule),
-                 eval_approximant(f0, f1, mass, "dt_psi_e", t, r)):
-        for lm, vals in part.items():
-            block[mode_index(*lm)] += vals
+    the exact d_t psi01 (``schedule``: see radiation) and d_t psi_e, taken
+    where chi_e' lives (off it the formula adds -0.0)."""
+    block = np.zeros((len(dpsi_modes), r.size))
+    block[:len(v)] = v / r
+    for lm, vals in eval_dt_psi01_exact(f0, f1, t, r, schedule).items():
+        block[dpsi_modes.index(lm)] += vals
+    on = (r - t > chi_exterior.lower) & (r - t < chi_exterior.upper)
+    if on.any():
+        dpe = eval_approximant(f0, f1, mass, "dt_psi_e", t, r[on])[(0, 0)]
+        block[dpsi_modes.index((0, 0)), on] += dpe
     return block
+
+
+def _strata_rows(strata: Dict[int, SourceProfile], w_modes: Sequence[ModeKey],
+                 ts: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The strata's w source sum_k n_k(r - t) r^-k chi(<r-t>/r)^2 at the
+    times ts, shape (ts.size, len(w_modes), r.size + 1) with column 0 (r = 0)
+    zero.  Every term carries chi^2, so each (k, mode) is one spline call on
+    the (time, radius) pairs where chi^2 is nonzero."""
+    c2 = chi_wave_zone.value(qbracket(r - ts[:, None]) / r) ** 2
+    ti, ji = np.nonzero(c2)
+    q, rb, c2 = r[ji] - ts[ti], r[ji], c2[ti, ji]
+    out = np.zeros((ts.size, len(w_modes), r.size + 1))
+    for k, srcp in strata.items():
+        if srcp.is_zero():
+            continue
+        for i, lm in enumerate(w_modes):
+            prof = srcp.modes.get(lm)
+            if prof is not None:
+                out[ti, i, 1 + ji] += prof.value(q) * rb ** (-float(k)) * c2
+    return out
 
 
 def _strata_sources(f0: RadiationField, f1: RadiationField, mass: float,
@@ -559,28 +574,26 @@ def _strata_sources(f0: RadiationField, f1: RadiationField, mass: float,
     """Light-cone strata n_2, n_3, n_4 of (psi0' + psi_e' + psi1')^2.
 
     n_2 = (F0' + M chi_e')^2, n_3 = 2 (F0' + M chi_e') F1', n_4 = (F1')^2,
-    expanded mode by mode on a q table of 8192 points (pointwise angular
-    products).  ``q_range`` bounds the table; everything beyond it is
-    annihilated by the wave-zone cutoff in every consumer, so a run-sized
-    range is exact.
+    expanded into every (l, m) up to l_out on a q table of 8192 points
+    (angular products on the full sphere, once per run: the crosscheck's
+    adaptive kernel quadrature turns rounding moves of these profiles into
+    6e-9 moves of its item).  ``q_range`` bounds the table;
+    everything beyond it is annihilated by the wave-zone cutoff in every
+    consumer, so a run-sized range is exact.
     """
-    l_in = max([l for (l, _m) in f0.modes] + [0])
     qs = np.linspace(q_range[0], q_range[1], 8192)
-    n_in = mode_count(l_in)
-    base = np.zeros((n_in, qs.size))      # F0' + M chi_e' (mode coefficients)
-    f1p = np.zeros((n_in, qs.size))       # F1'
-    for (l, m), prof in f0.mode_items():
-        base[mode_index(l, m)] = prof.derivative(qs)
-    base[0] += mass * chi_exterior.derivative(qs) * SQRT4PI
-    for (l, m), prof in f1.mode_items():
-        f1p[mode_index(l, m)] = prof.derivative(qs)
-    to_vals, to_modes = product_closures(l_in, l_out)
+    in_modes = list(dict.fromkeys([(0, 0), *f0.modes]))
+    base, f1p = (np.array([f.modes[lm].derivative(qs) if lm in f.modes else np.zeros(qs.size)
+                           for lm in in_modes]) for f in (f0, f1))   # F0', F1' coefficients
+    base[0] += mass * chi_exterior.derivative(qs) * SQRT4PI           # + M chi_e'
+    out_modes = band_modes(l_out)
+    to_vals, to_modes = product_closures(in_modes, out_modes)
     vb = to_vals(base)
     v1 = to_vals(f1p)
     n2 = to_modes(vb * vb)
     n3 = to_modes(2.0 * vb * v1)
     n4 = to_modes(v1 * v1)
-    return {k: SourceProfile(_sampled_modes(qs, arr, l_out))
+    return {k: SourceProfile(_sampled_modes(qs, arr, out_modes))
             for k, arr in ((2, n2), (3, n3), (4, n4))}
 
 
@@ -589,14 +602,11 @@ def run_weak_null(spec: RunSpec) -> ScenarioReport:
     f0 = spec.field_from(spec.f0_modes)
     g0 = spec.field_from(spec.g0_modes)
     l_psi = max([l for (l, _m) in f0.modes] + [0])
-    l_w = min(spec.l_max, 2 * l_psi)
-    l_w = max(l_w, max([l for (l, _m) in g0.modes] + [0]))
-    axisym = _axisymmetric(f0, g0)
-    if axisym:
-        w_modes = [(l, 0) for l in range(l_w + 1)]
-    else:
-        w_modes = [(l, m) for l in range(l_w + 1) for m in range(-l, l + 1)]
+    l_w = max([min(spec.l_max, 2 * l_psi)] + [l for (l, _m) in g0.modes])
+    axisym = all(m == 0 for f in (f0, g0) for (_l, m) in f.modes)
+    w_modes = [(l, m) for (l, m) in band_modes(l_w) if m == 0 or not axisym]
     psi_modes = [lm for lm, _p in f0.mode_items()] or [(0, 0)]
+    dpsi_modes = list(dict.fromkeys([*psi_modes, (0, 0)]))
 
     grid = RadialGrid.for_run(spec.h, spec.T, spec.t0)
     f1 = derive_F1(f0, q_max=grid.r_max + 2.0)
@@ -604,36 +614,28 @@ def run_weak_null(spec: RunSpec) -> ScenarioReport:
     r_pos = grid.r[1:]
     strata = _strata_sources(f0, f1, spec.mass, l_w,
                              q_range=(-(spec.T + 10.0), 0.25 * grid.r_max + 10.0))
-    to_vals, to_modes = product_closures(max(l_psi, 1), l_w)
-    n_in = mode_count(max(l_psi, 1))
+    to_vals, to_modes = product_closures(dpsi_modes, w_modes)
 
-    @functools.lru_cache(maxsize=2)     # RK4: k2, k3 share t - dt/2; k4 is the next k1
-    def strata_modes_at(t: float) -> np.ndarray:
-        c2 = chi_wave_zone.value(qbracket(r_pos - t) / r_pos) ** 2
-        on = np.flatnonzero(c2)    # every term carries chi^2: 0 off these radii
-        q, rb, c2 = r_pos[on] - t, r_pos[on], c2[on]
-        out = np.zeros((len(w_modes), grid.J + 1))
-        for k, srcp in strata.items():
-            if srcp.is_zero():
-                continue
-            for i, lm in enumerate(w_modes):
-                prof = srcp.modes.get(lm)
-                if prof is not None:
-                    out[i, 1 + on] += prof.value(q) * rb ** (-float(k)) * c2
-        out.flags.writeable = False
-        return out
+    def strata_modes_at(t: float, schedule) -> np.ndarray:
+        """The strata rows at the stage time t, from blocks of BLOCK_TIMES
+        stage times kept (read-only) in the schedule, as radiation keeps its."""
+        kept = schedule.kept.get(_strata_rows)
+        if kept is None or t not in kept[0]:
+            ts = schedule.stage_block(t, BLOCK_TIMES)
+            kept = ({s: i for i, s in enumerate(ts)},
+                    _strata_rows(strata, w_modes, np.array(ts), r_pos))
+            kept[1].flags.writeable = False
+            schedule.kept[_strata_rows] = kept
+        return kept[1][kept[0][t]]
 
     def w_source(t: float, views) -> Dict[str, np.ndarray]:
         # d_t psi, exact at substage times: remainder + approximant derivatives
-        block = np.zeros((n_in, grid.J + 1))
-        block[:, 1:] = _dt_psi_modes(f0, f1, spec.mass, n_in, psi_modes, views["vpsi"].v[:, 1:],
-                                     t, r_pos, views["vpsi"].schedule)
-        vals = to_vals(block)                       # pointwise d_t psi
-        sq = to_modes(vals * vals)                  # modes of (d_t psi)^2
+        vpsi = views["vpsi"]
+        vals = to_vals(_dt_psi_modes(f0, f1, spec.mass, dpsi_modes, vpsi.v[:, 1:], t, r_pos,
+                                     vpsi.schedule))          # pointwise d_t psi
         s_w = np.zeros((len(w_modes), grid.J + 1))
-        for i, lm in enumerate(w_modes):
-            s_w[i] = sq[mode_index(*lm)]
-        s_w -= strata_modes_at(t)
+        s_w[:, 1:] = to_modes(vals * vals)                     # modes of (d_t psi)^2
+        s_w -= strata_modes_at(t, vpsi.schedule)
         if not g0.is_zero():
             s_w += _minus_box_psi01_rows(g0, g1, w_modes, r_pos, t, views["w"])
         s_w[:, 0] = 0.0
@@ -673,7 +675,7 @@ def run_weak_null(spec: RunSpec) -> ScenarioReport:
 
     if spec.check_points:
         res = _weaknull_crosscheck(spec, traj, f0, f1, g0, g1, strata, w_modes,
-                                   psi_modes, grid)
+                                   dpsi_modes, grid)
         rep.add_bound("interior_box_crosscheck", res, 1e-2,
                       note="max rel |discrete box phi - (d_t psi)^2| at check points")
     rep.provenance = _provenance(grid, [traj])
@@ -681,18 +683,17 @@ def run_weak_null(spec: RunSpec) -> ScenarioReport:
 
 
 def _weaknull_crosscheck(spec, traj, f0, f1, g0, g1, strata, w_modes,
-                         psi_modes, grid) -> float:
+                         dpsi_modes, grid) -> float:
     """Discrete box of the assembled phi = w + varphi01 + phi01 against the
     quadratic source, at the configured check points."""
     h = spec.h
-    l_psi = max([l for (l, _m) in f0.modes] + [0])
-    to_vals, to_modes = product_closures(max(l_psi, 1), max(l for (l, _m) in w_modes))
+    to_vals, to_modes = product_closures(dpsi_modes, w_modes)
 
     def phi_mode_coeffs(t: float, r: float) -> np.ndarray:
         """phi = w + varphi01 + phi01 mode coefficients at one point."""
         st = traj.state_at(t, "w")
         j = int(round(r / h))
-        out = np.array([st.u[i, j] / grid.r[j] for i in range(len(w_modes))])
+        out = st.u[:, j] / grid.r[j]
         # varphi01 = -(retarded kernels) in the -dt^2+Lap convention
         for k, srcp in strata.items():
             if srcp.is_zero():
@@ -707,9 +708,7 @@ def _weaknull_crosscheck(spec, traj, f0, f1, g0, g1, strata, w_modes,
                     out[i] += float(p01[lm][0])
         return out
 
-    worst = 0.0
-    scale = 0.0
-    results = []
+    pairs = []
     for (tc, rc) in spec.check_points:
         jc = int(round(rc / h))
         rc_snap = grid.r[jc]
@@ -718,8 +717,8 @@ def _weaknull_crosscheck(spec, traj, f0, f1, g0, g1, strata, w_modes,
         cr = {dr: phi_mode_coeffs(tc, grid.r[jc + dr]) for dr in (-1, 1)}
         # (d_t psi)^2 modes at the check point
         stp = traj.state_at(tc, "vpsi")
-        vals = to_vals(_dt_psi_modes(f0, f1, spec.mass, mode_count(max(l_psi, 1)), psi_modes,
-                                     stp.v[:, jc:jc + 1], tc, np.asarray([rc_snap]), None))
+        vals = to_vals(_dt_psi_modes(f0, f1, spec.mass, dpsi_modes, stp.v[:, jc:jc + 1], tc,
+                                     np.asarray([rc_snap]), None))
         sq = to_modes(vals * vals)
         for i, lm in enumerate(w_modes):
             l = lm[0]
@@ -727,14 +726,10 @@ def _weaknull_crosscheck(spec, traj, f0, f1, g0, g1, strata, w_modes,
             crr = (cr[1][i] - 2.0 * c0[i] + cr[-1][i]) / h**2
             crd = (cr[1][i] - cr[-1][i]) / (2.0 * h)
             box = -ctt + crr + 2.0 * crd / rc_snap - l * (l + 1.0) * c0[i] / rc_snap**2
-            rhs = sq[mode_index(*lm), 0]
-            results.append((tc, rc_snap, lm, box, rhs))
-            scale = max(scale, abs(rhs))
-    if scale == 0.0:
-        return 0.0
-    for (_t, _r, _lm, box, rhs) in results:
-        worst = max(worst, abs(box - rhs) / scale)
-    return worst
+            rhs = sq[i, 0]
+            pairs.append((box, rhs))
+    scale = max(abs(rhs) for _box, rhs in pairs)
+    return max(abs(box - rhs) for box, rhs in pairs) / scale if scale else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -831,17 +826,15 @@ def run_null_radial(spec: RunSpec) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 def _news_source(spec: RunSpec, f0: RadiationField) -> SourceProfile:
-    """n(q, omega) = (F0'(q, omega))^2 as sampled mode profiles."""
-    l_in = max([l for (l, _m) in f0.modes] + [0])
-    l_out = min(spec.l_max, 2 * l_in)
+    """n(q, omega) = (F0'(q, omega))^2 as sampled mode profiles, analysed into
+    every (l, m) up to 2 l_in on the full sphere (once per run: the audit's
+    oracle item, a difference, turns rounding moves of n into 2e-5 moves)."""
+    out_modes = band_modes(min(spec.l_max, 2 * max(l for (l, _m) in f0.modes)))
     sup = max(f0.support_radius(1e-16), 4.0)
     qs = np.linspace(-sup, sup, 4096)
-    block = np.zeros((mode_count(max(l_in, 1)), qs.size))
-    for (l, m), prof in f0.mode_items():
-        block[mode_index(l, m)] = prof.derivative(qs)
-    to_vals, to_modes = product_closures(max(l_in, 1), l_out)
-    vals = to_vals(block)
-    return SourceProfile(_sampled_modes(qs, to_modes(vals * vals), l_out))
+    to_vals, to_modes = product_closures(list(f0.modes), out_modes)
+    vals = to_vals(np.array([prof.derivative(qs) for _lm, prof in f0.mode_items()]))
+    return SourceProfile(_sampled_modes(qs, to_modes(vals * vals), out_modes))
 
 
 def run_backscatter_audit(spec: RunSpec) -> ScenarioReport:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from backwave.angular import (angular_grid, mode_count, mode_index, product_closures,
-                              ylm_at)
+from backwave.angular import (angular_grid, band_modes, mode_count, mode_index,
+                              product_closures, ylm_at)
 
 SQRT4PI = math.sqrt(4.0 * math.pi)
 
@@ -20,9 +20,18 @@ def unit_coeffs(l_max, lm, value=1.0):
     return out
 
 
+def closures(l_in, l_out):
+    """The product closures of the full (l, m) lists up to l_in and l_out."""
+    return product_closures(band_modes(l_in), band_modes(l_out))
+
+
 def product_modes(l_in, l_out, a, b):
-    to_values, to_modes = product_closures(l_in, l_out)
+    to_values, to_modes = closures(l_in, l_out)
     return to_modes(to_values(a) * to_values(b))
+
+
+def axisymmetric(l_max):
+    return [(l, 0) for l in range(l_max + 1)]
 
 
 def test_grid_weights_sum_to_sphere_area():
@@ -32,13 +41,13 @@ def test_grid_weights_sum_to_sphere_area():
 
 
 def test_constant_mode_synthesis():
-    to_values, _ = product_closures(2, 2)
+    to_values, _ = closures(2, 2)
     vals = to_values(unit_coeffs(2, (0, 0), 3.0))
     assert np.allclose(vals, 3.0 / SQRT4PI, rtol=1e-14)
 
 
 def test_constant_field_analysis():
-    to_values, to_modes = product_closures(3, 3)
+    to_values, to_modes = closures(3, 3)
     n_pts = to_values(np.zeros((mode_count(3), 1))).shape[0]
     mv = to_modes(np.ones((n_pts, 1)))[:, 0]
     assert mv[mode_index(0, 0)] == pytest.approx(SQRT4PI, rel=1e-13)
@@ -50,7 +59,7 @@ def test_constant_field_analysis():
 def test_round_trip_exact():
     for l_max in (1, 3, 8):
         coeffs = random_coeffs(l_max, seed=l_max, n_radial=3)
-        to_values, to_modes = product_closures(l_max, l_max)
+        to_values, to_modes = closures(l_max, l_max)
         back = to_modes(to_values(coeffs))
         assert np.max(np.abs(back - coeffs)) < 1e-12
 
@@ -58,7 +67,7 @@ def test_round_trip_exact():
 def test_y10_closed_form():
     # the l = 1 samples are sqrt(3/4pi) times the coordinates of the sample
     # direction: Y10 = c z, Y1,1 = -c x, Y1,-1 = -c y
-    to_values, _ = product_closures(3, 3)
+    to_values, _ = closures(3, 3)
     table = to_values(np.eye(mode_count(3)))          # (n_pts, n_modes)
     c = math.sqrt(3.0 / (4.0 * math.pi))
     dirs = np.stack([-table[:, mode_index(1, 1)], -table[:, mode_index(1, -1)],
@@ -71,7 +80,7 @@ def test_y10_closed_form():
 def test_cos_squared_mixture():
     # cos^2(theta) = 1/3 + (2/3) P_2: exact coefficients from the Legendre
     # expansion are c00 = sqrt(4 pi)/3 and c20 = (4/3) sqrt(pi/5)
-    to_values, to_modes = product_closures(1, 4)
+    to_values, to_modes = closures(1, 4)
     cos_theta = to_values(unit_coeffs(1, (1, 0))) / math.sqrt(3.0 / (4.0 * math.pi))
     mv = to_modes(cos_theta**2)[:, 0]
     assert mv[mode_index(0, 0)] == pytest.approx(SQRT4PI / 3.0, rel=1e-13)
@@ -83,14 +92,14 @@ def test_cos_squared_mixture():
 
 
 def test_zero_field_analysis():
-    to_values, to_modes = product_closures(2, 2)
+    to_values, to_modes = closures(2, 2)
     n_pts = to_values(np.zeros((mode_count(2), 1))).shape[0]
     assert np.all(to_modes(np.zeros((n_pts, 1))) == 0.0)
 
 
 def test_parseval():
     coeffs = random_coeffs(5, seed=7)
-    to_values, to_modes = product_closures(5, 5)
+    to_values, to_modes = closures(5, 5)
     vals = to_values(coeffs)
     # int f^2 dS is sqrt(4 pi) times the (0, 0) coefficient of f^2
     quad = SQRT4PI * float(to_modes(vals**2)[mode_index(0, 0), 0])
@@ -124,12 +133,69 @@ def test_product_exact_vs_dense_quadrature_oracle():
     b = random_coeffs(l_in, seed=12)
     out = product_modes(l_in, l_out, a, b)
     fine = angular_grid(12, n_theta=48, n_phi=96)   # far beyond exactness needs
-    ymat = fine.ylm.reshape(fine.n_modes, -1)
+    ymat = fine.ylm.reshape(mode_count(12), -1)
     n_in = mode_count(l_in)
     va = ymat[:n_in].T @ a
     vb = ymat[:n_in].T @ b
     oracle = ymat[:mode_count(l_out)] @ (va * vb * fine.weights_2d.reshape(-1, 1))
     assert np.max(np.abs(out - oracle)) < 1e-12
+
+
+@pytest.mark.parametrize("l_in, l_out", [(1, 2), (1, 4), (2, 4), (3, 3), (8, 8)])
+def test_full_mode_lists_give_the_angular_grid_product_bit_for_bit(l_in, l_out):
+    # the grid of full (l, m) lists: n_theta = max(deg // 2 + 1, l_tab + 1),
+    # n_phi = max(deg + 1, 2 l_tab + 1) with deg = 2 l_in + l_out
+    deg, l_tab = 2 * l_in + l_out, max(l_in, l_out)
+    grid = angular_grid(l_tab, n_theta=max(deg // 2 + 1, l_tab + 1),
+                        n_phi=max(deg + 1, 2 * l_tab + 1))
+    ymat = grid.ylm.reshape(mode_count(l_tab), -1)
+    a = random_coeffs(l_in, seed=l_in + 10 * l_out, n_radial=9)
+    to_values, to_modes = closures(l_in, l_out)
+    vals = ymat[:mode_count(l_in)].T @ a
+    sq = ymat[:mode_count(l_out)] @ (vals * vals * grid.weights_2d.reshape(-1, 1))
+    assert np.array_equal(to_values(a).view(np.int64), vals.view(np.int64))
+    assert np.array_equal(to_modes(vals * vals).view(np.int64), sq.view(np.int64))
+
+
+def test_axisymmetric_lists_agree_with_the_full_grid_and_the_dense_oracle():
+    # m = 0 lists integrate on l_in + l_out/2 + 1 cos(theta) nodes and one
+    # azimuth node; their product is the m = 0 part of the full-list product
+    l_in, l_out = 2, 4
+    zin, zout = axisymmetric(l_in), axisymmetric(l_out)
+    to_values, to_modes = product_closures(zin, zout)
+    assert to_values(np.zeros((len(zin), 1))).shape == (5, 1)
+    rng = np.random.default_rng(5)
+    a = np.zeros((mode_count(l_in), 40))
+    a[[mode_index(*lm) for lm in zin]] = rng.standard_normal((len(zin), 40))
+    out = to_modes(to_values(a[[mode_index(*lm) for lm in zin]]) ** 2)
+    full = product_modes(l_in, l_out, a, a)[[mode_index(*lm) for lm in zout]]
+    fine = angular_grid(12, n_theta=48, n_phi=96)
+    ymat = fine.ylm.reshape(mode_count(12), -1)
+    va = ymat[:mode_count(l_in)].T @ a
+    oracle = (ymat[:mode_count(l_out)] @ (va * va * fine.weights_2d.reshape(-1, 1)))[
+        [mode_index(*lm) for lm in zout]]
+    scale = np.max(np.abs(full))
+    assert np.max(np.abs(out - full)) <= 1e-14 * scale
+    # the 4,608-point oracle carries its own rounding (about 5e-14 relative
+    # here, for the full grid too): the m = 0 rule sits no further from it
+    assert np.max(np.abs(out - oracle)) < 1e-12
+    assert np.max(np.abs(out - oracle)) <= np.max(np.abs(full - oracle)) + 1e-14 * scale
+
+
+def test_closures_read_and_return_rows_in_list_order():
+    # the same modes listed in another order give the same rows, permuted
+    mixed_in, mixed_out = [(2, 1), (0, 0), (1, -1)], [(2, 2), (0, 0), (1, 0), (2, -1)]
+    to_values, to_modes = product_closures(mixed_in, mixed_out)
+    rev_values, rev_modes = product_closures(mixed_in[::-1], mixed_out[::-1])
+    a = np.random.default_rng(8).standard_normal((3, 4))
+    vals = to_values(a)
+    assert np.allclose(rev_values(a[::-1]), vals, rtol=0.0, atol=1e-14)
+    assert np.allclose(rev_modes(vals * vals), to_modes(vals * vals)[::-1], rtol=0.0, atol=1e-13)
+    # and they are the listed rows of the full-list product
+    full = np.zeros((mode_count(2), 4))
+    full[[mode_index(*lm) for lm in mixed_in]] = a
+    ref = product_modes(2, 2, full, full)[[mode_index(*lm) for lm in mixed_out]]
+    assert np.allclose(to_modes(vals * vals), ref, rtol=0.0, atol=1e-13)
 
 
 def test_ylm_at_matches_grid_tables():

@@ -102,3 +102,49 @@ def test_main_prints_the_settable_values_of_both_trees(tmp_path, capsys):
         trees.append(str(tmp_path / side))
     assert diff_configs.main(trees) == 0
     assert "settable values: 5 -> 1" in capsys.readouterr().out
+
+
+def test_a_changed_measured_value_states_its_relative_change(tmp_path):
+    old = bundle(tmp_path / "old", 3.2636172501768232)
+    new = bundle(tmp_path / "new", 3.2636172501768246)
+    [line] = diff_configs.differences(old, new, 0, 0)
+    assert "relative change 4.1e-16" in line
+    rel = (3.2636172501768246 - 3.2636172501768232) / 3.2636172501768232
+    assert diff_configs.item_changes(old, new) == {"a": rel}
+    # from zero or to a non-finite value the change is infinite; equal is none
+    assert diff_configs.relative_change(0.0, 1e-300) == float("inf")
+    assert diff_configs.relative_change(1.0, float("inf")) == float("inf")
+    assert diff_configs.relative_change(0.1, 0.1) == 0.0
+    assert diff_configs.item_changes(old, bundle(tmp_path / "same", 3.2636172501768232)) == {}
+
+
+def test_main_ends_with_the_largest_relative_item_change(tmp_path, capsys, monkeypatch):
+    # two configs; the second one's item moves more
+    moves = {"one": (1.0, 1.0 + 2e-16 * 5), "two": (2.0, 2.0 * (1.0 + 3e-12))}
+    trees = []
+    for side in ("old", "new"):
+        (tmp_path / side / "configs").mkdir(parents=True)
+        for name in moves:
+            (tmp_path / side / "configs" / f"{name}.cfg").write_text("", encoding="utf-8")
+        trees.append(str(tmp_path / side))
+
+    def fake_run(tree, name, out):
+        bundle(out, moves[name][tree.name == "new"])
+        return 0, 0.0
+
+    monkeypatch.setattr(diff_configs, "run", fake_run)
+    assert diff_configs.main(trees) == 1
+    out = capsys.readouterr().out
+    assert "relative change 3e-12" in out
+    assert "largest relative item change: 3e-12 (two: a)" in out
+
+
+def test_main_reports_no_item_change_when_items_are_identical(tmp_path, capsys, monkeypatch):
+    trees = []
+    for side in ("old", "new"):
+        (tmp_path / side / "configs").mkdir(parents=True)
+        (tmp_path / side / "configs" / "one.cfg").write_text("", encoding="utf-8")
+        trees.append(str(tmp_path / side))
+    monkeypatch.setattr(diff_configs, "run", lambda tree, name, out: (bundle(out, 0.5), (0, 0.0))[1])
+    assert diff_configs.main(trees) == 0
+    assert "largest relative item change: 0 (no item changed)" in capsys.readouterr().out

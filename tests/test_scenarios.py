@@ -335,3 +335,65 @@ def test_weaknull_envelope_window_without_records_fails_the_item():
     item = {it.name: it for it in rep.items}["w_envelope_bounded"]
     assert item.measured == math.inf and not item.passed
     assert "no record in the window" in item.note
+
+
+def _weaknull_parts(h=0.25, T=24.0):
+    """F0, F1, the radial grid and the strata of a small axisymmetric weak-null run."""
+    from backwave.engine import RadialGrid
+    from backwave.radiation import derive_F1
+    from backwave.scenarios import _strata_sources
+
+    spec = RunSpec(scenario="weaknull", gamma=0.8, mass=0.02,
+                   f0_modes=[(2, 0, {"kind": "poly-tail", "amplitude": 2.0, "p": 0.85})])
+    f0 = spec.field_from(spec.f0_modes)
+    grid = RadialGrid.for_run(h, T, 2.0)
+    f1 = derive_F1(f0, q_max=grid.r_max + 2.0)
+    w_modes = [(l, 0) for l in range(5)]
+    strata = _strata_sources(f0, f1, spec.mass, 4,
+                             q_range=(-(T + 10.0), 0.25 * grid.r_max + 10.0))
+    return f0, f1, grid, w_modes, strata
+
+
+def test_strata_block_rows_equal_single_time_rows_bit_for_bit():
+    # the strata in blocks of stage times, as the weak-null source takes
+    # them: each row equals the row of a block of one, as int64 views.  The
+    # schedule crosses a record time, and below t = sqrt(15) no radius is in
+    # the wave zone, so late rows are all (+0.0) zeros
+    from backwave.engine import StepSchedule
+    from backwave.radiation import BLOCK_TIMES
+    from backwave.scenarios import _strata_rows
+
+    _f0, _f1, grid, w_modes, strata = _weaknull_parts()
+    r = grid.r[1:]
+    st = StepSchedule((6.0, 4.3, 2.0), dt_cap=0.1).stage_times
+    nonzero = 0
+    for i in range(0, len(st), BLOCK_TIMES):
+        ts = st[i:i + BLOCK_TIMES]
+        block = _strata_rows(strata, w_modes, np.array(ts), r)
+        assert block.shape == (len(ts), len(w_modes), grid.J + 1)
+        for row, t in zip(block, ts):
+            single = _strata_rows(strata, w_modes, np.array([t]), r)[0]
+            assert np.array_equal(row.view(np.int64), single.view(np.int64)), t
+            nonzero += bool(np.any(row))
+    assert 0 < nonzero < len(st)
+    assert np.all(_strata_rows(strata, w_modes, np.array([2.0]), r).view(np.int64) == 0)
+
+
+def test_dt_psi_modes_add_dt_psi_e_only_where_it_lives_bit_for_bit():
+    # d_t psi_e = -M chi_e'(r - t)/r vanishes off 1 < r - t < 2, where it
+    # would add -0.0: the block equals the whole-grid sum bit for bit
+    from backwave.radiation import eval_approximant, eval_dt_psi01_exact
+    from backwave.scenarios import _dt_psi_modes
+
+    f0, f1, grid, _w_modes, _strata = _weaknull_parts()
+    r = grid.r[1:]
+    v = np.random.default_rng(3).standard_normal((1, r.size))
+    v[0, ::7] = -0.0
+    for t in (2.0, 9.5, 20.0):
+        block = _dt_psi_modes(f0, f1, 0.02, [(2, 0), (0, 0)], v, t, r, None)
+        whole = np.zeros((2, r.size))
+        whole[0] = v[0] / r
+        whole[0] += eval_dt_psi01_exact(f0, f1, t, r)[(2, 0)]
+        whole[1] += eval_approximant(f0, f1, 0.02, "dt_psi_e", t, r)[(0, 0)]
+        assert np.array_equal(block.view(np.int64), whole.view(np.int64)), t
+        assert np.any(block[1])

@@ -6,18 +6,21 @@ Each tree's own ``configs/NAME.cfg`` runs through ``python -m backwave.cli``
 with that tree's ``src`` on the path, one process at a time and one BLAS
 thread.  The script compares every report item's ``measured`` value to 17
 significant digits and its ``passed`` flag, the item lists themselves, the
-exit codes and ``series.csv`` byte for byte, prints the differences and each
-run's wall time, then each tree's source line count (``src/backwave/*.py``)
-and settable values (defaulted function parameters plus defaulted dataclass
-fields, counted by AST), and exits 1 when anything differs or a run fails
-(exit code other than 0 or 1, or no summary.json).  NAME limits the run to
-the given configs (default: every ``configs/*.cfg`` of NEW_TREE).
+exit codes and ``series.csv`` byte for byte, prints the differences (with
+the relative change of each differing ``measured`` value) and each run's wall
+time, then the largest relative item change over all configs, each tree's
+source line count (``src/backwave/*.py``) and settable values (defaulted
+function parameters plus defaulted dataclass fields, counted by AST), and
+exits 1 when anything differs or a run fails (exit code other than 0 or 1,
+or no summary.json).  NAME limits the run to the given configs (default:
+every ``configs/*.cfg`` of NEW_TREE).
 """
 
 from __future__ import annotations
 
 import ast
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -80,11 +83,28 @@ def items(out: pathlib.Path) -> dict:
     if not path.is_file():
         return {}
     doc = json.loads(path.read_text(encoding="utf-8"))
-    return {it["name"]: (_digits(it["measured"]), it["passed"]) for it in doc.get("items", [])}
+    return {it["name"]: (it["measured"], it["passed"]) for it in doc.get("items", [])}
 
 
 def _digits(x) -> str:
     return format(x, ".17g") if isinstance(x, (int, float)) else repr(x)
+
+
+def relative_change(a, b) -> float:
+    """|b - a| / |a| of two measured values: 0 when they print alike, inf
+    from 0, between non-numbers or from a non-finite value."""
+    if _digits(a) == _digits(b):
+        return 0.0
+    if not a or not all(isinstance(x, (int, float)) and math.isfinite(x) for x in (a, b)):
+        return math.inf
+    return abs(b - a) / abs(a)
+
+
+def item_changes(old: pathlib.Path, new: pathlib.Path) -> dict:
+    """The relative change of every item in both runs whose measured value differs."""
+    a, b = items(old), items(new)
+    return {n: relative_change(a[n][0], b[n][0]) for n in a
+            if n in b and _digits(a[n][0]) != _digits(b[n][0])}
 
 
 def differences(old: pathlib.Path, new: pathlib.Path, code_a, code_b) -> list:
@@ -102,9 +122,12 @@ def differences(old: pathlib.Path, new: pathlib.Path, code_a, code_b) -> list:
             out.append(f"{side} run wrote no summary.json")
     a, b = items(old), items(new)
     out += [f"item {n}: only in {'old' if n in a else 'new'}" for n in sorted(set(a) ^ set(b))]
-    for n in a:
-        if n in b and a[n] != b[n]:
-            out.append(f"item {n}: measured/passed {a[n]} -> {b[n]}")
+    changes = item_changes(old, new)
+    for n in (n for n in a if n in b):
+        old_item, new_item = ((_digits(x[n][0]), x[n][1]) for x in (a, b))
+        if old_item != new_item:
+            rel = f" (relative change {changes[n]:.2g})" if n in changes else ""
+            out.append(f"item {n}: measured/passed {old_item} -> {new_item}{rel}")
     sa, sb = old / "series.csv", new / "series.csv"
     if sa.is_file() != sb.is_file() or (sa.is_file() and sa.read_bytes() != sb.read_bytes()):
         out.append("series.csv differs")
@@ -117,7 +140,7 @@ def main(argv) -> int:
         return 2
     old_tree, new_tree = (pathlib.Path(p).resolve() for p in argv[:2])
     names = argv[2:] or sorted(p.stem for p in (new_tree / "configs").glob("*.cfg"))
-    any_diff = False
+    any_diff, largest = False, (0.0, "no item changed")
     with tempfile.TemporaryDirectory(prefix="diff_configs_") as tmp:
         for name in names:
             outs = [pathlib.Path(tmp) / side / name for side in ("old", "new")]
@@ -130,6 +153,9 @@ def main(argv) -> int:
             print(f"{name}: {verdict}  [{sec_a:.1f} s -> {sec_b:.1f} s]", flush=True)
             for line in diffs:
                 print(f"  {line}", flush=True)
+            for item, rel in item_changes(*outs).items():
+                largest = max(largest, (rel, f"{name}: {item}"))
+    print(f"largest relative item change: {largest[0]:.2g} ({largest[1]})")
     print(f"source LOC: {source_loc(old_tree)} -> {source_loc(new_tree)}")
     print(f"settable values: {settable_values(old_tree)} -> {settable_values(new_tree)}")
     print("differences found" if any_diff else "no difference")
