@@ -27,11 +27,11 @@ import traceback
 
 from backwave.config import ConfigError, canonical_text, parse_config
 from backwave.outputs import write_bundle, write_summary_json
-from backwave.scenarios import (RUNNERS, RunSpec, ScenarioError, ScenarioReport,
-                                run_scenario)
+from backwave.scenarios import (SCENARIOS, RunSpec, ScenarioError, ScenarioReport,
+                                run_scenario, runner_for)
 
 # one subcommand per pipeline; the free-wave gate runs as 'validate'
-SUBCOMMANDS = tuple("validate" if name == "free_wave" else name for name in RUNNERS)
+SUBCOMMANDS = tuple("validate" if name == "free_wave" else name for name in SCENARIOS)
 
 EXIT_PASS = 0
 EXIT_FAILURES = 1
@@ -87,6 +87,7 @@ def main(argv) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    runner_for(spec.scenario)   # imports the pipeline's module (scipy for two) before the run
     try:
         report = run_scenario(spec)
     except Exception as exc:  # runtime failure: still write a summary

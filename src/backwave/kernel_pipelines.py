@@ -1,0 +1,319 @@
+"""The weaknull and backscatter pipelines (see :mod:`backwave.scenarios`), the
+two built on sampled profiles and retarded kernels, and the only users of
+scipy: it is imported here, and ``scenarios.runner_for`` imports this module
+while a run is set up, so the pipeline call never pays for it."""
+
+from __future__ import annotations
+
+import math
+from dataclasses import asdict
+from typing import Dict, Sequence, Tuple
+
+import numpy as np
+import scipy.interpolate  # noqa: F401  (SampledProfile's splines, loaded at set-up)
+
+from backwave.angular import band_modes, product_closures
+from backwave.backscatter import (SourceProfile, brute_force_phi_k, envelope_sweep, n_norm,
+                                  phi_k, phi_k_modes, phi2_asymptotic, source_residual_check)
+from backwave.cutoffs import chi_exterior, chi_wave_zone
+from backwave.engine import FieldState, RadialGrid, solve_backward_system
+from backwave.functionals import (FunctionalReport, energy_weighted, fit_decay,
+                                  norm_Z_weighted, sup_envelope)
+from backwave.profiles import SampledProfile, qbracket
+from backwave.radiation import (BLOCK_TIMES, SQRT4PI, RadiationField, derive_F1,
+                                eval_approximant, eval_dt_psi01_exact)
+from backwave.scenarios import (RATIO_BUDGET, ModeKey, RunSpec, ScenarioReport, _in_window,
+                                _max_over_min, _minus_box_psi01_rows, _provenance,
+                                _series_for_fit, fit_window_for, record_times_for)
+
+
+def _sampled_modes(qs: np.ndarray, arr: np.ndarray,
+                   modes: Sequence[ModeKey]) -> Dict[ModeKey, SampledProfile]:
+    """The rows of a stack of ``modes`` above 1e-14 of its largest entry, as
+    profiles sampled on ``qs``."""
+    scale = float(np.max(np.abs(arr))) or 1.0
+    return {lm: SampledProfile(qs, row) for lm, row in zip(modes, arr)
+            if np.max(np.abs(row)) > 1e-14 * scale}
+
+
+def _stage_rows(schedule, key, t: float, rows_at):
+    """``rows_at(ts)[i]`` at t = ts[i]: ts a block of BLOCK_TIMES stage times
+    kept in the schedule under ``key`` (as radiation keeps its rows), or (t,)."""
+    if schedule is None:
+        return rows_at(np.array([t]))[0]
+    kept = schedule.kept.get(key)
+    if kept is None or t not in kept[0]:
+        ts = schedule.stage_block(t, BLOCK_TIMES)
+        kept = schedule.kept[key] = ({s: i for i, s in enumerate(ts)}, rows_at(np.array(ts)))
+    return kept[1][kept[0][t]]
+
+
+def _dt_psi_modes(f0: RadiationField, f1: RadiationField, mass: float,
+                  dpsi_modes: Sequence[ModeKey], v: np.ndarray, t: float,
+                  r: np.ndarray, schedule) -> np.ndarray:
+    """Mode coefficients of d_t psi at radii r, one row per mode of
+    ``dpsi_modes`` (the psi modes, then (0, 0) if they lack it): the
+    remainder's v/r (``v`` holds its d_t u at r, one row per psi mode) plus
+    the exact d_t psi01 and d_t psi_e (``schedule``: see radiation)."""
+    block = np.zeros((len(dpsi_modes), r.size))
+    block[:len(v)] = v / r
+    for lm, vals in eval_dt_psi01_exact(f0, f1, t, r, schedule).items():
+        block[dpsi_modes.index(lm)] += vals
+    j, dpe = _stage_rows(schedule, _dt_psi_e_rows, t,
+                         lambda ts: _dt_psi_e_rows(f0, f1, mass, ts, r))
+    block[dpsi_modes.index((0, 0)), j] += dpe
+    return block
+
+
+def _dt_psi_e_rows(f0: RadiationField, f1: RadiationField, mass: float, ts, r):
+    """Per time of ts, the radius indices where chi_e' lives (1 < r - t < 2; off
+    them d_t psi_e adds -0.0) and d_t psi_e's (0, 0) coefficients there."""
+    q = r - ts[:, None]
+    ti, ji = np.nonzero((q > chi_exterior.lower) & (q < chi_exterior.upper))
+    vals = eval_approximant(f0, f1, mass, "dt_psi_e", ts[ti], r[ji])[(0, 0)]
+    ji.flags.writeable = vals.flags.writeable = False
+    cuts = np.searchsorted(ti, np.arange(1, ts.size))
+    return list(zip(np.split(ji, cuts), np.split(vals, cuts)))
+
+
+def _strata_rows(strata: Dict[int, SourceProfile], w_modes: Sequence[ModeKey],
+                 ts: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The strata's w source sum_k n_k(r - t) r^-k chi(<r-t>/r)^2 at the
+    times ts, shape (ts.size, len(w_modes), r.size + 1) with column 0 (r = 0)
+    zero.  Every term carries chi^2, so each (k, mode) is one spline call on
+    the (time, radius) pairs where chi^2 is nonzero."""
+    c2 = chi_wave_zone.value(qbracket(r - ts[:, None]) / r) ** 2
+    ti, ji = np.nonzero(c2)
+    q, rb, c2 = r[ji] - ts[ti], r[ji], c2[ti, ji]
+    out = np.zeros((ts.size, len(w_modes), r.size + 1))
+    for k, srcp in strata.items():
+        if srcp.is_zero():
+            continue
+        for i, lm in enumerate(w_modes):
+            prof = srcp.modes.get(lm)
+            if prof is not None:
+                out[ti, i, 1 + ji] += prof.value(q) * rb ** (-float(k)) * c2
+    out.flags.writeable = False
+    return out
+
+
+def _strata_sources(f0: RadiationField, f1: RadiationField, mass: float,
+                    l_out: int, q_range: Tuple[float, float]) -> Dict[int, SourceProfile]:
+    """Light-cone strata n_2, n_3, n_4 of (psi0' + psi_e' + psi1')^2.
+
+    n_2 = (F0' + M chi_e')^2, n_3 = 2 (F0' + M chi_e') F1', n_4 = (F1')^2,
+    expanded into every (l, m) up to l_out on a q table of 8192 points
+    (angular products on the full sphere, once per run: the crosscheck's
+    adaptive kernel quadrature turns rounding moves of these profiles into
+    6e-9 moves of its item).  ``q_range`` bounds the table;
+    everything beyond it is annihilated by the wave-zone cutoff in every
+    consumer, so a run-sized range is exact.
+    """
+    qs = np.linspace(q_range[0], q_range[1], 8192)
+    in_modes = list(dict.fromkeys([(0, 0), *f0.modes]))
+    base, f1p = (np.array([f.modes[lm].derivative(qs) if lm in f.modes else np.zeros(qs.size)
+                           for lm in in_modes]) for f in (f0, f1))   # F0', F1' coefficients
+    base[0] += mass * chi_exterior.derivative(qs) * SQRT4PI           # + M chi_e'
+    out_modes = band_modes(l_out)
+    to_vals, to_modes = product_closures(in_modes, out_modes)
+    vb = to_vals(base)
+    v1 = to_vals(f1p)
+    n2 = to_modes(vb * vb)
+    n3 = to_modes(2.0 * vb * v1)
+    n4 = to_modes(v1 * v1)
+    return {k: SourceProfile(_sampled_modes(qs, arr, out_modes))
+            for k, arr in ((2, n2), (3, n3), (4, n4))}
+
+
+def run_weak_null(spec: RunSpec) -> ScenarioReport:
+    rep = ScenarioReport(name="weaknull", spec=asdict(spec))
+    f0 = spec.field_from(spec.f0_modes)
+    g0 = spec.field_from(spec.g0_modes)
+    l_psi = max([l for (l, _m) in f0.modes] + [0])
+    l_w = max([min(spec.l_max, 2 * l_psi)] + [l for (l, _m) in g0.modes])
+    axisym = all(m == 0 for f in (f0, g0) for (_l, m) in f.modes)
+    w_modes = [(l, m) for (l, m) in band_modes(l_w) if m == 0 or not axisym]
+    psi_modes = [lm for lm, _p in f0.mode_items()] or [(0, 0)]
+    dpsi_modes = list(dict.fromkeys([*psi_modes, (0, 0)]))
+
+    grid = RadialGrid.for_run(spec.h, spec.T, spec.t0)
+    f1 = derive_F1(f0, q_max=grid.r_max + 2.0)
+    g1 = derive_F1(g0, q_max=grid.r_max + 2.0)
+    r_pos = grid.r[1:]
+    strata = _strata_sources(f0, f1, spec.mass, l_w,
+                             q_range=(-(spec.T + 10.0), 0.25 * grid.r_max + 10.0))
+    to_vals, to_modes = product_closures(dpsi_modes, w_modes)
+
+    def w_source(t: float, views) -> Dict[str, np.ndarray]:
+        # d_t psi, exact at substage times: remainder + approximant derivatives
+        vpsi = views["vpsi"]
+        vals = to_vals(_dt_psi_modes(f0, f1, spec.mass, dpsi_modes, vpsi.v[:, 1:], t, r_pos,
+                                     vpsi.schedule))          # pointwise d_t psi
+        s_w = np.zeros((len(w_modes), grid.J + 1))
+        s_w[:, 1:] = to_modes(vals * vals)                     # modes of (d_t psi)^2
+        s_w -= _stage_rows(vpsi.schedule, _strata_rows, t,
+                           lambda ts: _strata_rows(strata, w_modes, ts, r_pos))
+        if not g0.is_zero():
+            s_w += _minus_box_psi01_rows(g0, g1, w_modes, r_pos, t, views["w"])
+        s_w[:, 0] = 0.0
+        # remainder of psi keeps its own linear source
+        return {"vpsi": _minus_box_psi01_rows(f0, f1, psi_modes, r_pos, t, views["vpsi"]),
+                "w": s_w}
+
+    fields = {
+        "vpsi": FieldState(spec.T, grid, psi_modes),
+        "w": FieldState(spec.T, grid, w_modes),
+    }
+    records = record_times_for(spec)
+    for tc, _rc in spec.check_points:
+        records = sorted(set(records) | {tc - spec.h, tc, tc + spec.h}, reverse=True)
+    traj = solve_backward_system(fields, w_source, spec.T, spec.t0, records, cfl=spec.cfl)
+
+    window = fit_window_for(spec)
+    ts, norm1s_w, env_w = [], [], []
+    for st in traj.states["w"]:
+        ts.append(st.t)
+        norm1s_w.append(norm_Z_weighted(st, spec.s))
+        env_w.append(sup_envelope(st, spec.s))
+        rep.series.append(FunctionalReport(t=st.t, values={
+            "norm_1_s_surrogate": norm1s_w[-1], "sup_envelope": env_w[-1],
+            "energy_w1": energy_weighted(st)}))
+    ts_s, n1 = _series_for_fit(np.asarray(ts), norm1s_w, t_exclude=spec.T)
+    rep.add_fit("w_norm_exponent", fit_decay(ts_s, n1, window),
+                target=-(0.5 + spec.gamma - spec.s), tol=spec.exponent_tol,
+                fallback_series=_in_window(ts_s, n1, window))
+    _t, ev = _in_window(*_series_for_fit(np.asarray(ts), env_w, t_exclude=spec.T),
+                        spec.envelope_window)
+    wlo, whi = spec.envelope_window
+    rep.add_bound("w_envelope_bounded", _max_over_min(ev) if ev.size else math.inf,
+                  spec.envelope_budget,
+                  note=f"max/min of <t+r><t-r>^(s-1/2)|w| over t in [{wlo:g},{whi:g}]"
+                       + ("" if ev.size else ": no record in the window"))
+
+    if spec.check_points:
+        res = _weaknull_crosscheck(spec, traj, f0, f1, g0, g1, strata, w_modes,
+                                   dpsi_modes, grid)
+        rep.add_bound("interior_box_crosscheck", res, 1e-2,
+                      note="max rel |discrete box phi - (d_t psi)^2| at check points")
+    rep.provenance = _provenance(grid, [traj])
+    return rep
+
+
+def _weaknull_crosscheck(spec, traj, f0, f1, g0, g1, strata, w_modes,
+                         dpsi_modes, grid) -> float:
+    """Discrete box of the assembled phi = w + varphi01 + phi01 against the
+    quadratic source, at the configured check points."""
+    h = spec.h
+    to_vals, to_modes = product_closures(dpsi_modes, w_modes)
+
+    def phi_mode_coeffs(t: float, r: float) -> np.ndarray:
+        """phi = w + varphi01 + phi01 mode coefficients at one point."""
+        st = traj.state_at(t, "w")
+        j = int(round(r / h))
+        out = st.u[:, j] / grid.r[j]
+        # varphi01 = -(retarded kernels) in the -dt^2+Lap convention
+        for k, srcp in strata.items():
+            if srcp.is_zero():
+                continue
+            cm = phi_k_modes(srcp, k, t, r, 1e-10)
+            out -= [cm.get(lm, 0.0) for lm in w_modes]
+        if not g0.is_zero():
+            p01 = eval_approximant(g0, g1, 0.0, "psi01", t, np.asarray([r]))
+            for i, lm in enumerate(w_modes):
+                if lm in p01:
+                    out[i] += float(p01[lm][0])
+        return out
+
+    pairs = []
+    for (tc, rc) in spec.check_points:
+        jc = int(round(rc / h))
+        rc_snap = grid.r[jc]
+        c0 = phi_mode_coeffs(tc, rc_snap)
+        ct = {dt: phi_mode_coeffs(tc + dt * h, rc_snap) for dt in (-1, 1)}
+        cr = {dr: phi_mode_coeffs(tc, grid.r[jc + dr]) for dr in (-1, 1)}
+        # (d_t psi)^2 modes at the check point
+        stp = traj.state_at(tc, "vpsi")
+        vals = to_vals(_dt_psi_modes(f0, f1, spec.mass, dpsi_modes, stp.v[:, jc:jc + 1], tc,
+                                     np.asarray([rc_snap]), None))
+        sq = to_modes(vals * vals)
+        for i, lm in enumerate(w_modes):
+            l = lm[0]
+            ctt = (ct[1][i] - 2.0 * c0[i] + ct[-1][i]) / h**2
+            crr = (cr[1][i] - 2.0 * c0[i] + cr[-1][i]) / h**2
+            crd = (cr[1][i] - cr[-1][i]) / (2.0 * h)
+            box = -ctt + crr + 2.0 * crd / rc_snap - l * (l + 1.0) * c0[i] / rc_snap**2
+            rhs = sq[i, 0]
+            pairs.append((box, rhs))
+    scale = max(abs(rhs) for _box, rhs in pairs)
+    return max(abs(box - rhs) for box, rhs in pairs) / scale if scale else 0.0
+
+
+def _news_source(spec: RunSpec, f0: RadiationField) -> SourceProfile:
+    """n(q, omega) = (F0'(q, omega))^2 as sampled mode profiles, analysed into
+    every (l, m) up to 2 l_in on the full sphere (once per run: the audit's
+    oracle item, a difference, turns rounding moves of n into 2e-5 moves)."""
+    out_modes = band_modes(min(spec.l_max, 2 * max(l for (l, _m) in f0.modes)))
+    sup = max(f0.support_radius(1e-16), 4.0)
+    qs = np.linspace(-sup, sup, 4096)
+    to_vals, to_modes = product_closures(list(f0.modes), out_modes)
+    vals = to_vals(np.array([prof.derivative(qs) for _lm, prof in f0.mode_items()]))
+    return SourceProfile(_sampled_modes(qs, to_modes(vals * vals), out_modes))
+
+
+def run_backscatter_audit(spec: RunSpec) -> ScenarioReport:
+    rep = ScenarioReport(name="backscatter", spec=asdict(spec))
+    f0 = spec.field_from(spec.f0_modes)
+    if f0.is_zero():
+        rep.add_check("zero_field_zero_audit", True, 0.0)
+        return rep
+    n = _news_source(spec, f0)
+    omega = np.array([0.0, 0.0, 1.0])
+    q_tol = 1e-9
+    norm = n_norm(n, spec.a)
+
+    # oracle points: kernel quadrature vs dense brute force
+    # reference points keep the source dead near the q-endpoint so the
+    # product-grid oracle resolves the kernel (the near-cone regime is
+    # covered by the residual check); one exterior-leaning geometry included
+    points = [(40.0, 30.0), (25.0, 18.0), (60.0, 50.0), (36.0, 28.0), (50.0, 26.0)]
+    worst = 0.0
+    for (t, r) in points:
+        v1 = phi_k(n, 2, t, r, omega, q_tol)
+        v2 = brute_force_phi_k(n, 2, t, r, omega, n_q=500, n_theta=260, n_phi=96)
+        if abs(v2) > 1e-300:
+            worst = max(worst, abs(v1 - v2) / abs(v2))
+    rep.add_bound("phi2_vs_bruteforce", worst, 1e-4,
+                  note=f"max relative difference at {len(points)} reference points")
+
+    # decay envelopes along t = r + 5
+    sweep = [(r + 5.0, r) for r in (20.0, 28.0, 40.0, 57.0, 80.0, 113.0, 160.0)]
+    leads = [phi2_asymptotic(n, t, r, omega) for (t, r) in sweep]
+    sweeps = {k: envelope_sweep(n, k, sweep, omega, spec.a, q_tol) for k in (2, 3, 4)}
+    for k, out in sweeps.items():
+        rep.add_bound(f"envelope_k{k}", float(np.max(out["envelope"])) / max(norm, 1e-300),
+                      RATIO_BUDGET,
+                      note=f"sup envelope / ||n|| along t=r+5 (values {np.round(out['envelope'], 4).tolist()})")
+        for tt, rr, val, env, lead in zip(out["t"], out["r"], out["value"], out["envelope"],
+                                          leads):
+            row = {f"phi{k}": float(val), f"envelope_k{k}": float(env),
+                   "r": float(rr), "direction_index": 0.0}
+            if k == 2:
+                row["phi2_asymptotic"] = lead
+            rep.series.append(FunctionalReport(t=float(tt), values=row))
+
+    # near-cone asymptotics: remainder against the log-leading term
+    rem = []
+    for (t, r), full, lead in zip(sweep, sweeps[2]["value"].tolist(), leads):
+        qp = max(r - t, 0.0)
+        rem.append(abs(full - lead) * math.sqrt(1.0 + (t + r) ** 2)
+                   * (1.0 + qp * qp) ** (0.5 * spec.a))
+    rep.add_bound("phi2_asymptotic_remainder", float(np.max(rem)) / max(norm, 1e-300),
+                  RATIO_BUDGET,
+                  note="|phi2 - leading| <t+r> <q+>^a / ||n|| along the sweep")
+
+    # wave-operator residuals for all three kernels
+    for k in (2, 3, 4):
+        res = source_residual_check(n, k, [(12.0, 11.0), (16.0, 15.0)], h=0.05, q_tol=q_tol)
+        rep.add_bound(f"source_residual_k{k}", res["max_rel_residual"], 1e-2,
+                      note=f"noise floor {res['noise_floor']:.2e}")
+    return rep

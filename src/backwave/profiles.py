@@ -12,6 +12,7 @@ built from config descriptors by :func:`make_profile`, plus two kinds the
 package builds directly: ``sampled`` (cubic-spline interpolation of a
 table, zero outside) and ``antiderivative`` (the second-order field derived
 from a base profile: value scale * int_0^q base, derivative scale * base).
+Only ``sampled`` needs scipy, imported when the first one is built.
 
 A profile carries its value and its first q-derivative, both in closed
 form for the analytic kinds; nothing is finite-differenced.
@@ -22,7 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 
 class ProfileError(ValueError):
@@ -179,6 +179,7 @@ class SampledProfile(Profile):
             raise ProfileError("sampled profile needs matching 1-D q grid and values, >= 4 points")
         if not np.all(np.diff(q_grid) > 0):
             raise ProfileError("sampled profile q grid must be strictly increasing")
+        from scipy.interpolate import CubicSpline
         self._q = q_grid
         self._spline = CubicSpline(q_grid, values, extrapolate=False)
         self._amplitude = float(np.max(np.abs(values))) or 1.0

@@ -168,7 +168,8 @@ def eval_approximant(f0: RadiationField, f1: RadiationField, mass: float,
                      which: str, t: float, r) -> Dict[Tuple[int, int], np.ndarray]:
     """Per-mode coefficients of the requested wave-zone approximant at (t, r).
 
-    ``r`` may be an array of positive radii.  The exterior mass ``mass`` = M
+    ``r`` may be an array of positive radii; for psi_e and dt_psi_e, so may
+    ``t``, broadcast against ``r``.  The exterior mass ``mass`` = M
     contributes only to the (0, 0) slot, with coefficient
     M chi_e(r-t)/r sqrt(4 pi) (so the physical value is M chi_e/r).
     """

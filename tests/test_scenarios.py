@@ -284,7 +284,7 @@ def test_every_report_names_its_run(monkeypatch):
 def _recorded_solves(monkeypatch):
     """The trajectories of every solve a run makes, in call order."""
     import backwave.engine as engine
-    import backwave.scenarios as scenarios
+    import backwave.kernel_pipelines as kernel_pipelines
 
     trajs, solve = [], engine.solve_backward_system
 
@@ -293,7 +293,7 @@ def _recorded_solves(monkeypatch):
         return trajs[-1]
 
     monkeypatch.setattr(engine, "solve_backward_system", recording)
-    monkeypatch.setattr(scenarios, "solve_backward_system", recording)
+    monkeypatch.setattr(kernel_pipelines, "solve_backward_system", recording)
     return trajs
 
 
@@ -341,7 +341,7 @@ def _weaknull_parts(h=0.25, T=24.0):
     """F0, F1, the radial grid and the strata of a small axisymmetric weak-null run."""
     from backwave.engine import RadialGrid
     from backwave.radiation import derive_F1
-    from backwave.scenarios import _strata_sources
+    from backwave.kernel_pipelines import _strata_sources
 
     spec = RunSpec(scenario="weaknull", gamma=0.8, mass=0.02,
                    f0_modes=[(2, 0, {"kind": "poly-tail", "amplitude": 2.0, "p": 0.85})])
@@ -361,7 +361,7 @@ def test_strata_block_rows_equal_single_time_rows_bit_for_bit():
     # the wave zone, so late rows are all (+0.0) zeros
     from backwave.engine import StepSchedule
     from backwave.radiation import BLOCK_TIMES
-    from backwave.scenarios import _strata_rows
+    from backwave.kernel_pipelines import _strata_rows
 
     _f0, _f1, grid, w_modes, strata = _weaknull_parts()
     r = grid.r[1:]
@@ -383,7 +383,7 @@ def test_dt_psi_modes_add_dt_psi_e_only_where_it_lives_bit_for_bit():
     # d_t psi_e = -M chi_e'(r - t)/r vanishes off 1 < r - t < 2, where it
     # would add -0.0: the block equals the whole-grid sum bit for bit
     from backwave.radiation import eval_approximant, eval_dt_psi01_exact
-    from backwave.scenarios import _dt_psi_modes
+    from backwave.kernel_pipelines import _dt_psi_modes
 
     f0, f1, grid, _w_modes, _strata = _weaknull_parts()
     r = grid.r[1:]
@@ -397,3 +397,24 @@ def test_dt_psi_modes_add_dt_psi_e_only_where_it_lives_bit_for_bit():
         whole[1] += eval_approximant(f0, f1, 0.02, "dt_psi_e", t, r)[(0, 0)]
         assert np.array_equal(block.view(np.int64), whole.view(np.int64)), t
         assert np.any(block[1])
+
+
+def test_dt_psi_modes_on_schedule_blocks_equal_single_time_rows_bit_for_bit():
+    # with the march's schedule, d_t psi01 and d_t psi_e come from blocks of
+    # BLOCK_TIMES stage times: each block equals the one of a call without a
+    # schedule, as int64 views, across a record time
+    from backwave.engine import StepSchedule
+    from backwave.kernel_pipelines import _dt_psi_modes
+
+    f0, f1, grid, _w_modes, _strata = _weaknull_parts()
+    r = grid.r[1:]
+    v = np.random.default_rng(5).standard_normal((1, r.size))
+    v[0, ::5] = -0.0
+    schedule = StepSchedule((24.0, 9.7, 2.0), dt_cap=0.125)
+    with_psi_e = 0
+    for t in schedule.stage_times:
+        block = _dt_psi_modes(f0, f1, 0.02, [(2, 0), (0, 0)], v, t, r, schedule)
+        single = _dt_psi_modes(f0, f1, 0.02, [(2, 0), (0, 0)], v, t, r, None)
+        assert np.array_equal(block.view(np.int64), single.view(np.int64)), t
+        with_psi_e += bool(np.any(block[1]))
+    assert with_psi_e == len(schedule.stage_times)
