@@ -25,13 +25,17 @@ optional ``on_step`` observer (cone fluxes, per-step states: see
 
 Several fields can be co-evolved as one system so that coupled sources
 (e.g. a quadratic coupling to another field's time derivative) see exact
-substage values.
+substage values.  The march stacks the fields' modes into one u and one v
+array, a row slice per field: each RK4 stage is one stencil pass over the
+stack, then each field's source rows are subtracted from its own slice.
 
 RK4 asks for the source four times per step, at two new distinct times (k2
 and k3 share t - dt/2; k4's time is the next step's k1's).  These are the
 stage times of the :class:`StepSchedule` the march steps with and the stage
-views carry, so a costly state-independent source evaluates blocks of them
-ahead, as the radiation residual does.
+views carry.  A costly state-independent source evaluates them in blocks of
+BLOCK_TIMES through :func:`stage_rows`, which keeps each block in the
+schedule until the march leaves it, as the radiation residual and the
+weak-null strata do.
 """
 
 from __future__ import annotations
@@ -48,6 +52,9 @@ ModeKey = Tuple[int, int]
 
 RK4_IMAG_LIMIT = 2.7  # safe fraction of the 2*sqrt(2) imaginary-axis bound
 BREACH_TOL = 1e-9     # edge/scale ratio of |u| that aborts a solve
+# stage times per block of forcing rows (see stage_rows); 128-time blocks
+# raised a homogeneous run's peak RSS by 18%
+BLOCK_TIMES = 16
 
 
 class EngineError(RuntimeError):
@@ -113,10 +120,10 @@ class StepSchedule:
     """Steps from T = times[0] down to t0 = times[-1] (descending), dt uniform
     and <= dt_cap between consecutive times.  ``stage_times``: the distinct
     RK4 stage times (t, t - dt/2, t - dt per step) in march order, the floats
-    the source gets; ``kept``: a forcing's rows of them for the solve."""
+    the source gets."""
 
     def __init__(self, times: Sequence[float], dt_cap: float):
-        self.times, self.dt_cap, self.kept = tuple(times), dt_cap, {}
+        self.times, self.dt_cap, self._kept = tuple(times), dt_cap, {}
         self.stage_times = tuple(dict.fromkeys(
             s for t, dt, _end in self.steps() for s in (t, t - 0.5 * dt, t - dt)))
         self._index = {s: i for i, s in enumerate(self.stage_times)}
@@ -133,11 +140,26 @@ class StepSchedule:
                 t -= dt
             t = t_next
 
-    def stage_block(self, t: float, n: int) -> Tuple[float, ...]:
-        """The stage time t and those after it, n at most."""
-        if t not in self._index:
-            raise EngineError(f"t = {t!r} is not a stage time of this schedule")
-        return self.stage_times[self._index[t]:self._index[t] + n]
+
+def stage_rows(schedule: Optional[StepSchedule], key, t: float, r: np.ndarray,
+               rows_at: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """``rows_at(ts)[k]`` for t = ts[k], a forcing's rows at the radii ``r``.
+    Without a schedule ts is (t,) and the row is the caller's own.  With one,
+    ts is the stage time t and up to BLOCK_TIMES - 1 later ones, kept
+    read-only in the schedule under ``key`` until another time or other
+    radii are asked for; a time that is not a stage time raises."""
+    if schedule is None:
+        return rows_at(np.array([t]))[0]
+    i = schedule._index.get(t)
+    if i is None:
+        raise EngineError(f"t = {t!r} is not a stage time of this schedule")
+    start, kept_r, rows = schedule._kept.get(key) or (i, None, ())
+    if not 0 <= i - start < len(rows) or not np.array_equal(kept_r, r):
+        rows = schedule._kept[key] = None   # drop the old block first: peak RSS
+        start, kept_r, rows = schedule._kept[key] = (
+            i, np.array(r), rows_at(np.array(schedule.stage_times[i:i + BLOCK_TIMES])))
+        rows.flags.writeable = False
+    return rows[i - start]
 
 
 @dataclass
@@ -193,12 +215,13 @@ def solve_backward_system(
     ``source(t, views)`` returns a dict mapping field names to S arrays of
     shape (n_modes, J+1), the right-hand side of box phi = S; omitted fields
     get zero source.  ``views[name]`` has the stage's t, grid, modes, u and
-    v, and the march's :class:`StepSchedule`, ``schedule``.  Record times
-    are hit exactly.  ``on_step(t, views)``, when given, is called with
-    the same kind of views at t = T and after every step, in march order;
-    t is the step's own time, before a segment end snaps it to the record
-    time.  The views hold the march's own arrays, which the engine never
-    writes after the call and the observer must not write at all.
+    v (the field's rows of the march's stacked arrays) and the march's
+    :class:`StepSchedule`, ``schedule``.  Record times are hit exactly.
+    ``on_step(t, views)``, when given, is called with the same kind of views
+    at t = T and after every step, in march order; t is the step's own
+    time, before a segment end snaps it to the record time.  The views hold
+    the march's own arrays, which the engine never writes after the call and
+    the observer must not write at all.
     """
     names = list(fields)
     if not names:
@@ -212,37 +235,35 @@ def solve_backward_system(
     if not T > t0:
         raise EngineError("need T > t0")
     h = grid.h
-    r = grid.r
-    rint = r[1:-1]
-    l_max = max(int(max((l for (l, _m) in st.modes), default=0)) for st in fields.values())
-    dt_cap = stable_dt(h, l_max, cfl)
+    rint = grid.r[1:-1]
+    stops = np.cumsum([len(fields[n].modes) for n in names])
+    rows = {n: slice(stop - len(fields[n].modes), stop) for n, stop in zip(names, stops)}
+    ell = np.concatenate([fields[n].ell for n in names])
+    dt_cap = stable_dt(h, int(max(ell, default=0)), cfl)
 
     times = sorted({float(t) for t in record_times} | {float(T), float(t0)}, reverse=True)
     if times[0] > T + 1e-12 or times[-1] < t0 - 1e-12:
         raise EngineError("record times must lie inside [t0, T]")
 
-    u = {n: fields[n].u.copy() for n in names}
-    v = {n: fields[n].v.copy() for n in names}
-    pot = {n: np.outer(fields[n].ell * (fields[n].ell + 1.0), 1.0 / rint**2) for n in names}
-    modes = {n: fields[n].modes for n in names}
-
+    u = np.concatenate([fields[n].u for n in names])
+    v = np.concatenate([fields[n].v for n in names])
+    pot = np.outer(ell * (ell + 1.0), 1.0 / rint**2)
     schedule = StepSchedule(times, dt_cap)
 
     def views(t, uu, vv):
-        return {n: SimpleNamespace(t=t, grid=grid, modes=modes[n], u=uu[n], v=vv[n],
-                                   schedule=schedule) for n in names}
+        return {n: SimpleNamespace(t=t, grid=grid, modes=fields[n].modes, u=uu[rows[n]],
+                                   v=vv[rows[n]], schedule=schedule) for n in names}
 
     def rhs(t, uu, vv):
+        """(d_t u, d_t v) of the stack at the stage (t, uu, vv)."""
+        dv = acceleration(uu, None, pot, rint, h)
         src = source(t, views(t, uu, vv)) if source else {}
-        return dict(vv), {n: acceleration(uu[n], src.get(n), pot[n], rint, h) for n in names}
-
-    def stage(t, c, ku, kv):
-        """RK4 stage: the right-hand side at t - c after a step of c along (ku, kv)."""
-        return rhs(t - c, {n: u[n] - c * ku[n] for n in names},
-                   {n: v[n] - c * kv[n] for n in names})
+        for n, s in src.items():
+            dv[rows[n], 1:-1] -= rint[None, :] * s[:, 1:-1]
+        return vv, dv
 
     recorded: Dict[str, List[FieldState]] = {n: [] for n in names}
-    scale_seen = max(max(float(np.max(np.abs(u[n]))) for n in names), 1e-30)
+    scale_seen = max(float(np.max(np.abs(u))), 1e-30)
 
     def after_step(t, record):
         """The observer, the containment monitor, then the states at the
@@ -251,8 +272,8 @@ def solve_backward_system(
         if on_step is not None:
             on_step(t, views(t, u, v))
         for n in names:
-            edge = float(np.max(np.abs(u[n][:, -4:])))
-            scale_seen = max(scale_seen, float(np.max(np.abs(u[n]))))
+            edge = float(np.max(np.abs(u[rows[n], -4:])))
+            scale_seen = max(scale_seen, float(np.max(np.abs(u[rows[n]]))))
             if edge > BREACH_TOL * scale_seen:
                 raise ContainmentError(
                     f"support reached outer boundary at t={t:.6g} in field {n!r} "
@@ -260,22 +281,19 @@ def solve_backward_system(
                 )
         if record is not None:
             for n in names:
-                recorded[n].append(FieldState(record, grid, modes[n], u[n], v[n]))
+                recorded[n].append(FieldState(record, grid, fields[n].modes,
+                                              u[rows[n]], v[rows[n]]))
 
     after_step(times[0], times[0])
     steps = list(schedule.steps())
     for t_now, dt, end in steps:
         k1u, k1v = rhs(t_now, u, v)
-        k2u, k2v = stage(t_now, 0.5 * dt, k1u, k1v)
-        k3u, k3v = stage(t_now, 0.5 * dt, k2u, k2v)
-        k4u, k4v = stage(t_now, dt, k3u, k3v)
-        for n in names:
-            u[n] = u[n] - (dt / 6.0) * (k1u[n] + 2.0 * k2u[n] + 2.0 * k3u[n] + k4u[n])
-            v[n] = v[n] - (dt / 6.0) * (k1v[n] + 2.0 * k2v[n] + 2.0 * k3v[n] + k4v[n])
-            u[n][:, 0] = 0.0
-            u[n][:, -1] = 0.0
-            v[n][:, 0] = 0.0
-            v[n][:, -1] = 0.0
+        k2u, k2v = rhs(t_now - 0.5 * dt, u - 0.5 * dt * k1u, v - 0.5 * dt * k1v)
+        k3u, k3v = rhs(t_now - 0.5 * dt, u - 0.5 * dt * k2u, v - 0.5 * dt * k2v)
+        k4u, k4v = rhs(t_now - dt, u - dt * k3u, v - dt * k3v)
+        u = u - (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        v = v - (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        u[:, 0] = u[:, -1] = v[:, 0] = v[:, -1] = 0.0
         after_step(t_now - dt, end)
 
     return Trajectory(grid=grid, record_times=times, states=recorded,

@@ -1,7 +1,9 @@
 """The weaknull and backscatter pipelines (see :mod:`backwave.scenarios`), the
 two built on sampled profiles and retarded kernels, and the only users of
 scipy: it is imported here, and ``scenarios.runner_for`` imports this module
-while a run is set up, so the pipeline call never pays for it."""
+while a run is set up, so the pipeline call never pays for it.  Weak-null's
+strata and d_t psi_e rows come in blocks of the march's stage times from
+``engine.stage_rows``, as radiation's residual and d_t psi01 rows do."""
 
 from __future__ import annotations
 
@@ -16,12 +18,12 @@ from backwave.angular import band_modes, product_closures
 from backwave.backscatter import (SourceProfile, brute_force_phi_k, envelope_sweep, n_norm,
                                   phi_k, phi_k_modes, phi2_asymptotic, source_residual_check)
 from backwave.cutoffs import chi_exterior, chi_wave_zone
-from backwave.engine import FieldState, RadialGrid, solve_backward_system
+from backwave.engine import FieldState, RadialGrid, solve_backward_system, stage_rows
 from backwave.functionals import (FunctionalReport, energy_weighted, fit_decay,
                                   norm_Z_weighted, sup_envelope)
 from backwave.profiles import SampledProfile, qbracket
-from backwave.radiation import (BLOCK_TIMES, SQRT4PI, RadiationField, derive_F1,
-                                eval_approximant, eval_dt_psi01_exact)
+from backwave.radiation import (SQRT4PI, RadiationField, derive_F1, eval_approximant,
+                                eval_dt_psi01_exact)
 from backwave.scenarios import (RATIO_BUDGET, ModeKey, RunSpec, ScenarioReport, _in_window,
                                 _max_over_min, _minus_box_psi01_rows, _provenance,
                                 _series_for_fit, fit_window_for, record_times_for)
@@ -36,44 +38,30 @@ def _sampled_modes(qs: np.ndarray, arr: np.ndarray,
             if np.max(np.abs(row)) > 1e-14 * scale}
 
 
-def _stage_rows(schedule, key, t: float, rows_at):
-    """``rows_at(ts)[i]`` at t = ts[i]: ts a block of BLOCK_TIMES stage times
-    kept in the schedule under ``key`` (as radiation keeps its rows), or (t,)."""
-    if schedule is None:
-        return rows_at(np.array([t]))[0]
-    kept = schedule.kept.get(key)
-    if kept is None or t not in kept[0]:
-        ts = schedule.stage_block(t, BLOCK_TIMES)
-        kept = schedule.kept[key] = ({s: i for i, s in enumerate(ts)}, rows_at(np.array(ts)))
-    return kept[1][kept[0][t]]
-
-
 def _dt_psi_modes(f0: RadiationField, f1: RadiationField, mass: float,
                   dpsi_modes: Sequence[ModeKey], v: np.ndarray, t: float,
                   r: np.ndarray, schedule) -> np.ndarray:
     """Mode coefficients of d_t psi at radii r, one row per mode of
     ``dpsi_modes`` (the psi modes, then (0, 0) if they lack it): the
     remainder's v/r (``v`` holds its d_t u at r, one row per psi mode) plus
-    the exact d_t psi01 and d_t psi_e (``schedule``: see radiation)."""
+    the exact d_t psi01 and d_t psi_e (``schedule``: see ``stage_rows``)."""
     block = np.zeros((len(dpsi_modes), r.size))
     block[:len(v)] = v / r
     for lm, vals in eval_dt_psi01_exact(f0, f1, t, r, schedule).items():
         block[dpsi_modes.index(lm)] += vals
-    j, dpe = _stage_rows(schedule, _dt_psi_e_rows, t,
-                         lambda ts: _dt_psi_e_rows(f0, f1, mass, ts, r))
-    block[dpsi_modes.index((0, 0)), j] += dpe
+    block[dpsi_modes.index((0, 0))] += stage_rows(
+        schedule, _dt_psi_e_rows, t, r, lambda ts: _dt_psi_e_rows(f0, f1, mass, ts, r))
     return block
 
 
 def _dt_psi_e_rows(f0: RadiationField, f1: RadiationField, mass: float, ts, r):
-    """Per time of ts, the radius indices where chi_e' lives (1 < r - t < 2; off
-    them d_t psi_e adds -0.0) and d_t psi_e's (0, 0) coefficients there."""
+    """d_t psi_e's (0, 0) coefficients at the times ts, (ts.size, r.size): off
+    1 < r - t < 2, where chi_e' lives, its value -0.0, which adds nothing."""
     q = r - ts[:, None]
     ti, ji = np.nonzero((q > chi_exterior.lower) & (q < chi_exterior.upper))
-    vals = eval_approximant(f0, f1, mass, "dt_psi_e", ts[ti], r[ji])[(0, 0)]
-    ji.flags.writeable = vals.flags.writeable = False
-    cuts = np.searchsorted(ti, np.arange(1, ts.size))
-    return list(zip(np.split(ji, cuts), np.split(vals, cuts)))
+    out = np.full(q.shape, -0.0)
+    out[ti, ji] = eval_approximant(f0, f1, mass, "dt_psi_e", ts[ti], r[ji])[(0, 0)]
+    return out
 
 
 def _strata_rows(strata: Dict[int, SourceProfile], w_modes: Sequence[ModeKey],
@@ -93,7 +81,6 @@ def _strata_rows(strata: Dict[int, SourceProfile], w_modes: Sequence[ModeKey],
             prof = srcp.modes.get(lm)
             if prof is not None:
                 out[ti, i, 1 + ji] += prof.value(q) * rb ** (-float(k)) * c2
-    out.flags.writeable = False
     return out
 
 
@@ -151,8 +138,8 @@ def run_weak_null(spec: RunSpec) -> ScenarioReport:
                                      vpsi.schedule))          # pointwise d_t psi
         s_w = np.zeros((len(w_modes), grid.J + 1))
         s_w[:, 1:] = to_modes(vals * vals)                     # modes of (d_t psi)^2
-        s_w -= _stage_rows(vpsi.schedule, _strata_rows, t,
-                           lambda ts: _strata_rows(strata, w_modes, ts, r_pos))
+        s_w -= stage_rows(vpsi.schedule, _strata_rows, t, r_pos,
+                          lambda ts: _strata_rows(strata, w_modes, ts, r_pos))
         if not g0.is_zero():
             s_w += _minus_box_psi01_rows(g0, g1, w_modes, r_pos, t, views["w"])
         s_w[:, 0] = 0.0

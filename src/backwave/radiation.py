@@ -20,11 +20,11 @@ module derives:
   angular term -l(l+1) F1/r^4 inside the wave zone, and its weighted norm.
 
 psi01 terms are computed only on the band <r-t>/r < 1/4, exact zeros off
-it, one 2-D pass per block of times (rows +0.0 off their own band; without
-a schedule a call is a block of one).  At a stage time of the march's
-``engine.StepSchedule`` not yet kept, the residual and d_t psi01 evaluate
-it and up to BLOCK_TIMES - 1 later stage times, keep the rows (read-only)
-in the schedule and return the row spread over r; other times raise.
+it, one 2-D pass per block of times (rows +0.0 off their own band).  The
+residual and d_t psi01 take their blocks from ``engine.stage_rows``: given
+the march's ``engine.StepSchedule``, a block of stage times is spread over
+r once and each of its times returns read-only views into it; without a
+schedule a call is a block of one and returns the caller's own arrays.
 Fields are not modified once built.
 """
 
@@ -36,15 +36,12 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from backwave.cutoffs import chi_exterior, chi_wave_zone
+from backwave.engine import stage_rows
 from backwave.profiles import AntiderivativeProfile, Profile, qbracket
 
 SQRT4PI = math.sqrt(4.0 * math.pi)
 
 APPROXIMANTS = ("psi01", "psi_e", "dt_psi_e")
-
-# a pass holds times x band x 8 (antiderivative nodes) floats per mode, and
-# 128-time blocks raised a homogeneous run's peak RSS by 18%
-BLOCK_TIMES = 16
 
 
 class RadiationDataError(ValueError):
@@ -145,23 +142,20 @@ def _chi_terms(ts: np.ndarray, r: np.ndarray):
 
 
 def _per_time(block, f0, f1, t, r, schedule):
-    """The row at t of ``block(f0, f1, ts, r)`` -> (cols, rows), spread over r."""
+    """The rows at t of ``block(f0, f1, ts, r)`` -> (cols, rows) per mode of f0,
+    spread over r (``schedule``: see ``engine.stage_rows``)."""
     r = np.asarray(r, dtype=float)
-    kept = None if schedule is None else schedule.kept.get((block, f0, f1))
-    if kept is None or t not in kept[0] or not np.array_equal(kept[1], r):
+
+    def spread(ts):
         if np.any(r <= 0.0):
             raise RadiationDataError("require r > 0")
-        ts = (t,) if schedule is None else schedule.stage_block(t, BLOCK_TIMES)
-        kept = ({s: i for i, s in enumerate(ts)}, r.copy()) + block(f0, f1, np.array(ts), r)
-        for vals in kept[3].values():
-            vals.flags.writeable = False
-        if schedule is not None:
-            schedule.kept[(block, f0, f1)] = kept
-    index, _r, cols, rows = kept
-    out = {lm: np.zeros(r.size) for lm in rows}
-    for lm, vals in rows.items():
-        out[lm][cols] = vals[index[t]]
-    return out
+        cols, rows = block(f0, f1, ts, r)
+        out = np.zeros((ts.size, len(rows), r.size))
+        for k, vals in enumerate(rows.values()):
+            out[:, k, cols] = vals
+        return out
+
+    return dict(zip(f0.modes, stage_rows(schedule, (block, f0, f1), t, r, spread)))
 
 
 def eval_approximant(f0: RadiationField, f1: RadiationField, mass: float,

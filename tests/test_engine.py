@@ -239,3 +239,45 @@ def test_multi_field_coupling_sees_substage_values():
     # "a" remains the exact free wave
     end = traj.states["a"][-1]
     assert float(np.max(np.abs(end.u[0] - exact_u(2.0, grid.r)))) < 50 * h**2
+
+
+def test_uncoupled_fields_march_in_their_rows_as_they_do_alone():
+    # fields of 1 and 3 modes share one stacked march; the source drives "b"
+    # only, so "a" gets zero source.  l <= 3 keeps dt at cfl * h, as alone
+    h = 0.1
+    grid = RadialGrid(h=h, J=180)
+    b_modes = [(1, 0), (2, 0), (3, 0)]
+    assert stable_dt(h, 3, 0.5) == stable_dt(h, 0, 0.5)
+    b_u = np.array([(k + 1.0) * grid.r ** (l + 1) * np.exp(-(grid.r - 5.0) ** 2)
+                    for k, (l, _m) in enumerate(b_modes)])
+
+    def bump(t):
+        return np.array([[(k + 1.0)] for k in range(3)]) * np.exp(
+            -((grid.r - 4.0) ** 2) - (t - 4.0) ** 2)
+
+    fields = {"a": make_state(6.0, grid), "b": FieldState(6.0, grid, b_modes, b_u)}
+    records = [2.0, 3.3, 5.1]
+    traj = solve_backward_system(fields, lambda t, views: {"b": bump(t)}, 6.0, 2.0, records)
+    alone = {"a": solve_backward(fields["a"], None, 6.0, 2.0, records),
+             "b": solve_backward(fields["b"], lambda t, view: bump(t), 6.0, 2.0, records)}
+    for name, single in alone.items():
+        assert single.steps == traj.steps
+        for st, ref in zip(traj.states[name], single.field_states(), strict=True):
+            assert st.t == ref.t and st.modes == ref.modes
+            for got, want in ((st.u, ref.u), (st.v, ref.v)):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (name, st.t)
+    assert np.any(traj.states["b"][-1].u) and np.any(traj.states["a"][-1].u)
+
+
+def test_containment_breach_in_the_second_field_names_it_at_its_own_step():
+    # "a" stays clear of r_max; "b", the larger field, reaches it, and the
+    # system aborts where "b" alone does
+    grid = RadialGrid(h=0.1, J=120)
+    a = FieldState(6.0, grid, [(0, 0)], 0.1 * grid.r * np.exp(-4.0 * (grid.r - 3.0) ** 2))
+    b = make_state(6.0, grid)
+    solve_backward(a, None, 6.0, 1.0, [1.0])
+    with pytest.raises(ContainmentError) as alone:
+        solve_backward(b, None, 6.0, 1.0, [1.0])
+    with pytest.raises(ContainmentError, match="in field 'b'") as system:
+        solve_backward_system({"a": a, "b": b}, None, 6.0, 1.0, [1.0])
+    assert str(system.value) == str(alone.value).replace("'phi'", "'b'")

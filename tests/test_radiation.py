@@ -6,9 +6,10 @@ from scipy.special import erf
 
 from backwave.cutoffs import chi_exterior
 from backwave import radiation
-from backwave.engine import EngineError, RadialGrid, StepSchedule, discrete_box_field, stable_dt
+from backwave.engine import (BLOCK_TIMES, EngineError, RadialGrid, StepSchedule,
+                             discrete_box_field, stable_dt)
 from backwave.profiles import SampledProfile, make_profile
-from backwave.radiation import (BLOCK_TIMES, RadiationDataError, RadiationField,
+from backwave.radiation import (RadiationDataError, RadiationField,
                                 SQRT4PI, derive_F1, eval_approximant,
                                 eval_dt_psi01_exact, realized_decay_class,
                                 residual_box_psi01)
@@ -312,17 +313,25 @@ def test_scheduled_rows_are_kept_read_only_and_other_times_raise(monkeypatch):
                             lambda *args, _b=block: passes.append(args[2].size) or _b(*args))
     for fn in (residual_box_psi01, eval_dt_psi01_exact):
         t = sched.stage_times[3]
+        own = fn(f0, f1, t, r)[(2, 0)]
+        own[:] = 1.0         # without a schedule, the caller's own array
         first = fn(f0, f1, t, r, sched)[(2, 0)]
-        first[:] = 1.0       # the caller's own array, not the kept row
-        assert np.array_equal(fn(f0, f1, t, r, sched)[(2, 0)], fn(f0, f1, t, r)[(2, 0)])
+        with pytest.raises(ValueError):
+            first[:] = 1.0   # with one, a read-only view into the kept block
+        assert np.array_equal(first, fn(f0, f1, t, r)[(2, 0)])
         for later in sched.stage_times[4:3 + BLOCK_TIMES]:
             fn(f0, f1, later, r, sched)
         # a time off the schedule raises instead of evaluating one row
         with pytest.raises(EngineError):
             fn(f0, f1, np.nextafter(t, 0.0), r, sched)
-    # one pass per function for its 16 stage times, plus the two unscheduled checks
-    assert passes == [BLOCK_TIMES, 1, BLOCK_TIMES, 1]
-    for _index, _r, _cols, rows in sched.kept.values():
-        for vals in rows.values():
-            with pytest.raises(ValueError):
-                vals[0, 0] = 1.0
+        # other radii of the same size, even in the kept radii's own array,
+        # are evaluated afresh, never served from the kept block
+        radii = r.copy()
+        fn(f0, f1, t, radii, sched)
+        radii += 0.5
+        moved = fn(f0, f1, t, radii, sched)[(2, 0)]
+        assert np.array_equal(moved, fn(f0, f1, t, radii)[(2, 0)])
+        assert not np.array_equal(moved, first)
+    # per function: one pass for its 16 stage times, one for the moved radii,
+    # plus the three unscheduled calls
+    assert passes == [1, BLOCK_TIMES, 1, BLOCK_TIMES, 1] * 2

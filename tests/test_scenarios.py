@@ -359,8 +359,7 @@ def test_strata_block_rows_equal_single_time_rows_bit_for_bit():
     # them: each row equals the row of a block of one, as int64 views.  The
     # schedule crosses a record time, and below t = sqrt(15) no radius is in
     # the wave zone, so late rows are all (+0.0) zeros
-    from backwave.engine import StepSchedule
-    from backwave.radiation import BLOCK_TIMES
+    from backwave.engine import BLOCK_TIMES, StepSchedule
     from backwave.kernel_pipelines import _strata_rows
 
     _f0, _f1, grid, w_modes, strata = _weaknull_parts()
