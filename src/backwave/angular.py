@@ -47,6 +47,14 @@ def band_modes(l_max: int):
     return [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
 
 
+def mode_rows(modes, within):
+    """The rows of ``modes`` in the list ``within`` (each must be in it): a
+    slice when they are consecutive rows in order, else a list of indices."""
+    rows = [within.index(lm) for lm in modes]
+    start, stop = (rows[0], rows[0] + len(rows)) if rows else (0, 0)
+    return slice(start, stop) if rows == list(range(start, stop)) else rows
+
+
 def normalized_legendre(l_max: int, x: np.ndarray) -> np.ndarray:
     """Ptilde_{l,m}(x) for 0 <= m <= l <= l_max, shape (l_max+1, l_max+1, len(x)).
 

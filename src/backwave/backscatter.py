@@ -35,9 +35,12 @@ exact window lam <= (t-r+q)(t+r+q)/(8 <q>), with geometrically graded
 panels resolving the 1/lam behavior near the light cone; the q lower limit
 is approached on an exponential substitution.
 
-The wave-operator residual check applies a centered finite-difference box
-to quadrature-evaluated mode coefficients and compares against the source;
-it is the arbiter for the printed kernels.
+:func:`phi_k_modes` returns the coefficients as one array in the source's
+``n.modes`` order, as :func:`source_value_modes` returns the source.  The
+wave-operator residual check applies the centered five-point box
+:func:`five_point_box` to quadrature-evaluated mode coefficients and
+compares against the source; it is the arbiter for the printed kernels.
+The weak-null crosscheck applies the same box to its assembled field.
 """
 
 from __future__ import annotations
@@ -173,9 +176,9 @@ def _q_panels(n: SourceProfile, t: float, r: float):
     return panels
 
 
-def phi_k_modes(n: SourceProfile, k: int, t: float, r: float,
-                q_tol: float) -> Dict[ModeKey, float]:
-    """Mode coefficients of Phi^k[n](t, r .): c_lm = int I_l(q) prof_lm(q) dq.
+def phi_k_modes(n: SourceProfile, k: int, t: float, r: float, q_tol: float) -> np.ndarray:
+    """Mode coefficients of Phi^k[n](t, r .), c_lm = int I_l(q) prof_lm(q) dq,
+    one per mode of ``n.modes`` in its order.
 
     Adaptive bisection on q panels against the tolerance ``q_tol > 0``
     (relative to the running scale).  Every top-level panel is split at
@@ -189,9 +192,8 @@ def phi_k_modes(n: SourceProfile, k: int, t: float, r: float,
     if q_tol <= 0.0:
         raise BackscatterError("q-panel tolerance must be positive")
     if n.is_zero():
-        return {}
+        return np.zeros(0)
     l_max = max(n.ells())
-    mode_keys = list(n.modes)
     xg, wg = _gl(12)
 
     def panel_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -200,7 +202,7 @@ def phi_k_modes(n: SourceProfile, k: int, t: float, r: float,
         qs = ((0.5 * (a + b))[:, None] + half[:, None] * xg).ravel()
         il = _mu_integrals(k, qs, t, r, l_max).reshape(a.size, xg.size, l_max + 1)
         w = wg * half[:, None]
-        out = np.empty((a.size, len(mode_keys)))
+        out = np.empty((a.size, len(n.modes)))
         for i, (lm, prof) in enumerate(n.modes.items()):
             out[:, i] = (w * il[:, :, lm[0]] * prof.value(qs).reshape(w.shape)).sum(axis=1)
         return out
@@ -210,7 +212,7 @@ def phi_k_modes(n: SourceProfile, k: int, t: float, r: float,
     mid = 0.5 * (lo + hi)
     coarse, left, right = np.split(panel_values(np.concatenate([lo, lo, mid]),
                                                 np.concatenate([hi, mid, hi])), 3)
-    total = np.zeros(len(mode_keys))
+    total = np.zeros(len(n.modes))
     scale = 0.0
     for i, (a, b) in enumerate(panels):
         stack = [(a, b, coarse[i], (left[i], right[i]), 0)]
@@ -228,18 +230,17 @@ def phi_k_modes(n: SourceProfile, k: int, t: float, r: float,
             else:
                 stack.append((a0, m0, left0, None, depth + 1))
                 stack.append((m0, b0, right0, None, depth + 1))
-    return dict(zip(mode_keys, total.tolist()))
+    return total
 
 
 def phi_k(n: SourceProfile, k: int, t: float, r: float, omega, q_tol: float) -> float:
     """Phi^k[n] at the spacetime point (t, r omega); omega a unit 3-vector,
     q_tol the q-panel tolerance of :func:`phi_k_modes`."""
     coeffs = phi_k_modes(n, k, t, r, q_tol)
-    if not coeffs:
+    if not coeffs.size:
         return 0.0
-    l_max = max(l for (l, _m) in coeffs)
-    y = ylm_at(l_max, np.asarray(omega, dtype=float).reshape(1, 3))
-    return float(sum(c * y[mode_index(*lm), 0] for lm, c in coeffs.items()))
+    y = ylm_at(max(n.ells()), np.asarray(omega, dtype=float).reshape(1, 3))
+    return float(sum(c * y[mode_index(*lm), 0] for lm, c in zip(n.modes, coeffs)))
 
 
 def phi2_asymptotic(n: SourceProfile, t: float, r: float, omega) -> float:
@@ -295,59 +296,58 @@ def n_norm(n: SourceProfile, a: float) -> float:
     return total
 
 
-def source_value_modes(n: SourceProfile, k: int, t: float, r: float) -> Dict[ModeKey, float]:
-    """Right-hand side n(q) r^-k chi(<q>/r)^2 per mode at (t, r)."""
+def source_value_modes(n: SourceProfile, k: int, t: float, r: float) -> np.ndarray:
+    """Right-hand side n(q) r^-k chi(<q>/r)^2 at (t, r), one per mode of ``n.modes``."""
     q = r - t
     c2 = float(chi_wave_zone.value(qbracket(q) / r)) ** 2
-    return {lm: float(prof.value(q)) * r ** (-k) * c2 for lm, prof in n.modes.items()}
+    return np.array([float(prof.value(q)) for prof in n.modes.values()]) * r ** (-k) * c2
+
+
+# offsets (dt, dr), in steps of h, of the five points of the box stencil
+FIVE_POINTS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def five_point_box(stencil, h: float, r: float, ells) -> np.ndarray:
+    """Centered finite-difference box_l c = d_t^2 c - d_r^2 c - (2/r) d_r c +
+    l(l+1) c / r^2, i.e. (d_t^2 - Lap), of per-mode coefficients of degrees
+    ``ells`` from ``stencil``, their stacks at the points ``FIVE_POINTS``."""
+    c0, ct_up, ct_dn, cr_up, cr_dn = stencil
+    ctt = (ct_up - 2.0 * c0 + ct_dn) / h**2
+    crr = (cr_up - 2.0 * c0 + cr_dn) / h**2
+    cr = (cr_up - cr_dn) / (2.0 * h)
+    return ctt - crr - 2.0 * cr / r + ells * (ells + 1.0) * c0 / r**2
 
 
 def source_residual_check(n: SourceProfile, k: int, points: Sequence[Tuple[float, float]],
                           h: float, q_tol: float) -> Dict[str, object]:
     """Centered finite-difference box of the quadrature solution vs the source.
 
-    For each (t, r) the five-point stencil in (t, r) is evaluated per mode,
-    each stencil value by :func:`phi_k_modes` at ``q_tol``:
-
-        box_l c = d_t^2 c - d_r^2 c - (2/r) d_r c + l(l+1) c / r^2,
-
-    the orientation the positive retarded kernels satisfy (the kernels are
-    the classical retarded response, so they solve (d_t^2 - Lap) Phi =
-    source; a consumer assembling fields in the opposite metric-signature
-    convention must negate them).  Returns the max relative residual over
-    points and modes plus a noise floor estimate (``q_tol``
-    amplified by h^-2); the result is flagged inconclusive when the floor
-    dominates.
+    For each (t, r) the :func:`five_point_box` is evaluated per mode, each
+    stencil value by :func:`phi_k_modes` at ``q_tol``, in the orientation the
+    positive retarded kernels satisfy (the kernels are the classical retarded
+    response, so they solve (d_t^2 - Lap) Phi = source; a consumer
+    assembling fields in the opposite metric-signature convention must
+    negate them).  Returns the max relative residual over points and modes
+    plus a noise floor estimate (``q_tol`` amplified by h^-2); the result is
+    flagged inconclusive when the floor dominates.
     """
-    results = []
-    src_scale = 0.0
-    phi_scale = 0.0
+    ells = np.array([l for (l, _m) in n.modes], dtype=float)
+    boxes, srcs, c0s = [], [], []
     for (t, r) in points:
         if r <= 2 * h:
             raise BackscatterError("sample points must stay away from r = 0")
-        stencil = {}
-        for (dt, dr) in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
-            stencil[(dt, dr)] = phi_k_modes(n, k, t + dt * h, r + dr * h, q_tol)
-        src = source_value_modes(n, k, t, r)
-        for lm in n.modes:
-            l = lm[0]
-            c0 = stencil[(0, 0)].get(lm, 0.0)
-            ctt = (stencil[(1, 0)].get(lm, 0.0) - 2 * c0 + stencil[(-1, 0)].get(lm, 0.0)) / h**2
-            crr = (stencil[(0, 1)].get(lm, 0.0) - 2 * c0 + stencil[(0, -1)].get(lm, 0.0)) / h**2
-            cr = (stencil[(0, 1)].get(lm, 0.0) - stencil[(0, -1)].get(lm, 0.0)) / (2 * h)
-            box = ctt - crr - 2.0 * cr / r + l * (l + 1.0) * c0 / r**2
-            results.append((t, r, lm, box, src[lm]))
-            src_scale = max(src_scale, abs(src[lm]))
-            phi_scale = max(phi_scale, abs(c0))
+        stencil = [phi_k_modes(n, k, t + dt * h, r + dr * h, q_tol) for dt, dr in FIVE_POINTS]
+        boxes.append(five_point_box(stencil, h, r, ells))
+        srcs.append(source_value_modes(n, k, t, r))
+        c0s.append(stencil[0])
+    box, src = np.array(boxes), np.array(srcs)
+    src_scale = float(np.max(np.abs(src), initial=0.0) or np.max(np.abs(box), initial=0.0))
     if src_scale == 0.0:
-        src_scale = max((abs(b) for (_t, _r, _lm, b, _s) in results), default=0.0)
-        if src_scale == 0.0:
-            return {"max_rel_residual": 0.0, "noise_floor": 0.0, "inconclusive": False,
-                    "samples": results}
-    max_rel = max(abs(b - s) / src_scale for (_t, _r, _lm, b, s) in results)
-    noise = 4.0 * q_tol * phi_scale / h**2 / src_scale
+        return {"max_rel_residual": 0.0, "noise_floor": 0.0, "inconclusive": False}
+    max_rel = float(np.max(np.abs(box - src))) / src_scale
+    noise = 4.0 * q_tol * float(np.max(np.abs(np.array(c0s)))) / h**2 / src_scale
     return {"max_rel_residual": max_rel, "noise_floor": noise,
-            "inconclusive": bool(noise > 0.5 * max_rel), "samples": results}
+            "inconclusive": bool(noise > 0.5 * max_rel)}
 
 
 def envelope_sweep(n: SourceProfile, k: int, sweep: Sequence[Tuple[float, float]],

@@ -14,18 +14,19 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 import scipy.interpolate  # noqa: F401  (SampledProfile's splines, loaded at set-up)
 
-from backwave.angular import band_modes, product_closures
-from backwave.backscatter import (SourceProfile, brute_force_phi_k, envelope_sweep, n_norm,
-                                  phi_k, phi_k_modes, phi2_asymptotic, source_residual_check)
+from backwave.angular import band_modes, mode_count, mode_index, product_closures
+from backwave.backscatter import (FIVE_POINTS, SourceProfile, brute_force_phi_k, envelope_sweep,
+                                  five_point_box, n_norm, phi_k, phi_k_modes, phi2_asymptotic,
+                                  source_residual_check)
 from backwave.cutoffs import chi_exterior, chi_wave_zone
 from backwave.engine import FieldState, RadialGrid, solve_backward_system, stage_rows
 from backwave.functionals import (FunctionalReport, energy_weighted, fit_decay,
                                   norm_Z_weighted, sup_envelope)
 from backwave.profiles import SampledProfile, qbracket
 from backwave.radiation import (SQRT4PI, RadiationField, derive_F1, eval_approximant,
-                                eval_dt_psi01_exact)
+                                eval_dt_psi01_exact, psi_e_terms)
 from backwave.scenarios import (RATIO_BUDGET, ModeKey, RunSpec, ScenarioReport, _in_window,
-                                _max_over_min, _minus_box_psi01_rows, _provenance,
+                                _max_over_min, _minus_box_psi01_source, _provenance,
                                 _series_for_fit, fit_window_for, record_times_for)
 
 
@@ -39,28 +40,32 @@ def _sampled_modes(qs: np.ndarray, arr: np.ndarray,
 
 
 def _dt_psi_modes(f0: RadiationField, f1: RadiationField, mass: float,
-                  dpsi_modes: Sequence[ModeKey], v: np.ndarray, t: float,
-                  r: np.ndarray, schedule) -> np.ndarray:
-    """Mode coefficients of d_t psi at radii r, one row per mode of
-    ``dpsi_modes`` (the psi modes, then (0, 0) if they lack it): the
-    remainder's v/r (``v`` holds its d_t u at r, one row per psi mode) plus
-    the exact d_t psi01 and d_t psi_e (``schedule``: see ``stage_rows``)."""
-    block = np.zeros((len(dpsi_modes), r.size))
-    block[:len(v)] = v / r
-    for lm, vals in eval_dt_psi01_exact(f0, f1, t, r, schedule).items():
-        block[dpsi_modes.index(lm)] += vals
-    block[dpsi_modes.index((0, 0))] += stage_rows(
-        schedule, _dt_psi_e_rows, t, r, lambda ts: _dt_psi_e_rows(f0, f1, mass, ts, r))
-    return block
+                  dpsi_modes: Sequence[ModeKey]):
+    """Mode coefficients of d_t psi ``(v, t, r, schedule) ->`` one row per
+    mode of ``dpsi_modes`` (the psi modes, f0's or else (0, 0), then (0, 0) if
+    they lack it) at radii r: the remainder's v/r (``v`` holds its d_t u at r,
+    one row per psi mode) plus the exact d_t psi01 and d_t psi_e
+    (``schedule``: see ``stage_rows``)."""
+    row_e = dpsi_modes.index((0, 0))
+
+    def dt_psi(v: np.ndarray, t: float, r: np.ndarray, schedule) -> np.ndarray:
+        block = np.zeros((len(dpsi_modes), r.size))
+        block[:len(v)] = v / r
+        block[:len(f0.modes)] += eval_dt_psi01_exact(f0, f1, t, r, schedule)
+        block[row_e] += stage_rows(schedule, _dt_psi_e_rows, t, r,
+                                   lambda ts: _dt_psi_e_rows(mass, ts, r))
+        return block
+
+    return dt_psi
 
 
-def _dt_psi_e_rows(f0: RadiationField, f1: RadiationField, mass: float, ts, r):
+def _dt_psi_e_rows(mass: float, ts, r):
     """d_t psi_e's (0, 0) coefficients at the times ts, (ts.size, r.size): off
     1 < r - t < 2, where chi_e' lives, its value -0.0, which adds nothing."""
     q = r - ts[:, None]
     ti, ji = np.nonzero((q > chi_exterior.lower) & (q < chi_exterior.upper))
     out = np.full(q.shape, -0.0)
-    out[ti, ji] = eval_approximant(f0, f1, mass, "dt_psi_e", ts[ti], r[ji])[(0, 0)]
+    out[ti, ji] = psi_e_terms(mass, ts[ti], r[ji])[1]
     return out
 
 
@@ -120,7 +125,7 @@ def run_weak_null(spec: RunSpec) -> ScenarioReport:
     l_w = max([min(spec.l_max, 2 * l_psi)] + [l for (l, _m) in g0.modes])
     axisym = all(m == 0 for f in (f0, g0) for (_l, m) in f.modes)
     w_modes = [(l, m) for (l, m) in band_modes(l_w) if m == 0 or not axisym]
-    psi_modes = [lm for lm, _p in f0.mode_items()] or [(0, 0)]
+    psi_modes = list(f0.modes) or [(0, 0)]
     dpsi_modes = list(dict.fromkeys([*psi_modes, (0, 0)]))
 
     grid = RadialGrid.for_run(spec.h, spec.T, spec.t0)
@@ -130,22 +135,23 @@ def run_weak_null(spec: RunSpec) -> ScenarioReport:
     strata = _strata_sources(f0, f1, spec.mass, l_w,
                              q_range=(-(spec.T + 10.0), 0.25 * grid.r_max + 10.0))
     to_vals, to_modes = product_closures(dpsi_modes, w_modes)
+    dt_psi = _dt_psi_modes(f0, f1, spec.mass, dpsi_modes)
+    psi_source = _minus_box_psi01_source(f0, f1, psi_modes, r_pos)
+    g_source = None if g0.is_zero() else _minus_box_psi01_source(g0, g1, w_modes, r_pos)
 
     def w_source(t: float, views) -> Dict[str, np.ndarray]:
         # d_t psi, exact at substage times: remainder + approximant derivatives
         vpsi = views["vpsi"]
-        vals = to_vals(_dt_psi_modes(f0, f1, spec.mass, dpsi_modes, vpsi.v[:, 1:], t, r_pos,
-                                     vpsi.schedule))          # pointwise d_t psi
+        vals = to_vals(dt_psi(vpsi.v[:, 1:], t, r_pos, vpsi.schedule))   # pointwise d_t psi
         s_w = np.zeros((len(w_modes), grid.J + 1))
         s_w[:, 1:] = to_modes(vals * vals)                     # modes of (d_t psi)^2
         s_w -= stage_rows(vpsi.schedule, _strata_rows, t, r_pos,
                           lambda ts: _strata_rows(strata, w_modes, ts, r_pos))
-        if not g0.is_zero():
-            s_w += _minus_box_psi01_rows(g0, g1, w_modes, r_pos, t, views["w"])
+        if g_source is not None:
+            s_w += g_source(t, views["w"])
         s_w[:, 0] = 0.0
         # remainder of psi keeps its own linear source
-        return {"vpsi": _minus_box_psi01_rows(f0, f1, psi_modes, r_pos, t, views["vpsi"]),
-                "w": s_w}
+        return {"vpsi": psi_source(t, views["vpsi"]), "w": s_w}
 
     fields = {
         "vpsi": FieldState(spec.T, grid, psi_modes),
@@ -178,61 +184,54 @@ def run_weak_null(spec: RunSpec) -> ScenarioReport:
                        + ("" if ev.size else ": no record in the window"))
 
     if spec.check_points:
-        res = _weaknull_crosscheck(spec, traj, f0, f1, g0, g1, strata, w_modes,
-                                   dpsi_modes, grid)
+        res = _weaknull_crosscheck(spec, traj, dt_psi, to_vals, to_modes, g0, g1, strata,
+                                   w_modes, grid)
         rep.add_bound("interior_box_crosscheck", res, 1e-2,
                       note="max rel |discrete box phi - (d_t psi)^2| at check points")
     rep.provenance = _provenance(grid, [traj])
     return rep
 
 
-def _weaknull_crosscheck(spec, traj, f0, f1, g0, g1, strata, w_modes,
-                         dpsi_modes, grid) -> float:
+def _weaknull_crosscheck(spec, traj, dt_psi, to_vals, to_modes, g0, g1, strata, w_modes,
+                         grid) -> float:
     """Discrete box of the assembled phi = w + varphi01 + phi01 against the
-    quadratic source, at the configured check points."""
+    quadratic source (d_t psi)^2 (``dt_psi``, ``to_vals`` and ``to_modes``:
+    the march's), at the configured check points."""
     h = spec.h
-    to_vals, to_modes = product_closures(dpsi_modes, w_modes)
+    # phi is summed in the full band's mode_index layout, which holds every
+    # stratum's modes (w may carry its m = 0 modes only), and read on w's rows
+    l_band = max(l for (l, _m) in w_modes)
+    w_rows = [mode_index(*lm) for lm in w_modes]
+    kernels = [(k, srcp, [mode_index(*lm) for lm in srcp.modes])
+               for k, srcp in strata.items() if not srcp.is_zero()]
+    g_rows = [mode_index(*lm) for lm in g0.modes]
 
     def phi_mode_coeffs(t: float, r: float) -> np.ndarray:
         """phi = w + varphi01 + phi01 mode coefficients at one point."""
         st = traj.state_at(t, "w")
         j = int(round(r / h))
-        out = st.u[:, j] / grid.r[j]
+        out = np.zeros(mode_count(l_band))
+        out[w_rows] = st.u[:, j] / grid.r[j]
         # varphi01 = -(retarded kernels) in the -dt^2+Lap convention
-        for k, srcp in strata.items():
-            if srcp.is_zero():
-                continue
-            cm = phi_k_modes(srcp, k, t, r, 1e-10)
-            out -= [cm.get(lm, 0.0) for lm in w_modes]
-        if not g0.is_zero():
-            p01 = eval_approximant(g0, g1, 0.0, "psi01", t, np.asarray([r]))
-            for i, lm in enumerate(w_modes):
-                if lm in p01:
-                    out[i] += float(p01[lm][0])
-        return out
+        for k, srcp, rows in kernels:
+            out[rows] -= phi_k_modes(srcp, k, t, r, 1e-10)
+        out[g_rows] += eval_approximant(g0, g1, t, np.asarray([r]))[:, 0]
+        return out[w_rows]
 
-    pairs = []
+    boxes, rhs = [], []
     for (tc, rc) in spec.check_points:
         jc = int(round(rc / h))
         rc_snap = grid.r[jc]
-        c0 = phi_mode_coeffs(tc, rc_snap)
-        ct = {dt: phi_mode_coeffs(tc + dt * h, rc_snap) for dt in (-1, 1)}
-        cr = {dr: phi_mode_coeffs(tc, grid.r[jc + dr]) for dr in (-1, 1)}
+        stencil = [phi_mode_coeffs(tc + dt * h, grid.r[jc + dr]) for dt, dr in FIVE_POINTS]
+        # in the -dt^2+Lap convention of the march
+        boxes.append(-five_point_box(stencil, h, rc_snap, traj.state_at(tc, "w").ell))
         # (d_t psi)^2 modes at the check point
         stp = traj.state_at(tc, "vpsi")
-        vals = to_vals(_dt_psi_modes(f0, f1, spec.mass, dpsi_modes, stp.v[:, jc:jc + 1], tc,
-                                     np.asarray([rc_snap]), None))
-        sq = to_modes(vals * vals)
-        for i, lm in enumerate(w_modes):
-            l = lm[0]
-            ctt = (ct[1][i] - 2.0 * c0[i] + ct[-1][i]) / h**2
-            crr = (cr[1][i] - 2.0 * c0[i] + cr[-1][i]) / h**2
-            crd = (cr[1][i] - cr[-1][i]) / (2.0 * h)
-            box = -ctt + crr + 2.0 * crd / rc_snap - l * (l + 1.0) * c0[i] / rc_snap**2
-            rhs = sq[i, 0]
-            pairs.append((box, rhs))
-    scale = max(abs(rhs) for _box, rhs in pairs)
-    return max(abs(box - rhs) for box, rhs in pairs) / scale if scale else 0.0
+        vals = to_vals(dt_psi(stp.v[:, jc:jc + 1], tc, np.asarray([rc_snap]), None))
+        rhs.append(to_modes(vals * vals)[:, 0])
+    boxes, rhs = np.array(boxes), np.array(rhs)
+    scale = float(np.max(np.abs(rhs)))
+    return float(np.max(np.abs(boxes - rhs))) / scale if scale else 0.0
 
 
 def _news_source(spec: RunSpec, f0: RadiationField) -> SourceProfile:
@@ -243,7 +242,7 @@ def _news_source(spec: RunSpec, f0: RadiationField) -> SourceProfile:
     sup = max(f0.support_radius(1e-16), 4.0)
     qs = np.linspace(-sup, sup, 4096)
     to_vals, to_modes = product_closures(list(f0.modes), out_modes)
-    vals = to_vals(np.array([prof.derivative(qs) for _lm, prof in f0.mode_items()]))
+    vals = to_vals(np.array([prof.derivative(qs) for prof in f0.modes.values()]))
     return SourceProfile(_sampled_modes(qs, to_modes(vals * vals), out_modes))
 
 

@@ -19,13 +19,16 @@ module derives:
   surviving terms are supported on the cutoff transition ring plus the
   angular term -l(l+1) F1/r^4 inside the wave zone, and its weighted norm.
 
-psi01 terms are computed only on the band <r-t>/r < 1/4, exact zeros off
-it, one 2-D pass per block of times (rows +0.0 off their own band).  The
-residual and d_t psi01 take their blocks from ``engine.stage_rows``: given
-the march's ``engine.StepSchedule``, a block of stage times is spread over
-r once and each of its times returns read-only views into it; without a
-schedule a call is a block of one and returns the caller's own arrays.
-Fields are not modified once built.
+psi01, d_t psi01 and the residual come as stacks of shape
+(len(f0.modes), r.size), one row per mode in ``f0.modes`` order.  Their
+terms are computed only on the band <r-t>/r < 1/4, exact zeros off it, one
+2-D pass per block of times (rows +0.0 off their own band).  The residual
+and d_t psi01 take their blocks from ``engine.stage_rows``: given the
+march's ``engine.StepSchedule``, a block of stage times is spread over r
+once and each of its times returns a read-only view into it; without a
+schedule a call is a block of one and returns the caller's own array.
+psi_e and d_t psi_e live in the (0, 0) mode only and come from one call,
+:func:`psi_e_terms`.  Fields are not modified once built.
 """
 
 from __future__ import annotations
@@ -40,8 +43,6 @@ from backwave.engine import stage_rows
 from backwave.profiles import AntiderivativeProfile, Profile, qbracket
 
 SQRT4PI = math.sqrt(4.0 * math.pi)
-
-APPROXIMANTS = ("psi01", "psi_e", "dt_psi_e")
 
 
 class RadiationDataError(ValueError):
@@ -71,9 +72,6 @@ class RadiationField:
         self.l_max = int(l_max)
         self.gamma = float(gamma)
 
-    def mode_items(self):
-        return self.modes.items()
-
     def is_zero(self) -> bool:
         return not self.modes
 
@@ -91,7 +89,7 @@ def derive_F1(f0: RadiationField, q_max: float) -> RadiationField:
     integral does not converge are rejected.
     """
     out = {}
-    for (l, m), prof in f0.mode_items():
+    for (l, m), prof in f0.modes.items():
         if l == 0:
             continue
         p = getattr(prof, "decay_exponent", None)
@@ -129,71 +127,56 @@ def realized_decay_class(f1: RadiationField) -> Optional[float]:
 # approximants and the analytic wave-operator residual
 # ---------------------------------------------------------------------------
 
-def _chi_terms(ts: np.ndarray, r: np.ndarray):
-    """For the times ts: the union ``cols`` (a slice of r) of their bands
-    <r-t>/r < 1/4 (contiguous; chi, chi', chi'' vanish off it), each time's
-    band as a mask on it, and there r, q = r - t, <q>, chi, chi', chi''."""
-    inside = qbracket(r - ts[:, None]) / r < chi_wave_zone.upper
-    hit = np.flatnonzero(inside.any(axis=0))
-    cols = slice(hit[0], hit[-1] + 1) if hit.size else slice(0, 0)
-    rb, q = r[cols], r[cols] - ts[:, None]
-    br = qbracket(q)
-    return (cols, inside[:, cols], rb, q, br) + chi_wave_zone.terms(br / rb)
-
-
 def _per_time(block, f0, f1, t, r, schedule):
-    """The rows at t of ``block(f0, f1, ts, r)`` -> (cols, rows) per mode of f0,
-    spread over r (``schedule``: see ``engine.stage_rows``)."""
+    """The rows at t, one per mode of f0, of ``block(f0, f1, r, q, <q>, chi,
+    chi', chi'')``, which yields each mode's values at a block of times ts on
+    ``cols``, the union of their bands <r-t>/r < 1/4 (a contiguous slice of
+    r; chi, chi', chi'' vanish off it), with q = r - t; each row is spread
+    over r, +0.0 off its own band (``schedule``: see ``engine.stage_rows``)."""
     r = np.asarray(r, dtype=float)
 
     def spread(ts):
         if np.any(r <= 0.0):
-            raise RadiationDataError("require r > 0")
-        cols, rows = block(f0, f1, ts, r)
-        out = np.zeros((ts.size, len(rows), r.size))
-        for k, vals in enumerate(rows.values()):
-            out[:, k, cols] = vals
+            raise RadiationDataError("wave-zone terms require r > 0")
+        inside = qbracket(r - ts[:, None]) / r < chi_wave_zone.upper
+        hit = np.flatnonzero(inside.any(axis=0))
+        cols = slice(hit[0], hit[-1] + 1) if hit.size else slice(0, 0)
+        rb, q = r[cols], r[cols] - ts[:, None]
+        br = qbracket(q)
+        out = np.zeros((ts.size, len(f0.modes), r.size))
+        for k, vals in enumerate(block(f0, f1, rb, q, br, *chi_wave_zone.terms(br / rb))):
+            out[:, k, cols] = np.where(inside[:, cols], vals, 0.0)
         return out
 
-    return dict(zip(f0.modes, stage_rows(schedule, (block, f0, f1), t, r, spread)))
+    return stage_rows(schedule, (block, f0, f1), t, r, spread)
 
 
-def eval_approximant(f0: RadiationField, f1: RadiationField, mass: float,
-                     which: str, t: float, r) -> Dict[Tuple[int, int], np.ndarray]:
-    """Per-mode coefficients of the requested wave-zone approximant at (t, r).
-
-    ``r`` may be an array of positive radii; for psi_e and dt_psi_e, so may
-    ``t``, broadcast against ``r``.  The exterior mass ``mass`` = M
-    contributes only to the (0, 0) slot, with coefficient
-    M chi_e(r-t)/r sqrt(4 pi) (so the physical value is M chi_e/r).
-    """
-    if which not in APPROXIMANTS:
-        raise RadiationDataError(f"unknown approximant {which!r}; expected one of {APPROXIMANTS}")
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise RadiationDataError("approximants are wave-zone objects; require r > 0")
-    if which == "psi_e":
-        return {(0, 0): mass * chi_exterior.value(r - t) / r * SQRT4PI}
-    if which == "dt_psi_e":
-        return {(0, 0): -mass * chi_exterior.derivative(r - t) / r * SQRT4PI}
+def eval_approximant(f0: RadiationField, f1: RadiationField, t: float, r) -> np.ndarray:
+    """psi01's coefficients at (t, r), one row per mode of f0; ``r`` may be an
+    array of positive radii."""
     return _per_time(_psi01_block, f0, f1, t, r, None)
 
 
-def _psi01_block(f0, f1, ts, r):
-    cols, own, rb, q, _br, c, _cp, _cpp = _chi_terms(ts, r)
-    out = {}
-    for lm, prof in f0.mode_items():
+def psi_e_terms(mass: float, t, r) -> Tuple[np.ndarray, np.ndarray]:
+    """The (0, 0) coefficients of psi_e and d_t psi_e at (t, r), arrays
+    broadcast against each other: +-M chi_e^(k)(r-t)/r sqrt(4 pi), so the
+    physical value of psi_e is M chi_e/r."""
+    c, cp, _cpp = chi_exterior.terms(r - t)
+    return mass * c / r * SQRT4PI, -mass * cp / r * SQRT4PI
+
+
+def _psi01_block(f0, f1, rb, q, _br, c, _cp, _cpp):
+    for lm, prof in f0.modes.items():
         val = prof.value(q) / rb
         g = f1.modes.get(lm)
         if g is not None:
             val = val + g.value(q) / rb**2
-        out[lm] = np.where(own, val * c, 0.0)
-    return cols, out
+        yield val * c
 
 
 def eval_dt_psi01_exact(f0: RadiationField, f1: RadiationField, t: float, r,
-                        schedule=None) -> Dict[Tuple[int, int], np.ndarray]:
-    """Exact d/dt of psi01 (cutoff differentiated as well), per mode.
+                        schedule=None) -> np.ndarray:
+    """Exact d/dt of psi01 (cutoff differentiated as well), one row per mode of f0.
 
     d_t psi01 = (-F0'/r - F1'/r^2) chi + (F0/r + F1/r^2) chi'(<q>/r) (t-r)/(<q> r).
     ``schedule``: the march's step schedule (module docstring).
@@ -201,23 +184,21 @@ def eval_dt_psi01_exact(f0: RadiationField, f1: RadiationField, t: float, r,
     return _per_time(_dt_psi01_block, f0, f1, t, r, schedule)
 
 
-def _dt_psi01_block(f0, f1, ts, r):
-    cols, own, rb, q, br, c, cp, _cpp = _chi_terms(ts, r)
-    out = {}
-    for lm, prof in f0.mode_items():
+def _dt_psi01_block(f0, f1, rb, q, br, c, cp, _cpp):
+    for lm, prof in f0.modes.items():
         g = f1.modes.get(lm)
         main = -prof.derivative(q) / rb
         amp = prof.value(q) / rb
         if g is not None:
             main = main - g.derivative(q) / rb**2
             amp = amp + g.value(q) / rb**2
-        out[lm] = np.where(own, main * c + amp * cp * (-q) / (br * rb), 0.0)
-    return cols, out
+        yield main * c + amp * cp * (-q) / (br * rb)
 
 
 def residual_box_psi01(f0: RadiationField, f1: RadiationField, t: float, r,
-                       schedule=None) -> Dict[Tuple[int, int], np.ndarray]:
-    """Analytic wave-operator residual of psi01 per mode (box = -d_t^2 + Lap).
+                       schedule=None) -> np.ndarray:
+    """Analytic wave-operator residual of psi01 (box = -d_t^2 + Lap), one row
+    per mode of f0.
 
     With q = r - t, sigma = <q>/r, D = (d_r - d_t):
 
@@ -236,22 +217,20 @@ def residual_box_psi01(f0: RadiationField, f1: RadiationField, t: float, r,
     return _per_time(_residual_block, f0, f1, t, r, schedule)
 
 
-def _residual_block(f0, f1, ts, r):
+def _residual_block(f0, f1, r, q, br, c, cp, cpp):
     for lm in f0.modes:
         if lm[0] > 0 and lm not in f1.modes:
             raise RadiationDataError(
                 f"residual formula needs the derived second-order mode for {lm}; "
                 "pass the field returned by derive_F1"
             )
-    cols, own, r, q, br, c, cp, cpp = _chi_terms(ts, r)
     # D q = 2, D <q> = 2q/<q>, D sigma = 2q/(<q> r) - <q>/r^2, D r = 1
     dsigma = 2.0 * q / (br * r) - br / r**2
     # D[chi'(sigma) <q>/r^2] and D[chi'(sigma) <q>/r^3]
     d_cp_br_r2 = cpp * dsigma * br / r**2 + cp * (2.0 * q / (br * r**2) - 2.0 * br / r**3)
     d_cp_br_r3 = cpp * dsigma * br / r**3 + cp * (2.0 * q / (br * r**3) - 3.0 * br / r**4)
     d_c_r2 = cp * dsigma / r**2 - 2.0 * c / r**3
-    out = {}
-    for lm, prof in f0.mode_items():
+    for lm, prof in f0.modes.items():
         l = lm[0]
         f0v = prof.value(q)
         f0p = prof.derivative(q)
@@ -263,8 +242,7 @@ def _residual_block(f0, f1, ts, r):
             res = res - l * (l + 1.0) * gv / r**4 * c
             res = res - (2.0 * gp / r) * cp * br / r**3
             res = res - (gv / r) * (d_cp_br_r3 + d_c_r2)
-        out[lm] = np.where(own, res, 0.0)
-    return cols, out
+        yield res
 
 
 def source_norm_weighted(f0: RadiationField, f1: RadiationField, t: float,
@@ -272,7 +250,4 @@ def source_norm_weighted(f0: RadiationField, f1: RadiationField, t: float,
     """|| <t+r>^s box psi01(t, .) ||_L2 assembled on a radial grid (trapezoid)."""
     res = residual_box_psi01(f0, f1, t, r)
     w = (1.0 + (t + r) ** 2) ** s * r**2
-    total = 0.0
-    for _lm, vals in res.items():
-        total += np.trapezoid(vals * vals * w, r)
-    return math.sqrt(total)
+    return math.sqrt(sum(np.trapezoid(vals * vals * w, r) for vals in res))

@@ -40,7 +40,6 @@ to a monotone-boundedness check, which is recorded on the item.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -51,6 +50,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from backwave import __version__
+from backwave.angular import mode_rows
 from backwave.cutoffs import chi_exterior
 from backwave.engine import (ContainmentError, EngineError, FieldState,
                              RadialGrid, Trajectory, convergence_order,
@@ -64,7 +64,7 @@ from backwave.functionals import (ConeFlux, FitResult, FunctionalError, Function
                                   origin_decay_check, sup_envelope, w0_weight)
 from backwave.profiles import ProfileError, make_profile
 from backwave.radiation import (RadiationDataError, RadiationField, derive_F1,
-                                eval_approximant, eval_dt_psi01_exact,
+                                eval_approximant, eval_dt_psi01_exact, psi_e_terms,
                                 realized_decay_class, residual_box_psi01,
                                 source_norm_weighted)
 
@@ -340,17 +340,20 @@ def run_free_wave_validation(spec: RunSpec) -> ScenarioReport:
 # homogeneous scattering from radiation data
 # ---------------------------------------------------------------------------
 
-def _minus_box_psi01_rows(f0: RadiationField, f1: RadiationField, modes: Sequence[ModeKey],
-                          r_pos: np.ndarray, t: float, view) -> np.ndarray:
-    """-box psi01 at the stage time t of the march (``view``: a stage view)
-    as one row per mode of ``modes``, on r = 0, r_pos: zero at r = 0 and on
-    modes psi01 lacks.  The remainder v = psi - psi01 solves box v = this."""
-    res = residual_box_psi01(f0, f1, t, r_pos, view.schedule)
-    out = np.zeros((len(modes), r_pos.size + 1))
-    for i, lm in enumerate(modes):
-        if lm in res:
-            out[i, 1:] = -res[lm]
-    return out
+def _minus_box_psi01_source(f0: RadiationField, f1: RadiationField,
+                            modes: Sequence[ModeKey], r_pos: np.ndarray):
+    """The march's source ``(t, view) ->`` -box psi01 at the stage time t as
+    one row per mode of ``modes`` (which hold f0's), on r = 0, r_pos: zero at
+    r = 0 and on modes psi01 lacks.  The remainder v = psi - psi01 solves
+    box v = this."""
+    rows = mode_rows(f0.modes, modes)
+
+    def source(t: float, view) -> np.ndarray:
+        out = np.zeros((len(modes), r_pos.size + 1))
+        out[rows, 1:] = -residual_box_psi01(f0, f1, t, r_pos, view.schedule)
+        return out
+
+    return source
 
 
 def _assemble_psi(state: FieldState, f0: RadiationField, f1: RadiationField,
@@ -359,25 +362,17 @@ def _assemble_psi(state: FieldState, f0: RadiationField, f1: RadiationField,
     modes = list(state.modes)
     if mass > 0 and (0, 0) not in modes:
         modes = [(0, 0)] + modes
-    grid = state.grid
-    r_pos = grid.r[1:]
-    u = np.zeros((len(modes), grid.J + 1))
-    v = np.zeros_like(u)
-    for i, lm in enumerate(modes):
-        if lm in state.modes:
-            j = state.modes.index(lm)
-            u[i] = state.u[j]
-            v[i] = state.v[j]
-    p01 = eval_approximant(f0, f1, mass, "psi01", state.t, r_pos)
-    dt01 = eval_dt_psi01_exact(f0, f1, state.t, r_pos)
-    pe = eval_approximant(f0, f1, mass, "psi_e", state.t, r_pos)
-    dpe = eval_approximant(f0, f1, mass, "dt_psi_e", state.t, r_pos)
-    for i, lm in enumerate(modes):
-        add_u = p01.get(lm, 0.0) + pe.get(lm, 0.0)
-        add_v = dt01.get(lm, 0.0) + dpe.get(lm, 0.0)
-        u[i, 1:] += np.asarray(add_u) * r_pos
-        v[i, 1:] += np.asarray(add_v) * r_pos
-    return FieldState(state.t, grid, modes, u, v)
+    r_pos = state.grid.r[1:]
+    uv = np.zeros((2, len(modes), state.grid.J + 1))   # u and v
+    uv[:, mode_rows(state.modes, modes)] = state.u, state.v
+    p01 = np.zeros((2, len(modes), r_pos.size))         # psi01 and d_t psi01
+    p01[:, mode_rows(f0.modes, modes)] = (eval_approximant(f0, f1, state.t, r_pos),
+                                          eval_dt_psi01_exact(f0, f1, state.t, r_pos))
+    pe = np.zeros_like(p01)                              # psi_e and d_t psi_e
+    if (0, 0) in modes:
+        pe[:, modes.index((0, 0))] = psi_e_terms(mass, state.t, r_pos)
+    uv[:, :, 1:] += (p01 + pe) * r_pos
+    return FieldState(state.t, state.grid, modes, *uv)
 
 
 def run_homogeneous_scattering(spec: RunSpec) -> ScenarioReport:
@@ -388,12 +383,12 @@ def run_homogeneous_scattering(spec: RunSpec) -> ScenarioReport:
         return rep
     grid = RadialGrid.for_run(spec.h, spec.T, spec.t0)
     f1 = derive_F1(f0, q_max=grid.r_max + 2.0)
-    modes = [lm for lm, _p in f0.mode_items()] or [(0, 0)]
+    modes = list(f0.modes) or [(0, 0)]
     data = FieldState(spec.T, grid, modes)   # trivial data for the remainder
     r_pos = grid.r[1:]
     records = record_times_for(spec)
     cone = ConeFlux(s=spec.s, R=0.5 * grid.r_max, t2=spec.T)
-    traj = solve_backward(data, functools.partial(_minus_box_psi01_rows, f0, f1, modes, r_pos),
+    traj = solve_backward(data, _minus_box_psi01_source(f0, f1, modes, r_pos),
                           spec.T, spec.t0, records, cfl=spec.cfl, on_step=cone)
 
     window = fit_window_for(spec)
@@ -459,20 +454,23 @@ def run_homogeneous_scattering(spec: RunSpec) -> ScenarioReport:
 def run_T_limit_study(spec: RunSpec) -> ScenarioReport:
     rep = ScenarioReport(name="tlimit", spec=asdict(spec))
     f0 = spec.field_from(spec.f0_modes)
+    if f0.is_zero():
+        rep.add_check("zero_data_zero_solution", True, 0.0, "no data, nothing to solve")
+        return rep
     t_list = list(spec.T_list)
     T_max = t_list[-1]
     grid = RadialGrid.for_run(spec.h, T_max, spec.t0)
     f1 = derive_F1(f0, q_max=grid.r_max + 2.0)
-    modes = [lm for lm, _p in f0.mode_items()]
+    modes = list(f0.modes)
     r_pos = grid.r[1:]
+    source = _minus_box_psi01_source(f0, f1, modes, r_pos)
     ends: Dict[float, FieldState] = {}
     trajs: List[Trajectory] = []
     horizon_norms: Dict[Tuple[float, float], Dict[str, float]] = {}
     for T in t_list:
         data = FieldState(T, grid, modes)
         records = sorted({spec.t0} | {tt for tt in t_list if tt < T}, reverse=True)
-        traj = solve_backward(data, functools.partial(_minus_box_psi01_rows, f0, f1, modes, r_pos),
-                              T, spec.t0, records, cfl=spec.cfl)
+        traj = solve_backward(data, source, T, spec.t0, records, cfl=spec.cfl)
         trajs.append(traj)
         ends[T] = traj.state_at(spec.t0)
         for T1 in (tt for tt in t_list if tt < T):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from backwave.angular import (angular_grid, band_modes, mode_count, mode_index,
+from backwave.angular import (angular_grid, band_modes, mode_count, mode_index, mode_rows,
                               product_closures, ylm_at)
 
 SQRT4PI = math.sqrt(4.0 * math.pi)
@@ -32,6 +32,16 @@ def product_modes(l_in, l_out, a, b):
 
 def axisymmetric(l_max):
     return [(l, 0) for l in range(l_max + 1)]
+
+
+def test_mode_rows_are_a_slice_only_when_consecutive_and_in_order():
+    band = band_modes(2)
+    assert mode_rows([(1, -1), (1, 0), (1, 1)], band) == slice(1, 4)
+    assert mode_rows([], band) == slice(0, 0)
+    assert mode_rows([(0, 0), (2, 0)], band) == [0, 6]
+    assert mode_rows([(1, 0), (1, -1)], band) == [2, 1]
+    with pytest.raises(ValueError):
+        mode_rows([(3, 0)], band)
 
 
 def test_grid_weights_sum_to_sphere_area():

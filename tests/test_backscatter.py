@@ -5,9 +5,9 @@ import pytest
 from scipy import integrate
 
 from backwave import backscatter
-from backwave.backscatter import (BackscatterError, SourceProfile, brute_force_phi_k,
-                                  envelope_sweep, n_norm, phi2_asymptotic, phi_k,
-                                  phi_k_modes, source_residual_check)
+from backwave.backscatter import (FIVE_POINTS, BackscatterError, SourceProfile,
+                                  brute_force_phi_k, envelope_sweep, five_point_box, n_norm,
+                                  phi2_asymptotic, phi_k, phi_k_modes, source_residual_check)
 from backwave.profiles import make_profile
 
 OMEGA = np.array([0.0, 0.0, 1.0])
@@ -173,6 +173,16 @@ def test_source_residual_improves_under_refinement():
 def test_source_residual_zero_source():
     out = source_residual_check(SourceProfile({}), 2, [(12.0, 11.0)], h=0.1, q_tol=KQ)
     assert out["max_rel_residual"] == 0.0
+
+
+def test_five_point_box_of_t2_minus_r2_is_eight():
+    # c = t^2 - r^2 at l = 0: d_t^2 c - d_r^2 c - (2/r) d_r c = 2 + 2 + 4, and
+    # the centered differences of a quadratic are exact up to rounding
+    t, r, h = 3.0, 2.0, 0.1
+    stencil = [np.array([(t + dt * h) ** 2 - (r + dr * h) ** 2]) for dt, dr in FIVE_POINTS]
+    box = five_point_box(stencil, h, r, np.array([0.0]))
+    assert box.shape == (1,)
+    assert box[0] == pytest.approx(8.0, rel=1e-12)
 
 
 def test_envelope_sweep_k34():

@@ -192,6 +192,16 @@ s = 1.2
     assert summary["status"] == "ok" and summary["passed"] is False
 
 
+def test_cli_tlimit_without_data_reports_the_zero_solution(tmp_path):
+    # no [data.F0] modes: nothing to solve, the homogeneous zero-data item
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("[run]\nscenario = tlimit\nT = 20\nt0 = 2\nT_list = 10 20\n")
+    out = tmp_path / "empty"
+    assert main(["tlimit", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    summary = json.load(open(out / "summary.json"))
+    assert [item["name"] for item in summary["items"]] == ["zero_data_zero_solution"]
+
+
 @pytest.mark.parametrize("command, old, new", [
     ("homogeneous", "kind=poly-tail", "kind=mystery"),
     ("homogeneous", "l=2 m=0", "l=12 m=0"),         # beyond l_max = 8

@@ -11,8 +11,8 @@ from backwave.engine import (BLOCK_TIMES, EngineError, RadialGrid, StepSchedule,
 from backwave.profiles import SampledProfile, make_profile
 from backwave.radiation import (RadiationDataError, RadiationField,
                                 SQRT4PI, derive_F1, eval_approximant,
-                                eval_dt_psi01_exact, realized_decay_class,
-                                residual_box_psi01)
+                                eval_dt_psi01_exact, psi_e_terms,
+                                realized_decay_class, residual_box_psi01)
 
 GAUSS = {"kind": "gaussian", "amplitude": 1.0, "width": 1.0, "center": 0.0}
 
@@ -47,7 +47,7 @@ def test_f1_vanishes_at_zero_for_all_modes():
              (2, 1): make_profile({"kind": "compact-bump", "amplitude": 0.5,
                                    "width": 1.5, "center": 0.4})}
     f1 = derive_F1(RadiationField(modes, l_max=3, gamma=0.8), q_max=64.0)
-    for lm, prof in f1.mode_items():
+    for lm, prof in f1.modes.items():
         assert abs(float(prof.value(0.0))) < 1e-14, lm
 
 
@@ -123,8 +123,8 @@ def test_realized_class_tailless_f1_is_none():
 def test_approximant_outside_wave_zone_vanishes():
     f0 = gaussian_field(lm=(0, 0))
     f1 = derive_F1(f0, q_max=64.0)
-    out = eval_approximant(f0, f1, 0.0, "psi01", 10.0, np.array([1.0]))
-    assert np.all(out[(0, 0)] == 0.0)
+    out = eval_approximant(f0, f1, 10.0, np.array([1.0]))
+    assert out.shape == (1, 1) and np.all(out == 0.0)
 
 
 def test_psi01_support_invariant():
@@ -133,7 +133,7 @@ def test_psi01_support_invariant():
     f1 = derive_F1(f0, q_max=64.0)
     t = 20.0
     r = np.linspace(0.5, 120.0, 1200)
-    vals = eval_approximant(f0, f1, 0.0, "psi01", t, r)[(2, 0)]
+    vals = eval_approximant(f0, f1, t, r)[0]
     outside = np.sqrt(1 + (t - r) ** 2) / r >= 0.25
     assert np.all(vals[outside] == 0.0)
 
@@ -142,25 +142,32 @@ def test_cutoff_plateau_value():
     f0 = gaussian_field(lm=(0, 0))
     f1 = derive_F1(f0, q_max=64.0)
     # l = 0 data has no second-order field, so psi01 is F0(r-t)/r chi
-    out = eval_approximant(f0, f1, 0.0, "psi01", 100.0, np.array([100.0]))
-    assert out[(0, 0)][0] == pytest.approx(1.0 / 100.0, rel=1e-14)
+    out = eval_approximant(f0, f1, 100.0, np.array([100.0]))
+    assert out[0, 0] == pytest.approx(1.0 / 100.0, rel=1e-14)
 
 
 def test_mass_term_physical_value():
-    f0 = gaussian_field()
-    f1 = derive_F1(f0, q_max=64.0)
-    out = eval_approximant(f0, f1, 2.0, "psi_e", 0.0, np.array([5.0]))
+    value, _dt = psi_e_terms(2.0, 0.0, np.array([5.0]))
     # physical value = mode coefficient * Y00
-    assert out[(0, 0)][0] / SQRT4PI == pytest.approx(2.0 / 5.0, rel=1e-14)
+    assert value[0] / SQRT4PI == pytest.approx(2.0 / 5.0, rel=1e-14)
+
+
+def test_psi_e_terms_equal_the_separate_cutoff_calls_bit_for_bit():
+    # value and d_t from one pass over chi_e, across its transition 1 < r - t < 2
+    t, r = 3.0, np.linspace(3.5, 6.5, 61)
+    value, dt = psi_e_terms(0.25, t, r)
+    want_value = 0.25 * chi_exterior.value(r - t) / r * SQRT4PI
+    want_dt = -0.25 * chi_exterior.derivative(r - t) / r * SQRT4PI
+    assert np.array_equal(value.view(np.int64), want_value.view(np.int64))
+    assert np.array_equal(dt.view(np.int64), want_dt.view(np.int64))
+    assert np.any(dt != 0.0)
 
 
 def test_approximant_rejects_origin():
     f0 = gaussian_field(lm=(0, 0))
     f1 = derive_F1(f0, q_max=64.0)
     with pytest.raises(RadiationDataError):
-        eval_approximant(f0, f1, 0.0, "psi01", 1.0, np.array([0.0]))
-    with pytest.raises(RadiationDataError):
-        eval_approximant(f0, f1, 0.0, "nope", 1.0, np.array([1.0]))
+        eval_approximant(f0, f1, 1.0, np.array([0.0]))
 
 
 def test_dt_psi01_matches_time_difference():
@@ -168,10 +175,10 @@ def test_dt_psi01_matches_time_difference():
     f1 = derive_F1(f0, q_max=64.0)
     r = np.linspace(5.0, 30.0, 40)
     t, eps = 12.0, 1e-6
-    up = eval_approximant(f0, f1, 0.0, "psi01", t + eps, r)[(2, 0)]
-    dn = eval_approximant(f0, f1, 0.0, "psi01", t - eps, r)[(2, 0)]
+    up = eval_approximant(f0, f1, t + eps, r)[0]
+    dn = eval_approximant(f0, f1, t - eps, r)[0]
     fd = (up - dn) / (2 * eps)
-    an = eval_dt_psi01_exact(f0, f1, t, r)[(2, 0)]
+    an = eval_dt_psi01_exact(f0, f1, t, r)[0]
     assert np.max(np.abs(fd - an)) < 1e-6
 
 
@@ -184,7 +191,7 @@ def test_residual_vanishes_where_cutoff_flat_and_f1_zero():
     f1 = derive_F1(f0, q_max=64.0)
     # deep wave zone: chi = 1, l = 0 has no second-order term
     out = residual_box_psi01(f0, f1, 40.0, np.array([40.0, 42.0]))
-    assert np.all(out[(0, 0)] == 0.0)
+    assert out.shape == (1, 2) and np.all(out == 0.0)
 
 
 def test_residual_matches_discrete_operator():
@@ -197,13 +204,12 @@ def test_residual_matches_discrete_operator():
         grid = RadialGrid(h=h, J=int(round(40.0 / h)))
 
         def u_of(tt):
-            modes = eval_approximant(f0, f1, 0.0, "psi01", tt, grid.r[1:])
             out = np.zeros(grid.J + 1)
-            out[1:] = modes[(2, 0)] * grid.r[1:]
+            out[1:] = eval_approximant(f0, f1, tt, grid.r[1:])[0] * grid.r[1:]
             return out
 
         disc = discrete_box_field(u_of, t, h, grid, 2)
-        ana = residual_box_psi01(f0, f1, t, grid.r[1:-1])[(2, 0)] * grid.r[1:-1]
+        ana = residual_box_psi01(f0, f1, t, grid.r[1:-1])[0] * grid.r[1:-1]
         errs.append(float(np.max(np.abs(disc - ana))))
     order = math.log2(errs[1] / errs[2])
     assert order > 1.7, (errs, order)
@@ -216,7 +222,7 @@ def test_residual_envelope_sweep():
     worst = 0.0
     for t in (10.0, 20.0, 40.0, 80.0):
         r = np.linspace(0.5, 3 * t, 900)
-        vals = residual_box_psi01(f0, f1, t, r)[(2, 0)]
+        vals = residual_box_psi01(f0, f1, t, r)[0]
         worst = max(worst, float(np.max(np.abs(vals) * (1 + (t + r) ** 2) ** 2)))
     # the <t+r>^4-scaled residual stays below one sweep-wide constant (the
     # q-weighted data factors and the cutoff slope are folded into it)
@@ -234,14 +240,37 @@ def test_banded_evaluation_equals_pointwise_and_vanishes_off_band():
     r = 0.125 * np.arange(1, 321)
     for t in (2.0, 12.0, 20.0):
         off = np.sqrt(1.0 + (r - t) ** 2) / r >= 0.25
-        for fn in (residual_box_psi01, eval_dt_psi01_exact,
-                   lambda f0, f1, t, r: eval_approximant(f0, f1, 0.0, "psi01", t, r)):
+        for fn in (residual_box_psi01, eval_dt_psi01_exact, eval_approximant):
             full = fn(f0, f1, t, r)
-            for lm, vals in full.items():
-                point = np.array([fn(f0, f1, t, r[i:i + 1])[lm][0] for i in range(r.size)])
-                assert np.array_equal(vals, point), (t, lm)
-                assert np.all(vals[off] == 0.0), (t, lm)
-                assert t == 2.0 or np.any(vals[~off] != 0.0), (t, lm)
+            assert full.shape == (2, r.size)
+            point = np.concatenate([fn(f0, f1, t, r[i:i + 1]) for i in range(r.size)], axis=1)
+            assert np.array_equal(full, point), t
+            for k, vals in enumerate(full):
+                assert np.all(vals[off] == 0.0), (t, k)
+                assert t == 2.0 or np.any(vals[~off] != 0.0), (t, k)
+
+
+def test_rows_come_in_field_mode_order_bit_for_bit():
+    # each row of a three-mode field's stack equals the row of the field that
+    # carries only that mode, bit for bit, in f0.modes order
+    profs = {(2, 1): make_profile({"kind": "compact-bump", "amplitude": 0.5, "width": 1.5,
+                                   "center": 0.4}),
+             (1, 0): make_profile(GAUSS),
+             (2, 0): make_profile({"kind": "poly-tail", "p": 0.85, "scale": 0.3})}
+    f0 = RadiationField(profs, l_max=2, gamma=0.8)
+    f1 = derive_F1(f0, q_max=64.0)
+    assert list(f0.modes) == [(1, 0), (2, 0), (2, 1)]
+    r = 0.125 * np.arange(1, 321)
+    for fn in (residual_box_psi01, eval_dt_psi01_exact, eval_approximant):
+        for t in (12.0, 20.0):
+            full = fn(f0, f1, t, r)
+            assert full.shape == (3, r.size)
+            for k, lm in enumerate(f0.modes):
+                one = RadiationField({lm: profs[lm]}, l_max=2, gamma=0.8)
+                row = fn(one, derive_F1(one, q_max=64.0), t, r)
+                assert row.shape == (1, r.size)
+                assert np.array_equal(full[k].view(np.int64), row[0].view(np.int64)), (t, lm)
+                assert np.any(full[k] != 0.0), (t, lm)
 
 
 def test_residual_requires_derived_second_order_field():
@@ -295,10 +324,9 @@ def test_block_rows_equal_single_time_rows_bit_for_bit():
     for fn in (residual_box_psi01, eval_dt_psi01_exact):
         for t in st:
             block, single = fn(f0, f1, t, r, sched), fn(f0, f1, t, r)
-            assert block.keys() == single.keys()
-            for lm, vals in block.items():
-                assert np.array_equal(vals.view(np.int64), single[lm].view(np.int64)), (t, lm)
-        assert all(np.all(vals.view(np.int64) == 0) for vals in fn(f0, f1, 2.0, r).values())
+            assert block.shape == single.shape == (2, r.size)
+            assert np.array_equal(block.view(np.int64), single.view(np.int64)), t
+        assert np.all(fn(f0, f1, 2.0, r).view(np.int64) == 0)
 
 
 def test_scheduled_rows_are_kept_read_only_and_other_times_raise(monkeypatch):
@@ -310,15 +338,15 @@ def test_scheduled_rows_are_kept_read_only_and_other_times_raise(monkeypatch):
     for name in ("_residual_block", "_dt_psi01_block"):
         block = getattr(radiation, name)
         monkeypatch.setattr(radiation, name,
-                            lambda *args, _b=block: passes.append(args[2].size) or _b(*args))
+                            lambda *args, _b=block: passes.append(len(args[3])) or _b(*args))
     for fn in (residual_box_psi01, eval_dt_psi01_exact):
         t = sched.stage_times[3]
-        own = fn(f0, f1, t, r)[(2, 0)]
+        own = fn(f0, f1, t, r)
         own[:] = 1.0         # without a schedule, the caller's own array
-        first = fn(f0, f1, t, r, sched)[(2, 0)]
+        first = fn(f0, f1, t, r, sched)
         with pytest.raises(ValueError):
             first[:] = 1.0   # with one, a read-only view into the kept block
-        assert np.array_equal(first, fn(f0, f1, t, r)[(2, 0)])
+        assert np.array_equal(first, fn(f0, f1, t, r))
         for later in sched.stage_times[4:3 + BLOCK_TIMES]:
             fn(f0, f1, later, r, sched)
         # a time off the schedule raises instead of evaluating one row
@@ -329,8 +357,8 @@ def test_scheduled_rows_are_kept_read_only_and_other_times_raise(monkeypatch):
         radii = r.copy()
         fn(f0, f1, t, radii, sched)
         radii += 0.5
-        moved = fn(f0, f1, t, radii, sched)[(2, 0)]
-        assert np.array_equal(moved, fn(f0, f1, t, radii)[(2, 0)])
+        moved = fn(f0, f1, t, radii, sched)
+        assert np.array_equal(moved, fn(f0, f1, t, radii))
         assert not np.array_equal(moved, first)
     # per function: one pass for its 16 stage times, one for the moved radii,
     # plus the three unscheduled calls

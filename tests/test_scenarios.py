@@ -1,4 +1,3 @@
-import functools
 import math
 from dataclasses import asdict
 
@@ -205,7 +204,7 @@ def test_assembled_field_solves_wave_equation():
     import math
     from backwave.engine import RadialGrid, FieldState, solve_backward, discrete_box_triplet
     from backwave.radiation import derive_F1, eval_approximant
-    from backwave.scenarios import _minus_box_psi01_rows
+    from backwave.scenarios import _minus_box_psi01_source
 
     spec = RunSpec(scenario="homogeneous", gamma=0.8, s=1.2, f0_modes=GAUSS2, mass=0.25)
     f0 = spec.field_from(spec.f0_modes)
@@ -219,13 +218,13 @@ def test_assembled_field_solves_wave_equation():
         r_pos = grid.r[1:]
         data = FieldState(T, grid, [(2, 0)])
         traj = solve_backward(data,
-                              functools.partial(_minus_box_psi01_rows, f0, f1, [(2, 0)], r_pos),
+                              _minus_box_psi01_source(f0, f1, [(2, 0)], r_pos),
                               T, 2.0, [tc - h, tc, tc + h])
 
         def psi_u(t):
             st = traj.state_at(t)
             u = st.u[0].copy()
-            p01 = eval_approximant(f0, f1, spec.mass, "psi01", t, r_pos)[(2, 0)]
+            p01 = eval_approximant(f0, f1, t, r_pos)[0]
             u[1:] += p01 * r_pos
             return u
 
@@ -381,7 +380,7 @@ def test_strata_block_rows_equal_single_time_rows_bit_for_bit():
 def test_dt_psi_modes_add_dt_psi_e_only_where_it_lives_bit_for_bit():
     # d_t psi_e = -M chi_e'(r - t)/r vanishes off 1 < r - t < 2, where it
     # would add -0.0: the block equals the whole-grid sum bit for bit
-    from backwave.radiation import eval_approximant, eval_dt_psi01_exact
+    from backwave.radiation import eval_dt_psi01_exact, psi_e_terms
     from backwave.kernel_pipelines import _dt_psi_modes
 
     f0, f1, grid, _w_modes, _strata = _weaknull_parts()
@@ -389,11 +388,11 @@ def test_dt_psi_modes_add_dt_psi_e_only_where_it_lives_bit_for_bit():
     v = np.random.default_rng(3).standard_normal((1, r.size))
     v[0, ::7] = -0.0
     for t in (2.0, 9.5, 20.0):
-        block = _dt_psi_modes(f0, f1, 0.02, [(2, 0), (0, 0)], v, t, r, None)
+        block = _dt_psi_modes(f0, f1, 0.02, [(2, 0), (0, 0)])(v, t, r, None)
         whole = np.zeros((2, r.size))
         whole[0] = v[0] / r
-        whole[0] += eval_dt_psi01_exact(f0, f1, t, r)[(2, 0)]
-        whole[1] += eval_approximant(f0, f1, 0.02, "dt_psi_e", t, r)[(0, 0)]
+        whole[0] += eval_dt_psi01_exact(f0, f1, t, r)[0]
+        whole[1] += psi_e_terms(0.02, t, r)[1]
         assert np.array_equal(block.view(np.int64), whole.view(np.int64)), t
         assert np.any(block[1])
 
@@ -410,10 +409,10 @@ def test_dt_psi_modes_on_schedule_blocks_equal_single_time_rows_bit_for_bit():
     v = np.random.default_rng(5).standard_normal((1, r.size))
     v[0, ::5] = -0.0
     schedule = StepSchedule((24.0, 9.7, 2.0), dt_cap=0.125)
+    dt_psi = _dt_psi_modes(f0, f1, 0.02, [(2, 0), (0, 0)])
     with_psi_e = 0
     for t in schedule.stage_times:
-        block = _dt_psi_modes(f0, f1, 0.02, [(2, 0), (0, 0)], v, t, r, schedule)
-        single = _dt_psi_modes(f0, f1, 0.02, [(2, 0), (0, 0)], v, t, r, None)
+        block, single = dt_psi(v, t, r, schedule), dt_psi(v, t, r, None)
         assert np.array_equal(block.view(np.int64), single.view(np.int64)), t
         with_psi_e += bool(np.any(block[1]))
     assert with_psi_e == len(schedule.stage_times)
