@@ -76,7 +76,7 @@ class SourceProfile:
     def support(self) -> Tuple[float, float]:
         lo, hi = math.inf, -math.inf
         for prof in self.modes.values():
-            sr = prof.support_radius(1e-16)
+            sr = prof.support_radius()
             lo = min(lo, prof.center - sr)
             hi = max(hi, prof.center + sr)
         if not self.modes:
@@ -257,7 +257,7 @@ def phi2_asymptotic(n: SourceProfile, t: float, r: float, omega) -> float:
     l_max = max(n.ells())
     y = ylm_at(l_max, np.asarray(omega, dtype=float).reshape(1, 3))
     for lm, prof in n.modes.items():
-        hi = prof.center + prof.support_radius(1e-16)
+        hi = prof.center + prof.support_radius()
         if hi <= q_lo:
             continue
         val, _ = integrate.quad(lambda q: float(prof.value(q)), q_lo, hi,

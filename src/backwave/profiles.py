@@ -24,6 +24,9 @@ import math
 
 import numpy as np
 
+# relative level below which a profile counts as outside its support
+SUPPORT_TOL = 1e-16
+
 
 class ProfileError(ValueError):
     """Invalid profile specification or evaluation request."""
@@ -60,8 +63,8 @@ class Profile:
         out = self._derivative(arr)
         return float(out[0]) if scalar else out
 
-    def support_radius(self, tol: float = 1e-16) -> float:
-        """|q - center| beyond which |profile| <= tol * amplitude scale."""
+    def support_radius(self) -> float:
+        """|q - center| beyond which |profile| <= SUPPORT_TOL * amplitude scale."""
         raise NotImplementedError
 
     @property
@@ -92,8 +95,8 @@ class GaussianProfile(Profile):
         x = (q - self._center) / self._width
         return -self._amplitude * (2.0 * x) * np.exp(-x * x) / self._width
 
-    def support_radius(self, tol: float = 1e-16) -> float:
-        return self._width * math.sqrt(max(-math.log(tol), 1.0)) + 1.0
+    def support_radius(self) -> float:
+        return self._width * math.sqrt(max(-math.log(SUPPORT_TOL), 1.0)) + 1.0
 
 
 class PolyTailProfile(Profile):
@@ -127,8 +130,8 @@ class PolyTailProfile(Profile):
         b0 = -self._p / 2.0
         return self._amplitude * (0.0 + 2.0 * b0 * x * (1.0 + x * x) ** (b0 - 1)) / self._scale
 
-    def support_radius(self, tol: float = 1e-16) -> float:
-        return max(self._scale * tol ** (-1.0 / self._p), 10.0)
+    def support_radius(self) -> float:
+        return max(self._scale * SUPPORT_TOL ** (-1.0 / self._p), 10.0)
 
 
 class CompactBumpProfile(Profile):
@@ -163,7 +166,7 @@ class CompactBumpProfile(Profile):
         total[inside] = core[inside] * (0.0 + -2.0 * x[inside] * sup[inside] ** -2.0)
         return self._amplitude * total / self._width
 
-    def support_radius(self, tol: float = 1e-16) -> float:
+    def support_radius(self) -> float:
         return self._width + 1.0
 
 
@@ -195,7 +198,7 @@ class SampledProfile(Profile):
     def _derivative(self, q):
         return self._eval(q, 1)
 
-    def support_radius(self, tol: float = 1e-16) -> float:
+    def support_radius(self) -> float:
         return float(max(abs(self._q[0] - self._center), abs(self._q[-1] - self._center))) + 1.0
 
 
@@ -248,7 +251,7 @@ class AntiderivativeProfile(Profile):
     def _derivative(self, q):
         return self._scale * self._base.value(q)
 
-    def support_radius(self, tol: float = 1e-16) -> float:
+    def support_radius(self) -> float:
         # the antiderivative generically tends to nonzero constants
         return self._table_edge
 

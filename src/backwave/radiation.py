@@ -75,8 +75,8 @@ class RadiationField:
     def is_zero(self) -> bool:
         return not self.modes
 
-    def support_radius(self, tol: float = 1e-16) -> float:
-        return max((abs(p.center) + p.support_radius(tol) for p in self.modes.values()),
+    def support_radius(self) -> float:
+        return max((abs(p.center) + p.support_radius() for p in self.modes.values()),
                    default=1.0)
 
 

@@ -33,9 +33,11 @@ audit          estimate battery: multiplier identity refinements, bulk
 convergence    discrete-operator residual orders on exact solutions.
 
 Fit windows are the last decade [10 t0, 100 t0] when the run is long
-enough and otherwise the last factor-4 span; a target exponent too
-shallow to resolve over the window (total expected change < 1.5x) degrades
-to a monotone-boundedness check, which is recorded on the item.
+enough and otherwise the last factor-4 span.  A report judges each fit and
+window-ratio item on one column of its own series, as series.csv shows it
+(``ScenarioReport.column``); a target exponent too shallow to resolve over
+the window (total expected change < 1.5x) degrades to a nonincrease check
+of the same in-window samples, which is recorded on the item.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from backwave.cutoffs import chi_exterior
 from backwave.engine import (ContainmentError, EngineError, FieldState,
                              RadialGrid, Trajectory, convergence_order,
                              discrete_box_field, solve_backward)
-from backwave.functionals import (ConeFlux, FitResult, FunctionalError, FunctionalReport,
+from backwave.functionals import (ConeFlux, FunctionalError, FunctionalReport,
                                   StepStates, backward_estimate_constant, bulk_sign_check,
                                   conformal_norm_plus, cor_weighted_spacetime_instance,
                                   energy_conservation_drift, energy_weighted,
@@ -184,12 +186,25 @@ class ScenarioReport:
     def passed(self) -> bool:
         return self.status == "ok" and all(it.passed for it in self.items)
 
-    def add_fit(self, name: str, fit: FitResult, target: float, tol: float,
-                fallback_series=None, gamma_data: Optional[float] = None,
+    def column(self, key: str, window: Tuple[float, float]) -> Tuple[np.ndarray, np.ndarray]:
+        """The samples of series column ``key`` that an item is judged on:
+        ascending in t, without non-finite values and values at or below
+        1e-14 of the column's largest (a remainder is exactly 0 at its data
+        horizon, so that sample drops out), inside the closed ``window``."""
+        rows = sorted((fr for fr in self.series if key in fr.values), key=lambda fr: fr.t)
+        ts = np.array([fr.t for fr in rows], dtype=float)
+        ys = np.array([fr.values[key] for fr in rows], dtype=float)
+        keep = np.isfinite(ys) & (ys > 1e-14 * max(float(np.max(np.abs(ys))), 1e-300))
+        keep &= (ts >= window[0]) & (ts <= window[1])
+        return ts[keep], ys[keep]
+
+    def add_fit(self, name: str, key: str, window: Tuple[float, float], target: float,
+                tol: float, gamma_data: Optional[float] = None,
                 realized_target: Optional[float] = None) -> ReportItem:
-        """Record a fitted exponent against its target; degrade to a
-        boundedness check (no increase beyond 20%) when the window cannot
-        resolve the slope.
+        """Fit the decay of series column ``key`` over ``window`` against its
+        target; degrade to a boundedness check of the column's in-window
+        samples (no increase beyond 20%) when the window cannot resolve the
+        slope.
 
         ``target`` is the rate of the declared class, an upper bound on the
         decay the data can show.  When the data realize a class
@@ -197,21 +212,21 @@ class ScenarioReport:
         passes between ``realized_target - tol`` and ``target + tol``;
         without a realized target the check is two-sided about ``target``.
         """
+        ts, ys = self.column(key, window)
+        fit = fit_decay(ts, ys, window)
         lo, hi = fit.window
         resolvable = (hi / lo) ** abs(target) >= 1.5 if lo > 0 else True
         realized = target if realized_target is None else realized_target
         class_note = ("" if realized_target is None else
                       f"; gamma_data={gamma_data:g} realized target {realized_target:g}")
-        if resolvable or fallback_series is None:
+        if resolvable:
             gap = max(realized - fit.exponent, fit.exponent - target, 0.0)
             item = ReportItem(name=name, kind="fit", measured=fit.exponent,
                               target=target, tol=tol, passed=bool(gap <= tol),
                               note=f"r2={fit.r_squared:.4f} window=({lo:g},{hi:g})"
                                    + class_note)
         else:
-            ts, ys = fallback_series
-            ref = max(ys[0], 1e-300)
-            worst = float(np.max(ys) / ref)
+            worst = float(np.max(ys) / max(ys[0], 1e-300))
             item = ReportItem(name=name, kind="bound", measured=worst,
                               target=1.0, tol=1.2 - 1.0, passed=bool(worst <= 1.2),
                               note=f"shallow target {target:g}; nonincrease within "
@@ -219,6 +234,16 @@ class ScenarioReport:
         item.gamma_data, item.realized_target = gamma_data, realized_target
         self.items.append(item)
         return item
+
+    def add_window_ratio(self, name: str, key: str, window: Tuple[float, float],
+                         budget: float, note: str) -> ReportItem:
+        """Bound max/min of series column ``key`` over ``window`` by
+        ``budget``; ``inf`` when the window holds no sample."""
+        _ts, ys = self.column(key, window)
+        if not ys.size:
+            return self.add_bound(name, math.inf, budget, note + ": no record in the window")
+        return self.add_bound(name, float(np.max(ys)) / max(float(np.min(ys)), 1e-300),
+                              budget, note)
 
     def add_bound(self, name: str, measured: float, budget: float, note: str = "") -> ReportItem:
         item = ReportItem(name=name, kind="bound", measured=measured, target=budget,
@@ -247,29 +272,6 @@ def record_times_for(spec: RunSpec) -> List[float]:
     n = max(spec.n_records, 8)
     ts = np.geomspace(spec.t0, spec.T, n)
     return sorted(set(np.round(ts, 10).tolist()) | {spec.T, spec.t0}, reverse=True)
-
-
-def _series_for_fit(ts: np.ndarray, ys: np.ndarray, t_exclude: float = None):
-    """Ascending series with nonpositive values dropped; optionally drop the
-    data horizon t = t_exclude where a remainder field is identically zero."""
-    ts = np.asarray(ts, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    order = np.argsort(ts)
-    ts, ys = ts[order], ys[order]
-    keep = np.isfinite(ys) & (ys > 1e-14 * max(float(np.max(np.abs(ys))), 1e-300))
-    if t_exclude is not None:
-        keep &= ts < t_exclude - 1e-9
-    return ts[keep], ys[keep]
-
-
-def _in_window(ts: np.ndarray, ys: np.ndarray, window: Tuple[float, float]):
-    """The samples of a series with ts inside the closed window."""
-    sel = (ts >= window[0]) & (ts <= window[1])
-    return ts[sel], ys[sel]
-
-
-def _max_over_min(ys: np.ndarray) -> float:
-    return float(np.max(ys)) / max(float(np.min(ys)), 1e-300)
 
 
 def fit_window_for(spec: RunSpec) -> Tuple[float, float]:
@@ -378,12 +380,13 @@ def _assemble_psi(state: FieldState, f0: RadiationField, f1: RadiationField,
 def run_homogeneous_scattering(spec: RunSpec) -> ScenarioReport:
     rep = ScenarioReport(name="homogeneous", spec=asdict(spec))
     f0 = spec.field_from(spec.f0_modes)
-    if f0.is_zero() and spec.mass == 0.0:
-        rep.add_check("zero_data_zero_solution", True, 0.0, "no data, nothing to solve")
+    if f0.is_zero():
+        rep.add_check("zero_data_zero_solution", True, 0.0,
+                      "no F0 data: the remainder is zero and psi = psi_e exactly")
         return rep
     grid = RadialGrid.for_run(spec.h, spec.T, spec.t0)
     f1 = derive_F1(f0, q_max=grid.r_max + 2.0)
-    modes = list(f0.modes) or [(0, 0)]
+    modes = list(f0.modes)
     data = FieldState(spec.T, grid, modes)   # trivial data for the remainder
     r_pos = grid.r[1:]
     records = record_times_for(spec)
@@ -391,56 +394,39 @@ def run_homogeneous_scattering(spec: RunSpec) -> ScenarioReport:
     traj = solve_backward(data, _minus_box_psi01_source(f0, f1, modes, r_pos),
                           spec.T, spec.t0, records, cfl=spec.cfl, on_step=cone)
 
-    window = fit_window_for(spec)
-    ts, src_norm, energy_v, conf_v, norm1s_psi, env_psi = [], [], [], [], [], []
     for st, flux in zip(traj.field_states(), cone.totals_at(traj.record_times)):
-        ts.append(st.t)
-        src_norm.append(source_norm_weighted(f0, f1, st.t, r_pos, spec.s))
-        energy_v.append(math.sqrt(energy_weighted(st)))
-        conf_v.append(conformal_norm_plus(st, spec.s))
         psi = _assemble_psi(st, f0, f1, spec.mass)
-        norm1s_psi.append(norm_Z_weighted(psi, spec.s))
-        env_psi.append(sup_envelope(psi, spec.s))
-        values = {
-            "source_norm_s": src_norm[-1], "energy_v": energy_v[-1],
-            "norm_conf_plus": conf_v[-1], "norm_1_s_surrogate": norm1s_psi[-1],
-            "sup_envelope": env_psi[-1],
-            "energy_w1": energy_v[-1] ** 2,
+        energy_v = math.sqrt(energy_weighted(st))
+        rep.series.append(FunctionalReport(t=st.t, values={
+            "source_norm_s": source_norm_weighted(f0, f1, st.t, r_pos, spec.s),
+            "energy_v": energy_v, "norm_conf_plus": conformal_norm_plus(st, spec.s),
+            "norm_1_s_surrogate": norm_Z_weighted(psi, spec.s),
+            "sup_envelope": sup_envelope(psi, spec.s),
+            "energy_w1": energy_v ** 2,
             "energy_w0": energy_weighted(st, lambda q: w0_weight(q, spec.mu)),
             cone.name: flux,
-        }
-        rep.series.append(FunctionalReport(t=st.t, values=values))
-    ts = np.asarray(ts)
+        }))
 
     # each rate is a function of the decay class: the declared gamma bounds
     # the decay, the class the data realize (read from F1's tail) is sharp
+    window = fit_window_for(spec)
     gamma_data = realized_decay_class(f1)
 
-    def add_class_fit(name, fit, rate, **kw):
-        rep.add_fit(name, fit, target=rate(spec.gamma), tol=spec.exponent_tol,
+    def add_class_fit(name, key, rate):
+        rep.add_fit(name, key, window, rate(spec.gamma), spec.exponent_tol,
                     gamma_data=gamma_data,
-                    realized_target=None if gamma_data is None else rate(gamma_data), **kw)
+                    realized_target=None if gamma_data is None else rate(gamma_data))
 
-    t_a, y_a = _series_for_fit(ts, src_norm)
-    add_class_fit("source_norm_exponent", fit_decay(t_a, y_a, window),
-                  lambda g: -(1.5 + g - spec.s))
-    # the remainder is identically zero at the data horizon t = T; decay is
-    # measured strictly inside the solve interval
-    t_b, y_b = _series_for_fit(ts, energy_v, t_exclude=spec.T)
-    add_class_fit("energy_exponent", fit_decay(t_b, y_b, window),
-                  lambda g: -(0.5 + g))
-    t_c, y_c = _series_for_fit(ts, conf_v, t_exclude=spec.T)
-    add_class_fit("conformal_norm_exponent", fit_decay(t_c, y_c, window),
-                  lambda g: -(0.5 + g - spec.s), fallback_series=_in_window(t_c, y_c, window))
-    _t, y_d = _in_window(*_series_for_fit(ts, norm1s_psi), window)
-    rep.add_bound("norm_1s_bounded", _max_over_min(y_d), spec.bound_factor,
-                  note="max/min of the first-order norm surrogate over the fit window")
-    _t, y_e = _in_window(*_series_for_fit(ts, env_psi), window)
-    rep.add_bound("envelope_bounded", _max_over_min(y_e), spec.bound_factor,
-                  note="max/min of sup <t+r><t-r>^(s-1/2)|psi| over the fit window")
+    add_class_fit("source_norm_exponent", "source_norm_s", lambda g: -(1.5 + g - spec.s))
+    add_class_fit("energy_exponent", "energy_v", lambda g: -(0.5 + g))
+    add_class_fit("conformal_norm_exponent", "norm_conf_plus", lambda g: -(0.5 + g - spec.s))
+    rep.add_window_ratio("norm_1s_bounded", "norm_1_s_surrogate", window, spec.bound_factor,
+                         "max/min of the first-order norm surrogate over the fit window")
+    rep.add_window_ratio("envelope_bounded", "sup_envelope", window, spec.bound_factor,
+                         "max/min of sup <t+r><t-r>^(s-1/2)|psi| over the fit window")
     # observed constant of the backward weighted estimate
-    states = traj.field_states()
-    c_obs = backward_estimate_constant(states, spec.s, src_norm)
+    c_obs = backward_estimate_constant(traj.field_states(), spec.s,
+                                       [fr.values["source_norm_s"] for fr in rep.series])
     rep.add_bound("backward_estimate_constant", c_obs, RATIO_BUDGET,
                   note="||v(t0)||_{1,+,s-1} / (||v(T)|| + int source)")
     rep.provenance = _provenance(grid, [traj])
@@ -466,19 +452,16 @@ def run_T_limit_study(spec: RunSpec) -> ScenarioReport:
     source = _minus_box_psi01_source(f0, f1, modes, r_pos)
     ends: Dict[float, FieldState] = {}
     trajs: List[Trajectory] = []
-    horizon_norms: Dict[Tuple[float, float], Dict[str, float]] = {}
-    for T in t_list:
+    horizon_norms: Dict[float, Tuple[float, float]] = {}   # T -> norms at its predecessor
+    for T1, T in zip([None, *t_list], t_list):
         data = FieldState(T, grid, modes)
         records = sorted({spec.t0} | {tt for tt in t_list if tt < T}, reverse=True)
         traj = solve_backward(data, source, T, spec.t0, records, cfl=spec.cfl)
         trajs.append(traj)
         ends[T] = traj.state_at(spec.t0)
-        for T1 in (tt for tt in t_list if tt < T):
+        if T1 is not None:
             st = traj.state_at(T1)
-            horizon_norms[(T, T1)] = {
-                "energy": math.sqrt(energy_weighted(st)),
-                "conf": conformal_norm_plus(st, spec.s),
-            }
+            horizon_norms[T] = (math.sqrt(energy_weighted(st)), conformal_norm_plus(st, spec.s))
     diffs = []
     for T1, T2 in zip(t_list[:-1], t_list[1:]):
         d = ends[T2].copy()
@@ -488,8 +471,8 @@ def run_T_limit_study(spec: RunSpec) -> ScenarioReport:
         diffs.append((T1, T2, e))
         rep.series.append(FunctionalReport(t=T2, values={
             "difference_energy_at_t0": e,
-            "remainder_energy_at_T1": horizon_norms[(T2, T1)]["energy"],
-            "remainder_conf_at_T1": horizon_norms[(T2, T1)]["conf"],
+            "remainder_energy_at_T1": horizon_norms[T2][0],
+            "remainder_conf_at_T1": horizon_norms[T2][1],
         }))
     mono = all(d2 < d1 for (_a, _b, d1), (_c, _d, d2) in zip(diffs[:-1], diffs[1:]))
     rep.add_check("difference_monotone_decreasing", mono,

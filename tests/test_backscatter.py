@@ -200,3 +200,24 @@ def test_quadrature_spec_validation():
     for q_tol in (-1e-9, 0.0):
         with pytest.raises(BackscatterError):
             phi_k_modes(monopole(), 2, 40.0, 30.0, q_tol)
+
+
+def test_an_inconclusive_source_residual_fails_its_item(monkeypatch):
+    # a noise floor above half the residual makes the check inconclusive:
+    # the item keeps its measured value but fails and says why
+    from backwave import kernel_pipelines
+    from backwave.scenarios import RunSpec
+
+    def residual(n, k, points, h, q_tol):
+        return {"max_rel_residual": 1e-3, "noise_floor": 8e-4, "inconclusive": k == 3}
+
+    monkeypatch.setattr(kernel_pipelines, "source_residual_check", residual)
+    monkeypatch.setattr(kernel_pipelines, "brute_force_phi_k", lambda *a, **k: 1.0)
+    spec = RunSpec(scenario="backscatter",
+                   f0_modes=[(2, 0, {"kind": "gaussian", "amplitude": 1.0})]).validate()
+    items = {it.name: it for it in kernel_pipelines.run_backscatter_audit(spec).items}
+    assert items["source_residual_k2"].passed and items["source_residual_k4"].passed
+    item = items["source_residual_k3"]
+    assert item.kind == "bound" and item.measured == 1e-3 and not item.passed
+    assert item.note == ("noise floor 8.00e-04: inconclusive, the noise floor exceeds "
+                         "half the residual")

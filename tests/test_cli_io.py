@@ -202,6 +202,24 @@ def test_cli_tlimit_without_data_reports_the_zero_solution(tmp_path):
     assert [item["name"] for item in summary["items"]] == ["zero_data_zero_solution"]
 
 
+@pytest.mark.parametrize("text", [
+    # mass only: psi is psi_e exactly and the remainder is zero
+    "[run]\nscenario = homogeneous\nT = 40\nt0 = 2\n[params]\nM = 0.25\n",
+    # no F0, no G0 and no mass: both remainders are zero
+    "[run]\nscenario = weaknull\nT = 12\nt0 = 2\n[grid]\nh = 0.25\n",
+], ids=["homogeneous_mass_only", "weaknull_without_data"])
+def test_cli_zero_data_reports_the_zero_solution_before_any_solve(tmp_path, monkeypatch, text):
+    import backwave.engine as engine
+    monkeypatch.setattr(engine, "acceleration", lambda *a, **k: pytest.fail("a solve ran"))
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(text)
+    command = parse_config(text).scenario
+    out = tmp_path / "zero"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    summary = json.load(open(out / "summary.json"))
+    assert [item["name"] for item in summary["items"]] == ["zero_data_zero_solution"]
+
+
 @pytest.mark.parametrize("command, old, new", [
     ("homogeneous", "kind=poly-tail", "kind=mystery"),
     ("homogeneous", "l=2 m=0", "l=12 m=0"),         # beyond l_max = 8

@@ -11,9 +11,9 @@ diff_configs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(diff_configs)
 
 
-def bundle(path, measured, series=b"t,x\n1,2\n"):
+def bundle(path, measured, series=b"t,x\n1,2\n", kind="fit"):
     path.mkdir(parents=True)
-    items = [{"name": "a", "measured": measured, "passed": True}]
+    items = [{"name": "a", "kind": kind, "measured": measured, "passed": True}]
     (path / "summary.json").write_text(json.dumps({"items": items}), encoding="utf-8")
     (path / "series.csv").write_bytes(series)
     return path
@@ -28,6 +28,13 @@ def test_equal_bundles_are_the_same_and_one_ulp_differs(tmp_path):
     assert diff_configs.differences(zero, bundle(tmp_path / "negzero", -0.0), 0, 0)
     assert diff_configs.differences(old, bundle(tmp_path / "csv", 0.1, b"t,x\n"), 0, 0)
     assert diff_configs.differences(old, bundle(tmp_path / "code", 0.1), 0, 1)
+
+
+def test_items_that_differ_only_in_kind_are_different(tmp_path):
+    # a fit that degrades to a bound with the same measured value and flag
+    old = bundle(tmp_path / "old", 0.1)
+    [line] = diff_configs.differences(old, bundle(tmp_path / "new", 0.1, kind="bound"), 0, 0)
+    assert line == "item a: kind 'fit' -> 'bound'"
 
 
 def test_runs_that_failed_alike_are_not_the_same(tmp_path):

@@ -4,7 +4,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from backwave.functionals import FitResult
+from backwave import scenarios
+from backwave.functionals import FitResult, FunctionalReport
 from backwave.scenarios import (RunSpec, ScenarioError, ScenarioReport, fit_window_for,
                                 record_times_for, run_scenario)
 
@@ -41,10 +42,18 @@ def test_record_times_cover_endpoints():
     assert all(a > b for a, b in zip(ts, ts[1:]))
 
 
+def series_report(key, ts, ys):
+    rep = ScenarioReport(name="x", spec={})
+    rep.series = [FunctionalReport(t=t, values={key: y}) for t, y in zip(ts, ys)]
+    return rep
+
+
 def fit_item(exponent, target=-1.1, tol=0.15, **kw):
-    fit = FitResult(exponent=exponent, amplitude=1.0, r_squared=1.0,
-                    window=(20.0, 80.0), n_samples=10)
-    return ScenarioReport(name="x", spec={}).add_fit("e", fit, target, tol, **kw)
+    # a power law t^exponent recorded at 9 times in the window (20, 80),
+    # newest first as a backward march records them
+    ts = np.geomspace(80.0, 20.0, 9)
+    rep = series_report("y", ts, ts ** exponent)
+    return rep.add_fit("e", "y", (20.0, 80.0), target, tol, **kw)
 
 
 def test_fit_band_between_declared_and_realized_class():
@@ -56,17 +65,62 @@ def test_fit_band_between_declared_and_realized_class():
     assert not fit_item(-1.46, **band).passed       # below the realized edge
     assert not fit_item(-0.94, **band).passed       # above the declared edge
     item = fit_item(-1.281, **band)
+    assert item.kind == "fit" and item.measured == pytest.approx(-1.281, abs=1e-12)
     assert item.target == -1.1 and item.tol == 0.15
     assert asdict(item)["gamma_data"] == 1.0
     assert asdict(item)["realized_target"] == -1.3
     assert "gamma_data=1" in item.note
 
 
-def test_fit_without_realized_class_is_two_sided():
-    for x in (-1.281, -1.25, -1.1, -0.95, -0.94, float("nan")):
+def test_fit_without_realized_class_is_two_sided(monkeypatch):
+    for x in (-1.281, -1.25, -1.1, -0.95, -0.94):
         item = fit_item(x)
+        assert item.measured == pytest.approx(x, abs=1e-12)
         assert item.passed == bool(abs(x - (-1.1)) <= 0.15), x
         assert item.gamma_data is None and item.realized_target is None
+    # a fit that returns NaN fails
+    monkeypatch.setattr(scenarios, "fit_decay", lambda ts, ys, window: FitResult(
+        exponent=float("nan"), amplitude=1.0, r_squared=1.0, window=(20.0, 80.0), n_samples=9))
+    item = fit_item(-1.1)
+    assert item.kind == "fit" and math.isnan(item.measured) and not item.passed
+
+
+def test_shallow_target_checks_nonincrease_on_the_in_window_samples():
+    # 80^-0.1 / 20^-0.1 changes by 1.15x < 1.5x: the slope cannot be
+    # resolved, so the item bounds max/first of the column inside the
+    # window; the large sample at t = 10 lies outside and does not count
+    ts = [80.0, 60.0, 40.0, 30.0, 25.0, 20.0, 10.0]
+    ys = [1.0, 1.1, 1.3, 1.05, 1.0, 1.25, 50.0]
+    item = series_report("y", ts, ys).add_fit("e", "y", (20.0, 80.0), -0.1, 0.15)
+    assert item.kind == "bound" and item.target == 1.0
+    assert item.measured == pytest.approx(1.3 / 1.25)
+    assert item.passed and "shallow target -0.1" in item.note
+    ys[2] = 1.6                                       # 1.6 / 1.25 > 1.2
+    assert not series_report("y", ts, ys).add_fit("e", "y", (20.0, 80.0), -0.1, 0.15).passed
+
+
+def test_window_ratio_reads_the_column_inside_the_window():
+    rep = series_report("y", [40.0, 20.0, 10.0, 4.0, 2.0], [0.0, 2.0, 3.0, 1.5, 100.0])
+    item = rep.add_window_ratio("b", "y", (4.0, 20.0), 5.0, "max/min")
+    assert item.measured == 2.0 and item.passed and item.note == "max/min"
+    # an empty window reads inf and says so
+    item = rep.add_window_ratio("b", "y", (21.0, 39.0), 5.0, "max/min")
+    assert item.measured == math.inf and not item.passed
+    assert item.note == "max/min: no record in the window"
+
+
+def test_the_zero_horizon_sample_is_dropped():
+    # a remainder is exactly 0 at its data horizon t = 80: neither the fit
+    # nor the window ratio sees that sample
+    ts = np.geomspace(80.0, 20.0, 9)
+    ys = ts ** -1.1
+    ys[0] = 0.0
+    rep = series_report("y", ts, ys)
+    item = rep.add_fit("e", "y", (20.0, 80.0), -1.1, 0.15)
+    assert item.kind == "fit" and item.measured == pytest.approx(-1.1, abs=1e-12)
+    assert f"window=(20,{ts[1]:g})" in item.note
+    ratio = rep.add_window_ratio("b", "y", (20.0, 80.0), 5.0, "max/min")
+    assert ratio.measured == pytest.approx((20.0 / ts[1]) ** -1.1)
 
 
 def test_free_wave_gate():

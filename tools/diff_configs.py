@@ -4,15 +4,16 @@
 
 Each tree's own ``configs/NAME.cfg`` runs through ``python -m backwave.cli``
 with that tree's ``src`` on the path, one process at a time and one BLAS
-thread.  The script compares every report item's ``measured`` value to 17
-significant digits and its ``passed`` flag, the item lists themselves, the
-exit codes and ``series.csv`` byte for byte, prints the differences (with
-the relative change of each differing ``measured`` value) and each run's wall
-time, then the largest relative item change over all configs, each tree's
-source line count (``src/backwave/*.py``) and settable values (defaulted
-function parameters plus defaulted dataclass fields, counted by AST), and
-exits 1 when anything differs or a run fails (exit code other than 0 or 1,
-or no summary.json).  NAME limits the run to the given configs (default:
+thread.  The script compares every field of every report item (``kind``,
+``measured``, ``target``, ``tol``, ``passed``, ``note``, ``gamma_data`` and
+``realized_target``; numbers to 17 significant digits), the item lists
+themselves, the exit codes and ``series.csv`` byte for byte, prints the
+differences (with the relative change of each differing ``measured``
+value) and each run's wall time, then the largest relative item change
+over all configs, each tree's source line count (``src/backwave/*.py``)
+and settable values (defaulted function parameters plus defaulted
+dataclass fields, counted by AST), and exits 1 when anything differs or a
+run fails (exit code other than 0 or 1, or no summary.json).  NAME limits the run to the given configs (default:
 every ``configs/*.cfg`` of NEW_TREE).
 """
 
@@ -29,6 +30,7 @@ import tempfile
 import time
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+FIELDS = ("kind", "measured", "target", "tol", "passed", "note", "gamma_data", "realized_target")
 
 
 def scenario_of(cfg: pathlib.Path) -> str:
@@ -79,15 +81,17 @@ def settable_values(tree: pathlib.Path) -> int:
 
 
 def items(out: pathlib.Path) -> dict:
+    """Each item of the run's summary.json by name, as a dict of its FIELDS
+    (None where a field is absent)."""
     path = out / "summary.json"
     if not path.is_file():
         return {}
     doc = json.loads(path.read_text(encoding="utf-8"))
-    return {it["name"]: (it["measured"], it["passed"]) for it in doc.get("items", [])}
+    return {it["name"]: {f: it.get(f) for f in FIELDS} for it in doc.get("items", [])}
 
 
 def _digits(x) -> str:
-    return format(x, ".17g") if isinstance(x, (int, float)) else repr(x)
+    return format(x, ".17g") if isinstance(x, float) else repr(x)
 
 
 def relative_change(a, b) -> float:
@@ -103,8 +107,8 @@ def relative_change(a, b) -> float:
 def item_changes(old: pathlib.Path, new: pathlib.Path) -> dict:
     """The relative change of every item in both runs whose measured value differs."""
     a, b = items(old), items(new)
-    return {n: relative_change(a[n][0], b[n][0]) for n in a
-            if n in b and _digits(a[n][0]) != _digits(b[n][0])}
+    return {n: relative_change(a[n]["measured"], b[n]["measured"]) for n in a
+            if n in b and _digits(a[n]["measured"]) != _digits(b[n]["measured"])}
 
 
 def differences(old: pathlib.Path, new: pathlib.Path, code_a, code_b) -> list:
@@ -124,10 +128,11 @@ def differences(old: pathlib.Path, new: pathlib.Path, code_a, code_b) -> list:
     out += [f"item {n}: only in {'old' if n in a else 'new'}" for n in sorted(set(a) ^ set(b))]
     changes = item_changes(old, new)
     for n in (n for n in a if n in b):
-        old_item, new_item = ((_digits(x[n][0]), x[n][1]) for x in (a, b))
-        if old_item != new_item:
+        moved = [f"{f} {_digits(a[n][f])} -> {_digits(b[n][f])}" for f in FIELDS
+                 if _digits(a[n][f]) != _digits(b[n][f])]
+        if moved:
             rel = f" (relative change {changes[n]:.2g})" if n in changes else ""
-            out.append(f"item {n}: measured/passed {old_item} -> {new_item}{rel}")
+            out.append(f"item {n}: {'; '.join(moved)}{rel}")
     sa, sb = old / "series.csv", new / "series.csv"
     if sa.is_file() != sb.is_file() or (sa.is_file() and sa.read_bytes() != sb.read_bytes()):
         out.append("series.csv differs")
