@@ -14,8 +14,7 @@ Subcommands map one-to-one onto the scenario pipelines:
 Exit codes: 0 all acceptance items pass; 1 run completed with failing
 items; 2 configuration error (bad data sections included, found before
 any solve); 3 runtime error.  A summary.json is always written to the
-output directory, with an error block on failure.  The output directory
-may also be set through BACKWAVE_OUT.
+output directory, with an error block on failure.
 """
 
 from __future__ import annotations
@@ -49,8 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", metavar="PATH",
                    help="run configuration file (required except for 'validate')")
     p.add_argument("--out", metavar="DIR", default=None,
-                   help="output bundle directory (default: ./out_<command>; "
-                        "env override: BACKWAVE_OUT)")
+                   help="output bundle directory (default: ./out_<command>)")
     p.add_argument("--quiet", action="store_true")
     return p
 
@@ -63,7 +61,7 @@ def main(argv) -> int:
         # argparse exits 2 on usage errors, matching the config-error code
         return EXIT_CONFIG if exc.code else EXIT_PASS
 
-    out_dir = args.out or os.environ.get("BACKWAVE_OUT") or f"out_{args.command}"
+    out_dir = args.out or f"out_{args.command}"
     config_text = None
     try:
         if args.command == "validate":

@@ -21,7 +21,11 @@ times the largest |u| seen so far.
 
 The engine only marches and keeps the states at the record times; an
 optional ``on_step`` observer (cone fluxes, per-step states: see
-``functionals``) sees every field at t = T and after every step.
+``functionals``) sees every field at t = T and after every step.  Every
+slice the march hands out (a source's stage views, an observer's step
+views, the recorded states) is a :class:`FieldState` on the field's rows of
+the march's own arrays, not a copy: the march never writes an array after
+handing it out, and zeroes the data's ends once, on its own stacked copy.
 
 Several fields can be co-evolved as one system so that coupled sources
 (e.g. a quadratic coupling to another field's time derivative) see exact
@@ -43,7 +47,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -91,29 +94,62 @@ class RadialGrid:
         return RadialGrid(h=h, J=J)
 
 
+def radial_deriv(arr: np.ndarray, ell: np.ndarray, h: float) -> np.ndarray:
+    """Centered d_r of per-mode rows on the grid, 0 at r_max; at r = 0 the
+    parity limit u_1/h for l = 0 and 0 for l > 0."""
+    out = np.empty_like(arr)
+    out[:, 1:-1] = (arr[:, 2:] - arr[:, :-2]) / (2.0 * h)
+    out[:, -1] = 0.0
+    out[:, 0] = np.where(ell == 0, arr[:, 1] / h, 0.0)
+    return out
+
+
 class FieldState:
-    """One time slice of one field: per-mode u = r*phi and v = d_t u."""
+    """One time slice of one field: per-mode u = r*phi and v = d_t u, (n_modes,
+    J+1) each, shared with the caller (zeros when not given), never written.
+    The derived arrays (``ur``, ``u_over_r``, ``lu``, ``lbu``) are computed on
+    each access and never kept: a kept state holds only u and v."""
 
     def __init__(self, t: float, grid: RadialGrid, modes: Sequence[ModeKey],
                  u: np.ndarray = None, v: np.ndarray = None):
         self.t = float(t)
         self.grid = grid
         self.modes = tuple(modes)
-        n = len(self.modes)
-        shape = (n, grid.J + 1)
-        self.u = np.zeros(shape) if u is None else np.asarray(u, dtype=float).reshape(shape).copy()
-        self.v = np.zeros(shape) if v is None else np.asarray(v, dtype=float).reshape(shape).copy()
-        self.u[:, 0] = 0.0
-        self.v[:, 0] = 0.0
-        self.u[:, -1] = 0.0
-        self.v[:, -1] = 0.0
+        shape = (len(self.modes), grid.J + 1)
+        self.u = np.zeros(shape) if u is None else np.asarray(u, dtype=float).reshape(shape)
+        self.v = np.zeros(shape) if v is None else np.asarray(v, dtype=float).reshape(shape)
+
+    @property
+    def r(self) -> np.ndarray:
+        return self.grid.r
 
     @property
     def ell(self) -> np.ndarray:
         return np.array([l for (l, _m) in self.modes], dtype=float)
 
-    def copy(self) -> "FieldState":
-        return FieldState(self.t, self.grid, self.modes, self.u, self.v)
+    @property
+    def ll1(self) -> np.ndarray:     # l(l+1)
+        ell = self.ell
+        return ell * (ell + 1.0)
+
+    @property
+    def ur(self) -> np.ndarray:      # d_r u
+        return radial_deriv(self.u, self.ell, self.grid.h)
+
+    @property
+    def u_over_r(self) -> np.ndarray:
+        out = np.empty_like(self.u)
+        out[:, 1:] = self.u[:, 1:] / self.r[1:]
+        out[:, 0] = np.where(self.ell == 0, self.u[:, 1] / self.grid.h, 0.0)
+        return out
+
+    @property
+    def lu(self) -> np.ndarray:      # L(r phi) = v + u_r
+        return self.v + self.ur
+
+    @property
+    def lbu(self) -> np.ndarray:     # Lb(r phi) = v - u_r
+        return self.v - self.ur
 
 
 class StepSchedule:
@@ -214,14 +250,15 @@ def solve_backward_system(
 
     ``source(t, views)`` returns a dict mapping field names to S arrays of
     shape (n_modes, J+1), the right-hand side of box phi = S; omitted fields
-    get zero source.  ``views[name]`` has the stage's t, grid, modes, u and
-    v (the field's rows of the march's stacked arrays) and the march's
-    :class:`StepSchedule`, ``schedule``.  Record times are hit exactly.
-    ``on_step(t, views)``, when given, is called with the same kind of views
-    at t = T and after every step, in march order; t is the step's own
-    time, before a segment end snaps it to the record time.  The views hold
-    the march's own arrays, which the engine never writes after the call and
-    the observer must not write at all.
+    get zero source.  ``views[name]`` is the field's :class:`FieldState` at
+    the stage, on its rows of the march's stacked arrays, with the march's
+    :class:`StepSchedule` as its ``schedule`` attribute.  Record times are
+    hit exactly.  ``on_step(t, views)``, when given, is called with states
+    of the same kind (without ``schedule``) at t = T and after every step,
+    in march order; t is the step's own time, before a segment end snaps it
+    to the record time.  Views and recorded states hold the march's own
+    arrays, which the engine never writes after handing them out and no
+    caller may write at all.
     """
     names = list(fields)
     if not names:
@@ -247,19 +284,23 @@ def solve_backward_system(
 
     u = np.concatenate([fields[n].u for n in names])
     v = np.concatenate([fields[n].v for n in names])
+    u[:, 0] = u[:, -1] = v[:, 0] = v[:, -1] = 0.0
     pot = np.outer(ell * (ell + 1.0), 1.0 / rint**2)
     schedule = StepSchedule(times, dt_cap)
 
     def views(t, uu, vv):
-        return {n: SimpleNamespace(t=t, grid=grid, modes=fields[n].modes, u=uu[rows[n]],
-                                   v=vv[rows[n]], schedule=schedule) for n in names}
+        return {n: FieldState(t, grid, fields[n].modes, uu[rows[n]], vv[rows[n]])
+                for n in names}
 
     def rhs(t, uu, vv):
         """(d_t u, d_t v) of the stack at the stage (t, uu, vv)."""
         dv = acceleration(uu, None, pot, rint, h)
-        src = source(t, views(t, uu, vv)) if source else {}
-        for n, s in src.items():
-            dv[rows[n], 1:-1] -= rint[None, :] * s[:, 1:-1]
+        if source:
+            stage = views(t, uu, vv)
+            for view in stage.values():
+                view.schedule = schedule
+            for n, s in source(t, stage).items():
+                dv[rows[n], 1:-1] -= rint[None, :] * s[:, 1:-1]
         return vv, dv
 
     recorded: Dict[str, List[FieldState]] = {n: [] for n in names}
@@ -280,9 +321,8 @@ def solve_backward_system(
                     f"(|u| = {edge:.3e}, scale {scale_seen:.3e}); enlarge r_max"
                 )
         if record is not None:
-            for n in names:
-                recorded[n].append(FieldState(record, grid, fields[n].modes,
-                                              u[rows[n]], v[rows[n]]))
+            for n, st in views(record, u, v).items():
+                recorded[n].append(st)
 
     after_step(times[0], times[0])
     steps = list(schedule.steps())

@@ -1,7 +1,8 @@
 """Weighted energies, conformal norms, identity audits and decay fits.
 
 Everything is assembled per spherical-harmonic mode from the u = r*phi
-arrays of a :class:`~backwave.engine.FieldState`:
+arrays of a :class:`~backwave.engine.FieldState` and the derived arrays it
+computes on each access (``ur``, ``u_over_r``, ``lu``, ``lbu``):
 
     |d phi|^2 dx      -> [v^2 + (u_r - u/r)^2 + l(l+1) u^2/r^2] dr
     |L(r phi)|^2 dx/r^2  -> (v + u_r)^2 dr,   etc.
@@ -29,6 +30,7 @@ The conformal multiplier machinery uses f(v) = <v>^(2s):
 Measurements along a solve are ``on_step`` observers of the march:
 :class:`ConeFlux` (one cone's flux) and :class:`StepStates` (every step's
 state, for the identity audit, space-time instance and origin decay check).
+The states they read are the march's own views, never copies.
 Code run inside a solve is private, since the benchmark's tracer times the
 public functions of this module as post-solve work.
 
@@ -49,7 +51,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from backwave.angular import angular_grid, ylm_at, mode_index
-from backwave.engine import FieldState, Trajectory, acceleration
+from backwave.engine import FieldState, Trajectory, acceleration, radial_deriv
 
 
 class FunctionalError(RuntimeError):
@@ -73,62 +75,6 @@ def weight_minus_gamma(q, gamma: float) -> np.ndarray:
     """Boundary weight (1 + q_-)^(1+2 gamma)."""
     q = np.asarray(q, dtype=float)
     return (1.0 + np.maximum(-q, 0.0)) ** (1.0 + 2.0 * gamma)
-
-
-# ---------------------------------------------------------------------------
-# per-mode derivative arrays with origin limits
-# ---------------------------------------------------------------------------
-
-def _radial_deriv(arr: np.ndarray, ell: np.ndarray, h: float) -> np.ndarray:
-    out = np.empty_like(arr)
-    out[:, 1:-1] = (arr[:, 2:] - arr[:, :-2]) / (2.0 * h)
-    out[:, -1] = 0.0
-    out[:, 0] = np.where(ell == 0, arr[:, 1] / h, 0.0)
-    return out
-
-
-def _over_r(arr: np.ndarray, r: np.ndarray, ell: np.ndarray, h: float) -> np.ndarray:
-    out = np.empty_like(arr)
-    out[:, 1:] = arr[:, 1:] / r[1:]
-    out[:, 0] = np.where(ell == 0, arr[:, 1] / h, 0.0)
-    return out
-
-
-@dataclass
-class ModeFields:
-    """Cached per-mode derivative arrays of one state."""
-
-    t: float
-    r: np.ndarray
-    ell: np.ndarray
-    ll1: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    ur: np.ndarray
-    u_over_r: np.ndarray
-
-    @property
-    def lu(self) -> np.ndarray:      # L(r phi) = v + u_r
-        return self.v + self.ur
-
-    @property
-    def lbu(self) -> np.ndarray:     # Lb(r phi) = v - u_r
-        return self.v - self.ur
-
-
-def mode_fields(state: FieldState) -> ModeFields:
-    ell = state.ell
-    h = state.grid.h
-    return ModeFields(
-        t=state.t,
-        r=state.grid.r,
-        ell=ell,
-        ll1=ell * (ell + 1.0),
-        u=state.u,
-        v=state.v,
-        ur=_radial_deriv(state.u, ell, h),
-        u_over_r=_over_r(state.u, state.grid.r, ell, h),
-    )
 
 
 def _cone_foot(foot: float, h: float, *rows: np.ndarray):
@@ -161,35 +107,35 @@ def _trapz_to(vals: np.ndarray, r: np.ndarray, R: float) -> np.ndarray:
 def energy_weighted(state: FieldState, weight: Optional[Callable] = None) -> float:
     """int |d phi|^2 w(r - t) dx, trapezoidal per mode; ``weight`` maps the
     array q = r - t to w, and no weight means w = 1."""
-    mf = mode_fields(state)
-    dens = mf.v**2 + (mf.ur - mf.u_over_r) ** 2 + mf.ll1[:, None] * mf.u_over_r**2
+    r, u_over_r = state.r, state.u_over_r
+    dens = state.v**2 + (state.ur - u_over_r) ** 2 + state.ll1[:, None] * u_over_r**2
     if weight is not None:
-        dens = dens * weight(mf.r - mf.t)[None, :]
-    return float(np.sum(np.trapezoid(dens, mf.r, axis=-1)))
+        dens = dens * weight(r - state.t)[None, :]
+    return float(np.sum(np.trapezoid(dens, r, axis=-1)))
 
 
 def conformal_norm_plus(state: FieldState, s: float) -> float:
     """|| phi ||_{1,+,s-1}: the full weighted first-order norm (squared sum,
     square root returned)."""
-    mf = mode_fields(state)
-    fp = (1.0 + (mf.t + mf.r) ** 2) ** s
-    fm = (1.0 + (mf.t - mf.r) ** 2) ** s
-    brm2 = 1.0 + (mf.t - mf.r) ** 2
-    dens = (fp[None, :] * (mf.lu**2 + mf.ll1[:, None] * mf.u_over_r**2)
-            + fm[None, :] * (mf.lbu**2 + mf.u_over_r**2 + mf.u**2 / brm2[None, :]))
-    return math.sqrt(float(np.sum(np.trapezoid(dens, mf.r, axis=-1))))
+    t, r, u_over_r = state.t, state.r, state.u_over_r
+    fp = (1.0 + (t + r) ** 2) ** s
+    fm = (1.0 + (t - r) ** 2) ** s
+    brm2 = 1.0 + (t - r) ** 2
+    dens = (fp[None, :] * (state.lu**2 + state.ll1[:, None] * u_over_r**2)
+            + fm[None, :] * (state.lbu**2 + u_over_r**2 + state.u**2 / brm2[None, :]))
+    return math.sqrt(float(np.sum(np.trapezoid(dens, r, axis=-1))))
 
 
 def conformal_energy_ER(state: FieldState, s: float, R: float) -> float:
     """E_R^s truncated at radius R (nonnegative, nondecreasing in R)."""
     if R > state.grid.r_max + 1e-9:
         raise FunctionalError(f"truncation radius {R} exceeds grid extent {state.grid.r_max}")
-    mf = mode_fields(state)
-    fp = (1.0 + (mf.t + mf.r) ** 2) ** s
-    fm = (1.0 + (mf.t - mf.r) ** 2) ** s
-    dens = (fp[None, :] * mf.lu**2 + fm[None, :] * mf.lbu**2
-            + (fp + fm)[None, :] * mf.ll1[:, None] * mf.u_over_r**2)
-    return float(np.sum(_trapz_to(dens, mf.r, R)))
+    t, r = state.t, state.r
+    fp = (1.0 + (t + r) ** 2) ** s
+    fm = (1.0 + (t - r) ** 2) ** s
+    dens = (fp[None, :] * state.lu**2 + fm[None, :] * state.lbu**2
+            + (fp + fm)[None, :] * state.ll1[:, None] * state.u_over_r**2)
+    return float(np.sum(_trapz_to(dens, r, R)))
 
 
 def _f_diff_over_r(t: float, r: np.ndarray, s: float) -> np.ndarray:
@@ -259,9 +205,7 @@ class ConeFlux:
         foot = self.R - (self.t2 - t)
         val = None
         if h < foot < view.grid.r_max - h:
-            ell = np.array([l for (l, _m) in view.modes], dtype=float)
-            lu = view.v + _radial_deriv(view.u, ell, h)
-            val = _conformal_flux_at(t, foot, self.s, h, view.u, lu, ell * (ell + 1.0))
+            val = _conformal_flux_at(t, foot, self.s, h, view.u, view.lu, view.ll1)
         self.ts.append(t)
         self.vals.append(val)
 
@@ -274,11 +218,11 @@ class ConeFlux:
 
 class StepStates(list):
     """``on_step`` observer: the list of the first field's states at t = T and
-    after every step, in march order (descending t)."""
+    after every step, in march order (descending t); each is the march's own
+    step view, kept as it is."""
 
     def __call__(self, t: float, views) -> None:
-        view = next(iter(views.values()))
-        self.append(FieldState(t, view.grid, view.modes, view.u, view.v))
+        self.append(next(iter(views.values())))
 
 
 def morawetz_identity_audit(steps: Sequence[FieldState], s: float, R: float,
@@ -309,20 +253,20 @@ def morawetz_identity_audit(steps: Sequence[FieldState], s: float, R: float,
     flux_vals = np.empty(ts.size)
     bulk_vals = np.empty(ts.size)
     for i, st in enumerate(steps):
-        mf = mode_fields(st)
+        r, lu, ll1 = st.r, st.lu, st.ll1
         foot = R - (t2 - st.t)
-        flux_vals[i] = _conformal_flux_at(mf.t, foot, s, h, mf.u, mf.lu, mf.ll1)
+        flux_vals[i] = _conformal_flux_at(st.t, foot, s, h, st.u, lu, ll1)
         # bulk integrand over r <= foot
-        rdo = r_dr_omega(st.t, mf.r, s)
-        dens = -rdo[None, :] * mf.ll1[:, None] * mf.u_over_r**2
+        rdo = r_dr_omega(st.t, r, s)
+        dens = -rdo[None, :] * ll1[:, None] * st.u_over_r**2
         if source is not None:
             s_arr = source(st.t, st)
             if s_arr is not None:
-                fp = (1.0 + (st.t + mf.r) ** 2) ** s
-                fm = (1.0 + (st.t - mf.r) ** 2) ** s
-                xr = fp[None, :] * mf.lu + fm[None, :] * mf.lbu
-                dens = dens + mf.r[None, :] * np.asarray(s_arr) * xr
-        bulk_vals[i] = float(np.sum(_trapz_to(dens, mf.r, foot)))
+                fp = (1.0 + (st.t + r) ** 2) ** s
+                fm = (1.0 + (st.t - r) ** 2) ** s
+                xr = fp[None, :] * lu + fm[None, :] * st.lbu
+                dens = dens + r[None, :] * np.asarray(s_arr) * xr
+        bulk_vals[i] = float(np.sum(_trapz_to(dens, r, foot)))
     flux = float(np.trapezoid(flux_vals, ts))
     bulk = float(np.trapezoid(bulk_vals, ts))
 
@@ -366,23 +310,23 @@ def hardy_checks(state: FieldState, s: float) -> Dict[str, float]:
 
     Raises when a right side vanishes while the left does not.
     """
-    mf = mode_fields(state)
-    q = mf.t - mf.r
+    t, r, u = state.t, state.r, state.u
+    q = t - r
     br2 = 1.0 + q * q
     fpp = 2.0 * s * br2 ** (s - 1.0) + 2.0 * s * (2.0 * s - 2.0) * q * q * br2 ** (s - 2.0)
-    fp = (1.0 + (mf.t + mf.r) ** 2) ** s
+    fp = (1.0 + (t + r) ** 2) ** s
     fm = br2**s
 
-    lhs0 = float(np.sum(np.trapezoid(fpp[None, :] * mf.u**2, mf.r, axis=-1)))
-    rhs0 = float(np.sum(np.trapezoid(fp[None, :] * mf.lu**2 + fm[None, :] * mf.lbu**2,
-                                     mf.r, axis=-1)))
+    lhs0 = float(np.sum(np.trapezoid(fpp[None, :] * u**2, r, axis=-1)))
+    rhs0 = float(np.sum(np.trapezoid(fp[None, :] * state.lu**2 + fm[None, :] * state.lbu**2,
+                                     r, axis=-1)))
     # boundary term vanishes under containment (u = 0 at r_max)
-    edge = float(np.sum(mf.u[:, -1] ** 2))
+    edge = float(np.sum(u[:, -1] ** 2))
     rhs0 += abs(2.0 * s * q[-1] * br2[-1] ** (s - 0.5)) * edge
 
-    lhs1 = float(np.sum(np.trapezoid(fm[None, :] * mf.u_over_r**2, mf.r, axis=-1)))
-    rhs1 = float(np.sum(np.trapezoid((br2 ** (s - 1.0))[None, :] * mf.u**2
-                                     + fm[None, :] * mf.ur**2, mf.r, axis=-1)))
+    lhs1 = float(np.sum(np.trapezoid(fm[None, :] * state.u_over_r**2, r, axis=-1)))
+    rhs1 = float(np.sum(np.trapezoid((br2 ** (s - 1.0))[None, :] * u**2
+                                     + fm[None, :] * state.ur**2, r, axis=-1)))
 
     out = {}
     for tag, lhs, rhs in (("zeroth", lhs0, rhs0), ("radial", lhs1, rhs1)):
@@ -399,13 +343,14 @@ def hardy_checks(state: FieldState, s: float) -> Dict[str, float]:
 # commuting-field norm surrogate and pointwise decay checks
 # ---------------------------------------------------------------------------
 
-def _weighted_norm(mf: ModeFields, s: float):
+def _weighted_norm(state: FieldState, s: float):
     """dens -> sqrt(sum over modes of int dens <t-r>^(2s-2) dr), trapezoid
     in r; ``dens`` is a squared (n_modes, J+1) quantity."""
-    wgt = (1.0 + (mf.t - mf.r) ** 2) ** (s - 1.0)
+    r = state.r
+    wgt = (1.0 + (state.t - r) ** 2) ** (s - 1.0)
 
     def nrm(dens):
-        return math.sqrt(float(np.sum(np.trapezoid(dens * wgt[None, :], mf.r, axis=-1))))
+        return math.sqrt(float(np.sum(np.trapezoid(dens * wgt[None, :], r, axis=-1))))
 
     return nrm
 
@@ -418,18 +363,18 @@ def norm_Z_weighted(state: FieldState, s: float,
     the spectral l(l+1) weights; the three boost majorants are added as
     separate L2 norms.
     """
-    mf = mode_fields(state)
-    t = mf.t
-    nrm = _weighted_norm(mf, s)
-    w1 = t * mf.v + mf.r[None, :] * mf.ur - mf.u          # r * (S phi)
+    t, r, u, v, ll1, u_over_r = (state.t, state.r, state.u, state.v, state.ll1,
+                                 state.u_over_r)
+    nrm = _weighted_norm(state, s)
+    w1 = t * v + r[None, :] * state.ur - u          # r * (S phi)
     parts = {
-        "identity": nrm(mf.u**2),
-        "dt": nrm(mf.v**2),
+        "identity": nrm(u**2),
+        "dt": nrm(v**2),
         "scaling": nrm(w1**2),
-        "rotations": nrm(mf.ll1[:, None] * mf.u**2),
-        "boost_L": nrm(((t + mf.r) ** 2)[None, :] * (mf.lu - mf.u_over_r) ** 2),
-        "boost_Lb": nrm(((t - mf.r) ** 2)[None, :] * (mf.lbu + mf.u_over_r) ** 2),
-        "boost_ang": nrm((t**2) * mf.ll1[:, None] * mf.u_over_r**2),
+        "rotations": nrm(ll1[:, None] * u**2),
+        "boost_L": nrm(((t + r) ** 2)[None, :] * (state.lu - u_over_r) ** 2),
+        "boost_Lb": nrm(((t - r) ** 2)[None, :] * (state.lbu + u_over_r) ** 2),
+        "boost_ang": nrm((t**2) * ll1[:, None] * u_over_r**2),
     }
     total = sum(parts.values())
     return (total, parts) if return_parts else total
@@ -438,37 +383,36 @@ def norm_Z_weighted(state: FieldState, s: float,
 def _second_order_terms(state: FieldState, s: float) -> float:
     """Second-order surrogate terms for the |I| <= 2 weighted norm of a free
     field (d_t v from the source-free wave equation)."""
-    mf = mode_fields(state)
-    t = mf.t
+    t, u, v, ll1 = state.t, state.u, state.v, state.ll1
     h = state.grid.h
-    urr = np.zeros_like(mf.u)
-    urr[:, 1:-1] = (mf.u[:, 2:] - 2.0 * mf.u[:, 1:-1] + mf.u[:, :-2]) / (h * h)
-    vt = np.zeros_like(mf.u)
-    vt[:, 1:-1] = urr[:, 1:-1] - mf.ll1[:, None] * mf.u[:, 1:-1] / mf.r[1:-1] ** 2
-    vr = _radial_deriv(mf.v, mf.ell, h)
-    w1 = t * mf.v + mf.r[None, :] * mf.ur - mf.u
-    nrm = _weighted_norm(mf, s)
-    r = mf.r[None, :]
+    urr = np.zeros_like(u)
+    urr[:, 1:-1] = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / (h * h)
+    vt = np.zeros_like(u)
+    vt[:, 1:-1] = urr[:, 1:-1] - ll1[:, None] * u[:, 1:-1] / state.r[1:-1] ** 2
+    vr = radial_deriv(v, state.ell, h)
+    r = state.r[None, :]
+    w1 = t * v + r * state.ur - u
+    nrm = _weighted_norm(state, s)
     dt_w1 = t * vt + r * vr
     ss = t * dt_w1 + r * (t * vr + r * urr) - w1
     total = nrm(vt**2)                      # d_t^2
     total += nrm(dt_w1**2)                  # d_t S
     total += nrm(ss**2)                     # S^2
-    total += nrm(mf.ll1[:, None] * mf.v**2)     # rot d_t
-    total += nrm(mf.ll1[:, None] * w1**2)       # rot S
-    total += nrm(mf.ll1[:, None] ** 2 * mf.u**2)  # rot^2
+    total += nrm(ll1[:, None] * v**2)       # rot d_t
+    total += nrm(ll1[:, None] * w1**2)      # rot S
+    total += nrm(ll1[:, None] ** 2 * u**2)  # rot^2
     return total
 
 
 def sup_envelope(state: FieldState, s: float) -> float:
     """sup over the grid of <t+r> <t-r>^(s-1/2) |phi| (physical field)."""
-    mf = mode_fields(state)
-    l_max = int(max(mf.ell)) if mf.ell.size else 0
+    l_max = max((l for (l, _m) in state.modes), default=0)
     grid = angular_grid(max(l_max, 1))
     table = ylm_at(l_max, grid.directions().reshape(-1, 3))
     ymat = np.stack([table[mode_index(l, m)] for (l, m) in state.modes])
-    vals = ymat.T @ mf.u_over_r                      # (n_dirs, J+1)
-    env = (1.0 + (mf.t + mf.r) ** 2) ** 0.5 * (1.0 + (mf.t - mf.r) ** 2) ** (0.5 * (s - 0.5))
+    vals = ymat.T @ state.u_over_r                   # (n_dirs, J+1)
+    t, r = state.t, state.r
+    env = (1.0 + (t + r) ** 2) ** 0.5 * (1.0 + (t - r) ** 2) ** (0.5 * (s - 0.5))
     return float(np.max(np.abs(vals) * env[None, :]))
 
 
@@ -509,20 +453,19 @@ def origin_decay_check(steps: Sequence[FieldState], taus: Sequence[float], gamma
         raise FunctionalError("origin decay check needs the states of at least one step")
     grid = steps[0].grid
     h, rint = grid.h, grid.r[1:-1]
-    pot = np.outer(steps[0].ell * (steps[0].ell + 1.0), 1.0 / rint**2)
+    pot = np.outer(steps[0].ll1, 1.0 / rint**2)
     origin, cone_vals = [], [[] for _tau in taus]
     for st in steps:
         origin.append(sum(st.u[i, 1] / h * (1.0 / math.sqrt(4.0 * math.pi))
                           for i, (l, _m) in enumerate(st.modes) if l == 0))
-        mf = mode_fields(st)
         vt = acceleration(st.u, source(st.t, st) if source else None, pot, rint, h)
-        lv = vt + _radial_deriv(st.v, mf.ell, h)
+        lu, lv, ll1 = st.lu, vt + radial_deriv(st.v, st.ell, h), st.ll1
         for vals, tau in zip(cone_vals, taus):
             foot = st.t - tau
             # dS = r^2 dS(omega): (L phi)^2 r^2 = (L u - u/r)^2 etc., for phi and d_t phi
             vals.append(None if foot <= h or foot >= grid.r_max - h else
-                        tangential_at(foot, h, st.u, mf.lu, mf.ll1)
-                        + tangential_at(foot, h, st.v, lv, mf.ll1))
+                        tangential_at(foot, h, st.u, lu, ll1)
+                        + tangential_at(foot, h, st.v, lv, ll1))
     ts = [st.t for st in steps]
     taus = np.asarray(taus)
     flux = np.asarray([_march_trapezoid(ts, vals)[-1] for vals in cone_vals])
@@ -571,21 +514,21 @@ def cor_weighted_spacetime_instance(steps: Sequence[FieldState], gamma: float, m
     cone_feet = np.linspace(0.2, 0.8, 6) * (grid.r_max - 4 * grid.h)
     cone_vals = np.zeros((cone_feet.size, ts.size))
     for i, st in enumerate(steps):
-        mf = mode_fields(st)
-        q = mf.r - st.t
+        r, lu, ll1, u_over_r = st.r, st.lu, st.ll1, st.u_over_r
+        q = r - st.t
         wbulk = (0.5 * mu / (1.0 + np.abs(q)) ** (1.0 + 2.0 * mu)
                  + 0.25 * (1.0 + 2.0 * gamma) * (1.0 + np.maximum(-q, 0.0)) ** (2.0 * gamma))
-        tang = (mf.lu - mf.u_over_r) ** 2 + mf.ll1[:, None] * mf.u_over_r**2
-        bulk_vals[i] = float(np.sum(np.trapezoid(tang * wbulk[None, :], mf.r, axis=-1)))
+        tang = (lu - u_over_r) ** 2 + ll1[:, None] * u_over_r**2
+        bulk_vals[i] = float(np.sum(np.trapezoid(tang * wbulk[None, :], r, axis=-1)))
         # 2 int F d_t phi w dx per mode: 2 (r S)(v/r) r^2 dr / r ... = 2 S v r dr
         pair_vals[i] = float(np.sum(np.trapezoid(
-            2.0 * np.asarray(source(st.t, st)) * mf.v * mf.r[None, :] * wm(q)[None, :],
-            mf.r, axis=-1)))
+            2.0 * np.asarray(source(st.t, st)) * st.v * r[None, :] * wm(q)[None, :],
+            r, axis=-1)))
         for kc, rr in enumerate(cone_feet):
             foot = rr - (t2 - st.t)
             if foot <= 2 * grid.h:
                 continue
-            cone_vals[kc, i] = (tangential_at(foot, grid.h, mf.u, mf.lu, mf.ll1)
+            cone_vals[kc, i] = (tangential_at(foot, grid.h, st.u, lu, ll1)
                                 * float(wm(foot - st.t)))
     bulk = float(np.trapezoid(bulk_vals, ts))
     pairing = float(np.trapezoid(pair_vals, ts))

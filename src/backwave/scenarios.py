@@ -268,9 +268,10 @@ class ScenarioReport:
 
 
 def record_times_for(spec: RunSpec) -> List[float]:
-    """Geometric record times from T down to t0."""
+    """Geometric record times from T down to t0: the interior ones rounded to
+    10 decimals, T and t0 exact (rounded, they could leave [t0, T])."""
     n = max(spec.n_records, 8)
-    ts = np.geomspace(spec.t0, spec.T, n)
+    ts = np.geomspace(spec.t0, spec.T, n)[1:-1]
     return sorted(set(np.round(ts, 10).tolist()) | {spec.T, spec.t0}, reverse=True)
 
 
@@ -374,6 +375,7 @@ def _assemble_psi(state: FieldState, f0: RadiationField, f1: RadiationField,
     if (0, 0) in modes:
         pe[:, modes.index((0, 0))] = psi_e_terms(mass, state.t, r_pos)
     uv[:, :, 1:] += (p01 + pe) * r_pos
+    uv[:, :, -1] = 0.0                                   # psi_e is nonzero at r_max
     return FieldState(state.t, state.grid, modes, *uv)
 
 
@@ -464,10 +466,8 @@ def run_T_limit_study(spec: RunSpec) -> ScenarioReport:
             horizon_norms[T] = (math.sqrt(energy_weighted(st)), conformal_norm_plus(st, spec.s))
     diffs = []
     for T1, T2 in zip(t_list[:-1], t_list[1:]):
-        d = ends[T2].copy()
-        d.u -= ends[T1].u
-        d.v -= ends[T1].v
-        e = math.sqrt(energy_weighted(d))
+        a, b = ends[T2], ends[T1]
+        e = math.sqrt(energy_weighted(FieldState(a.t, grid, modes, a.u - b.u, a.v - b.v)))
         diffs.append((T1, T2, e))
         rep.series.append(FunctionalReport(t=T2, values={
             "difference_energy_at_t0": e,
@@ -523,12 +523,9 @@ def run_null_radial(spec: RunSpec) -> ScenarioReport:
 
         def src(t, view):
             r = grid.r
-            vt = np.zeros(grid.J + 1)
-            vr = np.zeros(grid.J + 1)
+            vt, vr = np.zeros((2, grid.J + 1))
             vt[1:] = view.v[0, 1:] / r[1:]
-            ur = np.zeros(grid.J + 1)
-            ur[1:-1] = (view.u[0, 2:] - view.u[0, :-2]) / (2.0 * h)
-            vr[1:] = (ur[1:] - view.u[0, 1:] / r[1:]) / r[1:]
+            vr[1:] = (view.ur[0, 1:] - view.u_over_r[0, 1:]) / r[1:]
             u0t, u0r = u0_derivs(t, r)
             ratio = amplitude / amp if amp != 0.0 else 0.0
             ft = vt + ratio * u0t

@@ -192,6 +192,28 @@ s = 1.2
     assert summary["status"] == "ok" and summary["passed"] is False
 
 
+@pytest.mark.parametrize("T, t0", [("12.00000000006", "2"), ("12", "2.00000000004")])
+def test_cli_record_times_keep_T_and_t0_exact(tmp_path, T, t0):
+    # rounded to 10 decimals, T = 12.00000000006 became 12.0000000001 > T and
+    # t0 = 2.00000000004 became 2.0 < t0: the march refused the record times
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(f"""
+[run]
+scenario = homogeneous
+T = {T}
+t0 = {t0}
+records = 12
+[data.F0]
+mode1 = l=2 m=0 kind=gaussian amplitude=1
+[grid]
+h = 0.25
+""")
+    out = tmp_path / "edge"
+    assert main(["homogeneous", "--config", str(cfg), "--out", str(out), "--quiet"]) in (0, 1)
+    summary = json.load(open(out / "summary.json"))
+    assert summary["status"] == "ok"
+
+
 def test_cli_tlimit_without_data_reports_the_zero_solution(tmp_path):
     # no [data.F0] modes: nothing to solve, the homogeneous zero-data item
     cfg = tmp_path / "empty.cfg"

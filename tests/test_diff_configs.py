@@ -11,10 +11,11 @@ diff_configs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(diff_configs)
 
 
-def bundle(path, measured, series=b"t,x\n1,2\n", kind="fit"):
+def bundle(path, measured, series=b"t,x\n1,2\n", kind="fit", **provenance):
     path.mkdir(parents=True)
     items = [{"name": "a", "kind": kind, "measured": measured, "passed": True}]
-    (path / "summary.json").write_text(json.dumps({"items": items}), encoding="utf-8")
+    (path / "summary.json").write_text(json.dumps({"items": items, "provenance": provenance}),
+                                       encoding="utf-8")
     (path / "series.csv").write_bytes(series)
     return path
 
@@ -35,6 +36,23 @@ def test_items_that_differ_only_in_kind_are_different(tmp_path):
     old = bundle(tmp_path / "old", 0.1)
     [line] = diff_configs.differences(old, bundle(tmp_path / "new", 0.1, kind="bound"), 0, 0)
     assert line == "item a: kind 'fit' -> 'bound'"
+
+
+def test_bundles_that_differ_only_in_a_provenance_field_are_different(tmp_path):
+    # a march that takes other steps changes no item yet is not the same run
+    prov = {"config_hash": "abc", "h": 0.25, "J": 500, "steps": 1580, "runtime_s": 1.2}
+    old = bundle(tmp_path / "old", 0.1, **prov)
+    [line] = diff_configs.differences(old, bundle(tmp_path / "new", 0.1, **{**prov, "steps": 1581}),
+                                      0, 0)
+    assert line == "provenance steps: 1580 -> 1581"
+    assert diff_configs.differences(old, bundle(tmp_path / "gone", 0.1, steps=1580), 0, 0)
+
+
+def test_bundles_that_differ_only_in_runtime_are_the_same(tmp_path):
+    prov = {"config_hash": "abc", "steps": 1580}
+    old = bundle(tmp_path / "old", 0.1, runtime_s=1.2, **prov)
+    assert diff_configs.differences(old, bundle(tmp_path / "new", 0.1, runtime_s=9.7, **prov),
+                                    0, 0) == []
 
 
 def test_runs_that_failed_alike_are_not_the_same(tmp_path):

@@ -281,3 +281,69 @@ def test_containment_breach_in_the_second_field_names_it_at_its_own_step():
     with pytest.raises(ContainmentError, match="in field 'b'") as system:
         solve_backward_system({"a": a, "b": b}, None, 6.0, 1.0, [1.0])
     assert str(system.value) == str(alone.value).replace("'phi'", "'b'")
+
+
+def test_the_march_writes_nothing_it_has_handed_out():
+    # stage views, step views and recorded states share the march's arrays;
+    # each still equals the copy taken when it was handed out
+    grid = RadialGrid(h=0.1, J=160)
+    handed = []
+
+    def src(t, view):
+        assert isinstance(view, FieldState) and view.schedule is not None
+        handed.append((view, view.u.copy(), view.v.copy()))
+        return (np.exp(-((view.grid.r - 4.0) ** 2) - (t - 4.0) ** 2))[None, :]
+
+    steps = StepStates()
+
+    def on_step(t, views):
+        steps(t, views)
+        view = views["phi"]
+        handed.append((view, view.u.copy(), view.v.copy()))
+
+    traj = solve_backward(make_state(6.0, grid), src, 6.0, 2.0, [5.0, 3.5], on_step=on_step)
+    records = traj.field_states()
+    assert len(steps) == traj.steps + 1 and len(records) == 4
+    assert all(isinstance(st, FieldState) for st in [*steps, *records])
+    for view, u, v in handed:
+        assert np.array_equal(view.u, u) and np.array_equal(view.v, v)
+    # each record is the step view of its step, with the record time
+    for rec in records:
+        [k] = [k for k, st in enumerate(steps) if abs(st.t - rec.t) < 1e-9]
+        assert np.shares_memory(rec.u, steps[k].u) and np.shares_memory(rec.v, steps[k].v)
+
+
+def test_data_with_nonzero_ends_is_left_alone_and_recorded_with_zero_ends():
+    grid = RadialGrid(h=0.1, J=120)
+    u = np.stack([exact_u(6.0, grid.r), 0.3 * grid.r**2 * np.exp(-(grid.r - 5.0) ** 2)])
+    v = np.stack([exact_v(6.0, grid.r), np.zeros_like(grid.r)])
+    u[:, 0], u[:, -1], v[:, 0], v[:, -1] = 1.0, -2.0, 3.0, -4.0
+    data = FieldState(6.0, grid, [(0, 0), (1, 0)], u, v)
+    assert np.shares_memory(data.u, u) and np.shares_memory(data.v, v)
+    u0, v0 = u.copy(), v.copy()
+    traj = solve_backward(data, None, 6.0, 5.0, [5.0])
+    assert np.array_equal(u, u0) and np.array_equal(v, v0)
+    at_T = traj.state_at(6.0)
+    for arr, given in ((at_T.u, u), (at_T.v, v)):
+        assert np.all(arr[:, [0, -1]] == 0.0)
+        assert np.array_equal(arr[:, 1:-1], given[:, 1:-1])
+
+
+def test_derived_arrays_are_their_formulas_with_the_origin_limits():
+    # bit for bit (int64 views): centered d_r u, 0 at r_max; u/r; L u = v + u_r;
+    # Lb u = v - u_r; at r = 0 both u_r and u/r are u_1/h for l = 0, 0 for l > 0
+    grid = RadialGrid(h=0.1, J=30)
+    h, r = grid.h, grid.r
+    rng = np.random.default_rng(7)
+    u, v = rng.standard_normal((2, 3, grid.J + 1))
+    st = FieldState(1.5, grid, [(0, 0), (1, -1), (2, 1)], u, v)
+    ur = np.empty_like(u)
+    ur[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2.0 * h)
+    ur[:, -1] = 0.0
+    u_over_r = np.empty_like(u)
+    u_over_r[:, 1:] = u[:, 1:] / r[1:]
+    for want in (ur, u_over_r):
+        want[0, 0], want[1:, 0] = u[0, 1] / h, 0.0
+    for got, want in ((st.ur, ur), (st.u_over_r, u_over_r), (st.lu, v + ur), (st.lbu, v - ur)):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(st.ll1, [0.0, 2.0, 6.0]) and np.array_equal(st.r, r)

@@ -10,7 +10,7 @@ from backwave.functionals import (ConeFlux, FunctionalError, StepStates, _confor
                                   conformal_energy_ER, conformal_norm_plus,
                                   cor_weighted_spacetime_instance,
                                   energy_weighted, fit_decay, hardy_checks,
-                                  ks_pointwise_check, mode_fields, morawetz_identity_audit,
+                                  ks_pointwise_check, morawetz_identity_audit,
                                   norm_Z_weighted, origin_decay_check,
                                   sup_envelope, w0_weight)
 
@@ -302,9 +302,8 @@ def test_cone_flux_observer_is_the_trapezoid_of_the_step_states():
     assert len(steps) == traj.steps + 1
     vals = []
     for state in steps:
-        mf = mode_fields(state)
         foot = R - (t2 - state.t)
-        vals.append(_conformal_flux_at(state.t, foot, s, grid.h, mf.u, mf.lu, mf.ll1)
+        vals.append(_conformal_flux_at(state.t, foot, s, grid.h, state.u, state.lu, state.ll1)
                     if grid.h < foot < grid.r_max - grid.h else None)
     assert vals[0] is not None and vals[-1] is None
     ts = [state.t for state in steps]

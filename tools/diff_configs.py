@@ -7,7 +7,9 @@ with that tree's ``src`` on the path, one process at a time and one BLAS
 thread.  The script compares every field of every report item (``kind``,
 ``measured``, ``target``, ``tol``, ``passed``, ``note``, ``gamma_data`` and
 ``realized_target``; numbers to 17 significant digits), the item lists
-themselves, the exit codes and ``series.csv`` byte for byte, prints the
+themselves, every ``provenance`` field of summary.json but ``runtime_s``
+(steps, dt_max, grid, config hash, ...), the exit codes and ``series.csv``
+byte for byte, prints the
 differences (with the relative change of each differing ``measured``
 value) and each run's wall time, then the largest relative item change
 over all configs, each tree's source line count (``src/backwave/*.py``)
@@ -80,14 +82,22 @@ def settable_values(tree: pathlib.Path) -> int:
     return count
 
 
+def summary(out: pathlib.Path) -> dict:
+    """The run's summary.json ({} when there is none)."""
+    path = out / "summary.json"
+    return json.loads(path.read_text(encoding="utf-8")) if path.is_file() else {}
+
+
 def items(out: pathlib.Path) -> dict:
     """Each item of the run's summary.json by name, as a dict of its FIELDS
     (None where a field is absent)."""
-    path = out / "summary.json"
-    if not path.is_file():
-        return {}
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    return {it["name"]: {f: it.get(f) for f in FIELDS} for it in doc.get("items", [])}
+    return {it["name"]: {f: it.get(f) for f in FIELDS} for it in summary(out).get("items", [])}
+
+
+def provenance(out: pathlib.Path) -> dict:
+    """The run's provenance without its wall time ``runtime_s``."""
+    prov = summary(out).get("provenance", {})
+    return {k: v for k, v in prov.items() if k != "runtime_s"}
 
 
 def _digits(x) -> str:
@@ -133,6 +143,9 @@ def differences(old: pathlib.Path, new: pathlib.Path, code_a, code_b) -> list:
         if moved:
             rel = f" (relative change {changes[n]:.2g})" if n in changes else ""
             out.append(f"item {n}: {'; '.join(moved)}{rel}")
+    pa, pb = provenance(old), provenance(new)
+    out += [f"provenance {k}: {_digits(pa.get(k))} -> {_digits(pb.get(k))}"
+            for k in sorted(set(pa) | set(pb)) if _digits(pa.get(k)) != _digits(pb.get(k))]
     sa, sb = old / "series.csv", new / "series.csv"
     if sa.is_file() != sb.is_file() or (sa.is_file() and sa.read_bytes() != sb.read_bytes()):
         out.append("series.csv differs")
