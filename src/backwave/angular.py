@@ -126,12 +126,14 @@ def angular_grid(l_max: int, n_theta: int = None, n_phi: int = None) -> AngularG
                        x=x, w=w, phi=phi, ylm=ylm)
 
 
-def ylm_at(l_max: int, dirs: np.ndarray) -> np.ndarray:
-    """Y_{lm} at arbitrary unit vectors, shape (n_modes, n_dirs)."""
+def ylm_at(modes, dirs: np.ndarray) -> np.ndarray:
+    """Y_{lm} at arbitrary unit vectors, one row per (l, m) of ``modes`` in
+    list order, shape (len(modes), n_dirs)."""
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     ct = np.clip(dirs[:, 2], -1.0, 1.0)
     ph = np.arctan2(dirs[:, 1], dirs[:, 0])
-    return _ylm_rows(band_modes(l_max), normalized_legendre(l_max, ct), ph)
+    l_max = max((l for (l, _m) in modes), default=0)
+    return _ylm_rows(modes, normalized_legendre(l_max, ct), ph)
 
 
 def _ylm_rows(modes, leg: np.ndarray, phi: np.ndarray) -> np.ndarray:

@@ -35,8 +35,11 @@ exact window lam <= (t-r+q)(t+r+q)/(8 <q>), with geometrically graded
 panels resolving the 1/lam behavior near the light cone; the q lower limit
 is approached on an exponential substitution.
 
-:func:`phi_k_modes` returns the coefficients as one array in the source's
-``n.modes`` order, as :func:`source_value_modes` returns the source.  The
+A source n is a :class:`~backwave.radiation.RadiationField`, the map that
+holds the radiation data.  :func:`phi_k_modes` returns the coefficients as
+one array in ``n.modes`` order, as :func:`source_value_modes` returns the
+source, and point values take the harmonics of those modes from
+``angular.ylm_at``.  The
 wave-operator residual check applies the centered five-point box
 :func:`five_point_box` to quadrature-evaluated mode coefficients and
 compares against the source; it is the arbiter for the printed kernels.
@@ -47,44 +50,19 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 from scipy import integrate
 
 from backwave.angular import angular_grid, mode_count, mode_index, ylm_at
 from backwave.cutoffs import chi_wave_zone
-from backwave.profiles import Profile, qbracket
-from backwave.radiation import SQRT4PI
-
-ModeKey = Tuple[int, int]
+from backwave.profiles import qbracket
+from backwave.radiation import SQRT4PI, RadiationField
 
 
 class BackscatterError(RuntimeError):
     pass
-
-
-class SourceProfile:
-    """Mode map (l, m) -> q-profile for a backscatter source."""
-
-    def __init__(self, modes: Dict[ModeKey, Profile]):
-        self.modes = dict(sorted(modes.items()))
-
-    def ells(self) -> List[int]:
-        return sorted({l for (l, _m) in self.modes})
-
-    def support(self) -> Tuple[float, float]:
-        lo, hi = math.inf, -math.inf
-        for prof in self.modes.values():
-            sr = prof.support_radius()
-            lo = min(lo, prof.center - sr)
-            hi = max(hi, prof.center + sr)
-        if not self.modes:
-            return (0.0, 0.0)
-        return (lo, hi)
-
-    def is_zero(self) -> bool:
-        return not self.modes
 
 
 def _legendre_all(l_max: int, mu: np.ndarray) -> np.ndarray:
@@ -148,7 +126,7 @@ def _mu_integrals(k: int, qs: np.ndarray, t: float, r: float, l_max: int) -> np.
     return out
 
 
-def _q_panels(n: SourceProfile, t: float, r: float):
+def _q_panels(n: RadiationField, t: float, r: float):
     """Panel edges for the q-integral over (r-t, inf) within the source support."""
     q_lo = r - t
     s_lo, s_hi = n.support()
@@ -176,7 +154,7 @@ def _q_panels(n: SourceProfile, t: float, r: float):
     return panels
 
 
-def phi_k_modes(n: SourceProfile, k: int, t: float, r: float, q_tol: float) -> np.ndarray:
+def phi_k_modes(n: RadiationField, k: int, t: float, r: float, q_tol: float) -> np.ndarray:
     """Mode coefficients of Phi^k[n](t, r .), c_lm = int I_l(q) prof_lm(q) dq,
     one per mode of ``n.modes`` in its order.
 
@@ -233,17 +211,17 @@ def phi_k_modes(n: SourceProfile, k: int, t: float, r: float, q_tol: float) -> n
     return total
 
 
-def phi_k(n: SourceProfile, k: int, t: float, r: float, omega, q_tol: float) -> float:
+def phi_k(n: RadiationField, k: int, t: float, r: float, omega, q_tol: float) -> float:
     """Phi^k[n] at the spacetime point (t, r omega); omega a unit 3-vector,
     q_tol the q-panel tolerance of :func:`phi_k_modes`."""
     coeffs = phi_k_modes(n, k, t, r, q_tol)
     if not coeffs.size:
         return 0.0
-    y = ylm_at(max(n.ells()), np.asarray(omega, dtype=float).reshape(1, 3))
-    return float(sum(c * y[mode_index(*lm), 0] for lm, c in zip(n.modes, coeffs)))
+    y = ylm_at(list(n.modes), np.asarray(omega, dtype=float).reshape(1, 3))[:, 0]
+    return float(sum(c * y_lm for c, y_lm in zip(coeffs, y)))
 
 
-def phi2_asymptotic(n: SourceProfile, t: float, r: float, omega) -> float:
+def phi2_asymptotic(n: RadiationField, t: float, r: float, omega) -> float:
     """Leading light-cone term (1/2r) ln(<t+r>/<t-r>) int_{r-t}^inf n(q, w) dq.
 
     Only valid near the cone, r >= t/2; rejected outside that regime.
@@ -254,20 +232,19 @@ def phi2_asymptotic(n: SourceProfile, t: float, r: float, omega) -> float:
     total = 0.0
     if n.is_zero():
         return 0.0
-    l_max = max(n.ells())
-    y = ylm_at(l_max, np.asarray(omega, dtype=float).reshape(1, 3))
-    for lm, prof in n.modes.items():
+    y = ylm_at(list(n.modes), np.asarray(omega, dtype=float).reshape(1, 3))[:, 0]
+    for prof, y_lm in zip(n.modes.values(), y):
         hi = prof.center + prof.support_radius()
         if hi <= q_lo:
             continue
         val, _ = integrate.quad(lambda q: float(prof.value(q)), q_lo, hi,
                                 limit=200, epsabs=1e-12, epsrel=1e-10)
-        total += val * float(y[mode_index(*lm), 0])
+        total += val * float(y_lm)
     env = math.log(math.sqrt(1.0 + (t + r) ** 2) / math.sqrt(1.0 + (t - r) ** 2))
     return total * env / (2.0 * r)
 
 
-def n_norm(n: SourceProfile, a: float) -> float:
+def n_norm(n: RadiationField, a: float) -> float:
     """int sup_omega |n(q, omega)| <q_+>^a dq with the spectral angular
     convention and mean-normalized synthesis."""
     if n.is_zero():
@@ -296,7 +273,7 @@ def n_norm(n: SourceProfile, a: float) -> float:
     return total
 
 
-def source_value_modes(n: SourceProfile, k: int, t: float, r: float) -> np.ndarray:
+def source_value_modes(n: RadiationField, k: int, t: float, r: float) -> np.ndarray:
     """Right-hand side n(q) r^-k chi(<q>/r)^2 at (t, r), one per mode of ``n.modes``."""
     q = r - t
     c2 = float(chi_wave_zone.value(qbracket(q) / r)) ** 2
@@ -318,7 +295,7 @@ def five_point_box(stencil, h: float, r: float, ells) -> np.ndarray:
     return ctt - crr - 2.0 * cr / r + ells * (ells + 1.0) * c0 / r**2
 
 
-def source_residual_check(n: SourceProfile, k: int, points: Sequence[Tuple[float, float]],
+def source_residual_check(n: RadiationField, k: int, points: Sequence[Tuple[float, float]],
                           h: float, q_tol: float) -> Dict[str, object]:
     """Centered finite-difference box of the quadrature solution vs the source.
 
@@ -350,7 +327,7 @@ def source_residual_check(n: SourceProfile, k: int, points: Sequence[Tuple[float
             "inconclusive": bool(noise > 0.5 * max_rel)}
 
 
-def envelope_sweep(n: SourceProfile, k: int, sweep: Sequence[Tuple[float, float]],
+def envelope_sweep(n: RadiationField, k: int, sweep: Sequence[Tuple[float, float]],
                    omega, a: float, q_tol: float) -> Dict[str, np.ndarray]:
     """Decay-envelope diagnostics along a (t, r) sweep, each value by
     :func:`phi_k` at ``q_tol``.
@@ -374,14 +351,13 @@ def envelope_sweep(n: SourceProfile, k: int, sweep: Sequence[Tuple[float, float]
             "value": np.asarray(vals), "envelope": np.asarray(envs)}
 
 
-def brute_force_phi_k(n: SourceProfile, k: int, t: float, r: float, omega,
+def brute_force_phi_k(n: RadiationField, k: int, t: float, r: float, omega,
                       n_q: int, n_theta: int, n_phi: int) -> float:
     """Independent dense product-grid quadrature of the defining integral in
     the original (un-rotated) frame; reference oracle only."""
     if n.is_zero():
         return 0.0
     omega = np.asarray(omega, dtype=float)
-    l_max = max(n.ells())
     s_lo, s_hi = n.support()
     q_lo = max(r - t, s_lo)
     q_hi = min(s_hi, (t + r) / 7.0 + 2.0)
@@ -397,7 +373,7 @@ def brute_force_phi_k(n: SourceProfile, k: int, t: float, r: float, omega,
     dirs[:, :, 0] = st[:, None] * np.cos(phis)[None, :]
     dirs[:, :, 1] = st[:, None] * np.sin(phis)[None, :]
     dirs[:, :, 2] = xc[:, None]
-    y = ylm_at(l_max, dirs.reshape(-1, 3))
+    y = ylm_at(list(n.modes), dirs.reshape(-1, 3))
     mu = dirs.reshape(-1, 3) @ omega
     wang = (wc[:, None] * np.full((1, n_phi), 2.0 * math.pi / n_phi)).reshape(-1)
     total = 0.0
@@ -416,7 +392,7 @@ def brute_force_phi_k(n: SourceProfile, k: int, t: float, r: float, omega,
         else:
             ker = chi2 * 4.0 * lam / (alpha * beta) ** 2
         nvals = np.zeros(mu.size)
-        for lm, prof in n.modes.items():
-            nvals += float(prof.value(qi)) * y[mode_index(*lm)]
+        for prof, y_lm in zip(n.modes.values(), y):
+            nvals += float(prof.value(qi)) * y_lm
         total += wqi * float(np.sum(wang * nvals * ker)) / (4.0 * math.pi)
     return total

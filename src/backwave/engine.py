@@ -106,9 +106,9 @@ def radial_deriv(arr: np.ndarray, ell: np.ndarray, h: float) -> np.ndarray:
 
 class FieldState:
     """One time slice of one field: per-mode u = r*phi and v = d_t u, (n_modes,
-    J+1) each, shared with the caller (zeros when not given), never written.
-    The derived arrays (``ur``, ``u_over_r``, ``lu``, ``lbu``) are computed on
-    each access and never kept: a kept state holds only u and v."""
+    J+1) each, the caller's own arrays as given (zeros when not given), never
+    written.  The derived arrays (``ur``, ``u_over_r``) are computed on each
+    access and never kept: a kept state holds only u and v."""
 
     def __init__(self, t: float, grid: RadialGrid, modes: Sequence[ModeKey],
                  u: np.ndarray = None, v: np.ndarray = None):
@@ -116,8 +116,8 @@ class FieldState:
         self.grid = grid
         self.modes = tuple(modes)
         shape = (len(self.modes), grid.J + 1)
-        self.u = np.zeros(shape) if u is None else np.asarray(u, dtype=float).reshape(shape)
-        self.v = np.zeros(shape) if v is None else np.asarray(v, dtype=float).reshape(shape)
+        self.u = np.zeros(shape) if u is None else u
+        self.v = np.zeros(shape) if v is None else v
 
     @property
     def r(self) -> np.ndarray:
@@ -142,14 +142,6 @@ class FieldState:
         out[:, 1:] = self.u[:, 1:] / self.r[1:]
         out[:, 0] = np.where(self.ell == 0, self.u[:, 1] / self.grid.h, 0.0)
         return out
-
-    @property
-    def lu(self) -> np.ndarray:      # L(r phi) = v + u_r
-        return self.v + self.ur
-
-    @property
-    def lbu(self) -> np.ndarray:     # Lb(r phi) = v - u_r
-        return self.v - self.ur
 
 
 class StepSchedule:

@@ -2,7 +2,8 @@
 
 Everything is assembled per spherical-harmonic mode from the u = r*phi
 arrays of a :class:`~backwave.engine.FieldState` and the derived arrays it
-computes on each access (``ur``, ``u_over_r``, ``lu``, ``lbu``):
+computes on each access (``ur``, ``u_over_r``), each read once per state;
+L u = v + u_r and Lb u = v - u_r are formed from them:
 
     |d phi|^2 dx      -> [v^2 + (u_r - u/r)^2 + l(l+1) u^2/r^2] dr
     |L(r phi)|^2 dx/r^2  -> (v + u_r)^2 dr,   etc.
@@ -50,7 +51,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from backwave.angular import angular_grid, ylm_at, mode_index
+from backwave.angular import angular_grid, ylm_at
 from backwave.engine import FieldState, Trajectory, acceleration, radial_deriv
 
 
@@ -117,12 +118,12 @@ def energy_weighted(state: FieldState, weight: Optional[Callable] = None) -> flo
 def conformal_norm_plus(state: FieldState, s: float) -> float:
     """|| phi ||_{1,+,s-1}: the full weighted first-order norm (squared sum,
     square root returned)."""
-    t, r, u_over_r = state.t, state.r, state.u_over_r
+    t, r, v, ur, u_over_r = state.t, state.r, state.v, state.ur, state.u_over_r
     fp = (1.0 + (t + r) ** 2) ** s
     fm = (1.0 + (t - r) ** 2) ** s
     brm2 = 1.0 + (t - r) ** 2
-    dens = (fp[None, :] * (state.lu**2 + state.ll1[:, None] * u_over_r**2)
-            + fm[None, :] * (state.lbu**2 + u_over_r**2 + state.u**2 / brm2[None, :]))
+    dens = (fp[None, :] * ((v + ur)**2 + state.ll1[:, None] * u_over_r**2)
+            + fm[None, :] * ((v - ur)**2 + u_over_r**2 + state.u**2 / brm2[None, :]))
     return math.sqrt(float(np.sum(np.trapezoid(dens, r, axis=-1))))
 
 
@@ -130,10 +131,10 @@ def conformal_energy_ER(state: FieldState, s: float, R: float) -> float:
     """E_R^s truncated at radius R (nonnegative, nondecreasing in R)."""
     if R > state.grid.r_max + 1e-9:
         raise FunctionalError(f"truncation radius {R} exceeds grid extent {state.grid.r_max}")
-    t, r = state.t, state.r
+    t, r, v, ur = state.t, state.r, state.v, state.ur
     fp = (1.0 + (t + r) ** 2) ** s
     fm = (1.0 + (t - r) ** 2) ** s
-    dens = (fp[None, :] * state.lu**2 + fm[None, :] * state.lbu**2
+    dens = (fp[None, :] * (v + ur)**2 + fm[None, :] * (v - ur)**2
             + (fp + fm)[None, :] * state.ll1[:, None] * state.u_over_r**2)
     return float(np.sum(_trapz_to(dens, r, R)))
 
@@ -205,7 +206,7 @@ class ConeFlux:
         foot = self.R - (self.t2 - t)
         val = None
         if h < foot < view.grid.r_max - h:
-            val = _conformal_flux_at(t, foot, self.s, h, view.u, view.lu, view.ll1)
+            val = _conformal_flux_at(t, foot, self.s, h, view.u, view.v + view.ur, view.ll1)
         self.ts.append(t)
         self.vals.append(val)
 
@@ -253,7 +254,8 @@ def morawetz_identity_audit(steps: Sequence[FieldState], s: float, R: float,
     flux_vals = np.empty(ts.size)
     bulk_vals = np.empty(ts.size)
     for i, st in enumerate(steps):
-        r, lu, ll1 = st.r, st.lu, st.ll1
+        r, v, ur, ll1 = st.r, st.v, st.ur, st.ll1
+        lu = v + ur
         foot = R - (t2 - st.t)
         flux_vals[i] = _conformal_flux_at(st.t, foot, s, h, st.u, lu, ll1)
         # bulk integrand over r <= foot
@@ -264,7 +266,7 @@ def morawetz_identity_audit(steps: Sequence[FieldState], s: float, R: float,
             if s_arr is not None:
                 fp = (1.0 + (st.t + r) ** 2) ** s
                 fm = (1.0 + (st.t - r) ** 2) ** s
-                xr = fp[None, :] * lu + fm[None, :] * st.lbu
+                xr = fp[None, :] * lu + fm[None, :] * (v - ur)
                 dens = dens + r[None, :] * np.asarray(s_arr) * xr
         bulk_vals[i] = float(np.sum(_trapz_to(dens, r, foot)))
     flux = float(np.trapezoid(flux_vals, ts))
@@ -310,7 +312,7 @@ def hardy_checks(state: FieldState, s: float) -> Dict[str, float]:
 
     Raises when a right side vanishes while the left does not.
     """
-    t, r, u = state.t, state.r, state.u
+    t, r, u, v, ur = state.t, state.r, state.u, state.v, state.ur
     q = t - r
     br2 = 1.0 + q * q
     fpp = 2.0 * s * br2 ** (s - 1.0) + 2.0 * s * (2.0 * s - 2.0) * q * q * br2 ** (s - 2.0)
@@ -318,7 +320,7 @@ def hardy_checks(state: FieldState, s: float) -> Dict[str, float]:
     fm = br2**s
 
     lhs0 = float(np.sum(np.trapezoid(fpp[None, :] * u**2, r, axis=-1)))
-    rhs0 = float(np.sum(np.trapezoid(fp[None, :] * state.lu**2 + fm[None, :] * state.lbu**2,
+    rhs0 = float(np.sum(np.trapezoid(fp[None, :] * (v + ur)**2 + fm[None, :] * (v - ur)**2,
                                      r, axis=-1)))
     # boundary term vanishes under containment (u = 0 at r_max)
     edge = float(np.sum(u[:, -1] ** 2))
@@ -326,7 +328,7 @@ def hardy_checks(state: FieldState, s: float) -> Dict[str, float]:
 
     lhs1 = float(np.sum(np.trapezoid(fm[None, :] * state.u_over_r**2, r, axis=-1)))
     rhs1 = float(np.sum(np.trapezoid((br2 ** (s - 1.0))[None, :] * u**2
-                                     + fm[None, :] * state.ur**2, r, axis=-1)))
+                                     + fm[None, :] * ur**2, r, axis=-1)))
 
     out = {}
     for tag, lhs, rhs in (("zeroth", lhs0, rhs0), ("radial", lhs1, rhs1)):
@@ -363,17 +365,17 @@ def norm_Z_weighted(state: FieldState, s: float,
     the spectral l(l+1) weights; the three boost majorants are added as
     separate L2 norms.
     """
-    t, r, u, v, ll1, u_over_r = (state.t, state.r, state.u, state.v, state.ll1,
-                                 state.u_over_r)
+    t, r, u, v, ur, ll1, u_over_r = (state.t, state.r, state.u, state.v, state.ur,
+                                     state.ll1, state.u_over_r)
     nrm = _weighted_norm(state, s)
-    w1 = t * v + r[None, :] * state.ur - u          # r * (S phi)
+    w1 = t * v + r[None, :] * ur - u          # r * (S phi)
     parts = {
         "identity": nrm(u**2),
         "dt": nrm(v**2),
         "scaling": nrm(w1**2),
         "rotations": nrm(ll1[:, None] * u**2),
-        "boost_L": nrm(((t + r) ** 2)[None, :] * (state.lu - u_over_r) ** 2),
-        "boost_Lb": nrm(((t - r) ** 2)[None, :] * (state.lbu + u_over_r) ** 2),
+        "boost_L": nrm(((t + r) ** 2)[None, :] * (v + ur - u_over_r) ** 2),
+        "boost_Lb": nrm(((t - r) ** 2)[None, :] * (v - ur + u_over_r) ** 2),
         "boost_ang": nrm((t**2) * ll1[:, None] * u_over_r**2),
     }
     total = sum(parts.values())
@@ -408,8 +410,7 @@ def sup_envelope(state: FieldState, s: float) -> float:
     """sup over the grid of <t+r> <t-r>^(s-1/2) |phi| (physical field)."""
     l_max = max((l for (l, _m) in state.modes), default=0)
     grid = angular_grid(max(l_max, 1))
-    table = ylm_at(l_max, grid.directions().reshape(-1, 3))
-    ymat = np.stack([table[mode_index(l, m)] for (l, m) in state.modes])
+    ymat = ylm_at(state.modes, grid.directions().reshape(-1, 3))
     vals = ymat.T @ state.u_over_r                   # (n_dirs, J+1)
     t, r = state.t, state.r
     env = (1.0 + (t + r) ** 2) ** 0.5 * (1.0 + (t - r) ** 2) ** (0.5 * (s - 0.5))
@@ -459,7 +460,7 @@ def origin_decay_check(steps: Sequence[FieldState], taus: Sequence[float], gamma
         origin.append(sum(st.u[i, 1] / h * (1.0 / math.sqrt(4.0 * math.pi))
                           for i, (l, _m) in enumerate(st.modes) if l == 0))
         vt = acceleration(st.u, source(st.t, st) if source else None, pot, rint, h)
-        lu, lv, ll1 = st.lu, vt + radial_deriv(st.v, st.ell, h), st.ll1
+        lu, lv, ll1 = st.v + st.ur, vt + radial_deriv(st.v, st.ell, h), st.ll1
         for vals, tau in zip(cone_vals, taus):
             foot = st.t - tau
             # dS = r^2 dS(omega): (L phi)^2 r^2 = (L u - u/r)^2 etc., for phi and d_t phi
@@ -514,7 +515,7 @@ def cor_weighted_spacetime_instance(steps: Sequence[FieldState], gamma: float, m
     cone_feet = np.linspace(0.2, 0.8, 6) * (grid.r_max - 4 * grid.h)
     cone_vals = np.zeros((cone_feet.size, ts.size))
     for i, st in enumerate(steps):
-        r, lu, ll1, u_over_r = st.r, st.lu, st.ll1, st.u_over_r
+        r, lu, ll1, u_over_r = st.r, st.v + st.ur, st.ll1, st.u_over_r
         q = r - st.t
         wbulk = (0.5 * mu / (1.0 + np.abs(q)) ** (1.0 + 2.0 * mu)
                  + 0.25 * (1.0 + 2.0 * gamma) * (1.0 + np.maximum(-q, 0.0)) ** (2.0 * gamma))

@@ -15,16 +15,16 @@ import numpy as np
 import scipy.interpolate  # noqa: F401  (SampledProfile's splines, loaded at set-up)
 
 from backwave.angular import band_modes, mode_count, mode_index, product_closures
-from backwave.backscatter import (FIVE_POINTS, SourceProfile, brute_force_phi_k, envelope_sweep,
+from backwave.backscatter import (FIVE_POINTS, brute_force_phi_k, envelope_sweep,
                                   five_point_box, n_norm, phi_k, phi_k_modes, phi2_asymptotic,
                                   source_residual_check)
 from backwave.cutoffs import chi_exterior, chi_wave_zone
-from backwave.engine import FieldState, RadialGrid, solve_backward_system, stage_rows
+from backwave.engine import FieldState, ModeKey, RadialGrid, solve_backward_system, stage_rows
 from backwave.functionals import FunctionalReport, energy_weighted, norm_Z_weighted, sup_envelope
 from backwave.profiles import SampledProfile, qbracket
 from backwave.radiation import (SQRT4PI, RadiationField, derive_F1, eval_approximant,
                                 eval_dt_psi01_exact, psi_e_terms)
-from backwave.scenarios import (RATIO_BUDGET, ModeKey, RunSpec, ScenarioReport,
+from backwave.scenarios import (RATIO_BUDGET, RunSpec, ScenarioReport,
                                 _minus_box_psi01_source, _provenance, fit_window_for,
                                 record_times_for)
 
@@ -68,7 +68,7 @@ def _dt_psi_e_rows(mass: float, ts, r):
     return out
 
 
-def _strata_rows(strata: Dict[int, SourceProfile], w_modes: Sequence[ModeKey],
+def _strata_rows(strata: Dict[int, RadiationField], w_modes: Sequence[ModeKey],
                  ts: np.ndarray, r: np.ndarray) -> np.ndarray:
     """The strata's w source sum_k n_k(r - t) r^-k chi(<r-t>/r)^2 at the
     times ts, shape (ts.size, len(w_modes), r.size + 1) with column 0 (r = 0)
@@ -89,7 +89,7 @@ def _strata_rows(strata: Dict[int, SourceProfile], w_modes: Sequence[ModeKey],
 
 
 def _strata_sources(f0: RadiationField, f1: RadiationField, mass: float,
-                    l_out: int, q_range: Tuple[float, float]) -> Dict[int, SourceProfile]:
+                    l_out: int, q_range: Tuple[float, float]) -> Dict[int, RadiationField]:
     """Light-cone strata n_2, n_3, n_4 of (psi0' + psi_e' + psi1')^2.
 
     n_2 = (F0' + M chi_e')^2, n_3 = 2 (F0' + M chi_e') F1', n_4 = (F1')^2,
@@ -112,7 +112,7 @@ def _strata_sources(f0: RadiationField, f1: RadiationField, mass: float,
     n2 = to_modes(vb * vb)
     n3 = to_modes(2.0 * vb * v1)
     n4 = to_modes(v1 * v1)
-    return {k: SourceProfile(_sampled_modes(qs, arr, out_modes))
+    return {k: RadiationField(_sampled_modes(qs, arr, out_modes))
             for k, arr in ((2, n2), (3, n3), (4, n4))}
 
 
@@ -226,16 +226,17 @@ def _weaknull_crosscheck(spec, traj, dt_psi, to_vals, to_modes, g0, g1, strata, 
     return float(np.max(np.abs(boxes - rhs))) / scale if scale else 0.0
 
 
-def _news_source(spec: RunSpec, f0: RadiationField) -> SourceProfile:
+def _news_source(spec: RunSpec, f0: RadiationField) -> RadiationField:
     """n(q, omega) = (F0'(q, omega))^2 as sampled mode profiles, analysed into
     every (l, m) up to 2 l_in on the full sphere (once per run: the audit's
     oracle item, a difference, turns rounding moves of n into 2e-5 moves)."""
     out_modes = band_modes(min(spec.l_max, 2 * max(l for (l, _m) in f0.modes)))
-    sup = max(f0.support_radius(), 4.0)
+    lo, hi = f0.support()
+    sup = max(abs(lo), abs(hi), 4.0)
     qs = np.linspace(-sup, sup, 4096)
     to_vals, to_modes = product_closures(list(f0.modes), out_modes)
     vals = to_vals(np.array([prof.derivative(qs) for prof in f0.modes.values()]))
-    return SourceProfile(_sampled_modes(qs, to_modes(vals * vals), out_modes))
+    return RadiationField(_sampled_modes(qs, to_modes(vals * vals), out_modes))
 
 
 def run_backscatter_audit(spec: RunSpec) -> ScenarioReport:

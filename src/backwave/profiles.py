@@ -100,7 +100,7 @@ class GaussianProfile(Profile):
 
 
 class PolyTailProfile(Profile):
-    """A (1 + ((q-c)/w)^2)^(-p/2); the owning field's gamma must satisfy p > gamma."""
+    """A (1 + ((q-c)/w)^2)^(-p/2); the run's gamma must satisfy p > gamma."""
 
     kind = "poly-tail"
 
@@ -273,7 +273,7 @@ def make_profile(spec: dict) -> Profile:
     ``spec`` holds ``kind`` plus kind-specific parameters: amplitude/width/
     center for gaussian and compact-bump, amplitude/p/center/scale for
     poly-tail.  Whether a poly-tail decays fast enough for
-    the decay class gamma is checked by ``RadiationField``.
+    the decay class gamma is checked by ``RunSpec.field_from``.
     """
     spec = dict(spec)
     kind = spec.pop("kind", None)

@@ -1,8 +1,10 @@
 """Radiation fields at null infinity and their wave-zone approximants.
 
 A radiation field F0 prescribes, mode by spherical-harmonic mode, the
-leading 1/r profile of a wave along outgoing null directions.  From it the
-module derives:
+leading 1/r profile of a wave along outgoing null directions: a
+:class:`RadiationField`, the package's one map from (l, m) to a q-profile,
+which also holds F1, the weak-null strata n_k and the backscatter news.
+From F0 the module derives:
 
 * the second-order correction F1, fixed per mode by
       F1_lm(q) = -(l(l+1)/2) int_0^q F0_lm,        F1_lm(0) = 0,
@@ -34,12 +36,12 @@ psi_e and d_t psi_e live in the (0, 0) mode only and come from one call,
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from backwave.cutoffs import chi_exterior, chi_wave_zone
-from backwave.engine import stage_rows
+from backwave.engine import ModeKey, stage_rows
 from backwave.profiles import AntiderivativeProfile, Profile, qbracket
 
 SQRT4PI = math.sqrt(4.0 * math.pi)
@@ -50,34 +52,26 @@ class RadiationDataError(ValueError):
 
 
 class RadiationField:
-    """Band-limited map from (l, m) to a q-profile, with decay class gamma.
+    """Map from (l, m) to a q-profile, modes sorted.  Coefficients of real
+    harmonics are real, so a physical field's conjugate symmetry holds
+    identically; config data are checked by ``scenarios.RunSpec.field_from``."""
 
-    Real harmonics are used internally, so the reality (conjugate-symmetry)
-    constraint of a physical field holds identically; coefficients are real.
-    """
-
-    def __init__(self, modes: Dict[Tuple[int, int], Profile], l_max: int, gamma: float):
-        if not 0.5 < gamma < 1.0:
-            raise RadiationDataError(f"gamma must lie in (1/2, 1), got {gamma}")
-        for (l, m) in modes:
-            if l < 0 or l > l_max or abs(m) > l:
-                raise RadiationDataError(f"mode ({l},{m}) outside band limit {l_max}")
-        for lm, prof in modes.items():
-            p = getattr(prof, "decay_exponent", None)
-            if p is not None and p <= gamma:
-                raise RadiationDataError(
-                    f"mode {lm}: poly-tail exponent {p} must exceed gamma={gamma}"
-                )
+    def __init__(self, modes: Dict[ModeKey, Profile]):
         self.modes = dict(sorted(modes.items()))
-        self.l_max = int(l_max)
-        self.gamma = float(gamma)
 
     def is_zero(self) -> bool:
         return not self.modes
 
-    def support_radius(self) -> float:
-        return max((abs(p.center) + p.support_radius() for p in self.modes.values()),
-                   default=1.0)
+    def ells(self) -> List[int]:
+        return sorted({l for (l, _m) in self.modes})
+
+    def support(self) -> Tuple[float, float]:
+        """(lo, hi): the q-interval outside which every mode's profile is
+        below its support tolerance; (0, 0) without modes."""
+        if not self.modes:
+            return (0.0, 0.0)
+        ends = [(p.center, p.support_radius()) for p in self.modes.values()]
+        return min(c - sr for c, sr in ends), max(c + sr for c, sr in ends)
 
 
 def derive_F1(f0: RadiationField, q_max: float) -> RadiationField:
@@ -100,7 +94,7 @@ def derive_F1(f0: RadiationField, q_max: float) -> RadiationField:
                 "second-order field's weighted norm diverge"
             )
         out[(l, m)] = AntiderivativeProfile(prof, -0.5 * l * (l + 1.0), q_max=q_max)
-    return RadiationField(out, f0.l_max, f0.gamma)
+    return RadiationField(out)
 
 
 def realized_decay_class(f1: RadiationField) -> Optional[float]:

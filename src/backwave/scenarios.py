@@ -54,7 +54,7 @@ import numpy as np
 from backwave import __version__
 from backwave.angular import mode_rows
 from backwave.cutoffs import chi_exterior
-from backwave.engine import (ContainmentError, EngineError, FieldState,
+from backwave.engine import (ContainmentError, EngineError, FieldState, ModeKey,
                              RadialGrid, Trajectory, convergence_order,
                              discrete_box_field, solve_backward)
 from backwave.functionals import (ConeFlux, FunctionalError, FunctionalReport,
@@ -69,8 +69,6 @@ from backwave.radiation import (RadiationDataError, RadiationField, derive_F1,
                                 eval_approximant, eval_dt_psi01_exact, psi_e_terms,
                                 realized_decay_class, residual_box_psi01,
                                 source_norm_weighted)
-
-ModeKey = Tuple[int, int]
 
 # bound on every observed estimate constant and ratio
 RATIO_BUDGET = 10.0
@@ -151,8 +149,18 @@ class RunSpec:
         return self
 
     def field_from(self, mode_specs) -> RadiationField:
+        """The field of config mode specs, each mode inside the band l_max and
+        each poly-tail exponent above gamma."""
         modes = {(l, m): make_profile(prof_spec) for (l, m, prof_spec) in mode_specs}
-        return RadiationField(modes, l_max=self.l_max, gamma=self.gamma)
+        for (l, m) in modes:
+            if l < 0 or l > self.l_max or abs(m) > l:
+                raise RadiationDataError(f"mode ({l},{m}) outside band limit {self.l_max}")
+        for lm, prof in modes.items():
+            p = getattr(prof, "decay_exponent", None)
+            if p is not None and p <= self.gamma:
+                raise RadiationDataError(
+                    f"mode {lm}: poly-tail exponent {p} must exceed gamma={self.gamma}")
+        return RadiationField(modes)
 
     def config_hash(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True, default=str).encode()
@@ -594,20 +602,22 @@ def run_audit_battery(spec: RunSpec) -> ScenarioReport:
         r = view.grid.r
         return (np.exp(-((r - 4.0) ** 2) - (t - 4.0) ** 2))[None, :]
 
-    # multiplier identity refinement studies, free and sourced
+    # multiplier identity refinement studies, free and sourced: one solve per
+    # grid, audited for each s
+    ss, hs = (1.0, 1.2), [spec.h, spec.h / 2.0, spec.h / 4.0]
     for tag, data_fn, src in (("free", lambda g: (ue(T, g.r)[None, :], ve(T, g.r)[None, :]), None),
                               ("sourced", lambda g: (None, None), bump_src)):
-        for s in (1.0, 1.2):
-            residuals = []
-            hs = [spec.h, spec.h / 2.0, spec.h / 4.0]
-            for h in hs:
-                grid = RadialGrid(h=h, J=int(round(20.0 / h)))
-                du, dv = data_fn(grid)
-                st = FieldState(T, grid, [(0, 0) if tag == "free" else (1, 0)], du, dv)
-                steps = StepStates()
-                trajs.append(solve_backward(st, src, T, t1, [t1], cfl=spec.cfl, on_step=steps))
+        residuals_at = {s: [] for s in ss}
+        for h in hs:
+            grid = RadialGrid(h=h, J=int(round(20.0 / h)))
+            du, dv = data_fn(grid)
+            st = FieldState(T, grid, [(0, 0) if tag == "free" else (1, 0)], du, dv)
+            steps = StepStates()
+            trajs.append(solve_backward(st, src, T, t1, [t1], cfl=spec.cfl, on_step=steps))
+            for s in ss:
                 out = morawetz_identity_audit(steps, s=s, R=R, source=src)
-                residuals.append(abs(out["residual"]))
+                residuals_at[s].append(abs(out["residual"]))
+        for s, residuals in residuals_at.items():
             ok_sched = all(residuals[i] <= 5.0 * (hs[i] / hs[0]) ** 2 * max(residuals[0], 1e-14)
                            for i in range(len(hs)))
             rep.add_check(f"identity_residual_scaling_{tag}_s{s:g}", ok_sched,
@@ -624,18 +634,19 @@ def run_audit_battery(spec: RunSpec) -> ScenarioReport:
                       note="max of the deformation expression over 200x200 samples")
 
     # Hardy ratios and pointwise constants across a small regression family,
-    # stable under refinement
-    for s in (1.0, 1.2):
-        ratios = {"zeroth": [], "radial": [], "ks": []}
-        for h in (spec.h, spec.h / 2.0):
-            grid = RadialGrid(h=h, J=int(round(20.0 / h)))
-            st = FieldState(T, grid, [(0, 0)], ue(T, grid.r)[None, :], ve(T, grid.r)[None, :])
-            trajs.append(solve_backward(st, None, T, t1, [t1, 4.0]))
+    # stable under refinement: one solve per grid, checked for each s
+    ratios_at = {s: {"zeroth": [], "radial": [], "ks": []} for s in ss}
+    for h in (spec.h, spec.h / 2.0):
+        grid = RadialGrid(h=h, J=int(round(20.0 / h)))
+        st = FieldState(T, grid, [(0, 0)], ue(T, grid.r)[None, :], ve(T, grid.r)[None, :])
+        trajs.append(solve_backward(st, None, T, t1, [t1, 4.0]))
+        for s, ratios in ratios_at.items():
             for stt in trajs[-1].field_states()[1:]:
                 hc = hardy_checks(stt, s)
                 ratios["zeroth"].append(hc["ratio_zeroth"])
                 ratios["radial"].append(hc["ratio_radial"])
                 ratios["ks"].append(ks_pointwise_check(stt, s)["constant"])
+    for s, ratios in ratios_at.items():
         for tag in ("zeroth", "radial"):
             rep.add_bound(f"hardy_{tag}_s{s:g}", max(ratios[tag]), RATIO_BUDGET)
             drift = max(ratios[tag]) / max(min(ratios[tag]), 1e-300)

@@ -84,7 +84,7 @@ def test_y10_closed_form():
                      table[:, mode_index(1, 0)]], axis=1) / c
     assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-14)
     # every harmonic sampled by the closures is the harmonic at that direction
-    assert np.allclose(ylm_at(3, dirs).T, table, atol=1e-13)
+    assert np.allclose(ylm_at(band_modes(3), dirs).T, table, atol=1e-13)
 
 
 def test_cos_squared_mixture():
@@ -211,9 +211,23 @@ def test_closures_read_and_return_rows_in_list_order():
 def test_ylm_at_matches_grid_tables():
     grid = angular_grid(3)
     dirs = grid.directions().reshape(-1, 3)
-    table = ylm_at(3, dirs)
+    table = ylm_at(band_modes(3), dirs)
     assert np.allclose(table.reshape(mode_count(3), grid.n_theta, grid.n_phi),
                        grid.ylm, atol=1e-12)
+
+
+def test_ylm_at_rows_follow_the_mode_list_bit_for_bit():
+    # a list out of mode_index order and with gaps gets, row for row, the
+    # band table's rows of its modes
+    rng = np.random.default_rng(7)
+    dirs = rng.standard_normal((9, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    modes = [(3, -2), (0, 0), (2, 1), (3, 3), (1, -1)]
+    band = ylm_at(band_modes(3), dirs)
+    rows = ylm_at(modes, dirs)
+    assert rows.shape == (len(modes), dirs.shape[0])
+    want = band[[mode_index(*lm) for lm in modes]]
+    assert np.array_equal(rows.view(np.int64), want.view(np.int64))
 
 
 def test_band_limit_mismatch_rejected():

@@ -5,10 +5,11 @@ import pytest
 from scipy import integrate
 
 from backwave import backscatter
-from backwave.backscatter import (FIVE_POINTS, BackscatterError, SourceProfile,
-                                  brute_force_phi_k, envelope_sweep, five_point_box, n_norm,
-                                  phi2_asymptotic, phi_k, phi_k_modes, source_residual_check)
+from backwave.backscatter import (FIVE_POINTS, BackscatterError, brute_force_phi_k,
+                                  envelope_sweep, five_point_box, n_norm, phi2_asymptotic, phi_k,
+                                  phi_k_modes, source_residual_check)
 from backwave.profiles import make_profile
+from backwave.radiation import RadiationField
 
 OMEGA = np.array([0.0, 0.0, 1.0])
 KQ = 1e-9   # q-panel tolerance
@@ -17,15 +18,15 @@ BUMP = make_profile({"kind": "compact-bump", "amplitude": 0.5, "width": 2.0, "ce
 
 
 def monopole(amplitude=1.0):
-    return SourceProfile({(0, 0): make_profile({"kind": "gaussian", "amplitude": amplitude})})
+    return RadiationField({(0, 0): make_profile({"kind": "gaussian", "amplitude": amplitude})})
 
 
 def axisym():
-    return SourceProfile({(0, 0): GAUSS, (2, 0): BUMP})
+    return RadiationField({(0, 0): GAUSS, (2, 0): BUMP})
 
 
 def test_zero_source():
-    n = SourceProfile({})
+    n = RadiationField({})
     assert phi_k(n, 2, 10.0, 8.0, OMEGA, KQ) == 0.0
     assert n_norm(n, 0.0) == 0.0
     assert phi2_asymptotic(n, 10.0, 8.0, OMEGA) == 0.0
@@ -126,7 +127,7 @@ def test_n_norm_quadrature_oracle():
 
 
 def test_n_norm_monotone_in_a():
-    n = SourceProfile({(0, 0): make_profile({"kind": "compact-bump", "amplitude": 1.0,
+    n = RadiationField({(0, 0): make_profile({"kind": "compact-bump", "amplitude": 1.0,
                                              "width": 1.0, "center": 2.0})})
     assert n_norm(n, 1.0) >= n_norm(n, 0.0)
 
@@ -171,7 +172,7 @@ def test_source_residual_improves_under_refinement():
 
 
 def test_source_residual_zero_source():
-    out = source_residual_check(SourceProfile({}), 2, [(12.0, 11.0)], h=0.1, q_tol=KQ)
+    out = source_residual_check(RadiationField({}), 2, [(12.0, 11.0)], h=0.1, q_tol=KQ)
     assert out["max_rel_residual"] == 0.0
 
 
@@ -221,3 +222,24 @@ def test_an_inconclusive_source_residual_fails_its_item(monkeypatch):
     assert item.kind == "bound" and item.measured == 1e-3 and not item.passed
     assert item.note == ("noise floor 8.00e-04: inconclusive, the noise floor exceeds "
                          "half the residual")
+
+
+def test_news_table_spans_the_fields_support_as_before_bit_for_bit():
+    # mixed centres: the news is sampled on [-sup, sup] with sup read from
+    # support() as max(|lo|, |hi|), which equals max(|centre| + radius) over
+    # the modes bit for bit
+    from backwave import kernel_pipelines
+    from backwave.scenarios import RunSpec
+
+    spec = RunSpec(scenario="backscatter", l_max=4, f0_modes=[
+        (1, 0, {"kind": "gaussian", "amplitude": 1.0, "width": 1.1, "center": -3.3}),
+        (2, 0, {"kind": "compact-bump", "amplitude": 0.5, "width": 0.7, "center": 2.9}),
+        (2, 1, {"kind": "gaussian", "amplitude": 0.3, "width": 0.7, "center": 5.9})]).validate()
+    f0 = spec.field_from(spec.f0_modes)
+    lo, hi = f0.support()
+    old_sup = max(abs(p.center) + p.support_radius() for p in f0.modes.values())
+    assert max(abs(lo), abs(hi)) == old_sup > 4.0
+    assert abs(lo) != abs(hi)
+    n = kernel_pipelines._news_source(spec, f0)
+    # a sampled profile on [-sup, sup] is centred at 0 with radius sup + 1
+    assert n.support() == (-(old_sup + 1.0), old_sup + 1.0)

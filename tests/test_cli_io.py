@@ -279,6 +279,22 @@ def test_cli_bad_data_is_config_error_before_any_solve(tmp_path, monkeypatch, co
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x"), "--quiet"]) == 2
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("l=2 m=0", "l=12 m=0", "mode (12,0) outside band limit 8"),
+    ("p=0.85", "p=0.75", "mode (2, 0): poly-tail exponent 0.75 must exceed gamma=0.8"),
+], ids=["mode_beyond_l_max", "poly_tail_p_at_most_gamma"])
+def test_cli_field_data_errors_exit_two_with_their_message(tmp_path, capsys, old, new,
+                                                          message):
+    ref = os.path.join(os.path.dirname(__file__), "..", "configs", "homogeneous.cfg")
+    with open(ref, encoding="utf-8") as fh:
+        text = fh.read()
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace(old, new))
+    assert main(["homogeneous", "--config", str(cfg), "--out", str(tmp_path / "x"),
+                 "--quiet"]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
 def test_readme_lists_exactly_the_config_keys():
     # the README's configuration block names, per section, the keys of the
     # one key table; [acceptance] also lists the repeated check_pointN lines

@@ -273,7 +273,8 @@ def test_containment_breach_in_the_second_field_names_it_at_its_own_step():
     # "a" stays clear of r_max; "b", the larger field, reaches it, and the
     # system aborts where "b" alone does
     grid = RadialGrid(h=0.1, J=120)
-    a = FieldState(6.0, grid, [(0, 0)], 0.1 * grid.r * np.exp(-4.0 * (grid.r - 3.0) ** 2))
+    a = FieldState(6.0, grid, [(0, 0)],
+                   (0.1 * grid.r * np.exp(-4.0 * (grid.r - 3.0) ** 2))[None, :])
     b = make_state(6.0, grid)
     solve_backward(a, None, 6.0, 1.0, [1.0])
     with pytest.raises(ContainmentError) as alone:
@@ -330,8 +331,8 @@ def test_data_with_nonzero_ends_is_left_alone_and_recorded_with_zero_ends():
 
 
 def test_derived_arrays_are_their_formulas_with_the_origin_limits():
-    # bit for bit (int64 views): centered d_r u, 0 at r_max; u/r; L u = v + u_r;
-    # Lb u = v - u_r; at r = 0 both u_r and u/r are u_1/h for l = 0, 0 for l > 0
+    # bit for bit (int64 views): centered d_r u, 0 at r_max; u/r; at r = 0
+    # both u_r and u/r are u_1/h for l = 0, 0 for l > 0
     grid = RadialGrid(h=0.1, J=30)
     h, r = grid.h, grid.r
     rng = np.random.default_rng(7)
@@ -344,6 +345,6 @@ def test_derived_arrays_are_their_formulas_with_the_origin_limits():
     u_over_r[:, 1:] = u[:, 1:] / r[1:]
     for want in (ur, u_over_r):
         want[0, 0], want[1:, 0] = u[0, 1] / h, 0.0
-    for got, want in ((st.ur, ur), (st.u_over_r, u_over_r), (st.lu, v + ur), (st.lbu, v - ur)):
+    for got, want in ((st.ur, ur), (st.u_over_r, u_over_r)):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert np.array_equal(st.ll1, [0.0, 2.0, 6.0]) and np.array_equal(st.r, r)

@@ -303,7 +303,8 @@ def test_cone_flux_observer_is_the_trapezoid_of_the_step_states():
     vals = []
     for state in steps:
         foot = R - (t2 - state.t)
-        vals.append(_conformal_flux_at(state.t, foot, s, grid.h, state.u, state.lu, state.ll1)
+        vals.append(_conformal_flux_at(state.t, foot, s, grid.h, state.u,
+                                      state.v + state.ur, state.ll1)
                     if grid.h < foot < grid.r_max - grid.h else None)
     assert vals[0] is not None and vals[-1] is None
     ts = [state.t for state in steps]

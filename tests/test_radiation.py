@@ -9,6 +9,7 @@ from backwave import radiation
 from backwave.engine import (BLOCK_TIMES, EngineError, RadialGrid, StepSchedule,
                              discrete_box_field, stable_dt)
 from backwave.profiles import SampledProfile, make_profile
+from backwave.scenarios import RunSpec, ScenarioError
 from backwave.radiation import (RadiationDataError, RadiationField,
                                 SQRT4PI, derive_F1, eval_approximant,
                                 eval_dt_psi01_exact, psi_e_terms,
@@ -17,9 +18,9 @@ from backwave.radiation import (RadiationDataError, RadiationField,
 GAUSS = {"kind": "gaussian", "amplitude": 1.0, "width": 1.0, "center": 0.0}
 
 
-def gaussian_field(lm=(2, 0), gamma=0.8, amplitude=1.0):
+def gaussian_field(lm=(2, 0), amplitude=1.0):
     spec = dict(GAUSS, amplitude=amplitude)
-    return RadiationField({lm: make_profile(spec)}, l_max=max(lm[0], 2), gamma=gamma)
+    return RadiationField({lm: make_profile(spec)})
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +47,7 @@ def test_f1_vanishes_at_zero_for_all_modes():
     modes = {(1, 0): make_profile(GAUSS),
              (2, 1): make_profile({"kind": "compact-bump", "amplitude": 0.5,
                                    "width": 1.5, "center": 0.4})}
-    f1 = derive_F1(RadiationField(modes, l_max=3, gamma=0.8), q_max=64.0)
+    f1 = derive_F1(RadiationField(modes), q_max=64.0)
     for lm, prof in f1.modes.items():
         assert abs(float(prof.value(0.0))) < 1e-14, lm
 
@@ -54,9 +55,8 @@ def test_f1_vanishes_at_zero_for_all_modes():
 def test_f1_linearity():
     f = gaussian_field(lm=(2, 0), amplitude=1.0)
     g = RadiationField({(2, 0): make_profile({"kind": "compact-bump", "amplitude": 0.7,
-                                              "width": 2.0})}, l_max=2, gamma=0.8)
-    combo = RadiationField({(2, 0): make_profile(dict(GAUSS, amplitude=2.0))},
-                           l_max=2, gamma=0.8)
+                                              "width": 2.0})})
+    combo = RadiationField({(2, 0): make_profile(dict(GAUSS, amplitude=2.0))})
     f1a = derive_F1(f, q_max=64.0)
     f1c = derive_F1(combo, q_max=64.0)
     qs = np.linspace(-4, 4, 17)
@@ -69,7 +69,7 @@ def test_f1_accepts_slowly_decaying_admissible_tails():
     # p in (gamma, 1]: the antiderivative grows like q^(1-p) but its
     # weighted norm is finite, so the derivation goes through
     prof = make_profile({"kind": "poly-tail", "p": 0.9})
-    f0 = RadiationField({(1, 0): prof}, l_max=1, gamma=0.8)
+    f0 = RadiationField({(1, 0): prof})
     f1 = derive_F1(f0, q_max=32.0)
     assert abs(float(f1.modes[(1, 0)].value(0.0))) < 1e-14
 
@@ -80,7 +80,7 @@ def test_f1_accepts_slowly_decaying_admissible_tails():
 
 def poly_tail_field(p, lm=(2, 0)):
     prof = make_profile({"kind": "poly-tail", "p": p, "scale": 0.3})
-    return RadiationField({lm: prof}, l_max=lm[0], gamma=0.8)
+    return RadiationField({lm: prof})
 
 
 def test_realized_class_gaussian_is_borderline():
@@ -98,8 +98,7 @@ def test_realized_class_poly_tail_above_one_is_borderline():
 
 def test_realized_class_minimum_over_modes():
     f0 = RadiationField({(1, 0): make_profile(GAUSS),
-                         (2, 0): make_profile({"kind": "poly-tail", "p": 0.9})},
-                        l_max=2, gamma=0.8)
+                         (2, 0): make_profile({"kind": "poly-tail", "p": 0.9})})
     assert realized_decay_class(derive_F1(f0, q_max=64.0)) == 0.9
 
 
@@ -112,7 +111,7 @@ def test_realized_class_tailless_f1_is_none():
     # F1 = -3 q e^{-q^2} has no tail
     q = np.linspace(-8.0, 8.0, 801)
     prof = SampledProfile(q, (1.0 - 2.0 * q * q) * np.exp(-q * q))
-    f0 = RadiationField({(2, 0): prof}, l_max=2, gamma=0.8)
+    f0 = RadiationField({(2, 0): prof})
     assert realized_decay_class(derive_F1(f0, q_max=64.0)) is None
 
 
@@ -235,7 +234,7 @@ def test_banded_evaluation_equals_pointwise_and_vanishes_off_band():
     # be exactly 0 off the band
     f0 = RadiationField({(1, 0): make_profile(GAUSS),
                          (2, 0): make_profile({"kind": "poly-tail", "p": 0.85,
-                                               "scale": 0.3})}, l_max=2, gamma=0.8)
+                                               "scale": 0.3})})
     f1 = derive_F1(f0, q_max=64.0)
     r = 0.125 * np.arange(1, 321)
     for t in (2.0, 12.0, 20.0):
@@ -257,7 +256,7 @@ def test_rows_come_in_field_mode_order_bit_for_bit():
                                    "center": 0.4}),
              (1, 0): make_profile(GAUSS),
              (2, 0): make_profile({"kind": "poly-tail", "p": 0.85, "scale": 0.3})}
-    f0 = RadiationField(profs, l_max=2, gamma=0.8)
+    f0 = RadiationField(profs)
     f1 = derive_F1(f0, q_max=64.0)
     assert list(f0.modes) == [(1, 0), (2, 0), (2, 1)]
     r = 0.125 * np.arange(1, 321)
@@ -266,7 +265,7 @@ def test_rows_come_in_field_mode_order_bit_for_bit():
             full = fn(f0, f1, t, r)
             assert full.shape == (3, r.size)
             for k, lm in enumerate(f0.modes):
-                one = RadiationField({lm: profs[lm]}, l_max=2, gamma=0.8)
+                one = RadiationField({lm: profs[lm]})
                 row = fn(one, derive_F1(one, q_max=64.0), t, r)
                 assert row.shape == (1, r.size)
                 assert np.array_equal(full[k].view(np.int64), row[0].view(np.int64)), (t, lm)
@@ -276,7 +275,7 @@ def test_rows_come_in_field_mode_order_bit_for_bit():
 def test_residual_requires_derived_second_order_field():
     f0 = gaussian_field()
     with pytest.raises(RadiationDataError):
-        residual_box_psi01(f0, RadiationField({}, l_max=2, gamma=0.8), 5.0,
+        residual_box_psi01(f0, RadiationField({}), 5.0,
                            np.array([5.0]))
 
 
@@ -296,13 +295,25 @@ def test_mass_term_is_exact_solution():
 
 
 def test_field_invariants():
-    with pytest.raises(RadiationDataError):
-        RadiationField({(3, 0): make_profile(GAUSS)}, l_max=2, gamma=0.8)
-    with pytest.raises(RadiationDataError):
-        RadiationField({(1, 0): make_profile(GAUSS)}, l_max=2, gamma=1.2)
-    with pytest.raises(RadiationDataError):
-        RadiationField({(1, 0): make_profile({"kind": "poly-tail", "p": 0.6})},
-                       l_max=2, gamma=0.8)
+    # the band limit, the poly-tail exponent and the decay class are checks
+    # of the run's config data, made by RunSpec.validate before any field is
+    # used; a RadiationField itself is any sorted mode map
+    poly = {"kind": "poly-tail", "p": 0.6}
+    for spec, message in (
+            (RunSpec(scenario="homogeneous", l_max=2, f0_modes=[(3, 0, GAUSS)]),
+             "mode (3,0) outside band limit 2"),
+            (RunSpec(scenario="homogeneous", g0_modes=[(1, 0, poly)]),
+             "mode (1, 0): poly-tail exponent 0.6 must exceed gamma=0.8"),
+            (RunSpec(scenario="homogeneous", gamma=1.2, f0_modes=[(1, 0, GAUSS)]),
+             "gamma must satisfy 1/2 < gamma < 1, got 1.2")):
+        with pytest.raises(ScenarioError) as err:
+            spec.validate()
+        assert str(err.value) == message
+    # every band check runs before any exponent check
+    with pytest.raises(RadiationDataError, match=r"^mode \(3,0\) outside band limit 2$"):
+        RunSpec(l_max=2).field_from([(1, 0, poly), (3, 0, GAUSS)])
+    field = RadiationField({(3, 0): make_profile(GAUSS), (1, 0): make_profile(poly)})
+    assert list(field.modes) == [(1, 0), (3, 0)] and field.ells() == [1, 3]
 
 
 def test_block_rows_equal_single_time_rows_bit_for_bit():
@@ -312,7 +323,7 @@ def test_block_rows_equal_single_time_rows_bit_for_bit():
     # radius has <r-t>/r < 1/4, so rows (and whole blocks) have an empty band
     f0 = RadiationField({(0, 0): make_profile(GAUSS),
                          (2, 0): make_profile({"kind": "poly-tail", "p": 0.85,
-                                               "scale": 0.3})}, l_max=8, gamma=0.8)
+                                               "scale": 0.3})})
     grid = RadialGrid.for_run(0.125, 80.0, 2.0)
     f1 = derive_F1(f0, q_max=grid.r_max + 2.0)
     r = grid.r[1:]

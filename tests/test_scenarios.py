@@ -365,7 +365,7 @@ def test_validate_provenance_describes_one_grid(monkeypatch):
 
 @pytest.mark.parametrize("spec, n_solves", [
     (RunSpec(scenario="nullradial", h=0.25, T=12.0, t0=2.0, amplitude=0.01), 2),
-    (RunSpec(scenario="audit", h=0.1), 18),
+    (RunSpec(scenario="audit", h=0.1), 10),     # one solve per distinct problem
     (RunSpec(scenario="convergence", h=0.1), 6),
 ], ids=["nullradial", "audit", "convergence"])
 def test_provenance_steps_cover_every_solve(monkeypatch, spec, n_solves):
