@@ -53,9 +53,8 @@ import math
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate
 
-from backwave.angular import angular_grid, mode_count, mode_index, ylm_at
+from backwave.angular import angular_grid, ylm_at
 from backwave.cutoffs import chi_wave_zone
 from backwave.profiles import qbracket
 from backwave.radiation import SQRT4PI, RadiationField
@@ -77,6 +76,16 @@ def _legendre_all(l_max: int, mu: np.ndarray) -> np.ndarray:
 
 
 _gl = functools.lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
+
+
+def _gl_panels(a: float, b: float, panels: int):
+    """Nodes and weights of 8-node Gauss-Legendre on each of ``panels`` equal
+    panels of (a, b), as two flat arrays."""
+    xg, wg = _gl(8)
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return (mid + half * xg).ravel(), (half * wg).ravel()
 
 
 # lam-nodes per array pass of _mu_integrals; caps the run's peak memory
@@ -237,37 +246,27 @@ def phi2_asymptotic(n: RadiationField, t: float, r: float, omega) -> float:
         hi = prof.center + prof.support_radius()
         if hi <= q_lo:
             continue
-        val, _ = integrate.quad(lambda q: float(prof.value(q)), q_lo, hi,
-                                limit=200, epsabs=1e-12, epsrel=1e-10)
-        total += val * float(y_lm)
+        qs, wq = _gl_panels(q_lo, hi, 200)
+        total += float(wq @ prof.value(qs)) * float(y_lm)
     env = math.log(math.sqrt(1.0 + (t + r) ** 2) / math.sqrt(1.0 + (t - r) ** 2))
     return total * env / (2.0 * r)
 
 
 def n_norm(n: RadiationField, a: float) -> float:
     """int sup_omega |n(q, omega)| <q_+>^a dq with the spectral angular
-    convention and mean-normalized synthesis."""
+    convention and mean-normalized synthesis, the sup taken over the nodes of
+    the angular grid of n's band, on 200 Gauss-Legendre panels in theta with
+    q = tan theta."""
     if n.is_zero():
         return 0.0
-    l_max = max(n.ells())
-    grid = angular_grid(max(l_max, 1))
-
-    def fn(q):
-        coeffs = np.zeros(mode_count(l_max))
-        for (l, m), prof in n.modes.items():
-            coeffs[mode_index(l, m)] = SQRT4PI * prof.value(q)
-        vals = np.tensordot(coeffs, grid.ylm[:coeffs.size], axes=(0, 0))
-        qp = max(q, 0.0)
-        return float(np.max(np.abs(vals))) * (1.0 + qp * qp) ** (0.5 * a)
-
-    def g(theta):
-        q = math.tan(theta)
-        if abs(q) > 1e12:
-            return 0.0
-        return fn(q) * (1.0 + q * q)
-
-    total, _ = integrate.quad(g, -0.5 * math.pi, 0.5 * math.pi,
-                              limit=300, epsabs=1e-12, epsrel=1e-9)
+    grid = angular_grid(max(max(n.ells()), 1))
+    y = ylm_at(list(n.modes), grid.directions().reshape(-1, 3))       # (modes, directions)
+    theta, w = _gl_panels(-0.5 * math.pi, 0.5 * math.pi, 200)
+    q = np.tan(theta)
+    coeffs = SQRT4PI * np.array([prof.value(q) for prof in n.modes.values()])
+    sup = np.max(np.abs(coeffs.T @ y), axis=1)
+    qp = np.maximum(q, 0.0)
+    total = float(w @ (sup * (1.0 + qp * qp) ** (0.5 * a) * (1.0 + q * q)))
     if not np.isfinite(total):
         raise BackscatterError("source norm integral diverged")
     return total
@@ -376,8 +375,9 @@ def brute_force_phi_k(n: RadiationField, k: int, t: float, r: float, omega,
     y = ylm_at(list(n.modes), dirs.reshape(-1, 3))
     mu = dirs.reshape(-1, 3) @ omega
     wang = (wc[:, None] * np.full((1, n_phi), 2.0 * math.pi / n_phi)).reshape(-1)
+    nq = np.array([prof.value(qs) for prof in n.modes.values()])   # (modes, q-nodes)
     total = 0.0
-    for qi, wqi in zip(qs, wqs):
+    for qi, wqi, n_qi in zip(qs, wqs, nq.T):
         alpha = t - r + qi
         beta = t + r + qi
         if alpha <= 0:
@@ -392,7 +392,7 @@ def brute_force_phi_k(n: RadiationField, k: int, t: float, r: float, omega,
         else:
             ker = chi2 * 4.0 * lam / (alpha * beta) ** 2
         nvals = np.zeros(mu.size)
-        for prof, y_lm in zip(n.modes.values(), y):
-            nvals += float(prof.value(qi)) * y_lm
+        for n_lm, y_lm in zip(n_qi, y):
+            nvals += n_lm * y_lm
         total += wqi * float(np.sum(wang * nvals * ker)) / (4.0 * math.pi)
     return total

@@ -85,7 +85,7 @@ def main(argv) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    runner_for(spec.scenario)   # imports the pipeline's module (scipy for two) before the run
+    runner_for(spec.scenario)   # imports the pipeline's module before the run
     try:
         report = run_scenario(spec)
     except Exception as exc:  # runtime failure: still write a summary

@@ -1,8 +1,6 @@
 """The weaknull and backscatter pipelines (see :mod:`backwave.scenarios`), the
-two built on sampled profiles and retarded kernels, and the only users of
-scipy: it is imported here, and ``scenarios.runner_for`` imports this module
-while a run is set up, so the pipeline call never pays for it.  Weak-null's
-strata and d_t psi_e rows come in blocks of the march's stage times from
+two built on sampled profiles and retarded kernels.  Weak-null's strata and
+d_t psi_e rows come in blocks of the march's stage times from
 ``engine.stage_rows``, as radiation's residual and d_t psi01 rows do."""
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ from dataclasses import asdict
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
-import scipy.interpolate  # noqa: F401  (SampledProfile's splines, loaded at set-up)
 
 from backwave.angular import band_modes, mode_count, mode_index, product_closures
 from backwave.backscatter import (FIVE_POINTS, brute_force_phi_k, envelope_sweep,

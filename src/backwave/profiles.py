@@ -10,9 +10,9 @@ radiation field.  Supported kinds:
 
 built from config descriptors by :func:`make_profile`, plus two kinds the
 package builds directly: ``sampled`` (cubic-spline interpolation of a
-table, zero outside) and ``antiderivative`` (the second-order field derived
-from a base profile: value scale * int_0^q base, derivative scale * base).
-Only ``sampled`` needs scipy, imported when the first one is built.
+uniformly spaced table, zero outside) and ``antiderivative`` (the
+second-order field derived from a base profile: value scale * int_0^q base,
+derivative scale * base).
 
 A profile carries its value and its first q-derivative, both in closed
 form for the analytic kinds; nothing is finite-differenced.
@@ -170,8 +170,29 @@ class CompactBumpProfile(Profile):
         return self._width + 1.0
 
 
+# the cubic B-spline's inverse filter sqrt(3) z^|m|, cut where |z|^m < 1e-18
+# (built without a numpy ufunc call, which would page in code at import);
+# and the stencil of a cubic spline's third-derivative jump at a knot
+_Z = math.sqrt(3.0) - 2.0
+_TAPS = np.array([math.sqrt(3.0) * _Z ** abs(m) for m in range(-32, 33)])
+_D4 = np.array([1.0, -4.0, 6.0, -4.0, 1.0])
+
+
 class SampledProfile(Profile):
-    """Cubic interpolation of a (q, value) table; zero outside the table."""
+    """Not-a-knot cubic-spline interpolation of a table on a uniform q grid;
+    zero outside the table.
+
+    The cubic B-spline coefficients c of the interpolant (c[i-1] + 4 c[i] +
+    c[i+1]) / 6 = values[i] come from one convolution of the table, extended
+    point-symmetrically past its ends, with the inverse filter
+    sqrt(3) z^|m|, z = sqrt(3) - 2, truncated where |z|^m is below rounding
+    (M. Unser, "Splines: a perfect fit for signal and image processing",
+    IEEE Signal Processing Magazine 16(6), 1999).  Adding the two solutions
+    of the homogeneous recursion that decay away from either end then makes
+    the third derivative continuous at the second and the next-to-last knot
+    (the not-a-knot end conditions).  Each cell is one cubic in its local
+    coordinate, evaluated by Horner's rule.
+    """
 
     kind = "sampled"
 
@@ -180,17 +201,41 @@ class SampledProfile(Profile):
         values = np.asarray(values, dtype=float)
         if q_grid.ndim != 1 or q_grid.size < 4 or q_grid.shape != values.shape:
             raise ProfileError("sampled profile needs matching 1-D q grid and values, >= 4 points")
-        if not np.all(np.diff(q_grid) > 0):
-            raise ProfileError("sampled profile q grid must be strictly increasing")
-        from scipy.interpolate import CubicSpline
+        step = (q_grid[-1] - q_grid[0]) / (q_grid.size - 1)
+        uniform = q_grid[0] + step * np.arange(q_grid.size)
+        if not (step > 0.0 and np.max(np.abs(q_grid - uniform)) <= 1e-9 * step):
+            raise ProfileError("sampled profile q grid must be uniform and increasing")
+        pad = _TAPS.size // 2 + 1
+        c = np.convolve(np.pad(values, pad, mode="reflect", reflect_type="odd"),
+                        _TAPS, mode="valid")             # c[-1] .. c[n]
+        decay = _Z ** np.arange(min(c.size, 64))         # z^64 < 1e-36: the rest is 0
+        homog = np.zeros((2, c.size))                    # z^i and z^(n+1-i), i = 0 .. n+1
+        homog[0, :decay.size] = decay
+        homog[1, c.size - decay.size:] = decay[::-1]
+
+        def end_jumps(v):
+            return np.stack([v[..., :5] @ _D4, v[..., -5:] @ _D4], axis=-1)
+
+        c = c + np.linalg.solve(end_jumps(homog).T, -end_jumps(c)) @ homog
+        cm, c0, c1, c2 = c[:-3], c[1:-2], c[2:-1], c[3:]
+        # Horner coefficients of each cell's cubic in u = (q - q_i) / step, a row each
+        self._cells = np.stack([(cm + 4.0 * c0 + c1) / 6.0, 0.5 * (c1 - cm),
+                                0.5 * (cm - 2.0 * c0 + c1), (c2 - cm + 3.0 * (c0 - c1)) / 6.0])
         self._q = q_grid
-        self._spline = CubicSpline(q_grid, values, extrapolate=False)
+        self._step = step
         self._amplitude = float(np.max(np.abs(values))) or 1.0
         self._center = float(0.5 * (q_grid[0] + q_grid[-1]))
 
     def _eval(self, q, nu):
-        out = self._spline(q, nu=nu)
-        return np.where(np.isnan(out), 0.0, out)
+        t = (q - self._q[0]) / self._step
+        i = np.clip(t, 0, self._q.size - 2).astype(np.intp)
+        u = (q - self._q[i]) / self._step
+        a0, a1, a2, a3 = (row[i] for row in self._cells)
+        if nu == 0:
+            out = a0 + u * (a1 + u * (a2 + u * a3))
+        else:
+            out = (a1 + u * (2.0 * a2 + 3.0 * u * a3)) / self._step
+        return np.where((t >= 0.0) & (t <= self._q.size - 1), out, 0.0)
 
     def _value(self, q):
         return self._eval(q, 0)

@@ -732,7 +732,7 @@ SCENARIOS = (*RUNNERS, "weaknull", "backscatter")   # the last two: kernel_pipel
 
 def runner_for(scenario: str):
     """The pipeline of ``scenario``.  Weak-null's and backscatter's import
-    kernel_pipelines and scipy: a caller timing the run resolves it first."""
+    kernel_pipelines: a caller timing the run resolves it first."""
     if scenario in RUNNERS:
         return RUNNERS[scenario]
     from backwave.kernel_pipelines import run_backscatter_audit, run_weak_null

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.interpolate import CubicSpline
 from scipy.special import erf
 
 from backwave.profiles import AntiderivativeProfile, ProfileError, SampledProfile, make_profile
@@ -53,6 +54,26 @@ def test_sampled_zero_outside_table():
     assert float(sp.value(5.0)) == 0.0
     assert float(sp.value(-3.0)) == 0.0
     assert float(sp.value(0.0)) == pytest.approx(1.0, abs=1e-3)
+
+
+def test_sampled_matches_scipy_not_a_knot_spline():
+    # the weak-null strata's table size and range, on a poly-tail; the
+    # not-a-knot ends make the two splines agree up to the table's ends
+    qs = np.linspace(-106.0, 38.6, 8192)
+    vals = make_profile({"kind": "poly-tail", "amplitude": 2.0, "p": 0.85}).value(qs)
+    sp, oracle = SampledProfile(qs, vals), CubicSpline(qs, vals, extrapolate=False)
+    q = np.concatenate([qs, np.random.default_rng(0).uniform(-107.0, 39.6, 20000)])
+    assert np.max(np.abs(sp.value(q) - np.nan_to_num(oracle(q)))) < 1e-13 * np.max(vals)
+    assert np.max(np.abs(sp.derivative(q) - np.nan_to_num(oracle(q, 1)))) < 1e-11
+
+
+def test_sampled_rejects_a_nonuniform_grid():
+    qs = np.linspace(-2.0, 2.0, 41)
+    qs[20] += 1e-3
+    with pytest.raises(ProfileError):
+        SampledProfile(qs, np.cos(qs))
+    with pytest.raises(ProfileError):
+        SampledProfile(np.linspace(2.0, -2.0, 41), np.cos(qs))
 
 
 def test_antiderivative_matches_erf_oracle():
