@@ -20,6 +20,7 @@ output directory, with an error block on failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import traceback
@@ -104,9 +105,9 @@ def main(argv) -> int:
         print(f"scenario: {report.name}  status: {payload['status']}")
         for it in report.items:
             flag = "PASS" if it.passed else "FAIL"
-            tgt = "" if it.target is None else f" target={it.target:g}"
-            tol = "" if it.tol is None else f" tol={it.tol:g}"
-            print(f"  [{flag}] {it.name}: measured={it.measured:.6g}{tgt}{tol}")
+            lo = -math.inf if it.lo is None else it.lo
+            hi = math.inf if it.hi is None else it.hi
+            print(f"  [{flag}] {it.name}: measured={it.measured:.6g} in [{lo:g}, {hi:g}]")
         print(f"bundle: {out_dir}")
     if report.status != "ok":
         return EXIT_RUNTIME

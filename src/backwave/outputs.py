@@ -2,15 +2,13 @@
 
 A bundle directory holds:
 
-    summary.json    config echo, items {measured, target, tol, pass},
-                    provenance and environment; always written, with an
-                    error block when a run fails
-    series.csv      one row per report time, fixed leading column schema
-                    (t, energy_w1, energy_w0, norm_conf_plus,
-                    norm_1_s_surrogate, flux_*, identity_residual,
-                    sup_envelope) followed by any extra columns, values
-                    formatted with 17 significant digits so a re-parse is
-                    bit-exact
+    summary.json    config echo, items {name, kind, measured, lo, hi, passed,
+                    target, note, ...}, provenance and environment; always
+                    written, with an error block when a run fails
+    series.csv      one row per report time, one column per value the run
+                    records: t first, then those of FIXED_COLUMNS in its
+                    order, then any other column by name; values formatted
+                    with 17 significant digits so a re-parse is bit-exact
     plots/*.gp      self-contained gnuplot scripts (log-log decay plots
                     with target-slope guide lines), referencing only files
                     inside the bundle
@@ -30,8 +28,10 @@ import numpy as np
 from backwave import __version__
 from backwave.scenarios import ScenarioReport
 
-FIXED_COLUMNS = ["t", "energy_w1", "energy_w0", "norm_conf_plus",
-                 "norm_1_s_surrogate", "identity_residual", "sup_envelope"]
+# the order of the leading series columns; "flux_" stands for every flux_*
+# column, by name
+FIXED_COLUMNS = ["t", "energy_w1", "energy_w0", "norm_conf_plus", "norm_1_s_surrogate",
+                 "flux_", "sup_envelope"]
 
 
 def _fmt(x: float) -> str:
@@ -40,14 +40,14 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _column_rank(key: str):
+    lead = "flux_" if key.startswith("flux_") else key
+    return (FIXED_COLUMNS.index(lead) if lead in FIXED_COLUMNS else len(FIXED_COLUMNS), key)
+
+
 def series_columns(report: ScenarioReport) -> List[str]:
-    keys = set()
-    for fr in report.series:
-        keys.update(fr.values)
-    flux = sorted(k for k in keys if k.startswith("flux_"))
-    extras = sorted(k for k in keys if not k.startswith("flux_") and k not in FIXED_COLUMNS)
-    fixed = FIXED_COLUMNS[:5] + flux + FIXED_COLUMNS[5:]
-    return fixed + extras
+    """t and every column some series row records, in FIXED_COLUMNS order."""
+    return sorted({"t"}.union(*(fr.values for fr in report.series)), key=_column_rank)
 
 
 def write_series_csv(report: ScenarioReport, path: str) -> List[str]:

@@ -6,6 +6,7 @@ fixtures below; reference configurations live in configs/ and are loaded
 through the same parser the CLI uses.
 """
 
+import math
 import os
 import time
 
@@ -29,7 +30,7 @@ def report_line(num, ok, detail):
 
 def band(it):
     """Pass band of a class-judged exponent item: realized edge, declared edge."""
-    return f"{it.realized_target - it.tol:g}, {it.target + it.tol:g}"
+    return f"{it.lo:g}, {it.hi:g}"
 
 
 def items_of(rep):
@@ -81,6 +82,23 @@ def backscatter_run():
 @pytest.fixture(scope="session")
 def nullradial_run():
     return run_scenario(load_spec("nullradial.cfg"))
+
+
+def rule(measured, lo, hi):
+    """The pass rule of every report item."""
+    return (not math.isnan(measured) and (lo is None or lo <= measured)
+            and (hi is None or measured <= hi))
+
+
+@pytest.mark.parametrize("run", ["free_wave_run", "convergence_run", "audit_run",
+                                 "homogeneous_run", "tlimit_run", "weaknull_run",
+                                 "backscatter_run", "nullradial_run"])
+def test_every_item_passes_by_its_own_bounds(request, run):
+    rep = request.getfixturevalue(run)
+    rep = rep[0] if isinstance(rep, tuple) else rep
+    assert rep.items
+    for it in rep.items:
+        assert it.passed == rule(it.measured, it.lo, it.hi), it
 
 
 def test_criterion_1_solver_gate(free_wave_run):
@@ -148,7 +166,8 @@ def test_criterion_5_homogeneous_exponents(homogeneous_run):
     # Each exponent must lie between the realized-class rate - tol and the
     # declared-class rate + tol; the declared targets stay on record.
     assert (src.target, en.target) == (pytest.approx(-1.1), pytest.approx(-1.3))
-    assert src.tol == en.tol == 0.15
+    assert (src.lo, src.hi) == (pytest.approx(-1.45), pytest.approx(-0.95))
+    assert (en.lo, en.hi) == (pytest.approx(-1.65), pytest.approx(-1.15))
     assert src.gamma_data == 1.0, src
     assert src.passed, f"source-norm exponent {src.measured:.3f} outside [{band(src)}]"
     assert en.passed, f"energy exponent {en.measured:.3f} outside [{band(en)}]"

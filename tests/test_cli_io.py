@@ -69,8 +69,8 @@ def test_canonical_idempotent():
 
 def make_report():
     rep = ScenarioReport(name="homogeneous", spec={})
-    rep.items.append(ReportItem(name="x", kind="fit", measured=-1.3, target=-1.1,
-                                tol=0.15, passed=False))
+    rep.items.append(ReportItem(name="x", kind="fit", measured=-1.3, lo=-1.25, hi=-0.95,
+                                passed=False, target=-1.1))
     for t, e in ((2.0, 0.5), (4.0, 0.25), (8.0, 1.0 / 3.0)):
         rep.series.append(FunctionalReport(t=t, values={
             "energy_w1": e, "sup_envelope": e * math_pi(), "flux_s1_R10": 0.125 + t}))
@@ -106,6 +106,27 @@ def test_series_csv_round_trip_bit_exact(tmp_path):
                 assert got == want     # bit-exact via 17 significant digits
 
 
+def test_series_csv_writes_only_the_recorded_columns(tmp_path):
+    # t, then the recorded fixed columns in their order (flux_* before
+    # sup_envelope), then the rest by name; nothing the run did not record
+    rep = make_report()
+    rep.series[0].values.update(zeta=1.0, energy_w0=2.0, flux_a=3.0)
+    header = write_series_csv(rep, os.path.join(tmp_path, "series.csv"))
+    assert header == ["t", "energy_w1", "energy_w0", "flux_a", "flux_s1_R10", "sup_envelope",
+                      "zeta"]
+
+
+def test_cli_prints_each_item_with_its_bounds(tmp_path, monkeypatch, capsys):
+    import backwave.cli as cli
+    rep = make_report()
+    rep.add_item("y", "bound", 0.5, hi=1.0)
+    monkeypatch.setattr(cli, "run_scenario", lambda spec: rep)
+    assert main(["validate", "--out", str(tmp_path / "out")]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] x: measured=-1.3 in [-1.25, -0.95]" in out
+    assert "[PASS] y: measured=0.5 in [-inf, 1]" in out
+
+
 def test_empty_series_header_only(tmp_path):
     rep = ScenarioReport(name="x", spec={})
     path = os.path.join(tmp_path, "series.csv")
@@ -125,7 +146,7 @@ def test_bundle_and_summary(tmp_path):
     assert data["status"] == "ok"
     assert data["passed"] is False
     item = data["items"][0]
-    assert {"name", "measured", "target", "tol", "passed"} <= set(item)
+    assert {"name", "measured", "lo", "hi", "target", "passed"} <= set(item)
     # plot script references only files inside the bundle
     gp = os.path.join(out, "plots", "homogeneous_decay.gp")
     assert os.path.exists(gp)

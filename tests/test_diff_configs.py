@@ -11,9 +11,10 @@ diff_configs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(diff_configs)
 
 
-def bundle(path, measured, series=b"t,x\n1,2\n", kind="fit", **provenance):
+def bundle(path, measured, series=b"t,x\n1,2\n", kind="fit", lo=None, hi=1.0, **provenance):
     path.mkdir(parents=True)
-    items = [{"name": "a", "kind": kind, "measured": measured, "passed": True}]
+    items = [{"name": "a", "kind": kind, "measured": measured, "lo": lo, "hi": hi,
+              "passed": True}]
     (path / "summary.json").write_text(json.dumps({"items": items, "provenance": provenance}),
                                        encoding="utf-8")
     (path / "series.csv").write_bytes(series)
@@ -36,6 +37,15 @@ def test_items_that_differ_only_in_kind_are_different(tmp_path):
     old = bundle(tmp_path / "old", 0.1)
     [line] = diff_configs.differences(old, bundle(tmp_path / "new", 0.1, kind="bound"), 0, 0)
     assert line == "item a: kind 'fit' -> 'bound'"
+
+
+def test_items_that_differ_only_in_a_bound_are_different(tmp_path):
+    # the same measured value and flag judged by another rule
+    old = bundle(tmp_path / "old", 0.1)
+    [line] = diff_configs.differences(old, bundle(tmp_path / "hi", 0.1, hi=2.0), 0, 0)
+    assert line == "item a: hi 1 -> 2"
+    [line] = diff_configs.differences(old, bundle(tmp_path / "lo", 0.1, lo=0.0), 0, 0)
+    assert line == "item a: lo None -> 0"
 
 
 def test_bundles_that_differ_only_in_a_provenance_field_are_different(tmp_path):

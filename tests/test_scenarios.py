@@ -66,7 +66,7 @@ def test_fit_band_between_declared_and_realized_class():
     assert not fit_item(-0.94, **band).passed       # above the declared edge
     item = fit_item(-1.281, **band)
     assert item.kind == "fit" and item.measured == pytest.approx(-1.281, abs=1e-12)
-    assert item.target == -1.1 and item.tol == 0.15
+    assert item.target == -1.1 and (item.lo, item.hi) == (-1.3 - 0.15, -1.1 + 0.15)
     assert asdict(item)["gamma_data"] == 1.0
     assert asdict(item)["realized_target"] == -1.3
     assert "gamma_data=1" in item.note
@@ -92,11 +92,28 @@ def test_shallow_target_checks_nonincrease_on_the_in_window_samples():
     ts = [80.0, 60.0, 40.0, 30.0, 25.0, 20.0, 10.0]
     ys = [1.0, 1.1, 1.3, 1.05, 1.0, 1.25, 50.0]
     item = series_report("y", ts, ys).add_fit("e", "y", (20.0, 80.0), -0.1, 0.15)
-    assert item.kind == "bound" and item.target == 1.0
+    assert item.kind == "bound" and item.hi == 1.2
     assert item.measured == pytest.approx(1.3 / 1.25)
     assert item.passed and "shallow target -0.1" in item.note
     ys[2] = 1.6                                       # 1.6 / 1.25 > 1.2
     assert not series_report("y", ts, ys).add_fit("e", "y", (20.0, 80.0), -0.1, 0.15).passed
+
+
+def test_add_item_is_the_one_pass_rule():
+    # measured in [lo, hi], None unbounded, NaN fails, the edges pass
+    rep = ScenarioReport(name="x", spec={})
+    for measured, lo, hi, passed in ((1.0, None, None, True), (math.nan, None, None, False),
+                                     (math.nan, 0.0, 2.0, False), (-1e300, None, 1.0, True),
+                                     (math.inf, 0.0, None, True), (math.inf, 0.0, 1e300, False),
+                                     (2.0, 1.0, 2.0, True), (1.0, 1.0, 2.0, True),
+                                     (0.5, 1.0, None, False), (2.5, None, 2.0, False)):
+        item = rep.add_item("x", "bound", measured, lo, hi)
+        assert item.passed is passed, (measured, lo, hi)
+        assert (item.lo, item.hi) == (lo, hi)
+    # an inconclusive source residual: lo is twice the noise floor
+    assert not rep.add_item("r", "bound", 1e-3, 2.0 * 8e-4, 1e-2).passed
+    assert rep.add_item("r", "bound", 1e-3, 2.0 * 5e-4, 1e-2).passed
+    assert len(rep.items) == 12 and not rep.passed
 
 
 def test_window_ratio_reads_the_column_inside_the_window():
@@ -179,6 +196,10 @@ def test_tlimit_small():
     items = {it.name: it for it in rep.items}
     assert items["difference_monotone_decreasing"].passed
     assert items["difference_ratio_per_doubling"].passed
+    # the rate item records the class the gaussian data realize
+    rate = items["difference_rate_consistent"]
+    assert (rate.gamma_data, rate.realized_target) == (1.0, -1.5)
+    assert (rate.lo, rate.hi) == (None, -(0.5 + 0.8) + 0.5) and rate.kind == "check"
 
 
 def test_nullradial_small():

@@ -5,8 +5,9 @@
 Each tree's own ``configs/NAME.cfg`` runs through ``python -m backwave.cli``
 with that tree's ``src`` on the path, one process at a time and one BLAS
 thread.  The script compares every field of every report item (``kind``,
-``measured``, ``target``, ``tol``, ``passed``, ``note``, ``gamma_data`` and
-``realized_target``; numbers to 17 significant digits), the item lists
+``measured``, its pass rule's ``lo`` and ``hi``, ``target``, ``passed``,
+``note``, ``gamma_data`` and ``realized_target``; numbers to 17 significant
+digits), the item lists
 themselves, every ``provenance`` field of summary.json but ``runtime_s``
 (steps, dt_max, grid, config hash, ...), the exit codes and ``series.csv``
 byte for byte, prints the
@@ -32,7 +33,8 @@ import tempfile
 import time
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-FIELDS = ("kind", "measured", "target", "tol", "passed", "note", "gamma_data", "realized_target")
+FIELDS = ("kind", "measured", "lo", "hi", "target", "passed", "note", "gamma_data",
+          "realized_target")
 
 
 def scenario_of(cfg: pathlib.Path) -> str:
