@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from backwave.cutoffs import Cutoff, chi_wave_zone, chi_exterior
 from backwave.profiles import Profile, make_profile, ProfileError
 from backwave.radiation import RadiationField, derive_F1
-from backwave.angular import AngularGrid
 from backwave.engine import RadialGrid, FieldState, Trajectory
 from backwave.functionals import FitResult, FunctionalReport, fit_decay
 
@@ -19,7 +18,6 @@ __all__ = [
     "Cutoff", "chi_wave_zone", "chi_exterior",
     "Profile", "make_profile", "ProfileError",
     "RadiationField", "derive_F1",
-    "AngularGrid",
     "RadialGrid", "FieldState", "Trajectory",
     "FitResult", "FunctionalReport", "fit_decay",
 ]

@@ -14,36 +14,26 @@ delta.  In particular Y_{00} = 1/sqrt(4 pi).  Physical fields are real and
 their coefficients in this basis are real, so the conjugate-symmetry
 constraint of a real field holds by construction.
 
-The collocation grid pairs n_theta Gauss-Legendre nodes in cos(theta) with
-n_phi equispaced azimuth nodes.  Quadrature is exact for products of
-harmonics up to band limit L when n_theta >= L+1 and n_phi >= 2L+1.
 Quadratic products of radial coefficient stacks go through
 :func:`product_closures`, which takes the lists of input and output modes
-and sizes its grid from them: n_theta from their degrees, n_phi from their
+and sizes a collocation grid from them: n_theta Gauss-Legendre nodes in
+cos(theta), from their degrees, times n_phi equispaced azimuths, from their
 largest |m|.  The grid integrates every listed mode of the product exactly;
 for m = 0 lists it is one azimuth node, the Gauss-Legendre rule in
-cos(theta).
+cos(theta).  Gauss-Legendre nodes miss the poles, so a sup over the sphere
+is read elsewhere: on the directions of :func:`sup_harmonics`, equispaced
+polar angles with both poles, times equispaced azimuths.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 
-def mode_count(l_max: int) -> int:
-    return (l_max + 1) ** 2
-
-
-def mode_index(l: int, m: int) -> int:
-    return l * l + l + m
-
-
 def band_modes(l_max: int):
-    """Every (l, m) with l <= l_max, in mode_index order."""
+    """Every (l, m) with l <= l_max, by degree and then by m from -l to l."""
     return [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
 
 
@@ -80,52 +70,6 @@ def normalized_legendre(l_max: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class AngularGrid:
-    """Gauss-Legendre x uniform-azimuth collocation grid for band limit l_max."""
-
-    l_max: int
-    n_theta: int
-    n_phi: int
-    x: np.ndarray = field(repr=False)          # cos(theta) nodes
-    w: np.ndarray = field(repr=False)          # GL weights (sum = 2)
-    phi: np.ndarray = field(repr=False)
-    ylm: np.ndarray = field(repr=False)        # (n_modes, n_theta, n_phi)
-
-    @property
-    def weights_2d(self) -> np.ndarray:
-        # full quadrature weights, sum = 4 pi
-        return self.w[:, None] * np.full((1, self.n_phi), 2.0 * math.pi / self.n_phi)
-
-    def directions(self) -> np.ndarray:
-        """Unit vectors of all grid points, shape (n_theta, n_phi, 3)."""
-        st = np.sqrt(np.clip(1.0 - self.x * self.x, 0.0, None))
-        dirs = np.empty((self.n_theta, self.n_phi, 3))
-        dirs[:, :, 0] = st[:, None] * np.cos(self.phi)[None, :]
-        dirs[:, :, 1] = st[:, None] * np.sin(self.phi)[None, :]
-        dirs[:, :, 2] = self.x[:, None]
-        return dirs
-
-
-@lru_cache(maxsize=32)
-def angular_grid(l_max: int, n_theta: int = None, n_phi: int = None) -> AngularGrid:
-    """Build (and cache) a grid; defaults give exact quadrature at band l_max."""
-    if n_theta is None:
-        n_theta = l_max + 1
-    if n_phi is None:
-        n_phi = 2 * l_max + 1
-    if n_theta < l_max + 1 or n_phi < 2 * l_max + 1:
-        raise ValueError(
-            f"grid ({n_theta}, {n_phi}) too coarse for band limit {l_max}: "
-            f"need n_theta >= {l_max + 1}, n_phi >= {2 * l_max + 1}"
-        )
-    x, w = np.polynomial.legendre.leggauss(n_theta)
-    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    ylm = _ylm_rows(band_modes(l_max), normalized_legendre(l_max, x)[..., None], phi)
-    return AngularGrid(l_max=l_max, n_theta=n_theta, n_phi=n_phi,
-                       x=x, w=w, phi=phi, ylm=ylm)
-
-
 def ylm_at(modes, dirs: np.ndarray) -> np.ndarray:
     """Y_{lm} at arbitrary unit vectors, one row per (l, m) of ``modes`` in
     list order, shape (len(modes), n_dirs)."""
@@ -146,28 +90,44 @@ def _ylm_rows(modes, leg: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return out
 
 
+def sup_harmonics(modes) -> np.ndarray:
+    """Y_{lm} of each (l, m) of ``modes`` (one row each, in list order) at the
+    directions every sup over the sphere is read on, shape (len(modes),
+    n_dirs): 4L + 1 equispaced polar angles, the poles included, times 8L
+    equispaced azimuths (one when every m is 0), L the largest degree (at
+    least 1)."""
+    L = max([l for (l, _m) in modes] + [1])
+    n_azimuth = 8 * L if any(m for (_l, m) in modes) else 1
+    polar = np.linspace(0.0, math.pi, 4 * L + 1)[:, None]
+    azimuth = np.linspace(0.0, 2.0 * math.pi, n_azimuth, endpoint=False)[None, :]
+    dirs = np.stack(np.broadcast_arrays(np.sin(polar) * np.cos(azimuth),
+                                        np.sin(polar) * np.sin(azimuth), np.cos(polar)), axis=-1)
+    return ylm_at(modes, dirs.reshape(-1, 3))
+
+
 def product_closures(modes_in, modes_out):
     """Batched pointwise product helper for radial stacks of coefficients.
 
     Returns a closure pair (to_values, to_modes): to_values maps a stack of
     coefficients, one row per mode of ``modes_in`` in list order, shape
     (len(modes_in), n_radial), to samples (n_pts, n_radial); to_modes
-    analyzes samples into rows of ``modes_out``.  The grid is sized from the
-    lists: it analyzes a product of two input-mode fields exactly (degree
-    2 l_in + l_out in cos(theta), azimuthal order 2 |m_in| + |m_out|), and
-    any output-mode field (order 2 |m_out|).  Full (l, m) lists give the
-    angular_grid of those sizes, m = 0 lists one azimuth node: the
-    Gauss-Legendre rule in cos(theta).
+    analyzes samples into rows of ``modes_out``.  The grid, n_theta
+    Gauss-Legendre nodes in cos(theta) times n_phi equispaced azimuths, is
+    sized from the lists: it analyzes a product of two input-mode fields
+    exactly (degree 2 l_in + l_out in cos(theta), azimuthal order
+    2 |m_in| + |m_out|), and any output-mode field (order 2 |m_out|).  m = 0
+    lists get one azimuth node: the Gauss-Legendre rule in cos(theta).
     """
     l_in, m_in = np.abs(modes_in).max(axis=0).tolist()
     l_out, m_out = np.abs(modes_out).max(axis=0).tolist()
     l_tab = max(l_in, l_out)
-    grid = angular_grid(0, n_theta=max((2 * l_in + l_out) // 2 + 1, l_tab + 1),
-                        n_phi=max(2 * m_in + m_out, 2 * m_out) + 1)   # nodes, weights
-    leg = normalized_legendre(l_tab, grid.x)[..., None]
-    y_in = _ylm_rows(modes_in, leg, grid.phi).reshape(len(modes_in), -1)     # (modes, pts)
-    y_out = _ylm_rows(modes_out, leg, grid.phi).reshape(len(modes_out), -1)
-    wflat = grid.weights_2d.reshape(-1)
+    x, w = np.polynomial.legendre.leggauss(max((2 * l_in + l_out) // 2 + 1, l_tab + 1))
+    n_phi = max(2 * m_in + m_out, 2 * m_out) + 1
+    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    leg = normalized_legendre(l_tab, x)[..., None]
+    y_in = _ylm_rows(modes_in, leg, phi).reshape(len(modes_in), -1)     # (modes, pts)
+    y_out = _ylm_rows(modes_out, leg, phi).reshape(len(modes_out), -1)
+    wflat = np.repeat(w * (2.0 * math.pi / n_phi), n_phi)              # sum = 4 pi
 
     def to_values(block):
         return y_in.T @ block                      # (pts, n_radial)

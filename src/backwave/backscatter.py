@@ -54,7 +54,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from backwave.angular import ylm_at
+from backwave.angular import sup_harmonics, ylm_at
 from backwave.cutoffs import chi_wave_zone
 from backwave.profiles import qbracket
 from backwave.radiation import SQRT4PI, RadiationField
@@ -255,18 +255,11 @@ def phi2_asymptotic(n: RadiationField, t: float, r: float, omega) -> float:
 def n_norm(n: RadiationField, a: float) -> float:
     """int sup_omega |n(q, omega)| <q_+>^a dq with the spectral angular
     convention and mean-normalized synthesis, on 200 Gauss-Legendre panels in
-    theta with q = tan theta.  The sup is taken over 4L + 1 equispaced polar
-    angles, the poles included, times 8L equispaced azimuths (one when every
-    mode has m = 0), L being n's largest degree."""
+    theta with q = tan theta.  The sup is read on the directions of
+    ``angular.sup_harmonics``, the poles included."""
     if n.is_zero():
         return 0.0
-    L = max(max(n.ells()), 1)
-    n_azimuth = 8 * L if any(m for (_l, m) in n.modes) else 1
-    polar = np.linspace(0.0, math.pi, 4 * L + 1)[:, None]
-    azimuth = np.linspace(0.0, 2.0 * math.pi, n_azimuth, endpoint=False)[None, :]
-    dirs = np.stack(np.broadcast_arrays(np.sin(polar) * np.cos(azimuth),
-                                        np.sin(polar) * np.sin(azimuth), np.cos(polar)), axis=-1)
-    y = ylm_at(list(n.modes), dirs.reshape(-1, 3))                     # (modes, directions)
+    y = sup_harmonics(list(n.modes))                                    # (modes, directions)
     theta, w = _gl_panels(-0.5 * math.pi, 0.5 * math.pi, 200)
     q = np.tan(theta)
     coeffs = SQRT4PI * np.array([prof.value(q) for prof in n.modes.values()])

@@ -51,7 +51,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from backwave.angular import angular_grid, ylm_at
+from backwave.angular import sup_harmonics
 from backwave.engine import FieldState, Trajectory, acceleration, radial_deriv
 
 
@@ -206,7 +206,9 @@ class ConeFlux:
         foot = self.R - (self.t2 - t)
         val = None
         if h < foot < view.grid.r_max - h:
-            val = _conformal_flux_at(t, foot, self.s, h, view.u, view.v + view.ur, view.ll1)
+            ell = view.ell
+            lu = view.v + radial_deriv(view.u, ell, h)
+            val = _conformal_flux_at(t, foot, self.s, h, view.u, lu, ell * (ell + 1.0))
         self.ts.append(t)
         self.vals.append(val)
 
@@ -357,34 +359,33 @@ def _weighted_norm(state: FieldState, s: float):
     return nrm
 
 
-def norm_Z_weighted(state: FieldState, s: float,
-                    return_parts: bool = False):
+def norm_Z_weighted(state: FieldState, s: float) -> float:
     """Surrogate for sum_{|I|<=1} || <t-r>^(s-1) Z^I phi ||_{L2}.
 
     identity, d_t and scaling are exact per mode; rotations enter through
     the spectral l(l+1) weights; the three boost majorants are added as
     separate L2 norms.
     """
-    t, r, u, v, ur, ll1, u_over_r = (state.t, state.r, state.u, state.v, state.ur,
-                                     state.ll1, state.u_over_r)
+    return _norm_Z(state, s, state.ur)
+
+
+def _norm_Z(state: FieldState, s: float, ur: np.ndarray) -> float:
+    """:func:`norm_Z_weighted` with the state's ``ur`` given."""
+    t, r, u, v, ll1, u_over_r = state.t, state.r, state.u, state.v, state.ll1, state.u_over_r
     nrm = _weighted_norm(state, s)
     w1 = t * v + r[None, :] * ur - u          # r * (S phi)
-    parts = {
-        "identity": nrm(u**2),
-        "dt": nrm(v**2),
-        "scaling": nrm(w1**2),
-        "rotations": nrm(ll1[:, None] * u**2),
-        "boost_L": nrm(((t + r) ** 2)[None, :] * (v + ur - u_over_r) ** 2),
-        "boost_Lb": nrm(((t - r) ** 2)[None, :] * (v - ur + u_over_r) ** 2),
-        "boost_ang": nrm((t**2) * ll1[:, None] * u_over_r**2),
-    }
-    total = sum(parts.values())
-    return (total, parts) if return_parts else total
+    return sum((nrm(u**2),                                                  # identity
+                nrm(v**2),                                                  # d_t
+                nrm(w1**2),                                                 # scaling
+                nrm(ll1[:, None] * u**2),                                   # rotations
+                nrm(((t + r) ** 2)[None, :] * (v + ur - u_over_r) ** 2),    # boost, L
+                nrm(((t - r) ** 2)[None, :] * (v - ur + u_over_r) ** 2),    # boost, Lb
+                nrm((t**2) * ll1[:, None] * u_over_r**2)))                  # boost, angular
 
 
-def _second_order_terms(state: FieldState, s: float) -> float:
+def _second_order_terms(state: FieldState, s: float, ur: np.ndarray) -> float:
     """Second-order surrogate terms for the |I| <= 2 weighted norm of a free
-    field (d_t v from the source-free wave equation)."""
+    field (d_t v from the source-free wave equation); ``ur`` is the state's."""
     t, u, v, ll1 = state.t, state.u, state.v, state.ll1
     h = state.grid.h
     urr = np.zeros_like(u)
@@ -393,7 +394,7 @@ def _second_order_terms(state: FieldState, s: float) -> float:
     vt[:, 1:-1] = urr[:, 1:-1] - ll1[:, None] * u[:, 1:-1] / state.r[1:-1] ** 2
     vr = radial_deriv(v, state.ell, h)
     r = state.r[None, :]
-    w1 = t * v + r * state.ur - u
+    w1 = t * v + r * ur - u
     nrm = _weighted_norm(state, s)
     dt_w1 = t * vt + r * vr
     ss = t * dt_w1 + r * (t * vr + r * urr) - w1
@@ -407,10 +408,10 @@ def _second_order_terms(state: FieldState, s: float) -> float:
 
 
 def sup_envelope(state: FieldState, s: float) -> float:
-    """sup over the grid of <t+r> <t-r>^(s-1/2) |phi| (physical field)."""
-    l_max = max((l for (l, _m) in state.modes), default=0)
-    grid = angular_grid(max(l_max, 1))
-    ymat = ylm_at(state.modes, grid.directions().reshape(-1, 3))
+    """sup over the radial grid and the sphere of <t+r> <t-r>^(s-1/2) |phi|
+    (physical field), the sphere read on the directions of
+    ``angular.sup_harmonics``, the poles included."""
+    ymat = sup_harmonics(state.modes)
     vals = ymat.T @ state.u_over_r                   # (n_dirs, J+1)
     t, r = state.t, state.r
     env = (1.0 + (t + r) ** 2) ** 0.5 * (1.0 + (t - r) ** 2) ** (0.5 * (s - 0.5))
@@ -422,7 +423,8 @@ def ks_pointwise_check(state: FieldState, s: float) -> Dict[str, float]:
     weighted-norm surrogate; bounded constants instantiate the weighted
     pointwise decay inequality."""
     numer = sup_envelope(state, s)
-    denom = norm_Z_weighted(state, s) + _second_order_terms(state, s)
+    ur = state.ur
+    denom = _norm_Z(state, s, ur) + _second_order_terms(state, s, ur)
     if denom == 0.0:
         if numer > 0.0:
             raise FunctionalError("pointwise check: zero norm with nonzero field")

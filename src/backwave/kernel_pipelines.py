@@ -11,7 +11,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from backwave.angular import band_modes, mode_count, mode_index, product_closures
+from backwave.angular import band_modes, mode_rows, product_closures
 from backwave.backscatter import (FIVE_POINTS, brute_force_phi_k, envelope_sweep,
                                   five_point_box, n_norm, phi_k, phi_k_modes, phi2_asymptotic,
                                   source_residual_check)
@@ -187,25 +187,23 @@ def _weaknull_crosscheck(spec, traj, dt_psi, to_vals, to_modes, g0, g1, strata, 
     quadratic source (d_t psi)^2 (``dt_psi``, ``to_vals`` and ``to_modes``:
     the march's), at the configured check points."""
     h = spec.h
-    # phi is summed in the full band's mode_index layout, which holds every
-    # stratum's modes (w may carry its m = 0 modes only), and read on w's rows
-    l_band = max(l for (l, _m) in w_modes)
-    w_rows = [mode_index(*lm) for lm in w_modes]
-    kernels = [(k, srcp, [mode_index(*lm) for lm in srcp.modes])
+    # phi is summed on w's modes, in list order; a stratum mode that w lacks
+    # (w may carry its m = 0 modes only) is not read
+    kernels = [(k, srcp, [i for i, lm in enumerate(srcp.modes) if lm in w_modes],
+                [w_modes.index(lm) for lm in srcp.modes if lm in w_modes])
                for k, srcp in strata.items() if not srcp.is_zero()]
-    g_rows = [mode_index(*lm) for lm in g0.modes]
+    g_rows = mode_rows(list(g0.modes), w_modes)
 
     def phi_mode_coeffs(t: float, r: float) -> np.ndarray:
         """phi = w + varphi01 + phi01 mode coefficients at one point."""
         st = traj.state_at(t, "w")
         j = int(round(r / h))
-        out = np.zeros(mode_count(l_band))
-        out[w_rows] = st.u[:, j] / grid.r[j]
+        out = st.u[:, j] / grid.r[j]
         # varphi01 = -(retarded kernels) in the -dt^2+Lap convention
-        for k, srcp, rows in kernels:
-            out[rows] -= phi_k_modes(srcp, k, t, r, 1e-10)
+        for k, srcp, keep, rows in kernels:
+            out[rows] -= phi_k_modes(srcp, k, t, r, 1e-10)[keep]
         out[g_rows] += eval_approximant(g0, g1, t, np.asarray([r]))[:, 0]
-        return out[w_rows]
+        return out
 
     boxes, rhs = [], []
     for (tc, rc) in spec.check_points:

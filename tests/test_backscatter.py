@@ -8,6 +8,8 @@ from backwave import backscatter
 from backwave.backscatter import (FIVE_POINTS, BackscatterError, brute_force_phi_k,
                                   envelope_sweep, five_point_box, n_norm, phi2_asymptotic, phi_k,
                                   phi_k_modes, source_residual_check)
+from backwave.engine import FieldState, RadialGrid
+from backwave.functionals import sup_envelope
 from backwave.profiles import make_profile
 from backwave.radiation import RadiationField
 
@@ -138,6 +140,17 @@ def test_n_norm_takes_its_sup_at_the_poles():
     # |Y_21| there is sqrt(15)/2 (P_2^1 in the real, orthonormal convention)
     tilted = n_norm(RadiationField({(2, 1): gauss}), 0.0)
     assert tilted == pytest.approx(math.sqrt(15.0) / 2.0 / math.sqrt(5.0) * quad, rel=1e-14)
+
+
+def test_sup_envelope_takes_its_sup_at_the_poles():
+    # a pure (2, 0) field: |Y_20| peaks at the poles at sqrt(5 / 4 pi) = 0.631,
+    # where the Gauss-Legendre nodes of a band-2 grid reach only 0.315
+    grid = RadialGrid(h=0.1, J=64)
+    u = (grid.r * np.exp(-(grid.r - 3.0) ** 2))[None, :]
+    st = FieldState(2.0, grid, [(2, 0)], u)
+    env = (1 + (st.t + grid.r) ** 2) ** 0.5 * (1 + (st.t - grid.r) ** 2) ** 0.35
+    want = math.sqrt(5.0 / (4.0 * math.pi)) * float(np.max(np.abs(st.u_over_r[0]) * env))
+    assert sup_envelope(st, 1.2) == pytest.approx(want, rel=1e-14)
 
 
 def test_n_norm_monotone_in_a():

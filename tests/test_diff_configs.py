@@ -183,3 +183,23 @@ def test_main_reports_no_item_change_when_items_are_identical(tmp_path, capsys, 
     monkeypatch.setattr(diff_configs, "run", lambda tree, name, out: (bundle(out, 0.5), (0, 0.0))[1])
     assert diff_configs.main(trees) == 0
     assert "largest relative item change: 0 (no item changed)" in capsys.readouterr().out
+
+
+def test_series_differences_name_each_column_that_moved(tmp_path):
+    # one column moves in two of its three rows, the others stay; a header
+    # and a row-count change are named too
+    csv_old = b"t,energy,sup_envelope\n1,2.0,0.5\n2,3.0,0.25\n3,4.0,0.125\n"
+    csv_new = b"t,energy,sup_envelope\n1,2.0,0.75\n2,3.0,0.25\n3,4.0,0.1\n"
+    old = bundle(tmp_path / "old", 0.1, csv_old)
+    [line] = diff_configs.differences(old, bundle(tmp_path / "new", 0.1, csv_new), 0, 0)
+    assert line == ("series.csv column sup_envelope: 2 of 3 rows differ "
+                    "(largest relative change 0.5)")
+    lines = diff_configs.differences(
+        old, bundle(tmp_path / "cols", 0.1, b"t,energy,flux\n1,2.0,0.5\n2,3.0,0.25\n"), 0, 0)
+    assert lines == ["series.csv header: t,energy,sup_envelope -> t,energy,flux",
+                     "series.csv rows: 3 -> 2"]
+    # bytes that differ where no cell does still count
+    [line] = diff_configs.differences(old, bundle(tmp_path / "crlf", 0.1,
+                                                  csv_old.replace(b"\n", b"\r\n")), 0, 0)
+    assert line == "series.csv differs"
+    assert diff_configs.series_differences(old, tmp_path / "none") == ["series.csv only in old"]

@@ -6,7 +6,7 @@ from scipy import integrate
 
 from backwave.engine import FieldState, RadialGrid, solve_backward
 from backwave.functionals import (ConeFlux, FunctionalError, StepStates, _conformal_flux_at,
-                                  _march_trapezoid, bulk_sign_check,
+                                  _march_trapezoid, _weighted_norm, bulk_sign_check,
                                   conformal_energy_ER, conformal_norm_plus,
                                   cor_weighted_spacetime_instance,
                                   energy_weighted, fit_decay, hardy_checks,
@@ -267,14 +267,14 @@ def test_norm_Z_zero_and_surrogate_comparison():
 def test_norm_Z_dt_component_oracle():
     # the d_t component equals the finite-difference-in-t norm at O(eps^2)
     st = wave_state(h=0.01)
-    _tot, parts = norm_Z_weighted(st, 1.2, return_parts=True)
+    got = _weighted_norm(st, 1.2)(st.v**2)
     eps = 1e-5
     up = wave_state(t=st.t + eps, h=0.01)
     dn = wave_state(t=st.t - eps, h=0.01)
     fd_v = (up.u - dn.u) / (2 * eps)
     wgt = (1 + (st.t - st.grid.r) ** 2) ** (1.2 - 1.0)
     want = math.sqrt(float(np.sum(np.trapezoid(fd_v**2 * wgt[None, :], st.grid.r))))
-    assert parts["dt"] == pytest.approx(want, rel=1e-7)
+    assert got == pytest.approx(want, rel=1e-7)
 
 
 def test_sup_envelope_matches_manual_l0():

@@ -52,12 +52,6 @@ def test_every_module_level_definition_is_referenced():
     assert not unused, f"defined but never used by the package: {unused}"
 
 
-# defaulted parameters kept for a test oracle, with the test that reads them
-ORACLE_PARAMETERS = {
-    "norm_Z_weighted.return_parts": "test_norm_Z_dt_component_oracle checks the d_t part",
-}
-
-
 def _calls(tree: ast.AST):
     """(callee name, positional count, keyword names, forwarding function) of
     every call; the forwarding function is the enclosing function whose
@@ -121,8 +115,7 @@ def test_every_defaulted_parameter_is_set_by_the_package():
     unset = [f"{func}.{param}" for tree in trees
              for func, param, pos in _defaulted_parameters(tree)
              if param not in keywords.get(func, set())
-             and (pos is None or positions.get(func, 0) <= pos)
-             and f"{func}.{param}" not in ORACLE_PARAMETERS]
+             and (pos is None or positions.get(func, 0) <= pos)]
     assert not unset, f"defaulted parameters no package call sets: {sorted(unset)}"
 
 

@@ -12,7 +12,8 @@ themselves, every ``provenance`` field of summary.json but ``runtime_s``
 (steps, dt_max, grid, config hash, ...), the exit codes and ``series.csv``
 byte for byte, prints the
 differences (with the relative change of each differing ``measured``
-value) and each run's wall time, then the largest relative item change
+value; for series.csv, its header and row count and each column that
+differs, with its largest relative change) and each run's wall time, then the largest relative item change
 over all configs, each tree's source line count (``src/backwave/*.py``)
 and settable values (defaulted function parameters plus defaulted
 dataclass fields, counted by AST), and exits 1 when anything differs or a
@@ -23,6 +24,7 @@ every ``configs/*.cfg`` of NEW_TREE).
 from __future__ import annotations
 
 import ast
+import csv
 import json
 import math
 import os
@@ -148,10 +150,40 @@ def differences(old: pathlib.Path, new: pathlib.Path, code_a, code_b) -> list:
     pa, pb = provenance(old), provenance(new)
     out += [f"provenance {k}: {_digits(pa.get(k))} -> {_digits(pb.get(k))}"
             for k in sorted(set(pa) | set(pb)) if _digits(pa.get(k)) != _digits(pb.get(k))]
+    return out + series_differences(old, new)
+
+
+def _cell(text: str):
+    """A series.csv cell as a float where it reads as one, else as text."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def series_differences(old: pathlib.Path, new: pathlib.Path) -> list:
+    """How two runs' series.csv differ: a file in one run only, a header or
+    row-count change, and each column (by name, in both headers) whose
+    cells differ, with its largest relative change; "series.csv differs"
+    when the bytes differ and none of these does."""
     sa, sb = old / "series.csv", new / "series.csv"
-    if sa.is_file() != sb.is_file() or (sa.is_file() and sa.read_bytes() != sb.read_bytes()):
-        out.append("series.csv differs")
-    return out
+    if sa.is_file() != sb.is_file():
+        return [f"series.csv only in {'old' if sa.is_file() else 'new'}"]
+    if not sa.is_file() or sa.read_bytes() == sb.read_bytes():
+        return []
+    (ha, *ra), (hb, *rb) = (list(csv.reader(p.read_text(encoding="utf-8").splitlines())) or [[]]
+                            for p in (sa, sb))
+    out = [] if ha == hb else [f"series.csv header: {','.join(ha)} -> {','.join(hb)}"]
+    if len(ra) != len(rb):
+        out.append(f"series.csv rows: {len(ra)} -> {len(rb)}")
+    for col in (c for c in ha if c in hb):
+        ia, ib = ha.index(col), hb.index(col)
+        pairs = [(a[ia], b[ib]) for a, b in zip(ra, rb) if len(a) > ia and len(b) > ib]
+        moved = [relative_change(_cell(x), _cell(y)) for x, y in pairs if x != y]
+        if moved:
+            out.append(f"series.csv column {col}: {len(moved)} of {len(pairs)} rows differ "
+                       f"(largest relative change {max(moved):.2g})")
+    return out or ["series.csv differs"]
 
 
 def main(argv) -> int:
