@@ -29,7 +29,10 @@ kernel depending on sigma only through mu = <w, sigma>,
 so each evaluation point costs an adaptive panel sweep in q, bisected
 against the caller's tolerance ``q_tol``, and, per q-node, one 1-D
 mu-quadrature shared by every retained l; the q-nodes of a call go through
-it in array passes.  The mu-integral is taken in the shifted
+it in array passes.  One call serves a sequence of kernel indices: its q
+panels, lam nodes, weights, cutoff values and Legendre rows are computed in
+one lam pass for every k, and only the kernel factor and the reduction run
+once per k.  The mu-integral is taken in the shifted
 variable lam = (t-r+q) + r(1-mu), on which the cutoff support becomes the
 exact window lam <= (t-r+q)(t+r+q)/(8 <q>), with geometrically graded
 panels resolving the 1/lam behavior near the light cone; the q lower limit
@@ -37,7 +40,7 @@ is approached on an exponential substitution.
 
 A source n is a :class:`~backwave.radiation.RadiationField`, the map that
 holds the radiation data.  :func:`phi_k_modes` returns the coefficients as
-one array in ``n.modes`` order, as :func:`source_value_modes` returns the
+one row per k in ``n.modes`` order, as :func:`source_value_modes` returns the
 source, and point values take the harmonics of those modes from
 ``angular.ylm_at``.  The
 wave-operator residual check applies the centered five-point box
@@ -92,15 +95,17 @@ def _gl_panels(a: float, b: float, panels: int):
 _MU_CHUNK = 16384
 
 
-def _mu_integrals(k: int, qs: np.ndarray, t: float, r: float, l_max: int) -> np.ndarray:
-    """I_l(q) = (1/2) int_-1^1 K_k(q, mu) P_l(mu) dmu for l = 0..l_max at each
-    q of the 1-D array qs, shape (len(qs), l_max+1), with 16 Gauss-Legendre
-    nodes per lam panel.
+def _mu_integrals(ks: Sequence[int], qs: np.ndarray, t: float, r: float,
+                  l_max: int) -> np.ndarray:
+    """I_l(q) = (1/2) int_-1^1 K_k(q, mu) P_l(mu) dmu for l = 0..l_max, each k
+    of ``ks`` and each q of the 1-D array qs, shape (len(ks), len(qs),
+    l_max+1), with 16 Gauss-Legendre nodes per lam panel.
 
-    Nodes with equal lam panel counts share a pass of <= _MU_CHUNK lam-nodes;
-    each row is summed on its own contiguous axis (no BLAS), so it equals
-    the row of qs = [q] bit for bit."""
-    out = np.zeros((qs.size, l_max + 1))
+    Nodes with equal lam panel counts share a pass of <= _MU_CHUNK lam-nodes,
+    whose nodes, weights, cutoff and Legendre rows serve every k; each row is
+    summed on its own contiguous axis (no BLAS), so it equals the row of
+    qs = [q], ks = (k,) bit for bit."""
+    out = np.zeros((len(ks), qs.size, l_max + 1))
     alpha = t - r + qs
     beta = t + r + qs
     brq = qbracket(qs)
@@ -123,15 +128,16 @@ def _mu_integrals(k: int, qs: np.ndarray, t: float, r: float, l_max: int) -> np.
             wts = (half[:, :, None] * wg).reshape(j.size, -1)
             mu = 1.0 - (lam - a) / r
             chi2 = chi_wave_zone.value(2.0 * lam * bq / (a * b)) ** 2
-            if k == 2:
-                ker = chi2 / lam
-            elif k == 3:
-                ker = chi2 * 2.0 / (a * b)
-            else:
-                ker = chi2 * 4.0 * lam / (a * a * b * b)
             pl = _legendre_all(l_max, mu)
-            # (1/2) int K P dmu = (1/(2r)) int K P dlam
-            out[j] = (pl * (ker * wts)).sum(axis=-1).T / (2.0 * r)
+            for i, k in enumerate(ks):
+                if k == 2:
+                    ker = chi2 / lam
+                elif k == 3:
+                    ker = chi2 * 2.0 / (a * b)
+                else:
+                    ker = chi2 * 4.0 * lam / (a * a * b * b)
+                # (1/2) int K P dmu = (1/(2r)) int K P dlam
+                out[i, j] = (pl * (ker * wts)).sum(axis=-1).T / (2.0 * r)
     return out
 
 
@@ -163,71 +169,87 @@ def _q_panels(n: RadiationField, t: float, r: float):
     return panels
 
 
-def phi_k_modes(n: RadiationField, k: int, t: float, r: float, q_tol: float) -> np.ndarray:
+def phi_k_modes(n: RadiationField, ks: Sequence[int], t: float, r: float,
+                q_tol: float) -> np.ndarray:
     """Mode coefficients of Phi^k[n](t, r .), c_lm = int I_l(q) prof_lm(q) dq,
-    one per mode of ``n.modes`` in its order.
+    for each k of ``ks``: shape (len(ks), modes), a row per k with one entry
+    per mode of ``n.modes`` in its order.
 
     Adaptive bisection on q panels against the tolerance ``q_tol > 0``
     (relative to the running scale).  Every top-level panel is split at
     least once, so its coarse value and both halves come from one batched
-    pass; deeper halves are evaluated pairwise as the bisection reaches them.
+    pass for all ks; each k then bisects on its own total and scale, and a
+    deeper half is evaluated for that k alone as its bisection reaches it, so
+    each row equals that of ``ks = (k,)`` bit for bit.
     """
     if r <= 0.0:
         raise BackscatterError("kernel quadrature requires r > 0")
-    if k not in (2, 3, 4):
-        raise BackscatterError(f"kernel index k must be 2, 3 or 4, got {k}")
+    for k in ks:
+        if k not in (2, 3, 4):
+            raise BackscatterError(f"kernel index k must be 2, 3 or 4, got {k}")
     if q_tol <= 0.0:
         raise BackscatterError("q-panel tolerance must be positive")
     if n.is_zero():
-        return np.zeros(0)
+        return np.zeros((len(ks), 0))
     l_max = max(n.ells())
     xg, wg = _gl(12)
 
-    def panel_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """12-node Gauss-Legendre values, shape (panels, modes), on (a_i, b_i)."""
+    def panel_values(kk: Sequence[int], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """12-node Gauss-Legendre values, shape (len(kk), panels, modes), on
+        (a_i, b_i)."""
         half = 0.5 * (b - a)
         qs = ((0.5 * (a + b))[:, None] + half[:, None] * xg).ravel()
-        il = _mu_integrals(k, qs, t, r, l_max).reshape(a.size, xg.size, l_max + 1)
+        il = _mu_integrals(kk, qs, t, r, l_max).reshape(len(kk), a.size, xg.size, l_max + 1)
         w = wg * half[:, None]
-        out = np.empty((a.size, len(n.modes)))
+        out = np.empty((len(kk), a.size, len(n.modes)))
         for i, (lm, prof) in enumerate(n.modes.items()):
-            out[:, i] = (w * il[:, :, lm[0]] * prof.value(qs).reshape(w.shape)).sum(axis=1)
+            pv = prof.value(qs).reshape(w.shape)
+            for ki in range(len(kk)):
+                out[ki, :, i] = (w * il[ki, :, :, lm[0]] * pv).sum(axis=1)
         return out
 
     panels = _q_panels(n, t, r)
     lo, hi = np.array(panels, dtype=float).reshape(-1, 2).T
     mid = 0.5 * (lo + hi)
-    coarse, left, right = np.split(panel_values(np.concatenate([lo, lo, mid]),
-                                                np.concatenate([hi, mid, hi])), 3)
-    total = np.zeros(len(n.modes))
-    scale = 0.0
-    for i, (a, b) in enumerate(panels):
-        stack = [(a, b, coarse[i], (left[i], right[i]), 0)]
-        while stack:
-            a0, b0, coarse0, halves, depth = stack.pop()
-            m0 = 0.5 * (a0 + b0)
-            if halves is None:
-                halves = panel_values(np.array([a0, m0]), np.array([m0, b0]))
-            left0, right0 = halves
-            fine = left0 + right0
-            err = float(np.max(np.abs(fine - coarse0)))
-            scale = max(scale, float(np.max(np.abs(total + fine))), 1e-30)
-            if err < q_tol * max(scale, 1.0) or depth >= 7:
-                total = total + fine
-            else:
-                stack.append((a0, m0, left0, None, depth + 1))
-                stack.append((m0, b0, right0, None, depth + 1))
-    return total
+    first = panel_values(ks, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
+    out = np.zeros((len(ks), len(n.modes)))
+    for ki, k in enumerate(ks):
+        coarse, left, right = np.split(first[ki], 3)
+        total = np.zeros(len(n.modes))
+        scale = 0.0
+        for i, (a, b) in enumerate(panels):
+            stack = [(a, b, coarse[i], (left[i], right[i]), 0)]
+            while stack:
+                a0, b0, coarse0, halves, depth = stack.pop()
+                m0 = 0.5 * (a0 + b0)
+                if halves is None:
+                    halves = panel_values((k,), np.array([a0, m0]), np.array([m0, b0]))[0]
+                left0, right0 = halves
+                fine = left0 + right0
+                err = float(np.max(np.abs(fine - coarse0)))
+                scale = max(scale, float(np.max(np.abs(total + fine))), 1e-30)
+                if err < q_tol * max(scale, 1.0) or depth >= 7:
+                    total = total + fine
+                else:
+                    stack.append((a0, m0, left0, None, depth + 1))
+                    stack.append((m0, b0, right0, None, depth + 1))
+        out[ki] = total
+    return out
+
+
+def _point_value(n: RadiationField, coeffs: np.ndarray, omega) -> float:
+    """The field of mode coefficients ``coeffs`` (in ``n.modes`` order) at the
+    direction omega."""
+    if not coeffs.size:
+        return 0.0
+    y = ylm_at(list(n.modes), np.asarray(omega, dtype=float).reshape(1, 3))[:, 0]
+    return float(sum(c * y_lm for c, y_lm in zip(coeffs, y)))
 
 
 def phi_k(n: RadiationField, k: int, t: float, r: float, omega, q_tol: float) -> float:
     """Phi^k[n] at the spacetime point (t, r omega); omega a unit 3-vector,
     q_tol the q-panel tolerance of :func:`phi_k_modes`."""
-    coeffs = phi_k_modes(n, k, t, r, q_tol)
-    if not coeffs.size:
-        return 0.0
-    y = ylm_at(list(n.modes), np.asarray(omega, dtype=float).reshape(1, 3))[:, 0]
-    return float(sum(c * y_lm for c, y_lm in zip(coeffs, y)))
+    return _point_value(n, phi_k_modes(n, (k,), t, r, q_tol)[0], omega)
 
 
 def phi2_asymptotic(n: RadiationField, t: float, r: float, omega) -> float:
@@ -293,64 +315,83 @@ def five_point_box(stencil, h: float, r: float, ells) -> np.ndarray:
     return ctt - crr - 2.0 * cr / r + ells * (ells + 1.0) * c0 / r**2
 
 
-def source_residual_check(n: RadiationField, k: int, points: Sequence[Tuple[float, float]],
-                          h: float, q_tol: float) -> Dict[str, object]:
-    """Centered finite-difference box of the quadrature solution vs the source.
+def source_residual_check(n: RadiationField, ks: Sequence[int],
+                          points: Sequence[Tuple[float, float]], h: float,
+                          q_tol: float) -> Dict[int, Dict[str, float]]:
+    """Centered finite-difference box of the quadrature solution vs the source,
+    for each kernel index k of ``ks``.
 
     For each (t, r) the :func:`five_point_box` is evaluated per mode, each
-    stencil value by :func:`phi_k_modes` at ``q_tol``, in the orientation the
+    stencil value by :func:`phi_k_modes` at ``q_tol`` (one call per stencil
+    point serves every k), in the orientation the
     positive retarded kernels satisfy (the kernels are the classical retarded
     response, so they solve (d_t^2 - Lap) Phi = source; a consumer
     assembling fields in the opposite metric-signature convention must
-    negate them).  Returns the max relative residual over points and modes
-    plus a noise floor estimate (``q_tol`` amplified by h^-2).
+    negate them).  Returns, per k, the max relative residual over points and
+    modes plus a noise floor estimate (``q_tol`` amplified by h^-2).
     """
     ells = np.array([l for (l, _m) in n.modes], dtype=float)
-    boxes, srcs, c0s = [], [], []
+    stencils = []
     for (t, r) in points:
         if r <= 2 * h:
             raise BackscatterError("sample points must stay away from r = 0")
-        stencil = [phi_k_modes(n, k, t + dt * h, r + dr * h, q_tol) for dt, dr in FIVE_POINTS]
-        boxes.append(five_point_box(stencil, h, r, ells))
-        srcs.append(source_value_modes(n, k, t, r))
-        c0s.append(stencil[0])
-    box, src = np.array(boxes), np.array(srcs)
-    src_scale = float(np.max(np.abs(src), initial=0.0) or np.max(np.abs(box), initial=0.0))
-    if src_scale == 0.0:
-        return {"max_rel_residual": 0.0, "noise_floor": 0.0}
-    max_rel = float(np.max(np.abs(box - src))) / src_scale
-    noise = 4.0 * q_tol * float(np.max(np.abs(np.array(c0s)))) / h**2 / src_scale
-    return {"max_rel_residual": max_rel, "noise_floor": noise}
+        stencils.append([phi_k_modes(n, ks, t + dt * h, r + dr * h, q_tol)
+                         for dt, dr in FIVE_POINTS])
+    out = {}
+    for ki, k in enumerate(ks):
+        box = np.array([five_point_box([c[ki] for c in st], h, r, ells)
+                        for st, (_t, r) in zip(stencils, points)])
+        src = np.array([source_value_modes(n, k, t, r) for (t, r) in points])
+        src_scale = float(np.max(np.abs(src), initial=0.0) or np.max(np.abs(box), initial=0.0))
+        if src_scale == 0.0:
+            out[k] = {"max_rel_residual": 0.0, "noise_floor": 0.0}
+            continue
+        max_rel = float(np.max(np.abs(box - src))) / src_scale
+        c0 = np.array([st[0][ki] for st in stencils])
+        noise = 4.0 * q_tol * float(np.max(np.abs(c0))) / h**2 / src_scale
+        out[k] = {"max_rel_residual": max_rel, "noise_floor": noise}
+    return out
 
 
-def envelope_sweep(n: RadiationField, k: int, sweep: Sequence[Tuple[float, float]],
-                   omega, a: float, q_tol: float) -> Dict[str, np.ndarray]:
-    """Decay-envelope diagnostics along a (t, r) sweep, each value by
-    :func:`phi_k` at ``q_tol``.
+def envelope_sweep(n: RadiationField, ks: Sequence[int], sweep: Sequence[Tuple[float, float]],
+                   omega, a: float, q_tol: float) -> Dict[int, Dict[str, np.ndarray]]:
+    """Decay-envelope diagnostics along a (t, r) sweep for each kernel index k
+    of ``ks``, each value as :func:`phi_k` gives it at ``q_tol`` (one
+    :func:`phi_k_modes` call per point serves every k).
 
     k=2: |Phi^2| * 2r / ln(<t+r>/<t-r>) * <(r-t)_+>^a
     k=3,4: |Phi^k| * <t+r> <t-r>^(k-2) * <(r-t)_+>^a
     """
-    ts, rs, vals, envs = [], [], [], []
-    for (t, r) in sweep:
-        val = phi_k(n, k, t, r, omega, q_tol)
-        qp = max(r - t, 0.0)
-        wqp = (1.0 + qp * qp) ** (0.5 * a)
-        if k == 2:
-            lg = math.log(math.sqrt(1.0 + (t + r) ** 2) / math.sqrt(1.0 + (t - r) ** 2))
-            env = abs(val) * 2.0 * r / max(lg, 1e-300) * wqp
-        else:
-            env = (abs(val) * math.sqrt(1.0 + (t + r) ** 2)
-                   * (1.0 + (t - r) ** 2) ** (0.5 * (k - 2)) * wqp)
-        ts.append(t); rs.append(r); vals.append(val); envs.append(env)
-    return {"t": np.asarray(ts), "r": np.asarray(rs),
-            "value": np.asarray(vals), "envelope": np.asarray(envs)}
+    vals = np.array([[_point_value(n, c, omega) for c in phi_k_modes(n, ks, t, r, q_tol)]
+                     for (t, r) in sweep]).reshape(len(sweep), len(ks))
+    ts = np.array([t for (t, _r) in sweep])
+    rs = np.array([r for (_t, r) in sweep])
+    out = {}
+    for ki, k in enumerate(ks):
+        envs = []
+        for (t, r), val in zip(sweep, vals[:, ki].tolist()):
+            qp = max(r - t, 0.0)
+            wqp = (1.0 + qp * qp) ** (0.5 * a)
+            if k == 2:
+                lg = math.log(math.sqrt(1.0 + (t + r) ** 2) / math.sqrt(1.0 + (t - r) ** 2))
+                env = abs(val) * 2.0 * r / max(lg, 1e-300) * wqp
+            else:
+                env = (abs(val) * math.sqrt(1.0 + (t + r) ** 2)
+                       * (1.0 + (t - r) ** 2) ** (0.5 * (k - 2)) * wqp)
+            envs.append(env)
+        out[k] = {"t": ts, "r": rs, "value": vals[:, ki], "envelope": np.asarray(envs)}
+    return out
 
 
 def brute_force_phi_k(n: RadiationField, k: int, t: float, r: float, omega,
                       n_q: int, n_theta: int, n_phi: int) -> float:
     """Independent dense product-grid quadrature of the defining integral in
-    the original (un-rotated) frame; reference oracle only."""
+    the original (un-rotated) frame; reference oracle only.
+
+    The kernel depends on a direction only through mu = <dir, omega>, so each
+    q-node computes it once per distinct mu (n_theta values when omega is a
+    pole) and reads it back on every direction; the sum still runs over all
+    n_theta * n_phi directions in grid order, with no azimuthal reduction."""
     if n.is_zero():
         return 0.0
     omega = np.asarray(omega, dtype=float)
@@ -371,6 +412,7 @@ def brute_force_phi_k(n: RadiationField, k: int, t: float, r: float, omega,
     dirs[:, :, 2] = xc[:, None]
     y = ylm_at(list(n.modes), dirs.reshape(-1, 3))
     mu = dirs.reshape(-1, 3) @ omega
+    mu_u, inv = np.unique(mu, return_inverse=True)
     wang = (wc[:, None] * np.full((1, n_phi), 2.0 * math.pi / n_phi)).reshape(-1)
     nq = np.array([prof.value(qs) for prof in n.modes.values()])   # (modes, q-nodes)
     total = 0.0
@@ -379,7 +421,7 @@ def brute_force_phi_k(n: RadiationField, k: int, t: float, r: float, omega,
         beta = t + r + qi
         if alpha <= 0:
             continue
-        lam = alpha + r * (1.0 - mu)
+        lam = alpha + r * (1.0 - mu_u)
         rho = 0.5 * alpha * beta / lam
         chi2 = chi_wave_zone.value(float(qbracket(qi)) / rho) ** 2
         if k == 2:
@@ -391,5 +433,5 @@ def brute_force_phi_k(n: RadiationField, k: int, t: float, r: float, omega,
         nvals = np.zeros(mu.size)
         for n_lm, y_lm in zip(n_qi, y):
             nvals += n_lm * y_lm
-        total += wqi * float(np.sum(wang * nvals * ker)) / (4.0 * math.pi)
+        total += wqi * float(np.sum(wang * nvals * ker[inv])) / (4.0 * math.pi)
     return total

@@ -366,12 +366,12 @@ def norm_Z_weighted(state: FieldState, s: float) -> float:
     the spectral l(l+1) weights; the three boost majorants are added as
     separate L2 norms.
     """
-    return _norm_Z(state, s, state.ur)
+    return _norm_Z(state, s, state.ur, state.u_over_r)
 
 
-def _norm_Z(state: FieldState, s: float, ur: np.ndarray) -> float:
-    """:func:`norm_Z_weighted` with the state's ``ur`` given."""
-    t, r, u, v, ll1, u_over_r = state.t, state.r, state.u, state.v, state.ll1, state.u_over_r
+def _norm_Z(state: FieldState, s: float, ur: np.ndarray, u_over_r: np.ndarray) -> float:
+    """:func:`norm_Z_weighted` with the state's ``ur`` and ``u_over_r`` given."""
+    t, r, u, v, ll1 = state.t, state.r, state.u, state.v, state.ll1
     nrm = _weighted_norm(state, s)
     w1 = t * v + r[None, :] * ur - u          # r * (S phi)
     return sum((nrm(u**2),                                                  # identity
@@ -386,13 +386,14 @@ def _norm_Z(state: FieldState, s: float, ur: np.ndarray) -> float:
 def _second_order_terms(state: FieldState, s: float, ur: np.ndarray) -> float:
     """Second-order surrogate terms for the |I| <= 2 weighted norm of a free
     field (d_t v from the source-free wave equation); ``ur`` is the state's."""
-    t, u, v, ll1 = state.t, state.u, state.v, state.ll1
+    t, u, v, ell = state.t, state.u, state.v, state.ell
+    ll1 = ell * (ell + 1.0)
     h = state.grid.h
     urr = np.zeros_like(u)
     urr[:, 1:-1] = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / (h * h)
     vt = np.zeros_like(u)
     vt[:, 1:-1] = urr[:, 1:-1] - ll1[:, None] * u[:, 1:-1] / state.r[1:-1] ** 2
-    vr = radial_deriv(v, state.ell, h)
+    vr = radial_deriv(v, ell, h)
     r = state.r[None, :]
     w1 = t * v + r * ur - u
     nrm = _weighted_norm(state, s)
@@ -411,8 +412,13 @@ def sup_envelope(state: FieldState, s: float) -> float:
     """sup over the radial grid and the sphere of <t+r> <t-r>^(s-1/2) |phi|
     (physical field), the sphere read on the directions of
     ``angular.sup_harmonics``, the poles included."""
+    return _sup_envelope(state, s, state.u_over_r)
+
+
+def _sup_envelope(state: FieldState, s: float, u_over_r: np.ndarray) -> float:
+    """:func:`sup_envelope` with the state's ``u_over_r`` given."""
     ymat = sup_harmonics(state.modes)
-    vals = ymat.T @ state.u_over_r                   # (n_dirs, J+1)
+    vals = ymat.T @ u_over_r                         # (n_dirs, J+1)
     t, r = state.t, state.r
     env = (1.0 + (t + r) ** 2) ** 0.5 * (1.0 + (t - r) ** 2) ** (0.5 * (s - 0.5))
     return float(np.max(np.abs(vals) * env[None, :]))
@@ -422,9 +428,9 @@ def ks_pointwise_check(state: FieldState, s: float) -> Dict[str, float]:
     """sup <t+r> <t-r>^(s-1/2) |phi| of a free field divided by the |I| <= 2
     weighted-norm surrogate; bounded constants instantiate the weighted
     pointwise decay inequality."""
-    numer = sup_envelope(state, s)
-    ur = state.ur
-    denom = _norm_Z(state, s, ur) + _second_order_terms(state, s, ur)
+    ur, u_over_r = state.ur, state.u_over_r
+    numer = _sup_envelope(state, s, u_over_r)
+    denom = _norm_Z(state, s, ur, u_over_r) + _second_order_terms(state, s, ur)
     if denom == 0.0:
         if numer > 0.0:
             raise FunctionalError("pointwise check: zero norm with nonzero field")

@@ -74,7 +74,9 @@ def test_r_zero_rejected():
         phi_k(monopole(), 5, 10.0, 5.0, OMEGA, KQ)
     # no q-node is live here (the source lies below r - t): k is still checked
     with pytest.raises(BackscatterError):
-        phi_k_modes(monopole(), 5, 10.0, 30.0, KQ)
+        phi_k_modes(monopole(), (5,), 10.0, 30.0, KQ)
+    with pytest.raises(BackscatterError):
+        phi_k_modes(monopole(), (2, 5), 40.0, 30.0, KQ)
 
 
 def test_mu_integrals_batch_equals_single_nodes(monkeypatch):
@@ -90,34 +92,130 @@ def test_mu_integrals_batch_equals_single_nodes(monkeypatch):
         return legendre(l_max, mu)
 
     monkeypatch.setattr(backscatter, "_legendre_all", spy)
-    for k in (2, 3, 4):
-        passes.clear()
-        batch = backscatter._mu_integrals(k, qs, t, r, 4)
-        assert batch.shape == (qs.size, 5)
-        assert not batch[:3].any() and batch[3:, 0].all()
-        counts = [n_lam // 16 for _rows, n_lam in passes]
-        assert len(set(counts)) >= 3
-        assert max(counts.count(c) for c in counts) > 1    # a group split into chunks
-        for i, q in enumerate(qs):
-            single = backscatter._mu_integrals(k, np.array([q]), t, r, 4)
-            assert single[0].tobytes() == batch[i].tobytes(), (k, q)
+    batch = backscatter._mu_integrals((2, 3, 4), qs, t, r, 4)
+    assert batch.shape == (3, qs.size, 5)
+    assert not batch[:, :3].any() and batch[:, 3:, 0].all()
+    # one lam pass (one Legendre table) per chunk serves all three kernels
+    counts = [n_lam // 16 for _rows, n_lam in passes]
+    assert len(set(counts)) >= 3
+    assert max(counts.count(c) for c in counts) > 1    # a group split into chunks
+    for i, k in enumerate((2, 3, 4)):
+        alone = backscatter._mu_integrals((k,), qs, t, r, 4)
+        assert alone[0].tobytes() == batch[i].tobytes(), k
+    for i, q in enumerate(qs):
+        single = backscatter._mu_integrals((2, 3, 4), np.array([q]), t, r, 4)
+        assert single[:, 0].tobytes() == batch[:, i].tobytes(), q
 
 
 def test_refined_panels_meet_the_oracle(monkeypatch):
-    # q_tol = 1e-11 splits panels, so halves are evaluated past the first pass
+    # q_tol = 1e-11 splits panels, so halves are evaluated past the first
+    # pass, each for the one kernel index whose bisection reached it
     n = axisym()
     calls = []
     mu_integrals = backscatter._mu_integrals
 
     def counted(*args):
-        calls.append(args[1].size)
+        calls.append((tuple(args[0]), args[1].size))
         return mu_integrals(*args)
 
     monkeypatch.setattr(backscatter, "_mu_integrals", counted)
-    v = phi_k(n, 2, 40.0, 30.0, OMEGA, 1e-11)
+    coeffs = phi_k_modes(n, (2, 3, 4), 40.0, 30.0, 1e-11)
     assert len(calls) > 1
+    assert calls[0][0] == (2, 3, 4) and all(len(ks) == 1 for ks, _size in calls[1:])
+    v = phi_k(n, 2, 40.0, 30.0, OMEGA, 1e-11)
+    assert v == backscatter._point_value(n, coeffs[0], OMEGA)
     bf = brute_force_phi_k(n, 2, 40.0, 30.0, OMEGA, n_q=500, n_theta=260, n_phi=96)
     assert v == pytest.approx(bf, rel=1e-4)
+
+
+@pytest.mark.parametrize("q_tol", [1e-9, 1e-11])
+def test_kernel_triples_equal_single_k_calls_bit_for_bit(q_tol):
+    # at 1e-11 panels split past the first pass (see above); each k keeps its
+    # own bisection, so its row is the single-k call's
+    for n, (t, r) in ((axisym(), (40.0, 30.0)), (monopole(), (12.0, 11.0))):
+        triple = phi_k_modes(n, (2, 3, 4), t, r, q_tol)
+        assert triple.shape == (3, len(n.modes))
+        for i, k in enumerate((2, 3, 4)):
+            single = phi_k_modes(n, (k,), t, r, q_tol)
+            assert single.shape == (1, len(n.modes))
+            assert single[0].tobytes() == triple[i].tobytes(), (k, t, r)
+    assert phi_k_modes(RadiationField({}), (2, 3, 4), 40.0, 30.0, q_tol).shape == (3, 0)
+
+
+def _brute_force_per_direction(n, k, t, r, omega, n_q, n_theta, n_phi):
+    """The oracle as it was before it computed the kernel once per distinct
+    mu: the kernel on every direction at every q-node."""
+    from backwave.cutoffs import chi_wave_zone
+    from backwave.profiles import qbracket
+    from backwave.angular import ylm_at
+
+    omega = np.asarray(omega, dtype=float)
+    s_lo, s_hi = n.support()
+    q_lo = max(r - t, s_lo)
+    q_hi = min(s_hi, (t + r) / 7.0 + 2.0)
+    if q_hi <= q_lo:
+        return 0.0
+    xq, wq = np.polynomial.legendre.leggauss(n_q)
+    qs = 0.5 * (q_hi + q_lo) + 0.5 * (q_hi - q_lo) * xq
+    wqs = 0.5 * (q_hi - q_lo) * wq
+    xc, wc = np.polynomial.legendre.leggauss(n_theta)
+    phis = 2.0 * math.pi * (np.arange(n_phi) + 0.5) / n_phi
+    st = np.sqrt(1.0 - xc**2)
+    dirs = np.empty((n_theta, n_phi, 3))
+    dirs[:, :, 0] = st[:, None] * np.cos(phis)[None, :]
+    dirs[:, :, 1] = st[:, None] * np.sin(phis)[None, :]
+    dirs[:, :, 2] = xc[:, None]
+    y = ylm_at(list(n.modes), dirs.reshape(-1, 3))
+    mu = dirs.reshape(-1, 3) @ omega
+    wang = (wc[:, None] * np.full((1, n_phi), 2.0 * math.pi / n_phi)).reshape(-1)
+    nq = np.array([prof.value(qs) for prof in n.modes.values()])
+    total = 0.0
+    for qi, wqi, n_qi in zip(qs, wqs, nq.T):
+        alpha = t - r + qi
+        beta = t + r + qi
+        if alpha <= 0:
+            continue
+        lam = alpha + r * (1.0 - mu)
+        rho = 0.5 * alpha * beta / lam
+        chi2 = chi_wave_zone.value(float(qbracket(qi)) / rho) ** 2
+        if k == 2:
+            ker = chi2 / lam
+        elif k == 3:
+            ker = chi2 * 2.0 / (alpha * beta)
+        else:
+            ker = chi2 * 4.0 * lam / (alpha * beta) ** 2
+        nvals = np.zeros(mu.size)
+        for n_lm, y_lm in zip(n_qi, y):
+            nvals += n_lm * y_lm
+        total += wqi * float(np.sum(wang * nvals * ker)) / (4.0 * math.pi)
+    return total
+
+
+@pytest.mark.parametrize("omega", [OMEGA, np.array([0.6, 0.0, 0.8])])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_oracle_equals_its_per_direction_sum_bit_for_bit(k, omega):
+    # an m = 1 mode makes the field depend on azimuth; at the tilted omega
+    # mu varies along each polar ring, so the rings share no kernel values
+    n = RadiationField({(0, 0): GAUSS, (2, 0): BUMP, (2, 1): GAUSS})
+    grid = dict(n_q=40, n_theta=24, n_phi=12)
+    got = brute_force_phi_k(n, k, 40.0, 30.0, omega, **grid)
+    want = _brute_force_per_direction(n, k, 40.0, 30.0, omega, **grid)
+    assert got != 0.0
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_oracle_kernel_runs_on_one_value_per_polar_node_at_the_pole(monkeypatch):
+    sizes = []
+    value = backscatter.chi_wave_zone.value
+
+    class Spy:
+        def value(self, s):
+            sizes.append(np.size(s))
+            return value(s)
+
+    monkeypatch.setattr(backscatter, "chi_wave_zone", Spy())
+    brute_force_phi_k(axisym(), 2, 40.0, 30.0, OMEGA, n_q=40, n_theta=24, n_phi=12)
+    assert sizes and max(sizes) <= 24
 
 
 def test_n_norm_quadrature_oracle():
@@ -186,20 +284,29 @@ def test_phi2_asymptotic_remainder_bounded():
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_source_residual(k):
-    out = source_residual_check(monopole(), k, [(12.0, 11.0), (16.0, 15.0)], h=0.05,
-                                q_tol=KQ)
+    out = source_residual_check(monopole(), (k,), [(12.0, 11.0), (16.0, 15.0)], h=0.05,
+                                q_tol=KQ)[k]
     assert 2.0 * out["noise_floor"] <= out["max_rel_residual"] <= 1e-2, out
 
 
+def test_source_residual_triple_equals_single_k_checks():
+    points = [(12.0, 11.0), (16.0, 15.0)]
+    triple = source_residual_check(monopole(), (2, 3, 4), points, h=0.05, q_tol=KQ)
+    assert list(triple) == [2, 3, 4]
+    for k, out in triple.items():
+        assert out == source_residual_check(monopole(), (k,), points, h=0.05, q_tol=KQ)[k]
+
+
 def test_source_residual_improves_under_refinement():
-    res = [source_residual_check(monopole(), 2, [(12.0, 11.0)], h=h, q_tol=KQ)["max_rel_residual"]
+    res = [source_residual_check(monopole(), (2,), [(12.0, 11.0)], h=h,
+                                 q_tol=KQ)[2]["max_rel_residual"]
            for h in (0.1, 0.05)]
     assert res[1] < res[0] / 2.5
 
 
 def test_source_residual_zero_source():
-    out = source_residual_check(RadiationField({}), 2, [(12.0, 11.0)], h=0.1, q_tol=KQ)
-    assert out["max_rel_residual"] == 0.0
+    out = source_residual_check(RadiationField({}), (2,), [(12.0, 11.0)], h=0.1, q_tol=KQ)
+    assert out[2]["max_rel_residual"] == 0.0
 
 
 def test_five_point_box_of_t2_minus_r2_is_eight():
@@ -215,8 +322,10 @@ def test_five_point_box_of_t2_minus_r2_is_eight():
 def test_envelope_sweep_k34():
     n = monopole()
     sweep = [(r + 5.0, r) for r in (20.0, 40.0, 80.0)]
-    for k in (3, 4):
-        out = envelope_sweep(n, k, sweep, OMEGA, 0.0, KQ)
+    sweeps = envelope_sweep(n, (3, 4), sweep, OMEGA, 0.0, KQ)
+    assert list(sweeps) == [3, 4]
+    for k, out in sweeps.items():
+        assert out["value"].tolist() == [phi_k(n, k, t, r, OMEGA, KQ) for (t, r) in sweep]
         env = out["envelope"]
         assert np.all(env > 0.0)
         assert float(np.max(env)) < 10.0 * n_norm(n, 0.0)
@@ -226,7 +335,7 @@ def test_envelope_sweep_k34():
 def test_quadrature_spec_validation():
     for q_tol in (-1e-9, 0.0):
         with pytest.raises(BackscatterError):
-            phi_k_modes(monopole(), 2, 40.0, 30.0, q_tol)
+            phi_k_modes(monopole(), (2,), 40.0, 30.0, q_tol)
 
 
 def test_an_inconclusive_source_residual_fails_its_item(monkeypatch):
@@ -235,8 +344,9 @@ def test_an_inconclusive_source_residual_fails_its_item(monkeypatch):
     from backwave import kernel_pipelines
     from backwave.scenarios import RunSpec
 
-    def residual(n, k, points, h, q_tol):
-        return {"max_rel_residual": 1e-3, "noise_floor": 8e-4 if k == 3 else 1e-4}
+    def residual(n, ks, points, h, q_tol):
+        return {k: {"max_rel_residual": 1e-3, "noise_floor": 8e-4 if k == 3 else 1e-4}
+                for k in ks}
 
     monkeypatch.setattr(kernel_pipelines, "source_residual_check", residual)
     monkeypatch.setattr(kernel_pipelines, "brute_force_phi_k", lambda *a, **k: 1.0)
