@@ -5,12 +5,14 @@ import pytest
 from scipy import integrate
 
 from backwave import backscatter
+from backwave.angular import ylm_at
 from backwave.backscatter import (FIVE_POINTS, BackscatterError, brute_force_phi_k,
                                   envelope_sweep, five_point_box, n_norm, phi2_asymptotic, phi_k,
                                   phi_k_modes, source_residual_check)
+from backwave.cutoffs import chi_wave_zone
 from backwave.engine import FieldState, RadialGrid
 from backwave.functionals import sup_envelope
-from backwave.profiles import make_profile
+from backwave.profiles import make_profile, qbracket
 from backwave.radiation import RadiationField
 
 OMEGA = np.array([0.0, 0.0, 1.0])
@@ -145,10 +147,6 @@ def test_kernel_triples_equal_single_k_calls_bit_for_bit(q_tol):
 def _brute_force_per_direction(n, k, t, r, omega, n_q, n_theta, n_phi):
     """The oracle as it was before it computed the kernel once per distinct
     mu: the kernel on every direction at every q-node."""
-    from backwave.cutoffs import chi_wave_zone
-    from backwave.profiles import qbracket
-    from backwave.angular import ylm_at
-
     omega = np.asarray(omega, dtype=float)
     s_lo, s_hi = n.support()
     q_lo = max(r - t, s_lo)
