@@ -7,17 +7,3 @@ formulas that govern those constructions, at desk scale.
 """
 
 __version__ = "0.1.0"
-
-from backwave.cutoffs import Cutoff, chi_wave_zone, chi_exterior
-from backwave.profiles import Profile, make_profile, ProfileError
-from backwave.radiation import RadiationField, derive_F1
-from backwave.engine import RadialGrid, FieldState, Trajectory
-from backwave.functionals import FitResult, FunctionalReport, fit_decay
-
-__all__ = [
-    "Cutoff", "chi_wave_zone", "chi_exterior",
-    "Profile", "make_profile", "ProfileError",
-    "RadiationField", "derive_F1",
-    "RadialGrid", "FieldState", "Trajectory",
-    "FitResult", "FunctionalReport", "fit_decay",
-]

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import traceback
 
 from backwave.config import ConfigError, canonical_text, parse_config
-from backwave.outputs import write_bundle, write_summary_json
+from backwave.outputs import write_bundle
 from backwave.scenarios import (SCENARIOS, RunSpec, ScenarioError, ScenarioReport,
                                 run_scenario, runner_for)
 
@@ -90,11 +89,9 @@ def main(argv) -> int:
     try:
         report = run_scenario(spec)
     except Exception as exc:  # runtime failure: still write a summary
-        os.makedirs(out_dir, exist_ok=True)
         fail = ScenarioReport(name=spec.scenario, spec={}, status="error",
                               error=f"{type(exc).__name__}: {exc}")
-        write_summary_json(fail, os.path.join(out_dir, "summary.json"),
-                           config_text=config_text, error=str(exc))
+        write_bundle(fail, out_dir, config_text=config_text)
         if not args.quiet:
             traceback.print_exc()
         print(f"runtime error: {exc}", file=sys.stderr)

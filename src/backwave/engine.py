@@ -235,7 +235,7 @@ def solve_backward_system(
     T: float,
     t0: float,
     record_times: Sequence[float],
-    cfl: float = 0.5,
+    cfl: float,
     on_step: Optional[Callable] = None,
 ) -> Trajectory:
     """March the coupled per-mode system from t = T down to t = t0.
@@ -245,12 +245,14 @@ def solve_backward_system(
     get zero source.  ``views[name]`` is the field's :class:`FieldState` at
     the stage, on its rows of the march's stacked arrays, with the march's
     :class:`StepSchedule` as its ``schedule`` attribute.  Record times are
-    hit exactly.  ``on_step(t, views)``, when given, is called with states
-    of the same kind (without ``schedule``) at t = T and after every step,
-    in march order; t is the step's own time, before a segment end snaps it
-    to the record time.  Views and recorded states hold the march's own
-    arrays, which the engine never writes after handing them out and no
-    caller may write at all.
+    hit exactly; steps are at most ``stable_dt(h, l_max, cfl)`` long, ``cfl``
+    being the run's (no default: every solve of a run steps by one rule).
+    ``on_step(t, views)``, when given, is called with states of the same
+    kind (without ``schedule``) at t = T and after every step, in march
+    order; t is the step's own time, before a segment end snaps it to the
+    record time.  Views and recorded states hold the march's own arrays,
+    which the engine never writes after handing them out and no caller may
+    write at all.
     """
     names = list(fields)
     if not names:
@@ -333,42 +335,37 @@ def solve_backward_system(
 
 
 def solve_backward(data_at_T: FieldState, source, T: float, t0: float,
-                   record_times: Sequence[float], **kwargs) -> Trajectory:
+                   record_times: Sequence[float], cfl: float, **kwargs) -> Trajectory:
     """Single-field convenience wrapper around :func:`solve_backward_system`.
 
-    ``source(t, view)`` returns an (n_modes, J+1) array or None.
+    ``source(t, view)`` returns an (n_modes, J+1) array; ``cfl`` is the
+    run's, as there.
     """
     wrapped = None
     if source is not None:
         def wrapped(t, views):  # noqa: E306
-            s = source(t, views["phi"])
-            return {} if s is None else {"phi": s}
-    return solve_backward_system({"phi": data_at_T}, wrapped, T, t0, record_times, **kwargs)
+            return {"phi": source(t, views["phi"])}
+    return solve_backward_system({"phi": data_at_T}, wrapped, T, t0, record_times, cfl, **kwargs)
 
 
 # ---------------------------------------------------------------------------
 # discrete wave operator and convergence utilities
 # ---------------------------------------------------------------------------
 
-def discrete_box_triplet(u_prev: np.ndarray, u_mid: np.ndarray, u_next: np.ndarray,
-                         dt: float, grid: RadialGrid, ell: int) -> np.ndarray:
-    """Second-order centered (-d_t^2 + d_r^2 - l(l+1)/r^2) u at interior points.
+def discrete_box_field(u_of_t: Callable[[float], np.ndarray], t: float, dt: float,
+                       grid: RadialGrid, ell: int) -> np.ndarray:
+    """Second-order centered (-d_t^2 + d_r^2 - l(l+1)/r^2) u at interior points
+    of an analytically sampled u(t, r), from its rows at t - dt, t, t + dt.
 
-    Arguments are u rows at times t-dt, t, t+dt.  Returns the residual on
-    j = 1..J-1; for u = r*phi with box phi = S this converges to r*S at
-    O(h^2 + dt^2).
+    Returns the residual on j = 1..J-1; for u = r*phi with box phi = S this
+    converges to r*S at O(h^2 + dt^2).
     """
+    u_prev, u_mid, u_next = u_of_t(t - dt), u_of_t(t), u_of_t(t + dt)
     h = grid.h
     rint = grid.r[1:-1]
     utt = (u_next[1:-1] - 2.0 * u_mid[1:-1] + u_prev[1:-1]) / (dt * dt)
     urr = (u_mid[2:] - 2.0 * u_mid[1:-1] + u_mid[:-2]) / (h * h)
     return -utt + urr - ell * (ell + 1.0) * u_mid[1:-1] / rint**2
-
-
-def discrete_box_field(u_of_t: Callable[[float], np.ndarray], t: float, dt: float,
-                       grid: RadialGrid, ell: int) -> np.ndarray:
-    """Discrete box of an analytically sampled u(t, r)."""
-    return discrete_box_triplet(u_of_t(t - dt), u_of_t(t), u_of_t(t + dt), dt, grid, ell)
 
 
 def convergence_order(errors: Sequence[float]) -> float:

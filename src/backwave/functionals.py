@@ -264,12 +264,10 @@ def morawetz_identity_audit(steps: Sequence[FieldState], s: float, R: float,
         rdo = r_dr_omega(st.t, r, s)
         dens = -rdo[None, :] * ll1[:, None] * st.u_over_r**2
         if source is not None:
-            s_arr = source(st.t, st)
-            if s_arr is not None:
-                fp = (1.0 + (st.t + r) ** 2) ** s
-                fm = (1.0 + (st.t - r) ** 2) ** s
-                xr = fp[None, :] * lu + fm[None, :] * (v - ur)
-                dens = dens + r[None, :] * np.asarray(s_arr) * xr
+            fp = (1.0 + (st.t + r) ** 2) ** s
+            fm = (1.0 + (st.t - r) ** 2) ** s
+            xr = fp[None, :] * lu + fm[None, :] * (v - ur)
+            dens = dens + r[None, :] * np.asarray(source(st.t, st)) * xr
         bulk_vals[i] = float(np.sum(_trapz_to(dens, r, foot)))
     flux = float(np.trapezoid(flux_vals, ts))
     bulk = float(np.trapezoid(bulk_vals, ts))

@@ -4,7 +4,7 @@ A bundle directory holds:
 
     summary.json    config echo, items {name, kind, measured, lo, hi, passed,
                     target, note, ...}, provenance and environment; always
-                    written, with an error block when a run fails
+                    written, with an error block when the report has one
     series.csv      one row per report time, one column per value the run
                     records: t first, then those of FIXED_COLUMNS in its
                     order, then any other column by name; values formatted
@@ -70,12 +70,11 @@ def environment_block() -> Dict[str, str]:
     }
 
 
-def write_summary_json(report: ScenarioReport, path: str, config_text: Optional[str],
-                       error: Optional[str] = None) -> dict:
+def write_summary_json(report: ScenarioReport, path: str, config_text: Optional[str]) -> dict:
     payload = {
         "scenario": report.name,
-        "status": "error" if (error or report.status != "ok") else "ok",
-        "passed": bool(report.passed) and not error,
+        "status": report.status,
+        "passed": bool(report.passed),
         "items": [asdict(it) for it in report.items],
         "provenance": report.provenance,
         "environment": environment_block(),
@@ -83,8 +82,8 @@ def write_summary_json(report: ScenarioReport, path: str, config_text: Optional[
     }
     if config_text is not None:
         payload["config_echo"] = config_text
-    if error or report.error:
-        payload["error"] = {"stage": report.name, "message": error or report.error}
+    if report.error:
+        payload["error"] = {"stage": report.name, "message": report.error}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")

@@ -319,20 +319,18 @@ def run_free_wave_validation(spec: RunSpec) -> ScenarioReport:
         errs.append(float(np.max(np.abs(end.u[0] - ue(t0, grid.r)))))
     rep.add_item("dalembert_backward_order", "order", convergence_order(errs), 1.9, 2.1,
                  target=2.0, note=f"errors {errs}")
-    # time reversal: reflect the endpoint and march back up to T
-    grid = RadialGrid(h=hs[1], J=int(round(20.0 / hs[1])))
-    st = FieldState(T, grid, [(0, 0)], ue(T, grid.r)[None, :], ve(T, grid.r)[None, :])
-    trajs.append(solve_backward(st, None, T, t0, [t0]))
-    end = trajs[-1].field_states()[-1]
+    # time reversal: reflect the h/2 solve's endpoint and march back up to T
+    grid = trajs[1].grid
+    end = trajs[1].field_states()[-1]
     refl = FieldState(T, grid, [(0, 0)], end.u, -end.v)
-    trajs.append(solve_backward(refl, None, T, t0, [t0]))
+    trajs.append(solve_backward(refl, None, T, t0, [t0], cfl=spec.cfl))
     back = trajs[-1].field_states()[-1]
     rev_err = float(np.max(np.abs(back.u[0] - ue(T, grid.r))))
     rep.add_item("time_reversal_error", "bound", rev_err, hi=50.0 * hs[1] ** 2,
                  note="backward+reflected backward returns the data at O(h^2)")
     # energy conservation along the free solve
     st = FieldState(T, grid, [(0, 0)], ue(T, grid.r)[None, :], ve(T, grid.r)[None, :])
-    trajs.append(solve_backward(st, None, T, t0, list(np.linspace(t0, T, 9))))
+    trajs.append(solve_backward(st, None, T, t0, list(np.linspace(t0, T, 9)), cfl=spec.cfl))
     rep.add_item("energy_conservation_drift", "bound", energy_conservation_drift(trajs[-1]),
                  hi=50.0 * hs[1] ** 2)
     rep.provenance = _provenance(grid, trajs)
@@ -520,8 +518,8 @@ def run_null_radial(spec: RunSpec) -> ScenarioReport:
         out_r[pos] = (Ur[pos] - U[pos] / r[pos]) / r[pos]
         return out_t, out_r
 
-    def run_once(amplitude: float, h: float):
-        grid = RadialGrid(h=h, J=int(round((2.0 * spec.T + 10.0) / h)))
+    def run_once(amplitude: float):
+        grid = RadialGrid(h=spec.h, J=int(round((2.0 * spec.T + 10.0) / spec.h)))
         st = FieldState(spec.T, grid, [(0, 0)])
 
         def src(t, view):
@@ -545,7 +543,7 @@ def run_null_radial(spec: RunSpec) -> ScenarioReport:
         order = np.argsort(ts)
         return ts[order], es[order], traj
 
-    ts, es, traj = run_once(amp, spec.h)
+    ts, es, traj = run_once(amp)
     trajs = [traj]
     if not np.all(np.isfinite(es)):
         rep.add_item("reaches_t0_without_blowup", "check", float("nan"))
@@ -569,7 +567,7 @@ def run_null_radial(spec: RunSpec) -> ScenarioReport:
             "energy_w1": energy_weighted(st)}))
     # quadratic amplitude scaling: halving the data should quarter ||dv||
     if amp != 0.0:
-        ts2, es2, traj2 = run_once(amp / 2.0, spec.h)
+        ts2, es2, traj2 = run_once(amp / 2.0)
         trajs.append(traj2)
         mid = len(ts) // 2
         match = np.interp(ts[mid], ts2, es2)
@@ -607,6 +605,8 @@ def run_audit_battery(spec: RunSpec) -> ScenarioReport:
             st = FieldState(T, grid, [(0, 0) if tag == "free" else (1, 0)], du, dv)
             steps = StepStates()
             trajs.append(solve_backward(st, src, T, t1, [t1], cfl=spec.cfl, on_step=steps))
+            if tag == "sourced" and h == hs[1]:
+                sourced_steps = steps   # the weighted space-time instance's march
             for s in ss:
                 out = morawetz_identity_audit(steps, s=s, R=R, source=src)
                 residuals_at[s].append(abs(out["residual"]))
@@ -633,7 +633,7 @@ def run_audit_battery(spec: RunSpec) -> ScenarioReport:
     for h in (spec.h, spec.h / 2.0):
         grid = RadialGrid(h=h, J=int(round(20.0 / h)))
         st = FieldState(T, grid, [(0, 0)], ue(T, grid.r)[None, :], ve(T, grid.r)[None, :])
-        trajs.append(solve_backward(st, None, T, t1, [t1, 4.0]))
+        trajs.append(solve_backward(st, None, T, t1, [t1, 4.0], cfl=spec.cfl))
         for s, ratios in ratios_at.items():
             for stt in trajs[-1].field_states()[1:]:
                 hc = hardy_checks(stt, s)
@@ -650,16 +650,13 @@ def run_audit_battery(spec: RunSpec) -> ScenarioReport:
         rep.add_item(f"ks_drift_s{s:g}", "bound",
                      max(ratios["ks"]) / max(min(ratios["ks"]), 1e-300), hi=2.0)
 
-    # weighted space-time estimate instance on a sourced run
-    grid = RadialGrid(h=spec.h / 2.0, J=int(round(20.0 / (spec.h / 2.0))))
-    st = FieldState(T, grid, [(1, 0)])
-    steps = StepStates()
-    trajs.append(solve_backward(st, bump_src, T, t1, [t1], on_step=steps))
-    inst = cor_weighted_spacetime_instance(steps, spec.gamma, spec.mu, source=bump_src)
+    # weighted space-time estimate instance on the sourced identity run at h/2
+    inst = cor_weighted_spacetime_instance(sourced_steps, spec.gamma, spec.mu, source=bump_src)
     rep.add_item("weighted_spacetime_ratio", "bound", inst["ratio"], hi=RATIO_BUDGET,
                  note=f"bulk={inst['bulk']:.3e} cone={inst['cone']:.3e}")
 
     # origin decay: sourced run, origin series and origin-cone fluxes per step
+    grid = sourced_steps[0].grid
     st = FieldState(T, grid, [(0, 0)])
 
     def origin_src(t, view):
@@ -668,7 +665,7 @@ def run_audit_battery(spec: RunSpec) -> ScenarioReport:
 
     steps = StepStates()
     trajs.append(solve_backward(st, origin_src, T, t1, list(np.linspace(t1, T, 13)),
-                                on_step=steps))
+                                cfl=spec.cfl, on_step=steps))
     odc = origin_decay_check(steps, trajs[-1].record_times[::-1], spec.gamma,
                              origin_src)
     good = odc["cone_bound"] > 1e-12

@@ -347,6 +347,23 @@ def test_cli_runtime_error_exit_three(tmp_path, monkeypatch):
     assert summary["status"] == "error"
 
 
+def test_cli_crash_summary_carries_the_reports_error(tmp_path, monkeypatch):
+    # the crash path writes its fail report as any bundle: the error block
+    # is the report's own text, exception type included
+    import backwave.scenarios as S
+
+    def boom(spec):
+        raise RuntimeError("deliberate failure")
+
+    monkeypatch.setitem(S.RUNNERS, "free_wave", boom)
+    out = tmp_path / "crash"
+    assert main(["validate", "--out", str(out), "--quiet"]) == 3
+    summary = json.load(open(out / "summary.json"))
+    assert summary["passed"] is False
+    assert summary["error"] == {"stage": "free_wave",
+                                "message": "RuntimeError: deliberate failure"}
+
+
 def test_cli_unknown_command():
     assert main(["frobnicate"]) == 2
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from backwave.engine import (ContainmentError, FieldState, RadialGrid, convergence_order,
-                             discrete_box_field, discrete_box_triplet, solve_backward,
-                             solve_backward_system, stable_dt)
+                             discrete_box_field, solve_backward, solve_backward_system,
+                             stable_dt)
 from backwave.functionals import ConeFlux, StepStates, _cone_foot, origin_decay_check
 
 
@@ -29,7 +29,7 @@ def make_state(T, grid):
 def test_zero_data_zero_source_stays_zero():
     grid = RadialGrid(h=0.1, J=100)
     st = FieldState(5.0, grid, [(0, 0), (2, 0)])
-    traj = solve_backward(st, None, 5.0, 1.0, [1.0, 3.0])
+    traj = solve_backward(st, None, 5.0, 1.0, [1.0, 3.0], cfl=0.5)
     for rec in traj.field_states():
         assert np.all(rec.u == 0.0) and np.all(rec.v == 0.0)
 
@@ -38,7 +38,7 @@ def test_dalembert_backward_convergence():
     errs = []
     for h in (0.1, 0.05, 0.025):
         grid = RadialGrid(h=h, J=int(round(18.0 / h)))
-        traj = solve_backward(make_state(6.0, grid), None, 6.0, 1.0, [1.0])
+        traj = solve_backward(make_state(6.0, grid), None, 6.0, 1.0, [1.0], cfl=0.5)
         end = traj.field_states()[-1]
         errs.append(float(np.max(np.abs(end.u[0] - exact_u(1.0, grid.r)))))
     assert abs(convergence_order(errs) - 2.0) <= 0.1, errs
@@ -59,17 +59,17 @@ def test_discrete_box_of_traveling_wave():
 def test_discrete_box_zero_field():
     grid = RadialGrid(h=0.1, J=64)
     z = np.zeros(grid.J + 1)
-    assert np.all(discrete_box_triplet(z, z, z, 0.05, grid, 3) == 0.0)
+    assert np.all(discrete_box_field(lambda t: z, 1.0, 0.05, grid, 3) == 0.0)
 
 
 def test_time_reversal_round_trip():
     h = 0.05
     grid = RadialGrid(h=h, J=int(round(18.0 / h)))
     st = make_state(6.0, grid)
-    down = solve_backward(st, None, 6.0, 1.0, [1.0])
+    down = solve_backward(st, None, 6.0, 1.0, [1.0], cfl=0.5)
     end = down.field_states()[-1]
     reflected = FieldState(6.0, grid, [(0, 0)], end.u, -end.v)
-    up = solve_backward(reflected, None, 6.0, 1.0, [1.0])
+    up = solve_backward(reflected, None, 6.0, 1.0, [1.0], cfl=0.5)
     back = up.field_states()[-1]
     assert float(np.max(np.abs(back.u[0] - exact_u(6.0, grid.r)))) < 50 * h**2
 
@@ -86,7 +86,7 @@ def test_linearity_in_data_and_source():
         st.u *= data_scale
         st.v *= data_scale
         fn = (lambda t, v: src_scale * src(t, v)) if src_scale else None
-        traj = solve_backward(st, fn, 5.0, 1.0, [1.0])
+        traj = solve_backward(st, fn, 5.0, 1.0, [1.0], cfl=0.5)
         return traj.field_states()[-1]
 
     a = run(1.0, 0.0)
@@ -101,7 +101,7 @@ def test_finite_speed_support_growth():
     grid = RadialGrid(h=h, J=400)
     u0 = np.where(np.abs(grid.r - 5.0) < 1.0, np.exp(-1.0 / np.maximum(1 - (grid.r - 5.0) ** 2, 1e-12)), 0.0)
     st = FieldState(4.0, grid, [(0, 0)], u0[None, :], np.zeros((1, grid.J + 1)))
-    traj = solve_backward(st, None, 4.0, 1.0, [1.0])
+    traj = solve_backward(st, None, 4.0, 1.0, [1.0], cfl=0.5)
     end = traj.field_states()[-1]
     span = 3.0  # elapsed time; numerical precursors decay fast past the front
     beyond = grid.r > 6.0 + span + 1.0
@@ -113,7 +113,7 @@ def test_containment_breach_aborts():
     grid = RadialGrid(h=h, J=80)   # r_max = 8, too small for the pulse
     st = make_state(6.0, grid)
     with pytest.raises(ContainmentError):
-        solve_backward(st, None, 6.0, 1.0, [1.0])
+        solve_backward(st, None, 6.0, 1.0, [1.0], cfl=0.5)
 
 
 def test_cfl_and_stability_caps():
@@ -143,7 +143,7 @@ def test_on_step_sees_T_then_every_step_in_march_order():
     # views' arrays are not written after the call
     grid = RadialGrid(h=0.1, J=240)
     calls = []
-    traj = solve_backward(make_state(5.0, grid), None, 5.0, 1.0, [4.3, 2.7],
+    traj = solve_backward(make_state(5.0, grid), None, 5.0, 1.0, [4.3, 2.7], cfl=0.5,
                           on_step=lambda t, views: calls.append((t, views)))
     ts = [t for t, _views in calls]
     assert len(calls) == traj.steps + 1
@@ -164,9 +164,10 @@ def test_source_is_called_at_exactly_the_schedules_stage_times():
 
     def source(t, view):
         seen.append((t, view.schedule))
+        return np.zeros((1, grid.J + 1))
 
     traj = solve_backward(FieldState(5.0, grid, [(0, 0)]), source, 5.0, 1.0,
-                          [4.3, 4.28, 2.7, 1.9])
+                          [4.3, 4.28, 2.7, 1.9], cfl=0.5)
     sched = seen[0][1]
     assert all(s is sched for _t, s in seen)
     steps = list(sched.steps())
@@ -180,7 +181,7 @@ def test_source_is_called_at_exactly_the_schedules_stage_times():
 def test_record_times_exact_and_ordered():
     grid = RadialGrid(h=0.1, J=100)
     st = FieldState(5.0, grid, [(0, 0)])
-    traj = solve_backward(st, None, 5.0, 1.0, [4.3, 2.7, 1.9])
+    traj = solve_backward(st, None, 5.0, 1.0, [4.3, 2.7, 1.9], cfl=0.5)
     assert traj.record_times == sorted({5.0, 4.3, 2.7, 1.9, 1.0}, reverse=True)
     for t, rec in zip(traj.record_times, traj.field_states()):
         assert rec.t == t
@@ -197,7 +198,7 @@ def test_energy_flux_accumulator_nonnegative():
     h = 0.05
     grid = RadialGrid(h=h, J=int(round(18.0 / h)))
     cone = ConeFlux(s=1.0, R=10.0, t2=6.0)
-    traj = solve_backward(make_state(6.0, grid), None, 6.0, 1.0, [1.0], on_step=cone)
+    traj = solve_backward(make_state(6.0, grid), None, 6.0, 1.0, [1.0], cfl=0.5, on_step=cone)
     assert cone.name == "flux_s1_R10"
     totals = cone.totals_at(traj.record_times)
     assert len(totals) == len(traj.record_times)
@@ -209,7 +210,7 @@ def test_origin_series_characteristic_oracle():
     h = 0.025
     grid = RadialGrid(h=h, J=int(round(18.0 / h)))
     steps = StepStates()
-    traj = solve_backward(make_state(6.0, grid), None, 6.0, 1.0, [1.0], on_step=steps)
+    traj = solve_backward(make_state(6.0, grid), None, 6.0, 1.0, [1.0], cfl=0.5, on_step=steps)
     out = origin_decay_check(steps, traj.record_times[::-1], 0.8, None)
     ts, vals = out["origin_t"], out["origin"]
     assert ts.size == traj.steps + 1
@@ -233,7 +234,7 @@ def test_multi_field_coupling_sees_substage_values():
         return {"b": out}
 
     fields = {"a": make_state(6.0, grid), "b": FieldState(6.0, grid, [(0, 0)])}
-    traj = solve_backward_system(fields, src, 6.0, 2.0, [2.0])
+    traj = solve_backward_system(fields, src, 6.0, 2.0, [2.0], cfl=0.5)
     for errname in ("a", "b"):
         assert np.all(np.isfinite(traj.states[errname][-1].u))
     # "a" remains the exact free wave
@@ -257,9 +258,11 @@ def test_uncoupled_fields_march_in_their_rows_as_they_do_alone():
 
     fields = {"a": make_state(6.0, grid), "b": FieldState(6.0, grid, b_modes, b_u)}
     records = [2.0, 3.3, 5.1]
-    traj = solve_backward_system(fields, lambda t, views: {"b": bump(t)}, 6.0, 2.0, records)
-    alone = {"a": solve_backward(fields["a"], None, 6.0, 2.0, records),
-             "b": solve_backward(fields["b"], lambda t, view: bump(t), 6.0, 2.0, records)}
+    traj = solve_backward_system(fields, lambda t, views: {"b": bump(t)}, 6.0, 2.0, records,
+                                 cfl=0.5)
+    alone = {"a": solve_backward(fields["a"], None, 6.0, 2.0, records, cfl=0.5),
+             "b": solve_backward(fields["b"], lambda t, view: bump(t), 6.0, 2.0, records,
+                                 cfl=0.5)}
     for name, single in alone.items():
         assert single.steps == traj.steps
         for st, ref in zip(traj.states[name], single.field_states(), strict=True):
@@ -276,11 +279,11 @@ def test_containment_breach_in_the_second_field_names_it_at_its_own_step():
     a = FieldState(6.0, grid, [(0, 0)],
                    (0.1 * grid.r * np.exp(-4.0 * (grid.r - 3.0) ** 2))[None, :])
     b = make_state(6.0, grid)
-    solve_backward(a, None, 6.0, 1.0, [1.0])
+    solve_backward(a, None, 6.0, 1.0, [1.0], cfl=0.5)
     with pytest.raises(ContainmentError) as alone:
-        solve_backward(b, None, 6.0, 1.0, [1.0])
+        solve_backward(b, None, 6.0, 1.0, [1.0], cfl=0.5)
     with pytest.raises(ContainmentError, match="in field 'b'") as system:
-        solve_backward_system({"a": a, "b": b}, None, 6.0, 1.0, [1.0])
+        solve_backward_system({"a": a, "b": b}, None, 6.0, 1.0, [1.0], cfl=0.5)
     assert str(system.value) == str(alone.value).replace("'phi'", "'b'")
 
 
@@ -302,7 +305,8 @@ def test_the_march_writes_nothing_it_has_handed_out():
         view = views["phi"]
         handed.append((view, view.u.copy(), view.v.copy()))
 
-    traj = solve_backward(make_state(6.0, grid), src, 6.0, 2.0, [5.0, 3.5], on_step=on_step)
+    traj = solve_backward(make_state(6.0, grid), src, 6.0, 2.0, [5.0, 3.5], cfl=0.5,
+                          on_step=on_step)
     records = traj.field_states()
     assert len(steps) == traj.steps + 1 and len(records) == 4
     assert all(isinstance(st, FieldState) for st in [*steps, *records])
@@ -322,7 +326,7 @@ def test_data_with_nonzero_ends_is_left_alone_and_recorded_with_zero_ends():
     data = FieldState(6.0, grid, [(0, 0), (1, 0)], u, v)
     assert np.shares_memory(data.u, u) and np.shares_memory(data.v, v)
     u0, v0 = u.copy(), v.copy()
-    traj = solve_backward(data, None, 6.0, 5.0, [5.0])
+    traj = solve_backward(data, None, 6.0, 5.0, [5.0], cfl=0.5)
     assert np.array_equal(u, u0) and np.array_equal(v, v0)
     at_T = traj.state_at(6.0)
     for arr, given in ((at_T.u, u), (at_T.v, v)):

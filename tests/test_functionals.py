@@ -155,7 +155,7 @@ def run_identity(h, s, source=None, modes=((0, 0),)):
     else:
         st = FieldState(T, grid, list(modes))
     steps = StepStates()
-    solve_backward(st, source, T, t1, [t1], on_step=steps)
+    solve_backward(st, source, T, t1, [t1], cfl=0.5, on_step=steps)
     return morawetz_identity_audit(steps, s=s, R=12.0, source=source)
 
 
@@ -163,7 +163,7 @@ def test_identity_zero_field_guarded():
     grid = RadialGrid(h=0.1, J=200)
     st = FieldState(6.0, grid, [(0, 0)])
     steps = StepStates()
-    solve_backward(st, None, 6.0, 2.0, [2.0], on_step=steps)
+    solve_backward(st, None, 6.0, 2.0, [2.0], cfl=0.5, on_step=steps)
     out = morawetz_identity_audit(steps, s=1.0, R=12.0, source=None)
     assert out["residual"] == 0.0
 
@@ -297,7 +297,7 @@ def test_cone_flux_observer_is_the_trapezoid_of_the_step_states():
                     np.stack([exact_v(6.0, r), np.zeros_like(r)]))
     s, R, t2 = 1.2, 4.0, 6.0
     cone, steps = ConeFlux(s, R, t2), StepStates()
-    traj = solve_backward(st, None, t2, 2.0, [5.0, 3.5, 2.5],
+    traj = solve_backward(st, None, t2, 2.0, [5.0, 3.5, 2.5], cfl=0.5,
                           on_step=lambda t, views: (cone(t, views), steps(t, views)))
     assert len(steps) == traj.steps + 1
     vals = []
@@ -336,7 +336,8 @@ def test_origin_decay_bounded_on_sourced_run():
         return (np.exp(-((view.grid.r - 3.0) ** 2) - (t - 4.0) ** 2))[None, :]
 
     steps = StepStates()
-    traj = solve_backward(st, src, 6.0, 2.0, list(np.linspace(2.0, 6.0, 9)), on_step=steps)
+    traj = solve_backward(st, src, 6.0, 2.0, list(np.linspace(2.0, 6.0, 9)), cfl=0.5,
+                          on_step=steps)
     out = origin_decay_check(steps, traj.record_times[::-1], 0.8, src)
     good = out["cone_bound"] > 1e-12
     assert np.all(out["ratio"][good] < 10.0)

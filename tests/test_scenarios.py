@@ -277,7 +277,7 @@ def test_assembled_field_solves_wave_equation():
     # psi = v + psi01 + psi_e must satisfy the homogeneous equation: the
     # discrete box of its u-array converges to zero at order >= 1.9
     import math
-    from backwave.engine import RadialGrid, FieldState, solve_backward, discrete_box_triplet
+    from backwave.engine import RadialGrid, FieldState, solve_backward, discrete_box_field
     from backwave.radiation import derive_F1, eval_approximant
     from backwave.scenarios import _minus_box_psi01_source
 
@@ -294,7 +294,7 @@ def test_assembled_field_solves_wave_equation():
         data = FieldState(T, grid, [(2, 0)])
         traj = solve_backward(data,
                               _minus_box_psi01_source(f0, f1, [(2, 0)], r_pos),
-                              T, 2.0, [tc - h, tc, tc + h])
+                              T, 2.0, [tc - h, tc, tc + h], cfl=0.5)
 
         def psi_u(t):
             st = traj.state_at(t)
@@ -303,7 +303,7 @@ def test_assembled_field_solves_wave_equation():
             u[1:] += p01 * r_pos
             return u
 
-        res = discrete_box_triplet(psi_u(tc - h), psi_u(tc), psi_u(tc + h), h, grid, 2)
+        res = discrete_box_field(psi_u, tc, h, grid, 2)
         interior = (grid.r[1:-1] > 2.0) & (grid.r[1:-1] < grid.r_max - 2.0)
         errs.append(float(np.max(np.abs(res[interior]))))
     order = math.log2(errs[1] / errs[2])   # asymptotic (finest) pair
@@ -375,19 +375,28 @@ def test_validate_provenance_describes_one_grid(monkeypatch):
     trajs = _recorded_solves(monkeypatch)
     prov = run_scenario(RunSpec(scenario="free_wave")).provenance
     # the time-reversal grid h/2 = 0.05 with its step cfl * h = 0.025; the
-    # steps of all six solves: 100 + 200 + 400 for the refinement study,
-    # 200 each for the two time-reversal legs and the energy solve
+    # steps of all five solves: 100 + 200 + 400 for the refinement study,
+    # 200 each for the reflected time-reversal leg and the energy solve
     assert (prov["h"], prov["J"]) == (0.05, 400)
     assert prov["r_max"] == pytest.approx(20.0)
     assert prov["dt_max"] == pytest.approx(0.025)
-    assert len(trajs) == 6
-    assert prov["steps"] == sum(tr.steps for tr in trajs) == 1300
+    assert len(trajs) == 5
+    assert prov["steps"] == sum(tr.steps for tr in trajs) == 1100
+
+
+@pytest.mark.parametrize("scenario", ["free_wave", "audit"])
+def test_every_solve_steps_with_the_runs_cfl(monkeypatch, scenario):
+    trajs = _recorded_solves(monkeypatch)
+    run_scenario(RunSpec(scenario=scenario, h=0.1, cfl=0.25))
+    assert trajs
+    for tr in trajs:
+        assert tr.dt_max <= 0.25 * tr.grid.h * (1.0 + 1e-12), (tr.grid, tr.dt_max)
 
 
 @pytest.mark.parametrize("spec, n_solves", [
     (RunSpec(scenario="nullradial", h=0.25, T=12.0, t0=2.0, amplitude=0.01), 2),
-    (RunSpec(scenario="audit", h=0.1), 10),     # one solve per distinct problem
-    (RunSpec(scenario="convergence", h=0.1), 6),
+    (RunSpec(scenario="audit", h=0.1), 9),     # one solve per distinct problem
+    (RunSpec(scenario="convergence", h=0.1), 5),
 ], ids=["nullradial", "audit", "convergence"])
 def test_provenance_steps_cover_every_solve(monkeypatch, spec, n_solves):
     trajs = _recorded_solves(monkeypatch)

@@ -9,8 +9,9 @@ call to a function or method of that name passes it by keyword or by
 position; a ``**kwargs`` forward passes the keywords its own callers pass
 (for "every call sets it", the keywords all of them pass).  A default that
 no call leaves in place is read only by tests and goes.
-Re-exports in ``__init__.py``, docstrings and tests do not count, so code
-and knobs that only tests reach fail here.  Constructors are left out: the
+Docstrings and tests do not count, so code and knobs that only tests reach
+fail here; ``__init__.py`` binds nothing but ``__version__``, so it
+re-exports nothing either.  Constructors are left out: the
 fields of config-filled dataclasses and profile parameters are set from
 config documents, not by calls.
 """
@@ -34,6 +35,19 @@ def _referenced_names(tree: ast.AST, skip: ast.AST = None) -> set:
             names.add(node.attr)
         stack.extend(ast.iter_child_nodes(node))
     return names
+
+
+def test_package_init_binds_only_the_version():
+    tree = ast.parse((PKG / "__init__.py").read_text(encoding="utf-8"))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+    assert bound == {"__version__"}, f"__init__.py binds {sorted(bound)}"
 
 
 def test_every_module_level_definition_is_referenced():
