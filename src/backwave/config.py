@@ -6,15 +6,14 @@ Format: ``key = value`` lines grouped under ``[section]`` headers, with
 key with the RunSpec field it fills and the reader of its value; data
 sections hold mode lines, and [acceptance] may repeat ``check_pointN = t r``.
 Unknown sections or keys are rejected, duplicate keys are reported with
-both line numbers, numbers must be finite, and ``RunSpec.validate`` does
-every range check.
+both line numbers, numbers must be finite, ``[run] scenario`` is required,
+and ``RunSpec.validate`` does every range check.  A known key whose field
+the scenario's pipeline does not read (``scenarios.FIELDS``) is accepted;
+it enters neither the config hash nor the report's echo.
 
 Mode lines in a data section look like
 
     mode1 = l=2 m=0 kind=gaussian amplitude=1 width=1 center=0
-
-Canonicalization (``canonical_text``) renders a RunSpec back to a sorted
-document; parse(canonical(parse(text))) is the identity.
 """
 
 from __future__ import annotations
@@ -102,7 +101,7 @@ def _to_pair(key: str, value: str, line: int) -> Tuple[float, float]:
     return (_to_float(key, parts[0], line), _to_float(key, parts[1], line))
 
 
-# (section, key) -> (RunSpec field, reader of the value), in canonical order
+# (section, key) -> (RunSpec field, reader of the value)
 KEYS = {
     ("run", "scenario"): ("scenario", _to_text),
     ("run", "T"): ("T", _to_float),
@@ -150,7 +149,7 @@ def _parse_mode(key: str, value: str, line: int) -> Tuple[int, int, dict]:
 
 def parse_config(text: str) -> RunSpec:
     """Parse and validate a configuration document into a RunSpec."""
-    spec = RunSpec()
+    spec = RunSpec(scenario="")   # a document without [run] scenario fails validate
     for section, key, value, line in _parse_lines(text):
         if section in _MODE_FIELDS:
             if not key.startswith("mode"):
@@ -170,35 +169,3 @@ def parse_config(text: str) -> RunSpec:
         raise ConfigError(str(exc)) from exc
     return spec
 
-
-def _fmt(x) -> str:
-    if isinstance(x, (list, tuple)):
-        return " ".join(_fmt(v) for v in x)
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
-
-def canonical_text(spec: RunSpec) -> str:
-    """Render a RunSpec to canonical config text (sorted, normalized); an
-    empty list (no T_list) writes no line."""
-    lines = []
-    for section in _SECTIONS:
-        if section in _MODE_FIELDS:
-            modes = getattr(spec, _MODE_FIELDS[section])
-            if modes:
-                lines.append(f"[{section}]")
-            for i, (l, m, prof) in enumerate(sorted(modes, key=lambda x: (x[0], x[1])),
-                                             start=1):
-                extras = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(prof.items())
-                                  if k != "kind")
-                lines.append(f"mode{i} = l={l} m={m} kind={prof['kind']} {extras}".rstrip())
-            continue
-        lines.append(f"[{section}]")
-        for (sec, key), (field, _read) in KEYS.items():
-            value = _fmt(getattr(spec, field))
-            if sec == section and value:
-                lines.append(f"{key} = {value}")
-    for i, point in enumerate(spec.check_points, start=1):
-        lines.append(f"check_point{i} = {_fmt(point)}")
-    return "\n".join(lines) + "\n"

@@ -6,7 +6,6 @@ d_t psi_e rows come in blocks of the march's stage times from
 from __future__ import annotations
 
 import math
-from dataclasses import asdict
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -114,7 +113,7 @@ def _strata_sources(f0: RadiationField, f1: RadiationField, mass: float,
 
 
 def run_weak_null(spec: RunSpec) -> ScenarioReport:
-    rep = ScenarioReport(name="weaknull", spec=asdict(spec))
+    rep = ScenarioReport(name="weaknull")
     f0 = spec.field_from(spec.f0_modes)
     g0 = spec.field_from(spec.g0_modes)
     if f0.is_zero() and g0.is_zero() and spec.mass == 0.0:
@@ -235,7 +234,7 @@ def _news_source(spec: RunSpec, f0: RadiationField) -> RadiationField:
 
 
 def run_backscatter_audit(spec: RunSpec) -> ScenarioReport:
-    rep = ScenarioReport(name="backscatter", spec=asdict(spec))
+    rep = ScenarioReport(name="backscatter")
     f0 = spec.field_from(spec.f0_modes)
     if f0.is_zero():
         rep.add_item("zero_field_zero_audit", "check", 0.0)

@@ -2,7 +2,8 @@
 
 A bundle directory holds:
 
-    summary.json    config echo, items {name, kind, measured, lo, hi, passed,
+    summary.json    config (the run's scenario and the fields its pipeline
+                    reads), items {name, kind, measured, lo, hi, passed,
                     target, note, ...}, provenance and environment; always
                     written, with an error block when the report has one
     series.csv      one row per report time, one column per value the run
@@ -70,7 +71,7 @@ def environment_block() -> Dict[str, str]:
     }
 
 
-def write_summary_json(report: ScenarioReport, path: str, config_text: Optional[str]) -> dict:
+def write_summary_json(report: ScenarioReport, path: str) -> dict:
     payload = {
         "scenario": report.name,
         "status": report.status,
@@ -80,8 +81,6 @@ def write_summary_json(report: ScenarioReport, path: str, config_text: Optional[
         "environment": environment_block(),
         "config": report.spec,
     }
-    if config_text is not None:
-        payload["config_echo"] = config_text
     if report.error:
         payload["error"] = {"stage": report.name, "message": report.error}
     with open(path, "w", encoding="utf-8") as fh:
@@ -125,10 +124,9 @@ def emit_plot_script(bundle_dir: str, report: ScenarioReport) -> Optional[str]:
     return path
 
 
-def write_bundle(report: ScenarioReport, out_dir: str, config_text: Optional[str]) -> dict:
+def write_bundle(report: ScenarioReport, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     if report.series:
         write_series_csv(report, os.path.join(out_dir, "series.csv"))
         emit_plot_script(out_dir, report)
-    return write_summary_json(report, os.path.join(out_dir, "summary.json"),
-                              config_text=config_text)
+    return write_summary_json(report, os.path.join(out_dir, "summary.json"))

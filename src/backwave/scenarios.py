@@ -9,8 +9,6 @@ target.  Overall pass/fail is pure arithmetic on the items.
 
 Pipelines (weaknull and backscatter live in :mod:`backwave.kernel_pipelines`)
 -----------------------------------------------------------------------------
-free_wave      solver gate: backward d'Alembert refinement study, time
-               reversal, energy conservation.
 homogeneous    build psi01 + psi_e from the radiation field, solve
                box v = -box psi01 backward from trivial data at T, fit the
                decay of the weighted source norm, the energy of v and the
@@ -32,7 +30,14 @@ backscatter    kernel-quadrature audit: oracle points, decay envelopes,
 audit          estimate battery: multiplier identity refinements, bulk
                sign, Hardy ratios, pointwise-decay constants, weighted
                space-time instance, origin decay.
-convergence    discrete-operator residual orders on exact solutions.
+convergence    discrete-operator residual orders on exact solutions and the
+               solver gate: backward d'Alembert refinement study, time
+               reversal, energy conservation.
+
+``FIELDS`` names the RunSpec fields each pipeline reads.  A run's config
+hash and its report's ``spec`` echo cover the scenario and those fields
+only (``RunSpec.declared``), so a field the pipeline never reads changes
+neither.
 
 Fit windows are the last decade [10 t0, 100 t0] when the run is long
 enough and otherwise the last factor-4 span.  A report judges each fit and
@@ -48,7 +53,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field as dc_field, asdict
+from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -84,7 +89,7 @@ class ScenarioError(RuntimeError):
 class RunSpec:
     """Validated description of one run; built from a config document."""
 
-    scenario: str = "free_wave"
+    scenario: str
     f0_modes: List[Tuple[int, int, dict]] = dc_field(default_factory=list)
     g0_modes: List[Tuple[int, int, dict]] = dc_field(default_factory=list)
     gamma: float = 0.8
@@ -113,7 +118,7 @@ class RunSpec:
                 f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
         if not 0.5 < self.gamma < 1.0:
             raise ScenarioError(f"gamma must satisfy 1/2 < gamma < 1, got {self.gamma}")
-        if self.scenario in ("homogeneous", "tlimit", "weaknull"):
+        if "s" in FIELDS[self.scenario]:
             if not (1.0 <= self.s < self.gamma + 0.5):
                 raise ScenarioError(
                     f"s must satisfy 1 <= s < gamma + 1/2 = {self.gamma + 0.5}, got {self.s}")
@@ -164,8 +169,13 @@ class RunSpec:
                     f"mode {lm}: poly-tail exponent {p} must exceed gamma={self.gamma}")
         return RadiationField(modes)
 
+    def declared(self) -> Dict[str, object]:
+        """The scenario and the fields its pipeline reads (``FIELDS``)."""
+        return {"scenario": self.scenario,
+                **{name: getattr(self, name) for name in FIELDS[self.scenario]}}
+
     def config_hash(self) -> str:
-        payload = json.dumps(asdict(self), sort_keys=True, default=str).encode()
+        payload = json.dumps(self.declared(), sort_keys=True, default=str).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
 
 
@@ -190,7 +200,7 @@ class ReportItem:
 @dataclass
 class ScenarioReport:
     name: str
-    spec: dict
+    spec: dict = dc_field(default_factory=dict)   # the run's RunSpec.declared()
     items: List[ReportItem] = dc_field(default_factory=list)
     series: List[FunctionalReport] = dc_field(default_factory=list)
     provenance: Dict[str, object] = dc_field(default_factory=dict)
@@ -290,7 +300,7 @@ def _provenance(grid: RadialGrid, trajs: Sequence[Trajectory]) -> Dict[str, obje
 
 
 # ---------------------------------------------------------------------------
-# free-wave gate
+# solver gate (run by convergence)
 # ---------------------------------------------------------------------------
 
 def _dalembert(center: float = 10.0):
@@ -304,8 +314,10 @@ def _dalembert(center: float = 10.0):
     return u, v
 
 
-def run_free_wave_validation(spec: RunSpec) -> ScenarioReport:
-    rep = ScenarioReport(name="free_wave", spec=asdict(spec))
+def _solver_gate(spec: RunSpec, rep: ScenarioReport) -> Dict[str, object]:
+    """Add the solver gate's items to ``rep`` (backward d'Alembert refinement
+    study on grids h, h/2, h/4, time reversal, energy conservation) and
+    return the provenance of its solves."""
     T, t0 = 6.0, 1.0
     ue, ve = _dalembert()
     errs = []
@@ -333,8 +345,7 @@ def run_free_wave_validation(spec: RunSpec) -> ScenarioReport:
     trajs.append(solve_backward(st, None, T, t0, list(np.linspace(t0, T, 9)), cfl=spec.cfl))
     rep.add_item("energy_conservation_drift", "bound", energy_conservation_drift(trajs[-1]),
                  hi=50.0 * hs[1] ** 2)
-    rep.provenance = _provenance(grid, trajs)
-    return rep
+    return _provenance(grid, trajs)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +389,7 @@ def _assemble_psi(state: FieldState, f0: RadiationField, f1: RadiationField,
 
 
 def run_homogeneous_scattering(spec: RunSpec) -> ScenarioReport:
-    rep = ScenarioReport(name="homogeneous", spec=asdict(spec))
+    rep = ScenarioReport(name="homogeneous")
     f0 = spec.field_from(spec.f0_modes)
     if f0.is_zero():
         rep.add_item("zero_data_zero_solution", "check", 0.0,
@@ -402,7 +413,6 @@ def run_homogeneous_scattering(spec: RunSpec) -> ScenarioReport:
             "energy_v": energy_v, "norm_conf_plus": conformal_norm_plus(st, spec.s),
             "norm_1_s_surrogate": norm_Z_weighted(psi, spec.s),
             "sup_envelope": sup_envelope(psi, spec.s),
-            "energy_w1": energy_v ** 2,
             "energy_w0": energy_weighted(st, lambda q: w0_weight(q, spec.mu)),
             cone.name: flux,
         }))
@@ -438,7 +448,7 @@ def run_homogeneous_scattering(spec: RunSpec) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 def run_T_limit_study(spec: RunSpec) -> ScenarioReport:
-    rep = ScenarioReport(name="tlimit", spec=asdict(spec))
+    rep = ScenarioReport(name="tlimit")
     f0 = spec.field_from(spec.f0_modes)
     if f0.is_zero():
         rep.add_item("zero_data_zero_solution", "check", 0.0, note="no data, nothing to solve")
@@ -499,7 +509,7 @@ def run_T_limit_study(spec: RunSpec) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 def run_null_radial(spec: RunSpec) -> ScenarioReport:
-    rep = ScenarioReport(name="nullradial", spec=asdict(spec))
+    rep = ScenarioReport(name="nullradial")
     amp = spec.amplitude
     center = 6.0
     ue, ve = _dalembert(center)
@@ -535,9 +545,9 @@ def run_null_radial(spec: RunSpec) -> ScenarioReport:
             s[0] = 0.0
             return s[None, :]
 
-        records = sorted(set(np.geomspace(1.0, spec.T, 24).tolist()) | {1.0, spec.T},
+        records = sorted(set(np.geomspace(spec.t0, spec.T, 24).tolist()) | {spec.t0, spec.T},
                          reverse=True)
-        traj = solve_backward(st, src, spec.T, 1.0, records, cfl=spec.cfl)
+        traj = solve_backward(st, src, spec.T, spec.t0, records, cfl=spec.cfl)
         ts = np.asarray([s.t for s in traj.field_states()])
         es = np.asarray([math.sqrt(energy_weighted(s)) for s in traj.field_states()])
         order = np.argsort(ts)
@@ -551,7 +561,7 @@ def run_null_radial(spec: RunSpec) -> ScenarioReport:
         rep.error = "nonlinear backward solve diverged"
         return rep
     rep.add_item("reaches_t0_without_blowup", "check", float(es[0]),
-                 note=f"||dv|| at t0=1: {es[0]:.3e}")
+                 note=f"||dv|| at t0={spec.t0:g}: {es[0]:.3e}")
     if np.any(es > 1e-300):
         window = (spec.T / 8.0, spec.T / 2.0)
         pos = es > 1e-300
@@ -583,7 +593,7 @@ def run_null_radial(spec: RunSpec) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 def run_audit_battery(spec: RunSpec) -> ScenarioReport:
-    rep = ScenarioReport(name="audit", spec=asdict(spec))
+    rep = ScenarioReport(name="audit")
     ue, ve = _dalembert()
     T, t1 = 6.0, 2.0
     R = 12.0
@@ -681,7 +691,7 @@ def run_audit_battery(spec: RunSpec) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 def run_convergence(spec: RunSpec) -> ScenarioReport:
-    rep = ScenarioReport(name="convergence", spec=asdict(spec))
+    rep = ScenarioReport(name="convergence")
     ue, _ve = _dalembert()
     # residual of the discrete operator on exact solutions (dt = h/2 so the
     # traveling-wave cancellation of dt = h does not mask the truncation error)
@@ -703,22 +713,33 @@ def run_convergence(spec: RunSpec) -> ScenarioReport:
                  target=2.0, note=f"errors {errs_g}")
     rep.add_item("residual_order_mass_term", "order", convergence_order(errs_e), 1.9,
                  target=2.0, note=f"errors {errs_e} (M=1, r >= 1/2)")
-    # the solves of the run are the free-wave gate's, so is its provenance
-    gate = run_free_wave_validation(spec)
-    rep.items.extend(gate.items)
-    rep.provenance = gate.provenance
+    # the solves of the run are the solver gate's, so is its provenance
+    rep.provenance = _solver_gate(spec, rep)
     return rep
 
 
 RUNNERS = {
-    "free_wave": run_free_wave_validation,
     "homogeneous": run_homogeneous_scattering,
     "tlimit": run_T_limit_study,
     "nullradial": run_null_radial,
     "audit": run_audit_battery,
     "convergence": run_convergence,
+}   # weaknull and backscatter: kernel_pipelines, through runner_for
+
+# the RunSpec fields each pipeline reads (backscatter reads gamma in field_from)
+_HOMOGENEOUS = ("T", "t0", "n_records", "h", "cfl", "l_max", "gamma", "s", "mass", "f0_modes",
+                "exponent_tol")
+FIELDS = {
+    "homogeneous": (*_HOMOGENEOUS, "mu", "bound_factor"),
+    "tlimit": ("T_list", "t0", "h", "cfl", "l_max", "gamma", "s", "f0_modes"),
+    "weaknull": (*_HOMOGENEOUS, "g0_modes", "envelope_budget", "envelope_window",
+                 "check_points"),
+    "nullradial": ("T", "t0", "h", "cfl", "amplitude", "delta"),
+    "backscatter": ("f0_modes", "l_max", "a", "gamma"),
+    "audit": ("h", "cfl", "gamma", "mu"),
+    "convergence": ("h", "cfl"),
 }
-SCENARIOS = (*RUNNERS, "weaknull", "backscatter")   # the last two: kernel_pipelines
+SCENARIOS = tuple(FIELDS)
 
 
 def runner_for(scenario: str):
@@ -731,19 +752,20 @@ def runner_for(scenario: str):
 
 
 def run_scenario(spec: RunSpec) -> ScenarioReport:
-    """Run the spec's pipeline; every report's provenance names the run
-    (version, config hash) and gets the run time."""
+    """Run the spec's pipeline; every report echoes the run's declared fields
+    and its provenance names the run (version, config hash) and gets the run
+    time."""
     spec.validate()
     started = time.time()
     try:
         rep = runner_for(spec.scenario)(spec)
     except ContainmentError as exc:
-        rep = ScenarioReport(name=spec.scenario, spec=asdict(spec), status="error",
-                             error=f"containment: {exc}")
+        rep = ScenarioReport(name=spec.scenario, status="error", error=f"containment: {exc}")
     except (EngineError, FunctionalError) as exc:
         # stage failures surface as an error report, never a bare traceback
-        rep = ScenarioReport(name=spec.scenario, spec=asdict(spec), status="error",
+        rep = ScenarioReport(name=spec.scenario, status="error",
                              error=f"{spec.scenario}: {type(exc).__name__}: {exc}")
+    rep.spec = spec.declared()
     rep.provenance = {"version": __version__, "config_hash": spec.config_hash(),
                       **rep.provenance, "runtime_s": round(time.time() - started, 3)}
     return rep

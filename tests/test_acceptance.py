@@ -2,10 +2,13 @@
 
 Each test prints a single PASS/FAIL line (run pytest with -s or check the
 captured output).  The heavy pipelines run once per session through the
-fixtures below; reference configurations live in configs/ and are loaded
-through the same parser the CLI uses.
+fixtures below, one per reference configuration in configs/, each loaded
+through the same parser the CLI uses; every item of every run must equal
+its entry in reference_items.json, which
+``python3 tools/diff_configs.py --write-reference .`` rewrites.
 """
 
+import json
 import math
 import os
 import time
@@ -13,9 +16,10 @@ import time
 import pytest
 
 from backwave.config import parse_config
-from backwave.scenarios import RunSpec, run_scenario
+from backwave.scenarios import run_scenario
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+REFERENCE = os.path.join(os.path.dirname(__file__), "reference_items.json")
 
 
 def load_spec(name):
@@ -38,15 +42,10 @@ def items_of(rep):
 
 
 @pytest.fixture(scope="session")
-def free_wave_run():
-    start = time.time()
-    rep = run_scenario(RunSpec(scenario="free_wave", h=0.1))
-    return rep, time.time() - start
-
-
-@pytest.fixture(scope="session")
 def convergence_run():
-    return run_scenario(load_spec("convergence.cfg"))
+    start = time.time()
+    rep = run_scenario(load_spec("convergence.cfg"))
+    return rep, time.time() - start
 
 
 @pytest.fixture(scope="session")
@@ -56,6 +55,11 @@ def audit_run():
 
 @pytest.fixture(scope="session")
 def homogeneous_run():
+    return run_scenario(load_spec("homogeneous.cfg"))
+
+
+@pytest.fixture(scope="session")
+def criterion5_homogeneous_run():
     # criterion 5 pins gamma = 0.8, s = 1.2, single (2,0) gaussian, T = 80,
     # t0 = 2 (the general reference config in configs/homogeneous.cfg uses
     # critical-tail data instead; criterion 5 is run as stated)
@@ -90,19 +94,50 @@ def rule(measured, lo, hi):
             and (hi is None or measured <= hi))
 
 
-@pytest.mark.parametrize("run", ["free_wave_run", "convergence_run", "audit_run",
-                                 "homogeneous_run", "tlimit_run", "weaknull_run",
-                                 "backscatter_run", "nullradial_run"])
-def test_every_item_passes_by_its_own_bounds(request, run):
+# one session fixture per reference config, named after it
+RUNS = ["convergence_run", "audit_run", "homogeneous_run", "criterion5_homogeneous_run",
+        "tlimit_run", "weaknull_run", "backscatter_run", "nullradial_run"]
+
+
+def report_of(request, run):
     rep = request.getfixturevalue(run)
-    rep = rep[0] if isinstance(rep, tuple) else rep
+    return rep[0] if isinstance(rep, tuple) else rep
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_every_item_passes_by_its_own_bounds(request, run):
+    rep = report_of(request, run)
     assert rep.items
     for it in rep.items:
         assert it.passed == rule(it.measured, it.lo, it.hi), it
 
 
-def test_criterion_1_solver_gate(free_wave_run):
-    rep, elapsed = free_wave_run
+def relative_change(a, b):
+    """|b - a| / |a| of two measured values given as repr."""
+    a, b = float(a), float(b)
+    return abs(b - a) / abs(a) if a and math.isfinite(a) and math.isfinite(b) else math.inf
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_items_equal_the_committed_reference(request, run):
+    # exact: each item's name, kind, bounds, flag and the repr of its value
+    with open(REFERENCE, encoding="utf-8") as fh:
+        want = json.load(fh)["configs"][run.removesuffix("_run")]
+    got = [{"name": it.name, "kind": it.kind, "measured": repr(float(it.measured)),
+            "lo": it.lo, "hi": it.hi, "passed": it.passed} for it in report_of(request, run).items]
+    old, new = ({it["name"]: it for it in items} for items in (want, got))
+    moved = [f"{n}: only in {'reference' if n in old else 'this run'}"
+             for n in sorted(set(old) ^ set(new))]
+    for n in (n for n in old if n in new and old[n] != new[n]):
+        a, b = old[n]["measured"], new[n]["measured"]
+        fields = [f"{f} {old[n][f]!r} -> {new[n][f]!r}" for f in old[n] if old[n][f] != new[n][f]]
+        moved.append(f"{n}: {'; '.join(fields)}"
+                     + (f" (relative change {relative_change(a, b):.2g})" if a != b else ""))
+    assert got == want, "items moved from tests/reference_items.json:\n" + "\n".join(moved)
+
+
+def test_criterion_1_solver_gate(convergence_run):
+    rep, elapsed = convergence_run
     it = items_of(rep)["dalembert_backward_order"]
     ok = it.passed and elapsed < 60.0
     report_line(1, ok, f"backward d'Alembert order {it.measured:.3f} "
@@ -112,7 +147,7 @@ def test_criterion_1_solver_gate(free_wave_run):
 
 
 def test_criterion_2_exact_solution_residuals(convergence_run):
-    items = items_of(convergence_run)
+    items = items_of(convergence_run[0])
     trav = items["residual_order_traveling_wave"]
     mass = items["residual_order_mass_term"]
     ok = trav.passed and mass.measured >= 1.9
@@ -145,8 +180,8 @@ def test_criterion_4_bulk_sign(audit_run):
         assert it.passed, it
 
 
-def test_criterion_5_homogeneous_exponents(homogeneous_run):
-    rep, elapsed = homogeneous_run
+def test_criterion_5_homogeneous_exponents(criterion5_homogeneous_run):
+    rep, elapsed = criterion5_homogeneous_run
     items = items_of(rep)
     src = items["source_norm_exponent"]
     en = items["energy_exponent"]

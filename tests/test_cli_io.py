@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from backwave.cli import main
-from backwave.config import KEYS, ConfigError, canonical_text, parse_config
+from backwave.config import _MODE_FIELDS, KEYS, ConfigError, _parse_lines, parse_config
 from backwave.outputs import write_bundle, write_series_csv
-from backwave.scenarios import FunctionalReport, ReportItem, ScenarioReport
+from backwave.scenarios import FIELDS, FunctionalReport, ReportItem, ScenarioReport
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+CONVERGENCE = str(CONFIGS / "convergence.cfg")
 
 MINIMAL = """
 [run]
@@ -43,7 +46,7 @@ def test_range_violation_cites_condition():
 
 
 def test_duplicate_key_reports_both_lines():
-    text = "[run]\nscenario = free_wave\nT = 10\nT = 12\n"
+    text = "[run]\nscenario = convergence\nT = 10\nT = 12\n"
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     msg = str(err.value)
@@ -52,19 +55,14 @@ def test_duplicate_key_reports_both_lines():
 
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError) as err:
-        parse_config("[run]\nscenario = free_wave\nwarp = 9\n")
+        parse_config("[run]\nscenario = convergence\nwarp = 9\n")
     assert "unknown key" in str(err.value)
     with pytest.raises(ConfigError):
         parse_config("[mystery]\nx = 1\n")
     with pytest.raises(ConfigError):
-        parse_config("[run]\nscenario free_wave\n")
-
-
-def test_canonical_idempotent():
-    spec = parse_config(MINIMAL)
-    text1 = canonical_text(spec)
-    spec2 = parse_config(text1)
-    assert canonical_text(spec2) == text1
+        parse_config("[run]\nscenario convergence\n")
+    with pytest.raises(ConfigError, match="unknown scenario ''"):
+        parse_config("[grid]\nh = 0.1\n")            # no [run] scenario
 
 
 def make_report():
@@ -121,7 +119,7 @@ def test_cli_prints_each_item_with_its_bounds(tmp_path, monkeypatch, capsys):
     rep = make_report()
     rep.add_item("y", "bound", 0.5, hi=1.0)
     monkeypatch.setattr(cli, "run_scenario", lambda spec: rep)
-    assert main(["validate", "--out", str(tmp_path / "out")]) == 1
+    assert main(["convergence", "--config", CONVERGENCE, "--out", str(tmp_path / "out")]) == 1
     out = capsys.readouterr().out
     assert "[FAIL] x: measured=-1.3 in [-1.25, -0.95]" in out
     assert "[PASS] y: measured=0.5 in [-inf, 1]" in out
@@ -139,7 +137,7 @@ def test_empty_series_header_only(tmp_path):
 def test_bundle_and_summary(tmp_path):
     rep = make_report()
     out = os.path.join(tmp_path, "bundle")
-    payload = write_bundle(rep, out, config_text="[run]\nscenario = homogeneous\n")
+    payload = write_bundle(rep, out)
     assert os.path.exists(os.path.join(out, "summary.json"))
     assert os.path.exists(os.path.join(out, "series.csv"))
     data = json.load(open(os.path.join(out, "summary.json")))
@@ -162,7 +160,7 @@ def test_summary_written_on_error(tmp_path):
     out = os.path.join(tmp_path, "errbundle")
     os.makedirs(out)
     from backwave.outputs import write_summary_json
-    payload = write_summary_json(rep, os.path.join(out, "summary.json"), config_text=None)
+    payload = write_summary_json(rep, os.path.join(out, "summary.json"))
     assert payload["status"] == "error"
     assert payload["error"]["stage"] == "weaknull"
 
@@ -171,9 +169,19 @@ def test_summary_written_on_error(tmp_path):
 # CLI integration: exit code contract
 # ---------------------------------------------------------------------------
 
-def test_cli_validate_passes(tmp_path):
-    assert main(["validate", "--out", str(tmp_path / "v"), "--quiet"]) == 0
-    assert os.path.exists(tmp_path / "v" / "summary.json")
+def test_cli_validate_is_an_unknown_command(tmp_path):
+    # the solver gate runs inside convergence; there is no second entry point
+    assert main(["validate", "--config", CONVERGENCE, "--out", str(tmp_path / "v")]) == 2
+    assert not os.path.exists(tmp_path / "v")
+
+
+def test_cli_config_naming_another_scenario_is_config_error(tmp_path, monkeypatch, capsys):
+    import backwave.cli as cli
+    monkeypatch.setattr(cli, "run_scenario", lambda spec: pytest.fail("a run started"))
+    homogeneous = str(CONFIGS / "homogeneous.cfg")
+    assert main(["audit", "--config", homogeneous, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == (f"configuration error: {homogeneous} names scenario "
+                                       "'homogeneous', not 'audit'\n")
 
 
 def test_cli_missing_config_is_config_error(tmp_path, capsys):
@@ -296,7 +304,8 @@ def test_cli_bad_data_is_config_error_before_any_solve(tmp_path, monkeypatch, co
         text = fh.read()
     assert old in text
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(text.replace(old, new))
+    cfg.write_text(text.replace(old, new).replace("scenario = homogeneous",
+                                                  f"scenario = {command}"))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x"), "--quiet"]) == 2
 
 
@@ -339,9 +348,9 @@ def test_cli_runtime_error_exit_three(tmp_path, monkeypatch):
     def boom(spec):
         raise RuntimeError("deliberate failure")
 
-    monkeypatch.setitem(S.RUNNERS, "free_wave", boom)
+    monkeypatch.setitem(S.RUNNERS, "convergence", boom)
     out = tmp_path / "rt"
-    code = main(["validate", "--out", str(out), "--quiet"])
+    code = main(["convergence", "--config", CONVERGENCE, "--out", str(out), "--quiet"])
     assert code == 3
     summary = json.load(open(out / "summary.json"))
     assert summary["status"] == "error"
@@ -355,13 +364,14 @@ def test_cli_crash_summary_carries_the_reports_error(tmp_path, monkeypatch):
     def boom(spec):
         raise RuntimeError("deliberate failure")
 
-    monkeypatch.setitem(S.RUNNERS, "free_wave", boom)
+    monkeypatch.setitem(S.RUNNERS, "convergence", boom)
     out = tmp_path / "crash"
-    assert main(["validate", "--out", str(out), "--quiet"]) == 3
+    assert main(["convergence", "--config", CONVERGENCE, "--out", str(out), "--quiet"]) == 3
     summary = json.load(open(out / "summary.json"))
     assert summary["passed"] is False
-    assert summary["error"] == {"stage": "free_wave",
+    assert summary["error"] == {"stage": "convergence",
                                 "message": "RuntimeError: deliberate failure"}
+    assert summary["config"] == {"scenario": "convergence", "h": 0.1, "cfl": 0.5}
 
 
 def test_cli_unknown_command():
@@ -385,8 +395,27 @@ def test_config_hash_identifies_the_physics(tmp_path):
     assert finer.config_hash() != parse_config(MINIMAL).config_hash()
     # no flag or key exists that could change the hash without changing the run
     for flag in (["--threads", "4"], ["--seed", "1"]):
-        assert main(["validate", "--out", str(tmp_path / "v"), "--quiet", *flag]) == 2
+        assert main(["convergence", "--config", CONVERGENCE, "--out", str(tmp_path / "v"),
+                     "--quiet", *flag]) == 2
     cfg = tmp_path / "seeded.cfg"
     cfg.write_text(MINIMAL.replace("t0 = 2", "t0 = 2\nseed = 3"))
     assert main(["homogeneous", "--config", str(cfg), "--out", str(tmp_path / "s"),
                  "--quiet"]) == 2
+
+
+def test_config_hash_covers_only_the_fields_the_pipeline_reads():
+    # audit never reads T: one run, one hash, whatever T is; h it reads
+    text = (CONFIGS / "audit.cfg").read_text(encoding="utf-8")
+    hashes = {parse_config(text.replace("scenario = audit", f"scenario = audit\nT = {T}"))
+              .config_hash() for T in (40, 50)}
+    assert len(hashes) == 1
+    assert parse_config(text.replace("h = 0.1", "h = 0.05")).config_hash() not in hashes
+
+
+def test_reference_configs_set_only_keys_their_pipeline_reads():
+    for path in sorted(CONFIGS.glob("*.cfg")):
+        text = path.read_text(encoding="utf-8")
+        fields = {_MODE_FIELDS.get(section) or ("check_points" if key.startswith("check_point")
+                                                else KEYS[section, key][0])
+                  for section, key, _value, _line in _parse_lines(text)}
+        assert fields - {"scenario"} <= set(FIELDS[parse_config(text).scenario]), path.name

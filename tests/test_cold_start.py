@@ -74,15 +74,13 @@ def _python(script, args, cwd):
                           capture_output=True, text=True, timeout=300)
 
 
-@pytest.mark.parametrize("command", ["validate", "convergence", "homogeneous", "weaknull",
-                                     "backscatter"])
+@pytest.mark.parametrize("command", ["convergence", "homogeneous", "weaknull", "backscatter"])
 def test_pipelines_without_kernels_never_load_scipy(tmp_path, command):
-    args = [command, "--out", str(tmp_path / "out"), "--quiet"]
-    if command in ("convergence", "backscatter"):
-        args += ["--config", str(CONFIGS / f"{command}.cfg")]
-    elif command in TINY:
-        (tmp_path / "tiny.cfg").write_text(TINY[command], encoding="utf-8")
-        args += ["--config", str(tmp_path / "tiny.cfg")]
+    cfg = CONFIGS / f"{command}.cfg"
+    if command in TINY:
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY[command], encoding="utf-8")
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]
     proc = _python(RUN, args, tmp_path)
     assert proc.returncode == 0, proc.stderr
     code, scipy_modules = json.loads(proc.stdout.splitlines()[-1])

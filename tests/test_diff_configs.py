@@ -203,3 +203,33 @@ def test_series_differences_name_each_column_that_moved(tmp_path):
                                                   csv_old.replace(b"\n", b"\r\n")), 0, 0)
     assert line == "series.csv differs"
     assert diff_configs.series_differences(old, tmp_path / "none") == ["series.csv only in old"]
+
+
+def test_write_reference_records_every_item_of_every_config(tmp_path, monkeypatch, capsys):
+    (tmp_path / "configs").mkdir()
+    (tmp_path / "tests").mkdir()
+    values = {"one": 0.1, "two": 1.0 / 3.0}
+    for name in values:
+        (tmp_path / "configs" / f"{name}.cfg").write_text("", encoding="utf-8")
+
+    def fake_run(tree, name, out):
+        path = bundle(out, values[name], lo=0.0) / "summary.json"
+        summary = json.loads(path.read_text(encoding="utf-8"))
+        summary["environment"] = {"numpy": "9.9", "platform": "box"}
+        path.write_text(json.dumps(summary), encoding="utf-8")
+        return 0, 0.0
+
+    monkeypatch.setattr(diff_configs, "run", fake_run)
+    assert diff_configs.main(["--write-reference", str(tmp_path)]) == 0
+    reference = tmp_path / "tests" / "reference_items.json"
+    item = {"name": "a", "kind": "fit", "lo": 0.0, "hi": 1.0, "passed": True}
+    assert json.loads(reference.read_text(encoding="utf-8")) == {
+        "numpy": "9.9", "platform": "box",
+        "configs": {"one": [{**item, "measured": "0.1"}],
+                    "two": [{**item, "measured": "0.3333333333333333"}]}}
+    # a failed run leaves the file as it was
+    monkeypatch.setattr(diff_configs, "run", lambda tree, name, out: (3, 0.0))
+    before = reference.read_bytes()
+    assert diff_configs.main(["--write-reference", str(tmp_path)]) == 1
+    assert reference.read_bytes() == before
+    assert "one: run failed with exit code 3" in capsys.readouterr().err

@@ -311,7 +311,7 @@ def test_field_invariants():
         assert str(err.value) == message
     # every band check runs before any exponent check
     with pytest.raises(RadiationDataError, match=r"^mode \(3,0\) outside band limit 2$"):
-        RunSpec(l_max=2).field_from([(1, 0, poly), (3, 0, GAUSS)])
+        RunSpec("homogeneous", l_max=2).field_from([(1, 0, poly), (3, 0, GAUSS)])
     field = RadiationField({(3, 0): make_profile(GAUSS), (1, 0): make_profile(poly)})
     assert list(field.modes) == [(1, 0), (3, 0)] and field.ells() == [1, 3]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import asdict
 
@@ -29,14 +30,14 @@ def test_spec_validation():
 
 
 def test_fit_window_rule():
-    spec = RunSpec(T=80.0, t0=2.0)
+    spec = RunSpec("homogeneous", T=80.0, t0=2.0)
     assert fit_window_for(spec) == (20.0, 80.0)          # last factor-4 span
-    spec = RunSpec(T=400.0, t0=2.0)
+    spec = RunSpec("homogeneous", T=400.0, t0=2.0)
     assert fit_window_for(spec) == (20.0, 200.0)         # last decade available
 
 
 def test_record_times_cover_endpoints():
-    spec = RunSpec(T=40.0, t0=2.0, n_records=12)
+    spec = RunSpec("homogeneous", T=40.0, t0=2.0, n_records=12)
     ts = record_times_for(spec)
     assert ts[0] == 40.0 and ts[-1] == 2.0
     assert all(a > b for a, b in zip(ts, ts[1:]))
@@ -140,13 +141,6 @@ def test_the_zero_horizon_sample_is_dropped():
     assert ratio.measured == pytest.approx((20.0 / ts[1]) ** -1.1)
 
 
-def test_free_wave_gate():
-    rep = run_scenario(RunSpec(scenario="free_wave", h=0.1))
-    assert rep.passed
-    names = {it.name for it in rep.items}
-    assert "dalembert_backward_order" in names
-
-
 def test_homogeneous_zero_data_trivial():
     rep = run_scenario(RunSpec(scenario="homogeneous", f0_modes=[], mass=0.0,
                                gamma=0.8, s=1.2))
@@ -243,12 +237,12 @@ def test_weaknull_zero_coupling_reduces_to_homogeneous():
                      mass=0.0, n_records=12)
     rep_h = run_scenario(spec_h)
     # w solves exactly the homogeneous remainder problem for G0: unweighted
-    # energies agree at shared record times
+    # energies agree at shared record times (homogeneous records their root)
     wn = {round(fr.t, 6): fr.values["energy_w1"] for fr in rep.series}
     for fr in rep_h.series:
         key = round(fr.t, 6)
         if key in wn and wn[key] > 1e-12:
-            assert wn[key] == pytest.approx(fr.values["energy_w1"], rel=1e-9), fr.t
+            assert wn[key] == pytest.approx(fr.values["energy_v"] ** 2, rel=1e-9), fr.t
 
 
 def test_backscatter_scenario_zero_field():
@@ -350,9 +344,45 @@ def test_every_report_names_its_run(monkeypatch):
     reports = [run_scenario(spec) for spec in specs]
     assert reports[2].status == "error" and "containment" in reports[2].error
     for spec, rep in zip(specs, reports):
+        assert rep.spec == spec.declared()
         assert rep.provenance["version"] == __version__
         assert rep.provenance["config_hash"] == spec.config_hash()
         assert rep.provenance["runtime_s"] >= 0.0
+
+
+POLY2 = [(2, 0, {"kind": "poly-tail", "amplitude": 2.0, "p": 0.85})]
+
+
+@pytest.mark.parametrize("spec", [
+    RunSpec("homogeneous", h=0.25, T=12.0, n_records=8, f0_modes=GAUSS2, mass=0.25),
+    RunSpec("tlimit", h=0.25, T_list=[6.0, 12.0, 24.0], f0_modes=GAUSS2),
+    RunSpec("weaknull", h=0.25, T=12.0, n_records=8, l_max=4, f0_modes=POLY2, mass=0.02,
+            g0_modes=[(0, 0, {"kind": "gaussian", "amplitude": 0.25})],
+            envelope_window=(4.0, 8.0)),
+    RunSpec("nullradial", h=0.5, T=8.0),
+    RunSpec("backscatter", f0_modes=POLY2),   # poly-tail data: field_from reads gamma
+    RunSpec("audit", h=0.4),
+    RunSpec("convergence", h=0.4),
+], ids=lambda spec: spec.scenario)
+def test_each_pipeline_reads_exactly_its_declared_fields(monkeypatch, spec):
+    # every RunSpec field the pipeline reads while it runs, read through
+    # RunSpec.__getattribute__; backscatter's brute-force oracle, which is
+    # handed no spec, is stubbed to keep the run short
+    import backwave.kernel_pipelines as kernel_pipelines
+    monkeypatch.setattr(kernel_pipelines, "brute_force_phi_k", lambda *args, **kwargs: 1.0)
+    fields = {f.name for f in dataclasses.fields(RunSpec)}
+    reads, get = set(), RunSpec.__getattribute__
+
+    def recording(self, name):
+        if name in fields:
+            reads.add(name)
+        return get(self, name)
+
+    runner = scenarios.runner_for(spec.validate().scenario)
+    with monkeypatch.context() as patch:
+        patch.setattr(RunSpec, "__getattribute__", recording)
+        runner(spec)
+    assert reads == set(scenarios.FIELDS[spec.scenario])
 
 
 def _recorded_solves(monkeypatch):
@@ -371,10 +401,10 @@ def _recorded_solves(monkeypatch):
     return trajs
 
 
-def test_validate_provenance_describes_one_grid(monkeypatch):
+def test_convergence_provenance_describes_the_gate_grid(monkeypatch):
     trajs = _recorded_solves(monkeypatch)
-    prov = run_scenario(RunSpec(scenario="free_wave")).provenance
-    # the time-reversal grid h/2 = 0.05 with its step cfl * h = 0.025; the
+    prov = run_scenario(RunSpec(scenario="convergence")).provenance
+    # the solver gate's time-reversal grid h/2 = 0.05 with its step cfl * h = 0.025; the
     # steps of all five solves: 100 + 200 + 400 for the refinement study,
     # 200 each for the reflected time-reversal leg and the energy solve
     assert (prov["h"], prov["J"]) == (0.05, 400)
@@ -384,7 +414,7 @@ def test_validate_provenance_describes_one_grid(monkeypatch):
     assert prov["steps"] == sum(tr.steps for tr in trajs) == 1100
 
 
-@pytest.mark.parametrize("scenario", ["free_wave", "audit"])
+@pytest.mark.parametrize("scenario", ["convergence", "audit"])
 def test_every_solve_steps_with_the_runs_cfl(monkeypatch, scenario):
     trajs = _recorded_solves(monkeypatch)
     run_scenario(RunSpec(scenario=scenario, h=0.1, cfl=0.25))

@@ -1,6 +1,7 @@
 """Run every reference config in two source trees and diff the results.
 
     python3 tools/diff_configs.py OLD_TREE NEW_TREE [NAME ...]
+    python3 tools/diff_configs.py --write-reference TREE
 
 Each tree's own ``configs/NAME.cfg`` runs through ``python -m backwave.cli``
 with that tree's ``src`` on the path, one process at a time and one BLAS
@@ -19,6 +20,11 @@ and settable values (defaulted function parameters plus defaulted
 dataclass fields, counted by AST), and exits 1 when anything differs or a
 run fails (exit code other than 0 or 1, or no summary.json).  NAME limits the run to the given configs (default:
 every ``configs/*.cfg`` of NEW_TREE).
+
+``--write-reference`` runs every ``configs/*.cfg`` of TREE the same way and
+rewrites TREE's ``tests/reference_items.json``: each config's items (name,
+kind, ``repr`` of ``measured``, ``lo``, ``hi``, ``passed``) plus numpy's
+version and the platform; tier-1 compares the acceptance reports with it.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import sys
 import tempfile
 import time
 
+REFERENCE = pathlib.Path("tests", "reference_items.json")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 FIELDS = ("kind", "measured", "lo", "hi", "target", "passed", "note", "gamma_data",
           "realized_target")
@@ -96,6 +103,33 @@ def items(out: pathlib.Path) -> dict:
     """Each item of the run's summary.json by name, as a dict of its FIELDS
     (None where a field is absent)."""
     return {it["name"]: {f: it.get(f) for f in FIELDS} for it in summary(out).get("items", [])}
+
+
+def reference_items(out: pathlib.Path) -> list:
+    """The run's items as the reference file records them."""
+    return [{"name": it["name"], "kind": it["kind"], "measured": repr(float(it["measured"])),
+             "lo": it["lo"], "hi": it["hi"], "passed": it["passed"]}
+            for it in summary(out).get("items", [])]
+
+
+def write_reference(tree: pathlib.Path) -> int:
+    """Run every config of ``tree`` and write its items to ``tree/REFERENCE``;
+    exits 1, writing nothing, when a run fails."""
+    configs, env = {}, {}
+    with tempfile.TemporaryDirectory(prefix="diff_configs_") as tmp:
+        for name in sorted(p.stem for p in (tree / "configs").glob("*.cfg")):
+            out = pathlib.Path(tmp) / name
+            code, sec = run(tree, name, out)
+            if code not in (0, 1) or not (out / "summary.json").is_file():
+                print(f"{name}: run failed with exit code {code}", file=sys.stderr)
+                return 1
+            configs[name] = reference_items(out)
+            env = summary(out)["environment"]
+            print(f"{name}: {len(configs[name])} items  [{sec:.1f} s]", flush=True)
+    payload = {"numpy": env["numpy"], "platform": env["platform"], "configs": configs}
+    (tree / REFERENCE).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {tree / REFERENCE}")
+    return 0
 
 
 def provenance(out: pathlib.Path) -> dict:
@@ -187,6 +221,8 @@ def series_differences(old: pathlib.Path, new: pathlib.Path) -> list:
 
 
 def main(argv) -> int:
+    if len(argv) == 2 and argv[0] == "--write-reference":
+        return write_reference(pathlib.Path(argv[1]).resolve())
     if len(argv) < 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
