@@ -16,8 +16,8 @@ Boundaries: u(0) = 0 holds for every mode (u ~ r^(l+1) near the origin and
 the interior stencil at j = 1 only reaches the j = 0 value, so the parity
 ghost reduces to this Dirichlet condition); the outer boundary is trivial
 Dirichlet justified by finite-speed containment, which is monitored: a
-solve aborts once |u| on the last four grid points exceeds BREACH_TOL = 1e-9
-times the largest |u| seen so far.
+solve aborts once a field's |u| on the last four grid points exceeds
+BREACH_TOL = 1e-9 times the largest |u| of that field seen so far.
 
 The engine only marches and keeps the states at the record times; an
 optional ``on_step`` observer (cone fluxes, per-step states: see
@@ -29,9 +29,14 @@ handing it out, and zeroes the data's ends once, on its own stacked copy.
 
 Several fields can be co-evolved as one system so that coupled sources
 (e.g. a quadratic coupling to another field's time derivative) see exact
-substage values.  The march stacks the fields' modes into one u and one v
-array, a row slice per field: each RK4 stage is one stencil pass over the
-stack, then each field's source rows are subtracted from its own slice.
+substage values, and so that uncoupled fields with a common source (the
+horizons of a T -> infinity study) share its rows.  The march stacks the
+fields' modes into one u and one v array, a row slice per field: each RK4
+stage is one stencil pass over the stack, then each field's source rows
+are subtracted from its own slice.  A field joins at its own data time, T
+or a record time; the fields are stacked in order of entry, so the active
+rows are a prefix of the stack, and below its data time a field steps
+with the floats of its own solve from there.
 
 RK4 asks for the source four times per step, at two new distinct times (k2
 and k3 share t - dt/2; k4's time is the next step's k1's).  These are the
@@ -203,7 +208,7 @@ class Trajectory:
             name = next(iter(self.states))
         return self.states[name]
 
-    def state_at(self, t: float, name: str = None) -> FieldState:
+    def state_at(self, t: float, name: str) -> FieldState:
         for st in self.field_states(name):
             if abs(st.t - t) < 1e-9:
                 return st
@@ -240,31 +245,49 @@ def solve_backward_system(
 ) -> Trajectory:
     """March the coupled per-mode system from t = T down to t = t0.
 
+    Each field joins the march at its own data time ``st.t``, which must be
+    T or one of the record times: from there down it steps, is recorded and
+    is watched for containment (against its own largest |u|) as its own
+    solve from that time would be (bit for bit, when all fields share one
+    l_max).  The fields are stacked
+    in order of entry (fields entering together in the given order), so the
+    active rows are a prefix of the stack; a field not yet active is neither
+    marched nor shown to ``source`` or ``on_step``.
+
     ``source(t, views)`` returns a dict mapping field names to S arrays of
     shape (n_modes, J+1), the right-hand side of box phi = S; omitted fields
-    get zero source.  ``views[name]`` is the field's :class:`FieldState` at
-    the stage, on its rows of the march's stacked arrays, with the march's
-    :class:`StepSchedule` as its ``schedule`` attribute.  Record times are
-    hit exactly; steps are at most ``stable_dt(h, l_max, cfl)`` long, ``cfl``
+    get zero source.  ``views[name]`` is an active field's
+    :class:`FieldState` at the stage, on its rows of the march's stacked
+    arrays, with the march's :class:`StepSchedule` as its ``schedule``
+    attribute.  Record times are hit exactly; steps are at most
+    ``stable_dt(h, l_max, cfl)`` long, l_max over all fields and ``cfl``
     being the run's (no default: every solve of a run steps by one rule).
     ``on_step(t, views)``, when given, is called with states of the same
     kind (without ``schedule``) at t = T and after every step, in march
     order; t is the step's own time, before a segment end snaps it to the
-    record time.  Views and recorded states hold the march's own arrays,
+    record time, and a field is in the views from the step that lands on
+    its data time.  Views and recorded states hold the march's own arrays,
     which the engine never writes after handing them out and no caller may
     write at all.
     """
-    names = list(fields)
-    if not names:
+    if not fields:
         raise EngineError("no fields to evolve")
-    grid = fields[names[0]].grid
-    for st in fields.values():
-        if st.grid != grid:
-            raise EngineError("all fields must share one radial grid")
-        if abs(st.t - T) > 1e-12:
-            raise EngineError("field data must be given at t = T")
     if not T > t0:
         raise EngineError("need T > t0")
+    times = sorted({float(t) for t in record_times} | {float(T), float(t0)}, reverse=True)
+    if times[0] > T + 1e-12 or times[-1] < t0 - 1e-12:
+        raise EngineError("record times must lie inside [t0, T]")
+    grid = next(iter(fields.values())).grid
+    entry = {}   # field -> the time in times it joins at
+    for n, st in fields.items():
+        if st.grid != grid:
+            raise EngineError("all fields must share one radial grid")
+        entry[n] = next((t for t in times if abs(st.t - t) <= 1e-12), None)
+        if entry[n] is None:
+            raise EngineError(f"field {n!r}: data at t = {st.t} is neither T nor a record time")
+    if times[0] not in entry.values():
+        raise EngineError("no field has its data at t = T")
+    names = sorted(fields, key=entry.get, reverse=True)
     h = grid.h
     rint = grid.r[1:-1]
     stops = np.cumsum([len(fields[n].modes) for n in names])
@@ -272,23 +295,19 @@ def solve_backward_system(
     ell = np.concatenate([fields[n].ell for n in names])
     dt_cap = stable_dt(h, int(max(ell, default=0)), cfl)
 
-    times = sorted({float(t) for t in record_times} | {float(T), float(t0)}, reverse=True)
-    if times[0] > T + 1e-12 or times[-1] < t0 - 1e-12:
-        raise EngineError("record times must lie inside [t0, T]")
-
-    u = np.concatenate([fields[n].u for n in names])
-    v = np.concatenate([fields[n].v for n in names])
-    u[:, 0] = u[:, -1] = v[:, 0] = v[:, -1] = 0.0
     pot = np.outer(ell * (ell + 1.0), 1.0 / rint**2)
     schedule = StepSchedule(times, dt_cap)
+    active: List[str] = []
+    u = v = np.zeros((0, grid.J + 1))
+    scale_seen: Dict[str, float] = {}
 
     def views(t, uu, vv):
         return {n: FieldState(t, grid, fields[n].modes, uu[rows[n]], vv[rows[n]])
-                for n in names}
+                for n in active}
 
     def rhs(t, uu, vv):
-        """(d_t u, d_t v) of the stack at the stage (t, uu, vv)."""
-        dv = acceleration(uu, None, pot, rint, h)
+        """(d_t u, d_t v) of the active stack at the stage (t, uu, vv)."""
+        dv = acceleration(uu, None, pot[:len(uu)], rint, h)
         if source:
             stage = views(t, uu, vv)
             for view in stage.values():
@@ -297,27 +316,36 @@ def solve_backward_system(
                 dv[rows[n], 1:-1] -= rint[None, :] * s[:, 1:-1]
         return vv, dv
 
-    recorded: Dict[str, List[FieldState]] = {n: [] for n in names}
-    scale_seen = max(float(np.max(np.abs(u))), 1e-30)
+    def join(t):
+        """Stack the fields whose data time is t below the active rows."""
+        nonlocal u, v
+        new = [n for n in names if entry[n] == t]
+        if new:
+            active.extend(new)
+            u = np.concatenate([u, *(fields[n].u for n in new)])
+            v = np.concatenate([v, *(fields[n].v for n in new)])
+            u[:, 0] = u[:, -1] = v[:, 0] = v[:, -1] = 0.0
+
+    recorded: Dict[str, List[FieldState]] = {n: [] for n in fields}
 
     def after_step(t, record):
         """The observer, the containment monitor, then the states at the
         record time ``record`` (None: none)."""
-        nonlocal scale_seen
         if on_step is not None:
             on_step(t, views(t, u, v))
-        for n in names:
+        for n in active:
             edge = float(np.max(np.abs(u[rows[n], -4:])))
-            scale_seen = max(scale_seen, float(np.max(np.abs(u[rows[n]]))))
-            if edge > BREACH_TOL * scale_seen:
+            scale_seen[n] = max(scale_seen.get(n, 1e-30), float(np.max(np.abs(u[rows[n]]))))
+            if edge > BREACH_TOL * scale_seen[n]:
                 raise ContainmentError(
                     f"support reached outer boundary at t={t:.6g} in field {n!r} "
-                    f"(|u| = {edge:.3e}, scale {scale_seen:.3e}); enlarge r_max"
+                    f"(|u| = {edge:.3e}, scale {scale_seen[n]:.3e}); enlarge r_max"
                 )
         if record is not None:
             for n, st in views(record, u, v).items():
                 recorded[n].append(st)
 
+    join(times[0])
     after_step(times[0], times[0])
     steps = list(schedule.steps())
     for t_now, dt, end in steps:
@@ -328,6 +356,7 @@ def solve_backward_system(
         u = u - (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
         v = v - (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         u[:, 0] = u[:, -1] = v[:, 0] = v[:, -1] = 0.0
+        join(end)
         after_step(t_now - dt, end)
 
     return Trajectory(grid=grid, record_times=times, states=recorded,

@@ -16,15 +16,15 @@ homogeneous    build psi01 + psi_e from the radiation field, solve
                class the data realize and the declared-gamma rate), and
                check boundedness of the first-order norm and pointwise
                envelope of psi.
-tlimit         repeat the homogeneous remainder solve for increasing T and
-               measure the Cauchy differences at t0 (and the remainder
-               norms at the earlier horizons).
+tlimit         the homogeneous remainder solve for increasing T, one field
+               per horizon in one march, and the Cauchy differences at t0
+               (and the remainder norms at the earlier horizons).
 weaknull       co-evolve the pair (remainder of psi, remainder w of phi)
                with the quadratic coupling (d_t psi)^2, the light-cone
                strata resolved by the retarded kernel solutions.
 nullradial     spherically symmetric classical null-form model, backward
                from trivial remainder data, with the quadratic scaling
-               check.
+               check (amplitudes a and a/2 as two fields of one march).
 backscatter    kernel-quadrature audit: oracle points, decay envelopes,
                near-cone asymptotics, wave-operator residuals.
 audit          estimate battery: multiplier identity refinements, bulk
@@ -63,7 +63,7 @@ from backwave.angular import mode_rows
 from backwave.cutoffs import chi_exterior
 from backwave.engine import (ContainmentError, EngineError, FieldState, ModeKey,
                              RadialGrid, Trajectory, convergence_order,
-                             discrete_box_field, solve_backward)
+                             discrete_box_field, solve_backward, solve_backward_system)
 from backwave.functionals import (ConeFlux, FunctionalError, FunctionalReport,
                                   StepStates, backward_estimate_constant, bulk_sign_check,
                                   conformal_norm_plus, cor_weighted_spacetime_instance,
@@ -118,12 +118,14 @@ class RunSpec:
                 f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
         if not 0.5 < self.gamma < 1.0:
             raise ScenarioError(f"gamma must satisfy 1/2 < gamma < 1, got {self.gamma}")
-        if "s" in FIELDS[self.scenario]:
-            if not (1.0 <= self.s < self.gamma + 0.5):
-                raise ScenarioError(
-                    f"s must satisfy 1 <= s < gamma + 1/2 = {self.gamma + 0.5}, got {self.s}")
-        if not (self.T > self.t0 >= 1.0):
-            raise ScenarioError(f"need T > t0 >= 1, got T={self.T}, t0={self.t0}")
+        reads = FIELDS[self.scenario]
+        if "s" in reads and not (1.0 <= self.s < self.gamma + 0.5):
+            raise ScenarioError(
+                f"s must satisfy 1 <= s < gamma + 1/2 = {self.gamma + 0.5}, got {self.s}")
+        if "T" in reads and not self.T > self.t0:
+            raise ScenarioError(f"need T > t0, got T={self.T}, t0={self.t0}")
+        if "t0" in reads and not self.t0 >= 1.0:
+            raise ScenarioError(f"need t0 >= 1, got t0={self.t0}")
         if self.h <= 0 or self.cfl <= 0 or self.cfl > 0.5 + 1e-12:
             raise ScenarioError("need h > 0 and 0 < cfl <= 0.5")
         for name in ("mass", "mu", "a"):
@@ -139,11 +141,11 @@ class RunSpec:
         lo, hi = self.envelope_window
         if not lo < hi:
             raise ScenarioError(f"envelope_window needs lo < hi, got {lo:g} {hi:g}")
-        J = RadialGrid.for_run(self.h, self.T, self.t0).J
         for tc, rc in self.check_points:
             if tc - self.h < self.t0 or tc + self.h > self.T:
                 raise ScenarioError(f"check point t = {tc}: stencil times t -/+ h leave "
                                     f"[t0, T] = [{self.t0}, {self.T}]")
+            J = RadialGrid.for_run(self.h, self.T, self.t0).J
             j = round(rc / self.h)
             if not 2 <= j <= J - 1:
                 raise ScenarioError(f"check point r = {rc}: grid index round(r/h) = {j} "
@@ -293,7 +295,8 @@ def fit_window_for(spec: RunSpec) -> Tuple[float, float]:
 
 def _provenance(grid: RadialGrid, trajs: Sequence[Trajectory]) -> Dict[str, object]:
     """The grid, the largest step of the solves on that grid and the total
-    step count over all the run's solves ``trajs``."""
+    step count over all the run's solves ``trajs`` (one march counts once,
+    whatever the number of fields it carries)."""
     return {"h": grid.h, "J": grid.J, "r_max": grid.r_max,
             "dt_max": max(tr.dt_max for tr in trajs if tr.grid == grid),
             "steps": sum(tr.steps for tr in trajs)}
@@ -459,19 +462,23 @@ def run_T_limit_study(spec: RunSpec) -> ScenarioReport:
     f1 = derive_F1(f0, q_max=grid.r_max + 2.0)
     modes = list(f0.modes)
     r_pos = grid.r[1:]
-    source = _minus_box_psi01_source(f0, f1, modes, r_pos)
-    ends: Dict[float, FieldState] = {}
-    trajs: List[Trajectory] = []
+    minus_box_psi01 = _minus_box_psi01_source(f0, f1, modes, r_pos)
+
+    def source(t, views):
+        """One row block per stage, the same for every active horizon."""
+        rows = minus_box_psi01(t, next(iter(views.values())))
+        return dict.fromkeys(views, rows)
+
+    # one field per horizon T, trivial data there: below each T every
+    # horizon steps with the same floats, so one march carries them all
+    traj = solve_backward_system({T: FieldState(T, grid, modes) for T in t_list}, source,
+                                 T_max, spec.t0, [spec.t0, *t_list], cfl=spec.cfl)
+    # each horizon T is recorded at T, at its predecessors and at t0
+    ends = {T: traj.states[T][-1] for T in t_list}
     horizon_norms: Dict[float, Tuple[float, float]] = {}   # T -> norms at its predecessor
-    for T1, T in zip([None, *t_list], t_list):
-        data = FieldState(T, grid, modes)
-        records = sorted({spec.t0} | {tt for tt in t_list if tt < T}, reverse=True)
-        traj = solve_backward(data, source, T, spec.t0, records, cfl=spec.cfl)
-        trajs.append(traj)
-        ends[T] = traj.state_at(spec.t0)
-        if T1 is not None:
-            st = traj.state_at(T1)
-            horizon_norms[T] = (math.sqrt(energy_weighted(st)), conformal_norm_plus(st, spec.s))
+    for T in t_list[1:]:
+        st = traj.states[T][1]
+        horizon_norms[T] = (math.sqrt(energy_weighted(st)), conformal_norm_plus(st, spec.s))
     diffs = []
     for T1, T2 in zip(t_list[:-1], t_list[1:]):
         a, b = ends[T2], ends[T1]
@@ -500,7 +507,7 @@ def run_T_limit_study(spec: RunSpec) -> ScenarioReport:
                      gamma_data=gamma_data,
                      realized_target=None if gamma_data is None else -(0.5 + gamma_data),
                      note=f"log-slope vs -(1/2+gamma)={-(0.5 + spec.gamma):.2f} (loose)")
-    rep.provenance = _provenance(grid, trajs)
+    rep.provenance = _provenance(grid, [traj])
     return rep
 
 
@@ -528,33 +535,38 @@ def run_null_radial(spec: RunSpec) -> ScenarioReport:
         out_r[pos] = (Ur[pos] - U[pos] / r[pos]) / r[pos]
         return out_t, out_r
 
-    def run_once(amplitude: float):
-        grid = RadialGrid(h=spec.h, J=int(round((2.0 * spec.T + 10.0) / spec.h)))
-        st = FieldState(spec.T, grid, [(0, 0)])
+    # the data a and, for the quadratic scaling check, a/2 as two fields of
+    # one march, each a multiple of the free wave u0_derivs read once per stage
+    ratios = {"a": 1.0, "a/2": 0.5} if amp != 0.0 else {"a": 0.0}
+    grid = RadialGrid(h=spec.h, J=int(round((2.0 * spec.T + 10.0) / spec.h)))
+    r = grid.r
 
-        def src(t, view):
-            r = grid.r
+    def src(t, views):
+        u0t, u0r = u0_derivs(t, r)
+        out = {}
+        for n, view in views.items():
             vt, vr = np.zeros((2, grid.J + 1))
             vt[1:] = view.v[0, 1:] / r[1:]
             vr[1:] = (view.ur[0, 1:] - view.u_over_r[0, 1:]) / r[1:]
-            u0t, u0r = u0_derivs(t, r)
-            ratio = amplitude / amp if amp != 0.0 else 0.0
-            ft = vt + ratio * u0t
-            fr = vr + ratio * u0r
+            ft = vt + ratios[n] * u0t
+            fr = vr + ratios[n] * u0r
             s = -(ft**2) + fr**2
             s[0] = 0.0
-            return s[None, :]
+            out[n] = s[None, :]
+        return out
 
-        records = sorted(set(np.geomspace(spec.t0, spec.T, 24).tolist()) | {spec.t0, spec.T},
-                         reverse=True)
-        traj = solve_backward(st, src, spec.T, spec.t0, records, cfl=spec.cfl)
-        ts = np.asarray([s.t for s in traj.field_states()])
-        es = np.asarray([math.sqrt(energy_weighted(s)) for s in traj.field_states()])
+    records = sorted(set(np.geomspace(spec.t0, spec.T, 24).tolist()) | {spec.t0, spec.T},
+                     reverse=True)
+    traj = solve_backward_system({n: FieldState(spec.T, grid, [(0, 0)]) for n in ratios}, src,
+                                 spec.T, spec.t0, records, cfl=spec.cfl)
+
+    def energies(name):
+        ts = np.asarray([st.t for st in traj.states[name]])
+        es = np.asarray([math.sqrt(energy_weighted(st)) for st in traj.states[name]])
         order = np.argsort(ts)
-        return ts[order], es[order], traj
+        return ts[order], es[order]
 
-    ts, es, traj = run_once(amp)
-    trajs = [traj]
+    ts, es = energies("a")
     if not np.all(np.isfinite(es)):
         rep.add_item("reaches_t0_without_blowup", "check", float("nan"))
         rep.status = "error"
@@ -572,19 +584,18 @@ def run_null_radial(spec: RunSpec) -> ScenarioReport:
     else:
         rep.add_item("remainder_identically_zero", "check", 0.0,
                      note="zero data gives the zero solution")
-    for st in traj.field_states():
+    for st in traj.states["a"]:
         rep.series.append(FunctionalReport(t=st.t, values={
             "energy_w1": energy_weighted(st)}))
     # quadratic amplitude scaling: halving the data should quarter ||dv||
     if amp != 0.0:
-        ts2, es2, traj2 = run_once(amp / 2.0)
-        trajs.append(traj2)
+        ts2, es2 = energies("a/2")
         mid = len(ts) // 2
         match = np.interp(ts[mid], ts2, es2)
         ratio = es[mid] / max(match, 1e-300)
         rep.add_item("quadratic_amplitude_scaling", "check", float(ratio), 3.2, 4.8,
                      note="||dv||(a) / ||dv||(a/2), expect 4 within 20%")
-    rep.provenance = _provenance(traj.grid, trajs)
+    rep.provenance = _provenance(grid, [traj])
     return rep
 
 

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from backwave.engine import (ContainmentError, FieldState, RadialGrid, convergence_order,
-                             discrete_box_field, solve_backward, solve_backward_system,
-                             stable_dt)
+from backwave.engine import (ContainmentError, EngineError, FieldState, RadialGrid,
+                             convergence_order, discrete_box_field, solve_backward,
+                             solve_backward_system, stable_dt)
 from backwave.functionals import ConeFlux, StepStates, _cone_foot, origin_decay_check
 
 
@@ -287,6 +287,73 @@ def test_containment_breach_in_the_second_field_names_it_at_its_own_step():
     assert str(system.value) == str(alone.value).replace("'phi'", "'b'")
 
 
+def _bits_equal(states, refs):
+    """Same times and modes, and u and v equal bit for bit (int64 views)."""
+    assert [st.t for st in states] == [ref.t for ref in refs]
+    for st, ref in zip(states, refs):
+        assert st.modes == ref.modes
+        for got, want in ((st.u, ref.u), (st.v, ref.v)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), st.t
+
+
+def test_a_field_entering_at_a_record_time_marches_as_its_own_solve():
+    # "b" joins the march of "a" at the record time 4.2; from there down it
+    # steps, is recorded and gets its source as its own solve from 4.2 does,
+    # and above 4.2 the source does not see it
+    grid = RadialGrid(h=0.1, J=180)
+    b_modes = [(1, 0), (2, 0)]
+    b_u = np.array([(k + 1.0) * grid.r ** (l + 1) * np.exp(-(grid.r - 5.0) ** 2)
+                    for k, (l, _m) in enumerate(b_modes)])
+    b = FieldState(4.2, grid, b_modes, b_u, -0.5 * b_u)
+    a = make_state(6.0, grid)
+    seen = []
+
+    def bump(t, n_modes):
+        return np.exp(-((grid.r - 4.0) ** 2) - (t - 4.0) ** 2) * np.ones((n_modes, 1))
+
+    def source(t, views):
+        seen.append((t, sorted(views)))
+        return {n: bump(t, len(view.modes)) for n, view in views.items()}
+
+    records = [2.0, 3.3, 4.2, 5.1]
+    traj = solve_backward_system({"b": b, "a": a}, source, 6.0, 2.0, records, cfl=0.5)
+    assert list(traj.states) == ["b", "a"]
+    alone_a = solve_backward(a, lambda t, view: bump(t, 1), 6.0, 2.0, records, cfl=0.5)
+    alone_b = solve_backward(b, lambda t, view: bump(t, 2), 4.2, 2.0, [2.0, 3.3], cfl=0.5)
+    _bits_equal(traj.states["a"], alone_a.field_states())
+    _bits_equal(traj.states["b"], alone_b.field_states())
+    assert traj.steps == alone_a.steps > alone_b.steps
+    assert all(names == ["a"] for t, names in seen if t > 4.2 + 1e-9)
+    assert all(names == ["a", "b"] for t, names in seen if t < 4.2 - 1e-9)
+    assert np.any(traj.states["b"][-1].u)
+
+
+def test_a_data_time_that_is_neither_T_nor_a_record_time_raises():
+    grid = RadialGrid(h=0.1, J=100)
+    with pytest.raises(EngineError, match="neither T nor a record time"):
+        solve_backward_system({"a": FieldState(5.0, grid, [(0, 0)]),
+                               "b": FieldState(4.0, grid, [(0, 0)])},
+                              None, 5.0, 1.0, [4.3, 2.7], cfl=0.5)
+    with pytest.raises(EngineError, match="no field has its data at t = T"):
+        solve_backward_system({"b": FieldState(4.3, grid, [(0, 0)])},
+                              None, 5.0, 1.0, [4.3, 2.7], cfl=0.5)
+
+
+def test_a_late_field_that_breaches_is_named_at_the_step_where_it_breaches_alone():
+    # "b" joins at 4.5 and reaches r_max; "a", far larger, stays clear of it.
+    # Each field's edge is read against its own scale, so a's does not mask b's
+    grid = RadialGrid(h=0.1, J=120)
+    a = FieldState(6.0, grid, [(0, 0)],
+                   (1e3 * grid.r * np.exp(-4.0 * (grid.r - 3.0) ** 2))[None, :])
+    b = make_state(4.5, grid)
+    solve_backward(a, None, 6.0, 1.0, [1.0], cfl=0.5)
+    with pytest.raises(ContainmentError) as alone:
+        solve_backward(b, None, 4.5, 1.0, [1.0], cfl=0.5)
+    with pytest.raises(ContainmentError, match="in field 'b'") as system:
+        solve_backward_system({"a": a, "b": b}, None, 6.0, 1.0, [1.0, 4.5], cfl=0.5)
+    assert str(system.value) == str(alone.value).replace("'phi'", "'b'")
+
+
 def test_the_march_writes_nothing_it_has_handed_out():
     # stage views, step views and recorded states share the march's arrays;
     # each still equals the copy taken when it was handed out
@@ -328,7 +395,7 @@ def test_data_with_nonzero_ends_is_left_alone_and_recorded_with_zero_ends():
     u0, v0 = u.copy(), v.copy()
     traj = solve_backward(data, None, 6.0, 5.0, [5.0], cfl=0.5)
     assert np.array_equal(u, u0) and np.array_equal(v, v0)
-    at_T = traj.state_at(6.0)
+    at_T = traj.state_at(6.0, "phi")
     for arr, given in ((at_T.u, u), (at_T.v, v)):
         assert np.all(arr[:, [0, -1]] == 0.0)
         assert np.array_equal(arr[:, 1:-1], given[:, 1:-1])

@@ -29,6 +29,19 @@ def test_spec_validation():
     RunSpec(scenario="homogeneous", gamma=0.8, s=1.2).validate()
 
 
+def test_range_checks_cover_only_the_fields_the_pipeline_reads():
+    # tlimit's horizons are T_list: t0 = 50 above the unread default T = 40 is valid
+    spec = RunSpec(scenario="tlimit", t0=50.0, T_list=[100.0, 200.0, 400.0], f0_modes=GAUSS2)
+    assert "T" not in spec.declared() and spec.validate() is spec
+    # no grid is sized from the unread T: 2T + (T - t0) < 0 here
+    RunSpec(scenario="tlimit", t0=200.0, T_list=[400.0, 800.0], f0_modes=GAUSS2).validate()
+    with pytest.raises(ScenarioError, match="need T > t0"):
+        RunSpec(scenario="homogeneous", T=40.0, t0=50.0).validate()
+    with pytest.raises(ScenarioError, match="need t0 >= 1"):
+        RunSpec(scenario="tlimit", t0=0.5, T_list=[20.0, 40.0]).validate()
+    RunSpec(scenario="convergence", T=1.0, t0=0.5).validate()   # reads neither T nor t0
+
+
 def test_fit_window_rule():
     spec = RunSpec("homogeneous", T=80.0, t0=2.0)
     assert fit_window_for(spec) == (20.0, 80.0)          # last factor-4 span
@@ -291,7 +304,7 @@ def test_assembled_field_solves_wave_equation():
                               T, 2.0, [tc - h, tc, tc + h], cfl=0.5)
 
         def psi_u(t):
-            st = traj.state_at(t)
+            st = traj.state_at(t, "phi")
             u = st.u[0].copy()
             p01 = eval_approximant(f0, f1, t, r_pos)[0]
             u[1:] += p01 * r_pos
@@ -396,8 +409,8 @@ def _recorded_solves(monkeypatch):
         trajs.append(solve(*args, **kwargs))
         return trajs[-1]
 
-    monkeypatch.setattr(engine, "solve_backward_system", recording)
-    monkeypatch.setattr(kernel_pipelines, "solve_backward_system", recording)
+    for module in (engine, kernel_pipelines, scenarios):
+        monkeypatch.setattr(module, "solve_backward_system", recording)
     return trajs
 
 
@@ -423,11 +436,16 @@ def test_every_solve_steps_with_the_runs_cfl(monkeypatch, scenario):
         assert tr.dt_max <= 0.25 * tr.grid.h * (1.0 + 1e-12), (tr.grid, tr.dt_max)
 
 
+TLIMIT_SMALL = RunSpec(scenario="tlimit", h=0.25, t0=2.0, T_list=[6.0, 12.0, 24.0],
+                       f0_modes=GAUSS2)
+
+
 @pytest.mark.parametrize("spec, n_solves", [
-    (RunSpec(scenario="nullradial", h=0.25, T=12.0, t0=2.0, amplitude=0.01), 2),
+    (RunSpec(scenario="nullradial", h=0.25, T=12.0, t0=2.0, amplitude=0.01), 1),  # a, a/2
+    (TLIMIT_SMALL, 1),                         # one march carries every horizon
     (RunSpec(scenario="audit", h=0.1), 9),     # one solve per distinct problem
     (RunSpec(scenario="convergence", h=0.1), 5),
-], ids=["nullradial", "audit", "convergence"])
+], ids=["nullradial", "tlimit", "audit", "convergence"])
 def test_provenance_steps_cover_every_solve(monkeypatch, spec, n_solves):
     trajs = _recorded_solves(monkeypatch)
     prov = run_scenario(spec).provenance
@@ -435,6 +453,32 @@ def test_provenance_steps_cover_every_solve(monkeypatch, spec, n_solves):
     assert prov["steps"] == sum(tr.steps for tr in trajs)
     on_grid = [tr.dt_max for tr in trajs if (tr.grid.h, tr.grid.J) == (prov["h"], prov["J"])]
     assert on_grid and prov["dt_max"] == max(on_grid)
+
+
+def test_tlimit_horizons_equal_their_own_solves_bit_for_bit(monkeypatch):
+    # each horizon's remainder at t0 and at its predecessor equals the
+    # separate solve from that horizon on the same grid (int64 views)
+    from backwave.engine import FieldState, solve_backward
+    from backwave.radiation import derive_F1
+
+    trajs = _recorded_solves(monkeypatch)
+    assert run_scenario(TLIMIT_SMALL).status == "ok"
+    [traj] = trajs
+    f0 = TLIMIT_SMALL.field_from(GAUSS2)
+    f1 = derive_F1(f0, q_max=traj.grid.r_max + 2.0)
+    modes = list(f0.modes)
+    source = scenarios._minus_box_psi01_source(f0, f1, modes, traj.grid.r[1:])
+    t_list = TLIMIT_SMALL.T_list
+    for T1, T in zip([None, *t_list], t_list):
+        records = [t for t in [*t_list, 2.0] if t < T]
+        alone = solve_backward(FieldState(T, traj.grid, modes), source, T, 2.0, records,
+                               cfl=TLIMIT_SMALL.cfl)
+        for t in [2.0] if T1 is None else [T1, 2.0]:
+            [st] = [st for st in traj.states[T] if st.t == t]
+            ref = alone.state_at(t, "phi")
+            for got, want in ((st.u, ref.u), (st.v, ref.v)):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (T, t)
+    assert traj.steps == alone.steps and np.any(traj.states[t_list[0]][-1].u)
 
 
 def test_weaknull_envelope_window_without_records_fails_the_item():
