@@ -29,9 +29,10 @@ kernel depending on sigma only through mu = <w, sigma>,
 so each evaluation point costs an adaptive panel sweep in q, bisected
 against the caller's tolerance ``q_tol``, and, per q-node, one 1-D
 mu-quadrature shared by every retained l; the q-nodes of a call go through
-it in array passes.  One call serves a sequence of kernel indices: its q
-panels, lam nodes, weights, cutoff values and Legendre rows are computed in
-one lam pass for every k, and only the kernel factor and the reduction run
+it in array passes.  One call serves one source per kernel index (one
+source for all, or the weak-null strata): their q panels, lam nodes,
+weights, cutoff values and Legendre rows are computed in one lam pass for
+every k of one support, and only the kernel factor and the reduction run
 once per k.  The mu-integral is taken in the shifted
 variable lam = (t-r+q) + r(1-mu), on which the cutoff support becomes the
 exact window lam <= (t-r+q)(t+r+q)/(8 <q>), with geometrically graded
@@ -40,10 +41,10 @@ is approached on an exponential substitution.
 
 A source n is a :class:`~backwave.radiation.RadiationField`, the map that
 holds the radiation data.  :func:`phi_k_modes` returns the coefficients as
-one row per k in ``n.modes`` order, as :func:`source_value_modes` returns the
-source, and point values take the harmonics of those modes from
-``angular.ylm_at``.  The
-wave-operator residual check applies the centered five-point box
+one row per k in its source's ``n.modes`` order, as
+:func:`source_value_modes` returns the source, and point values take the
+harmonics of those modes from ``angular.ylm_at``.  The wave-operator
+residual check applies the centered five-point box
 :func:`five_point_box` to quadrature-evaluated mode coefficients and
 compares against the source; it is the arbiter for the printed kernels.
 The weak-null crosscheck applies the same box to its assembled field.
@@ -53,7 +54,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -169,71 +170,75 @@ def _q_panels(n: RadiationField, t: float, r: float):
     return panels
 
 
-def phi_k_modes(n: RadiationField, ks: Sequence[int], t: float, r: float,
-                q_tol: float) -> np.ndarray:
-    """Mode coefficients of Phi^k[n](t, r .), c_lm = int I_l(q) prof_lm(q) dq,
-    for each k of ``ks``: shape (len(ks), modes), a row per k with one entry
-    per mode of ``n.modes`` in its order.
+def phi_k_modes(sources: Dict[int, RadiationField], t: float, r: float,
+                q_tol: float) -> Dict[int, np.ndarray]:
+    """Mode coefficients of Phi^k[n_k](t, r .), c_lm = int I_l(q) n_k,lm(q) dq,
+    for one source n_k per kernel index k of ``sources``: a row per k, one
+    entry per mode of n_k.modes in its order.
 
     Adaptive bisection on q panels against the tolerance ``q_tol > 0``
     (relative to the running scale).  Every top-level panel is split at
     least once, so its coarse value and both halves come from one batched
-    pass for all ks; each k then bisects on its own total and scale, and a
-    deeper half is evaluated for that k alone as its bisection reaches it, so
-    each row equals that of ``ks = (k,)`` bit for bit.
+    pass for all ks whose sources share a support (and so the panels); each
+    k then bisects on its own total and scale, and a deeper panel's halves
+    come from one pass for all those ks when the first k's bisection
+    reaches it, so each row equals that of ``{k: n_k}`` alone bit for bit.
     """
     if r <= 0.0:
         raise BackscatterError("kernel quadrature requires r > 0")
-    for k in ks:
+    for k in sources:
         if k not in (2, 3, 4):
             raise BackscatterError(f"kernel index k must be 2, 3 or 4, got {k}")
     if q_tol <= 0.0:
         raise BackscatterError("q-panel tolerance must be positive")
-    if n.is_zero():
-        return np.zeros((len(ks), 0))
-    l_max = max(n.ells())
     xg, wg = _gl(12)
 
-    def panel_values(kk: Sequence[int], a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """12-node Gauss-Legendre values, shape (len(kk), panels, modes), on
-        (a_i, b_i)."""
+    def panel_values(group, a: np.ndarray, b: np.ndarray) -> List[np.ndarray]:
+        """12-node Gauss-Legendre values on (a_i, b_i), (panels, modes) per k of group."""
         half = 0.5 * (b - a)
         qs = ((0.5 * (a + b))[:, None] + half[:, None] * xg).ravel()
-        il = _mu_integrals(kk, qs, t, r, l_max).reshape(len(kk), a.size, xg.size, l_max + 1)
+        l_max = max(max(n.ells()) for n in group.values())
+        il = _mu_integrals(tuple(group), qs, t, r, l_max).reshape(len(group), a.size, xg.size, -1)
         w = wg * half[:, None]
-        out = np.empty((len(kk), a.size, len(n.modes)))
-        for i, (lm, prof) in enumerate(n.modes.items()):
-            pv = prof.value(qs).reshape(w.shape)
-            for ki in range(len(kk)):
-                out[ki, :, i] = (w * il[ki, :, :, lm[0]] * pv).sum(axis=1)
-        return out
+        pvs = {n: [prof.value(qs).reshape(w.shape) for prof in n.modes.values()]
+               for n in dict.fromkeys(group.values())}
+        return [np.stack([(w * il[ki, :, :, lm[0]] * pv).sum(axis=1)
+                          for lm, pv in zip(n.modes, pvs[n])], axis=-1)
+                for ki, n in enumerate(group.values())]
 
-    panels = _q_panels(n, t, r)
-    lo, hi = np.array(panels, dtype=float).reshape(-1, 2).T
-    mid = 0.5 * (lo + hi)
-    first = panel_values(ks, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
-    out = np.zeros((len(ks), len(n.modes)))
-    for ki, k in enumerate(ks):
-        coarse, left, right = np.split(first[ki], 3)
-        total = np.zeros(len(n.modes))
-        scale = 0.0
-        for i, (a, b) in enumerate(panels):
-            stack = [(a, b, coarse[i], (left[i], right[i]), 0)]
-            while stack:
-                a0, b0, coarse0, halves, depth = stack.pop()
-                m0 = 0.5 * (a0 + b0)
-                if halves is None:
-                    halves = panel_values((k,), np.array([a0, m0]), np.array([m0, b0]))[0]
-                left0, right0 = halves
-                fine = left0 + right0
-                err = float(np.max(np.abs(fine - coarse0)))
-                scale = max(scale, float(np.max(np.abs(total + fine))), 1e-30)
-                if err < q_tol * max(scale, 1.0) or depth >= 7:
-                    total = total + fine
-                else:
-                    stack.append((a0, m0, left0, None, depth + 1))
-                    stack.append((m0, b0, right0, None, depth + 1))
-        out[ki] = total
+    out, groups = {k: np.zeros(0) for k in sources}, {}
+    for k, n in sources.items():
+        if not n.is_zero():
+            groups.setdefault(n.support(), {})[k] = n
+    for group in groups.values():
+        panels = _q_panels(next(iter(group.values())), t, r)
+        lo, hi = np.array(panels, dtype=float).reshape(-1, 2).T
+        mid = 0.5 * (lo + hi)
+        first = panel_values(group, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
+        deeper = {}   # a split panel's halves, for every k of the group at once
+        for ki, ((k, n), vals) in enumerate(zip(group.items(), first)):
+            coarse, left, right = np.split(vals, 3)
+            total = np.zeros(len(n.modes))
+            scale = 0.0
+            for i, (a, b) in enumerate(panels):
+                stack = [(a, b, coarse[i], (left[i], right[i]), 0)]
+                while stack:
+                    a0, b0, coarse0, halves, depth = stack.pop()
+                    m0 = 0.5 * (a0 + b0)
+                    if halves is None:
+                        if (a0, b0) not in deeper:
+                            deeper[a0, b0] = panel_values(group, *np.array([[a0, m0], [m0, b0]]))
+                        halves = deeper[a0, b0][ki]
+                    left0, right0 = halves
+                    fine = left0 + right0
+                    err = float(np.max(np.abs(fine - coarse0)))
+                    scale = max(scale, float(np.max(np.abs(total + fine))), 1e-30)
+                    if err < q_tol * max(scale, 1.0) or depth >= 7:
+                        total = total + fine
+                    else:
+                        stack.append((a0, m0, left0, None, depth + 1))
+                        stack.append((m0, b0, right0, None, depth + 1))
+            out[k] = total
     return out
 
 
@@ -249,7 +254,7 @@ def _point_value(n: RadiationField, coeffs: np.ndarray, omega) -> float:
 def phi_k(n: RadiationField, k: int, t: float, r: float, omega, q_tol: float) -> float:
     """Phi^k[n] at the spacetime point (t, r omega); omega a unit 3-vector,
     q_tol the q-panel tolerance of :func:`phi_k_modes`."""
-    return _point_value(n, phi_k_modes(n, (k,), t, r, q_tol)[0], omega)
+    return _point_value(n, phi_k_modes({k: n}, t, r, q_tol)[k], omega)
 
 
 def phi2_asymptotic(n: RadiationField, t: float, r: float, omega) -> float:
@@ -335,11 +340,11 @@ def source_residual_check(n: RadiationField, ks: Sequence[int],
     for (t, r) in points:
         if r <= 2 * h:
             raise BackscatterError("sample points must stay away from r = 0")
-        stencils.append([phi_k_modes(n, ks, t + dt * h, r + dr * h, q_tol)
+        stencils.append([phi_k_modes(dict.fromkeys(ks, n), t + dt * h, r + dr * h, q_tol)
                          for dt, dr in FIVE_POINTS])
     out = {}
-    for ki, k in enumerate(ks):
-        box = np.array([five_point_box([c[ki] for c in st], h, r, ells)
+    for k in ks:
+        box = np.array([five_point_box([c[k] for c in st], h, r, ells)
                         for st, (_t, r) in zip(stencils, points)])
         src = np.array([source_value_modes(n, k, t, r) for (t, r) in points])
         src_scale = float(np.max(np.abs(src), initial=0.0) or np.max(np.abs(box), initial=0.0))
@@ -347,7 +352,7 @@ def source_residual_check(n: RadiationField, ks: Sequence[int],
             out[k] = {"max_rel_residual": 0.0, "noise_floor": 0.0}
             continue
         max_rel = float(np.max(np.abs(box - src))) / src_scale
-        c0 = np.array([st[0][ki] for st in stencils])
+        c0 = np.array([st[0][k] for st in stencils])
         noise = 4.0 * q_tol * float(np.max(np.abs(c0))) / h**2 / src_scale
         out[k] = {"max_rel_residual": max_rel, "noise_floor": noise}
     return out
@@ -362,7 +367,8 @@ def envelope_sweep(n: RadiationField, ks: Sequence[int], sweep: Sequence[Tuple[f
     k=2: |Phi^2| * 2r / ln(<t+r>/<t-r>) * <(r-t)_+>^a
     k=3,4: |Phi^k| * <t+r> <t-r>^(k-2) * <(r-t)_+>^a
     """
-    vals = np.array([[_point_value(n, c, omega) for c in phi_k_modes(n, ks, t, r, q_tol)]
+    vals = np.array([[_point_value(n, c, omega)
+                      for c in phi_k_modes(dict.fromkeys(ks, n), t, r, q_tol).values()]
                      for (t, r) in sweep]).reshape(len(sweep), len(ks))
     ts = np.array([t for (t, _r) in sweep])
     rs = np.array([r for (_t, r) in sweep])

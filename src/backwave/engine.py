@@ -42,9 +42,9 @@ RK4 asks for the source four times per step, at two new distinct times (k2
 and k3 share t - dt/2; k4's time is the next step's k1's).  These are the
 stage times of the :class:`StepSchedule` the march steps with and the stage
 views carry.  A costly state-independent source evaluates them in blocks of
-BLOCK_TIMES through :func:`stage_rows`, which keeps each block in the
-schedule until the march leaves it, as the radiation residual and the
-weak-null strata do.
+BLOCK_TIMES through :func:`stage_rows`, which keeps each block, a
+:class:`StageBlock` with what its sources share, in the schedule until the
+march leaves it, as the radiation residual and the weak-null strata do.
 """
 
 from __future__ import annotations
@@ -156,7 +156,8 @@ class StepSchedule:
     the source gets."""
 
     def __init__(self, times: Sequence[float], dt_cap: float):
-        self.times, self.dt_cap, self._kept = tuple(times), dt_cap, {}
+        self.times, self.dt_cap = tuple(times), dt_cap
+        self._block = (0, StageBlock(np.zeros(0), np.zeros(0)))   # start, block: none yet
         self.stage_times = tuple(dict.fromkeys(
             s for t, dt, _end in self.steps() for s in (t, t - 0.5 * dt, t - dt)))
         self._index = {s: i for i, s in enumerate(self.stage_times)}
@@ -174,24 +175,36 @@ class StepSchedule:
             t = t_next
 
 
+class StageBlock:
+    """Stage times ``ts`` at the radii ``r`` (the caller's array, unwritten while
+    kept); ``share(key, build)`` is build(block), built once per block and key."""
+
+    def __init__(self, ts: np.ndarray, r: np.ndarray):
+        self.ts, self.r, self._kept = ts, r, {}
+
+    def share(self, key, build: Callable[["StageBlock"], object]):
+        return self._kept[key] if key in self._kept else self._kept.setdefault(key, build(self))
+
+
 def stage_rows(schedule: Optional[StepSchedule], key, t: float, r: np.ndarray,
-               rows_at: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """``rows_at(ts)[k]`` for t = ts[k], a forcing's rows at the radii ``r``.
-    Without a schedule ts is (t,) and the row is the caller's own.  With one,
-    ts is the stage time t and up to BLOCK_TIMES - 1 later ones, kept
-    read-only in the schedule under ``key`` until another time or other
-    radii are asked for; a time that is not a stage time raises."""
+               rows_at: Callable[[StageBlock], np.ndarray]) -> np.ndarray:
+    """``rows_at(block)[k]`` for t = block.ts[k]: a forcing's rows at radii ``r``,
+    on the block t alone without a schedule (the caller's own row), else on the
+    schedule's kept block if it holds t and r (by identity, then value), or on
+    t and up to BLOCK_TIMES - 1 later stage times kept in its place; each key's
+    rows are built once per block, read-only.  Times off the schedule raise."""
     if schedule is None:
-        return rows_at(np.array([t]))[0]
+        return rows_at(StageBlock(np.array([t]), r))[0]
     i = schedule._index.get(t)
     if i is None:
         raise EngineError(f"t = {t!r} is not a stage time of this schedule")
-    start, kept_r, rows = schedule._kept.get(key) or (i, None, ())
-    if not 0 <= i - start < len(rows) or not np.array_equal(kept_r, r):
-        rows = schedule._kept[key] = None   # drop the old block first: peak RSS
-        start, kept_r, rows = schedule._kept[key] = (
-            i, np.array(r), rows_at(np.array(schedule.stage_times[i:i + BLOCK_TIMES])))
-        rows.flags.writeable = False
+    start, block = schedule._block
+    if not 0 <= i - start < block.ts.size or block.r is not r and not np.array_equal(block.r, r):
+        block = schedule._block = None   # drop the old block first: peak RSS
+        start, block = schedule._block = (
+            i, StageBlock(np.array(schedule.stage_times[i:i + BLOCK_TIMES]), r))
+    rows = block.share(key, rows_at)
+    rows.flags.writeable = False
     return rows[i - start]
 
 

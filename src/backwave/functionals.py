@@ -166,12 +166,11 @@ def r_dr_omega(t: float, r: np.ndarray, s: float) -> np.ndarray:
 # observers along the march
 # ---------------------------------------------------------------------------
 
-def _conformal_flux_at(t: float, foot: float, s: float, h: float,
-                       u: np.ndarray, lu: np.ndarray, ll1: np.ndarray) -> float:
+def _conformal_flux_at(t: float, foot: float, s: float, u_f: np.ndarray, lu_f: np.ndarray,
+                       ll1: np.ndarray) -> float:
     """Flux integrand of the conformal identity at r = foot, summed over modes:
     <t+r>^2s |L(r phi)|^2 + <t-r>^2s |slashed-nabla(r phi)|^2 per unit solid
-    angle and time, from u = r phi and lu = L u."""
-    _j, _lam, (u_f, lu_f) = _cone_foot(foot, h, u, lu)
+    angle and time, from u = r phi and lu = L u at the foot."""
     fp = (1.0 + (t + foot) ** 2) ** s
     fm = (1.0 + (t - foot) ** 2) ** s
     return float(np.sum(fp * lu_f**2 + fm * ll1 * u_f**2 / foot**2))
@@ -206,9 +205,11 @@ class ConeFlux:
         foot = self.R - (self.t2 - t)
         val = None
         if h < foot < view.grid.r_max - h:
-            ell = view.ell
-            lu = view.v + radial_deriv(view.u, ell, h)
-            val = _conformal_flux_at(t, foot, self.s, h, view.u, lu, ell * (ell + 1.0))
+            # L u = v + d_r u on the columns j, j + 1 around the foot only
+            j, lam, (u_f,) = _cone_foot(foot, h, view.u)
+            lu = view.v[:, j:j + 2] + radial_deriv(view.u[:, j - 1:j + 3], view.ell, h)[:, 1:3]
+            val = _conformal_flux_at(t, foot, self.s, u_f, (1.0 - lam) * lu[:, 0] + lam * lu[:, 1],
+                                     view.ll1)
         self.ts.append(t)
         self.vals.append(val)
 
@@ -259,7 +260,7 @@ def morawetz_identity_audit(steps: Sequence[FieldState], s: float, R: float,
         r, v, ur, ll1 = st.r, st.v, st.ur, st.ll1
         lu = v + ur
         foot = R - (t2 - st.t)
-        flux_vals[i] = _conformal_flux_at(st.t, foot, s, h, st.u, lu, ll1)
+        flux_vals[i] = _conformal_flux_at(st.t, foot, s, *_cone_foot(foot, h, st.u, lu)[2], ll1)
         # bulk integrand over r <= foot
         rdo = r_dr_omega(st.t, r, s)
         dens = -rdo[None, :] * ll1[:, None] * st.u_over_r**2
@@ -302,7 +303,7 @@ def bulk_sign_check(a: float, t_samples, r_samples) -> float:
     return float(np.max(slack))
 
 
-def hardy_checks(state: FieldState, s: float) -> Dict[str, float]:
+def hardy_checks(state: FieldState, s: float, ur: np.ndarray) -> Dict[str, float]:
     """LHS/RHS ratios of the two weighted Hardy inequalities.
 
     zeroth:  int f''(t-r) phi^2 dx  vs  int [f+ (L(r phi))^2 + f- (Lb(r phi))^2] dx/r^2
@@ -310,9 +311,9 @@ def hardy_checks(state: FieldState, s: float) -> Dict[str, float]:
     radial:  int <t-r>^2s phi^2 dx/r^2  vs  int <t-r>^(2s-2) phi^2 dx
              + int <t-r>^2s (d_r(r phi))^2 dx/r^2.
 
-    Raises when a right side vanishes while the left does not.
+    Raises when a right side vanishes while the left does not.  ``ur``: state.ur.
     """
-    t, r, u, v, ur = state.t, state.r, state.u, state.v, state.ur
+    t, r, u, v = state.t, state.r, state.u, state.v
     q = t - r
     br2 = 1.0 + q * q
     fpp = 2.0 * s * br2 ** (s - 1.0) + 2.0 * s * (2.0 * s - 2.0) * q * q * br2 ** (s - 2.0)
@@ -422,11 +423,11 @@ def _sup_envelope(state: FieldState, s: float, u_over_r: np.ndarray) -> float:
     return float(np.max(np.abs(vals) * env[None, :]))
 
 
-def ks_pointwise_check(state: FieldState, s: float) -> Dict[str, float]:
+def ks_pointwise_check(state: FieldState, s: float, ur: np.ndarray) -> Dict[str, float]:
     """sup <t+r> <t-r>^(s-1/2) |phi| of a free field divided by the |I| <= 2
     weighted-norm surrogate; bounded constants instantiate the weighted
-    pointwise decay inequality."""
-    ur, u_over_r = state.ur, state.u_over_r
+    pointwise decay inequality (``ur`` as for :func:`hardy_checks`)."""
+    u_over_r = state.u_over_r
     numer = _sup_envelope(state, s, u_over_r)
     denom = _norm_Z(state, s, ur, u_over_r) + _second_order_terms(state, s, ur)
     if denom == 0.0:

@@ -1,7 +1,8 @@
 """The weaknull and backscatter pipelines (see :mod:`backwave.scenarios`), the
 two built on sampled profiles and retarded kernels.  Weak-null's strata and
-d_t psi_e rows come in blocks of the march's stage times from
-``engine.stage_rows``, as radiation's residual and d_t psi01 rows do."""
+d_t psi_e rows come in blocks of stage times from ``engine.stage_rows``, the
+strata on the block's one ``radiation.wave_zone``; the crosscheck takes all
+three strata's kernels from one ``phi_k_modes`` call per stencil point."""
 
 from __future__ import annotations
 
@@ -14,12 +15,12 @@ from backwave.angular import band_modes, mode_rows, product_closures
 from backwave.backscatter import (FIVE_POINTS, brute_force_phi_k, envelope_sweep,
                                   five_point_box, n_norm, phi_k, phi_k_modes, phi2_asymptotic,
                                   source_residual_check)
-from backwave.cutoffs import chi_exterior, chi_wave_zone
+from backwave.cutoffs import chi_exterior
 from backwave.engine import FieldState, ModeKey, RadialGrid, solve_backward_system, stage_rows
 from backwave.functionals import FunctionalReport, energy_weighted, norm_Z_weighted, sup_envelope
-from backwave.profiles import SampledProfile, qbracket
+from backwave.profiles import SampledProfile
 from backwave.radiation import (SQRT4PI, RadiationField, derive_F1, eval_approximant,
-                                eval_dt_psi01_exact, psi_e_terms)
+                                eval_dt_psi01_exact, psi_e_terms, wave_zone)
 from backwave.scenarios import (RATIO_BUDGET, RunSpec, ScenarioReport,
                                 _minus_box_psi01_source, _provenance, fit_window_for,
                                 record_times_for)
@@ -48,39 +49,38 @@ def _dt_psi_modes(f0: RadiationField, f1: RadiationField, mass: float,
         block[:len(v)] = v / r
         block[:len(f0.modes)] += eval_dt_psi01_exact(f0, f1, t, r, schedule)
         block[row_e] += stage_rows(schedule, _dt_psi_e_rows, t, r,
-                                   lambda ts: _dt_psi_e_rows(mass, ts, r))
+                                   lambda stage: _dt_psi_e_rows(mass, stage))
         return block
 
     return dt_psi
 
 
-def _dt_psi_e_rows(mass: float, ts, r):
-    """d_t psi_e's (0, 0) coefficients at the times ts, (ts.size, r.size): off
-    1 < r - t < 2, where chi_e' lives, its value -0.0, which adds nothing."""
-    q = r - ts[:, None]
+def _dt_psi_e_rows(mass: float, block):
+    """d_t psi_e's (0, 0) coefficients on an engine.StageBlock (ts, ascending r),
+    (ts.size, r.size): -0.0, adding nothing, off 1 < r - t < 2 (tested on r - t in [1/2, 5/2))."""
+    ts, r = block.ts, block.r
+    near = slice(*np.searchsorted(r, [ts.min() + 0.5, ts.max() + 2.5]))
+    q = r[near] - ts[:, None]
     ti, ji = np.nonzero((q > chi_exterior.lower) & (q < chi_exterior.upper))
-    out = np.full(q.shape, -0.0)
-    out[ti, ji] = psi_e_terms(mass, ts[ti], r[ji])[1]
+    out = np.full((ts.size, r.size), -0.0)
+    out[ti, near.start + ji] = psi_e_terms(mass, ts[ti], r[near][ji])[1]
     return out
 
 
 def _strata_rows(strata: Dict[int, RadiationField], w_modes: Sequence[ModeKey],
-                 ts: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The strata's w source sum_k n_k(r - t) r^-k chi(<r-t>/r)^2 at the
-    times ts, shape (ts.size, len(w_modes), r.size + 1) with column 0 (r = 0)
-    zero.  Every term carries chi^2, so each (k, mode) is one spline call on
-    the (time, radius) pairs where chi^2 is nonzero."""
-    c2 = chi_wave_zone.value(qbracket(r - ts[:, None]) / r) ** 2
-    ti, ji = np.nonzero(c2)
-    q, rb, c2 = r[ji] - ts[ti], r[ji], c2[ti, ji]
-    out = np.zeros((ts.size, len(w_modes), r.size + 1))
+                 block) -> np.ndarray:
+    """The strata's w source sum_k n_k(r - t) r^-k chi(<r-t>/r)^2 on an engine.StageBlock
+    (ts, r), (ts.size, len(w_modes), r.size + 1), column 0 (r = 0) zero: each
+    (k, mode) one spline call where chi^2 is nonzero on the block's wave_zone."""
+    cols, _inside, rb, q, _br, (c, _cp, _cpp) = block.share(wave_zone, wave_zone)
+    ti, ji = np.nonzero(c ** 2)
+    q, rb, c2, ji = q[ti, ji], rb[ji], c[ti, ji] ** 2, 1 + cols.start + ji
+    out = np.zeros((block.ts.size, len(w_modes), block.r.size + 1))
     for k, srcp in strata.items():
-        if srcp.is_zero():
-            continue
+        rbk = rb ** (-float(k))
         for i, lm in enumerate(w_modes):
-            prof = srcp.modes.get(lm)
-            if prof is not None:
-                out[ti, i, 1 + ji] += prof.value(q) * rb ** (-float(k)) * c2
+            if lm in srcp.modes:
+                out[ti, i, ji] += srcp.modes[lm].value(q) * rbk * c2
     return out
 
 
@@ -144,7 +144,7 @@ def run_weak_null(spec: RunSpec) -> ScenarioReport:
         s_w = np.zeros((len(w_modes), grid.J + 1))
         s_w[:, 1:] = to_modes(vals * vals)                     # modes of (d_t psi)^2
         s_w -= stage_rows(vpsi.schedule, _strata_rows, t, r_pos,
-                          lambda ts: _strata_rows(strata, w_modes, ts, r_pos))
+                          lambda stage: _strata_rows(strata, w_modes, stage))
         if g_source is not None:
             s_w += g_source(t, views["w"])
         s_w[:, 0] = 0.0
@@ -188,9 +188,9 @@ def _weaknull_crosscheck(spec, traj, dt_psi, to_vals, to_modes, g0, g1, strata, 
     h = spec.h
     # phi is summed on w's modes, in list order; a stratum mode that w lacks
     # (w may carry its m = 0 modes only) is not read
-    kernels = [(k, srcp, [i for i, lm in enumerate(srcp.modes) if lm in w_modes],
-                [w_modes.index(lm) for lm in srcp.modes if lm in w_modes])
-               for k, srcp in strata.items() if not srcp.is_zero()]
+    picks = [([i for i, lm in enumerate(srcp.modes) if lm in w_modes],
+              [w_modes.index(lm) for lm in srcp.modes if lm in w_modes])
+             for srcp in strata.values()]
     g_rows = mode_rows(list(g0.modes), w_modes)
 
     def phi_mode_coeffs(t: float, r: float) -> np.ndarray:
@@ -198,9 +198,9 @@ def _weaknull_crosscheck(spec, traj, dt_psi, to_vals, to_modes, g0, g1, strata, 
         st = traj.state_at(t, "w")
         j = int(round(r / h))
         out = st.u[:, j] / grid.r[j]
-        # varphi01 = -(retarded kernels) in the -dt^2+Lap convention
-        for k, srcp, keep, rows in kernels:
-            out[rows] -= phi_k_modes(srcp, (k,), t, r, 1e-10)[0, keep]
+        # varphi01 = -(retarded kernels, one call) in the -dt^2+Lap convention
+        for (keep, rows), coeffs in zip(picks, phi_k_modes(strata, t, r, 1e-10).values()):
+            out[rows] -= coeffs[keep]
         out[g_rows] += eval_approximant(g0, g1, t, np.asarray([r]))[:, 0]
         return out
 

@@ -22,15 +22,14 @@ From F0 the module derives:
   angular term -l(l+1) F1/r^4 inside the wave zone, and its weighted norm.
 
 psi01, d_t psi01 and the residual come as stacks of shape
-(len(f0.modes), r.size), one row per mode in ``f0.modes`` order.  Their
-terms are computed only on the band <r-t>/r < 1/4, exact zeros off it, one
-2-D pass per block of times (rows +0.0 off their own band).  The residual
-and d_t psi01 take their blocks from ``engine.stage_rows``: given the
-march's ``engine.StepSchedule``, a block of stage times is spread over r
-once and each of its times returns a read-only view into it; without a
-schedule a call is a block of one and returns the caller's own array.
-psi_e and d_t psi_e live in the (0, 0) mode only and come from one call,
-:func:`psi_e_terms`.  Fields are not modified once built.
+(len(f0.modes), r.size), one row per mode in ``f0.modes`` order, at
+ascending radii r: one 2-D pass per block of times on its :func:`wave_zone`,
+each row +0.0 off its own band <r-t>/r < 1/4.  The residual and d_t psi01
+take their blocks from ``engine.stage_rows`` (without a schedule, a block of
+one, the caller's own array); forcings built on one block read its wave zone
+and their profiles' values on it, computed once.  psi_e and d_t psi_e live
+in the (0, 0) mode only and come from one call, :func:`psi_e_terms`.  Fields
+are not modified once built.
 """
 
 from __future__ import annotations
@@ -121,25 +120,36 @@ def realized_decay_class(f1: RadiationField) -> Optional[float]:
 # approximants and the analytic wave-operator residual
 # ---------------------------------------------------------------------------
 
+def wave_zone(block):
+    """(cols, inside, rb, q, <q>, chi's terms of <q>/rb) of an engine.StageBlock
+    (times ts, ascending radii r): ``cols`` the r in [0.8 t - 1/4, 4 t/3 + 1/4),
+    which hold every band <r-t>/r < 1/4, and ``inside`` each time's band."""
+    ts, r = block.ts, block.r
+    if np.any(r <= 0.0) or np.any(np.diff(r) <= 0.0):
+        raise RadiationDataError("wave-zone terms require ascending r > 0")
+    cols = slice(*np.searchsorted(r, [0.8 * ts.min() - 0.25, 4.0 * ts.max() / 3.0 + 0.25]))
+    rb = r[cols]
+    q = rb - ts[:, None]
+    br = qbracket(q)
+    return cols, br / rb < chi_wave_zone.upper, rb, q, br, chi_wave_zone.terms(br / rb)
+
+
 def _per_time(block, f0, f1, t, r, schedule):
     """The rows at t, one per mode of f0, of ``block(f0, f1, r, q, <q>, chi,
-    chi', chi'')``, which yields each mode's values at a block of times ts on
-    ``cols``, the union of their bands <r-t>/r < 1/4 (a contiguous slice of
-    r; chi, chi', chi'' vanish off it), with q = r - t; each row is spread
-    over r, +0.0 off its own band (``schedule``: see ``engine.stage_rows``)."""
+    chi', chi'')``, which yields each mode's values at a block of times on
+    the columns of its :func:`wave_zone`; each row is spread over r, +0.0 off
+    its own band (``schedule``: see ``engine.stage_rows``)."""
     r = np.asarray(r, dtype=float)
 
-    def spread(ts):
-        if np.any(r <= 0.0):
-            raise RadiationDataError("wave-zone terms require r > 0")
-        inside = qbracket(r - ts[:, None]) / r < chi_wave_zone.upper
-        hit = np.flatnonzero(inside.any(axis=0))
-        cols = slice(hit[0], hit[-1] + 1) if hit.size else slice(0, 0)
-        rb, q = r[cols], r[cols] - ts[:, None]
-        br = qbracket(q)
-        out = np.zeros((ts.size, len(f0.modes), r.size))
-        for k, vals in enumerate(block(f0, f1, rb, q, br, *chi_wave_zone.terms(br / rb))):
-            out[:, k, cols] = np.where(inside[:, cols], vals, 0.0)
+    def spread(stage_block):
+        cols, inside, rb, q, br, chi = stage_block.share(wave_zone, wave_zone)
+
+        def at(prof):   # its value and derivative on q, once per block
+            return stage_block.share(prof, lambda _b: (prof.value(q), prof.derivative(q)))
+
+        out = np.zeros((stage_block.ts.size, len(f0.modes), r.size))
+        for k, vals in enumerate(block(f0, f1, rb, q, br, *chi, at)):
+            out[:, k, cols] = np.where(inside, vals, 0.0)
         return out
 
     return stage_rows(schedule, (block, f0, f1), t, r, spread)
@@ -159,7 +169,7 @@ def psi_e_terms(mass: float, t, r) -> Tuple[np.ndarray, np.ndarray]:
     return mass * c / r * SQRT4PI, -mass * cp / r * SQRT4PI
 
 
-def _psi01_block(f0, f1, rb, q, _br, c, _cp, _cpp):
+def _psi01_block(f0, f1, rb, q, _br, c, _cp, _cpp, _at):
     for lm, prof in f0.modes.items():
         val = prof.value(q) / rb
         g = f1.modes.get(lm)
@@ -178,14 +188,14 @@ def eval_dt_psi01_exact(f0: RadiationField, f1: RadiationField, t: float, r,
     return _per_time(_dt_psi01_block, f0, f1, t, r, schedule)
 
 
-def _dt_psi01_block(f0, f1, rb, q, br, c, cp, _cpp):
+def _dt_psi01_block(f0, f1, rb, q, br, c, cp, _cpp, at):
     for lm, prof in f0.modes.items():
         g = f1.modes.get(lm)
-        main = -prof.derivative(q) / rb
-        amp = prof.value(q) / rb
+        f0v, f0p = at(prof)
+        main, amp = -f0p / rb, f0v / rb
         if g is not None:
-            main = main - g.derivative(q) / rb**2
-            amp = amp + g.value(q) / rb**2
+            gv, gp = at(g)
+            main, amp = main - gp / rb**2, amp + gv / rb**2
         yield main * c + amp * cp * (-q) / (br * rb)
 
 
@@ -211,7 +221,7 @@ def residual_box_psi01(f0: RadiationField, f1: RadiationField, t: float, r,
     return _per_time(_residual_block, f0, f1, t, r, schedule)
 
 
-def _residual_block(f0, f1, r, q, br, c, cp, cpp):
+def _residual_block(f0, f1, r, q, br, c, cp, cpp, at):
     for lm in f0.modes:
         if lm[0] > 0 and lm not in f1.modes:
             raise RadiationDataError(
@@ -226,13 +236,11 @@ def _residual_block(f0, f1, r, q, br, c, cp, cpp):
     d_c_r2 = cp * dsigma / r**2 - 2.0 * c / r**3
     for lm, prof in f0.modes.items():
         l = lm[0]
-        f0v = prof.value(q)
-        f0p = prof.derivative(q)
+        f0v, f0p = at(prof)
         res = -(2.0 * f0p / r) * cp * br / r**2 - (f0v / r) * d_cp_br_r2
         g = f1.modes.get(lm)
         if g is not None:
-            gv = g.value(q)
-            gp = g.derivative(q)
+            gv, gp = at(g)
             res = res - l * (l + 1.0) * gv / r**4 * c
             res = res - (2.0 * gp / r) * cp * br / r**3
             res = res - (gv / r) * (d_cp_br_r3 + d_c_r2)

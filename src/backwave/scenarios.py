@@ -655,12 +655,13 @@ def run_audit_battery(spec: RunSpec) -> ScenarioReport:
         grid = RadialGrid(h=h, J=int(round(20.0 / h)))
         st = FieldState(T, grid, [(0, 0)], ue(T, grid.r)[None, :], ve(T, grid.r)[None, :])
         trajs.append(solve_backward(st, None, T, t1, [t1, 4.0], cfl=spec.cfl))
-        for s, ratios in ratios_at.items():
-            for stt in trajs[-1].field_states()[1:]:
-                hc = hardy_checks(stt, s)
+        for stt in trajs[-1].field_states()[1:]:
+            ur = stt.ur
+            for s, ratios in ratios_at.items():
+                hc = hardy_checks(stt, s, ur)
                 ratios["zeroth"].append(hc["ratio_zeroth"])
                 ratios["radial"].append(hc["ratio_radial"])
-                ratios["ks"].append(ks_pointwise_check(stt, s)["constant"])
+                ratios["ks"].append(ks_pointwise_check(stt, s, ur)["constant"])
     for s, ratios in ratios_at.items():
         for tag in ("zeroth", "radial"):
             rep.add_item(f"hardy_{tag}_s{s:g}", "bound", max(ratios[tag]), hi=RATIO_BUDGET)

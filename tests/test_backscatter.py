@@ -76,9 +76,9 @@ def test_r_zero_rejected():
         phi_k(monopole(), 5, 10.0, 5.0, OMEGA, KQ)
     # no q-node is live here (the source lies below r - t): k is still checked
     with pytest.raises(BackscatterError):
-        phi_k_modes(monopole(), (5,), 10.0, 30.0, KQ)
+        phi_k_modes({5: monopole()}, 10.0, 30.0, KQ)
     with pytest.raises(BackscatterError):
-        phi_k_modes(monopole(), (2, 5), 40.0, 30.0, KQ)
+        phi_k_modes(dict.fromkeys((2, 5), monopole()), 40.0, 30.0, KQ)
 
 
 def test_mu_integrals_batch_equals_single_nodes(monkeypatch):
@@ -111,7 +111,7 @@ def test_mu_integrals_batch_equals_single_nodes(monkeypatch):
 
 def test_refined_panels_meet_the_oracle(monkeypatch):
     # q_tol = 1e-11 splits panels, so halves are evaluated past the first
-    # pass, each for the one kernel index whose bisection reached it
+    # pass, each split panel in one pass for all three kernel indices
     n = axisym()
     calls = []
     mu_integrals = backscatter._mu_integrals
@@ -121,11 +121,11 @@ def test_refined_panels_meet_the_oracle(monkeypatch):
         return mu_integrals(*args)
 
     monkeypatch.setattr(backscatter, "_mu_integrals", counted)
-    coeffs = phi_k_modes(n, (2, 3, 4), 40.0, 30.0, 1e-11)
+    coeffs = phi_k_modes(dict.fromkeys((2, 3, 4), n), 40.0, 30.0, 1e-11)
     assert len(calls) > 1
-    assert calls[0][0] == (2, 3, 4) and all(len(ks) == 1 for ks, _size in calls[1:])
+    assert all(ks == (2, 3, 4) for ks, _size in calls)
     v = phi_k(n, 2, 40.0, 30.0, OMEGA, 1e-11)
-    assert v == backscatter._point_value(n, coeffs[0], OMEGA)
+    assert v == backscatter._point_value(n, coeffs[2], OMEGA)
     bf = brute_force_phi_k(n, 2, 40.0, 30.0, OMEGA, n_q=500, n_theta=260, n_phi=96)
     assert v == pytest.approx(bf, rel=1e-4)
 
@@ -135,13 +135,51 @@ def test_kernel_triples_equal_single_k_calls_bit_for_bit(q_tol):
     # at 1e-11 panels split past the first pass (see above); each k keeps its
     # own bisection, so its row is the single-k call's
     for n, (t, r) in ((axisym(), (40.0, 30.0)), (monopole(), (12.0, 11.0))):
-        triple = phi_k_modes(n, (2, 3, 4), t, r, q_tol)
-        assert triple.shape == (3, len(n.modes))
-        for i, k in enumerate((2, 3, 4)):
-            single = phi_k_modes(n, (k,), t, r, q_tol)
-            assert single.shape == (1, len(n.modes))
-            assert single[0].tobytes() == triple[i].tobytes(), (k, t, r)
-    assert phi_k_modes(RadiationField({}), (2, 3, 4), 40.0, 30.0, q_tol).shape == (3, 0)
+        triple = phi_k_modes(dict.fromkeys((2, 3, 4), n), t, r, q_tol)
+        assert list(triple) == [2, 3, 4]
+        for k in (2, 3, 4):
+            single = phi_k_modes({k: n}, t, r, q_tol)[k]
+            assert single.shape == triple[k].shape == (len(n.modes),)
+            assert single.tobytes() == triple[k].tobytes(), (k, t, r)
+    empty = phi_k_modes(dict.fromkeys((2, 3, 4), RadiationField({})), 40.0, 30.0, q_tol)
+    assert [row.shape for row in empty.values()] == [(0,)] * 3
+
+
+def test_one_source_per_k_equals_single_k_calls_bit_for_bit(monkeypatch):
+    # three sources of one support, as the weak-null strata are, whose mode
+    # sets and l_max differ: one first pass serves all three, and each row is
+    # its single-k call's, also where bisection goes past the first pass
+    calls = []
+    mu_integrals = backscatter._mu_integrals
+
+    def counted(*args):
+        calls.append((tuple(args[0]), args[1].size))
+        return mu_integrals(*args)
+
+    monkeypatch.setattr(backscatter, "_mu_integrals", counted)
+    wide = make_profile({"kind": "gaussian", "amplitude": 3.0})
+    same = {2: RadiationField({(0, 0): GAUSS, (2, 0): wide}),
+            3: RadiationField({(1, 0): wide}),
+            4: RadiationField({(0, 0): wide, (3, 0): GAUSS, (4, 0): GAUSS})}
+    assert len({n.support() for n in same.values()}) == 1
+    assert [max(n.ells()) for n in same.values()] == [2, 1, 4]
+    # a bump's support differs: its k takes a first pass of its own (a
+    # deeper half is a pass of 2 x 12 nodes); a zero source gives an empty row
+    mixed = {2: same[2], 3: RadiationField({(1, 0): BUMP}), 4: same[4]}
+    for sources, first in ((same, [(2, 3, 4)]), (mixed, [(2, 4), (3,)])):
+        for q_tol in (1e-9, 1e-11):
+            calls.clear()
+            rows = phi_k_modes(sources, 40.0, 30.0, q_tol)
+            assert [ks for ks, size in calls if size > 24] == first
+            assert (q_tol < 1e-9) == any(size == 24 for _ks, size in calls)
+            assert list(rows) == list(sources)
+            for k, n in sources.items():
+                single = phi_k_modes({k: n}, 40.0, 30.0, q_tol)[k]
+                assert single.shape == rows[k].shape == (len(n.modes),)
+                assert single.tobytes() == rows[k].tobytes(), (k, q_tol)
+    rows = phi_k_modes({2: same[2], 4: RadiationField({})}, 40.0, 30.0, KQ)
+    assert rows[4].shape == (0,) and rows[2].tobytes() == phi_k_modes(
+        {2: same[2]}, 40.0, 30.0, KQ)[2].tobytes()
 
 
 def _brute_force_per_direction(n, k, t, r, omega, n_q, n_theta, n_phi):
@@ -333,7 +371,7 @@ def test_envelope_sweep_k34():
 def test_quadrature_spec_validation():
     for q_tol in (-1e-9, 0.0):
         with pytest.raises(BackscatterError):
-            phi_k_modes(monopole(), (2,), 40.0, 30.0, q_tol)
+            phi_k_modes({2: monopole()}, 40.0, 30.0, q_tol)
 
 
 def test_an_inconclusive_source_residual_fails_its_item(monkeypatch):

@@ -5,9 +5,9 @@ import pytest
 from scipy import integrate
 
 from backwave.engine import FieldState, RadialGrid, solve_backward
-from backwave.functionals import (ConeFlux, FunctionalError, StepStates, _conformal_flux_at,
-                                  _march_trapezoid, _weighted_norm, bulk_sign_check,
-                                  conformal_energy_ER, conformal_norm_plus,
+from backwave.functionals import (ConeFlux, FunctionalError, StepStates, _cone_foot,
+                                  _conformal_flux_at, _march_trapezoid, _weighted_norm,
+                                  bulk_sign_check, conformal_energy_ER, conformal_norm_plus,
                                   cor_weighted_spacetime_instance,
                                   energy_weighted, fit_decay, hardy_checks,
                                   ks_pointwise_check, morawetz_identity_audit,
@@ -226,30 +226,35 @@ def test_bulk_sign_below_two_flagged():
 # ---------------------------------------------------------------------------
 
 def test_hardy_zero_field():
-    out = hardy_checks(zero_state(), 1.2)
+    zero = zero_state()
+    out = hardy_checks(zero, 1.2, zero.ur)
     assert out["ratio_zeroth"] == 0.0 and out["ratio_radial"] == 0.0
 
 
 def test_hardy_scaling_invariance():
     st = wave_state(h=0.02)
-    a = hardy_checks(st, 1.2)
-    b = hardy_checks(scaled_state(st, 5.0), 1.2)
+    big = scaled_state(st, 5.0)
+    a = hardy_checks(st, 1.2, st.ur)
+    b = hardy_checks(big, 1.2, big.ur)
     assert a["ratio_zeroth"] == pytest.approx(b["ratio_zeroth"], rel=1e-12)
     assert a["ratio_radial"] == pytest.approx(b["ratio_radial"], rel=1e-12)
 
 
 def test_hardy_stable_under_refinement():
-    vals = [hardy_checks(wave_state(h=h), 1.2)["ratio_zeroth"] for h in (0.04, 0.02)]
+    vals = [hardy_checks(st, 1.2, st.ur)["ratio_zeroth"]
+            for st in (wave_state(h=h) for h in (0.04, 0.02))]
     assert max(vals) / min(vals) < 1.1
     assert max(vals) < 10.0
 
 
 def test_ks_zero_and_scaling():
-    out = ks_pointwise_check(zero_state(), 1.2)
+    zero = zero_state()
+    out = ks_pointwise_check(zero, 1.2, zero.ur)
     assert out["constant"] == 0.0
     st = wave_state(h=0.02)
-    a = ks_pointwise_check(st, 1.2)["constant"]
-    b = ks_pointwise_check(scaled_state(st, 7.0), 1.2)["constant"]
+    big = scaled_state(st, 7.0)
+    a = ks_pointwise_check(st, 1.2, st.ur)["constant"]
+    b = ks_pointwise_check(big, 1.2, big.ur)["constant"]
     assert a == pytest.approx(b, rel=1e-12)
     assert a < 10.0
 
@@ -303,8 +308,9 @@ def test_cone_flux_observer_is_the_trapezoid_of_the_step_states():
     vals = []
     for state in steps:
         foot = R - (t2 - state.t)
-        vals.append(_conformal_flux_at(state.t, foot, s, grid.h, state.u,
-                                      state.v + state.ur, state.ll1)
+        vals.append(_conformal_flux_at(state.t, foot, s,
+                                      *_cone_foot(foot, grid.h, state.u, state.v + state.ur)[2],
+                                      state.ll1)
                     if grid.h < foot < grid.r_max - grid.h else None)
     assert vals[0] is not None and vals[-1] is None
     ts = [state.t for state in steps]
@@ -313,6 +319,26 @@ def test_cone_flux_observer_is_the_trapezoid_of_the_step_states():
                   for tr in traj.record_times]
     assert cone.totals_at(traj.record_times) == [totals[k] for k in at_records]
     assert totals[-1] > 0.0
+
+
+def test_cone_flux_reads_the_whole_grid_lu_at_the_foot_bit_for_bit():
+    # the observer builds L u = v + d_r u on the foot's two columns only; it
+    # equals the whole grid's at every interior foot, the cells next to the
+    # origin and to r_max - h included (the last foot rounds into the cell
+    # [r_max - h, r_max], whose outer d_r u is the grid's 0)
+    grid = RadialGrid(h=0.1, J=41)
+    rng = np.random.default_rng(7)
+    st = FieldState(5.0, grid, [(0, 0), (2, 1)], rng.standard_normal((2, 42)),
+                    rng.standard_normal((2, 42)))
+    h, r_max = grid.h, grid.r_max
+    assert int(np.nextafter(r_max - h, 0.0) / h) == grid.J - 1
+    for foot in (np.nextafter(h, 1.0), 1.5 * h, 2.7, r_max - 1.5 * h,
+                 np.nextafter(r_max - h, 0.0)):
+        cone = ConeFlux(1.2, foot, st.t)
+        cone(st.t, {"phi": st})
+        want = _conformal_flux_at(st.t, foot, 1.2,
+                                  *_cone_foot(foot, h, st.u, st.v + st.ur)[2], st.ll1)
+        assert cone.vals == [want], foot
 
 
 def test_origin_decay_requires_accumulators():

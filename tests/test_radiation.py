@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from backwave.cutoffs import chi_exterior
+from backwave.cutoffs import chi_exterior, chi_wave_zone
 from backwave import radiation
 from backwave.engine import (BLOCK_TIMES, EngineError, RadialGrid, StepSchedule,
                              discrete_box_field, stable_dt)
@@ -374,3 +374,72 @@ def test_scheduled_rows_are_kept_read_only_and_other_times_raise(monkeypatch):
     # per function: one pass for its 16 stage times, one for the moved radii,
     # plus the three unscheduled calls
     assert passes == [1, BLOCK_TIMES, 1, BLOCK_TIMES, 1] * 2
+
+
+def _whole_grid_rows(block, f0, f1, t, r):
+    """The rows of ``block`` at t with the band <r-t>/r < 1/4 tested at every
+    radius and the block's terms evaluated on all of r."""
+    q = (r - t)[None, :]
+    br = np.sqrt(1.0 + q * q)
+    inside = br / r < chi_wave_zone.upper
+    chi = chi_wave_zone.terms(br / r)
+    rows = block(f0, f1, r, q, br, *chi, lambda prof: (prof.value(q), prof.derivative(q)))
+    return np.array([np.where(inside, vals, 0.0)[0] for vals in rows])
+
+
+def test_rows_on_the_bounded_band_equal_whole_grid_rows_bit_for_bit():
+    # the band's columns are found among 0.8 t - 1/4 <= r < 4 t/3 + 1/4 only,
+    # and each block's wave zone serves both forcings; blocks whose bands are
+    # empty (t < 3), interior, or reach r_max = 40 (t > 30): scheduled rows,
+    # unscheduled rows and rows built on the whole grid agree as int64 views
+    f0 = RadiationField({(0, 0): make_profile(GAUSS),
+                         (2, 0): make_profile({"kind": "poly-tail", "p": 0.85})})
+    grid = RadialGrid(h=0.125, J=320)
+    f1 = derive_F1(f0, q_max=grid.r_max + 40.0)
+    r = grid.r[1:]
+    sched = StepSchedule((36.0, 20.0, 2.0, 1.0), dt_cap=0.25)
+    st = sched.stage_times
+    kinds = {"empty": 0, "interior": 0, "edge": 0}
+    for t in st:
+        band = np.sqrt(1.0 + (r - t) ** 2) / r < chi_wave_zone.upper
+        kinds["empty" if not band.any() else "edge" if band[-1] else "interior"] += 1
+        for fn, block in ((residual_box_psi01, radiation._residual_block),
+                          (eval_dt_psi01_exact, radiation._dt_psi01_block)):
+            rows, single = fn(f0, f1, t, r, sched), fn(f0, f1, t, r)
+            whole = _whole_grid_rows(block, f0, f1, t, r)
+            assert np.array_equal(rows.view(np.int64), single.view(np.int64)), t
+            assert np.array_equal(rows.view(np.int64), whole.view(np.int64)), t
+    assert min(kinds.values()) >= BLOCK_TIMES, kinds
+    assert not np.any(residual_box_psi01(f0, f1, 2.5, r).view(np.int64))
+
+
+def test_two_radii_arrays_in_one_schedule_never_share_a_wave_zone(monkeypatch):
+    # the forcings asked on one radii array share each block's wave zone; a
+    # second array gets one of its own, and the first array's next request
+    # another; an equal copy is served from the kept block.  Every row is
+    # its unscheduled call's
+    built = []
+    zone = radiation.wave_zone
+    monkeypatch.setattr(radiation, "wave_zone",
+                        lambda block: built.append((block.ts.size, block.r)) or zone(block))
+
+    def scheduled():
+        return [radii for size, radii in built if size > 1]
+
+    f0 = gaussian_field()
+    f1 = derive_F1(f0, q_max=64.0)
+    r = np.linspace(5.0, 30.0, 40)
+    other = r + 0.3
+    sched = StepSchedule((14.0, 10.0), dt_cap=0.05)
+    block = sched.stage_times[:BLOCK_TIMES]
+    for t in block:
+        for fn in (residual_box_psi01, eval_dt_psi01_exact):
+            assert np.array_equal(fn(f0, f1, t, r, sched), fn(f0, f1, t, r))
+    assert len(scheduled()) == 1 and scheduled()[0] is r
+    built.clear()
+    for t in block[:3]:
+        for radii in (other, r, r.copy()):
+            for fn in (residual_box_psi01, eval_dt_psi01_exact):
+                assert np.array_equal(fn(f0, f1, t, radii, sched), fn(f0, f1, t, radii)), t
+    assert len(scheduled()) == 6
+    assert all(a is other and b is r for a, b in zip(scheduled()[::2], scheduled()[1::2]))

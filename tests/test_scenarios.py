@@ -513,11 +513,14 @@ def _weaknull_parts(h=0.25, T=24.0):
 
 def test_strata_block_rows_equal_single_time_rows_bit_for_bit():
     # the strata in blocks of stage times, as the weak-null source takes
-    # them: each row equals the row of a block of one, as int64 views.  The
+    # them on the block's wave zone: each row equals the row of a block of
+    # one and the sum with chi^2 tested at every radius, as int64 views.  The
     # schedule crosses a record time, and below t = sqrt(15) no radius is in
     # the wave zone, so late rows are all (+0.0) zeros
-    from backwave.engine import BLOCK_TIMES, StepSchedule
+    from backwave.cutoffs import chi_wave_zone
+    from backwave.engine import BLOCK_TIMES, StageBlock, StepSchedule
     from backwave.kernel_pipelines import _strata_rows
+    from backwave.profiles import qbracket
 
     _f0, _f1, grid, w_modes, strata = _weaknull_parts()
     r = grid.r[1:]
@@ -525,14 +528,23 @@ def test_strata_block_rows_equal_single_time_rows_bit_for_bit():
     nonzero = 0
     for i in range(0, len(st), BLOCK_TIMES):
         ts = st[i:i + BLOCK_TIMES]
-        block = _strata_rows(strata, w_modes, np.array(ts), r)
+        block = _strata_rows(strata, w_modes, StageBlock(np.array(ts), r))
         assert block.shape == (len(ts), len(w_modes), grid.J + 1)
         for row, t in zip(block, ts):
-            single = _strata_rows(strata, w_modes, np.array([t]), r)[0]
+            single = _strata_rows(strata, w_modes, StageBlock(np.array([t]), r))[0]
             assert np.array_equal(row.view(np.int64), single.view(np.int64)), t
+            c2 = chi_wave_zone.value(qbracket(r - t) / r) ** 2
+            j = np.flatnonzero(c2)
+            whole = np.zeros_like(row)
+            for k, srcp in strata.items():
+                for m, lm in enumerate(w_modes):
+                    if lm in srcp.modes:
+                        whole[m, 1 + j] += srcp.modes[lm].value(r[j] - t) * r[j] ** -float(k) * c2[j]
+            assert np.array_equal(row.view(np.int64), whole.view(np.int64)), t
             nonzero += bool(np.any(row))
     assert 0 < nonzero < len(st)
-    assert np.all(_strata_rows(strata, w_modes, np.array([2.0]), r).view(np.int64) == 0)
+    zero = _strata_rows(strata, w_modes, StageBlock(np.array([2.0]), r))
+    assert np.all(zero.view(np.int64) == 0)
 
 
 def test_dt_psi_modes_add_dt_psi_e_only_where_it_lives_bit_for_bit():
