@@ -32,9 +32,9 @@ mu-quadrature shared by every retained l; the q-nodes of a call go through
 it in array passes.  One call serves one source per kernel index (one
 source for all, or the weak-null strata): their q panels, lam nodes,
 weights, cutoff values and Legendre rows are computed in one lam pass for
-every k of one support, and only the kernel factor and the reduction run
-once per k.  The mu-integral is taken in the shifted
-variable lam = (t-r+q) + r(1-mu), on which the cutoff support becomes the
+every k (the sources of a call share one support), and only the kernel
+factor and the reduction run once per k.  The mu-integral is taken in the
+shifted variable lam = (t-r+q) + r(1-mu), on which the cutoff support becomes the
 exact window lam <= (t-r+q)(t+r+q)/(8 <q>), with geometrically graded
 panels resolving the 1/lam behavior near the light cone; the q lower limit
 is approached on an exponential substitution.
@@ -177,12 +177,12 @@ def phi_k_modes(sources: Dict[int, RadiationField], t: float, r: float,
     entry per mode of n_k.modes in its order.
 
     Adaptive bisection on q panels against the tolerance ``q_tol > 0``
-    (relative to the running scale).  Every top-level panel is split at
-    least once, so its coarse value and both halves come from one batched
-    pass for all ks whose sources share a support (and so the panels); each
-    k then bisects on its own total and scale, and a deeper panel's halves
-    come from one pass for all those ks when the first k's bisection
-    reaches it, so each row equals that of ``{k: n_k}`` alone bit for bit.
+    (relative to the running scale), on the one support of the nonzero
+    sources (a zero one gets an empty row).  Every top-level panel is split
+    at least once, so its coarse value and both halves come from one pass
+    for all ks; each k bisects on its own total and scale, and a deeper
+    panel's halves come from one pass for all ks when the first k reaches
+    it, so each row equals that of ``{k: n_k}`` alone bit for bit.
     """
     if r <= 0.0:
         raise BackscatterError("kernel quadrature requires r > 0")
@@ -191,54 +191,55 @@ def phi_k_modes(sources: Dict[int, RadiationField], t: float, r: float,
             raise BackscatterError(f"kernel index k must be 2, 3 or 4, got {k}")
     if q_tol <= 0.0:
         raise BackscatterError("q-panel tolerance must be positive")
+    live = {k: n for k, n in sources.items() if not n.is_zero()}   # the nonzero sources
+    if len({n.support() for n in live.values()}) > 1:
+        raise BackscatterError("the nonzero sources of one call must share one support")
+    out = {k: np.zeros(0) for k in sources}
+    if not live:
+        return out
     xg, wg = _gl(12)
 
-    def panel_values(group, a: np.ndarray, b: np.ndarray) -> List[np.ndarray]:
-        """12-node Gauss-Legendre values on (a_i, b_i), (panels, modes) per k of group."""
+    def panel_values(a: np.ndarray, b: np.ndarray) -> List[np.ndarray]:
+        """12-node Gauss-Legendre values on (a_i, b_i), (panels, modes) per nonzero k."""
         half = 0.5 * (b - a)
         qs = ((0.5 * (a + b))[:, None] + half[:, None] * xg).ravel()
-        l_max = max(max(n.ells()) for n in group.values())
-        il = _mu_integrals(tuple(group), qs, t, r, l_max).reshape(len(group), a.size, xg.size, -1)
+        l_max = max(max(n.ells()) for n in live.values())
+        il = _mu_integrals(tuple(live), qs, t, r, l_max).reshape(len(live), a.size, xg.size, -1)
         w = wg * half[:, None]
         pvs = {n: [prof.value(qs).reshape(w.shape) for prof in n.modes.values()]
-               for n in dict.fromkeys(group.values())}
+               for n in dict.fromkeys(live.values())}
         return [np.stack([(w * il[ki, :, :, lm[0]] * pv).sum(axis=1)
                           for lm, pv in zip(n.modes, pvs[n])], axis=-1)
-                for ki, n in enumerate(group.values())]
+                for ki, n in enumerate(live.values())]
 
-    out, groups = {k: np.zeros(0) for k in sources}, {}
-    for k, n in sources.items():
-        if not n.is_zero():
-            groups.setdefault(n.support(), {})[k] = n
-    for group in groups.values():
-        panels = _q_panels(next(iter(group.values())), t, r)
-        lo, hi = np.array(panels, dtype=float).reshape(-1, 2).T
-        mid = 0.5 * (lo + hi)
-        first = panel_values(group, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
-        deeper = {}   # a split panel's halves, for every k of the group at once
-        for ki, ((k, n), vals) in enumerate(zip(group.items(), first)):
-            coarse, left, right = np.split(vals, 3)
-            total = np.zeros(len(n.modes))
-            scale = 0.0
-            for i, (a, b) in enumerate(panels):
-                stack = [(a, b, coarse[i], (left[i], right[i]), 0)]
-                while stack:
-                    a0, b0, coarse0, halves, depth = stack.pop()
-                    m0 = 0.5 * (a0 + b0)
-                    if halves is None:
-                        if (a0, b0) not in deeper:
-                            deeper[a0, b0] = panel_values(group, *np.array([[a0, m0], [m0, b0]]))
-                        halves = deeper[a0, b0][ki]
-                    left0, right0 = halves
-                    fine = left0 + right0
-                    err = float(np.max(np.abs(fine - coarse0)))
-                    scale = max(scale, float(np.max(np.abs(total + fine))), 1e-30)
-                    if err < q_tol * max(scale, 1.0) or depth >= 7:
-                        total = total + fine
-                    else:
-                        stack.append((a0, m0, left0, None, depth + 1))
-                        stack.append((m0, b0, right0, None, depth + 1))
-            out[k] = total
+    panels = _q_panels(next(iter(live.values())), t, r)
+    lo, hi = np.array(panels, dtype=float).reshape(-1, 2).T
+    mid = 0.5 * (lo + hi)
+    first = panel_values(np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
+    deeper = {}   # a split panel's halves, for every k at once
+    for ki, ((k, n), vals) in enumerate(zip(live.items(), first)):
+        coarse, left, right = np.split(vals, 3)
+        total = np.zeros(len(n.modes))
+        scale = 0.0
+        for i, (a, b) in enumerate(panels):
+            stack = [(a, b, coarse[i], (left[i], right[i]), 0)]
+            while stack:
+                a0, b0, coarse0, halves, depth = stack.pop()
+                m0 = 0.5 * (a0 + b0)
+                if halves is None:
+                    if (a0, b0) not in deeper:
+                        deeper[a0, b0] = panel_values(*np.array([[a0, m0], [m0, b0]]))
+                    halves = deeper[a0, b0][ki]
+                left0, right0 = halves
+                fine = left0 + right0
+                err = float(np.max(np.abs(fine - coarse0)))
+                scale = max(scale, float(np.max(np.abs(total + fine))), 1e-30)
+                if err < q_tol * max(scale, 1.0) or depth >= 7:
+                    total = total + fine
+                else:
+                    stack.append((a0, m0, left0, None, depth + 1))
+                    stack.append((m0, b0, right0, None, depth + 1))
+        out[k] = total
     return out
 
 

@@ -157,7 +157,7 @@ class StepSchedule:
 
     def __init__(self, times: Sequence[float], dt_cap: float):
         self.times, self.dt_cap = tuple(times), dt_cap
-        self._block = (0, StageBlock(np.zeros(0), np.zeros(0)))   # start, block: none yet
+        self._block = (0, None)   # start, block: none yet
         self.stage_times = tuple(dict.fromkeys(
             s for t, dt, _end in self.steps() for s in (t, t - 0.5 * dt, t - dt)))
         self._index = {s: i for i, s in enumerate(self.stage_times)}
@@ -190,16 +190,18 @@ def stage_rows(schedule: Optional[StepSchedule], key, t: float, r: np.ndarray,
                rows_at: Callable[[StageBlock], np.ndarray]) -> np.ndarray:
     """``rows_at(block)[k]`` for t = block.ts[k]: a forcing's rows at radii ``r``,
     on the block t alone without a schedule (the caller's own row), else on the
-    schedule's kept block if it holds t and r (by identity, then value), or on
-    t and up to BLOCK_TIMES - 1 later stage times kept in its place; each key's
-    rows are built once per block, read-only.  Times off the schedule raise."""
+    schedule's kept block if it holds t, or on t and up to BLOCK_TIMES - 1 later
+    stage times kept in its place; each key's rows built once per block, read-only.
+    Radii other than the first block's array (by identity) and off-schedule times raise."""
     if schedule is None:
         return rows_at(StageBlock(np.array([t]), r))[0]
     i = schedule._index.get(t)
     if i is None:
         raise EngineError(f"t = {t!r} is not a stage time of this schedule")
     start, block = schedule._block
-    if not 0 <= i - start < block.ts.size or block.r is not r and not np.array_equal(block.r, r):
+    if block is not None and block.r is not r:
+        raise EngineError("a schedule serves the one radii array its blocks were built on")
+    if block is None or not 0 <= i - start < block.ts.size:
         block = schedule._block = None   # drop the old block first: peak RSS
         start, block = schedule._block = (
             i, StageBlock(np.array(schedule.stage_times[i:i + BLOCK_TIMES]), r))

@@ -548,23 +548,19 @@ def cor_weighted_spacetime_instance(steps: Sequence[FieldState], gamma: float, m
             "rhs_energy": rhs_energy, "pairing": pairing, "ratio": ratio}
 
 
-def backward_estimate_constant(states: Sequence[FieldState], s: float,
+def backward_estimate_constant(ts: Sequence[float], norms: Sequence[float],
                                source_norms: Sequence[float]) -> float:
     """Observed constant of the backward weighted estimate:
     ||phi(t1)||_{1,+,s-1} / (||phi(t2)||_{1,+,s-1} + int ||<t+r>^s box phi|| dt).
 
-    ``states`` are recorded states ordered in descending time and
-    ``source_norms`` the weighted source norms at the same times.
+    ``norms`` are the norms ||phi(t)||_{1,+,s-1} (``conformal_norm_plus``)
+    and ``source_norms`` the weighted source norms at the record times ``ts``.
     """
-    ts = np.asarray([st.t for st in states])
+    ts = np.asarray(ts, dtype=float)
     order = np.argsort(ts)
-    ts = ts[order]
-    sn = np.asarray(source_norms, dtype=float)[order]
-    first = conformal_norm_plus(states[int(order[0])], s)
-    last = conformal_norm_plus(states[int(order[-1])], s)
-    integral = float(np.trapezoid(sn, ts))
-    denom = last + integral
-    return first / denom if denom > 0 else math.inf
+    integral = float(np.trapezoid(np.asarray(source_norms, dtype=float)[order], ts[order]))
+    denom = norms[int(order[-1])] + integral
+    return norms[int(order[0])] / denom if denom > 0 else math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -306,32 +306,36 @@ def _provenance(grid: RadialGrid, trajs: Sequence[Trajectory]) -> Dict[str, obje
 # solver gate (run by convergence)
 # ---------------------------------------------------------------------------
 
-def _dalembert(center: float = 10.0):
-    def u(t, r):
-        return np.exp(-(t - r - center) ** 2) - np.exp(-(t + r - center) ** 2)
+def _dalembert(t: float, r: np.ndarray, center: float):
+    """The free l = 0 wave u = g(t - r) - g(t + r), g(x) = exp(-(x - center)^2),
+    with its d_t u and d_r u: (u, d_t u, d_r u) from one pair of exponentials."""
+    a, b = t - r - center, t + r - center
+    gm, gp = np.exp(-a ** 2), np.exp(-b ** 2)
+    return gm - gp, -2.0 * a * gm + 2.0 * b * gp, 2.0 * a * gm + 2.0 * b * gp
 
-    def v(t, r):
-        return (-2.0 * (t - r - center) * np.exp(-(t - r - center) ** 2)
-                + 2.0 * (t + r - center) * np.exp(-(t + r - center) ** 2))
 
-    return u, v
+def _gate_wave(t: float, grid: RadialGrid) -> FieldState:
+    """The free wave of the solver gate and the audit (centre 10) at t, as l = 0 data."""
+    u, ut, _ur = _dalembert(t, grid.r, 10.0)
+    return FieldState(t, grid, [(0, 0)], u[None, :], ut[None, :])
 
 
 def _solver_gate(spec: RunSpec, rep: ScenarioReport) -> Dict[str, object]:
     """Add the solver gate's items to ``rep`` (backward d'Alembert refinement
     study on grids h, h/2, h/4, time reversal, energy conservation) and
-    return the provenance of its solves."""
+    return the provenance of its four solves: one per grid and the reflected
+    march on h/2.  The energy drift reads the h/2 march, recorded at 9 times:
+    at the shipped h = 0.1 their segments step by 0.625/25, the double 5/200
+    is, so its end state is unmoved; on h and h/4 segments would move dt."""
     T, t0 = 6.0, 1.0
-    ue, ve = _dalembert()
-    errs = []
+    errs, trajs = [], []
     hs = [spec.h, spec.h / 2.0, spec.h / 4.0]
-    trajs = []
     for h in hs:
         grid = RadialGrid(h=h, J=int(round(20.0 / h)))
-        st = FieldState(T, grid, [(0, 0)], ue(T, grid.r)[None, :], ve(T, grid.r)[None, :])
-        trajs.append(solve_backward(st, None, T, t0, [t0], cfl=spec.cfl))
+        records = list(np.linspace(t0, T, 9)) if h == hs[1] else [t0]
+        trajs.append(solve_backward(_gate_wave(T, grid), None, T, t0, records, cfl=spec.cfl))
         end = trajs[-1].field_states()[-1]
-        errs.append(float(np.max(np.abs(end.u[0] - ue(t0, grid.r)))))
+        errs.append(float(np.max(np.abs(end.u[0] - _gate_wave(t0, grid).u[0]))))
     rep.add_item("dalembert_backward_order", "order", convergence_order(errs), 1.9, 2.1,
                  target=2.0, note=f"errors {errs}")
     # time reversal: reflect the h/2 solve's endpoint and march back up to T
@@ -340,13 +344,10 @@ def _solver_gate(spec: RunSpec, rep: ScenarioReport) -> Dict[str, object]:
     refl = FieldState(T, grid, [(0, 0)], end.u, -end.v)
     trajs.append(solve_backward(refl, None, T, t0, [t0], cfl=spec.cfl))
     back = trajs[-1].field_states()[-1]
-    rev_err = float(np.max(np.abs(back.u[0] - ue(T, grid.r))))
+    rev_err = float(np.max(np.abs(back.u[0] - _gate_wave(T, grid).u[0])))
     rep.add_item("time_reversal_error", "bound", rev_err, hi=50.0 * hs[1] ** 2,
                  note="backward+reflected backward returns the data at O(h^2)")
-    # energy conservation along the free solve
-    st = FieldState(T, grid, [(0, 0)], ue(T, grid.r)[None, :], ve(T, grid.r)[None, :])
-    trajs.append(solve_backward(st, None, T, t0, list(np.linspace(t0, T, 9)), cfl=spec.cfl))
-    rep.add_item("energy_conservation_drift", "bound", energy_conservation_drift(trajs[-1]),
+    rep.add_item("energy_conservation_drift", "bound", energy_conservation_drift(trajs[1]),
                  hi=50.0 * hs[1] ** 2)
     return _provenance(grid, trajs)
 
@@ -438,8 +439,9 @@ def run_homogeneous_scattering(spec: RunSpec) -> ScenarioReport:
     rep.add_window_ratio("envelope_bounded", "sup_envelope", window, spec.bound_factor,
                          "max/min of sup <t+r><t-r>^(s-1/2)|psi| over the fit window")
     # observed constant of the backward weighted estimate
-    c_obs = backward_estimate_constant(traj.field_states(), spec.s,
-                                       [fr.values["source_norm_s"] for fr in rep.series])
+    c_obs = backward_estimate_constant(
+        [fr.t for fr in rep.series],
+        *([fr.values[key] for fr in rep.series] for key in ("norm_conf_plus", "source_norm_s")))
     rep.add_item("backward_estimate_constant", "bound", c_obs, hi=RATIO_BUDGET,
                  note="||v(t0)||_{1,+,s-1} / (||v(T)|| + int source)")
     rep.provenance = _provenance(grid, [traj])
@@ -518,18 +520,11 @@ def run_T_limit_study(spec: RunSpec) -> ScenarioReport:
 def run_null_radial(spec: RunSpec) -> ScenarioReport:
     rep = ScenarioReport(name="nullradial")
     amp = spec.amplitude
-    center = 6.0
-    ue, ve = _dalembert(center)
 
     def u0_derivs(t, r):
         """(d_t f0, d_r f0) for the physical linear field f0 = U0 / r."""
-        U = amp * ue(t, r)
-        Ut = amp * ve(t, r)
-        gm = np.exp(-(t - r - center) ** 2)
-        gp = np.exp(-(t + r - center) ** 2)
-        Ur = amp * (2.0 * (t - r - center) * gm + 2.0 * (t + r - center) * gp)
-        out_t = np.zeros_like(r)
-        out_r = np.zeros_like(r)
+        U, Ut, Ur = (amp * w for w in _dalembert(t, r, 6.0))
+        out_t, out_r = np.zeros((2, r.size))
         pos = r > 0
         out_t[pos] = Ut[pos] / r[pos]
         out_r[pos] = (Ur[pos] - U[pos] / r[pos]) / r[pos]
@@ -604,8 +599,11 @@ def run_null_radial(spec: RunSpec) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 def run_audit_battery(spec: RunSpec) -> ScenarioReport:
+    """The estimate battery on seven solves from T = 6 to t1 = 2: free and sourced
+    identity marches on grids h, h/2, h/4 and the origin-decay march on h/2.
+    The Hardy family reads the free marches on h and h/2, each at its middle
+    step (t = 4 at the shipped h) and at t1."""
     rep = ScenarioReport(name="audit")
-    ue, ve = _dalembert()
     T, t1 = 6.0, 2.0
     R = 12.0
     trajs = []
@@ -617,17 +615,24 @@ def run_audit_battery(spec: RunSpec) -> ScenarioReport:
     # multiplier identity refinement studies, free and sourced: one solve per
     # grid, audited for each s
     ss, hs = (1.0, 1.2), [spec.h, spec.h / 2.0, spec.h / 4.0]
-    for tag, data_fn, src in (("free", lambda g: (ue(T, g.r)[None, :], ve(T, g.r)[None, :]), None),
-                              ("sourced", lambda g: (None, None), bump_src)):
+    hardy_states = []   # the Hardy family: two states of each free march on h and h/2
+    for tag, data_at, src in (("free", lambda g: _gate_wave(T, g), None),
+                              ("sourced", lambda g: FieldState(T, g, [(1, 0)]), bump_src)):
         residuals_at = {s: [] for s in ss}
         for h in hs:
             grid = RadialGrid(h=h, J=int(round(20.0 / h)))
-            du, dv = data_fn(grid)
-            st = FieldState(T, grid, [(0, 0) if tag == "free" else (1, 0)], du, dv)
+            st = data_at(grid)
             steps = StepStates()
             trajs.append(solve_backward(st, src, T, t1, [t1], cfl=spec.cfl, on_step=steps))
             if tag == "sourced" and h == hs[1]:
                 sourced_steps = steps   # the weighted space-time instance's march
+            if tag == "free" and h != hs[2]:
+                # the middle step at its time T - k dt, free of the rounding
+                # the march's running t accumulates, and the end at t1
+                k = len(steps) // 2
+                hardy_states += [FieldState(T - k * trajs[-1].dt_max, grid, st.modes,
+                                            steps[k].u, steps[k].v),
+                                 trajs[-1].field_states()[-1]]
             for s in ss:
                 out = morawetz_identity_audit(steps, s=s, R=R, source=src)
                 residuals_at[s].append(abs(out["residual"]))
@@ -649,19 +654,15 @@ def run_audit_battery(spec: RunSpec) -> ScenarioReport:
                      note="max of the deformation expression over 200x200 samples")
 
     # Hardy ratios and pointwise constants across a small regression family,
-    # stable under refinement: one solve per grid, checked for each s
+    # stable under refinement: checked for each s
     ratios_at = {s: {"zeroth": [], "radial": [], "ks": []} for s in ss}
-    for h in (spec.h, spec.h / 2.0):
-        grid = RadialGrid(h=h, J=int(round(20.0 / h)))
-        st = FieldState(T, grid, [(0, 0)], ue(T, grid.r)[None, :], ve(T, grid.r)[None, :])
-        trajs.append(solve_backward(st, None, T, t1, [t1, 4.0], cfl=spec.cfl))
-        for stt in trajs[-1].field_states()[1:]:
-            ur = stt.ur
-            for s, ratios in ratios_at.items():
-                hc = hardy_checks(stt, s, ur)
-                ratios["zeroth"].append(hc["ratio_zeroth"])
-                ratios["radial"].append(hc["ratio_radial"])
-                ratios["ks"].append(ks_pointwise_check(stt, s, ur)["constant"])
+    for stt in hardy_states:
+        ur = stt.ur
+        for s, ratios in ratios_at.items():
+            hc = hardy_checks(stt, s, ur)
+            ratios["zeroth"].append(hc["ratio_zeroth"])
+            ratios["radial"].append(hc["ratio_radial"])
+            ratios["ks"].append(ks_pointwise_check(stt, s, ur)["constant"])
     for s, ratios in ratios_at.items():
         for tag in ("zeroth", "radial"):
             rep.add_item(f"hardy_{tag}_s{s:g}", "bound", max(ratios[tag]), hi=RATIO_BUDGET)
@@ -704,14 +705,13 @@ def run_audit_battery(spec: RunSpec) -> ScenarioReport:
 
 def run_convergence(spec: RunSpec) -> ScenarioReport:
     rep = ScenarioReport(name="convergence")
-    ue, _ve = _dalembert()
     # residual of the discrete operator on exact solutions (dt = h/2 so the
     # traveling-wave cancellation of dt = h does not mask the truncation error)
     errs_g, errs_e = [], []
     hs = [spec.h, spec.h / 2.0, spec.h / 4.0]
     for h in hs:
         grid = RadialGrid(h=h, J=int(round(24.0 / h)))
-        res = discrete_box_field(lambda t: ue(t, grid.r), 5.0, h / 2.0, grid, 0)
+        res = discrete_box_field(lambda t: _gate_wave(t, grid).u[0], 5.0, h / 2.0, grid, 0)
         errs_g.append(float(np.max(np.abs(res))))
         # the mollifier's fourth derivative is spiky: its asymptotic range
         # starts a refinement level or two below the solver grids

@@ -163,20 +163,22 @@ def test_one_source_per_k_equals_single_k_calls_bit_for_bit(monkeypatch):
             4: RadiationField({(0, 0): wide, (3, 0): GAUSS, (4, 0): GAUSS})}
     assert len({n.support() for n in same.values()}) == 1
     assert [max(n.ells()) for n in same.values()] == [2, 1, 4]
-    # a bump's support differs: its k takes a first pass of its own (a
-    # deeper half is a pass of 2 x 12 nodes); a zero source gives an empty row
-    mixed = {2: same[2], 3: RadiationField({(1, 0): BUMP}), 4: same[4]}
-    for sources, first in ((same, [(2, 3, 4)]), (mixed, [(2, 4), (3,)])):
-        for q_tol in (1e-9, 1e-11):
-            calls.clear()
-            rows = phi_k_modes(sources, 40.0, 30.0, q_tol)
-            assert [ks for ks, size in calls if size > 24] == first
-            assert (q_tol < 1e-9) == any(size == 24 for _ks, size in calls)
-            assert list(rows) == list(sources)
-            for k, n in sources.items():
-                single = phi_k_modes({k: n}, 40.0, 30.0, q_tol)[k]
-                assert single.shape == rows[k].shape == (len(n.modes),)
-                assert single.tobytes() == rows[k].tobytes(), (k, q_tol)
+    # (a deeper half is a pass of 2 x 12 nodes)
+    for q_tol in (1e-9, 1e-11):
+        calls.clear()
+        rows = phi_k_modes(same, 40.0, 30.0, q_tol)
+        assert [ks for ks, size in calls if size > 24] == [(2, 3, 4)]
+        assert (q_tol < 1e-9) == any(size == 24 for _ks, size in calls)
+        assert list(rows) == list(same)
+        for k, n in same.items():
+            single = phi_k_modes({k: n}, 40.0, 30.0, q_tol)[k]
+            assert single.shape == rows[k].shape == (len(n.modes),)
+            assert single.tobytes() == rows[k].tobytes(), (k, q_tol)
+    # a source of another support (a bump) raises; a zero source gives an
+    # empty row
+    with pytest.raises(BackscatterError):
+        phi_k_modes({2: same[2], 3: RadiationField({(1, 0): BUMP}), 4: same[4]},
+                    40.0, 30.0, KQ)
     rows = phi_k_modes({2: same[2], 4: RadiationField({})}, 40.0, 30.0, KQ)
     assert rows[4].shape == (0,) and rows[2].tobytes() == phi_k_modes(
         {2: same[2]}, 40.0, 30.0, KQ)[2].tobytes()

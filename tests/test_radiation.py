@@ -363,17 +363,13 @@ def test_scheduled_rows_are_kept_read_only_and_other_times_raise(monkeypatch):
         # a time off the schedule raises instead of evaluating one row
         with pytest.raises(EngineError):
             fn(f0, f1, np.nextafter(t, 0.0), r, sched)
-        # other radii of the same size, even in the kept radii's own array,
-        # are evaluated afresh, never served from the kept block
-        radii = r.copy()
-        fn(f0, f1, t, radii, sched)
-        radii += 0.5
-        moved = fn(f0, f1, t, radii, sched)
-        assert np.array_equal(moved, fn(f0, f1, t, radii))
-        assert not np.array_equal(moved, first)
-    # per function: one pass for its 16 stage times, one for the moved radii,
-    # plus the three unscheduled calls
-    assert passes == [1, BLOCK_TIMES, 1, BLOCK_TIMES, 1] * 2
+        # the schedule serves only the radii array its block was built on:
+        # another one, even an equal copy, raises instead of a rebuild
+        for radii in (r + 0.5, r.copy()):
+            with pytest.raises(EngineError):
+                fn(f0, f1, t, radii, sched)
+    # per function: one pass for its 16 stage times, plus the two unscheduled calls
+    assert passes == [1, BLOCK_TIMES, 1] * 2
 
 
 def _whole_grid_rows(block, f0, f1, t, r):
@@ -414,10 +410,9 @@ def test_rows_on_the_bounded_band_equal_whole_grid_rows_bit_for_bit():
 
 
 def test_two_radii_arrays_in_one_schedule_never_share_a_wave_zone(monkeypatch):
-    # the forcings asked on one radii array share each block's wave zone; a
-    # second array gets one of its own, and the first array's next request
-    # another; an equal copy is served from the kept block.  Every row is
-    # its unscheduled call's
+    # the forcings asked on one radii array share each block's wave zone, and
+    # every row is its unscheduled call's; a second array, even an equal
+    # copy, raises instead of rebuilding the block, which stays in place
     built = []
     zone = radiation.wave_zone
     monkeypatch.setattr(radiation, "wave_zone",
@@ -429,17 +424,16 @@ def test_two_radii_arrays_in_one_schedule_never_share_a_wave_zone(monkeypatch):
     f0 = gaussian_field()
     f1 = derive_F1(f0, q_max=64.0)
     r = np.linspace(5.0, 30.0, 40)
-    other = r + 0.3
     sched = StepSchedule((14.0, 10.0), dt_cap=0.05)
     block = sched.stage_times[:BLOCK_TIMES]
-    for t in block:
-        for fn in (residual_box_psi01, eval_dt_psi01_exact):
+    fns = (residual_box_psi01, eval_dt_psi01_exact)
+    for t in block[:-1]:
+        for fn in fns:
             assert np.array_equal(fn(f0, f1, t, r, sched), fn(f0, f1, t, r))
+    for radii in (r + 0.3, r.copy()):
+        for fn in fns:
+            with pytest.raises(EngineError):
+                fn(f0, f1, block[1], radii, sched)
+    for fn in fns:
+        assert np.array_equal(fn(f0, f1, block[-1], r, sched), fn(f0, f1, block[-1], r))
     assert len(scheduled()) == 1 and scheduled()[0] is r
-    built.clear()
-    for t in block[:3]:
-        for radii in (other, r, r.copy()):
-            for fn in (residual_box_psi01, eval_dt_psi01_exact):
-                assert np.array_equal(fn(f0, f1, t, radii, sched), fn(f0, f1, t, radii)), t
-    assert len(scheduled()) == 6
-    assert all(a is other and b is r for a, b in zip(scheduled()[::2], scheduled()[1::2]))

@@ -366,7 +366,7 @@ def test_every_report_names_its_run(monkeypatch):
 POLY2 = [(2, 0, {"kind": "poly-tail", "amplitude": 2.0, "p": 0.85})]
 
 
-@pytest.mark.parametrize("spec", [
+SMALL_SPECS = [   # one small run of each of the seven pipelines
     RunSpec("homogeneous", h=0.25, T=12.0, n_records=8, f0_modes=GAUSS2, mass=0.25),
     RunSpec("tlimit", h=0.25, T_list=[6.0, 12.0, 24.0], f0_modes=GAUSS2),
     RunSpec("weaknull", h=0.25, T=12.0, n_records=8, l_max=4, f0_modes=POLY2, mass=0.02,
@@ -376,7 +376,10 @@ POLY2 = [(2, 0, {"kind": "poly-tail", "amplitude": 2.0, "p": 0.85})]
     RunSpec("backscatter", f0_modes=POLY2),   # poly-tail data: field_from reads gamma
     RunSpec("audit", h=0.4),
     RunSpec("convergence", h=0.4),
-], ids=lambda spec: spec.scenario)
+]
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda spec: spec.scenario)
 def test_each_pipeline_reads_exactly_its_declared_fields(monkeypatch, spec):
     # every RunSpec field the pipeline reads while it runs, read through
     # RunSpec.__getattribute__; backscatter's brute-force oracle, which is
@@ -398,15 +401,33 @@ def test_each_pipeline_reads_exactly_its_declared_fields(monkeypatch, spec):
     assert reads == set(scenarios.FIELDS[spec.scenario])
 
 
-def _recorded_solves(monkeypatch):
-    """The trajectories of every solve a run makes, in call order."""
+def _source_key(source):
+    """None for no source, else its code and the identities of its closure's
+    values; a ``solve_backward`` wrapper stands for the source it wraps."""
+    if source is None:
+        return None
+    cells = [c.cell_contents for c in source.__closure__ or ()]
+    if source.__qualname__ == "solve_backward.<locals>.wrapped":
+        return _source_key(cells[0])
+    return source.__code__, tuple(map(id, cells))
+
+
+def _recorded_solves(monkeypatch, problems=None):
+    """The trajectories of every solve a run makes, in call order; with
+    ``problems``, each solve's problem is appended to it: the grid, T, t0, the
+    source and each field's data time, modes and data bytes."""
     import backwave.engine as engine
     import backwave.kernel_pipelines as kernel_pipelines
 
-    trajs, solve = [], engine.solve_backward_system
+    trajs, solve, sources = [], engine.solve_backward_system, []
 
-    def recording(*args, **kwargs):
-        trajs.append(solve(*args, **kwargs))
+    def recording(fields, source, T, t0, *args, **kwargs):
+        if problems is not None:
+            sources.append(source)   # alive, so no later closure takes its values' ids
+            problems.append((next(iter(fields.values())).grid, T, t0, _source_key(source),
+                             sorted((st.t, st.modes, st.u.tobytes(), st.v.tobytes())
+                                    for st in fields.values())))
+        trajs.append(solve(fields, source, T, t0, *args, **kwargs))
         return trajs[-1]
 
     for module in (engine, kernel_pipelines, scenarios):
@@ -414,17 +435,31 @@ def _recorded_solves(monkeypatch):
     return trajs
 
 
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda spec: spec.scenario)
+def test_no_two_solves_of_a_run_march_the_same_problem(monkeypatch, spec):
+    # a second march of a problem the run already marches repeats its floats;
+    # the run reads the march it has (backscatter, which makes no solve, runs
+    # with its oracle stubbed)
+    import backwave.kernel_pipelines as kernel_pipelines
+    monkeypatch.setattr(kernel_pipelines, "brute_force_phi_k", lambda *args, **kwargs: 1.0)
+    problems = []
+    _recorded_solves(monkeypatch, problems)
+    scenarios.runner_for(spec.validate().scenario)(spec)
+    repeats = [i for i, p in enumerate(problems) if p in problems[:i]]
+    assert not repeats, f"solves {repeats} repeat an earlier solve's problem"
+
+
 def test_convergence_provenance_describes_the_gate_grid(monkeypatch):
     trajs = _recorded_solves(monkeypatch)
     prov = run_scenario(RunSpec(scenario="convergence")).provenance
     # the solver gate's time-reversal grid h/2 = 0.05 with its step cfl * h = 0.025; the
-    # steps of all five solves: 100 + 200 + 400 for the refinement study,
-    # 200 each for the reflected time-reversal leg and the energy solve
+    # steps of all four solves: 100 + 200 + 400 for the refinement study (the
+    # h/2 march also carries the energy drift), 200 for the reflected leg
     assert (prov["h"], prov["J"]) == (0.05, 400)
     assert prov["r_max"] == pytest.approx(20.0)
     assert prov["dt_max"] == pytest.approx(0.025)
-    assert len(trajs) == 5
-    assert prov["steps"] == sum(tr.steps for tr in trajs) == 1100
+    assert len(trajs) == 4
+    assert prov["steps"] == sum(tr.steps for tr in trajs) == 900
 
 
 @pytest.mark.parametrize("scenario", ["convergence", "audit"])
@@ -443,8 +478,8 @@ TLIMIT_SMALL = RunSpec(scenario="tlimit", h=0.25, t0=2.0, T_list=[6.0, 12.0, 24.
 @pytest.mark.parametrize("spec, n_solves", [
     (RunSpec(scenario="nullradial", h=0.25, T=12.0, t0=2.0, amplitude=0.01), 1),  # a, a/2
     (TLIMIT_SMALL, 1),                         # one march carries every horizon
-    (RunSpec(scenario="audit", h=0.1), 9),     # one solve per distinct problem
-    (RunSpec(scenario="convergence", h=0.1), 5),
+    (RunSpec(scenario="audit", h=0.1), 7),     # identity marches x 3 grids x 2, origin
+    (RunSpec(scenario="convergence", h=0.1), 4),
 ], ids=["nullradial", "tlimit", "audit", "convergence"])
 def test_provenance_steps_cover_every_solve(monkeypatch, spec, n_solves):
     trajs = _recorded_solves(monkeypatch)
